@@ -1458,6 +1458,39 @@ mod tests {
     }
 
     #[test]
+    fn page_ship_survives_wire_framing() {
+        // The biggest frame there is: a full page image, which the codec
+        // writes as one hex string rather than 4 096 numbers.
+        let page = PageId::new(FileId::new(VolId(0), 0), 42);
+        let mut image = SlottedPage::new(4096);
+        for slot in 0..20u8 {
+            let body: Vec<u8> = (0..180).map(|i| slot.wrapping_mul(31) ^ i).collect();
+            image.insert(&body).expect("room for the object");
+        }
+        let msg = Message::ReadReply {
+            req: ReqId(7),
+            snapshot: PageSnapshot {
+                page,
+                image,
+                avail: pscc_storage::AvailMask::all_available(20),
+                ship_seq: 3,
+            },
+        };
+        let mut buf = bytes::BytesMut::new();
+        pscc_net::codec::encode_frame(&msg, &mut buf).expect("encode");
+        assert!(
+            (2 * 4096..2 * 4096 + 512).contains(&buf.len()),
+            "a page frame is two characters per byte plus a header, not {}",
+            buf.len()
+        );
+        let got: Message = pscc_net::codec::decode_frame(&mut buf)
+            .expect("decode")
+            .expect("complete frame");
+        assert_eq!(got, msg);
+        assert!(buf.is_empty());
+    }
+
+    #[test]
     fn cb_target_lockable() {
         let p = PageId::new(FileId::new(VolId(0), 0), 1);
         assert_eq!(CbTarget::PageAll(p).lockable(), LockableId::Page(p));

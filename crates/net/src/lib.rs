@@ -8,9 +8,11 @@
 //! deescalation races) stem from exactly this looseness, so the transport
 //! reproduces it faithfully:
 //!
-//! * [`InProcNetwork`] — a crossbeam-channel network for the real
-//!   multithreaded harness: one FIFO channel per `(src, dst, path)`
-//!   triple; receivers merge across paths in arrival order.
+//! * [`InProcNetwork`] — an in-process network for the real
+//!   multithreaded harness: one bounded mailbox per site, which every
+//!   source shares, so each `(src, dst, path)` triple is FIFO and paths
+//!   merge in arrival order. The mailbox is also the one place a site
+//!   thread blocks; a [`Waker`] ends that wait from outside.
 //! * [`SeededNet`] — a single-threaded, deterministic message pool for
 //!   simulation and race-exploration tests: per-path FIFO is enforced,
 //!   and the *choice of which path delivers next* is driven by a seeded
@@ -49,18 +51,18 @@
 pub mod codec;
 #[cfg(feature = "fault-inject")]
 pub mod fault;
+mod mailbox;
 pub mod tcp;
 
-use crossbeam::channel::{
-    bounded, Receiver, RecvTimeoutError, SendTimeoutError, Sender, TrySendError,
-};
+pub use mailbox::Waker;
+
 use pscc_common::SiteId;
 use rand::Rng;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Default per-lane mailbox capacity when a harness does not size it
 /// from `SystemConfig::mailbox_capacity`.
@@ -70,10 +72,6 @@ pub const DEFAULT_MAILBOX_CAPACITY: usize = 4_096;
 /// message (counted via [`Endpoint::dropped`]). Short: the sender is an
 /// engine thread whose time is better spent draining its own mailbox.
 const BULK_FULL_TIMEOUT: Duration = Duration::from_millis(10);
-
-/// Poll slice of the two-lane receive loop: how long a blocked receiver
-/// parks on the priority lane before re-checking the bulk lane.
-const RECV_POLL_SLICE: Duration = Duration::from_micros(500);
 
 /// Decides the lane of an outbound message: `true` routes it onto the
 /// never-shed priority (consistency) lane, `false` onto the sheddable
@@ -104,49 +102,23 @@ pub struct Envelope<M> {
     pub msg: M,
 }
 
+/// [`Endpoint::recv_timeout`] ran out of time (or was woken) with the
+/// mailbox still empty.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecvTimeout;
+
 // ---------------------------------------------------------------------
 // Threaded network
 // ---------------------------------------------------------------------
 
-/// The two bounded mailbox lanes of one destination.
-struct Lanes<M> {
-    prio: Sender<Envelope<M>>,
-    bulk: Sender<Envelope<M>>,
-}
-
-impl<M> Clone for Lanes<M> {
-    fn clone(&self) -> Self {
-        Lanes {
-            prio: self.prio.clone(),
-            bulk: self.bulk.clone(),
-        }
-    }
-}
-
-impl<M> fmt::Debug for Lanes<M> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "Lanes(prio={}, bulk={})",
-            self.prio.len(),
-            self.bulk.len()
-        )
-    }
-}
-
-/// Paired (priority, bulk) receive ends of a site's mailbox.
-type LaneReceivers<M> = (Receiver<Envelope<M>>, Receiver<Envelope<M>>);
-
-/// A crossbeam-channel network between a fixed set of sites with
-/// `n_paths` independent FIFO paths per ordered pair and bounded,
-/// two-lane mailboxes (see the module docs on overload protection).
+/// An in-process network between a fixed set of sites with `n_paths`
+/// independent FIFO paths per ordered pair and one bounded, two-lane
+/// mailbox per site (see the module docs on overload protection).
 pub struct InProcNetwork<M> {
     n_paths: u8,
-    // dst -> its mailbox lanes (every source shares them; per-path FIFO
-    // holds because a sending thread enqueues in program order).
-    senders: HashMap<SiteId, Lanes<M>>,
-    receivers: HashMap<SiteId, LaneReceivers<M>>,
-    classify: Option<LaneClassifier<M>>,
+    // Every source shares the destination's mailbox; per-path FIFO holds
+    // because a sending thread enqueues in program order.
+    mailboxes: HashMap<SiteId, (mailbox::Sender<M>, mailbox::Receiver<M>)>,
     /// Bulk-lane messages dropped on overflow, network-wide.
     dropped: Arc<AtomicU64>,
 }
@@ -155,7 +127,7 @@ impl<M> fmt::Debug for InProcNetwork<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("InProcNetwork")
             .field("n_paths", &self.n_paths)
-            .field("sites", &self.receivers.len())
+            .field("sites", &self.mailboxes.len())
             .field("dropped", &self.dropped.load(Ordering::Relaxed))
             .finish()
     }
@@ -188,26 +160,12 @@ impl<M: Send + 'static> InProcNetwork<M> {
         classify: Option<LaneClassifier<M>>,
     ) -> Self {
         assert!(n_paths > 0, "need at least one path");
-        assert!(capacity > 0, "need a non-zero mailbox capacity");
-        let mut senders = HashMap::new();
-        let mut receivers = HashMap::new();
-        for &s in sites {
-            let (ptx, prx) = bounded(capacity);
-            let (btx, brx) = bounded(capacity);
-            senders.insert(
-                s,
-                Lanes {
-                    prio: ptx,
-                    bulk: btx,
-                },
-            );
-            receivers.insert(s, (prx, brx));
-        }
         InProcNetwork {
             n_paths,
-            senders,
-            receivers,
-            classify,
+            mailboxes: sites
+                .iter()
+                .map(|&s| (s, mailbox::mailbox(capacity, classify.clone())))
+                .collect(),
             dropped: Arc::new(AtomicU64::new(0)),
         }
     }
@@ -218,21 +176,19 @@ impl<M: Send + 'static> InProcNetwork<M> {
     ///
     /// Panics if `site` was not in the construction list.
     pub fn endpoint(&self, site: SiteId) -> Endpoint<M> {
-        assert!(self.receivers.contains_key(&site), "unknown site {site}");
-        let out = self
-            .senders
-            .iter()
-            .filter(|(dst, _)| **dst != site)
-            .map(|(dst, lanes)| (*dst, lanes.clone()))
-            .collect();
-        let (prio_rx, bulk_rx) = self.receivers[&site].clone();
+        let Some((_, inbox)) = self.mailboxes.get(&site) else {
+            panic!("unknown site {site}");
+        };
         Endpoint {
             site,
             n_paths: self.n_paths,
-            out,
-            prio_rx,
-            bulk_rx,
-            classify: self.classify.clone(),
+            out: self
+                .mailboxes
+                .iter()
+                .filter(|(dst, _)| **dst != site)
+                .map(|(dst, (tx, _))| (*dst, tx.clone()))
+                .collect(),
+            inbox: inbox.clone(),
             dropped: Arc::clone(&self.dropped),
         }
     }
@@ -245,9 +201,7 @@ impl<M: Send + 'static> InProcNetwork<M> {
     /// Current mailbox depth (both lanes) of `site` — the per-peer queue
     /// gauge harnesses export.
     pub fn queue_depth(&self, site: SiteId) -> usize {
-        self.receivers
-            .get(&site)
-            .map_or(0, |(p, b)| p.len() + b.len())
+        self.mailboxes.get(&site).map_or(0, |(_, rx)| rx.len())
     }
 
     /// Bulk-lane messages dropped on overflow so far, network-wide.
@@ -258,24 +212,31 @@ impl<M: Send + 'static> InProcNetwork<M> {
 
 /// A message transport as seen by one site: the engine harnesses are
 /// generic over this, so the same driver loop runs over in-process
-/// channels ([`Endpoint`]) and real sockets ([`tcp::TcpNode`]).
+/// mailboxes ([`Endpoint`]) and real sockets ([`tcp::TcpNode`]).
 pub trait Transport<M> {
     /// Sends `msg` to `to` along `path` (best effort; a vanished peer
     /// behaves like a closed socket).
     fn send(&self, to: SiteId, path: PathId, msg: M);
 
-    /// Waits up to `timeout` for the next inbound message.
+    /// Waits up to `timeout` for the next inbound message. A zero
+    /// timeout polls.
     fn recv_timeout(&self, timeout: Duration) -> Option<Envelope<M>>;
+
+    /// A handle that ends this transport's `recv_timeout` early from
+    /// another thread, if it has one. A site whose transport has none
+    /// must be polled: work queued for it anywhere but the transport is
+    /// seen only when a `recv_timeout` runs out.
+    fn waker(&self) -> Option<Waker> {
+        None
+    }
 }
 
 /// One site's handle onto an [`InProcNetwork`].
 pub struct Endpoint<M> {
     site: SiteId,
     n_paths: u8,
-    out: HashMap<SiteId, Lanes<M>>,
-    prio_rx: Receiver<Envelope<M>>,
-    bulk_rx: Receiver<Envelope<M>>,
-    classify: Option<LaneClassifier<M>>,
+    out: HashMap<SiteId, mailbox::Sender<M>>,
+    inbox: mailbox::Receiver<M>,
     dropped: Arc<AtomicU64>,
 }
 
@@ -285,9 +246,7 @@ impl<M> Clone for Endpoint<M> {
             site: self.site,
             n_paths: self.n_paths,
             out: self.out.clone(),
-            prio_rx: self.prio_rx.clone(),
-            bulk_rx: self.bulk_rx.clone(),
-            classify: self.classify.clone(),
+            inbox: self.inbox.clone(),
             dropped: Arc::clone(&self.dropped),
         }
     }
@@ -298,7 +257,7 @@ impl<M> fmt::Debug for Endpoint<M> {
         f.debug_struct("Endpoint")
             .field("site", &self.site)
             .field("n_paths", &self.n_paths)
-            .field("depth", &(self.prio_rx.len() + self.bulk_rx.len()))
+            .field("depth", &self.inbox.len())
             .finish()
     }
 }
@@ -321,91 +280,53 @@ impl<M: Send + 'static> Endpoint<M> {
     ///
     /// Panics on an unknown destination or path (protocol error).
     pub fn send(&self, to: SiteId, path: PathId, msg: M) {
-        let lanes = self
+        let mailbox = self
             .out
             .get(&to)
             .unwrap_or_else(|| panic!("unknown destination {to}"));
         assert!(path.0 < self.n_paths, "unknown {path}");
-        let prio = self.classify.as_ref().is_none_or(|c| c(&msg));
         let env = Envelope {
             from: self.site,
             to,
             path,
             msg,
         };
-        if prio {
-            // Receivers may have shut down during teardown; losing the
-            // message then is fine.
-            let _ = lanes.prio.send(env);
-        } else {
-            match lanes.bulk.try_send(env) {
-                Ok(()) => {}
-                Err(TrySendError::Full(env)) => {
-                    if let Err(SendTimeoutError::Timeout(_)) =
-                        lanes.bulk.send_timeout(env, BULK_FULL_TIMEOUT)
-                    {
-                        self.dropped.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                Err(TrySendError::Disconnected(_)) => {} // teardown
+        match mailbox.send(env, Some(BULK_FULL_TIMEOUT)) {
+            Ok(()) => {}
+            Err(mailbox::SendError::Full) => {
+                self.dropped.fetch_add(1, Ordering::Relaxed);
             }
+            // The receiver shut down during teardown; losing the message
+            // then is fine.
+            Err(mailbox::SendError::Closed) => {}
         }
     }
 
     /// Blocks until a message arrives; `None` when all senders are gone.
     pub fn recv(&self) -> Option<Envelope<M>> {
-        loop {
-            match self.recv_timeout(Duration::from_secs(3600)) {
-                Ok(e) => return Some(e),
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => return None,
-            }
-        }
+        self.inbox.recv(None)
     }
 
     /// Waits up to `timeout` for a message, draining the priority lane
-    /// ahead of the bulk lane.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<Envelope<M>, RecvTimeoutError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if let Ok(e) = self.prio_rx.try_recv() {
-                return Ok(e);
-            }
-            if let Ok(e) = self.bulk_rx.try_recv() {
-                return Ok(e);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(RecvTimeoutError::Timeout);
-            }
-            // Park on the priority lane in short slices so bulk arrivals
-            // are still noticed promptly.
-            let slice = RECV_POLL_SLICE.min(deadline - now);
-            match self.prio_rx.recv_timeout(slice) {
-                Ok(e) => return Ok(e),
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => {
-                    // Lanes close together (they live in one struct):
-                    // drain what the bulk lane still buffers, then report
-                    // the disconnect.
-                    let left = deadline.saturating_duration_since(Instant::now());
-                    return self.bulk_rx.recv_timeout(left);
-                }
-            }
-        }
+    /// ahead of the bulk lane. The wait parks for its whole length even
+    /// when no sender is left (a one-site network), and ends early when
+    /// this endpoint's [`Transport::waker`] is used.
+    ///
+    /// # Errors
+    ///
+    /// [`RecvTimeout`] when no message came.
+    pub fn recv_timeout(&self, timeout: Duration) -> Result<Envelope<M>, RecvTimeout> {
+        self.inbox.recv(Some(timeout)).ok_or(RecvTimeout)
     }
 
     /// Non-blocking receive (priority lane first).
     pub fn try_recv(&self) -> Option<Envelope<M>> {
-        self.prio_rx
-            .try_recv()
-            .ok()
-            .or_else(|| self.bulk_rx.try_recv().ok())
+        self.inbox.recv(Some(Duration::ZERO))
     }
 
     /// Current depth of this endpoint's own mailbox (both lanes).
     pub fn queue_depth(&self) -> usize {
-        self.prio_rx.len() + self.bulk_rx.len()
+        self.inbox.len()
     }
 
     /// Bulk-lane messages dropped on overflow, network-wide.
@@ -420,7 +341,11 @@ impl<M: Send + 'static> Transport<M> for Endpoint<M> {
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Option<Envelope<M>> {
-        Endpoint::recv_timeout(self, timeout).ok()
+        self.inbox.recv(Some(timeout))
+    }
+
+    fn waker(&self) -> Option<Waker> {
+        Some(self.inbox.waker())
     }
 }
 
@@ -521,6 +446,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::time::Instant;
 
     #[test]
     fn inproc_roundtrip_and_fifo_per_path() {
@@ -594,6 +520,35 @@ mod tests {
         assert_eq!(net.queue_depth(SiteId(1)), 2);
         let got: Vec<u32> = (0..2).map(|_| b.recv().unwrap().msg).collect();
         assert_eq!(got, vec![1, 2]);
+    }
+
+    #[test]
+    fn one_site_network_parks_instead_of_spinning() {
+        // The endpoint's own mailbox has no sender once the network is
+        // gone; a wait on it must still take its whole timeout.
+        let net = InProcNetwork::<u32>::new(&[SiteId(0)], 1);
+        let only = net.endpoint(SiteId(0));
+        drop(net);
+        let t0 = Instant::now();
+        assert_eq!(
+            only.recv_timeout(Duration::from_millis(50)),
+            Err(RecvTimeout)
+        );
+        assert!(t0.elapsed() >= Duration::from_millis(50));
+        // ... unless its waker ends it.
+        let waker = Transport::waker(&only).expect("endpoints can be woken");
+        let long = Duration::from_secs(30);
+        std::thread::scope(|s| {
+            let waiting = s.spawn(|| {
+                let t0 = Instant::now();
+                (only.recv_timeout(long), t0.elapsed())
+            });
+            waker.wake();
+            let (got, waited) = waiting.join().expect("receiver thread");
+            assert_eq!(got, Err(RecvTimeout));
+            assert!(waited < long / 2, "the wake did not end the wait");
+        });
+        assert!(only.recv().is_none(), "no sender left: nothing can arrive");
     }
 
     #[test]

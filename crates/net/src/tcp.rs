@@ -8,12 +8,14 @@
 //! Topology: every node listens on one address; outgoing connections are
 //! opened lazily per `(destination, path)` and announce `(site, path)`
 //! in a handshake frame. A reader thread per accepted connection decodes
-//! frames into the node's mailbox.
+//! frames into the node's mailbox — the same two-lane monitor the
+//! in-process network uses, so a site blocks, and is woken, the same way
+//! over either transport.
 
 use crate::codec::{decode_frame, encode_frame};
-use crate::{Envelope, LaneClassifier, PathId, Transport, DEFAULT_MAILBOX_CAPACITY};
+use crate::mailbox::{self, mailbox};
+use crate::{Envelope, LaneClassifier, PathId, Transport, Waker, DEFAULT_MAILBOX_CAPACITY};
 use bytes::BytesMut;
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, SendError, Sender};
 use pscc_common::SiteId;
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
@@ -85,49 +87,13 @@ fn trace_record(trace: &SharedTrace, kind: pscc_obs::EventKind) {
 /// its handshake identified the sender.
 const UNKNOWN_PEER: SiteId = SiteId(u32::MAX);
 
-/// Poll slice of the two-lane receive loop (priority drained first).
-const RECV_POLL_SLICE: Duration = Duration::from_micros(500);
-
-/// The bounded, two-lane mailbox as seen by reader threads. Inserts
-/// block when a lane is full — the reader then stops reading its socket,
-/// the kernel's TCP window fills, and the *sender's* retry loop takes
-/// over: bounded memory with no message loss.
-struct MailboxTx<M> {
-    prio: Sender<Envelope<M>>,
-    bulk: Sender<Envelope<M>>,
-    classify: Option<LaneClassifier<M>>,
-}
-
-impl<M> Clone for MailboxTx<M> {
-    fn clone(&self) -> Self {
-        MailboxTx {
-            prio: self.prio.clone(),
-            bulk: self.bulk.clone(),
-            classify: self.classify.clone(),
-        }
-    }
-}
-
-impl<M> MailboxTx<M> {
-    fn send(&self, env: Envelope<M>) -> Result<(), SendError<Envelope<M>>> {
-        let prio = self.classify.as_ref().is_none_or(|c| c(&env.msg));
-        if prio {
-            self.prio.send(env)
-        } else {
-            self.bulk.send(env)
-        }
-    }
-}
-
 /// One site of a TCP-connected peer-servers deployment.
 pub struct TcpNode<M> {
     site: SiteId,
     peers: HashMap<SiteId, SocketAddr>,
     // (dst, path) -> established outgoing connection.
     conns: Mutex<HashMap<(SiteId, PathId), TcpStream>>,
-    prio_rx: Receiver<Envelope<M>>,
-    bulk_rx: Receiver<Envelope<M>>,
-    mailbox_tx: MailboxTx<M>,
+    inbox: mailbox::Receiver<M>,
     shutdown: Arc<AtomicBool>,
     acceptor: Option<std::thread::JoinHandle<()>>,
     stats: Arc<NetStats>,
@@ -178,18 +144,11 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> TcpNode<M> {
         assert!(capacity > 0, "need a non-zero mailbox capacity");
         let listener = TcpListener::bind(listen)?;
         listener.set_nonblocking(true)?;
-        let (ptx, prx) = bounded(capacity);
-        let (btx, brx) = bounded(capacity);
-        let tx = MailboxTx {
-            prio: ptx,
-            bulk: btx,
-            classify,
-        };
+        let (tx, inbox) = mailbox(capacity, classify);
         let shutdown = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(NetStats::default());
         let trace: SharedTrace = Arc::new(Mutex::new(None));
         let acceptor = {
-            let tx = tx.clone();
             let stop = Arc::clone(&shutdown);
             let stats = Arc::clone(&stats);
             let trace = Arc::clone(&trace);
@@ -203,7 +162,9 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> TcpNode<M> {
                             let stop = Arc::clone(&stop);
                             let stats = Arc::clone(&stats);
                             let trace = Arc::clone(&trace);
-                            std::thread::spawn(move || reader_loop(stream, tx, stop, stats, trace));
+                            std::thread::spawn(move || {
+                                reader_loop(stream, site, tx, stop, stats, trace);
+                            });
                         }
                         Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                             std::thread::sleep(Duration::from_millis(1));
@@ -217,9 +178,7 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> TcpNode<M> {
             site,
             peers,
             conns: Mutex::new(HashMap::new()),
-            prio_rx: prx,
-            bulk_rx: brx,
-            mailbox_tx: tx,
+            inbox,
             shutdown,
             acceptor: Some(acceptor),
             stats,
@@ -258,12 +217,6 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> TcpNode<M> {
         }
     }
 
-    /// The local mailbox sender (loopback injection in tests). Injected
-    /// messages travel the priority lane.
-    pub fn loopback(&self) -> Sender<Envelope<M>> {
-        self.mailbox_tx.prio.clone()
-    }
-
     /// This node's wire-level counters.
     pub fn stats(&self) -> &NetStats {
         &self.stats
@@ -272,7 +225,7 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> TcpNode<M> {
     /// Current mailbox depth (both lanes) — the queue gauge harnesses
     /// export per node.
     pub fn queue_depth(&self) -> usize {
-        self.prio_rx.len() + self.bulk_rx.len()
+        self.inbox.len()
     }
 
     fn connection(&self, to: SiteId, path: PathId) -> std::io::Result<TcpStream> {
@@ -340,7 +293,8 @@ impl<M> Drop for TcpNode<M> {
 
 fn reader_loop<M: DeserializeOwned + Send + 'static>(
     mut stream: TcpStream,
-    tx: MailboxTx<M>,
+    to: SiteId,
+    tx: mailbox::Sender<M>,
     stop: Arc<AtomicBool>,
     stats: Arc<NetStats>,
     trace: SharedTrace,
@@ -385,15 +339,17 @@ fn reader_loop<M: DeserializeOwned + Send + 'static>(
                         disconnect(None, "frame before handshake");
                         return;
                     };
-                    if tx
-                        .send(Envelope {
-                            from: site,
-                            to: SiteId(u32::MAX), // filled by receiver identity
-                            path,
-                            msg,
-                        })
-                        .is_err()
-                    {
+                    let env = Envelope {
+                        from: site,
+                        to,
+                        path,
+                        msg,
+                    };
+                    // A full lane, bulk included, blocks this reader: it
+                    // then stops reading its socket, the kernel's TCP
+                    // window fills, and the *sender's* retry loop takes
+                    // over — bounded memory with no message loss.
+                    if tx.send(env, None).is_err() {
                         return; // local node dropped its mailbox
                     }
                 }
@@ -488,34 +444,11 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> Transport<M> for TcpNode<
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Option<Envelope<M>> {
-        let deadline = std::time::Instant::now() + timeout;
-        let stamp = |mut e: Envelope<M>| {
-            e.to = self.site;
-            e
-        };
-        loop {
-            // Priority lane first, so consistency traffic is never stuck
-            // behind a backlog of bulk fetches.
-            if let Ok(e) = self.prio_rx.try_recv() {
-                return Some(stamp(e));
-            }
-            if let Ok(e) = self.bulk_rx.try_recv() {
-                return Some(stamp(e));
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let slice = RECV_POLL_SLICE.min(deadline - now);
-            match self.prio_rx.recv_timeout(slice) {
-                Ok(e) => return Some(stamp(e)),
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => {
-                    let left = deadline.saturating_duration_since(std::time::Instant::now());
-                    return self.bulk_rx.recv_timeout(left).ok().map(stamp);
-                }
-            }
-        }
+        self.inbox.recv(Some(timeout))
+    }
+
+    fn waker(&self) -> Option<Waker> {
+        Some(self.inbox.waker())
     }
 }
 

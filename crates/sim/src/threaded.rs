@@ -9,15 +9,32 @@
 //! replies the same way; everything else (timing, delivery order) is up
 //! to the operating system's scheduler, so runs are *not* deterministic —
 //! exactly the point.
+//!
+//! # The site loop
+//!
+//! A site thread blocks in exactly one place, its transport's
+//! `recv_timeout`, and each of its three sources of work can end that
+//! wait: a message by arriving, a timer by bounding the wait, a command
+//! by its producer calling the transport's [`Waker`] *after* queueing it
+//! (every producer goes through `SiteHandle::send`). Each pass first
+//! takes, without blocking, the timers now due, the commands queued when
+//! the pass began and a bounded batch of messages, so no source starves
+//! another; only a pass that found nothing blocks. See DESIGN.md §12.
+//!
+//! Replies go the other way with the opposite policy: an application
+//! thread naps briefly before it lets a site pay for waking it (see
+//! [`ThreadedCluster::recv_reply`]).
 
 use crate::testkit::{path_for, CONTROLLER};
 use crossbeam::channel as mpsc;
 use pscc_common::{AppId, PsccError, SimTime, SiteId, SystemConfig, TxnId};
 use pscc_core::{
     AppOp, AppReply, AppRequest, DrainPhase, Input, Message, Output, OwnerMap, PeerServer, ReqId,
+    TimerId,
 };
-use pscc_net::{InProcNetwork, Transport};
-use std::collections::VecDeque;
+use pscc_net::{Envelope, InProcNetwork, Transport, Waker};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -50,47 +67,224 @@ enum Cmd {
     Restart(mpsc::Sender<()>),
 }
 
-/// Applies one batch of engine outputs inside a site thread: sends go
-/// to the transport (acks addressed to [`CONTROLLER`] are dropped — the
-/// supervisor thread polls probes instead of holding an endpoint), disks
-/// complete immediately, timers are armed against wall clock, and app
-/// replies go to the driver channel.
-fn drive<T: Transport<Message>>(
-    outs: Vec<Output>,
-    endpoint: &T,
-    timers: &mut Vec<(Instant, pscc_core::TimerId)>,
-    pending: &mut VecDeque<Input>,
-    rtx: &mpsc::Sender<AppReply>,
-) {
-    for o in outs {
-        match o {
-            Output::Send { to, msg } => {
-                if to == CONTROLLER {
-                    continue;
+/// How long an idle site stays parked before it looks at its stop flag
+/// and command channel unprompted. Nothing waits for this to run out: a
+/// message, the next timer or a [`Waker`] ends the park first.
+const IDLE_PARK: Duration = Duration::from_millis(100);
+
+/// The same wait over a transport that has no [`Waker`] (a wrapper that
+/// forwards only `send` and `recv_timeout`): nothing can end the park
+/// when a command arrives, so the site polls for commands at this period.
+const IDLE_POLL: Duration = Duration::from_micros(200);
+
+/// Messages one pass takes before timers and commands get another look.
+const MSG_BATCH: usize = 64;
+
+/// How long an application thread that found no reply queued stays away
+/// before it asks to be woken for one (see
+/// [`ThreadedCluster::recv_reply`]). The kernel's default timer slack
+/// (50 µs) rounds it up to about 75 µs.
+const REPLY_NAP: Duration = Duration::from_micros(20);
+
+/// The driver's side of one site: its command channel, and the waker
+/// that makes the site look at it.
+#[derive(Clone)]
+struct SiteHandle {
+    cmd_tx: mpsc::Sender<Cmd>,
+    waker: Option<Waker>,
+}
+
+impl SiteHandle {
+    /// Queues `cmd`, then ends the site's wait. In that order: the site
+    /// tests the wake flag under its mailbox lock before it sleeps, so
+    /// it either sees the command on the pass in progress or is woken
+    /// for the next.
+    fn send(&self, cmd: Cmd) -> Result<(), PsccError> {
+        self.cmd_tx
+            .send(cmd)
+            .map_err(|_| PsccError::InvalidOperation("site thread gone"))?;
+        self.wake();
+        Ok(())
+    }
+
+    fn wake(&self) {
+        if let Some(w) = &self.waker {
+            w.wake();
+        }
+    }
+}
+
+/// One peer server and everything its thread owns.
+struct Site<T> {
+    id: SiteId,
+    cfg: SystemConfig,
+    owners: OwnerMap,
+    engine: PeerServer,
+    transport: T,
+    /// Armed timers, earliest first.
+    timers: BinaryHeap<Reverse<(Instant, TimerId)>>,
+    commands: mpsc::Receiver<Cmd>,
+    replies: mpsc::Sender<AppReply>,
+    /// The cluster's time zero: the engine sees wall time elapsed since.
+    start: Instant,
+    idle_wait: Duration,
+}
+
+impl<T: Transport<Message>> Site<T> {
+    fn run(mut self, stop: &AtomicBool) {
+        while !stop.load(Ordering::Acquire) {
+            let mut busy = false;
+            let now = Instant::now();
+            while let Some(&Reverse((at, timer))) = self.timers.peek() {
+                if at > now {
+                    break;
                 }
-                let path = path_for(&msg);
-                Transport::send(endpoint, to, path, msg);
+                self.timers.pop();
+                self.handle(Input::TimerFired { timer });
+                busy = true;
             }
-            Output::Disk { req, .. } => {
-                // Immediate disks: storage is in memory.
-                pending.push_back(Input::DiskDone { req });
+            // What was queued when the pass began, not what keeps coming:
+            // a driver that never pauses must not shut out the network.
+            for _ in 0..self.commands.len() {
+                let Ok(cmd) = self.commands.try_recv() else {
+                    break;
+                };
+                self.command(cmd);
+                busy = true;
             }
-            Output::ArmTimer { timer, delay } => {
-                timers.push((
-                    Instant::now() + Duration::from_micros(delay.as_micros()),
-                    timer,
-                ));
+            for _ in 0..MSG_BATCH {
+                let Some(env) = self.transport.recv_timeout(Duration::ZERO) else {
+                    break;
+                };
+                self.message(env);
+                busy = true;
             }
-            Output::App(reply) => {
-                let _ = rtx.send(reply);
+            if busy {
+                continue;
             }
+            let wait = self
+                .timers
+                .peek()
+                .map_or(self.idle_wait, |Reverse((at, _))| {
+                    at.saturating_duration_since(Instant::now())
+                        .min(self.idle_wait)
+                });
+            // The one place this thread blocks. Whatever ends the wait,
+            // the next pass looks at every source again.
+            if let Some(env) = self.transport.recv_timeout(wait) {
+                self.message(env);
+            }
+        }
+    }
+
+    fn message(&mut self, env: Envelope<Message>) {
+        self.handle(Input::Msg {
+            from: env.from,
+            msg: env.msg,
+        });
+    }
+
+    fn command(&mut self, cmd: Cmd) {
+        match cmd {
+            Cmd::App(req) => self.handle(Input::App(req)),
+            Cmd::Stats(tx) => {
+                let _ = tx.send(self.engine.stats);
+            }
+            Cmd::Control(msg) => self.handle(Input::Msg {
+                from: CONTROLLER,
+                msg,
+            }),
+            Cmd::Probe(tx) => {
+                let _ = tx.send(SiteProbe {
+                    epoch: self.engine.epoch(),
+                    phase: self.engine.drain_phase(),
+                    queue_depth: self.engine.queue_depth(),
+                });
+            }
+            Cmd::Restart(done) => {
+                self.restart();
+                let _ = done.send(());
+            }
+        }
+    }
+
+    /// Rebuilds the engine in place. Owners come back through ARIES
+    /// restart recovery over the durable image; pure clients restart
+    /// cold (nothing durable to lose).
+    fn restart(&mut self) {
+        let owns_data = !self
+            .owners
+            .pages_of(self.id, self.cfg.database_pages)
+            .is_empty();
+        let outs = if owns_data {
+            let durable = self.engine.crash_image();
+            let prior = self.engine.epoch();
+            let (next, outs) = PeerServer::recover(
+                self.id,
+                self.cfg.clone(),
+                self.owners.clone(),
+                &durable,
+                prior,
+            );
+            self.engine = next;
+            outs
+        } else {
+            self.engine = PeerServer::new(self.id, self.cfg.clone(), self.owners.clone());
+            Vec::new()
+        };
+        self.engine.stats.faults_injected += 1;
+        // A crashed process forgets its timers.
+        self.timers.clear();
+        self.apply(outs);
+    }
+
+    /// Wall time since the cluster started, as the engine's clock.
+    fn now(&self) -> SimTime {
+        SimTime::from_micros(self.start.elapsed().as_micros() as u64)
+    }
+
+    fn handle(&mut self, input: Input) {
+        let outs = self.engine.handle(self.now(), input);
+        self.apply(outs);
+    }
+
+    /// Applies engine outputs: sends go to the transport (acks addressed
+    /// to [`CONTROLLER`] are dropped — the supervisor thread polls probes
+    /// instead of holding an endpoint), timers are armed against wall
+    /// clock and app replies go to the driver channel. Disks complete at
+    /// once (storage is in memory): their completions are fed back here,
+    /// in order, before the site takes any other input.
+    fn apply(&mut self, mut outs: Vec<Output>) {
+        let mut disk_done = VecDeque::new();
+        loop {
+            for o in outs {
+                match o {
+                    Output::Send { to, msg } => {
+                        if to != CONTROLLER {
+                            self.transport.send(to, path_for(&msg), msg);
+                        }
+                    }
+                    Output::Disk { req, .. } => disk_done.push_back(req),
+                    Output::ArmTimer { timer, delay } => {
+                        let at = Instant::now() + Duration::from_micros(delay.as_micros());
+                        self.timers.push(Reverse((at, timer)));
+                    }
+                    Output::App(reply) => {
+                        let _ = self.replies.send(reply);
+                    }
+                }
+            }
+            let Some(req) = disk_done.pop_front() else {
+                return;
+            };
+            outs = self.engine.handle(self.now(), Input::DiskDone { req });
         }
     }
 }
 
 /// A cluster of peer servers, each on its own OS thread.
 pub struct ThreadedCluster {
-    cmd_tx: Vec<mpsc::Sender<Cmd>>,
+    sites: Vec<SiteHandle>,
     reply_rx: Vec<mpsc::Receiver<AppReply>>,
     shutdown: Arc<AtomicBool>,
     handles: Vec<JoinHandle<()>>,
@@ -168,7 +362,7 @@ impl ThreadedCluster {
             panic!("invalid SystemConfig: {e}");
         }
         let shutdown = Arc::new(AtomicBool::new(false));
-        let mut cmd_tx = Vec::new();
+        let mut sites = Vec::new();
         let mut reply_rx = Vec::new();
         let mut handles = Vec::new();
         let start = Instant::now();
@@ -177,102 +371,33 @@ impl ThreadedCluster {
         // anyway so a runaway workload blocks at submission instead of
         // growing memory without limit.
         let cmd_capacity = cfg.mailbox_capacity.max(1) as usize;
-        for (site, endpoint) in transports {
-            let (ctx, crx) = mpsc::bounded::<Cmd>(cmd_capacity);
-            let (rtx, rrx) = mpsc::bounded::<AppReply>(cmd_capacity);
-            cmd_tx.push(ctx);
+        for (id, transport) in transports {
+            let (cmd_tx, commands) = mpsc::bounded::<Cmd>(cmd_capacity);
+            let (replies, rrx) = mpsc::bounded::<AppReply>(cmd_capacity);
+            let waker = transport.waker();
             reply_rx.push(rrx);
-            let cfg = cfg.clone();
-            let owners = owners.clone();
+            let site = Site {
+                id,
+                cfg: cfg.clone(),
+                owners: owners.clone(),
+                engine: PeerServer::new(id, cfg.clone(), owners.clone()),
+                transport,
+                timers: BinaryHeap::new(),
+                commands,
+                replies,
+                start,
+                idle_wait: if waker.is_some() {
+                    IDLE_PARK
+                } else {
+                    IDLE_POLL
+                },
+            };
+            sites.push(SiteHandle { cmd_tx, waker });
             let stop = Arc::clone(&shutdown);
-            handles.push(std::thread::spawn(move || {
-                let mut engine = PeerServer::new(site, cfg.clone(), owners.clone());
-                // (fire-at, timer) pairs, unsorted (few at a time).
-                let mut timers: Vec<(Instant, pscc_core::TimerId)> = Vec::new();
-                let mut pending: VecDeque<Input> = VecDeque::new();
-                loop {
-                    if stop.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    // Gather one input: pending first, then commands,
-                    // then network (with a short block), then due timers.
-                    let input = if let Some(i) = pending.pop_front() {
-                        Some(i)
-                    } else if let Ok(cmd) = crx.try_recv() {
-                        match cmd {
-                            Cmd::App(req) => Some(Input::App(req)),
-                            Cmd::Stats(tx) => {
-                                let _ = tx.send(engine.stats);
-                                continue;
-                            }
-                            Cmd::Control(msg) => Some(Input::Msg {
-                                from: CONTROLLER,
-                                msg,
-                            }),
-                            Cmd::Probe(tx) => {
-                                let _ = tx.send(SiteProbe {
-                                    epoch: engine.epoch(),
-                                    phase: engine.drain_phase(),
-                                    queue_depth: engine.queue_depth(),
-                                });
-                                continue;
-                            }
-                            Cmd::Restart(done) => {
-                                // Rebuild the engine in place. Owners come
-                                // back through ARIES restart recovery over
-                                // the durable image; pure clients restart
-                                // cold (nothing durable to lose).
-                                let owns_data =
-                                    !owners.pages_of(site, cfg.database_pages).is_empty();
-                                let outs = if owns_data {
-                                    let durable = engine.crash_image();
-                                    let prior = engine.epoch();
-                                    let (next, outs) = PeerServer::recover(
-                                        site,
-                                        cfg.clone(),
-                                        owners.clone(),
-                                        &durable,
-                                        prior,
-                                    );
-                                    engine = next;
-                                    outs
-                                } else {
-                                    engine = PeerServer::new(site, cfg.clone(), owners.clone());
-                                    Vec::new()
-                                };
-                                engine.stats.faults_injected += 1;
-                                // A crashed process forgets its timers.
-                                timers.clear();
-                                pending.clear();
-                                drive(outs, &endpoint, &mut timers, &mut pending, &rtx);
-                                let _ = done.send(());
-                                continue;
-                            }
-                        }
-                    } else if let Some(env) =
-                        Transport::recv_timeout(&endpoint, Duration::from_micros(200))
-                    {
-                        Some(Input::Msg {
-                            from: env.from,
-                            msg: env.msg,
-                        })
-                    } else {
-                        let now = Instant::now();
-                        let due = timers.iter().position(|(at, _)| *at <= now);
-                        due.map(|i| {
-                            let (_, t) = timers.swap_remove(i);
-                            Input::TimerFired { timer: t }
-                        })
-                    };
-                    let Some(input) = input else { continue };
-                    let now = SimTime::from_micros(start.elapsed().as_micros() as u64);
-                    let outs = engine.handle(now, input);
-                    drive(outs, &endpoint, &mut timers, &mut pending, &rtx);
-                }
-            }));
+            handles.push(std::thread::spawn(move || site.run(&stop)));
         }
         ThreadedCluster {
-            cmd_tx,
+            sites,
             reply_rx,
             shutdown,
             handles,
@@ -281,16 +406,32 @@ impl ThreadedCluster {
 
     /// Submits an application request to `site` without waiting.
     pub fn submit(&self, site: SiteId, app: AppId, txn: Option<TxnId>, op: AppOp) {
-        let _ = self.cmd_tx[site.0 as usize].send(Cmd::App(AppRequest { app, txn, op }));
+        let _ = self.sites[site.0 as usize].send(Cmd::App(AppRequest { app, txn, op }));
     }
 
     /// Waits (up to 10 s wall time) for the next reply from `site`.
+    ///
+    /// A reply already queued is returned at once. Otherwise the caller
+    /// first naps `REPLY_NAP` *without* registering as a waiter, and
+    /// only blocks on the channel if the nap did not produce the reply.
+    /// Waking a blocked application thread costs the site thread that
+    /// replies an inter-processor interrupt — an order of magnitude more
+    /// CPU than the cache-hit read it answers — and a site that pays it
+    /// for every hand-off saturates its CPU on waking applications. The
+    /// nap moves that cost off the sites: they answer a batch of requests
+    /// into the queue and park, and the application finds the replies
+    /// when its own timer fires (DESIGN.md §12).
     ///
     /// # Errors
     ///
     /// [`PsccError::InvalidOperation`] on timeout.
     pub fn recv_reply(&self, site: SiteId) -> Result<AppReply, PsccError> {
-        self.reply_rx[site.0 as usize]
+        let replies = &self.reply_rx[site.0 as usize];
+        if let Ok(reply) = replies.try_recv() {
+            return Ok(reply);
+        }
+        std::thread::sleep(REPLY_NAP);
+        replies
             .recv_timeout(Duration::from_secs(10))
             .map_err(|_| PsccError::InvalidOperation("threaded cluster reply timeout"))
     }
@@ -347,7 +488,7 @@ impl ThreadedCluster {
 
     /// Injects a control-plane message at `site` as [`CONTROLLER`].
     pub fn send_control(&self, site: SiteId, msg: Message) {
-        let _ = self.cmd_tx[site.0 as usize].send(Cmd::Control(msg));
+        let _ = self.sites[site.0 as usize].send(Cmd::Control(msg));
     }
 
     /// Reports `site`'s control-plane observables.
@@ -357,13 +498,12 @@ impl ThreadedCluster {
     /// [`PsccError::InvalidOperation`] if the site thread is gone or
     /// does not answer within five seconds.
     pub fn probe(&self, site: SiteId) -> Result<SiteProbe, PsccError> {
-        Self::probe_via(&self.cmd_tx[site.0 as usize])
+        Self::probe_via(&self.sites[site.0 as usize])
     }
 
-    fn probe_via(tx: &mpsc::Sender<Cmd>) -> Result<SiteProbe, PsccError> {
+    fn probe_via(site: &SiteHandle) -> Result<SiteProbe, PsccError> {
         let (ptx, prx) = mpsc::bounded(1);
-        tx.send(Cmd::Probe(ptx))
-            .map_err(|_| PsccError::InvalidOperation("probe: site thread gone"))?;
+        site.send(Cmd::Probe(ptx))?;
         prx.recv_timeout(Duration::from_secs(5))
             .map_err(|_| PsccError::InvalidOperation("probe: site thread unresponsive"))
     }
@@ -383,18 +523,18 @@ impl ThreadedCluster {
         step_timeout: Duration,
         sites: Vec<SiteId>,
     ) -> JoinHandle<Result<Vec<u64>, PsccError>> {
-        let cmd_tx: Vec<mpsc::Sender<Cmd>> = sites
+        let sites: Vec<SiteHandle> = sites
             .iter()
-            .map(|s| self.cmd_tx[s.0 as usize].clone())
+            .map(|s| self.sites[s.0 as usize].clone())
             .collect();
         std::thread::spawn(move || {
-            let wait = |tx: &mpsc::Sender<Cmd>,
+            let wait = |site: &SiteHandle,
                         ok: &dyn Fn(&SiteProbe) -> bool,
                         err: &'static str|
              -> Result<SiteProbe, PsccError> {
                 let deadline = Instant::now() + step_timeout;
                 loop {
-                    let p = Self::probe_via(tx)?;
+                    let p = Self::probe_via(site)?;
                     if ok(&p) {
                         return Ok(p);
                     }
@@ -404,26 +544,23 @@ impl ThreadedCluster {
                     std::thread::sleep(Duration::from_millis(1));
                 }
             };
-            let mut epochs = Vec::with_capacity(cmd_tx.len());
-            for (i, tx) in cmd_tx.iter().enumerate() {
+            let mut epochs = Vec::with_capacity(sites.len());
+            for (i, site) in sites.iter().enumerate() {
                 let req = ReqId(i as u64 + 1);
-                let before = Self::probe_via(tx)?.epoch;
-                tx.send(Cmd::Control(Message::DrainReq { req }))
-                    .map_err(|_| PsccError::InvalidOperation("rolling: site thread gone"))?;
+                let before = Self::probe_via(site)?.epoch;
+                site.send(Cmd::Control(Message::DrainReq { req }))?;
                 wait(
-                    tx,
+                    site,
                     &|p| p.phase == DrainPhase::Drained,
                     "rolling: drain step timed out",
                 )?;
                 let (dtx, drx) = mpsc::bounded(1);
-                tx.send(Cmd::Restart(dtx))
-                    .map_err(|_| PsccError::InvalidOperation("rolling: site thread gone"))?;
+                site.send(Cmd::Restart(dtx))?;
                 drx.recv_timeout(step_timeout)
                     .map_err(|_| PsccError::InvalidOperation("rolling: restart step timed out"))?;
-                tx.send(Cmd::Control(Message::UndrainReq { req }))
-                    .map_err(|_| PsccError::InvalidOperation("rolling: site thread gone"))?;
+                site.send(Cmd::Control(Message::UndrainReq { req }))?;
                 let after = wait(
-                    tx,
+                    site,
                     &|p| p.phase == DrainPhase::Active && p.epoch >= before,
                     "rolling: undrain step timed out",
                 )?;
@@ -436,9 +573,9 @@ impl ThreadedCluster {
     /// Sums the counters of every site.
     pub fn total_stats(&self) -> pscc_common::Counters {
         let mut total = pscc_common::Counters::default();
-        for tx in &self.cmd_tx {
+        for site in &self.sites {
             let (stx, srx) = mpsc::bounded(1);
-            if tx.send(Cmd::Stats(stx)).is_ok() {
+            if site.send(Cmd::Stats(stx)).is_ok() {
                 if let Ok(c) = srx.recv_timeout(Duration::from_secs(5)) {
                     total += c;
                 }
@@ -449,7 +586,16 @@ impl ThreadedCluster {
 
     /// Stops all site threads.
     pub fn shutdown(mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
+        self.stop();
+    }
+
+    fn stop(&mut self) {
+        // Flag first, then wake, as with any command (pairs with the
+        // Acquire load at the top of each site's pass).
+        self.shutdown.store(true, Ordering::Release);
+        for site in &self.sites {
+            site.wake();
+        }
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
@@ -458,9 +604,6 @@ impl ThreadedCluster {
 
 impl Drop for ThreadedCluster {
     fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
+        self.stop();
     }
 }

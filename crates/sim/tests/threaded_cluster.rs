@@ -1,26 +1,26 @@
 //! Real-thread integration: peer servers on OS threads over the
-//! multi-path crossbeam transport, with genuinely nondeterministic
-//! scheduling. Serializability must hold regardless.
+//! multi-path in-process and TCP transports, with genuinely
+//! nondeterministic scheduling. Serializability must hold regardless.
 
-use pscc_common::{AppId, FileId, Oid, PageId, Protocol, SiteId, SystemConfig, VolId};
-use pscc_core::{AppOp, AppReply, OwnerMap};
+use pscc_common::{
+    AppId, FileId, Oid, PageId, Protocol, PsccError, SimDuration, SiteId, SystemConfig, VolId,
+};
+use pscc_core::{AppOp, AppReply, Message, OwnerMap, ReqId};
+use pscc_net::{Endpoint, Envelope, InProcNetwork, PathId, Transport};
 use pscc_sim::threaded::ThreadedCluster;
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn oid(page: u32, slot: u16) -> Oid {
     Oid::new(PageId::new(FileId::new(VolId(0), 0), page), slot)
 }
 
-#[test]
-fn threaded_counter_increments_serialize() {
-    let cfg = SystemConfig {
-        protocol: Protocol::PsAa,
-        ..SystemConfig::small()
-    };
-    let cluster = ThreadedCluster::new(3, cfg, OwnerMap::Single(SiteId(0)));
-    let x = oid(3, 0);
-
-    // Two client threads hammer the same counter concurrently.
-    let total_increments = 30u64;
+/// Two client threads (sites 1 and 2) increment one counter owned by
+/// site 0, `per_site` times each, retrying aborted attempts; a fresh
+/// reader must then see every increment.
+fn counter_increments_serialize(cluster: ThreadedCluster, x: Oid, per_site: u64) {
     std::thread::scope(|s| {
         for site_no in [1u32, 2u32] {
             let cluster = &cluster;
@@ -28,7 +28,7 @@ fn threaded_counter_increments_serialize() {
                 let site = SiteId(site_no);
                 let app = AppId(site_no);
                 let mut done = 0;
-                while done < total_increments / 2 {
+                while done < per_site {
                     let Ok(txn) = cluster.begin(site, app) else {
                         continue;
                     };
@@ -49,13 +49,11 @@ fn threaded_counter_increments_serialize() {
                     if ok.is_ok() {
                         done += 1;
                     }
-                    // Aborted attempts retry.
                 }
             });
         }
     });
 
-    // Verify the final value through a fresh reader.
     let site = SiteId(1);
     let app = AppId(9);
     let txn = cluster.begin(site, app).unwrap();
@@ -65,21 +63,165 @@ fn threaded_counter_increments_serialize() {
     };
     assert_eq!(
         u64::from_le_bytes(d[0..8].try_into().unwrap()),
-        total_increments,
+        2 * per_site,
         "increments lost under real threads"
     );
     let _ = cluster.run_op(site, app, txn, AppOp::Commit);
     let stats = cluster.total_stats();
-    assert!(stats.commits >= total_increments);
+    assert!(stats.commits >= 2 * per_site);
+    cluster.shutdown();
+}
+
+fn ps_aa() -> SystemConfig {
+    SystemConfig {
+        protocol: Protocol::PsAa,
+        ..SystemConfig::small()
+    }
+}
+
+#[test]
+fn threaded_counter_increments_serialize() {
+    let cluster = ThreadedCluster::new(3, ps_aa(), OwnerMap::Single(SiteId(0)));
+    counter_increments_serialize(cluster, oid(3, 0), 15);
+}
+
+/// A transport that passes on `send` and `recv_timeout` and nothing
+/// else, and is not `Sync`: the shape of an outside wrapper (the
+/// benchmark's tracer). It offers no waker, so its site must find
+/// commands by polling.
+struct Forwarding {
+    inner: Endpoint<Message>,
+    calls: Cell<u64>,
+}
+
+impl Transport<Message> for Forwarding {
+    fn send(&self, to: SiteId, path: PathId, msg: Message) {
+        self.calls.set(self.calls.get() + 1);
+        self.inner.send(to, path, msg);
+    }
+
+    fn recv_timeout(&self, timeout: Duration) -> Option<Envelope<Message>> {
+        self.calls.set(self.calls.get() + 1);
+        Transport::recv_timeout(&self.inner, timeout)
+    }
+}
+
+#[test]
+fn threaded_cluster_runs_polled_over_a_transport_without_a_waker() {
+    let cfg = ps_aa();
+    let sites = [SiteId(0), SiteId(1), SiteId(2)];
+    let net = InProcNetwork::<Message>::with_overload(
+        &sites,
+        3,
+        cfg.mailbox_capacity as usize,
+        Some(Arc::new(|m: &Message| m.is_consistency())),
+    );
+    let transports = sites
+        .iter()
+        .map(|&s| {
+            let wrapped = Forwarding {
+                inner: net.endpoint(s),
+                calls: Cell::new(0),
+            };
+            (s, wrapped)
+        })
+        .collect();
+    let cluster = ThreadedCluster::with_transports(cfg, OwnerMap::Single(SiteId(0)), transports);
+    counter_increments_serialize(cluster, oid(3, 0), 15);
+}
+
+#[test]
+fn timer_fires_while_commands_keep_arriving() {
+    const FLOODERS: usize = 4;
+    // One site, two local transactions: the second waits for the first's
+    // lock and only the 5 ms lock-wait timer can end that wait. All the
+    // while a driver keeps the site's command channel full; a loop that
+    // looks at its timers only when nothing else is queued never fires it.
+    let cfg = SystemConfig {
+        initial_lock_timeout: SimDuration::from_millis(5),
+        ..ps_aa()
+    };
+    let cluster = ThreadedCluster::new(1, cfg, OwnerMap::Single(SiteId(0)));
+    let site = SiteId(0);
+    let x = oid(3, 0);
+    let write = AppOp::Write {
+        oid: x,
+        bytes: None,
+    };
+    let holder = cluster.begin(site, AppId(1)).unwrap();
+    cluster
+        .run_op(site, AppId(1), holder, write.clone())
+        .unwrap();
+    let waiter = cluster.begin(site, AppId(2)).unwrap();
+
+    let stop = AtomicBool::new(false);
+    let flooding = std::sync::Barrier::new(FLOODERS + 1);
+    let waited = std::thread::scope(|s| {
+        let (cluster, stop, flooding) = (&cluster, &stop, &flooding);
+        // Several drivers, so the site cannot empty its command channel
+        // faster than it fills.
+        for _ in 0..FLOODERS {
+            s.spawn(move || {
+                let mut sent = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    // Confirmed by an active site and otherwise ignored.
+                    cluster.send_control(site, Message::UndrainReq { req: ReqId(1) });
+                    sent += 1;
+                    if sent == 10_000 {
+                        flooding.wait();
+                    }
+                }
+            });
+        }
+        flooding.wait();
+        let t0 = Instant::now();
+        let outcome = cluster.run_op(site, AppId(2), waiter, write);
+        let waited = t0.elapsed();
+        stop.store(true, Ordering::Relaxed);
+        assert!(
+            matches!(outcome, Err(PsccError::Aborted { txn, .. }) if txn == waiter),
+            "the waiter should time out, got {outcome:?}"
+        );
+        waited
+    });
+    // A pass takes the timers due, then at most the commands queued when
+    // it began: some 15 ms here. A timer fired only on an empty channel
+    // takes ten times that, when it fires at all.
+    assert!(
+        waited < Duration::from_millis(100),
+        "a 5 ms timer took {waited:?} to fire under command load"
+    );
     cluster.shutdown();
 }
 
 #[test]
+fn shutdown_does_not_wait_out_a_park() {
+    // Idle sites park for 100 ms at a time; stopping them must not take
+    // that long. The best of three, so one unlucky preemption on a busy
+    // box does not fail the test.
+    let fastest = (0..3)
+        .map(|_| {
+            let cluster = ThreadedCluster::new(3, ps_aa(), OwnerMap::Single(SiteId(0)));
+            for s in 0..3 {
+                cluster.probe(SiteId(s)).expect("site answers");
+            }
+            // Nothing left to do: give every site time to park.
+            std::thread::sleep(Duration::from_millis(20));
+            let t0 = Instant::now();
+            cluster.shutdown();
+            t0.elapsed()
+        })
+        .min()
+        .expect("three runs");
+    assert!(
+        fastest < Duration::from_millis(50),
+        "shutdown took {fastest:?} with every site parked"
+    );
+}
+
+#[test]
 fn threaded_peer_partition_transactions() {
-    let cfg = SystemConfig {
-        protocol: Protocol::PsAa,
-        ..SystemConfig::small()
-    };
+    let cfg = ps_aa();
     let owners = OwnerMap::Ranges(vec![(0, 225, SiteId(0)), (225, 450, SiteId(1))]);
     let cluster = ThreadedCluster::new(2, cfg, owners);
 
@@ -162,13 +304,9 @@ fn threaded_peer_partition_transactions() {
 
 #[test]
 fn threaded_rolling_restart_under_live_traffic() {
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::time::{Duration, Instant};
+    use std::sync::atomic::AtomicU64;
 
-    let cfg = SystemConfig {
-        protocol: Protocol::PsAa,
-        ..SystemConfig::small()
-    };
+    let cfg = ps_aa();
     let cluster = ThreadedCluster::new(3, cfg, OwnerMap::Single(SiteId(0)));
     let x = oid(3, 0);
     let stop = AtomicBool::new(false);
@@ -279,58 +417,6 @@ fn threaded_rolling_restart_under_live_traffic() {
 fn tcp_cluster_end_to_end() {
     // The full deployment stack: engine + frame codec + kernel TCP on
     // localhost. One server, two clients, concurrent counter increments.
-    let cfg = SystemConfig {
-        protocol: Protocol::PsAa,
-        ..SystemConfig::small()
-    };
-    let cluster = pscc_sim::threaded::ThreadedCluster::new_tcp(3, cfg, OwnerMap::Single(SiteId(0)));
-    let x = oid(5, 0);
-    let per_site = 5u64;
-    std::thread::scope(|s| {
-        for site_no in [1u32, 2u32] {
-            let cluster = &cluster;
-            s.spawn(move || {
-                let site = SiteId(site_no);
-                let app = AppId(site_no);
-                let mut done = 0;
-                while done < per_site {
-                    let Ok(txn) = cluster.begin(site, app) else {
-                        continue;
-                    };
-                    let ok = cluster
-                        .run_op(site, app, txn, AppOp::Read(x))
-                        .and_then(|_| {
-                            cluster.run_op(
-                                site,
-                                app,
-                                txn,
-                                AppOp::Write {
-                                    oid: x,
-                                    bytes: None,
-                                },
-                            )
-                        })
-                        .and_then(|_| cluster.run_op(site, app, txn, AppOp::Commit));
-                    if ok.is_ok() {
-                        done += 1;
-                    }
-                }
-            });
-        }
-    });
-    let site = SiteId(2);
-    let app = AppId(9);
-    let txn = cluster.begin(site, app).unwrap();
-    let AppReply::Done { data: Some(d), .. } =
-        cluster.run_op(site, app, txn, AppOp::Read(x)).unwrap()
-    else {
-        panic!("read failed")
-    };
-    assert_eq!(
-        u64::from_le_bytes(d[0..8].try_into().unwrap()),
-        2 * per_site,
-        "increments lost over TCP"
-    );
-    let _ = cluster.run_op(site, app, txn, AppOp::Commit);
-    cluster.shutdown();
+    let cluster = ThreadedCluster::new_tcp(3, ps_aa(), OwnerMap::Single(SiteId(0)));
+    counter_increments_serialize(cluster, oid(5, 0), 5);
 }

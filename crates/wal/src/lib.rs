@@ -449,17 +449,25 @@ impl ServerLog {
     /// (i.e. the engine should charge one log-disk I/O). Newly durable
     /// records are serialized into the crash-surviving byte image.
     pub fn force(&mut self) -> bool {
-        if self.durable_lsn < self.next_lsn {
-            for (lsn, rec) in &self.tail {
-                if lsn.0 > self.durable_lsn {
-                    encode_frame(&mut self.durable, *lsn, rec);
-                }
-            }
-            self.durable_lsn = self.next_lsn;
-            true
-        } else {
-            false
+        // LSNs are consecutive and `tail` holds every record appended
+        // since it was last emptied, when nothing was unforced: the
+        // unforced records are exactly its last `next_lsn - durable_lsn`
+        // entries. Nothing older is looked at, so a force costs the same
+        // however long the tail has grown.
+        let unforced = (self.next_lsn - self.durable_lsn) as usize;
+        if unforced == 0 {
+            return false;
         }
+        let first = self
+            .tail
+            .len()
+            .checked_sub(unforced)
+            .expect("the tail holds every unforced record");
+        for (lsn, rec) in &self.tail[first..] {
+            encode_frame(&mut self.durable, *lsn, rec);
+        }
+        self.durable_lsn = self.next_lsn;
+        true
     }
 
     /// Takes a fuzzy checkpoint against `base` (the caller's current
@@ -615,8 +623,16 @@ fn fnv32(bytes: &[u8]) -> u32 {
     (h ^ (h >> 32)) as u32
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Frames this thread has encoded (the force tests count them).
+    static FRAMES_ENCODED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Appends one `[len | checksum | payload]` frame to `buf`.
 fn encode_frame(buf: &mut Vec<u8>, lsn: Lsn, rec: &LogRecord) {
+    #[cfg(test)]
+    FRAMES_ENCODED.with(|n| n.set(n.get() + 1));
     let payload = serde_json::to_vec(&(lsn, rec)).expect("log record serializes");
     buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     buf.extend_from_slice(&fnv32(&payload).to_le_bytes());
@@ -809,6 +825,104 @@ mod tests {
             payload: LogPayload::Commit,
         });
         assert!(log.force());
+    }
+
+    /// The durable image the pre-slice `force` built: scan the whole
+    /// tail, encode what lies past `durable_lsn`.
+    fn force_by_scan(log: &ServerLog) -> Vec<u8> {
+        let mut image = log.durable.clone();
+        for (lsn, rec) in &log.tail {
+            if lsn.0 > log.durable_lsn {
+                encode_frame(&mut image, *lsn, rec);
+            }
+        }
+        image
+    }
+
+    #[test]
+    fn force_writes_the_image_a_full_scan_would() {
+        let (vol, oid, _) = setup();
+        for seed in 0..8u64 {
+            // Knuth's LCG: the sequence only has to be varied and repeat.
+            let mut state = seed;
+            let mut below = |n: u64| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (state >> 33) % n
+            };
+            let mut log = ServerLog::new();
+            let mut forces = 0;
+            for step in 0..400u64 {
+                let txn = TxnId::new(SiteId(1), step / 4);
+                match below(20) {
+                    0..=11 => {
+                        let image = vec![below(256) as u8; below(24) as usize];
+                        log.append(LogRecord::update(txn, oid, image.clone(), image));
+                    }
+                    12..=13 => {
+                        log.append(LogRecord {
+                            txn,
+                            payload: LogPayload::Commit,
+                        });
+                    }
+                    14..=17 => {
+                        let expected = force_by_scan(&log);
+                        log.force();
+                        assert_eq!(log.durable, expected, "seed {seed} step {step}");
+                        forces += 1;
+                    }
+                    18 => {
+                        log.checkpoint(vol.clone());
+                        assert!(log.durable.is_empty() && log.tail.is_empty());
+                    }
+                    _ => {
+                        // A restart: LSNs resume, the tail starts empty.
+                        log.force();
+                        log = ServerLog::after_recovery(
+                            log.current_lsn(),
+                            HashMap::new(),
+                            HashSet::new(),
+                        );
+                    }
+                }
+            }
+            assert!(forces > 20, "seed {seed} forced only {forces} times");
+            let expected = force_by_scan(&log);
+            log.force();
+            assert_eq!(log.durable, expected);
+            let (recs, torn) = decode_log(&log.durable);
+            assert!(!torn);
+            assert_eq!(recs.len(), log.tail.len());
+        }
+    }
+
+    #[test]
+    fn force_encodes_only_the_records_appended_since_the_last_one() {
+        // A scan of the tail for unforced records would also encode three
+        // frames here; what this pins is that the slice `force` takes off
+        // the end of a long tail is those three and nothing else.
+        let (_, oid, t1) = setup();
+        let mut log = ServerLog::new();
+        for i in 0..100_000u32 {
+            log.append(LogRecord::update(t1, oid, vec![i as u8], vec![1]));
+            if i % 100 == 99 {
+                log.force();
+            }
+        }
+        assert_eq!(log.durable_lsn(), Lsn(100_000));
+        let before = FRAMES_ENCODED.with(std::cell::Cell::get);
+        let image_len = log.durable.len();
+        for _ in 0..3 {
+            log.append(LogRecord::update(t1, oid, vec![7], vec![8]));
+        }
+        assert!(log.force());
+        assert_eq!(FRAMES_ENCODED.with(std::cell::Cell::get) - before, 3);
+        let (recs, torn) = decode_log(&log.durable[image_len..]);
+        assert!(!torn);
+        let lsns: Vec<Lsn> = recs.iter().map(|(lsn, _)| *lsn).collect();
+        assert_eq!(lsns, [Lsn(100_001), Lsn(100_002), Lsn(100_003)]);
+        assert!(!log.force());
     }
 
     #[test]
