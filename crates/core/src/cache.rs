@@ -2,7 +2,12 @@
 //! bits, dirty-object tracking, ship sequence numbers, and LRU
 //! replacement (paper §4.1: "a page-based buffer manager [...] extended
 //! to keep track of the 'available' objects within each cached page").
+//!
+//! Every operation costs what it touches (DESIGN.md §13): the LRU victim
+//! comes off the cold end of a [`LruOrder`], and commit / abort visit
+//! only the pages the transaction dirtied.
 
+use crate::lru::LruOrder;
 use pscc_common::{Oid, PageId, TxnId};
 use pscc_storage::{AvailMask, SlottedPage};
 use std::collections::HashMap;
@@ -19,8 +24,8 @@ pub struct CachedPage {
     /// The `ship_seq` of the latest copy received from the owner
     /// (echoed in purge notices, §4.2.4).
     pub ship_seq: u64,
-    /// LRU clock: larger = more recently used.
-    last_used: u64,
+    /// This page's node in the cache's recency order.
+    lru: u32,
 }
 
 /// The client cache of one peer server.
@@ -28,23 +33,45 @@ pub struct CachedPage {
 pub struct ClientCache {
     pages: HashMap<PageId, CachedPage>,
     capacity: usize,
-    tick: u64,
+    lru: LruOrder<PageId>,
+    /// Per transaction, the pages it dirtied, first-dirtied order. A
+    /// superset: a page stays listed after its copy (or the dirty mark)
+    /// is gone, until the transaction ends — [`ClientCache::clean_txn`]
+    /// and [`ClientCache::abort_txn`] skip what is no longer there.
+    dirty_pages: HashMap<TxnId, Vec<PageId>>,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Cached pages `clean_txn` / `abort_txn` have looked at on this
+    /// thread (the work-bound tests count them).
+    static PAGES_VISITED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 impl ClientCache {
     /// Creates a cache holding at most `capacity` pages.
     pub fn new(capacity: usize) -> Self {
         ClientCache {
-            pages: HashMap::new(),
             capacity: capacity.max(1),
-            tick: 0,
+            ..Self::default()
         }
     }
 
-    fn touch(&mut self, page: PageId) {
-        self.tick += 1;
-        if let Some(cp) = self.pages.get_mut(&page) {
-            cp.last_used = self.tick;
+    /// The cached copy of `page`, marked as just used.
+    fn touch(&mut self, page: PageId) -> Option<&mut CachedPage> {
+        let cp = self.pages.get_mut(&page)?;
+        self.lru.touch(cp.lru);
+        Some(cp)
+    }
+
+    /// Marks `slot` dirty for `txn`, listing the page under the
+    /// transaction on its first dirty mark there.
+    fn mark_dirty(&mut self, oid: Oid, txn: TxnId) {
+        let cp = self.pages.get_mut(&oid.page).expect("caller checked");
+        let listed = cp.dirty.values().any(|t| *t == txn);
+        cp.dirty.insert(oid.slot, txn);
+        if !listed {
+            self.dirty_pages.entry(txn).or_default().push(oid.page);
         }
     }
 
@@ -73,8 +100,7 @@ impl ClientCache {
 
     /// Immutable access to a cached page (bumps LRU).
     pub fn get(&mut self, page: PageId) -> Option<&CachedPage> {
-        self.touch(page);
-        self.pages.get(&page)
+        self.touch(page).map(|cp| &*cp)
     }
 
     /// Immutable access without the LRU bump (inspection).
@@ -84,14 +110,12 @@ impl ClientCache {
 
     /// Mutable access to a cached page (bumps LRU).
     pub fn get_mut(&mut self, page: PageId) -> Option<&mut CachedPage> {
-        self.touch(page);
-        self.pages.get_mut(&page)
+        self.touch(page)
     }
 
     /// Reads object bytes if locally cached.
     pub fn read_object(&mut self, oid: Oid) -> Option<Vec<u8>> {
-        self.touch(oid.page);
-        let cp = self.pages.get(&oid.page)?;
+        let cp = self.touch(oid.page)?;
         if !cp.avail.is_available(oid.slot) {
             return None;
         }
@@ -118,8 +142,6 @@ impl ClientCache {
         ship_seq: u64,
         raced_slots: &[u16],
     ) -> Vec<(PageId, CachedPage)> {
-        self.tick += 1;
-        let tick = self.tick;
         match self.pages.get_mut(&page) {
             Some(cp) => {
                 let mut final_avail = proposed;
@@ -147,7 +169,7 @@ impl ClientCache {
                 cp.image = merged;
                 cp.avail = final_avail;
                 cp.ship_seq = ship_seq;
-                cp.last_used = tick;
+                self.lru.touch(cp.lru);
                 Vec::new()
             }
             None => {
@@ -155,6 +177,7 @@ impl ClientCache {
                 for s in raced_slots {
                     final_avail.set_unavailable(*s);
                 }
+                let lru = self.lru.push_front(page);
                 self.pages.insert(
                     page,
                     CachedPage {
@@ -162,33 +185,26 @@ impl ClientCache {
                         avail: final_avail,
                         dirty: HashMap::new(),
                         ship_seq,
-                        last_used: tick,
+                        lru,
                     },
                 );
-                self.evict_over_capacity(page)
+                self.evict_over_capacity(lru)
             }
         }
     }
 
-    /// Evicts LRU pages beyond capacity, never evicting `keep`. Pages
-    /// with dirty objects are *not* skipped — the engine ships their log
-    /// records early, as SHORE does (§3.3).
-    fn evict_over_capacity(&mut self, keep: PageId) -> Vec<(PageId, CachedPage)> {
+    /// Evicts LRU pages beyond capacity, never evicting the page whose
+    /// recency node is `keep`. Pages with dirty objects are *not*
+    /// skipped — the engine ships their log records early, as SHORE does
+    /// (§3.3).
+    fn evict_over_capacity(&mut self, keep: u32) -> Vec<(PageId, CachedPage)> {
         let mut evicted = Vec::new();
         while self.pages.len() > self.capacity {
-            let victim = self
-                .pages
-                .iter()
-                .filter(|(p, _)| **p != keep)
-                .min_by_key(|(_, cp)| cp.last_used)
-                .map(|(p, _)| *p);
-            match victim {
-                Some(v) => {
-                    let cp = self.pages.remove(&v).expect("victim exists");
-                    evicted.push((v, cp));
-                }
-                None => break,
-            }
+            let Some(victim) = self.lru.coldest_except(keep) else {
+                break;
+            };
+            let cp = self.purge(victim).expect("ordered pages are cached");
+            evicted.push((victim, cp));
         }
         evicted
     }
@@ -209,7 +225,9 @@ impl ClientCache {
     /// Removes a page outright (page-level callback or abort purge).
     /// Returns the removed copy.
     pub fn purge(&mut self, page: PageId) -> Option<CachedPage> {
-        self.pages.remove(&page)
+        let cp = self.pages.remove(&page)?;
+        self.lru.remove(cp.lru);
+        Some(cp)
     }
 
     /// Applies a local update: installs `bytes` into the object and
@@ -222,10 +240,8 @@ impl ClientCache {
     /// Panics if the object is not locally cached (protocol error: write
     /// permission is only granted for cached objects).
     pub fn apply_update(&mut self, oid: Oid, bytes: &[u8], txn: TxnId) -> Option<Vec<u8>> {
-        self.touch(oid.page);
         let cp = self
-            .pages
-            .get_mut(&oid.page)
+            .touch(oid.page)
             .unwrap_or_else(|| panic!("update of uncached page {}", oid.page));
         assert!(
             cp.avail.is_available(oid.slot),
@@ -239,7 +255,7 @@ impl ClientCache {
         if cp.image.update(oid.slot, bytes).is_err() {
             return None;
         }
-        cp.dirty.insert(oid.slot, txn);
+        self.mark_dirty(oid, txn);
         Some(before)
     }
 
@@ -247,19 +263,17 @@ impl ClientCache {
     /// lock by protocol). Returns its slot, or `None` if the page is
     /// uncached or full.
     pub fn apply_create(&mut self, page: PageId, bytes: &[u8], txn: TxnId) -> Option<u16> {
-        self.touch(page);
-        let cp = self.pages.get_mut(&page)?;
+        let cp = self.touch(page)?;
         let slot = cp.image.insert(bytes)?;
         cp.avail.set_available(slot);
-        cp.dirty.insert(slot, txn);
+        self.mark_dirty(Oid::new(page, slot), txn);
         Some(slot)
     }
 
     /// Deletes an object from a cached page (requires an EX object lock
     /// by protocol). Returns the before-image.
     pub fn apply_delete(&mut self, oid: Oid, txn: TxnId) -> Option<Vec<u8>> {
-        self.touch(oid.page);
-        let cp = self.pages.get_mut(&oid.page)?;
+        let cp = self.touch(oid.page)?;
         if !cp.avail.is_available(oid.slot) {
             return None;
         }
@@ -271,30 +285,46 @@ impl ClientCache {
         Some(before)
     }
 
+    /// Ends `txn`'s listing in the dirty-page index: the pages commit or
+    /// abort has to visit.
+    fn take_dirty_pages(&mut self, txn: TxnId) -> Vec<PageId> {
+        let pages = self.dirty_pages.remove(&txn).unwrap_or_default();
+        #[cfg(test)]
+        PAGES_VISITED.with(|n| n.set(n.get() + pages.len() as u64));
+        pages
+    }
+
     /// Clears dirty marks of `txn` (commit: records shipped and durable).
     pub fn clean_txn(&mut self, txn: TxnId) {
-        for cp in self.pages.values_mut() {
-            cp.dirty.retain(|_, t| *t != txn);
+        for page in self.take_dirty_pages(txn) {
+            if let Some(cp) = self.pages.get_mut(&page) {
+                cp.dirty.retain(|_, t| *t != txn);
+            }
         }
     }
 
     /// Aborts `txn`'s local updates: marks each of its dirty objects
     /// unavailable (paper §3.3: "purges from the local page cache any
     /// objects that it has updated ... by marking the objects as
-    /// 'unavailable'").
+    /// 'unavailable'"). Returns them: pages in the order the
+    /// transaction first dirtied them, slots ascending within a page.
     pub fn abort_txn(&mut self, txn: TxnId) -> Vec<Oid> {
         let mut purged = Vec::new();
-        for (pid, cp) in self.pages.iter_mut() {
-            let slots: Vec<u16> = cp
+        for page in self.take_dirty_pages(txn) {
+            let Some(cp) = self.pages.get_mut(&page) else {
+                continue;
+            };
+            let mut slots: Vec<u16> = cp
                 .dirty
                 .iter()
                 .filter(|(_, t)| **t == txn)
                 .map(|(s, _)| *s)
                 .collect();
+            slots.sort_unstable();
             for s in slots {
                 cp.dirty.remove(&s);
                 cp.avail.set_unavailable(s);
-                purged.push(Oid::new(*pid, s));
+                purged.push(Oid::new(page, s));
             }
         }
         purged
@@ -340,11 +370,40 @@ impl ClientCache {
     pub fn capacity(&self) -> usize {
         self.capacity
     }
+
+    /// Transactions the dirty-page index still lists. Zero once every
+    /// transaction has committed or aborted — anything else is a leak.
+    pub fn dirty_index_len(&self) -> usize {
+        self.dirty_pages.len()
+    }
+
+    /// Test/diagnostic invariant: rebuilds both indexes by full scan and
+    /// compares — every cached page has exactly one recency node, and
+    /// every dirty mark's page is listed under its transaction.
+    ///
+    /// # Panics
+    ///
+    /// Panics with a description of the first mismatch.
+    pub fn assert_consistent(&self) {
+        let mut ordered = self.lru.hot_to_cold();
+        assert_eq!(ordered.len(), self.pages.len(), "recency order size");
+        ordered.sort();
+        assert_eq!(ordered, self.pages(), "recency order covers the cache");
+        for (page, cp) in &self.pages {
+            for (slot, txn) in &cp.dirty {
+                assert!(
+                    self.dirty_pages.get(txn).is_some_and(|v| v.contains(page)),
+                    "dirty mark {page}/{slot} of {txn} is not indexed"
+                );
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use pscc_common::{FileId, SiteId, VolId};
 
     fn pid(n: u32) -> PageId {
@@ -472,5 +531,249 @@ mod tests {
         c.install(other, page_with(1), AvailMask::all_available(1), 1, &[]);
         assert_eq!(c.pages_of_file(FileId::new(VolId(0), 0)).len(), 2);
         assert_eq!(c.pages_of_volume(VolId(0)).len(), 3);
+    }
+
+    // ------------------------------------------------------------------
+    // Differential: the indexed cache against the scans it replaced
+    // ------------------------------------------------------------------
+
+    /// What the cache kept before it had indexes — a use stamp per page
+    /// and a dirty map per page, found by scanning everything. Kept as
+    /// the reference the indexed cache must agree with.
+    #[derive(Default)]
+    struct ScanModel {
+        stamp: HashMap<PageId, u64>,
+        dirty: HashMap<PageId, HashMap<u16, TxnId>>,
+        tick: u64,
+        capacity: usize,
+    }
+
+    impl ScanModel {
+        fn touch(&mut self, page: PageId) {
+            self.tick += 1;
+            if let Some(s) = self.stamp.get_mut(&page) {
+                *s = self.tick;
+            }
+        }
+
+        /// Returns the victims, coldest first.
+        fn install(&mut self, page: PageId) -> Vec<PageId> {
+            self.tick += 1;
+            let fresh = self.stamp.insert(page, self.tick).is_none();
+            let mut victims = Vec::new();
+            while fresh && self.stamp.len() > self.capacity {
+                let v = *self
+                    .stamp
+                    .iter()
+                    .filter(|(p, _)| **p != page)
+                    .min_by_key(|(_, s)| **s)
+                    .expect("capacity >= 1")
+                    .0;
+                self.purge(v);
+                victims.push(v);
+            }
+            victims
+        }
+
+        fn purge(&mut self, page: PageId) {
+            self.stamp.remove(&page);
+            self.dirty.remove(&page);
+        }
+
+        fn clean(&mut self, txn: TxnId) {
+            for d in self.dirty.values_mut() {
+                d.retain(|_, t| *t != txn);
+            }
+        }
+
+        fn abort(&mut self, txn: TxnId) -> Vec<Oid> {
+            let mut purged = Vec::new();
+            for (page, d) in &mut self.dirty {
+                d.retain(|slot, t| {
+                    if *t == txn {
+                        purged.push(Oid::new(*page, *slot));
+                    }
+                    *t != txn
+                });
+            }
+            purged.sort();
+            purged
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum CacheOp {
+        Install(u32),
+        Get(u32),
+        GetMut(u32),
+        Read(u32, u16),
+        Purge(u32),
+        MarkUnavailable(u32, u16),
+        Update(u32, u16, u64),
+        Clean(u64),
+        Abort(u64),
+    }
+
+    fn arb_cache_op() -> impl Strategy<Value = CacheOp> {
+        prop_oneof![
+            (0u32..24).prop_map(CacheOp::Install),
+            (0u32..24).prop_map(CacheOp::Install),
+            (0u32..24).prop_map(CacheOp::Get),
+            (0u32..24).prop_map(CacheOp::GetMut),
+            (0u32..24, 0u16..4).prop_map(|(p, s)| CacheOp::Read(p, s)),
+            (0u32..24).prop_map(CacheOp::Purge),
+            (0u32..24, 0u16..4).prop_map(|(p, s)| CacheOp::MarkUnavailable(p, s)),
+            (0u32..24, 0u16..4, 0u64..4).prop_map(|(p, s, t)| CacheOp::Update(p, s, t)),
+            (0u32..24, 0u16..4, 0u64..4).prop_map(|(p, s, t)| CacheOp::Update(p, s, t)),
+            (0u64..4).prop_map(CacheOp::Clean),
+            (0u64..4).prop_map(CacheOp::Abort),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// 64 × 250 operations: the same victims in the same order, the
+        /// same dirty sets, the same abort purges — and at the end the
+        /// same complete recency order, flushed out by over-filling.
+        #[test]
+        fn indexed_cache_agrees_with_the_scans(
+            ops in proptest::collection::vec(arb_cache_op(), 250..251)
+        ) {
+            let mut cache = ClientCache::new(8);
+            let mut model = ScanModel { capacity: 8, ..ScanModel::default() };
+            let fresh = |c: &mut ClientCache, p: u32| -> Vec<PageId> {
+                c.install(pid(p), page_with(4), AvailMask::all_available(4), 1, &[])
+                    .into_iter()
+                    .map(|(v, _)| v)
+                    .collect()
+            };
+            for op in ops {
+                match op {
+                    CacheOp::Install(p) => {
+                        prop_assert_eq!(fresh(&mut cache, p), model.install(pid(p)));
+                    }
+                    CacheOp::Get(p) => {
+                        let _ = cache.get(pid(p));
+                        model.touch(pid(p));
+                    }
+                    CacheOp::GetMut(p) => {
+                        let _ = cache.get_mut(pid(p));
+                        model.touch(pid(p));
+                    }
+                    CacheOp::Read(p, s) => {
+                        let _ = cache.read_object(Oid::new(pid(p), s));
+                        model.touch(pid(p));
+                    }
+                    CacheOp::Purge(p) => {
+                        let _ = cache.purge(pid(p));
+                        model.purge(pid(p));
+                    }
+                    CacheOp::MarkUnavailable(p, s) => {
+                        cache.mark_unavailable(Oid::new(pid(p), s));
+                        if let Some(d) = model.dirty.get_mut(&pid(p)) {
+                            d.remove(&s);
+                        }
+                    }
+                    CacheOp::Update(p, s, t) => {
+                        let oid = Oid::new(pid(p), s);
+                        if cache.object_cached(oid) {
+                            cache.apply_update(oid, &[7u8; 16], txn(t)).unwrap();
+                            model.touch(pid(p));
+                            model.dirty.entry(pid(p)).or_default().insert(s, txn(t));
+                        }
+                    }
+                    CacheOp::Clean(t) => {
+                        cache.clean_txn(txn(t));
+                        model.clean(txn(t));
+                    }
+                    CacheOp::Abort(t) => {
+                        let mut purged = cache.abort_txn(txn(t));
+                        purged.sort();
+                        prop_assert_eq!(purged, model.abort(txn(t)));
+                    }
+                }
+                cache.assert_consistent();
+                prop_assert_eq!(cache.len(), model.stamp.len());
+                for p in 0..24 {
+                    let got = cache.peek(pid(p)).map(|cp| cp.dirty.clone());
+                    let want = model.stamp.contains_key(&pid(p)).then(|| {
+                        model.dirty.get(&pid(p)).cloned().unwrap_or_default()
+                    });
+                    prop_assert_eq!(got, want, "dirty set of page {}", p);
+                }
+            }
+            for p in 100..108 {
+                prop_assert_eq!(fresh(&mut cache, p), model.install(pid(p)));
+            }
+            for t in 0..4 {
+                cache.clean_txn(txn(t));
+            }
+            prop_assert_eq!(cache.dirty_index_len(), 0);
+        }
+    }
+
+    #[test]
+    fn abort_purges_in_first_dirtied_order_every_time() {
+        // Two caches built the same way hash differently (`RandomState`
+        // is per map); the purge sequence must not.
+        let build = || {
+            let mut c = ClientCache::new(64);
+            for p in 0..40 {
+                c.install(pid(p), page_with(4), AvailMask::all_available(4), 1, &[]);
+            }
+            for p in [17, 3, 29, 3, 8, 17, 31] {
+                for s in [2, 0, 3] {
+                    c.apply_update(Oid::new(pid(p), s), &[1u8; 16], txn(1))
+                        .unwrap();
+                }
+            }
+            c.abort_txn(txn(1))
+        };
+        let want: Vec<Oid> = [17, 3, 29, 8, 31]
+            .into_iter()
+            .flat_map(|p| [0, 2, 3].map(|s| Oid::new(pid(p), s)))
+            .collect();
+        assert_eq!(build(), want);
+        assert_eq!(build(), want);
+    }
+
+    // ------------------------------------------------------------------
+    // Work bounds: an operation looks at what it touches
+    // ------------------------------------------------------------------
+
+    #[test]
+    fn eviction_and_txn_end_do_not_scan_a_big_cache() {
+        const PAGES: u32 = 50_000;
+        let small = || {
+            let mut p = SlottedPage::new(64);
+            p.insert(&[0u8; 8]).unwrap();
+            p
+        };
+        let mut c = ClientCache::new(PAGES as usize);
+        for p in 0..PAGES {
+            c.install(pid(p), small(), AvailMask::all_available(1), 1, &[]);
+        }
+        let nodes = || crate::lru::NODES_VISITED.with(std::cell::Cell::get);
+        let before = nodes();
+        let evicted = c.install(pid(PAGES), small(), AvailMask::all_available(1), 1, &[]);
+        assert_eq!(evicted.len(), 1);
+        assert_eq!(evicted[0].0, pid(0));
+        assert!(nodes() - before <= 2, "eviction walked the recency list");
+
+        let pages = || PAGES_VISITED.with(std::cell::Cell::get);
+        for p in [10, 20, 30] {
+            c.apply_update(Oid::new(pid(p), 0), &[1u8; 8], txn(1))
+                .unwrap();
+            c.apply_update(Oid::new(pid(p + 1), 0), &[1u8; 8], txn(2))
+                .unwrap();
+        }
+        let before = pages();
+        c.clean_txn(txn(1));
+        assert_eq!(pages() - before, 3, "commit visits the pages it dirtied");
+        let before = pages();
+        assert_eq!(c.abort_txn(txn(2)).len(), 3);
+        assert_eq!(pages() - before, 3, "abort visits the pages it dirtied");
+        assert_eq!(c.dirty_index_len(), 0);
     }
 }

@@ -743,6 +743,23 @@ impl PeerServer {
             "site {}: in-flight edge fetches leak",
             self.site
         );
+        // The per-transaction indexes behind commit and abort (DESIGN.md
+        // §13) must empty with the last transaction; the lock table's
+        // are rebuilt by full scan and compared.
+        assert_eq!(
+            self.cache.dirty_index_len(),
+            0,
+            "site {}: dirty-page index lists ended transactions",
+            self.site
+        );
+        assert!(
+            self.log_cache.is_empty(),
+            "site {}: log cache keeps {} records of ended transactions",
+            self.site,
+            self.log_cache.len()
+        );
+        self.cache.assert_consistent();
+        self.log_cache.assert_consistent();
         self.locks.assert_consistent();
     }
 

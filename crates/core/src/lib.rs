@@ -64,6 +64,7 @@
 pub mod cache;
 pub mod copy_table;
 mod engine;
+mod lru;
 pub mod msg;
 pub mod obs;
 pub mod owner_map;

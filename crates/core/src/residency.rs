@@ -3,6 +3,7 @@
 //! touching a page costs a disk read (miss) and whether evicting it costs
 //! a disk write (dirty) — the quantities the paper's experiments measure.
 
+use crate::lru::LruOrder;
 use pscc_common::PageId;
 use std::collections::HashMap;
 
@@ -11,12 +12,13 @@ use std::collections::HashMap;
 pub struct Residency {
     resident: HashMap<PageId, Slot>,
     capacity: usize,
-    tick: u64,
+    lru: LruOrder<PageId>,
 }
 
 #[derive(Debug, Clone, Copy)]
 struct Slot {
-    last_used: u64,
+    /// This page's node in the recency order.
+    lru: u32,
     dirty: bool,
 }
 
@@ -33,52 +35,48 @@ impl Residency {
     /// Creates a tracker with the given capacity in pages.
     pub fn new(capacity: usize) -> Self {
         Residency {
-            resident: HashMap::new(),
             capacity: capacity.max(1),
-            tick: 0,
+            ..Self::default()
         }
     }
 
     /// Touches `page`, making it resident; reports whether that was a
     /// miss and whether a dirty eviction occurred.
     pub fn touch(&mut self, page: PageId, dirty: bool) -> Touch {
-        self.tick += 1;
-        let tick = self.tick;
         let mut result = Touch {
             miss: false,
             writeback: None,
         };
         match self.resident.get_mut(&page) {
             Some(s) => {
-                s.last_used = tick;
+                self.lru.touch(s.lru);
                 s.dirty |= dirty;
             }
             None => {
                 result.miss = true;
-                self.resident.insert(
-                    page,
-                    Slot {
-                        last_used: tick,
-                        dirty,
-                    },
-                );
+                let lru = self.lru.push_front(page);
+                self.resident.insert(page, Slot { lru, dirty });
                 if self.resident.len() > self.capacity {
-                    let victim = self
-                        .resident
-                        .iter()
-                        .filter(|(p, _)| **p != page)
-                        .min_by_key(|(_, s)| s.last_used)
-                        .map(|(p, s)| (*p, s.dirty));
-                    if let Some((v, was_dirty)) = victim {
-                        self.resident.remove(&v);
-                        if was_dirty {
-                            result.writeback = Some(v);
+                    if let Some(victim) = self.lru.coldest_except(lru) {
+                        if self.remove(victim) {
+                            result.writeback = Some(victim);
                         }
                     }
                 }
             }
         }
         result
+    }
+
+    /// Drops a resident page from the table and the recency order;
+    /// returns whether it was dirty.
+    fn remove(&mut self, page: PageId) -> bool {
+        let s = self
+            .resident
+            .remove(&page)
+            .expect("ordered pages are resident");
+        self.lru.remove(s.lru);
+        s.dirty
     }
 
     /// Whether the page is currently resident (no LRU bump).
@@ -98,9 +96,11 @@ impl Residency {
     /// range migrates away: the images were shipped to the new owner, so
     /// a dirty local copy is no longer this site's to write back.
     pub fn evict_where(&mut self, pred: impl Fn(PageId) -> bool) -> usize {
-        let before = self.resident.len();
-        self.resident.retain(|p, _| !pred(*p));
-        before - self.resident.len()
+        let going: Vec<PageId> = self.resident.keys().copied().filter(|p| pred(*p)).collect();
+        for p in &going {
+            self.remove(*p);
+        }
+        going.len()
     }
 
     /// Number of resident pages.
@@ -117,6 +117,7 @@ impl Residency {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use pscc_common::{FileId, VolId};
 
     fn pid(n: u32) -> PageId {
@@ -171,5 +172,123 @@ mod tests {
         r.mark_clean(pid(1));
         let t = r.touch(pid(2), false);
         assert_eq!(t.writeback, None);
+    }
+
+    /// The tracker as it was before the recency list: a use stamp per
+    /// page, the victim found by scanning for the smallest.
+    #[derive(Default)]
+    struct ScanModel {
+        resident: HashMap<PageId, (u64, bool)>,
+        tick: u64,
+        capacity: usize,
+    }
+
+    impl ScanModel {
+        fn touch(&mut self, page: PageId, dirty: bool) -> Touch {
+            self.tick += 1;
+            if let Some(s) = self.resident.get_mut(&page) {
+                *s = (self.tick, s.1 | dirty);
+                return Touch {
+                    miss: false,
+                    writeback: None,
+                };
+            }
+            self.resident.insert(page, (self.tick, dirty));
+            let mut writeback = None;
+            if self.resident.len() > self.capacity {
+                let (v, (_, was_dirty)) = self
+                    .resident
+                    .iter()
+                    .filter(|(p, _)| **p != page)
+                    .min_by_key(|(_, s)| s.0)
+                    .map(|(p, s)| (*p, *s))
+                    .expect("capacity >= 1");
+                self.resident.remove(&v);
+                writeback = was_dirty.then_some(v);
+            }
+            Touch {
+                miss: true,
+                writeback,
+            }
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Touch(u32, bool),
+        MarkClean(u32),
+        EvictBelow(u32),
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// 64 × 250 operations: every touch reports the same miss and the
+        /// same writeback as the stamp scan, `evict_where` drops the same
+        /// pages, and the survivors are the same set throughout.
+        #[test]
+        fn recency_list_agrees_with_the_stamp_scan(
+            ops in proptest::collection::vec(
+                prop_oneof![
+                    (0u32..40, any::<bool>()).prop_map(|(p, d)| Op::Touch(p, d)),
+                    (0u32..40, any::<bool>()).prop_map(|(p, d)| Op::Touch(p, d)),
+                    (0u32..40, any::<bool>()).prop_map(|(p, d)| Op::Touch(p, d)),
+                    (0u32..40).prop_map(Op::MarkClean),
+                    (0u32..6).prop_map(Op::EvictBelow),
+                ],
+                250..251,
+            )
+        ) {
+            let mut r = Residency::new(12);
+            let mut model = ScanModel { capacity: 12, ..ScanModel::default() };
+            for op in ops {
+                match op {
+                    Op::Touch(p, dirty) => {
+                        prop_assert_eq!(r.touch(pid(p), dirty), model.touch(pid(p), dirty));
+                    }
+                    Op::MarkClean(p) => {
+                        r.mark_clean(pid(p));
+                        if let Some(s) = model.resident.get_mut(&pid(p)) {
+                            s.1 = false;
+                        }
+                    }
+                    Op::EvictBelow(n) => {
+                        let before = model.resident.len();
+                        model.resident.retain(|p, _| p.page >= n);
+                        prop_assert_eq!(
+                            r.evict_where(|p| p.page < n),
+                            before - model.resident.len()
+                        );
+                    }
+                }
+                prop_assert_eq!(r.len(), model.resident.len());
+                prop_assert_eq!(r.lru.hot_to_cold().len(), r.len());
+                for p in 0..40 {
+                    prop_assert_eq!(
+                        r.is_resident(pid(p)),
+                        model.resident.contains_key(&pid(p))
+                    );
+                }
+            }
+            // Flush the whole order out: every remaining page leaves in
+            // stamp order, reporting its dirtiness.
+            for p in 100..112 {
+                prop_assert_eq!(r.touch(pid(p), false), model.touch(pid(p), false));
+            }
+        }
+    }
+
+    #[test]
+    fn a_miss_in_a_full_pool_does_not_scan_it() {
+        const PAGES: u32 = 50_000;
+        let mut r = Residency::new(PAGES as usize);
+        for p in 0..PAGES {
+            r.touch(pid(p), p % 2 == 0);
+        }
+        let nodes = || crate::lru::NODES_VISITED.with(std::cell::Cell::get);
+        let before = nodes();
+        let t = r.touch(pid(PAGES), false);
+        assert_eq!(t.writeback, Some(pid(0)));
+        assert!(nodes() - before <= 2, "eviction walked the recency list");
     }
 }

@@ -1,10 +1,20 @@
 //! The lock table proper: granted-holder lists, FIFO wait queues with
 //! upgraders at the head, hierarchical acquisition, forced grants,
 //! downgrades, and the adaptive bit.
+//!
+//! Beside the granule map the table keeps three indexes, so that no
+//! operation on the transaction path scans it (DESIGN.md §13): what each
+//! transaction holds and waits for, which objects of each page have lock
+//! state, and which granules have a non-empty queue. Each index is
+//! written in one place — [`add_holder`] / [`LockTable::remove_holder`],
+//! [`entry_mut`] / [`drop_if_unused`], [`LockTable::enqueue`] /
+//! [`LockTable::scan`] — and [`LockTable::assert_consistent`] rebuilds
+//! all of them by full scan.
 
-use pscc_common::{LockMode, LockableId, PageId, TxnId};
+use pscc_common::{LockMode, LockableId, Oid, PageId, TxnId};
 use pscc_obs::event::{EventKind, TraceHandle};
-use std::collections::{HashMap, VecDeque};
+use std::collections::hash_map::{Entry as MapEntry, OccupiedEntry};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::fmt;
 
 /// Identifies one suspended lock acquisition.
@@ -117,14 +127,110 @@ struct Pending {
     leaf: (LockableId, LockMode),
 }
 
+/// What one transaction has in the table.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+struct TxnLocks {
+    /// Granules it holds, acquisition order.
+    held: Vec<LockableId>,
+    /// Its suspended acquisitions, request order.
+    waiting: Vec<Ticket>,
+}
+
 /// A multigranularity lock table for one site. See the crate docs for the
 /// full feature list.
 #[derive(Debug, Default)]
 pub struct LockTable {
     entries: HashMap<LockableId, Entry>,
     pending: HashMap<Ticket, Pending>,
+    /// Every transaction with a holder or a pending ticket.
+    by_txn: HashMap<TxnId, TxnLocks>,
+    /// Per page, the slots of its objects that have an entry, in the
+    /// order the entries appeared.
+    objects_on_page: HashMap<PageId, Vec<u16>>,
+    /// Granules with a non-empty wait queue (ordered, so that deadlock
+    /// detection visits them the same way in every process).
+    queued: BTreeSet<LockableId>,
     next_ticket: u64,
     trace: Option<TraceHandle>,
+}
+
+/// The entry of `id`, created if absent. Creating an object's entry
+/// lists the object under its page; [`drop_if_unused`] unlists it when
+/// the entry goes.
+fn entry_mut<'a>(
+    entries: &'a mut HashMap<LockableId, Entry>,
+    objects_on_page: &mut HashMap<PageId, Vec<u16>>,
+    id: LockableId,
+) -> &'a mut Entry {
+    match entries.entry(id) {
+        MapEntry::Occupied(e) => e.into_mut(),
+        MapEntry::Vacant(v) => {
+            if let LockableId::Object(o) = id {
+                objects_on_page.entry(o.page).or_default().push(o.slot);
+            }
+            v.insert(Entry::default())
+        }
+    }
+}
+
+/// Forgets a granule that has neither holders nor waiters left. Every
+/// path that takes a holder or a waiter away ends here, so this is the
+/// one place a granule leaves the table and the per-page list.
+fn drop_if_unused(
+    e: OccupiedEntry<'_, LockableId, Entry>,
+    objects_on_page: &mut HashMap<PageId, Vec<u16>>,
+) {
+    if !e.get().is_unused() {
+        return;
+    }
+    if let (LockableId::Object(o), _) = e.remove_entry() {
+        if let MapEntry::Occupied(mut slots) = objects_on_page.entry(o.page) {
+            slots.get_mut().retain(|s| *s != o.slot);
+            if slots.get().is_empty() {
+                slots.remove();
+            }
+        }
+    }
+}
+
+/// Installs `mode` for `txn` in `id`'s `entry` (new holder or
+/// conversion). The only place a holder appears, so the only place a
+/// granule joins the transaction's held list.
+fn add_holder(
+    entry: &mut Entry,
+    by_txn: &mut HashMap<TxnId, TxnLocks>,
+    id: LockableId,
+    txn: TxnId,
+    mode: LockMode,
+) {
+    match entry.holder_mut(txn) {
+        Some(h) => {
+            h.mode = h.mode.sup(mode);
+            h.count += 1;
+        }
+        None => {
+            entry.holders.push(Holder {
+                txn,
+                mode,
+                count: 1,
+                adaptive: false,
+            });
+            by_txn.entry(txn).or_default().held.push(id);
+        }
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Granule entries the index-driven operations (`release_all`,
+    /// `locks_of`, the per-page listings, `waits_for_edges`) have looked
+    /// at on this thread (the work-bound tests count them).
+    static ENTRIES_VISITED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+fn visited() {
+    #[cfg(test)]
+    ENTRIES_VISITED.with(|n| n.set(n.get() + 1));
 }
 
 impl LockTable {
@@ -166,13 +272,12 @@ impl LockTable {
             item: id,
             mode,
         });
+        // Root first, leaf last; skip steps already covered by held modes.
         let intention = mode.ancestor_intention();
-        let mut path: Vec<(LockableId, LockMode)> = id
-            .path_from_root()
-            .into_iter()
-            .map(|g| if g == id { (g, mode) } else { (g, intention) })
-            .collect();
-        // Skip steps already covered by held modes.
+        let mut path: Vec<(LockableId, LockMode)> = Vec::with_capacity(4);
+        path.push((id, mode));
+        path.extend(id.ancestors().map(|g| (g, intention)));
+        path.reverse();
         path.retain(|(g, m)| !self.held_covers(txn, *g, *m));
         if path.is_empty() {
             self.emit(EventKind::LockGrant {
@@ -234,17 +339,7 @@ impl LockTable {
             });
             return true;
         }
-        let entry = self.entries.entry(id).or_default();
-        let held = entry.holder(txn).map(|h| h.mode);
-        let grantable = match held {
-            Some(h) => {
-                let target = h.sup(mode);
-                entry.compatible_with_others(txn, target)
-            }
-            None => entry.queue.is_empty() && entry.compatible_with_others(txn, mode),
-        };
-        if grantable {
-            Self::install(entry, txn, mode);
+        if self.try_grant(txn, id, mode) {
             self.emit(EventKind::LockGrant {
                 txn,
                 item: id,
@@ -284,31 +379,8 @@ impl LockTable {
                     mode: leaf.1,
                 });
                 let ticket = self.fresh_ticket();
-                let (g, m) = p.path[p.step];
-                let held = self
-                    .entries
-                    .get(&g)
-                    .and_then(|e| e.holder(txn))
-                    .map(|h| h.mode);
-                let waiter = Waiter {
-                    ticket,
-                    txn,
-                    mode: m,
-                    convert_to: held.map(|h| h.sup(m)),
-                };
-                let entry = self.entries.entry(g).or_default();
-                if waiter.is_upgrade() {
-                    // Upgraders queue ahead of ordinary waiters, FIFO
-                    // among themselves.
-                    let pos = entry
-                        .queue
-                        .iter()
-                        .position(|w| !w.is_upgrade())
-                        .unwrap_or(entry.queue.len());
-                    entry.queue.insert(pos, waiter);
-                } else {
-                    entry.queue.push_back(waiter);
-                }
+                self.enqueue(ticket, &p);
+                self.by_txn.entry(txn).or_default().waiting.push(ticket);
                 self.pending.insert(ticket, p);
                 (Acquire::Wait(ticket), Vec::new())
             }
@@ -321,40 +393,74 @@ impl LockTable {
     fn advance(&mut self, p: &mut Pending) -> bool {
         while p.step < p.path.len() {
             let (g, m) = p.path[p.step];
-            if self.held_covers(p.txn, g, m) {
-                p.step += 1;
-                continue;
-            }
-            let entry = self.entries.entry(g).or_default();
-            let held = entry.holder(p.txn).map(|h| h.mode);
-            let grantable = match held {
-                Some(h) => entry.compatible_with_others(p.txn, h.sup(m)),
-                None => entry.queue.is_empty() && entry.compatible_with_others(p.txn, m),
-            };
-            if grantable {
-                Self::install(entry, p.txn, m);
-                p.step += 1;
-            } else {
+            if !self.held_covers(p.txn, g, m) && !self.try_grant(p.txn, g, m) {
                 return false;
             }
+            p.step += 1;
         }
         true
     }
 
-    /// Installs `mode` for `txn` in `entry` (new holder or conversion).
-    fn install(entry: &mut Entry, txn: TxnId, mode: LockMode) {
-        match entry.holder_mut(txn) {
-            Some(h) => {
-                h.mode = h.mode.sup(mode);
-                h.count += 1;
-            }
-            None => entry.holders.push(Holder {
-                txn,
-                mode,
-                count: 1,
-                adaptive: false,
-            }),
+    /// Grants `mode` on `id` to `txn` if that is possible right now: a
+    /// conversion needs only compatibility with the other holders, a
+    /// fresh request also an empty queue (FIFO). Nothing changes on
+    /// `false`.
+    fn try_grant(&mut self, txn: TxnId, id: LockableId, mode: LockMode) -> bool {
+        // A granule without state grants anything, so an entry created
+        // here is never left behind empty.
+        let entry = entry_mut(&mut self.entries, &mut self.objects_on_page, id);
+        let grantable = match entry.holder(txn) {
+            Some(h) => entry.compatible_with_others(txn, h.mode.sup(mode)),
+            None => entry.queue.is_empty() && entry.compatible_with_others(txn, mode),
+        };
+        if grantable {
+            add_holder(entry, &mut self.by_txn, id, txn, mode);
         }
+        grantable
+    }
+
+    /// Drops `txn`'s holder on `id`, and `id` from its held list — the
+    /// counterpart of [`add_holder`] for a single granule
+    /// ([`LockTable::release_all`] takes the whole list instead).
+    fn remove_holder(&mut self, id: LockableId, txn: TxnId) {
+        if let Some(e) = self.entries.get_mut(&id) {
+            e.holders.retain(|h| h.txn != txn);
+        }
+        self.unlist(txn, |l| l.held.retain(|g| *g != id));
+    }
+
+    /// Edits `txn`'s index entry, dropping it once nothing is left.
+    fn unlist(&mut self, txn: TxnId, edit: impl FnOnce(&mut TxnLocks)) {
+        if let Some(l) = self.by_txn.get_mut(&txn) {
+            edit(l);
+            if l.held.is_empty() && l.waiting.is_empty() {
+                self.by_txn.remove(&txn);
+            }
+        }
+    }
+
+    /// Queues `ticket` at the step `p` is stuck on. Upgraders go ahead
+    /// of ordinary waiters, FIFO among themselves.
+    fn enqueue(&mut self, ticket: Ticket, p: &Pending) {
+        let (g, m) = p.path[p.step];
+        let entry = entry_mut(&mut self.entries, &mut self.objects_on_page, g);
+        let waiter = Waiter {
+            ticket,
+            txn: p.txn,
+            mode: m,
+            convert_to: entry.holder(p.txn).map(|h| h.mode.sup(m)),
+        };
+        if waiter.is_upgrade() {
+            let pos = entry
+                .queue
+                .iter()
+                .position(|w| !w.is_upgrade())
+                .unwrap_or(entry.queue.len());
+            entry.queue.insert(pos, waiter);
+        } else {
+            entry.queue.push_back(waiter);
+        }
+        self.queued.insert(g);
     }
 
     /// Whether `txn` already holds a mode on `id` covering `mode`.
@@ -387,17 +493,29 @@ impl LockTable {
     pub fn waiters_on_page(&self, page: PageId) -> Vec<TxnId> {
         let mut v: Vec<TxnId> = self
             .entries
-            .iter()
-            .filter(|(id, _)| match id {
-                LockableId::Object(o) => o.page == page,
-                LockableId::Page(p) => *p == page,
-                _ => false,
-            })
-            .flat_map(|(_, e)| e.queue.iter().map(|w| w.txn))
+            .get(&LockableId::Page(page))
+            .into_iter()
+            .chain(self.object_entries_on_page(page).map(|(_, e)| e))
+            .flat_map(|e| e.queue.iter().map(|w| w.txn))
             .collect();
         v.sort();
         v.dedup();
         v
+    }
+
+    /// The entries of `page`'s objects that have lock state, in the
+    /// order they appeared.
+    fn object_entries_on_page(&self, page: PageId) -> impl Iterator<Item = (Oid, &Entry)> {
+        self.objects_on_page
+            .get(&page)
+            .into_iter()
+            .flatten()
+            .map(move |slot| {
+                visited();
+                let o = Oid::new(page, *slot);
+                let e = &self.entries[&LockableId::Object(o)];
+                (o, e)
+            })
     }
 
     /// All current holders of `id`.
@@ -435,13 +553,15 @@ impl LockTable {
     /// C1,S"). The caller must have arranged compatibility (by the
     /// protocol's downgrade rules); this is checked in debug builds.
     pub fn force_grant(&mut self, txn: TxnId, id: LockableId, mode: LockMode) {
-        let entry = self.entries.entry(id).or_default();
         debug_assert!(
-            entry.compatible_with_others(txn, mode),
+            self.entries
+                .get(&id)
+                .is_none_or(|e| e.compatible_with_others(txn, mode)),
             "force_grant({txn}, {id}, {mode}) conflicts with existing holders: {:?}",
-            entry.holders
+            self.holders(id)
         );
-        Self::install(entry, txn, mode);
+        let entry = entry_mut(&mut self.entries, &mut self.objects_on_page, id);
+        add_holder(entry, &mut self.by_txn, id, txn, mode);
     }
 
     /// Downgrades `txn`'s lock on `id` to `to` **without** re-scanning
@@ -474,58 +594,58 @@ impl LockTable {
     /// Re-scans `id`'s wait queue, granting whatever has become
     /// grantable. Companion to [`LockTable::downgrade`].
     pub fn rescan(&mut self, id: LockableId) -> Vec<Grant> {
-        let grants = self.scan(id);
-        self.gc(id);
-        grants
+        self.scan(id)
     }
 
     /// Releases one logical hold of `txn` on `id` (used by callback
     /// threads when they complete). The holder disappears when its count
     /// reaches zero. Returns any grants unblocked.
     pub fn release_one(&mut self, txn: TxnId, id: LockableId) -> Vec<Grant> {
-        let Some(entry) = self.entries.get_mut(&id) else {
+        let Some(h) = self.entries.get_mut(&id).and_then(|e| e.holder_mut(txn)) else {
             return Vec::new();
         };
-        if let Some(pos) = entry.holders.iter().position(|h| h.txn == txn) {
-            entry.holders[pos].count -= 1;
-            if entry.holders[pos].count == 0 {
-                entry.holders.remove(pos);
-            }
+        h.count -= 1;
+        if h.count == 0 {
+            self.remove_holder(id, txn);
         }
-        let grants = self.scan(id);
-        self.gc(id);
-        grants
+        self.scan(id)
     }
 
     /// Releases every lock `txn` holds and cancels every wait it has
     /// pending (transaction end or abort).
     pub fn release_all(&mut self, txn: TxnId) -> ReleaseOutcome {
         let mut out = ReleaseOutcome::default();
-        // Cancel pending waits first so the scans below don't grant them.
-        let tickets: Vec<Ticket> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| p.txn == txn)
-            .map(|(t, _)| *t)
-            .collect();
+        // Cancel pending waits first so the scans below don't grant them
+        // (a cancel may still grant a later ticket of the same
+        // transaction; what that acquires is in the held list by the
+        // time it is taken).
+        let tickets = self
+            .by_txn
+            .get(&txn)
+            .map(|l| l.waiting.clone())
+            .unwrap_or_default();
         for t in tickets {
             out.cancelled.push(t);
             out.grants.extend(self.cancel(t));
         }
-        let ids: Vec<LockableId> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| e.holder(txn).is_some())
-            .map(|(id, _)| *id)
-            .collect();
-        for id in &ids {
-            if let Some(e) = self.entries.get_mut(id) {
-                e.holders.retain(|h| h.txn != txn);
+        // Let go of everything first, then let the waiters in: one that
+        // needs two of these granules gets through both in one scan.
+        let held = self.by_txn.remove(&txn).map(|l| l.held).unwrap_or_default();
+        let mut contended = Vec::new();
+        for id in held {
+            visited();
+            let MapEntry::Occupied(mut e) = self.entries.entry(id) else {
+                continue;
+            };
+            e.get_mut().holders.retain(|h| h.txn != txn);
+            if e.get().queue.is_empty() {
+                drop_if_unused(e, &mut self.objects_on_page);
+            } else {
+                contended.push(id);
             }
         }
-        for id in &ids {
-            out.grants.extend(self.scan(*id));
-            self.gc(*id);
+        for id in contended {
+            out.grants.extend(self.scan(id));
         }
         out
     }
@@ -537,13 +657,12 @@ impl LockTable {
         let Some(p) = self.pending.remove(&ticket) else {
             return Vec::new();
         };
+        self.unlist(p.txn, |l| l.waiting.retain(|t| *t != ticket));
         let (g, _) = p.path[p.step];
         if let Some(e) = self.entries.get_mut(&g) {
             e.queue.retain(|w| w.ticket != ticket);
         }
-        let grants = self.scan(g);
-        self.gc(g);
-        grants
+        self.scan(g)
     }
 
     /// Information about a pending ticket: (txn, granule it waits at,
@@ -556,26 +675,24 @@ impl LockTable {
     }
 
     /// Scans `id`'s queue, granting from the front while possible, and
-    /// advancing any hierarchical requests that were waiting there. May
-    /// cascade to deeper granules.
+    /// advancing any hierarchical requests that were waiting there (may
+    /// cascade to deeper granules); then drops what `id` no longer
+    /// needs. Every path that takes a waiter away from a granule ends
+    /// here, so this is the one place a granule leaves the queued set.
     fn scan(&mut self, id: LockableId) -> Vec<Grant> {
         let mut grants = Vec::new();
         loop {
             let Some(entry) = self.entries.get_mut(&id) else {
                 return grants;
             };
-            let Some(front) = entry.queue.front() else {
-                return grants;
-            };
-            let grantable = match front.convert_to {
-                Some(target) => entry.compatible_with_others(front.txn, target),
-                None => entry.compatible_with_others(front.txn, front.mode),
-            };
+            let grantable = entry.queue.front().is_some_and(|w| {
+                entry.compatible_with_others(w.txn, w.convert_to.unwrap_or(w.mode))
+            });
             if !grantable {
-                return grants;
+                break;
             }
             let w = entry.queue.pop_front().expect("front checked above");
-            Self::install(entry, w.txn, w.mode);
+            add_holder(entry, &mut self.by_txn, id, w.txn, w.mode);
             let mut p = self
                 .pending
                 .remove(&w.ticket)
@@ -587,6 +704,7 @@ impl LockTable {
                     item: p.leaf.0,
                     mode: p.leaf.1,
                 });
+                self.unlist(p.txn, |l| l.waiting.retain(|t| *t != w.ticket));
                 grants.push(Grant {
                     ticket: w.ticket,
                     txn: p.txn,
@@ -595,38 +713,17 @@ impl LockTable {
                 });
             } else {
                 // Re-queue at the deeper granule.
-                let (g, m) = p.path[p.step];
-                let held = self
-                    .entries
-                    .get(&g)
-                    .and_then(|e| e.holder(p.txn))
-                    .map(|h| h.mode);
-                let waiter = Waiter {
-                    ticket: w.ticket,
-                    txn: p.txn,
-                    mode: m,
-                    convert_to: held.map(|h| h.sup(m)),
-                };
-                let deeper = self.entries.entry(g).or_default();
-                if waiter.is_upgrade() {
-                    let pos = deeper
-                        .queue
-                        .iter()
-                        .position(|x| !x.is_upgrade())
-                        .unwrap_or(deeper.queue.len());
-                    deeper.queue.insert(pos, waiter);
-                } else {
-                    deeper.queue.push_back(waiter);
-                }
+                self.enqueue(w.ticket, &p);
                 self.pending.insert(w.ticket, p);
             }
         }
-    }
-
-    fn gc(&mut self, id: LockableId) {
-        if self.entries.get(&id).is_some_and(Entry::is_unused) {
-            self.entries.remove(&id);
+        if let MapEntry::Occupied(e) = self.entries.entry(id) {
+            if e.get().queue.is_empty() {
+                self.queued.remove(&id);
+                drop_if_unused(e, &mut self.objects_on_page);
+            }
         }
+        grants
     }
 
     // ------------------------------------------------------------------
@@ -691,40 +788,35 @@ impl LockTable {
 
     /// Every lock `txn` currently holds.
     pub fn locks_of(&self, txn: TxnId) -> Vec<(LockableId, LockMode)> {
-        self.entries
+        let held = self.by_txn.get(&txn).map(|l| l.held.as_slice());
+        held.unwrap_or_default()
             .iter()
-            .filter_map(|(id, e)| e.holder(txn).map(|h| (*id, h.mode)))
+            .map(|id| {
+                visited();
+                let h = self.entries[id].holder(txn).expect("listed as held");
+                (*id, h.mode)
+            })
             .collect()
     }
 
     /// Every object lock (any mode) held on objects of `page`, plus the
     /// holder — the locks a client replicates when it purges a page that
     /// active local transactions are still using (paper §4.1.1).
-    pub fn object_holders_on_page(&self, page: PageId) -> Vec<(TxnId, pscc_common::Oid, LockMode)> {
-        self.entries
-            .iter()
-            .filter_map(|(id, e)| match id {
-                LockableId::Object(o) if o.page == page => Some((o, e)),
-                _ => None,
-            })
-            .flat_map(|(o, e)| e.holders.iter().map(move |h| (h.txn, *o, h.mode)))
+    pub fn object_holders_on_page(&self, page: PageId) -> Vec<(TxnId, Oid, LockMode)> {
+        self.object_entries_on_page(page)
+            .flat_map(|(o, e)| e.holders.iter().map(move |h| (h.txn, o, h.mode)))
             .collect()
     }
 
     /// Every EX **object** lock held on objects of `page` — the payload
     /// of a deescalation reply (paper §4.1.2).
-    pub fn ex_object_holders_on_page(&self, page: PageId) -> Vec<(TxnId, pscc_common::Oid)> {
-        self.entries
-            .iter()
-            .filter_map(|(id, e)| match id {
-                LockableId::Object(o) if o.page == page => Some((o, e)),
-                _ => None,
-            })
+    pub fn ex_object_holders_on_page(&self, page: PageId) -> Vec<(TxnId, Oid)> {
+        self.object_entries_on_page(page)
             .flat_map(|(o, e)| {
                 e.holders
                     .iter()
                     .filter(|h| h.mode == LockMode::Ex)
-                    .map(move |h| (h.txn, *o))
+                    .map(move |h| (h.txn, o))
             })
             .collect()
     }
@@ -735,7 +827,9 @@ impl LockTable {
     /// are FIFO) for every waiter queued ahead of it.
     pub fn waits_for_edges(&self) -> Vec<(TxnId, TxnId)> {
         let mut edges = Vec::new();
-        for entry in self.entries.values() {
+        for id in &self.queued {
+            visited();
+            let entry = &self.entries[id];
             for (i, w) in entry.queue.iter().enumerate() {
                 let target = w.convert_to.unwrap_or(w.mode);
                 for h in &entry.holders {
@@ -768,13 +862,18 @@ impl LockTable {
     }
 
     /// Test/diagnostic invariant: no two holders of any granule are
-    /// incompatible (holders of the same txn excepted by construction).
+    /// incompatible (holders of the same txn excepted by construction),
+    /// and every index is exactly what a full scan of the table gives.
     ///
     /// # Panics
     ///
-    /// Panics with a description of the violated granule.
+    /// Panics with a description of the violated granule or index.
     pub fn assert_consistent(&self) {
+        let mut by_txn: HashMap<TxnId, TxnLocks> = HashMap::new();
+        let mut objects_on_page: HashMap<PageId, Vec<u16>> = HashMap::new();
+        let mut queued = BTreeSet::new();
         for (id, e) in &self.entries {
+            assert!(!e.is_unused(), "unused entry kept for {id}");
             for (i, a) in e.holders.iter().enumerate() {
                 for b in e.holders.iter().skip(i + 1) {
                     assert!(
@@ -786,8 +885,43 @@ impl LockTable {
                         b.mode
                     );
                 }
+                by_txn.entry(a.txn).or_default().held.push(*id);
+            }
+            if let LockableId::Object(o) = id {
+                objects_on_page.entry(o.page).or_default().push(o.slot);
+            }
+            if !e.queue.is_empty() {
+                queued.insert(*id);
+            }
+            for w in &e.queue {
+                let p = self.pending.get(&w.ticket);
+                assert!(
+                    p.is_some_and(|p| p.txn == w.txn && p.path[p.step].0 == *id),
+                    "waiter {} on {id} has no matching pending state",
+                    w.ticket
+                );
             }
         }
+        for (ticket, p) in &self.pending {
+            by_txn.entry(p.txn).or_default().waiting.push(*ticket);
+        }
+        // The indexes keep arrival order, a scan finds hash order:
+        // compare as sets.
+        let mut indexed_txns = self.by_txn.clone();
+        for l in by_txn.values_mut().chain(indexed_txns.values_mut()) {
+            l.held.sort();
+            l.waiting.sort();
+        }
+        assert_eq!(indexed_txns, by_txn, "per-transaction index");
+        let mut indexed_objects = self.objects_on_page.clone();
+        for slots in objects_on_page
+            .values_mut()
+            .chain(indexed_objects.values_mut())
+        {
+            slots.sort_unstable();
+        }
+        assert_eq!(indexed_objects, objects_on_page, "per-page object index");
+        assert_eq!(self.queued, queued, "queued-granule index");
     }
 
     /// Number of granules with any lock state (diagnostics).
@@ -798,5 +932,336 @@ impl LockTable {
     /// Whether the table is completely empty.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty() && self.pending.is_empty()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use pscc_common::{FileId, SiteId, VolId};
+
+    // ------------------------------------------------------------------
+    // The whole-table scans the indexes replaced, kept as the reference
+    // ------------------------------------------------------------------
+
+    impl LockTable {
+        fn locks_of_scan(&self, txn: TxnId) -> Vec<(LockableId, LockMode)> {
+            self.entries
+                .iter()
+                .filter_map(|(id, e)| e.holder(txn).map(|h| (*id, h.mode)))
+                .collect()
+        }
+
+        fn object_holders_on_page_scan(&self, page: PageId) -> Vec<(TxnId, Oid, LockMode)> {
+            self.entries
+                .iter()
+                .filter_map(|(id, e)| match id {
+                    LockableId::Object(o) if o.page == page => Some((o, e)),
+                    _ => None,
+                })
+                .flat_map(|(o, e)| e.holders.iter().map(move |h| (h.txn, *o, h.mode)))
+                .collect()
+        }
+
+        fn waiters_on_page_scan(&self, page: PageId) -> Vec<TxnId> {
+            let mut v: Vec<TxnId> = self
+                .entries
+                .iter()
+                .filter(|(id, _)| match id {
+                    LockableId::Object(o) => o.page == page,
+                    LockableId::Page(p) => *p == page,
+                    _ => false,
+                })
+                .flat_map(|(_, e)| e.queue.iter().map(|w| w.txn))
+                .collect();
+            v.sort();
+            v.dedup();
+            v
+        }
+
+        fn waits_for_edges_scan(&self) -> Vec<(TxnId, TxnId)> {
+            let mut edges = Vec::new();
+            for entry in self.entries.values() {
+                for (i, w) in entry.queue.iter().enumerate() {
+                    let target = w.convert_to.unwrap_or(w.mode);
+                    for h in &entry.holders {
+                        if h.txn != w.txn && !h.mode.compatible(target) {
+                            edges.push((w.txn, h.txn));
+                        }
+                    }
+                    for u in entry.queue.iter().take(i) {
+                        if u.txn != w.txn {
+                            edges.push((w.txn, u.txn));
+                        }
+                    }
+                }
+            }
+            edges
+        }
+
+        fn pending_of_scan(&self, txn: TxnId) -> Vec<Ticket> {
+            self.pending
+                .iter()
+                .filter(|(_, p)| p.txn == txn)
+                .map(|(t, _)| *t)
+                .collect()
+        }
+    }
+
+    fn sorted<T: Ord>(mut v: Vec<T>) -> Vec<T> {
+        v.sort();
+        v
+    }
+
+    fn txn(n: u8) -> TxnId {
+        TxnId::new(SiteId(u32::from(n)), u64::from(n))
+    }
+
+    fn page(p: u32) -> PageId {
+        PageId::new(FileId::new(VolId(0), 1), p)
+    }
+
+    fn obj(p: u32, s: u16) -> LockableId {
+        LockableId::Object(Oid::new(page(p), s))
+    }
+
+    /// 3 pages × 3 objects, plus the pages, their file and the volume.
+    fn granule(g: u8) -> LockableId {
+        match g % 14 {
+            12 => LockableId::Volume(VolId(0)),
+            13 => LockableId::File(FileId::new(VolId(0), 1)),
+            g if g < 9 => obj(u32::from(g / 3), u16::from(g % 3)),
+            g => LockableId::Page(page(u32::from(g - 9))),
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Acquire(u8, u8, u8),
+        AcquireSingle(u8, u8, u8),
+        TryAcquireSingle(u8, u8, u8),
+        ForceGrant(u8, u8, u8),
+        Downgrade(u8, u8, u8),
+        ReleaseOne(u8, u8),
+        CancelOldest(u8),
+        ReleaseAll(u8),
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        let tgm = || (0u8..6, 0u8..14, 0u8..5);
+        prop_oneof![
+            tgm().prop_map(|(t, g, m)| Op::Acquire(t, g, m)),
+            tgm().prop_map(|(t, g, m)| Op::Acquire(t, g, m)),
+            tgm().prop_map(|(t, g, m)| Op::Acquire(t, g, m)),
+            tgm().prop_map(|(t, g, m)| Op::AcquireSingle(t, g, m)),
+            tgm().prop_map(|(t, g, m)| Op::TryAcquireSingle(t, g, m)),
+            tgm().prop_map(|(t, g, m)| Op::ForceGrant(t, g, m)),
+            tgm().prop_map(|(t, g, m)| Op::Downgrade(t, g, m)),
+            (0u8..6, 0u8..14).prop_map(|(t, g)| Op::ReleaseOne(t, g)),
+            (0u8..6).prop_map(Op::CancelOldest),
+            (0u8..6).prop_map(Op::ReleaseAll),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// 64 × 200 operations over every mutator: after each one the
+        /// indexes are what a full scan rebuilds (`assert_consistent`),
+        /// and each index-driven listing has the members the old scan
+        /// of the whole table finds.
+        #[test]
+        fn indexed_listings_agree_with_the_scans(
+            ops in proptest::collection::vec(arb_op(), 200..201)
+        ) {
+            let mut lt = LockTable::new();
+            for op in ops {
+                match op {
+                    Op::Acquire(t, g, m) => {
+                        let _ = lt.acquire(txn(t), granule(g), LockMode::ALL[m as usize]);
+                    }
+                    Op::AcquireSingle(t, g, m) => {
+                        let _ = lt.acquire_single(txn(t), granule(g), LockMode::ALL[m as usize]);
+                    }
+                    Op::TryAcquireSingle(t, g, m) => {
+                        let _ = lt.try_acquire_single(txn(t), granule(g), LockMode::ALL[m as usize]);
+                    }
+                    Op::ForceGrant(t, g, m) => {
+                        let (id, mode) = (granule(g), LockMode::ALL[m as usize]);
+                        if lt.conflicting_holders(id, mode, txn(t)).is_empty() {
+                            lt.force_grant(txn(t), id, mode);
+                        }
+                    }
+                    Op::Downgrade(t, g, m) => {
+                        let (id, to) = (granule(g), LockMode::ALL[m as usize]);
+                        if lt.held_mode(txn(t), id).is_some_and(|h| h.covers(to)) {
+                            lt.downgrade(txn(t), id, to);
+                            let _ = lt.rescan(id);
+                        }
+                    }
+                    Op::ReleaseOne(t, g) => {
+                        let _ = lt.release_one(txn(t), granule(g));
+                    }
+                    Op::CancelOldest(t) => {
+                        if let Some(tk) = lt.pending_of_scan(txn(t)).into_iter().min() {
+                            let _ = lt.cancel(tk);
+                        }
+                    }
+                    Op::ReleaseAll(t) => {
+                        let out = lt.release_all(txn(t));
+                        prop_assert!(lt.locks_of_scan(txn(t)).is_empty());
+                        prop_assert!(lt.pending_of_scan(txn(t)).is_empty());
+                        prop_assert!(out.grants.iter().all(|g| g.txn != txn(t)
+                            || out.cancelled.contains(&g.ticket)));
+                    }
+                }
+                lt.assert_consistent();
+                for t in 0..6 {
+                    prop_assert_eq!(
+                        sorted(lt.locks_of(txn(t))),
+                        sorted(lt.locks_of_scan(txn(t)))
+                    );
+                }
+                for p in 0..3 {
+                    prop_assert_eq!(
+                        sorted(lt.object_holders_on_page(page(p))),
+                        sorted(lt.object_holders_on_page_scan(page(p)))
+                    );
+                    prop_assert_eq!(
+                        sorted(lt.ex_object_holders_on_page(page(p))),
+                        sorted(
+                            lt.object_holders_on_page_scan(page(p))
+                                .into_iter()
+                                .filter(|(_, _, m)| *m == LockMode::Ex)
+                                .map(|(t, o, _)| (t, o))
+                                .collect()
+                        )
+                    );
+                    prop_assert_eq!(lt.waiters_on_page(page(p)), lt.waiters_on_page_scan(page(p)));
+                }
+                prop_assert_eq!(sorted(lt.waits_for_edges()), sorted(lt.waits_for_edges_scan()));
+            }
+            for t in 0..6 {
+                let _ = lt.release_all(txn(t));
+            }
+            lt.assert_consistent();
+            prop_assert!(lt.is_empty());
+            prop_assert!(
+                lt.by_txn.is_empty() && lt.objects_on_page.is_empty() && lt.queued.is_empty()
+            );
+        }
+    }
+
+    #[test]
+    fn release_grants_in_acquisition_order_every_time() {
+        // Two tables built the same way hash differently (`RandomState`
+        // is per map); the sequence of grants a release resumes must not.
+        let order: [(u32, u16); 8] = [
+            (5, 1),
+            (2, 0),
+            (9, 3),
+            (2, 2),
+            (7, 1),
+            (0, 0),
+            (9, 0),
+            (4, 4),
+        ];
+        let build = || {
+            let mut lt = LockTable::new();
+            for (p, s) in order {
+                assert_eq!(
+                    lt.acquire(txn(0), obj(p, s), LockMode::Ex).0,
+                    Acquire::Granted
+                );
+            }
+            // Waiters arrive in another order than the holder acquired.
+            for (w, (p, s)) in order.iter().rev().enumerate() {
+                let (a, _) = lt.acquire(txn(w as u8 + 1), obj(*p, *s), LockMode::Sh);
+                assert!(matches!(a, Acquire::Wait(_)));
+            }
+            let out = lt.release_all(txn(0));
+            lt.assert_consistent();
+            out.grants.iter().map(|g| g.id).collect::<Vec<_>>()
+        };
+        let want: Vec<LockableId> = order.iter().map(|(p, s)| obj(*p, *s)).collect();
+        assert_eq!(build(), want);
+        assert_eq!(build(), want);
+    }
+
+    #[test]
+    fn cancelled_tickets_come_out_in_request_order() {
+        let mut lt = LockTable::new();
+        assert_eq!(
+            lt.acquire(txn(0), obj(1, 0), LockMode::Ex).0,
+            Acquire::Granted
+        );
+        assert_eq!(
+            lt.acquire(txn(0), obj(2, 0), LockMode::Ex).0,
+            Acquire::Granted
+        );
+        // Two callback threads of one transaction wait at once.
+        let a = lt.acquire_single(txn(1), obj(2, 0), LockMode::Ex).0;
+        let b = lt.acquire_single(txn(1), obj(1, 0), LockMode::Ex).0;
+        let (Acquire::Wait(a), Acquire::Wait(b)) = (a, b) else {
+            panic!("both block");
+        };
+        assert_eq!(lt.release_all(txn(1)).cancelled, [a, b]);
+        lt.assert_consistent();
+    }
+
+    // ------------------------------------------------------------------
+    // Work bounds: an operation looks at what it touches
+    // ------------------------------------------------------------------
+
+    #[test]
+    fn a_big_table_is_not_scanned() {
+        let visits = || ENTRIES_VISITED.with(std::cell::Cell::get);
+        let mut lt = LockTable::new();
+        // 20 000 object entries on 2 000 pages, held by 200 transactions.
+        for i in 0..20_000u32 {
+            lt.force_grant(
+                txn((i % 200) as u8),
+                obj(i / 10, (i % 10) as u16),
+                LockMode::Sh,
+            );
+        }
+        assert_eq!(lt.len(), 20_000);
+        let t = TxnId::new(SiteId(999), 1);
+        for p in [17, 400, 1999] {
+            lt.force_grant(t, obj(p, 3), LockMode::Sh);
+        }
+
+        let before = visits();
+        assert_eq!(lt.locks_of(t).len(), 3);
+        assert_eq!(visits() - before, 3, "locks_of visits what the txn holds");
+
+        let before = visits();
+        assert_eq!(lt.object_holders_on_page(page(400)).len(), 11);
+        assert_eq!(
+            visits() - before,
+            10,
+            "one visit per locked object of the page"
+        );
+
+        let before = visits();
+        assert!(lt.waits_for_edges().is_empty());
+        assert_eq!(visits() - before, 0, "nobody waits: nothing to visit");
+        let (a, _) = lt.acquire_single(t, obj(5, 5), LockMode::Ex);
+        assert!(matches!(a, Acquire::Wait(_)));
+        let before = visits();
+        assert_eq!(lt.waits_for_edges().len(), 1);
+        assert_eq!(visits() - before, 1, "one queued granule, one visit");
+
+        let before = visits();
+        let out = lt.release_all(t);
+        assert_eq!(out.cancelled.len(), 1);
+        assert_eq!(
+            visits() - before,
+            3,
+            "release_all visits the 3 held entries"
+        );
+        assert_eq!(lt.len(), 20_000);
+        lt.assert_consistent();
     }
 }

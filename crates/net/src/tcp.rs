@@ -19,6 +19,7 @@ use bytes::BytesMut;
 use pscc_common::SiteId;
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -228,17 +229,14 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> TcpNode<M> {
         self.inbox.len()
     }
 
-    fn connection(&self, to: SiteId, path: PathId) -> std::io::Result<TcpStream> {
-        let mut conns = self.conns.lock().expect("conns poisoned");
-        if let Some(c) = conns.get(&(to, path)) {
-            return c.try_clone();
-        }
+    /// Opens the `(to, path)` connection and announces `(site, path)`
+    /// on it.
+    fn dial(&self, to: SiteId, path: PathId) -> std::io::Result<TcpStream> {
         let addr = self.peers.get(&to).copied().ok_or_else(|| {
             std::io::Error::new(std::io::ErrorKind::NotFound, format!("unknown peer {to}"))
         })?;
         let mut stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        // Handshake: identify (site, path) for this connection.
         let mut buf = BytesMut::new();
         encode_frame(
             &Handshake {
@@ -249,23 +247,35 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> TcpNode<M> {
         )
         .map_err(|e| std::io::Error::other(e.to_string()))?;
         stream.write_all(&buf)?;
-        let clone = stream.try_clone()?;
-        conns.insert((to, path), stream);
-        Ok(clone)
+        Ok(stream)
     }
 
-    /// One write attempt: (re)establish the connection and write the
-    /// whole frame. On failure the cached connection is dropped so the
-    /// next attempt redials instead of reusing a dead socket.
+    /// One write attempt: (re)establish the connection, write the whole
+    /// message frame through the cached stream and count it, under the
+    /// `conns` lock —
+    /// so frames of concurrent senders cannot interleave on one
+    /// connection, and a send costs no `dup`/`close` pair. On failure
+    /// the cached connection is dropped so the next attempt redials
+    /// instead of reusing a dead socket.
     fn try_write(&self, to: SiteId, path: PathId, buf: &[u8]) -> std::io::Result<()> {
-        let mut stream = self.connection(to, path)?;
-        match stream.write_all(buf) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                self.conns.lock().map(|mut c| c.remove(&(to, path))).ok();
-                Err(e)
+        let mut conns = self.conns.lock().expect("conns poisoned");
+        let stream = match conns.entry((to, path)) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(v) => v.insert(self.dial(to, path)?),
+        };
+        let written = stream.write_all(buf);
+        match written {
+            Ok(()) => {
+                self.stats.frames_sent.fetch_add(1, Ordering::Relaxed);
+                self.stats
+                    .bytes_sent
+                    .fetch_add(buf.len() as u64, Ordering::Relaxed);
+            }
+            Err(_) => {
+                conns.remove(&(to, path));
             }
         }
+        written
     }
 
     /// Stops the acceptor and closes connections.
@@ -388,7 +398,7 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> Transport<M> for TcpNode<
         #[cfg(feature = "spans")]
         let _span = pscc_obs::span("tcp_send");
         #[cfg(feature = "fault-inject")]
-        let msg = {
+        let duplicate = {
             let action = self
                 .fault_hook
                 .lock()
@@ -396,26 +406,21 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> Transport<M> for TcpNode<
                 .and_then(|g| g.as_ref().map(|h| h(to, path)))
                 .unwrap_or(crate::fault::FaultAction::Deliver);
             match action {
-                crate::fault::FaultAction::Deliver => msg,
+                crate::fault::FaultAction::Deliver => false,
                 crate::fault::FaultAction::Drop => return,
-                crate::fault::FaultAction::Duplicate => {
-                    // Physical duplicate on the same ordered stream.
-                    let mut buf = BytesMut::new();
-                    if encode_frame(&msg, &mut buf).is_ok()
-                        && self.try_write(to, path, &buf).is_ok()
-                    {
-                        self.stats.frames_sent.fetch_add(1, Ordering::Relaxed);
-                        self.stats
-                            .bytes_sent
-                            .fetch_add(buf.len() as u64, Ordering::Relaxed);
-                    }
-                    msg
-                }
+                crate::fault::FaultAction::Duplicate => true,
             }
         };
+        // One buffer per send: the duplicate and every retry write the
+        // same encoded frame.
         let mut buf = BytesMut::new();
         if encode_frame(&msg, &mut buf).is_err() {
             return; // local serialization bug; nothing to retry
+        }
+        // Physical duplicate on the same ordered stream.
+        #[cfg(feature = "fault-inject")]
+        if duplicate {
+            let _ = self.try_write(to, path, &buf);
         }
         // Retry with exponential backoff + reconnect instead of dying
         // silently on the first connect/write failure.
@@ -431,10 +436,6 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> Transport<M> for TcpNode<
                 delay = (delay * 2).min(self.backoff_max);
             }
             if self.try_write(to, path, &buf).is_ok() {
-                self.stats.frames_sent.fetch_add(1, Ordering::Relaxed);
-                self.stats
-                    .bytes_sent
-                    .fetch_add(buf.len() as u64, Ordering::Relaxed);
                 return;
             }
         }

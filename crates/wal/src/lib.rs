@@ -233,9 +233,20 @@ impl LogRecord {
 
 /// A client-side log cache: records accumulate per transaction and are
 /// shipped at commit, or earlier for a page being evicted while dirty.
+///
+/// Records are stored per transaction (append order kept inside each),
+/// with a per-page list of the transactions that logged against the
+/// page, so commit and abort take their own list and an eviction looks
+/// only at the transactions that touched the evicted page.
 #[derive(Debug, Clone, Default)]
 pub struct LogCache {
-    records: Vec<LogRecord>,
+    /// Each transaction's records, append order, with the cache-wide
+    /// append number of each (what orders a multi-transaction drain).
+    by_txn: HashMap<TxnId, Vec<(u64, LogRecord)>>,
+    /// Transactions holding at least one record against the page.
+    by_page: HashMap<PageId, Vec<TxnId>>,
+    appended: u64,
+    len: usize,
 }
 
 impl LogCache {
@@ -246,58 +257,115 @@ impl LogCache {
 
     /// Appends a record.
     pub fn append(&mut self, rec: LogRecord) {
-        self.records.push(rec);
+        if let Some(page) = rec.payload.page() {
+            let txns = self.by_page.entry(page).or_default();
+            if !txns.contains(&rec.txn) {
+                txns.push(rec.txn);
+            }
+        }
+        self.appended += 1;
+        self.len += 1;
+        self.by_txn
+            .entry(rec.txn)
+            .or_default()
+            .push((self.appended, rec));
     }
 
     /// Removes and returns all records of `txn`, in append order
     /// (commit-time shipping).
     pub fn drain_txn(&mut self, txn: TxnId) -> Vec<LogRecord> {
-        let (take, keep): (Vec<_>, Vec<_>) = std::mem::take(&mut self.records)
-            .into_iter()
-            .partition(|r| r.txn == txn);
-        self.records = keep;
-        take
+        let records = self.by_txn.remove(&txn).unwrap_or_default();
+        self.len -= records.len();
+        for (_, rec) in &records {
+            let Some(page) = rec.payload.page() else {
+                continue;
+            };
+            if let Some(txns) = self.by_page.get_mut(&page) {
+                txns.retain(|t| *t != txn);
+                if txns.is_empty() {
+                    self.by_page.remove(&page);
+                }
+            }
+        }
+        records.into_iter().map(|(_, rec)| rec).collect()
     }
 
-    /// Removes and returns all records touching `page` (early shipping on
-    /// dirty-page eviction, paper §3.3).
+    /// Removes and returns all records touching `page`, in append order
+    /// (early shipping on dirty-page eviction, paper §3.3).
     pub fn drain_page(&mut self, page: PageId) -> Vec<LogRecord> {
-        let (take, keep): (Vec<_>, Vec<_>) = std::mem::take(&mut self.records)
-            .into_iter()
-            .partition(|r| r.payload.page() == Some(page));
-        self.records = keep;
-        take
+        let mut take = Vec::new();
+        for txn in self.by_page.remove(&page).unwrap_or_default() {
+            let Some(records) = self.by_txn.remove(&txn) else {
+                continue;
+            };
+            let (on_page, keep): (Vec<_>, Vec<_>) = records
+                .into_iter()
+                .partition(|(_, r)| r.payload.page() == Some(page));
+            take.extend(on_page);
+            if !keep.is_empty() {
+                self.by_txn.insert(txn, keep);
+            }
+        }
+        self.len -= take.len();
+        take.sort_unstable_by_key(|(n, _)| *n);
+        take.into_iter().map(|(_, rec)| rec).collect()
     }
 
     /// Discards all records of `txn` (client-side abort, paper §3.3:
     /// "when a transaction aborts, it deletes its log records from the
     /// log cache").
     pub fn discard_txn(&mut self, txn: TxnId) {
-        self.records.retain(|r| r.txn != txn);
+        self.drain_txn(txn);
     }
 
     /// Records currently cached (diagnostics).
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.len
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.len == 0
     }
 
     /// Pages with cached records for `txn` (used at commit to know what
     /// to mark clean).
     pub fn pages_of(&self, txn: TxnId) -> Vec<PageId> {
         let mut v: Vec<PageId> = self
-            .records
-            .iter()
-            .filter(|r| r.txn == txn)
-            .filter_map(|r| r.payload.page())
+            .by_txn
+            .get(&txn)
+            .into_iter()
+            .flatten()
+            .filter_map(|(_, r)| r.payload.page())
             .collect();
         v.sort();
         v.dedup();
         v
+    }
+
+    /// Test/diagnostic invariant: the per-page index and the record
+    /// count are exactly what a full scan of the records gives, and no
+    /// transaction keeps an empty list.
+    ///
+    /// # Panics
+    ///
+    /// Panics with a description of the first mismatch.
+    pub fn assert_consistent(&self) {
+        let mut scanned: HashMap<PageId, Vec<TxnId>> = HashMap::new();
+        let mut len = 0;
+        for (txn, records) in &self.by_txn {
+            assert!(!records.is_empty(), "empty record list kept for {txn}");
+            len += records.len();
+            for page in self.pages_of(*txn) {
+                scanned.entry(page).or_default().push(*txn);
+            }
+        }
+        assert_eq!(len, self.len, "record count");
+        let mut indexed = self.by_page.clone();
+        for txns in scanned.values_mut().chain(indexed.values_mut()) {
+            txns.sort();
+        }
+        assert_eq!(indexed, scanned, "per-page transaction index");
     }
 }
 
@@ -786,6 +854,66 @@ mod tests {
         let rest = cache.drain_txn(t1);
         assert_eq!(rest.len(), 1);
         assert!(cache.is_empty());
+    }
+
+    /// The log cache as it was: one list for the whole site, every
+    /// drain a pass over all of it. The per-transaction store must hand
+    /// out the same records in the same order.
+    #[derive(Default)]
+    struct FlatModel(Vec<LogRecord>);
+
+    impl FlatModel {
+        fn drain(&mut self, pick: impl Fn(&LogRecord) -> bool) -> Vec<LogRecord> {
+            let (take, keep) = std::mem::take(&mut self.0).into_iter().partition(pick);
+            self.0 = keep;
+            take
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// 32 × 400 appends, drains and discards over 4 transactions and
+        /// 5 pages.
+        #[test]
+        fn log_cache_agrees_with_one_flat_list(
+            ops in proptest::collection::vec((0u8..8, 0u64..4, 0u32..5, 0u16..3), 400..401)
+        ) {
+            use proptest::prelude::*;
+            let (_, oid, _) = setup();
+            let txn = |n: u64| TxnId::new(SiteId(1), n);
+            let at = |p: u32, s: u16| Oid::new(PageId::new(oid.page.file, p), s);
+            let mut cache = LogCache::new();
+            let mut model = FlatModel::default();
+            for (serial, (kind, t, p, s)) in ops.into_iter().enumerate() {
+                match kind {
+                    0..=4 => {
+                        let rec =
+                            LogRecord::update(txn(t), at(p, s), vec![serial as u8], vec![1]);
+                        cache.append(rec.clone());
+                        model.0.push(rec);
+                    }
+                    5 => prop_assert_eq!(
+                        cache.drain_txn(txn(t)),
+                        model.drain(|r| r.txn == txn(t))
+                    ),
+                    6 => prop_assert_eq!(
+                        cache.drain_page(at(p, 0).page),
+                        model.drain(|r| r.payload.page() == Some(at(p, 0).page))
+                    ),
+                    _ => {
+                        cache.discard_txn(txn(t));
+                        model.drain(|r| r.txn == txn(t));
+                    }
+                }
+                cache.assert_consistent();
+                prop_assert_eq!(cache.len(), model.0.len());
+            }
+            for t in 0..4 {
+                prop_assert_eq!(cache.drain_txn(txn(t)), model.drain(|r| r.txn == txn(t)));
+            }
+            prop_assert!(cache.is_empty() && cache.by_txn.is_empty() && cache.by_page.is_empty());
+        }
     }
 
     #[test]
