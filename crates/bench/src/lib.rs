@@ -1,7 +1,7 @@
 //! # pscc-bench
 //!
-//! Reporting helpers shared by the `repro` figure harness and the
-//! Criterion benches: table formatting for the paper's Tables 1–2 and
+//! Reporting helpers of the `repro` figure harness: table formatting
+//! for the paper's Tables 1–2 and
 //! series formatting for Figures 6–15, plus simple shape validators
 //! (who wins, where crossovers fall) used by `repro --check`.
 

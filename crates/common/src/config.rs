@@ -172,13 +172,6 @@ pub struct SystemConfig {
     /// enabled; complements the lease timer for clients that heartbeat
     /// but wedge mid-callback).
     pub callback_response_timeout: Duration,
-    /// First retry delay for a failed TCP connect/write; doubles each
-    /// attempt up to `net_backoff_max`.
-    pub net_backoff_base: Duration,
-    /// Ceiling on the exponential reconnect backoff.
-    pub net_backoff_max: Duration,
-    /// Connect/write attempts before the transport gives up on a send.
-    pub net_max_retries: u32,
     /// Capacity of each bounded transport mailbox (per lane). Sized so
     /// failure-free workloads never block on it; overload tests shrink
     /// it to exercise backpressure.
@@ -194,11 +187,6 @@ pub struct SystemConfig {
     /// The `retry_after` hint a shed request carries back to the client
     /// (base of its exponential, jittered backoff).
     pub busy_retry_hint: Duration,
-    /// Arm the callback-response bound even when leases are disabled, so
-    /// one stalled client cannot wedge a callback fan-out for everyone
-    /// else (the slow-peer bypass). Off by default: failure-free runs
-    /// stay byte-for-byte unchanged.
-    pub slow_peer_bypass: bool,
     /// Number of files the edge tier map may address (file numbers
     /// `0..edge_files`). The seed workloads use a single file per
     /// volume, so the default is 1.
@@ -234,9 +222,6 @@ pub enum ConfigError {
         lease: Duration,
         heartbeat: Duration,
     },
-    /// `net_backoff_base > net_backoff_max`: the exponential reconnect
-    /// schedule is inverted and the clamp produces a zero-width range.
-    BackoffBaseAboveMax { base: Duration, max: Duration },
     /// `busy_retry_hint == 0`: shed requests would retry immediately,
     /// turning admission control into a hot spin loop instead of backoff.
     ZeroBusyRetryHint,
@@ -289,10 +274,6 @@ impl fmt::Display for ConfigError {
             ConfigError::LeaseWithinHeartbeat { lease, heartbeat } => write!(
                 f,
                 "lease_duration ({lease:?}) must exceed heartbeat_interval ({heartbeat:?}) when leases are enabled"
-            ),
-            ConfigError::BackoffBaseAboveMax { base, max } => write!(
-                f,
-                "net_backoff_base ({base:?}) exceeds net_backoff_max ({max:?})"
             ),
             ConfigError::ZeroBusyRetryHint => {
                 write!(f, "busy_retry_hint must be > 0 (0 spins on Busy instead of backing off)")
@@ -360,14 +341,10 @@ impl SystemConfig {
             heartbeat_interval: Duration::from_millis(500),
             lease_duration: Duration::from_millis(2_000),
             callback_response_timeout: Duration::from_secs(10),
-            net_backoff_base: Duration::from_millis(10),
-            net_backoff_max: Duration::from_millis(1_000),
-            net_max_retries: 5,
             mailbox_capacity: 4_096,
             fetch_credits: 64,
             admission_cap: 256,
             busy_retry_hint: Duration::from_millis(10),
-            slow_peer_bypass: false,
             edge_files: 1,
             edge_tiers: Vec::new(),
         }
@@ -446,12 +423,6 @@ impl SystemConfig {
             return Err(ConfigError::LeaseWithinHeartbeat {
                 lease: self.lease_duration,
                 heartbeat: self.heartbeat_interval,
-            });
-        }
-        if self.net_backoff_base > self.net_backoff_max {
-            return Err(ConfigError::BackoffBaseAboveMax {
-                base: self.net_backoff_base,
-                max: self.net_backoff_max,
             });
         }
         if self.busy_retry_hint == Duration::ZERO {
@@ -616,7 +587,6 @@ mod tests {
         assert_eq!(c.lock_timeout_floor, Duration::from_millis(50));
         assert_eq!(c.lock_timeout_ceiling, Duration::from_secs(30));
         assert!(c.lease_duration > c.heartbeat_interval);
-        assert!(c.net_backoff_base <= c.net_backoff_max);
         // small() inherits the failure knobs from paper().
         assert_eq!(SystemConfig::small().lease_duration, c.lease_duration);
     }
@@ -630,7 +600,6 @@ mod tests {
         assert!(c.fetch_credits > c.num_applications);
         assert!(c.admission_cap > c.num_applications);
         assert!(c.mailbox_capacity >= c.admission_cap);
-        assert!(!c.slow_peer_bypass);
         assert!(c.busy_retry_hint < c.initial_lock_timeout);
         // small() inherits the overload knobs from paper().
         assert_eq!(SystemConfig::small().admission_cap, c.admission_cap);
@@ -683,13 +652,6 @@ mod tests {
         // Leases off: the same pair is fine because no lease timer arms.
         c.leases_enabled = false;
         assert_eq!(c.validate(), Ok(()));
-
-        let mut c = base();
-        c.net_backoff_base = Duration::from_secs(10);
-        assert!(matches!(
-            c.validate(),
-            Err(ConfigError::BackoffBaseAboveMax { .. })
-        ));
 
         let mut c = base();
         c.busy_retry_hint = Duration::ZERO;

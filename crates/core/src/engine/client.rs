@@ -62,43 +62,23 @@ impl PeerServer {
         if self.cfg.protocol == Protocol::Ps {
             // Pure page server: lock at page granularity.
             let mode = if write { LockMode::Ex } else { LockMode::Sh };
-            let (a, _) = self.locks.acquire(txn, LockableId::Page(oid.page), mode);
-            match a {
-                Acquire::Granted => self.client_ps_locked(txn, oid, write, bytes),
-                Acquire::Wait(t) => {
-                    self.lock_conts.insert(
-                        t,
-                        LockCont::LocalPage {
-                            txn,
-                            oid,
-                            write,
-                            bytes,
-                        },
-                    );
-                    self.arm_lock_timer(t, txn);
-                    self.check_deadlocks();
-                }
-            }
+            let cont = LockCont::LocalPage {
+                txn,
+                oid,
+                write,
+                bytes,
+            };
+            self.lock_or_park(txn, LockableId::Page(oid.page), mode, cont);
             return;
         }
         let mode = if write { LockMode::Ex } else { LockMode::Sh };
-        let (a, _) = self.locks.acquire(txn, LockableId::Object(oid), mode);
-        match a {
-            Acquire::Granted => self.client_access_locked(txn, oid, write, bytes),
-            Acquire::Wait(t) => {
-                self.lock_conts.insert(
-                    t,
-                    LockCont::LocalAccess {
-                        txn,
-                        oid,
-                        write,
-                        bytes,
-                    },
-                );
-                self.arm_lock_timer(t, txn);
-                self.check_deadlocks();
-            }
-        }
+        let cont = LockCont::LocalAccess {
+            txn,
+            oid,
+            write,
+            bytes,
+        };
+        self.lock_or_park(txn, LockableId::Object(oid), mode, cont);
     }
 
     /// Local object lock held; consult the cache / adaptive state.
@@ -288,16 +268,8 @@ impl PeerServer {
     /// An explicit `Lock` op: acquire locally first, then propagate per
     /// §4.3 (file/volume locks always; page SH only if not fully cached).
     pub(crate) fn client_explicit(&mut self, txn: TxnId, item: LockableId, mode: LockMode) {
-        let (a, _) = self.locks.acquire(txn, item, mode);
-        match a {
-            Acquire::Granted => self.client_explicit_locked(txn, item, mode),
-            Acquire::Wait(t) => {
-                self.lock_conts
-                    .insert(t, LockCont::LocalExplicit { txn, item, mode });
-                self.arm_lock_timer(t, txn);
-                self.check_deadlocks();
-            }
-        }
+        let cont = LockCont::LocalExplicit { txn, item, mode };
+        self.lock_or_park(txn, item, mode, cont);
     }
 
     /// Local explicit lock held; decide whether to propagate.
@@ -945,7 +917,6 @@ impl PeerServer {
         let key: CbKey = (from, cb);
         let mut ctx = CbCtx {
             txn,
-            target,
             held: Vec::new(),
             waiting: None,
             timer: None,

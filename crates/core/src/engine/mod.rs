@@ -28,6 +28,7 @@ pub use migration::MigrationPhase;
 
 use crate::cache::ClientCache;
 use crate::copy_table::CopyTable;
+use crate::fifo_map::BoundedFifoMap;
 use crate::msg::{
     AppOp, AppReply, CbId, CbTarget, DeId, DiskOp, DiskReqId, Input, Message, Output, ReqId,
     TimerId,
@@ -42,7 +43,7 @@ use pscc_common::{
     AbortReason, Counters, LockMode, LockableId, Oid, PageId, SimTime, SiteId, SpanId, Stage,
     SystemConfig, TraceCtx, TxnId,
 };
-use pscc_lockmgr::{LockTable, Ticket};
+use pscc_lockmgr::{Acquire, LockTable, Ticket};
 use pscc_storage::Volume;
 use pscc_wal::{LogCache, ServerLog};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -245,10 +246,10 @@ pub(crate) enum TimerKind {
     /// firing sends [`Message::Heartbeat`] to every contacted peer and
     /// re-arms.
     Heartbeat,
-    /// Bound on a callback fan-out's response time (leases or the
-    /// slow-peer bypass enabled). Firing while the operation still has
-    /// pending clients declares those clients crashed — they may be
-    /// heartbeating but wedged mid-callback.
+    /// Bound on a callback fan-out's response time (leases enabled
+    /// only). Firing while the operation still has pending clients
+    /// declares those clients crashed — they may be heartbeating but
+    /// wedged mid-callback.
     CbResponse { cb: CbId },
     /// Backoff before re-sending a request an overloaded owner refused
     /// with [`Message::Busy`] (admission control, DESIGN.md §6).
@@ -267,10 +268,8 @@ pub(crate) enum TimerKind {
 /// State of a client-side callback thread (the per-callback thread of
 /// paper Fig. 3, footnote 2).
 #[derive(Debug)]
-#[allow(dead_code)]
 pub(crate) struct CbCtx {
     pub txn: TxnId,
-    pub target: CbTarget,
     /// Locks this thread has acquired (released when it completes).
     pub held: Vec<LockableId>,
     /// Ticket it is currently waiting on, if blocked.
@@ -428,9 +427,7 @@ pub struct PeerServer {
     /// so a request can arrive *after* the abort that killed its
     /// transaction; admitting it would acquire locks nothing will ever
     /// release. Bounded FIFO memory (`DEAD_TXN_MEMORY`).
-    pub(crate) dead_txns: HashSet<TxnId>,
-    /// Insertion order of `dead_txns`, for FIFO eviction.
-    pub(crate) dead_txns_order: VecDeque<TxnId>,
+    pub(crate) dead_txns: BoundedFifoMap<TxnId, ()>,
 
     // Control plane (DESIGN.md §8).
     /// In-progress or completed graceful drain, if any. While set, new
@@ -485,9 +482,7 @@ pub struct PeerServer {
     pub(crate) txn_spans: HashMap<TxnId, (SiteId, SpanId)>,
     /// Parked contexts of traced requests awaiting their reply, keyed
     /// by (requester, request id); FIFO-bounded by `REQ_CTX_MEMORY`.
-    pub(crate) req_ctx: HashMap<(SiteId, ReqId), TraceCtx>,
-    /// Insertion order of `req_ctx`, for FIFO eviction.
-    pub(crate) req_ctx_order: VecDeque<(SiteId, ReqId)>,
+    pub(crate) req_ctx: BoundedFifoMap<(SiteId, ReqId), TraceCtx>,
     /// Span id allocator (site id packed into the high bits).
     next_span: u64,
 
@@ -576,8 +571,7 @@ impl PeerServer {
             credits: HashMap::new(),
             credit_waiters: HashMap::new(),
             inflight: HashMap::new(),
-            dead_txns: HashSet::new(),
-            dead_txns_order: VecDeque::new(),
+            dead_txns: BoundedFifoMap::new(DEAD_TXN_MEMORY),
             draining: None,
             migrating: None,
             migrating_in: None,
@@ -594,8 +588,7 @@ impl PeerServer {
             edge_versions: HashMap::new(),
             cur_ctx: None,
             txn_spans: HashMap::new(),
-            req_ctx: HashMap::new(),
-            req_ctx_order: VecDeque::new(),
+            req_ctx: BoundedFifoMap::new(REQ_CTX_MEMORY),
             next_span: 0,
             next_req: 0,
             next_cb: 0,
@@ -955,14 +948,7 @@ impl PeerServer {
         self.cur_ctx = Some(ctx);
         self.txn_spans.insert(ctx.txn, (ctx.origin, ctx.span));
         if let Some(req) = inner.req_of_request() {
-            if self.req_ctx.insert((from, req), ctx).is_none() {
-                self.req_ctx_order.push_back((from, req));
-                while self.req_ctx_order.len() > REQ_CTX_MEMORY {
-                    if let Some(old) = self.req_ctx_order.pop_front() {
-                        self.req_ctx.remove(&old);
-                    }
-                }
-            }
+            self.req_ctx.insert((from, req), ctx);
         }
         self.obs.record(pscc_obs::EventKind::MsgRecv {
             ctx,
@@ -1004,16 +990,10 @@ impl PeerServer {
     /// refused at admission instead of acquiring lock state nothing
     /// will ever release.
     pub(crate) fn tombstone_txn(&mut self, txn: TxnId) {
-        if txn.site == self.site || !self.dead_txns.insert(txn) {
+        if txn.site == self.site || self.dead_txns.insert(txn, ()).is_some() {
             return;
         }
         self.obs.record(pscc_obs::EventKind::TxnTombstoned { txn });
-        self.dead_txns_order.push_back(txn);
-        while self.dead_txns_order.len() > DEAD_TXN_MEMORY {
-            if let Some(old) = self.dead_txns_order.pop_front() {
-                self.dead_txns.remove(&old);
-            }
-        }
     }
 
     /// Tombstones currently remembered for aborted remote transactions
@@ -1126,6 +1106,28 @@ impl PeerServer {
             self.disk(DiskOp::WritePage(victim), DiskCont::Accounted);
         }
         !t.miss
+    }
+
+    /// Acquires `mode` on `item` for `txn`. Granted at once, `cont` runs
+    /// now; blocked, it is parked under the wait's ticket (to run from
+    /// [`PeerServer::process_grants`]), the lock-wait timeout is armed and
+    /// the new wait is checked for deadlocks.
+    pub(crate) fn lock_or_park(
+        &mut self,
+        txn: TxnId,
+        item: LockableId,
+        mode: LockMode,
+        cont: LockCont,
+    ) {
+        let (a, _) = self.locks.acquire(txn, item, mode);
+        match a {
+            Acquire::Granted => self.resume_lock(cont),
+            Acquire::Wait(t) => {
+                self.lock_conts.insert(t, cont);
+                self.arm_lock_timer(t, txn);
+                self.check_deadlocks();
+            }
+        }
     }
 
     /// Arms the adaptive lock-wait timeout for a blocked ticket.
@@ -1386,16 +1388,12 @@ impl PeerServer {
         // the credit they consumed (and retire the retained in-flight
         // copy) before normal processing.
         if from != self.site {
-            match &msg {
-                Message::ReadObj { req, txn, .. }
-                | Message::ReadPage { req, txn, .. }
-                | Message::WriteObj { req, txn, .. }
-                | Message::WritePage { req, txn, .. }
-                | Message::LockItem { req, txn, .. }
-                    if !self.admit(from, *req, *txn) =>
-                {
+            if let Some((req, txn)) = credit_request(&msg) {
+                if !self.admit(from, req, txn) {
                     return;
                 }
+            }
+            match &msg {
                 Message::ReadReply { req, .. }
                 | Message::WriteGranted { req, .. }
                 | Message::LockGranted { req }
@@ -1579,17 +1577,95 @@ impl PeerServer {
     }
 }
 
-/// The request and transaction ids of a credit-consuming data request
-/// (the five message kinds subject to flow and admission control); the
-/// consistency lane — callbacks, commit, 2PC, rejoin — is exempt so
-/// overload can never wedge transaction termination.
+/// The request and transaction ids of a data request subject to flow
+/// and admission control (the `credit` column of the message table).
 pub(crate) fn credit_request(msg: &Message) -> Option<(ReqId, TxnId)> {
-    match msg {
-        Message::ReadObj { req, txn, .. }
-        | Message::ReadPage { req, txn, .. }
-        | Message::WriteObj { req, txn, .. }
-        | Message::WritePage { req, txn, .. }
-        | Message::LockItem { req, txn, .. } => Some((*req, *txn)),
-        _ => None,
+    if !msg.meta().credit {
+        return None;
+    }
+    Some((msg.req()?, msg.txn_id()?))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::msg::{AppReply, AppRequest};
+    use pscc_common::{AppId, FileId, SimTime, VolId};
+
+    /// Feeds `input` to `s`, completing disk requests at once; returns
+    /// every output produced.
+    fn drive(s: &mut PeerServer, input: Input) -> Vec<Output> {
+        let mut all = Vec::new();
+        let mut work = VecDeque::from([input]);
+        while let Some(i) = work.pop_front() {
+            for o in s.handle(SimTime::ZERO, i) {
+                if let Output::Disk { req, .. } = o {
+                    work.push_back(Input::DiskDone { req });
+                }
+                all.push(o);
+            }
+        }
+        all
+    }
+
+    fn app(s: &mut PeerServer, app: u32, txn: Option<TxnId>, op: AppOp) -> Vec<Output> {
+        let req = AppRequest {
+            app: AppId(app),
+            txn,
+            op,
+        };
+        drive(s, Input::App(req))
+    }
+
+    fn begin(s: &mut PeerServer, a: u32) -> TxnId {
+        match app(s, a, None, AppOp::Begin)[..] {
+            [Output::App(AppReply::Started { txn, .. })] => txn,
+            ref other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    fn done_for(outs: &[Output], t: TxnId) -> bool {
+        outs.iter()
+            .any(|o| matches!(o, Output::App(AppReply::Done { txn, .. }) if *txn == t))
+    }
+
+    #[test]
+    fn lock_or_park_parks_once_and_resumes_the_same_continuation() {
+        let site = SiteId(0);
+        let cfg = pscc_common::SystemConfig::small();
+        let mut s = PeerServer::new(site, cfg, OwnerMap::Single(site));
+        let item = LockableId::File(FileId::new(VolId(0), 0));
+        let lock = AppOp::Lock {
+            item,
+            mode: LockMode::Ex,
+        };
+        let (t1, t2) = (begin(&mut s, 1), begin(&mut s, 2));
+
+        // Unblocked: the continuation runs at once, nothing is parked.
+        let outs = app(&mut s, 1, Some(t1), lock.clone());
+        assert!(done_for(&outs, t1));
+        assert!(s.lock_conts.is_empty() && s.ticket_timers.is_empty());
+
+        // Blocked behind t1: one continuation, one timer, no reply yet.
+        let outs = app(&mut s, 2, Some(t2), lock);
+        assert!(!done_for(&outs, t2));
+        let parked: Vec<_> = s.lock_conts.values().collect();
+        assert!(
+            matches!(parked[..], [LockCont::LocalExplicit { txn, .. }] if *txn == t2),
+            "{parked:?}"
+        );
+        assert_eq!(s.ticket_timers.len(), 1);
+        let armed = outs
+            .iter()
+            .filter(|o| matches!(o, Output::ArmTimer { .. }))
+            .count();
+        assert_eq!(armed, 1);
+
+        // t1's commit releases the lock; the grant resumes t2 into
+        // `client_explicit_locked`, which answers exactly as it did for
+        // the unblocked t1.
+        let outs = app(&mut s, 1, Some(t1), AppOp::Commit);
+        assert!(done_for(&outs, t2));
+        assert!(s.lock_conts.is_empty() && s.ticket_timers.is_empty());
     }
 }

@@ -39,28 +39,6 @@ use pscc_lockmgr::Acquire;
 use pscc_obs::EventKind;
 use pscc_wal::{DurableState, LogPayload};
 
-/// Messages that start new protocol work at an owner — the fenced
-/// category. Everything else (replies, acks, decisions, heartbeats, the
-/// rejoin handshake itself, and outcome queries) must keep flowing or
-/// recovery could never converge.
-fn fenced(msg: &Message) -> bool {
-    matches!(
-        msg,
-        Message::ReadObj { .. }
-            | Message::ReadPage { .. }
-            | Message::WriteObj { .. }
-            | Message::WritePage { .. }
-            | Message::LockItem { .. }
-            | Message::Purge { .. }
-            | Message::CommitReq { .. }
-            | Message::Prepare { .. }
-            | Message::ReadForwarded { .. }
-            | Message::FetchLargePage { .. }
-            | Message::WriteLargeReq { .. }
-            | Message::CreateLargeReq { .. }
-    )
-}
-
 impl PeerServer {
     /// Reconstructs a crashed owner from `durable` (the crash image of
     /// its [`pscc_wal::ServerLog`]) under epoch `prior_epoch + 1`.
@@ -210,7 +188,7 @@ impl PeerServer {
             return false;
         }
         self.send(from, Message::RejoinRequired { epoch: self.epoch });
-        fenced(msg)
+        msg.meta().fenced
     }
 
     // ------------------------------------------------------------------

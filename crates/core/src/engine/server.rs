@@ -129,25 +129,13 @@ impl PeerServer {
         if self.start_deescalation_if_needed(oid.page, txn, work) {
             return;
         }
-        let (a, _) = self
-            .locks
-            .acquire(txn, LockableId::Object(oid), LockMode::Sh);
-        match a {
-            Acquire::Granted => self.server_read_locked(req, from, txn, oid),
-            Acquire::Wait(t) => {
-                self.lock_conts.insert(
-                    t,
-                    LockCont::ServerRead {
-                        req,
-                        from,
-                        txn,
-                        oid,
-                    },
-                );
-                self.arm_lock_timer(t, txn);
-                self.check_deadlocks();
-            }
-        }
+        let cont = LockCont::ServerRead {
+            req,
+            from,
+            txn,
+            oid,
+        };
+        self.lock_or_park(txn, LockableId::Object(oid), LockMode::Sh, cont);
     }
 
     pub(crate) fn server_read_locked(&mut self, req: ReqId, from: SiteId, txn: TxnId, oid: Oid) {
@@ -159,25 +147,13 @@ impl PeerServer {
             return;
         }
         self.txns.spread(txn);
-        let (a, _) = self
-            .locks
-            .acquire(txn, LockableId::Page(page), LockMode::Sh);
-        match a {
-            Acquire::Granted => self.server_read_page_locked(req, from, txn, page),
-            Acquire::Wait(t) => {
-                self.lock_conts.insert(
-                    t,
-                    LockCont::ServerReadPage {
-                        req,
-                        from,
-                        txn,
-                        page,
-                    },
-                );
-                self.arm_lock_timer(t, txn);
-                self.check_deadlocks();
-            }
-        }
+        let cont = LockCont::ServerReadPage {
+            req,
+            from,
+            txn,
+            page,
+        };
+        self.lock_or_park(txn, LockableId::Page(page), LockMode::Sh, cont);
     }
 
     pub(crate) fn server_read_page_locked(
@@ -325,25 +301,13 @@ impl PeerServer {
         if self.start_deescalation_if_needed(oid.page, txn, work) {
             return;
         }
-        let (a, _) = self
-            .locks
-            .acquire(txn, LockableId::Object(oid), LockMode::Ex);
-        match a {
-            Acquire::Granted => self.server_write_locked(req, from, txn, oid),
-            Acquire::Wait(t) => {
-                self.lock_conts.insert(
-                    t,
-                    LockCont::ServerWrite {
-                        req,
-                        from,
-                        txn,
-                        oid,
-                    },
-                );
-                self.arm_lock_timer(t, txn);
-                self.check_deadlocks();
-            }
-        }
+        let cont = LockCont::ServerWrite {
+            req,
+            from,
+            txn,
+            oid,
+        };
+        self.lock_or_park(txn, LockableId::Object(oid), LockMode::Ex, cont);
     }
 
     pub(crate) fn server_write_locked(&mut self, req: ReqId, from: SiteId, txn: TxnId, oid: Oid) {
@@ -363,25 +327,13 @@ impl PeerServer {
             return;
         }
         self.txns.spread(txn);
-        let (a, _) = self
-            .locks
-            .acquire(txn, LockableId::Page(page), LockMode::Ex);
-        match a {
-            Acquire::Granted => self.server_write_page_locked(req, from, txn, page),
-            Acquire::Wait(t) => {
-                self.lock_conts.insert(
-                    t,
-                    LockCont::ServerWritePage {
-                        req,
-                        from,
-                        txn,
-                        page,
-                    },
-                );
-                self.arm_lock_timer(t, txn);
-                self.check_deadlocks();
-            }
-        }
+        let cont = LockCont::ServerWritePage {
+            req,
+            from,
+            txn,
+            page,
+        };
+        self.lock_or_park(txn, LockableId::Page(page), LockMode::Ex, cont);
     }
 
     pub(crate) fn server_write_page_locked(
@@ -474,12 +426,12 @@ impl PeerServer {
         }
         self.stats.callbacks_sent += remote.len() as u64;
         self.obs.cb_sent(cb, txn, self.now);
-        if self.cfg.leases_enabled || self.cfg.slow_peer_bypass {
+        if self.cfg.leases_enabled {
             // Bound the fan-out's response time: clients still pending
             // when this fires are declared crashed (they may heartbeat
-            // yet be wedged mid-callback). With `slow_peer_bypass` this
-            // also caps how long one stalled client can hold up the
-            // whole copy-table pass, even without leases (DESIGN.md §6).
+            // yet be wedged mid-callback). This also caps how long one
+            // stalled client can hold up the whole copy-table pass
+            // (DESIGN.md §6).
             let timer = self.fresh_timer();
             self.timers.insert(timer, TimerKind::CbResponse { cb });
             self.out.push(crate::msg::Output::ArmTimer {
@@ -1094,24 +1046,14 @@ impl PeerServer {
             }
         }
         self.txns.spread(txn);
-        let (a, _) = self.locks.acquire(txn, item, mode);
-        match a {
-            Acquire::Granted => self.server_explicit_locked(req, from, txn, item, mode),
-            Acquire::Wait(t) => {
-                self.lock_conts.insert(
-                    t,
-                    LockCont::ServerExplicit {
-                        req,
-                        from,
-                        txn,
-                        item,
-                        mode,
-                    },
-                );
-                self.arm_lock_timer(t, txn);
-                self.check_deadlocks();
-            }
-        }
+        let cont = LockCont::ServerExplicit {
+            req,
+            from,
+            txn,
+            item,
+            mode,
+        };
+        self.lock_or_park(txn, item, mode, cont);
     }
 
     pub(crate) fn server_explicit_locked(

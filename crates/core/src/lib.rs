@@ -64,6 +64,7 @@
 pub mod cache;
 pub mod copy_table;
 mod engine;
+mod fifo_map;
 mod lru;
 pub mod msg;
 pub mod obs;
@@ -77,8 +78,8 @@ pub mod txn;
 pub use engine::large::{decode_header_oid, encode_header_oid};
 pub use engine::{DrainPhase, MigrationPhase, PeerServer};
 pub use msg::{
-    AppOp, AppReply, AppRequest, CbId, CbTarget, DeId, DiskOp, DiskReqId, Input, Message, Output,
-    ReqId, TimerId,
+    AppOp, AppReply, AppRequest, CbId, CbTarget, DeId, DiskOp, DiskReqId, FifoPath, Input, Message,
+    Output, ReqId, TimerId,
 };
 pub use owner_map::{OwnerMap, OwnershipError};
 pub use ownership::{LayoutImage, OwnershipDirectory};

@@ -734,6 +734,211 @@ pub enum Message {
     },
 }
 
+/// Which mailbox lane a message rides. Transports drain the consistency
+/// lane ahead of bulk fetch traffic and never shed it — dropping a
+/// callback, a commit decision or a flow-control verdict can wedge a
+/// writer waiting on a callback or stall 2PC (the §4.2.4 failure mode
+/// induced by load).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Lane {
+    /// Lossless, drained first.
+    Consistency,
+    /// Page fetches, write-permission traffic, page-image transfers.
+    Bulk,
+}
+
+/// The FIFO path a message travels on. The transport orders messages per
+/// `(from, to, path)` only, which is what keeps the §4.2.4 races
+/// (callback vs purge, deescalation vs request) possible and what the
+/// edge tier's staleness bound is proved from (DESIGN.md §11). Harnesses
+/// send on `PathId(msg.path() as u8)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FifoPath {
+    /// Client → owner traffic: requests, purge notices, callback
+    /// replies, commit traffic — FIFO end to end, which is what SHORE's
+    /// piggybacking guarantees. Also everything no other path claims.
+    Request = 0,
+    /// Owner → client replies and verdicts.
+    Reply = 1,
+    /// Owner → client callbacks, cancels and deescalations, and the whole
+    /// edge protocol.
+    Callback = 2,
+}
+
+/// Who a message is exchanged with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Plane {
+    /// Another peer server.
+    Peer,
+    /// The cluster supervisor. Control messages bypass the epoch fence
+    /// (a freshly restarted site must be drainable before it rejoins)
+    /// and never arm liveness state for their sender (the supervisor is
+    /// not a peer and owns no data).
+    Control,
+}
+
+/// A message's part in a request/reply exchange keyed by its `req`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Role {
+    /// A request answered by a reply echoing its `req`: the tracer parks
+    /// the request's context under it so the (possibly much later) reply
+    /// joins the same span tree.
+    Asks,
+    /// A reply: the tracer recovers the parked request context from its
+    /// `req`.
+    Answers,
+    /// Neither.
+    OneWay,
+}
+
+/// Everything about a [`Message`] variant that does not depend on its
+/// payload: one row of the table in [`Message::meta`].
+#[derive(Debug)]
+pub(crate) struct MsgMeta {
+    /// A short static label for trace events and Perfetto span names.
+    pub(crate) label: &'static str,
+    pub(crate) lane: Lane,
+    pub(crate) path: FifoPath,
+    pub(crate) plane: Plane,
+    pub(crate) role: Role,
+    /// Starts new protocol work at an owner, so the epoch fence drops it
+    /// from a peer that has not rejoined. Everything else (replies, acks,
+    /// decisions, heartbeats, the rejoin handshake itself, and outcome
+    /// queries) must keep flowing or recovery could never converge.
+    pub(crate) fenced: bool,
+    /// A data request subject to flow and admission control; the rest —
+    /// callbacks, commit, 2PC, rejoin — is exempt so overload can never
+    /// wedge transaction termination.
+    pub(crate) credit: bool,
+}
+
+/// The table that says what each [`Message`] variant is. One row per
+/// variant, no wildcard: a variant without a row does not compile, so a
+/// new message cannot silently land on the bulk lane, path 0, unfenced
+/// and uncredited.
+macro_rules! msg_table {
+    (@fenced fenced) => { true };
+    (@fenced -) => { false };
+    (@credit credit) => { true };
+    (@credit -) => { false };
+    ($(
+        $variant:ident => $label:literal, $lane:ident, $path:ident, $plane:ident, $role:ident,
+        $fenced:tt, $credit:tt;
+    )*) => {
+        impl Message {
+            /// This variant's row. A tracing envelope is whatever its
+            /// payload is.
+            pub(crate) fn meta(&self) -> &'static MsgMeta {
+                match self {
+                    Message::Traced { inner, .. } => inner.meta(),
+                    $(Message::$variant { .. } => {
+                        const ROW: MsgMeta = MsgMeta {
+                            label: $label,
+                            lane: Lane::$lane,
+                            path: FifoPath::$path,
+                            plane: Plane::$plane,
+                            role: Role::$role,
+                            fenced: msg_table!(@fenced $fenced),
+                            credit: msg_table!(@credit $credit),
+                        };
+                        &ROW
+                    })*
+                }
+            }
+        }
+    };
+}
+
+msg_table! {
+    // variant           label                 lane         path      plane    role     fenced  credit
+    // Data requests and their verdicts.
+    ReadObj           => "read_obj",           Bulk,        Request,  Peer,    Asks,    fenced, credit;
+    ReadPage          => "read_page",          Bulk,        Request,  Peer,    Asks,    fenced, credit;
+    ReadReply         => "read_reply",         Bulk,        Reply,    Peer,    Answers, -,      -;
+    WriteObj          => "write_obj",          Bulk,        Request,  Peer,    Asks,    fenced, credit;
+    WritePage         => "write_page",         Bulk,        Request,  Peer,    Asks,    fenced, credit;
+    WriteGranted      => "write_granted",      Bulk,        Reply,    Peer,    Answers, -,      -;
+    LockItem          => "lock_item",          Bulk,        Request,  Peer,    Asks,    fenced, credit;
+    LockGranted       => "lock_granted",       Bulk,        Reply,    Peer,    Answers, -,      -;
+    ReqDenied         => "req_denied",         Consistency, Reply,    Peer,    Answers, -,      -;
+    // Callbacks and deescalation: the owner's side rides its own path,
+    // the client's answers share the request path with purge notices
+    // (§4.2.4).
+    Callback          => "callback",           Consistency, Callback, Peer,    OneWay,  -,      -;
+    CbBlocked         => "cb_blocked",         Consistency, Request,  Peer,    OneWay,  -,      -;
+    CbOk              => "cb_ok",              Consistency, Request,  Peer,    OneWay,  -,      -;
+    CbTimeout         => "cb_timeout",         Consistency, Request,  Peer,    OneWay,  -,      -;
+    CbCancel          => "cb_cancel",          Consistency, Callback, Peer,    OneWay,  -,      -;
+    Deescalate        => "deescalate",         Consistency, Callback, Peer,    OneWay,  -,      -;
+    DeescalateReply   => "deescalate_reply",   Consistency, Request,  Peer,    OneWay,  -,      -;
+    Purge             => "purge",              Bulk,        Request,  Peer,    OneWay,  fenced, -;
+    // Commit, 2PC, abort, liveness.
+    CommitReq         => "commit_req",         Consistency, Request,  Peer,    Asks,    fenced, -;
+    CommitOk          => "commit_ok",          Consistency, Reply,    Peer,    Answers, -,      -;
+    Prepare           => "prepare",            Consistency, Request,  Peer,    Asks,    fenced, -;
+    Voted             => "voted",              Consistency, Reply,    Peer,    Answers, -,      -;
+    Decide            => "decide",             Consistency, Request,  Peer,    OneWay,  -,      -;
+    Decided           => "decided",            Consistency, Reply,    Peer,    OneWay,  -,      -;
+    AbortTxn          => "abort_txn",          Consistency, Request,  Peer,    OneWay,  -,      -;
+    TxnAborted        => "txn_aborted",        Consistency, Reply,    Peer,    OneWay,  -,      -;
+    Heartbeat         => "heartbeat",          Consistency, Request,  Peer,    OneWay,  -,      -;
+    // Large and forwarded objects (§4.4).
+    FetchLargePage    => "fetch_large_page",   Bulk,        Request,  Peer,    Asks,    fenced, -;
+    LargePageReply    => "large_page_reply",   Bulk,        Request,  Peer,    Answers, -,      -;
+    WriteLargeReq     => "write_large_req",    Bulk,        Request,  Peer,    Asks,    fenced, -;
+    WriteLargeOk      => "write_large_ok",     Bulk,        Request,  Peer,    Answers, -,      -;
+    LargeInval        => "large_inval",        Bulk,        Request,  Peer,    OneWay,  -,      -;
+    LargeInvalOk      => "large_inval_ok",     Bulk,        Request,  Peer,    OneWay,  -,      -;
+    CreateLargeReq    => "create_large_req",   Bulk,        Request,  Peer,    Asks,    fenced, -;
+    CreateLargeOk     => "create_large_ok",    Bulk,        Request,  Peer,    Answers, -,      -;
+    ReadForwarded     => "read_forwarded",     Bulk,        Request,  Peer,    Asks,    fenced, -;
+    ObjectBytes       => "object_bytes",       Bulk,        Request,  Peer,    Answers, -,      -;
+    // Restart recovery and the rejoin/epoch protocol; a shed `Busy` must
+    // not itself be shed.
+    RejoinRequired    => "rejoin_required",    Consistency, Reply,    Peer,    OneWay,  -,      -;
+    Rejoin            => "rejoin",             Consistency, Request,  Peer,    OneWay,  -,      -;
+    RejoinOk          => "rejoin_ok",          Consistency, Reply,    Peer,    OneWay,  -,      -;
+    QueryTxn          => "query_txn",          Consistency, Request,  Peer,    OneWay,  -,      -;
+    TxnResolved       => "txn_resolved",       Consistency, Reply,    Peer,    OneWay,  -,      -;
+    Busy              => "busy",               Consistency, Reply,    Peer,    Answers, -,      -;
+    // Control plane: a shed DrainReq would wedge the supervisor's step
+    // timeout.
+    DrainReq          => "drain_req",          Consistency, Request,  Control, OneWay,  -,      -;
+    DrainOk           => "drain_ok",           Consistency, Reply,    Control, OneWay,  -,      -;
+    UndrainReq        => "undrain_req",        Consistency, Request,  Control, OneWay,  -,      -;
+    UndrainOk         => "undrain_ok",         Consistency, Reply,    Control, OneWay,  -,      -;
+    // Migration control and fencing verdicts must never queue behind the
+    // bulk lane: a shed WrongOwner wedges the redirected client, a
+    // delayed MigrateActivate leaves the range ownerless. Only the
+    // page-image TransferChunk is bulk.
+    MigratePrepare    => "migrate_prepare",    Consistency, Request,  Control, OneWay,  -,      -;
+    MigratePrepared   => "migrate_prepared",   Consistency, Reply,    Control, Answers, -,      -;
+    MigrateTransfer   => "migrate_transfer",   Consistency, Request,  Control, OneWay,  -,      -;
+    MigrateAbortReq   => "migrate_abort_req",  Consistency, Request,  Control, OneWay,  -,      -;
+    MigrateAborted    => "migrate_aborted",    Consistency, Reply,    Control, Answers, -,      -;
+    MigrateDone       => "migrate_done",       Consistency, Reply,    Control, Answers, -,      -;
+    TransferChunk     => "transfer_chunk",     Bulk,        Request,  Peer,    OneWay,  -,      -;
+    TransferAck       => "transfer_ack",       Consistency, Reply,    Peer,    OneWay,  -,      -;
+    MigrateActivate   => "migrate_activate",   Consistency, Reply,    Peer,    OneWay,  -,      -;
+    MigrateActivated  => "migrate_activated",  Consistency, Reply,    Peer,    OneWay,  -,      -;
+    QueryMigration    => "query_migration",    Consistency, Reply,    Peer,    OneWay,  -,      -;
+    MigrationResolved => "migration_resolved", Consistency, Reply,    Peer,    OneWay,  -,      -;
+    WrongOwner        => "wrong_owner",        Consistency, Reply,    Peer,    Answers, -,      -;
+    // The whole edge protocol rides the consistency lane on ONE path: an
+    // `EdgeRenewOk` must not overtake the `EdgeInvalidate`s published
+    // before it, and an `EdgePage` must not overtake the invalidation
+    // that supersedes it (DESIGN.md §11). They share the callback path,
+    // which already carries the owner-to-client consistency traffic.
+    EdgeFetch         => "edge_fetch",         Consistency, Callback, Peer,    Asks,    -,      -;
+    EdgePage          => "edge_page",          Consistency, Callback, Peer,    Answers, -,      -;
+    EdgeInvalidate    => "edge_invalidate",    Consistency, Callback, Peer,    OneWay,  -,      -;
+    EdgeRenew         => "edge_renew",         Consistency, Callback, Peer,    Asks,    -,      -;
+    EdgeRenewOk       => "edge_renew_ok",      Consistency, Callback, Peer,    Answers, -,      -;
+    // Online tier roll (control plane).
+    SetTierReq        => "set_tier_req",       Consistency, Request,  Control, Asks,    -,      -;
+    SetTierOk         => "set_tier_ok",        Consistency, Request,  Control, Answers, -,      -;
+}
+
 impl Message {
     /// Approximate wire size in bytes, for the network cost model. Page
     /// ships dominate; everything else is small and fixed-ish.
@@ -777,99 +982,20 @@ impl Message {
     /// their resolutions, deescalations, commit/2PC control, aborts,
     /// liveness, rejoin/epoch handshakes, and flow-control verdicts.
     /// Transports drain this lane ahead of bulk fetch traffic and never
-    /// shed it — dropping any of these can wedge a writer waiting on a
-    /// callback or stall 2PC (the §4.2.4 failure mode induced by load).
+    /// shed it.
     pub fn is_consistency(&self) -> bool {
-        if let Message::Traced { inner, .. } = self {
-            return inner.is_consistency();
-        }
-        matches!(
-            self,
-            // Callbacks/deescalations, commit/2PC/abort control,
-            // liveness and rejoin/epoch fencing, and flow-control
-            // verdicts (a shed `Busy` must not itself be shed).
-            Message::Callback { .. }
-                | Message::CbBlocked { .. }
-                | Message::CbOk { .. }
-                | Message::CbTimeout { .. }
-                | Message::CbCancel { .. }
-                | Message::Deescalate { .. }
-                | Message::DeescalateReply { .. }
-                | Message::CommitReq { .. }
-                | Message::CommitOk { .. }
-                | Message::Prepare { .. }
-                | Message::Voted { .. }
-                | Message::Decide { .. }
-                | Message::Decided { .. }
-                | Message::AbortTxn { .. }
-                | Message::TxnAborted { .. }
-                | Message::Heartbeat
-                | Message::RejoinRequired { .. }
-                | Message::Rejoin { .. }
-                | Message::RejoinOk { .. }
-                | Message::QueryTxn { .. }
-                | Message::TxnResolved { .. }
-                | Message::Busy { .. }
-                | Message::ReqDenied { .. }
-                | Message::DrainReq { .. }
-                | Message::DrainOk { .. }
-                | Message::UndrainReq { .. }
-                | Message::UndrainOk { .. }
-                // Migration control and fencing verdicts must never
-                // queue behind the bulk lane: a shed WrongOwner wedges
-                // the redirected client, a delayed MigrateActivate
-                // leaves the range ownerless. Only the page-image
-                // TransferChunk is bulk.
-                | Message::MigratePrepare { .. }
-                | Message::MigratePrepared { .. }
-                | Message::MigrateTransfer { .. }
-                | Message::MigrateAbortReq { .. }
-                | Message::MigrateAborted { .. }
-                | Message::MigrateDone { .. }
-                | Message::TransferAck { .. }
-                | Message::MigrateActivate { .. }
-                | Message::MigrateActivated { .. }
-                | Message::QueryMigration { .. }
-                | Message::MigrationResolved { .. }
-                | Message::WrongOwner { .. }
-                // The entire edge protocol rides the consistency lane:
-                // staleness bounds are proved from per-(from,to,path)
-                // FIFO between fetches, renews, and invalidations, so
-                // none of them may be shed or queue behind bulk pages.
-                | Message::EdgeFetch { .. }
-                | Message::EdgePage { .. }
-                | Message::EdgeInvalidate { .. }
-                | Message::EdgeRenew { .. }
-                | Message::EdgeRenewOk { .. }
-                | Message::SetTierReq { .. }
-                | Message::SetTierOk { .. }
-        )
+        self.meta().lane == Lane::Consistency
+    }
+
+    /// The FIFO path this message travels on.
+    pub fn path(&self) -> FifoPath {
+        self.meta().path
     }
 
     /// Whether this message is control-plane traffic from/to the cluster
-    /// supervisor rather than a peer site. Control messages bypass the
-    /// epoch fence (a freshly restarted site must be drainable before it
-    /// rejoins) and never arm liveness state for their sender (the
-    /// supervisor is not a peer and owns no data).
+    /// supervisor rather than a peer site.
     pub fn is_control_plane(&self) -> bool {
-        if let Message::Traced { inner, .. } = self {
-            return inner.is_control_plane();
-        }
-        matches!(
-            self,
-            Message::DrainReq { .. }
-                | Message::DrainOk { .. }
-                | Message::UndrainReq { .. }
-                | Message::UndrainOk { .. }
-                | Message::MigratePrepare { .. }
-                | Message::MigratePrepared { .. }
-                | Message::MigrateTransfer { .. }
-                | Message::MigrateAbortReq { .. }
-                | Message::MigrateAborted { .. }
-                | Message::MigrateDone { .. }
-                | Message::SetTierReq { .. }
-                | Message::SetTierOk { .. }
-        )
+        self.meta().plane == Plane::Control
     }
 
     /// The transaction this message works on behalf of, when it names
@@ -899,128 +1025,67 @@ impl Message {
         }
     }
 
-    /// For a *request* that will be answered by a reply echoing its
-    /// `req`, that id — the tracer parks the request's context under it
-    /// so the (possibly much later) reply joins the same span tree.
-    pub fn req_of_request(&self) -> Option<ReqId> {
+    /// The request id this message carries, when it has a `req` field.
+    pub(crate) fn req(&self) -> Option<ReqId> {
         match self {
-            Message::Traced { inner, .. } => inner.req_of_request(),
+            Message::Traced { inner, .. } => inner.req(),
             Message::ReadObj { req, .. }
             | Message::ReadPage { req, .. }
+            | Message::ReadReply { req, .. }
             | Message::WriteObj { req, .. }
             | Message::WritePage { req, .. }
-            | Message::LockItem { req, .. }
-            | Message::CommitReq { req, .. }
-            | Message::Prepare { req, .. }
-            | Message::FetchLargePage { req, .. }
-            | Message::WriteLargeReq { req, .. }
-            | Message::CreateLargeReq { req, .. }
-            | Message::ReadForwarded { req, .. }
-            | Message::EdgeFetch { req, .. }
-            | Message::EdgeRenew { req, .. }
-            | Message::SetTierReq { req, .. } => Some(*req),
-            _ => None,
-        }
-    }
-
-    /// For a *reply*, the request id it answers (the tracer recovers
-    /// the parked request context from it).
-    pub fn req_of_reply(&self) -> Option<ReqId> {
-        match self {
-            Message::Traced { inner, .. } => inner.req_of_reply(),
-            Message::ReadReply { req, .. }
             | Message::WriteGranted { req, .. }
+            | Message::LockItem { req, .. }
             | Message::LockGranted { req }
             | Message::ReqDenied { req, .. }
+            | Message::CommitReq { req, .. }
             | Message::CommitOk { req }
+            | Message::Prepare { req, .. }
             | Message::Voted { req, .. }
-            | Message::Busy { req, .. }
+            | Message::FetchLargePage { req, .. }
             | Message::LargePageReply { req, .. }
+            | Message::WriteLargeReq { req, .. }
             | Message::WriteLargeOk { req }
+            | Message::CreateLargeReq { req, .. }
             | Message::CreateLargeOk { req, .. }
+            | Message::ReadForwarded { req, .. }
             | Message::ObjectBytes { req, .. }
-            | Message::WrongOwner { req, .. }
+            | Message::Busy { req, .. }
+            | Message::DrainReq { req }
+            | Message::DrainOk { req }
+            | Message::UndrainReq { req }
+            | Message::UndrainOk { req }
+            | Message::MigratePrepare { req, .. }
             | Message::MigratePrepared { req }
-            | Message::MigrateDone { req, .. }
+            | Message::MigrateTransfer { req }
+            | Message::MigrateAbortReq { req }
             | Message::MigrateAborted { req, .. }
+            | Message::MigrateDone { req, .. }
+            | Message::WrongOwner { req, .. }
+            | Message::EdgeFetch { req, .. }
             | Message::EdgePage { req, .. }
+            | Message::EdgeRenew { req, .. }
             | Message::EdgeRenewOk { req, .. }
+            | Message::SetTierReq { req, .. }
             | Message::SetTierOk { req } => Some(*req),
             _ => None,
         }
     }
 
+    /// For a *request* that will be answered by a reply echoing its
+    /// `req`, that id.
+    pub fn req_of_request(&self) -> Option<ReqId> {
+        self.req().filter(|_| self.meta().role == Role::Asks)
+    }
+
+    /// For a *reply*, the request id it answers.
+    pub fn req_of_reply(&self) -> Option<ReqId> {
+        self.req().filter(|_| self.meta().role == Role::Answers)
+    }
+
     /// A short static label for trace events and Perfetto span names.
     pub fn label(&self) -> &'static str {
-        match self {
-            Message::Traced { inner, .. } => inner.label(),
-            Message::ReadObj { .. } => "read_obj",
-            Message::ReadPage { .. } => "read_page",
-            Message::ReadReply { .. } => "read_reply",
-            Message::WriteObj { .. } => "write_obj",
-            Message::WritePage { .. } => "write_page",
-            Message::WriteGranted { .. } => "write_granted",
-            Message::LockItem { .. } => "lock_item",
-            Message::LockGranted { .. } => "lock_granted",
-            Message::ReqDenied { .. } => "req_denied",
-            Message::Callback { .. } => "callback",
-            Message::CbBlocked { .. } => "cb_blocked",
-            Message::CbOk { .. } => "cb_ok",
-            Message::CbTimeout { .. } => "cb_timeout",
-            Message::CbCancel { .. } => "cb_cancel",
-            Message::Deescalate { .. } => "deescalate",
-            Message::DeescalateReply { .. } => "deescalate_reply",
-            Message::Purge { .. } => "purge",
-            Message::CommitReq { .. } => "commit_req",
-            Message::CommitOk { .. } => "commit_ok",
-            Message::Prepare { .. } => "prepare",
-            Message::Voted { .. } => "voted",
-            Message::Decide { .. } => "decide",
-            Message::Decided { .. } => "decided",
-            Message::AbortTxn { .. } => "abort_txn",
-            Message::TxnAborted { .. } => "txn_aborted",
-            Message::Heartbeat => "heartbeat",
-            Message::FetchLargePage { .. } => "fetch_large_page",
-            Message::LargePageReply { .. } => "large_page_reply",
-            Message::WriteLargeReq { .. } => "write_large_req",
-            Message::WriteLargeOk { .. } => "write_large_ok",
-            Message::LargeInval { .. } => "large_inval",
-            Message::LargeInvalOk { .. } => "large_inval_ok",
-            Message::CreateLargeReq { .. } => "create_large_req",
-            Message::CreateLargeOk { .. } => "create_large_ok",
-            Message::ReadForwarded { .. } => "read_forwarded",
-            Message::ObjectBytes { .. } => "object_bytes",
-            Message::RejoinRequired { .. } => "rejoin_required",
-            Message::Rejoin { .. } => "rejoin",
-            Message::RejoinOk { .. } => "rejoin_ok",
-            Message::QueryTxn { .. } => "query_txn",
-            Message::TxnResolved { .. } => "txn_resolved",
-            Message::Busy { .. } => "busy",
-            Message::DrainReq { .. } => "drain_req",
-            Message::DrainOk { .. } => "drain_ok",
-            Message::UndrainReq { .. } => "undrain_req",
-            Message::UndrainOk { .. } => "undrain_ok",
-            Message::MigratePrepare { .. } => "migrate_prepare",
-            Message::MigratePrepared { .. } => "migrate_prepared",
-            Message::MigrateTransfer { .. } => "migrate_transfer",
-            Message::MigrateAbortReq { .. } => "migrate_abort_req",
-            Message::MigrateAborted { .. } => "migrate_aborted",
-            Message::MigrateDone { .. } => "migrate_done",
-            Message::TransferChunk { .. } => "transfer_chunk",
-            Message::TransferAck { .. } => "transfer_ack",
-            Message::MigrateActivate { .. } => "migrate_activate",
-            Message::MigrateActivated { .. } => "migrate_activated",
-            Message::QueryMigration { .. } => "query_migration",
-            Message::MigrationResolved { .. } => "migration_resolved",
-            Message::WrongOwner { .. } => "wrong_owner",
-            Message::EdgeFetch { .. } => "edge_fetch",
-            Message::EdgePage { .. } => "edge_page",
-            Message::EdgeInvalidate { .. } => "edge_invalidate",
-            Message::EdgeRenew { .. } => "edge_renew",
-            Message::EdgeRenewOk { .. } => "edge_renew_ok",
-            Message::SetTierReq { .. } => "set_tier_req",
-            Message::SetTierOk { .. } => "set_tier_ok",
-        }
+        self.meta().label
     }
 }
 
@@ -1488,6 +1553,573 @@ mod tests {
             .expect("complete frame");
         assert_eq!(got, msg);
         assert!(buf.is_empty());
+    }
+
+    /// Every variant's name, in `samples()` order. The match below has no
+    /// wildcard, so a new variant must be named here, and the coverage
+    /// test then fails until `samples()` has a value of it at that index.
+    macro_rules! variants {
+        ($($v:ident),* $(,)?) => {
+            const VARIANTS: &[&str] = &[$(stringify!($v)),*];
+            fn variant_name(m: &Message) -> &'static str {
+                match m {
+                    $(Message::$v { .. } => stringify!($v)),*
+                }
+            }
+        };
+    }
+    variants!(
+        ReadObj,
+        ReadPage,
+        ReadReply,
+        WriteObj,
+        WritePage,
+        WriteGranted,
+        LockItem,
+        LockGranted,
+        ReqDenied,
+        Callback,
+        CbBlocked,
+        CbOk,
+        CbTimeout,
+        CbCancel,
+        Deescalate,
+        DeescalateReply,
+        Purge,
+        CommitReq,
+        CommitOk,
+        Prepare,
+        Voted,
+        Decide,
+        Decided,
+        AbortTxn,
+        TxnAborted,
+        Heartbeat,
+        FetchLargePage,
+        LargePageReply,
+        WriteLargeReq,
+        WriteLargeOk,
+        LargeInval,
+        LargeInvalOk,
+        CreateLargeReq,
+        CreateLargeOk,
+        ReadForwarded,
+        ObjectBytes,
+        RejoinRequired,
+        Rejoin,
+        RejoinOk,
+        QueryTxn,
+        TxnResolved,
+        Busy,
+        DrainReq,
+        DrainOk,
+        UndrainReq,
+        UndrainOk,
+        MigratePrepare,
+        MigratePrepared,
+        MigrateTransfer,
+        MigrateAbortReq,
+        MigrateAborted,
+        MigrateDone,
+        TransferChunk,
+        TransferAck,
+        MigrateActivate,
+        MigrateActivated,
+        QueryMigration,
+        MigrationResolved,
+        WrongOwner,
+        EdgeFetch,
+        EdgePage,
+        EdgeInvalidate,
+        EdgeRenew,
+        EdgeRenewOk,
+        SetTierReq,
+        SetTierOk,
+        Traced
+    );
+
+    /// One value of every variant, payload fields filled.
+    fn samples() -> Vec<Message> {
+        let t = TxnId {
+            site: SiteId(1),
+            seq: 7,
+        };
+        let file = FileId::new(VolId(0), 3);
+        let page = PageId::new(file, 5);
+        let oid = Oid::new(page, 2);
+        let req = ReqId(11);
+        let cb = CbId(12);
+        let de = DeId(13);
+        let lease = SimDuration::from_millis(100);
+        let mut image = SlottedPage::new(4096);
+        image.insert(b"object body").expect("room for the object");
+        let records = vec![LogRecord::update(t, oid, vec![1, 2], vec![3, 4])];
+        let (lo, hi, layout) = (0, 8, 2);
+        vec![
+            Message::ReadObj { req, txn: t, oid },
+            Message::ReadPage { req, txn: t, page },
+            Message::ReadReply {
+                req,
+                snapshot: PageSnapshot {
+                    page,
+                    image: image.clone(),
+                    avail: AvailMask::all_available(1),
+                    ship_seq: 4,
+                },
+            },
+            Message::WriteObj { req, txn: t, oid },
+            Message::WritePage { req, txn: t, page },
+            Message::WriteGranted {
+                req,
+                adaptive: true,
+            },
+            Message::LockItem {
+                req,
+                txn: t,
+                item: LockableId::File(file),
+                mode: LockMode::Ex,
+            },
+            Message::LockGranted { req },
+            Message::ReqDenied {
+                req,
+                reason: AbortReason::Deadlock,
+            },
+            Message::Callback {
+                cb,
+                txn: t,
+                target: CbTarget::Object(oid),
+            },
+            Message::CbBlocked {
+                cb,
+                holders: vec![(t, LockableId::Object(oid), LockMode::Sh)],
+            },
+            Message::CbOk {
+                cb,
+                purged_page: true,
+            },
+            Message::CbTimeout { cb },
+            Message::CbCancel { cb },
+            Message::Deescalate { de, page },
+            Message::DeescalateReply {
+                de,
+                page,
+                ex_locks: vec![(t, oid)],
+            },
+            Message::Purge {
+                client: SiteId(2),
+                page,
+                ship_seq: 4,
+                replicate: vec![(t, LockableId::Page(page), LockMode::Sh)],
+                log_records: records.clone(),
+            },
+            Message::CommitReq {
+                req,
+                txn: t,
+                records: records.clone(),
+            },
+            Message::CommitOk { req },
+            Message::Prepare {
+                req,
+                txn: t,
+                records,
+            },
+            Message::Voted {
+                req,
+                txn: t,
+                yes: true,
+            },
+            Message::Decide {
+                txn: t,
+                commit: true,
+            },
+            Message::Decided { txn: t },
+            Message::AbortTxn { txn: t },
+            Message::TxnAborted {
+                txn: t,
+                reason: AbortReason::LockTimeout,
+            },
+            Message::Heartbeat,
+            Message::FetchLargePage { req, page },
+            Message::LargePageReply {
+                req,
+                page,
+                bytes: vec![9; 32],
+            },
+            Message::WriteLargeReq {
+                req,
+                txn: t,
+                header: oid,
+                offset: 100,
+                bytes: vec![8; 16],
+            },
+            Message::WriteLargeOk { req },
+            Message::LargeInval {
+                inv: req,
+                pages: vec![page],
+            },
+            Message::LargeInvalOk { inv: req },
+            Message::CreateLargeReq {
+                req,
+                txn: t,
+                header_page: page,
+                content: vec![7; 64],
+            },
+            Message::CreateLargeOk { req, header: oid },
+            Message::ReadForwarded { req, txn: t, oid },
+            Message::ObjectBytes {
+                req,
+                bytes: Some(vec![6; 8]),
+            },
+            Message::RejoinRequired { epoch: 3 },
+            Message::Rejoin { epoch: 3 },
+            Message::RejoinOk { epoch: 3 },
+            Message::QueryTxn { txn: t },
+            Message::TxnResolved {
+                txn: t,
+                committed: true,
+            },
+            Message::Busy {
+                req,
+                retry_after: SimDuration::from_millis(10),
+            },
+            Message::DrainReq { req },
+            Message::DrainOk { req },
+            Message::UndrainReq { req },
+            Message::UndrainOk { req },
+            Message::MigratePrepare {
+                req,
+                lo,
+                hi,
+                to: SiteId(2),
+            },
+            Message::MigratePrepared { req },
+            Message::MigrateTransfer { req },
+            Message::MigrateAbortReq { req },
+            Message::MigrateAborted {
+                req,
+                committed: false,
+            },
+            Message::MigrateDone { req, layout },
+            Message::TransferChunk {
+                lo,
+                hi,
+                layout,
+                pages: vec![(page, image.clone())],
+                copies: vec![(page, SiteId(2), 4)],
+            },
+            Message::TransferAck { lo, hi },
+            Message::MigrateActivate { lo, hi, layout },
+            Message::MigrateActivated { lo, hi, layout },
+            Message::QueryMigration { lo, hi, layout },
+            Message::MigrationResolved {
+                lo,
+                hi,
+                layout,
+                committed: true,
+            },
+            Message::WrongOwner {
+                req,
+                lo,
+                hi,
+                layout,
+                new_owner: SiteId(2),
+            },
+            Message::EdgeFetch {
+                req,
+                page,
+                watch: true,
+                lease,
+            },
+            Message::EdgePage {
+                req,
+                page,
+                version: 9,
+                epoch: 3,
+                image,
+            },
+            Message::EdgeInvalidate {
+                pages: vec![(page, 10)],
+            },
+            Message::EdgeRenew {
+                req,
+                lease,
+                files: vec![3],
+            },
+            Message::EdgeRenewOk {
+                req,
+                epoch: 3,
+                resubscribed: true,
+            },
+            Message::SetTierReq {
+                req,
+                file: 3,
+                tier: pscc_common::ConsistencyTier::BoundedStale { ttl: lease },
+            },
+            Message::SetTierOk { req },
+            traced(Message::Decide {
+                txn: t,
+                commit: false,
+            }),
+        ]
+    }
+
+    fn traced(inner: Message) -> Message {
+        let txn = TxnId {
+            site: SiteId(1),
+            seq: 7,
+        };
+        Message::Traced {
+            ctx: TraceCtx {
+                txn,
+                origin: SiteId(1),
+                span: SpanId(0x0100_0000_0007),
+                parent: SpanId::NONE,
+            },
+            inner: Box::new(inner),
+        }
+    }
+
+    #[test]
+    fn samples_cover_every_variant() {
+        let names: Vec<_> = samples().iter().map(variant_name).collect();
+        assert_eq!(names, VARIANTS);
+    }
+
+    #[test]
+    fn table_agrees_with_the_lists_it_replaced() {
+        for m in samples() {
+            let row = m.meta();
+            let name = variant_name(&m);
+            assert_eq!(m.path() as u8, old::path_for(&m).0, "{name} path");
+            assert_eq!(m.is_consistency(), old::is_consistency(&m), "{name} lane");
+            assert_eq!(
+                m.is_control_plane(),
+                old::is_control_plane(&m),
+                "{name} plane"
+            );
+            let w = traced(m.clone());
+            assert_eq!(w.path() as u8, old::path_for(&w).0, "traced {name} path");
+            assert_eq!(w.is_consistency(), old::is_consistency(&w), "traced {name}");
+            assert_eq!(
+                w.is_control_plane(),
+                old::is_control_plane(&w),
+                "traced {name}"
+            );
+            // The fence and the credit check always saw the peeled
+            // message, so their old bodies never looked inside an
+            // envelope; the lookup does, once, for every column.
+            assert!(
+                std::ptr::eq(w.meta(), row),
+                "traced {name} has its payload's row"
+            );
+            if let Message::Traced { .. } = m {
+                continue;
+            }
+            assert_eq!(row.fenced, old::fenced(&m), "{name} fenced");
+            assert_eq!(
+                row.credit,
+                old::credit_request(&m).is_some(),
+                "{name} credit"
+            );
+            assert_eq!(
+                crate::engine::credit_request(&m),
+                old::credit_request(&m),
+                "{name} credit ids"
+            );
+            // A role names a `req` to park or recover a context under.
+            assert_eq!(
+                row.role != Role::OneWay,
+                m.req_of_request().or(m.req_of_reply()).is_some()
+            );
+            assert_eq!(w.req_of_request(), m.req_of_request());
+            assert_eq!(w.req_of_reply(), m.req_of_reply());
+        }
+    }
+
+    #[test]
+    fn every_variant_survives_wire_framing() {
+        for m in samples() {
+            for msg in [traced(m.clone()), m] {
+                let mut buf = bytes::BytesMut::new();
+                pscc_net::codec::encode_frame(&msg, &mut buf).expect("encode");
+                let got: Message = pscc_net::codec::decode_frame(&mut buf)
+                    .expect("decode")
+                    .expect("complete frame");
+                assert_eq!(got, msg);
+                assert!(buf.is_empty());
+            }
+        }
+    }
+
+    /// The classification functions as they stood before the message
+    /// table, kept as the reference the table is checked against.
+    mod old {
+        use super::*;
+        use pscc_net::PathId;
+
+        pub(super) fn path_for(msg: &Message) -> PathId {
+            // A tracing envelope rides whatever path its payload would.
+            if let Message::Traced { inner, .. } = msg {
+                return path_for(inner);
+            }
+            match msg {
+                Message::ReadReply { .. }
+                | Message::WriteGranted { .. }
+                | Message::LockGranted { .. }
+                | Message::ReqDenied { .. }
+                | Message::CommitOk { .. }
+                | Message::Voted { .. }
+                | Message::Decided { .. }
+                | Message::TxnAborted { .. }
+                | Message::RejoinRequired { .. }
+                | Message::RejoinOk { .. }
+                | Message::TxnResolved { .. }
+                | Message::Busy { .. }
+                | Message::DrainOk { .. }
+                | Message::UndrainOk { .. }
+                | Message::WrongOwner { .. }
+                | Message::MigratePrepared { .. }
+                | Message::MigrateDone { .. }
+                | Message::MigrateAborted { .. }
+                | Message::TransferAck { .. }
+                | Message::MigrateActivate { .. }
+                | Message::MigrateActivated { .. }
+                | Message::QueryMigration { .. }
+                | Message::MigrationResolved { .. } => PathId(1),
+                // The edge tier's staleness proof needs every edge message on
+                // ONE lane: an `EdgeRenewOk` must not overtake the
+                // `EdgeInvalidate`s published before it, and an `EdgePage` must
+                // not overtake the invalidation that supersedes it
+                // (DESIGN.md §11). They share the callback lane, which already
+                // carries the owner-to-client consistency traffic.
+                Message::Callback { .. }
+                | Message::CbCancel { .. }
+                | Message::Deescalate { .. }
+                | Message::EdgeFetch { .. }
+                | Message::EdgePage { .. }
+                | Message::EdgeInvalidate { .. }
+                | Message::EdgeRenew { .. }
+                | Message::EdgeRenewOk { .. } => PathId(2),
+                _ => PathId(0),
+            }
+        }
+
+        pub(super) fn fenced(msg: &Message) -> bool {
+            matches!(
+                msg,
+                Message::ReadObj { .. }
+                    | Message::ReadPage { .. }
+                    | Message::WriteObj { .. }
+                    | Message::WritePage { .. }
+                    | Message::LockItem { .. }
+                    | Message::Purge { .. }
+                    | Message::CommitReq { .. }
+                    | Message::Prepare { .. }
+                    | Message::ReadForwarded { .. }
+                    | Message::FetchLargePage { .. }
+                    | Message::WriteLargeReq { .. }
+                    | Message::CreateLargeReq { .. }
+            )
+        }
+
+        pub(super) fn credit_request(msg: &Message) -> Option<(ReqId, TxnId)> {
+            match msg {
+                Message::ReadObj { req, txn, .. }
+                | Message::ReadPage { req, txn, .. }
+                | Message::WriteObj { req, txn, .. }
+                | Message::WritePage { req, txn, .. }
+                | Message::LockItem { req, txn, .. } => Some((*req, *txn)),
+                _ => None,
+            }
+        }
+
+        pub(super) fn is_consistency(msg: &Message) -> bool {
+            if let Message::Traced { inner, .. } = msg {
+                return is_consistency(inner);
+            }
+            matches!(
+                msg,
+                // Callbacks/deescalations, commit/2PC/abort control,
+                // liveness and rejoin/epoch fencing, and flow-control
+                // verdicts (a shed `Busy` must not itself be shed).
+                Message::Callback { .. }
+                    | Message::CbBlocked { .. }
+                    | Message::CbOk { .. }
+                    | Message::CbTimeout { .. }
+                    | Message::CbCancel { .. }
+                    | Message::Deescalate { .. }
+                    | Message::DeescalateReply { .. }
+                    | Message::CommitReq { .. }
+                    | Message::CommitOk { .. }
+                    | Message::Prepare { .. }
+                    | Message::Voted { .. }
+                    | Message::Decide { .. }
+                    | Message::Decided { .. }
+                    | Message::AbortTxn { .. }
+                    | Message::TxnAborted { .. }
+                    | Message::Heartbeat
+                    | Message::RejoinRequired { .. }
+                    | Message::Rejoin { .. }
+                    | Message::RejoinOk { .. }
+                    | Message::QueryTxn { .. }
+                    | Message::TxnResolved { .. }
+                    | Message::Busy { .. }
+                    | Message::ReqDenied { .. }
+                    | Message::DrainReq { .. }
+                    | Message::DrainOk { .. }
+                    | Message::UndrainReq { .. }
+                    | Message::UndrainOk { .. }
+                    // Migration control and fencing verdicts must never
+                    // queue behind the bulk lane: a shed WrongOwner wedges
+                    // the redirected client, a delayed MigrateActivate
+                    // leaves the range ownerless. Only the page-image
+                    // TransferChunk is bulk.
+                    | Message::MigratePrepare { .. }
+                    | Message::MigratePrepared { .. }
+                    | Message::MigrateTransfer { .. }
+                    | Message::MigrateAbortReq { .. }
+                    | Message::MigrateAborted { .. }
+                    | Message::MigrateDone { .. }
+                    | Message::TransferAck { .. }
+                    | Message::MigrateActivate { .. }
+                    | Message::MigrateActivated { .. }
+                    | Message::QueryMigration { .. }
+                    | Message::MigrationResolved { .. }
+                    | Message::WrongOwner { .. }
+                    // The entire edge protocol rides the consistency lane:
+                    // staleness bounds are proved from per-(from,to,path)
+                    // FIFO between fetches, renews, and invalidations, so
+                    // none of them may be shed or queue behind bulk pages.
+                    | Message::EdgeFetch { .. }
+                    | Message::EdgePage { .. }
+                    | Message::EdgeInvalidate { .. }
+                    | Message::EdgeRenew { .. }
+                    | Message::EdgeRenewOk { .. }
+                    | Message::SetTierReq { .. }
+                    | Message::SetTierOk { .. }
+            )
+        }
+
+        pub(super) fn is_control_plane(msg: &Message) -> bool {
+            if let Message::Traced { inner, .. } = msg {
+                return is_control_plane(inner);
+            }
+            matches!(
+                msg,
+                Message::DrainReq { .. }
+                    | Message::DrainOk { .. }
+                    | Message::UndrainReq { .. }
+                    | Message::UndrainOk { .. }
+                    | Message::MigratePrepare { .. }
+                    | Message::MigratePrepared { .. }
+                    | Message::MigrateTransfer { .. }
+                    | Message::MigrateAbortReq { .. }
+                    | Message::MigrateAborted { .. }
+                    | Message::MigrateDone { .. }
+                    | Message::SetTierReq { .. }
+                    | Message::SetTierOk { .. }
+            )
+        }
     }
 
     #[test]

@@ -2,12 +2,9 @@
 //! seeded message delivery over `pscc_net::SeededNet` with the paper's
 //! per-path FIFO semantics, a fixed-latency disk, and a virtual clock.
 //!
-//! Path discipline (mirrors the production harness):
-//! * path 0 — every client→owner message (requests, purge notices,
-//!   callback replies, commit traffic): FIFO end-to-end, which is what
-//!   SHORE's piggybacking guarantees;
-//! * path 1 — owner→client replies;
-//! * path 2 — owner→client callbacks, cancels and deescalations.
+//! Path discipline: each message is sent on the FIFO path its row of
+//! the message table names (`Message::path`, DESIGN.md §14) — the same
+//! assignment every other harness uses.
 //!
 //! Replies and callbacks ride different paths, so the callback and
 //! deescalation races of paper §4.2.4 genuinely occur under adversarial
@@ -20,25 +17,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-/// Which path a message travels on (see module docs).
-pub fn path_for(msg: &Message) -> PathId {
-    match msg {
-        Message::Traced { inner, .. } => path_for(inner),
-        Message::ReadReply { .. }
-        | Message::WriteGranted { .. }
-        | Message::LockGranted { .. }
-        | Message::ReqDenied { .. }
-        | Message::CommitOk { .. }
-        | Message::Voted { .. }
-        | Message::Decided { .. }
-        | Message::TxnAborted { .. } => PathId(1),
-        Message::Callback { .. } | Message::CbCancel { .. } | Message::Deescalate { .. } => {
-            PathId(2)
-        }
-        _ => PathId(0),
-    }
-}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Sched {
@@ -83,7 +61,7 @@ impl Cluster {
         for o in outs {
             match o {
                 Output::Send { to, msg } => {
-                    let path = path_for(&msg);
+                    let path = PathId(msg.path() as u8);
                     self.net.send(site, to, path, msg);
                 }
                 Output::Disk { req, .. } => {
@@ -266,7 +244,7 @@ pub fn route(c: &mut Cluster, site: SiteId, outs: Vec<pscc_core::Output>) {
     for o in outs {
         match o {
             pscc_core::Output::Send { to, msg } => {
-                let p = path_for(&msg);
+                let p = PathId(msg.path() as u8);
                 c.net.send(site, to, p, msg);
             }
             pscc_core::Output::App(r) => c.replies.push((site, r)),

@@ -193,8 +193,7 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> TcpNode<M> {
     }
 
     /// Overrides the reconnect policy (defaults: 10 ms base doubling to
-    /// a 1 s cap, 5 retries). Mirrors the `net_backoff_*` knobs of
-    /// `SystemConfig`.
+    /// a 1 s cap, 5 retries).
     pub fn configure_retry(&mut self, base: Duration, max: Duration, retries: u32) {
         self.backoff_base = base;
         self.backoff_max = max;

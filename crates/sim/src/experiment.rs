@@ -151,7 +151,7 @@ pub fn paper_spec(figure: Figure, protocol: Protocol, write_prob: f64) -> Experi
 }
 
 /// A scaled-down spec that finishes in well under a second — used by
-/// tests and the Criterion benches.
+/// tests.
 pub fn quick_spec(figure: Figure, write_prob: f64) -> ExperimentSpec {
     let (kind, high, peers) = figure.shape();
     let cfg = SystemConfig {

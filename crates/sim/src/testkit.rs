@@ -32,54 +32,6 @@ use std::collections::{BinaryHeap, HashMap, HashSet};
 /// routing (no site index exists for it).
 pub const CONTROLLER: SiteId = SiteId(u32::MAX);
 
-/// The path each message kind travels on (per-path FIFO; see crate docs).
-pub fn path_for(msg: &Message) -> PathId {
-    // A tracing envelope rides whatever path its payload would.
-    if let Message::Traced { inner, .. } = msg {
-        return path_for(inner);
-    }
-    match msg {
-        Message::ReadReply { .. }
-        | Message::WriteGranted { .. }
-        | Message::LockGranted { .. }
-        | Message::ReqDenied { .. }
-        | Message::CommitOk { .. }
-        | Message::Voted { .. }
-        | Message::Decided { .. }
-        | Message::TxnAborted { .. }
-        | Message::RejoinRequired { .. }
-        | Message::RejoinOk { .. }
-        | Message::TxnResolved { .. }
-        | Message::Busy { .. }
-        | Message::DrainOk { .. }
-        | Message::UndrainOk { .. }
-        | Message::WrongOwner { .. }
-        | Message::MigratePrepared { .. }
-        | Message::MigrateDone { .. }
-        | Message::MigrateAborted { .. }
-        | Message::TransferAck { .. }
-        | Message::MigrateActivate { .. }
-        | Message::MigrateActivated { .. }
-        | Message::QueryMigration { .. }
-        | Message::MigrationResolved { .. } => PathId(1),
-        // The edge tier's staleness proof needs every edge message on
-        // ONE lane: an `EdgeRenewOk` must not overtake the
-        // `EdgeInvalidate`s published before it, and an `EdgePage` must
-        // not overtake the invalidation that supersedes it
-        // (DESIGN.md §11). They share the callback lane, which already
-        // carries the owner-to-client consistency traffic.
-        Message::Callback { .. }
-        | Message::CbCancel { .. }
-        | Message::Deescalate { .. }
-        | Message::EdgeFetch { .. }
-        | Message::EdgePage { .. }
-        | Message::EdgeInvalidate { .. }
-        | Message::EdgeRenew { .. }
-        | Message::EdgeRenewOk { .. } => PathId(2),
-        _ => PathId(0),
-    }
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Sched {
     Disk(u32, DiskReqId),
@@ -433,7 +385,7 @@ impl Cluster {
         for o in outs {
             match o {
                 Output::Send { to, msg } => {
-                    let path = path_for(&msg);
+                    let path = PathId(msg.path() as u8);
                     self.route(site, to, path, msg);
                 }
                 Output::Disk { req, .. } => {

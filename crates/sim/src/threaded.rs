@@ -25,14 +25,14 @@
 //! thread naps briefly before it lets a site pay for waking it (see
 //! [`ThreadedCluster::recv_reply`]).
 
-use crate::testkit::{path_for, CONTROLLER};
+use crate::testkit::CONTROLLER;
 use crossbeam::channel as mpsc;
 use pscc_common::{AppId, PsccError, SimTime, SiteId, SystemConfig, TxnId};
 use pscc_core::{
     AppOp, AppReply, AppRequest, DrainPhase, Input, Message, Output, OwnerMap, PeerServer, ReqId,
     TimerId,
 };
-use pscc_net::{Envelope, InProcNetwork, Transport, Waker};
+use pscc_net::{Envelope, InProcNetwork, PathId, Transport, Waker};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -261,7 +261,7 @@ impl<T: Transport<Message>> Site<T> {
                 match o {
                     Output::Send { to, msg } => {
                         if to != CONTROLLER {
-                            self.transport.send(to, path_for(&msg), msg);
+                            self.transport.send(to, PathId(msg.path() as u8), msg);
                         }
                     }
                     Output::Disk { req, .. } => disk_done.push_back(req),

@@ -393,7 +393,6 @@ fn thundering_herd(proto: Protocol, seed: u64) -> Cluster {
     cfg.admission_cap = 2;
     cfg.fetch_credits = 1;
     cfg.busy_retry_hint = SimDuration::from_millis(2);
-    cfg.slow_peer_bypass = true;
     let cb_bound = cfg.callback_response_timeout;
     let mut c = Cluster::new(7, cfg, OwnerMap::Single(OWNER), seed);
     let contested = oid_on_page(3, 1);
