@@ -2,12 +2,11 @@
 //! constants of the paper's Table 1.
 
 use crate::time::Duration;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which cache-consistency protocol the system runs (paper §5: SHORE's
 /// system-wide locking granularity plus the adaptive-locking switch).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Protocol {
     /// Basic page server: page-level locking and page-level callbacks.
     Ps,
@@ -48,7 +47,7 @@ impl fmt::Display for Protocol {
 /// byte-for-byte; the other tiers trade bounded staleness for lock-free
 /// local reads (in the spirit of cache serializability for read-only
 /// edge transactions).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ConsistencyTier {
     /// Serializable reads through the owner, exactly as today.
     #[default]
@@ -98,10 +97,16 @@ impl fmt::Display for ConsistencyTier {
     }
 }
 
+crate::impl_wire!(enum ConsistencyTier {
+    Strict,
+    BoundedStale { ttl },
+    WatchBased { fallback_ttl },
+});
+
 /// Assigns a [`ConsistencyTier`] to one file (by file number, uniform
 /// across volumes — the workloads address file 0 of each owner's
 /// volume).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EdgeTierSpec {
     /// File number the tier applies to. Must be `< edge_files`.
     pub file: u32,
@@ -129,7 +134,7 @@ pub struct EdgeTierSpec {
 /// assert_eq!(cfg.database_pages, 11_250);
 /// assert_eq!(cfg.client_buf_pages(), 2_812);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {
     /// Number of concurrent application programs.
     pub num_applications: u32,

@@ -1,12 +1,11 @@
 //! Error and abort-reason types shared across the workspace.
 
 use crate::ids::{LockableId, Oid, PageId, TxnId};
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
 /// Why a transaction was aborted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AbortReason {
     /// Chosen as the victim of a locally detected deadlock.
     Deadlock,
@@ -32,6 +31,15 @@ impl fmt::Display for AbortReason {
         f.write_str(s)
     }
 }
+
+crate::impl_wire!(
+    enum AbortReason {
+        Deadlock,
+        LockTimeout,
+        User,
+        Internal,
+    }
+);
 
 /// Errors surfaced by the PSCC crates.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -2,13 +2,12 @@
 //! locking hierarchy (volume / file / page / object).
 //!
 //! Every identifier is a plain-old-data newtype or small struct so that it
-//! can be used as a `HashMap`/`BTreeMap` key, shipped over the wire with
-//! serde, and printed in traces. A [`LockableId`] is the sum of the four
-//! hierarchy levels and knows its own [`parent`](LockableId::parent), which
-//! is what the hierarchical lock manager walks when acquiring intention
-//! locks.
+//! can be used as a `HashMap`/`BTreeMap` key, shipped over the wire in
+//! its [`Wire`](crate::wire::Wire) encoding, and printed in traces. A
+//! [`LockableId`] is the sum of the four hierarchy levels and knows its
+//! own [`parent`](LockableId::parent), which is what the hierarchical
+//! lock manager walks when acquiring intention locks.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A disk volume. Each volume is owned and managed by exactly one peer
@@ -21,9 +20,7 @@ use std::fmt;
 /// let v = VolId(3);
 /// assert_eq!(format!("{v}"), "vol3");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct VolId(pub u32);
 
 impl fmt::Display for VolId {
@@ -33,9 +30,7 @@ impl fmt::Display for VolId {
 }
 
 /// A file within a volume. Files group pages and are a lockable granule.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct FileId {
     /// Owning volume.
     pub vol: VolId,
@@ -58,9 +53,7 @@ impl fmt::Display for FileId {
 
 /// A page within a file. Pages are the unit of data transfer, client
 /// caching, and (for the `PS` protocol) concurrency control.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PageId {
     /// Owning file (which in turn names the owning volume).
     pub file: FileId,
@@ -95,9 +88,7 @@ pub const DUMMY_SLOT: u16 = u16::MAX;
 ///
 /// The dummy object of page `p` is `Oid::dummy(p)`; it exists only as a
 /// lockable/available granule, never as stored bytes.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Oid {
     /// Page holding the object.
     pub page: PageId,
@@ -138,9 +129,7 @@ impl fmt::Display for Oid {
 /// A peer-server site. In client-server configuration one site owns the
 /// whole database and the others act as (multithreaded) clients; in
 /// peer-servers configuration every site owns a partition.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SiteId(pub u32);
 
 impl fmt::Display for SiteId {
@@ -150,9 +139,7 @@ impl fmt::Display for SiteId {
 }
 
 /// An application program instance (the paper runs ten of them).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct AppId(pub u32);
 
 impl fmt::Display for AppId {
@@ -165,9 +152,7 @@ impl fmt::Display for AppId {
 /// transaction originates plus a sequence number unique within that site
 /// (paper §4, notation). The sequence number doubles as the transaction's
 /// age for victim selection (lower = older).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TxnId {
     /// Home site (where the master thread runs).
     pub site: SiteId,
@@ -190,9 +175,7 @@ impl fmt::Display for TxnId {
 }
 
 /// The level of a granule in the locking hierarchy, coarsest first.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum LockLevel {
     /// A whole disk volume.
     #[default]
@@ -229,7 +212,7 @@ impl fmt::Display for LockLevel {
 /// let ancestors: Vec<_> = id.ancestors().collect();
 /// assert_eq!(ancestors.len(), 3); // page, file, volume
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum LockableId {
     /// A volume granule.
     Volume(VolId),
@@ -310,6 +293,21 @@ impl fmt::Display for LockableId {
         }
     }
 }
+
+crate::impl_wire!(struct VolId { 0 });
+crate::impl_wire!(struct FileId { vol, file });
+crate::impl_wire!(struct PageId { file, page });
+crate::impl_wire!(struct Oid { page, slot });
+crate::impl_wire!(struct SiteId { 0 });
+crate::impl_wire!(struct TxnId { site, seq });
+crate::impl_wire!(
+    enum LockableId {
+        Volume(v),
+        File(f),
+        Page(p),
+        Object(o),
+    }
+);
 
 /// Iterator over a granule's ancestors, produced by
 /// [`LockableId::ancestors`].

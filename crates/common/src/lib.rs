@@ -8,8 +8,9 @@
 //! (volume / file / page / object), the five multigranularity lock modes
 //! (`IS`, `IX`, `SH`, `SIX`, `EX`) together with their compatibility and
 //! supremum tables, site and transaction identifiers, virtual time, the
-//! protocol selector (`PS`, `PS-OA`, `PS-AA`), and the error types shared by
-//! every other crate in the workspace.
+//! protocol selector (`PS`, `PS-OA`, `PS-AA`), the error types shared by
+//! every other crate in the workspace, and [`wire`], the one binary
+//! encoding of messages and log records.
 //!
 //! # Examples
 //!
@@ -32,6 +33,7 @@ pub mod lock;
 pub mod stats;
 pub mod time;
 pub mod trace;
+pub mod wire;
 
 pub use config::{
     tiers_fingerprint, ConfigError, ConsistencyTier, EdgeTierSpec, Protocol, SystemConfig,

@@ -3,7 +3,6 @@
 //! standard compatibility matrix and the supremum (least-upper-bound)
 //! table used for lock conversions.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A multigranularity lock mode.
@@ -21,9 +20,7 @@ use std::fmt;
 /// assert_eq!(LockMode::Sh.sup(LockMode::Ix), LockMode::Six);
 /// assert!(LockMode::Ex.covers(LockMode::Sh));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum LockMode {
     /// Intention shared.
     #[default]
@@ -130,6 +127,16 @@ impl fmt::Display for LockMode {
         f.write_str(s)
     }
 }
+
+crate::impl_wire!(
+    enum LockMode {
+        Is,
+        Ix,
+        Sh,
+        Six,
+        Ex,
+    }
+);
 
 #[cfg(test)]
 mod tests {

@@ -2,7 +2,6 @@
 //! harness. The paper's analysis is largely in terms of message counts,
 //! I/O counts, and contention events, so these are first-class here.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::AddAssign;
 
@@ -10,7 +9,7 @@ use std::ops::AddAssign;
 ///
 /// All fields are public by design: this is a passive, compound record in
 /// the C-struct spirit, produced by the engine and consumed by reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Counters {
     /// Transactions committed.
     pub commits: u64,

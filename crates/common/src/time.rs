@@ -5,7 +5,6 @@
 //! (per-object processing 2 ms, messages in the hundreds of µs, disk I/O
 //! in the ms range) while leaving 580 000 years of headroom.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
@@ -18,9 +17,7 @@ use std::ops::{Add, AddAssign, Sub};
 /// let t = SimTime::ZERO + SimDuration::from_millis(2);
 /// assert_eq!(t.as_micros(), 2_000);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Time(u64);
 
 impl Time {
@@ -75,9 +72,7 @@ impl fmt::Display for Time {
 }
 
 /// A span of virtual time (µs).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Duration(u64);
 
 impl Duration {
@@ -125,6 +120,8 @@ impl Duration {
         Duration(self.0.saturating_sub(other.0))
     }
 }
+
+crate::impl_wire!(struct Duration { 0 });
 
 impl Add for Duration {
     type Output = Duration;

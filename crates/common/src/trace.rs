@@ -10,15 +10,12 @@
 //! attributes commit latency to.
 
 use crate::ids::{SiteId, TxnId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A causal span identifier, unique across the cluster (the allocating
 /// site's id is packed into the high bits). `SpanId::NONE` (zero) marks
 /// a root span's absent parent.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SpanId(pub u64);
 
 impl SpanId {
@@ -41,7 +38,7 @@ impl fmt::Display for SpanId {
 /// The compact causal context carried on every traced [`Message`]
 /// (`pscc_core::Message::Traced`) and propagated through the engine's
 /// lock/callback/fetch/commit/2PC/drain paths.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TraceCtx {
     /// The transaction this message works on behalf of.
     pub txn: TxnId,
@@ -64,10 +61,18 @@ impl fmt::Display for TraceCtx {
     }
 }
 
+crate::impl_wire!(struct SpanId { 0 });
+crate::impl_wire!(struct TraceCtx {
+    txn,
+    origin,
+    span,
+    parent,
+});
+
 /// A latency stage of a transaction's critical path. Engines emit one
 /// `StageSample` event per measured interval; the analyzer sweeps the
 /// samples into a per-transaction commit-latency attribution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
     /// Blocked in a lock queue (any role).
     LockWait,

@@ -1,11 +1,10 @@
 //! The desired-state half of the control plane.
 
 use pscc_common::{tiers_fingerprint, ConsistencyTier, EdgeTierSpec, SimDuration, SiteId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// What the operator wants a site to be.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DesiredState {
     /// The site should be serving, in an epoch of at least `min_epoch`.
     /// A rolling restart is declared by setting `min_epoch` to one more
@@ -21,7 +20,7 @@ pub enum DesiredState {
 }
 
 /// One site's row in the manifest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SiteSpec {
     /// The site.
     pub site: SiteId,
@@ -34,7 +33,7 @@ pub struct SiteSpec {
 /// through the engine's crash-safe Prepare → Transfer → Commit state
 /// machine (DESIGN.md §10); the supervisor only issues the prepare and
 /// commit nudges and watches layout versions converge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MoveRange {
     /// First page number of the range (inclusive).
     pub lo: u32,
@@ -53,7 +52,7 @@ pub struct MoveRange {
 /// exactly these rows, so a row with [`ConsistencyTier::Strict`]
 /// retires a file's tier and files with tiers not declared here keep
 /// the operation from converging.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TierAssignment {
     /// The owner site whose tier map the row belongs to.
     pub site: SiteId,
@@ -66,7 +65,7 @@ pub struct TierAssignment {
 /// A declarative description of the cluster the operator wants,
 /// together with the safety envelope the reconciler must respect while
 /// getting there.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterManifest {
     /// Desired state per site, in reconciliation (walk) order.
     pub sites: Vec<SiteSpec>,

@@ -10,23 +10,22 @@
 //! piggybacked lock replication (§4.1.1), and redo-at-server commit
 //! traffic with two-phase commit for multi-owner transactions (§3.3).
 
+use pscc_common::wire::{Wire, WireError};
 use pscc_common::{
     AbortReason, AppId, LockMode, LockableId, Oid, PageId, SimDuration, SiteId, TxnId,
 };
 pub use pscc_common::{SpanId, TraceCtx};
 use pscc_storage::{PageSnapshot, SlottedPage};
 use pscc_wal::LogRecord;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 macro_rules! id_newtype {
     ($(#[$doc:meta])* $name:ident, $prefix:literal) => {
         $(#[$doc])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-            Default,
-        )]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
         pub struct $name(pub u64);
+
+        pscc_common::impl_wire!(struct $name { 0 });
 
         impl fmt::Display for $name {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -63,7 +62,7 @@ id_newtype!(
 );
 
 /// What a callback asks the receiving client to invalidate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CbTarget {
     /// One object (PS-OA / PS-AA). A page's *dummy object* (paper
     /// §4.3.2) travels through the same variant.
@@ -76,6 +75,15 @@ pub enum CbTarget {
     /// A whole volume (treated like a file, §4.3.1).
     Volume(pscc_common::VolId),
 }
+
+pscc_common::impl_wire!(
+    enum CbTarget {
+        Object(o),
+        PageAll(p),
+        File(f),
+        Volume(v),
+    }
+);
 
 impl CbTarget {
     /// The lockable granule the callback ultimately needs in EX.
@@ -90,7 +98,7 @@ impl CbTarget {
 }
 
 /// Peer-to-peer protocol messages.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Message {
     /// Client → owner: fetch the page containing `oid` for reading
     /// (object-level protocols). The owner takes an SH object lock on
@@ -816,6 +824,12 @@ pub(crate) struct MsgMeta {
 /// variant, no wildcard: a variant without a row does not compile, so a
 /// new message cannot silently land on the bulk lane, path 0, unfenced
 /// and uncredited.
+///
+/// The table is also the wire encoding (DESIGN.md §1): a row's position
+/// is the variant's tag byte and its field list the order its fields are
+/// written in, so moving a row or a field changes the bytes and must
+/// bump [`WIRE_VERSION`](pscc_common::wire::WIRE_VERSION). The tracing
+/// envelope, which has no row, is tag [`ENVELOPE_TAG`].
 macro_rules! msg_table {
     (@fenced fenced) => { true };
     (@fenced -) => { false };
@@ -823,8 +837,19 @@ macro_rules! msg_table {
     (@credit -) => { false };
     ($(
         $variant:ident => $label:literal, $lane:ident, $path:ident, $plane:ident, $role:ident,
-        $fenced:tt, $credit:tt;
+        $fenced:tt, $credit:tt { $($field:ident),* };
     )*) => {
+        /// A row of the table, by position: a variant's tag byte.
+        enum MsgTag {
+            $($variant),*
+        }
+
+        impl MsgTag {
+            const ALL: &'static [MsgTag] = &[$(MsgTag::$variant),*];
+        }
+
+        const _: () = assert!(MsgTag::ALL.len() < ENVELOPE_TAG as usize);
+
         impl Message {
             /// This variant's row. A tracing envelope is whatever its
             /// payload is.
@@ -845,98 +870,141 @@ macro_rules! msg_table {
                     })*
                 }
             }
+
+            /// Decodes one message. A tracing envelope is accepted only
+            /// where `envelope` says, so an envelope inside an envelope is
+            /// refused before it can nest any deeper.
+            fn get_wire(input: &mut &[u8], envelope: bool) -> Result<Self, WireError> {
+                let tag = u8::get(input)?;
+                match MsgTag::ALL.get(usize::from(tag)) {
+                    $(Some(MsgTag::$variant) => Ok(Message::$variant {
+                        $($field: Wire::get(input)?),*
+                    }),)*
+                    None if tag == ENVELOPE_TAG && envelope => Ok(Message::Traced {
+                        ctx: Wire::get(input)?,
+                        inner: Box::new(Message::get_wire(input, false)?),
+                    }),
+                    None if tag == ENVELOPE_TAG => {
+                        Err(WireError::Invalid("a tracing envelope inside another"))
+                    }
+                    None => Err(WireError::Tag { ty: "Message", tag }),
+                }
+            }
+        }
+
+        impl Wire for Message {
+            fn put(&self, out: &mut Vec<u8>) {
+                match self {
+                    $(Message::$variant { $($field),* } => {
+                        out.push(MsgTag::$variant as u8);
+                        $(Wire::put($field, out);)*
+                    })*
+                    Message::Traced { ctx, inner } => {
+                        out.push(ENVELOPE_TAG);
+                        ctx.put(out);
+                        inner.put(out);
+                    }
+                }
+            }
+
+            fn get(input: &mut &[u8]) -> Result<Self, WireError> {
+                Message::get_wire(input, true)
+            }
         }
     };
 }
 
+/// The tag byte of [`Message::Traced`], outside the table's range.
+const ENVELOPE_TAG: u8 = u8::MAX;
+
 msg_table! {
-    // variant           label                 lane         path      plane    role     fenced  credit
+    // variant           label                 lane         path      plane    role     fenced  credit  fields, in wire order
     // Data requests and their verdicts.
-    ReadObj           => "read_obj",           Bulk,        Request,  Peer,    Asks,    fenced, credit;
-    ReadPage          => "read_page",          Bulk,        Request,  Peer,    Asks,    fenced, credit;
-    ReadReply         => "read_reply",         Bulk,        Reply,    Peer,    Answers, -,      -;
-    WriteObj          => "write_obj",          Bulk,        Request,  Peer,    Asks,    fenced, credit;
-    WritePage         => "write_page",         Bulk,        Request,  Peer,    Asks,    fenced, credit;
-    WriteGranted      => "write_granted",      Bulk,        Reply,    Peer,    Answers, -,      -;
-    LockItem          => "lock_item",          Bulk,        Request,  Peer,    Asks,    fenced, credit;
-    LockGranted       => "lock_granted",       Bulk,        Reply,    Peer,    Answers, -,      -;
-    ReqDenied         => "req_denied",         Consistency, Reply,    Peer,    Answers, -,      -;
+    ReadObj           => "read_obj",           Bulk,        Request,  Peer,    Asks,    fenced, credit { req, txn, oid };
+    ReadPage          => "read_page",          Bulk,        Request,  Peer,    Asks,    fenced, credit { req, txn, page };
+    ReadReply         => "read_reply",         Bulk,        Reply,    Peer,    Answers, -,      -      { req, snapshot };
+    WriteObj          => "write_obj",          Bulk,        Request,  Peer,    Asks,    fenced, credit { req, txn, oid };
+    WritePage         => "write_page",         Bulk,        Request,  Peer,    Asks,    fenced, credit { req, txn, page };
+    WriteGranted      => "write_granted",      Bulk,        Reply,    Peer,    Answers, -,      -      { req, adaptive };
+    LockItem          => "lock_item",          Bulk,        Request,  Peer,    Asks,    fenced, credit { req, txn, item, mode };
+    LockGranted       => "lock_granted",       Bulk,        Reply,    Peer,    Answers, -,      -      { req };
+    ReqDenied         => "req_denied",         Consistency, Reply,    Peer,    Answers, -,      -      { req, reason };
     // Callbacks and deescalation: the owner's side rides its own path,
     // the client's answers share the request path with purge notices
     // (§4.2.4).
-    Callback          => "callback",           Consistency, Callback, Peer,    OneWay,  -,      -;
-    CbBlocked         => "cb_blocked",         Consistency, Request,  Peer,    OneWay,  -,      -;
-    CbOk              => "cb_ok",              Consistency, Request,  Peer,    OneWay,  -,      -;
-    CbTimeout         => "cb_timeout",         Consistency, Request,  Peer,    OneWay,  -,      -;
-    CbCancel          => "cb_cancel",          Consistency, Callback, Peer,    OneWay,  -,      -;
-    Deescalate        => "deescalate",         Consistency, Callback, Peer,    OneWay,  -,      -;
-    DeescalateReply   => "deescalate_reply",   Consistency, Request,  Peer,    OneWay,  -,      -;
-    Purge             => "purge",              Bulk,        Request,  Peer,    OneWay,  fenced, -;
+    Callback          => "callback",           Consistency, Callback, Peer,    OneWay,  -,      -      { cb, txn, target };
+    CbBlocked         => "cb_blocked",         Consistency, Request,  Peer,    OneWay,  -,      -      { cb, holders };
+    CbOk              => "cb_ok",              Consistency, Request,  Peer,    OneWay,  -,      -      { cb, purged_page };
+    CbTimeout         => "cb_timeout",         Consistency, Request,  Peer,    OneWay,  -,      -      { cb };
+    CbCancel          => "cb_cancel",          Consistency, Callback, Peer,    OneWay,  -,      -      { cb };
+    Deescalate        => "deescalate",         Consistency, Callback, Peer,    OneWay,  -,      -      { de, page };
+    DeescalateReply   => "deescalate_reply",   Consistency, Request,  Peer,    OneWay,  -,      -      { de, page, ex_locks };
+    Purge             => "purge",              Bulk,        Request,  Peer,    OneWay,  fenced, -      { client, page, ship_seq, replicate, log_records };
     // Commit, 2PC, abort, liveness.
-    CommitReq         => "commit_req",         Consistency, Request,  Peer,    Asks,    fenced, -;
-    CommitOk          => "commit_ok",          Consistency, Reply,    Peer,    Answers, -,      -;
-    Prepare           => "prepare",            Consistency, Request,  Peer,    Asks,    fenced, -;
-    Voted             => "voted",              Consistency, Reply,    Peer,    Answers, -,      -;
-    Decide            => "decide",             Consistency, Request,  Peer,    OneWay,  -,      -;
-    Decided           => "decided",            Consistency, Reply,    Peer,    OneWay,  -,      -;
-    AbortTxn          => "abort_txn",          Consistency, Request,  Peer,    OneWay,  -,      -;
-    TxnAborted        => "txn_aborted",        Consistency, Reply,    Peer,    OneWay,  -,      -;
-    Heartbeat         => "heartbeat",          Consistency, Request,  Peer,    OneWay,  -,      -;
+    CommitReq         => "commit_req",         Consistency, Request,  Peer,    Asks,    fenced, -      { req, txn, records };
+    CommitOk          => "commit_ok",          Consistency, Reply,    Peer,    Answers, -,      -      { req };
+    Prepare           => "prepare",            Consistency, Request,  Peer,    Asks,    fenced, -      { req, txn, records };
+    Voted             => "voted",              Consistency, Reply,    Peer,    Answers, -,      -      { req, txn, yes };
+    Decide            => "decide",             Consistency, Request,  Peer,    OneWay,  -,      -      { txn, commit };
+    Decided           => "decided",            Consistency, Reply,    Peer,    OneWay,  -,      -      { txn };
+    AbortTxn          => "abort_txn",          Consistency, Request,  Peer,    OneWay,  -,      -      { txn };
+    TxnAborted        => "txn_aborted",        Consistency, Reply,    Peer,    OneWay,  -,      -      { txn, reason };
+    Heartbeat         => "heartbeat",          Consistency, Request,  Peer,    OneWay,  -,      -      {};
     // Large and forwarded objects (§4.4).
-    FetchLargePage    => "fetch_large_page",   Bulk,        Request,  Peer,    Asks,    fenced, -;
-    LargePageReply    => "large_page_reply",   Bulk,        Request,  Peer,    Answers, -,      -;
-    WriteLargeReq     => "write_large_req",    Bulk,        Request,  Peer,    Asks,    fenced, -;
-    WriteLargeOk      => "write_large_ok",     Bulk,        Request,  Peer,    Answers, -,      -;
-    LargeInval        => "large_inval",        Bulk,        Request,  Peer,    OneWay,  -,      -;
-    LargeInvalOk      => "large_inval_ok",     Bulk,        Request,  Peer,    OneWay,  -,      -;
-    CreateLargeReq    => "create_large_req",   Bulk,        Request,  Peer,    Asks,    fenced, -;
-    CreateLargeOk     => "create_large_ok",    Bulk,        Request,  Peer,    Answers, -,      -;
-    ReadForwarded     => "read_forwarded",     Bulk,        Request,  Peer,    Asks,    fenced, -;
-    ObjectBytes       => "object_bytes",       Bulk,        Request,  Peer,    Answers, -,      -;
+    FetchLargePage    => "fetch_large_page",   Bulk,        Request,  Peer,    Asks,    fenced, -      { req, page };
+    LargePageReply    => "large_page_reply",   Bulk,        Request,  Peer,    Answers, -,      -      { req, page, bytes };
+    WriteLargeReq     => "write_large_req",    Bulk,        Request,  Peer,    Asks,    fenced, -      { req, txn, header, offset, bytes };
+    WriteLargeOk      => "write_large_ok",     Bulk,        Request,  Peer,    Answers, -,      -      { req };
+    LargeInval        => "large_inval",        Bulk,        Request,  Peer,    OneWay,  -,      -      { inv, pages };
+    LargeInvalOk      => "large_inval_ok",     Bulk,        Request,  Peer,    OneWay,  -,      -      { inv };
+    CreateLargeReq    => "create_large_req",   Bulk,        Request,  Peer,    Asks,    fenced, -      { req, txn, header_page, content };
+    CreateLargeOk     => "create_large_ok",    Bulk,        Request,  Peer,    Answers, -,      -      { req, header };
+    ReadForwarded     => "read_forwarded",     Bulk,        Request,  Peer,    Asks,    fenced, -      { req, txn, oid };
+    ObjectBytes       => "object_bytes",       Bulk,        Request,  Peer,    Answers, -,      -      { req, bytes };
     // Restart recovery and the rejoin/epoch protocol; a shed `Busy` must
     // not itself be shed.
-    RejoinRequired    => "rejoin_required",    Consistency, Reply,    Peer,    OneWay,  -,      -;
-    Rejoin            => "rejoin",             Consistency, Request,  Peer,    OneWay,  -,      -;
-    RejoinOk          => "rejoin_ok",          Consistency, Reply,    Peer,    OneWay,  -,      -;
-    QueryTxn          => "query_txn",          Consistency, Request,  Peer,    OneWay,  -,      -;
-    TxnResolved       => "txn_resolved",       Consistency, Reply,    Peer,    OneWay,  -,      -;
-    Busy              => "busy",               Consistency, Reply,    Peer,    Answers, -,      -;
+    RejoinRequired    => "rejoin_required",    Consistency, Reply,    Peer,    OneWay,  -,      -      { epoch };
+    Rejoin            => "rejoin",             Consistency, Request,  Peer,    OneWay,  -,      -      { epoch };
+    RejoinOk          => "rejoin_ok",          Consistency, Reply,    Peer,    OneWay,  -,      -      { epoch };
+    QueryTxn          => "query_txn",          Consistency, Request,  Peer,    OneWay,  -,      -      { txn };
+    TxnResolved       => "txn_resolved",       Consistency, Reply,    Peer,    OneWay,  -,      -      { txn, committed };
+    Busy              => "busy",               Consistency, Reply,    Peer,    Answers, -,      -      { req, retry_after };
     // Control plane: a shed DrainReq would wedge the supervisor's step
     // timeout.
-    DrainReq          => "drain_req",          Consistency, Request,  Control, OneWay,  -,      -;
-    DrainOk           => "drain_ok",           Consistency, Reply,    Control, OneWay,  -,      -;
-    UndrainReq        => "undrain_req",        Consistency, Request,  Control, OneWay,  -,      -;
-    UndrainOk         => "undrain_ok",         Consistency, Reply,    Control, OneWay,  -,      -;
+    DrainReq          => "drain_req",          Consistency, Request,  Control, OneWay,  -,      -      { req };
+    DrainOk           => "drain_ok",           Consistency, Reply,    Control, OneWay,  -,      -      { req };
+    UndrainReq        => "undrain_req",        Consistency, Request,  Control, OneWay,  -,      -      { req };
+    UndrainOk         => "undrain_ok",         Consistency, Reply,    Control, OneWay,  -,      -      { req };
     // Migration control and fencing verdicts must never queue behind the
     // bulk lane: a shed WrongOwner wedges the redirected client, a
     // delayed MigrateActivate leaves the range ownerless. Only the
     // page-image TransferChunk is bulk.
-    MigratePrepare    => "migrate_prepare",    Consistency, Request,  Control, OneWay,  -,      -;
-    MigratePrepared   => "migrate_prepared",   Consistency, Reply,    Control, Answers, -,      -;
-    MigrateTransfer   => "migrate_transfer",   Consistency, Request,  Control, OneWay,  -,      -;
-    MigrateAbortReq   => "migrate_abort_req",  Consistency, Request,  Control, OneWay,  -,      -;
-    MigrateAborted    => "migrate_aborted",    Consistency, Reply,    Control, Answers, -,      -;
-    MigrateDone       => "migrate_done",       Consistency, Reply,    Control, Answers, -,      -;
-    TransferChunk     => "transfer_chunk",     Bulk,        Request,  Peer,    OneWay,  -,      -;
-    TransferAck       => "transfer_ack",       Consistency, Reply,    Peer,    OneWay,  -,      -;
-    MigrateActivate   => "migrate_activate",   Consistency, Reply,    Peer,    OneWay,  -,      -;
-    MigrateActivated  => "migrate_activated",  Consistency, Reply,    Peer,    OneWay,  -,      -;
-    QueryMigration    => "query_migration",    Consistency, Reply,    Peer,    OneWay,  -,      -;
-    MigrationResolved => "migration_resolved", Consistency, Reply,    Peer,    OneWay,  -,      -;
-    WrongOwner        => "wrong_owner",        Consistency, Reply,    Peer,    Answers, -,      -;
+    MigratePrepare    => "migrate_prepare",    Consistency, Request,  Control, OneWay,  -,      -      { req, lo, hi, to };
+    MigratePrepared   => "migrate_prepared",   Consistency, Reply,    Control, Answers, -,      -      { req };
+    MigrateTransfer   => "migrate_transfer",   Consistency, Request,  Control, OneWay,  -,      -      { req };
+    MigrateAbortReq   => "migrate_abort_req",  Consistency, Request,  Control, OneWay,  -,      -      { req };
+    MigrateAborted    => "migrate_aborted",    Consistency, Reply,    Control, Answers, -,      -      { req, committed };
+    MigrateDone       => "migrate_done",       Consistency, Reply,    Control, Answers, -,      -      { req, layout };
+    TransferChunk     => "transfer_chunk",     Bulk,        Request,  Peer,    OneWay,  -,      -      { lo, hi, layout, pages, copies };
+    TransferAck       => "transfer_ack",       Consistency, Reply,    Peer,    OneWay,  -,      -      { lo, hi };
+    MigrateActivate   => "migrate_activate",   Consistency, Reply,    Peer,    OneWay,  -,      -      { lo, hi, layout };
+    MigrateActivated  => "migrate_activated",  Consistency, Reply,    Peer,    OneWay,  -,      -      { lo, hi, layout };
+    QueryMigration    => "query_migration",    Consistency, Reply,    Peer,    OneWay,  -,      -      { lo, hi, layout };
+    MigrationResolved => "migration_resolved", Consistency, Reply,    Peer,    OneWay,  -,      -      { lo, hi, layout, committed };
+    WrongOwner        => "wrong_owner",        Consistency, Reply,    Peer,    Answers, -,      -      { req, lo, hi, layout, new_owner };
     // The whole edge protocol rides the consistency lane on ONE path: an
     // `EdgeRenewOk` must not overtake the `EdgeInvalidate`s published
     // before it, and an `EdgePage` must not overtake the invalidation
     // that supersedes it (DESIGN.md §11). They share the callback path,
     // which already carries the owner-to-client consistency traffic.
-    EdgeFetch         => "edge_fetch",         Consistency, Callback, Peer,    Asks,    -,      -;
-    EdgePage          => "edge_page",          Consistency, Callback, Peer,    Answers, -,      -;
-    EdgeInvalidate    => "edge_invalidate",    Consistency, Callback, Peer,    OneWay,  -,      -;
-    EdgeRenew         => "edge_renew",         Consistency, Callback, Peer,    Asks,    -,      -;
-    EdgeRenewOk       => "edge_renew_ok",      Consistency, Callback, Peer,    Answers, -,      -;
+    EdgeFetch         => "edge_fetch",         Consistency, Callback, Peer,    Asks,    -,      -      { req, page, watch, lease };
+    EdgePage          => "edge_page",          Consistency, Callback, Peer,    Answers, -,      -      { req, page, version, epoch, image };
+    EdgeInvalidate    => "edge_invalidate",    Consistency, Callback, Peer,    OneWay,  -,      -      { pages };
+    EdgeRenew         => "edge_renew",         Consistency, Callback, Peer,    Asks,    -,      -      { req, lease, files };
+    EdgeRenewOk       => "edge_renew_ok",      Consistency, Callback, Peer,    Answers, -,      -      { req, epoch, resubscribed };
     // Online tier roll (control plane).
-    SetTierReq        => "set_tier_req",       Consistency, Request,  Control, Asks,    -,      -;
-    SetTierOk         => "set_tier_ok",        Consistency, Request,  Control, Answers, -,      -;
+    SetTierReq        => "set_tier_req",       Consistency, Request,  Control, Asks,    -,      -      { req, file, tier };
+    SetTierOk         => "set_tier_ok",        Consistency, Request,  Control, Answers, -,      -      { req };
 }
 
 impl Message {
@@ -1090,7 +1158,7 @@ impl Message {
 }
 
 /// Application-level operations, submitted one at a time per transaction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AppOp {
     /// Start a transaction; the engine assigns and returns its id.
     Begin,
@@ -1161,7 +1229,7 @@ pub enum AppOp {
 }
 
 /// A request from an application to its local peer server.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppRequest {
     /// The issuing application.
     pub app: AppId,
@@ -1172,7 +1240,7 @@ pub struct AppRequest {
 }
 
 /// The engine's answer to an application request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AppReply {
     /// [`AppOp::Begin`] done; here is the transaction id.
     Started {
@@ -1222,7 +1290,7 @@ impl AppReply {
 }
 
 /// What a disk request does (for cost accounting; data is in memory).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DiskOp {
     /// Read a data page into the buffer.
     ReadPage(PageId),
@@ -1525,7 +1593,7 @@ mod tests {
     #[test]
     fn page_ship_survives_wire_framing() {
         // The biggest frame there is: a full page image, which the codec
-        // writes as one hex string rather than 4 096 numbers.
+        // writes as its length and one copy of its bytes.
         let page = PageId::new(FileId::new(VolId(0), 0), 42);
         let mut image = SlottedPage::new(4096);
         for slot in 0..20u8 {
@@ -1543,11 +1611,9 @@ mod tests {
         };
         let mut buf = bytes::BytesMut::new();
         pscc_net::codec::encode_frame(&msg, &mut buf).expect("encode");
-        assert!(
-            (2 * 4096..2 * 4096 + 512).contains(&buf.len()),
-            "a page frame is two characters per byte plus a header, not {}",
-            buf.len()
-        );
+        // Length prefix, tag, req, page id, image length, image, mask,
+        // ship sequence.
+        assert_eq!(buf.len(), 4 + 1 + 8 + 12 + 4 + 4096 + 8 + 8);
         let got: Message = pscc_net::codec::decode_frame(&mut buf)
             .expect("decode")
             .expect("complete frame");
@@ -1939,9 +2005,14 @@ mod tests {
     #[test]
     fn every_variant_survives_wire_framing() {
         for m in samples() {
-            for msg in [traced(m.clone()), m] {
-                let mut buf = bytes::BytesMut::new();
-                pscc_net::codec::encode_frame(&msg, &mut buf).expect("encode");
+            // Every payload alone and in an envelope; the envelope sample
+            // is already one, and an envelope never wraps another.
+            let wrapped = match m {
+                Message::Traced { .. } => None,
+                _ => Some(traced(m.clone())),
+            };
+            for msg in wrapped.into_iter().chain([m]) {
+                let mut buf = frame_of(&msg);
                 let got: Message = pscc_net::codec::decode_frame(&mut buf)
                     .expect("decode")
                     .expect("complete frame");
@@ -1949,6 +2020,241 @@ mod tests {
                 assert!(buf.is_empty());
             }
         }
+    }
+
+    fn frame_of(msg: &Message) -> bytes::BytesMut {
+        let mut buf = bytes::BytesMut::new();
+        pscc_net::codec::encode_frame(msg, &mut buf).expect("encode");
+        buf
+    }
+
+    fn decode(frame: &[u8]) -> Result<Option<Message>, pscc_net::codec::CodecError> {
+        pscc_net::codec::decode_frame(&mut bytes::BytesMut::from(frame))
+    }
+
+    #[test]
+    fn every_strict_prefix_of_a_frame_waits_for_more() {
+        for m in samples() {
+            let frame = frame_of(&m);
+            for cut in 0..frame.len() {
+                assert!(
+                    matches!(decode(&frame[..cut]), Ok(None)),
+                    "{} cut at {cut}",
+                    variant_name(&m)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn tags_are_table_rows() {
+        for (row, m) in samples().iter().enumerate() {
+            let mut bytes = Vec::new();
+            m.put(&mut bytes);
+            let expected = if row + 1 == VARIANTS.len() {
+                ENVELOPE_TAG
+            } else {
+                row as u8
+            };
+            assert_eq!(bytes[0], expected, "{}", variant_name(m));
+        }
+    }
+
+    #[test]
+    fn unknown_tags_and_nested_envelopes_are_refused() {
+        let rows = VARIANTS.len() as u8 - 1;
+        for tag in rows..ENVELOPE_TAG {
+            assert!(matches!(
+                pscc_common::wire::decode::<Message>(&[tag]),
+                Err(WireError::Tag { ty: "Message", tag: t }) if t == tag
+            ));
+        }
+        let nested = traced(traced(Message::Heartbeat));
+        let mut bytes = Vec::new();
+        nested.put(&mut bytes);
+        assert_eq!(
+            pscc_common::wire::decode::<Message>(&bytes),
+            Err(WireError::Invalid("a tracing envelope inside another"))
+        );
+        // Ten thousand envelopes deep: refused at the second one, not by
+        // overflowing the reader's stack.
+        let mut deep = Vec::new();
+        for _ in 0..10_000 {
+            deep.push(ENVELOPE_TAG);
+            deep.extend_from_slice(&[0; 32]);
+        }
+        assert!(pscc_common::wire::decode::<Message>(&deep).is_err());
+    }
+
+    #[test]
+    fn a_huge_inner_length_is_refused() {
+        // A 20-byte frame: ObjectBytes whose byte vector claims u32::MAX.
+        let mut frame = vec![0, 0, 0, 16];
+        let mut payload = Vec::new();
+        Message::ObjectBytes {
+            req: ReqId(1),
+            bytes: Some(Vec::new()),
+        }
+        .put(&mut payload);
+        let len_at = payload.len() - 4;
+        payload[len_at..].copy_from_slice(&u32::MAX.to_le_bytes());
+        payload.extend_from_slice(&[1, 2]);
+        frame.extend_from_slice(&payload);
+        assert_eq!(frame.len(), 20);
+        assert!(matches!(
+            decode(&frame),
+            Err(pscc_net::codec::CodecError::Malformed(WireError::Truncated))
+        ));
+    }
+
+    #[test]
+    fn a_short_page_image_is_refused_not_a_panic() {
+        // A peer's 3-byte image would panic `lsn()` at the client.
+        let msg = Message::ReadReply {
+            req: ReqId(7),
+            snapshot: PageSnapshot {
+                page: PageId::new(FileId::new(VolId(0), 0), 1),
+                image: SlottedPage::from_bytes(vec![1, 2, 3]),
+                avail: AvailMask::all_available(1),
+                ship_seq: 1,
+            },
+        };
+        assert!(matches!(
+            decode(&frame_of(&msg)),
+            Err(pscc_net::codec::CodecError::Malformed(WireError::Invalid(
+                _
+            )))
+        ));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Flipped bytes in any variant's frame, and random payloads,
+        /// decode to a message or an error, never a panic.
+        #[test]
+        fn damaged_frames_never_panic(
+            pick in 0usize..67,
+            flips in proptest::collection::vec(
+                (proptest::prelude::any::<u32>(), proptest::prelude::any::<u8>()),
+                1..6,
+            ),
+            junk in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..120),
+        ) {
+            let msgs = samples();
+            let mut frame = frame_of(&msgs[pick % msgs.len()]).to_vec();
+            for (at, value) in flips {
+                // Leave the length prefix alone: a longer one only waits.
+                let at = 4 + at as usize % (frame.len() - 4);
+                frame[at] ^= value | 1;
+            }
+            let _ = decode(&frame);
+            let _ = pscc_common::wire::decode::<Message>(&junk);
+        }
+    }
+
+    #[test]
+    fn small_frames_are_pinned() {
+        // A changed encoding must fail here, and bump `WIRE_VERSION`.
+        let t = TxnId::new(SiteId(1), 7);
+        let oid = Oid::new(PageId::new(FileId::new(VolId(0), 3), 5), 2);
+        #[rustfmt::skip]
+        let read_obj = [
+            0, 0, 0, 35,                 // frame length, big-endian
+            0,                           // tag: row 0, ReadObj
+            11, 0, 0, 0, 0, 0, 0, 0,     // req
+            1, 0, 0, 0,                  // txn.site
+            7, 0, 0, 0, 0, 0, 0, 0,      // txn.seq
+            0, 0, 0, 0, 3, 0, 0, 0,      // oid.page.file (vol, file)
+            5, 0, 0, 0, 2, 0,            // oid.page.page, oid.slot
+        ];
+        let msg = Message::ReadObj {
+            req: ReqId(11),
+            txn: t,
+            oid,
+        };
+        assert_eq!(&frame_of(&msg)[..], read_obj);
+        #[rustfmt::skip]
+        let cb_ok = [
+            0, 0, 0, 10,                 // frame length
+            11,                          // tag: row 11, CbOk
+            12, 0, 0, 0, 0, 0, 0, 0,     // cb
+            1,                           // purged_page
+        ];
+        let msg = Message::CbOk {
+            cb: CbId(12),
+            purged_page: true,
+        };
+        assert_eq!(&frame_of(&msg)[..], cb_ok);
+        #[rustfmt::skip]
+        let commit_req = [
+            0, 0, 0, 64,                 // frame length
+            17,                          // tag: row 17, CommitReq
+            11, 0, 0, 0, 0, 0, 0, 0,     // req
+            1, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, // txn
+            1, 0, 0, 0,                  // one record
+            1, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, // record txn
+            0,                           // LogPayload::Update
+            0, 0, 0, 0, 3, 0, 0, 0, 5, 0, 0, 0, 2, 0, // oid
+            2, 0, 0, 0, 1, 2,            // before
+            2, 0, 0, 0, 3, 4,            // after
+        ];
+        let msg = Message::CommitReq {
+            req: ReqId(11),
+            txn: t,
+            records: vec![LogRecord::update(t, oid, vec![1, 2], vec![3, 4])],
+        };
+        assert_eq!(&frame_of(&msg)[..], commit_req);
+    }
+
+    #[test]
+    fn page_ship_header_is_pinned() {
+        let mut image = SlottedPage::new(4096);
+        image.insert(b"object body").expect("room for the object");
+        let msg = Message::ReadReply {
+            req: ReqId(11),
+            snapshot: PageSnapshot {
+                page: PageId::new(FileId::new(VolId(0), 3), 5),
+                image: image.clone(),
+                avail: AvailMask::all_available(1),
+                ship_seq: 4,
+            },
+        };
+        let frame = frame_of(&msg);
+        #[rustfmt::skip]
+        let head = [
+            0, 0, 0x10, 0x29,            // frame length 4 137
+            2,                           // tag: row 2, ReadReply
+            11, 0, 0, 0, 0, 0, 0, 0,     // req
+            0, 0, 0, 0, 3, 0, 0, 0, 5, 0, 0, 0, // snapshot.page
+            0, 0x10, 0, 0,               // image length 4 096
+        ];
+        #[rustfmt::skip]
+        let tail = [
+            1, 0, 0, 0, 0, 0, 0, 0x80,   // avail: slot 0 and the dummy
+            4, 0, 0, 0, 0, 0, 0, 0,      // ship_seq
+        ];
+        assert_eq!(frame[..head.len()], head);
+        assert_eq!(frame[head.len()..head.len() + 4096], *image.as_bytes());
+        assert_eq!(frame[head.len() + 4096..], tail);
+    }
+
+    #[test]
+    fn every_variant_encoding_is_pinned() {
+        // One FNV-1a over all of `samples()`' frames: catches a moved
+        // field of the same type (lo/hi) that the round trip cannot. A
+        // deliberate change re-pins this and bumps `WIRE_VERSION`.
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for m in samples() {
+            for b in frame_of(&m).iter() {
+                h ^= u64::from(*b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!(
+            h, 0x914e_60f1_fdf7_abda,
+            "the wire encoding of some variant changed"
+        );
     }
 
     /// The classification functions as they stood before the message

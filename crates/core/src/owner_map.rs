@@ -6,7 +6,6 @@
 //! equal pieces, §5.5).
 
 use pscc_common::{PageId, SiteId};
-use serde::{Deserialize, Serialize};
 
 /// A page that no range of the layout covers.
 ///
@@ -29,7 +28,7 @@ impl std::fmt::Display for OwnershipError {
 impl std::error::Error for OwnershipError {}
 
 /// Which site owns each page of the (single, conceptual) database file.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OwnerMap {
     /// One site owns everything (client-server configuration).
     Single(SiteId),

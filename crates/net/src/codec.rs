@@ -1,33 +1,33 @@
-//! Wire framing: length-prefixed serde/JSON frames over a byte stream.
+//! Wire framing: length-prefixed binary frames over a byte stream.
 //!
-//! The in-process transports move typed messages directly; this codec is
-//! what a TCP deployment of the peer-servers architecture would put on
+//! A frame is `[u32 BE payload length | payload]`, the payload one
+//! message in its [`Wire`] encoding. The in-process transports move
+//! typed messages directly; this codec is what the TCP transport puts on
 //! each connection (one frame per protocol message, preserving per-path
-//! FIFO exactly like an SP2 switch connection). It is exercised by the
-//! test suite to guarantee every protocol message survives a byte-level
-//! round trip.
+//! FIFO exactly like an SP2 switch connection).
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::de::DeserializeOwned;
-use serde::Serialize;
+use bytes::{Buf, BufMut, BytesMut};
+use pscc_common::wire::{self, Wire, WireError};
 use std::fmt;
 
-/// Maximum frame size accepted (1 GiB guard against corrupt prefixes).
+/// Maximum frame payload accepted, and written (1 GiB guard against
+/// corrupt prefixes).
 const MAX_FRAME: u32 = 1 << 30;
 
 /// Errors from the frame codec.
 #[derive(Debug)]
 pub enum CodecError {
-    /// The payload failed to (de)serialize.
-    Serde(String),
-    /// A length prefix exceeded [`MAX_FRAME`].
-    Oversized(u32),
+    /// The payload is not one message.
+    Malformed(WireError),
+    /// A payload length over [`MAX_FRAME`]: read from a prefix, or of a
+    /// message to be written.
+    Oversized(usize),
 }
 
 impl fmt::Display for CodecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CodecError::Serde(e) => write!(f, "frame serde error: {e}"),
+            CodecError::Malformed(e) => write!(f, "malformed frame: {e}"),
             CodecError::Oversized(n) => write!(f, "frame of {n} bytes exceeds the limit"),
         }
     }
@@ -39,56 +39,63 @@ impl std::error::Error for CodecError {}
 ///
 /// # Errors
 ///
-/// [`CodecError::Serde`] if the message fails to serialize.
-pub fn encode_frame<M: Serialize>(msg: &M, out: &mut BytesMut) -> Result<(), CodecError> {
-    let payload = serde_json::to_vec(msg).map_err(|e| CodecError::Serde(e.to_string()))?;
+/// [`CodecError::Oversized`] if the message encodes to more than
+/// [`MAX_FRAME`] bytes, which [`decode_frame`] would refuse; `out` is
+/// then unchanged.
+pub fn encode_frame<M: Wire>(msg: &M, out: &mut BytesMut) -> Result<(), CodecError> {
+    let mut payload = Vec::with_capacity(128);
+    msg.put(&mut payload);
+    let len = frame_len(payload.len())?;
     out.reserve(4 + payload.len());
-    out.put_u32(payload.len() as u32);
+    out.put_u32(len);
     out.put_slice(&payload);
     Ok(())
 }
 
+/// The length prefix of a payload of `n` bytes.
+fn frame_len(n: usize) -> Result<u32, CodecError> {
+    u32::try_from(n)
+        .ok()
+        .filter(|len| *len <= MAX_FRAME)
+        .ok_or(CodecError::Oversized(n))
+}
+
 /// Attempts to decode one frame from the front of `buf`. Returns
-/// `Ok(None)` when more bytes are needed (the buffer is untouched then).
+/// `Ok(None)` when more bytes are needed (the buffer is untouched then);
+/// otherwise the frame is consumed, whether or not it decodes.
 ///
 /// # Errors
 ///
 /// [`CodecError::Oversized`] on an absurd length prefix;
-/// [`CodecError::Serde`] on a corrupt payload.
-pub fn decode_frame<M: DeserializeOwned>(buf: &mut BytesMut) -> Result<Option<M>, CodecError> {
-    if buf.len() < 4 {
+/// [`CodecError::Malformed`] on a payload that is not one message.
+pub fn decode_frame<M: Wire>(buf: &mut BytesMut) -> Result<Option<M>, CodecError> {
+    let Some(&[a, b, c, d]) = buf.get(..4) else {
         return Ok(None);
-    }
-    let Ok(prefix) = <[u8; 4]>::try_from(&buf[0..4]) else {
-        // Unreachable after the length check, but a malformed peer
-        // stream must never panic the reader thread.
-        return Err(CodecError::Serde("short length prefix".to_string()));
     };
-    let len = u32::from_be_bytes(prefix);
+    let len = u32::from_be_bytes([a, b, c, d]);
     if len > MAX_FRAME {
-        return Err(CodecError::Oversized(len));
+        return Err(CodecError::Oversized(len as usize));
     }
-    if buf.len() < 4 + len as usize {
+    let end = 4 + len as usize;
+    let Some(payload) = buf.get(4..end) else {
         return Ok(None);
-    }
-    buf.advance(4);
-    let payload: Bytes = buf.split_to(len as usize).freeze();
-    serde_json::from_slice(&payload)
-        .map(Some)
-        .map_err(|e| CodecError::Serde(e.to_string()))
+    };
+    let msg = wire::decode(payload);
+    buf.advance(end);
+    msg.map(Some).map_err(CodecError::Malformed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde::Deserialize;
 
-    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    #[derive(Debug, PartialEq)]
     struct Probe {
         a: u64,
         b: Vec<u8>,
         c: String,
     }
+    pscc_common::impl_wire!(struct Probe { a, b, c });
 
     fn probe(n: u64) -> Probe {
         Probe {
@@ -148,13 +155,38 @@ mod tests {
     }
 
     #[test]
+    fn encoder_refuses_what_the_decoder_would() {
+        let max = MAX_FRAME as usize;
+        assert_eq!(frame_len(max).ok(), Some(MAX_FRAME));
+        for n in [max + 1, u32::MAX as usize + 1] {
+            assert!(matches!(frame_len(n), Err(CodecError::Oversized(got)) if got == n));
+        }
+    }
+
+    #[test]
     fn corrupt_payload_rejected() {
         let mut buf = BytesMut::new();
         buf.put_u32(4);
         buf.put_slice(b"!!!!");
         assert!(matches!(
             decode_frame::<Probe>(&mut buf),
-            Err(CodecError::Serde(_))
+            Err(CodecError::Malformed(_))
+        ));
+        assert!(buf.is_empty(), "the bad frame is consumed");
+    }
+
+    #[test]
+    fn huge_inner_length_is_refused_without_allocating() {
+        // A 20-byte frame whose byte vector claims u32::MAX elements.
+        let mut buf = BytesMut::new();
+        buf.put_u32(16);
+        buf.put_slice(&7u64.to_le_bytes());
+        buf.put_slice(&u32::MAX.to_le_bytes());
+        buf.put_slice(b"abcd");
+        assert_eq!(buf.len(), 20);
+        assert!(matches!(
+            decode_frame::<Probe>(&mut buf),
+            Err(CodecError::Malformed(WireError::Truncated))
         ));
     }
 }

@@ -7,18 +7,18 @@
 //!
 //! Topology: every node listens on one address; outgoing connections are
 //! opened lazily per `(destination, path)` and announce `(site, path)`
-//! in a handshake frame. A reader thread per accepted connection decodes
-//! frames into the node's mailbox — the same two-lane monitor the
-//! in-process network uses, so a site blocks, and is woken, the same way
-//! over either transport.
+//! and the [`WIRE_VERSION`] in a handshake frame; a reader refuses a
+//! connection that speaks another version. A reader thread per accepted
+//! connection decodes frames into the node's mailbox — the same two-lane
+//! monitor the in-process network uses, so a site blocks, and is woken,
+//! the same way over either transport.
 
 use crate::codec::{decode_frame, encode_frame};
 use crate::mailbox::{self, mailbox};
 use crate::{Envelope, LaneClassifier, PathId, Transport, Waker, DEFAULT_MAILBOX_CAPACITY};
 use bytes::BytesMut;
+use pscc_common::wire::{Wire, WIRE_VERSION};
 use pscc_common::SiteId;
-use serde::de::DeserializeOwned;
-use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -27,11 +27,16 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-#[derive(Debug, Serialize, Deserialize)]
+/// The first frame on every connection: which encoding the writer speaks
+/// and who writes on which path. A reader drops a connection whose
+/// handshake names another version, or does not decode as this one.
+#[derive(Debug)]
 struct Handshake {
+    version: u8,
     site: u32,
     path: u8,
 }
+pscc_common::impl_wire!(struct Handshake { version, site, path });
 
 /// Wire-level counters of one [`TcpNode`], shared with its reader
 /// threads. Message frames only — handshake frames are excluded from
@@ -49,8 +54,9 @@ pub struct NetStats {
     pub bytes_received: AtomicU64,
     /// Send attempts retried after a connect/write failure.
     pub retries: AtomicU64,
-    /// Connections that died: read/decode errors, peer closes, and sends
-    /// abandoned after the retry budget. Never silently swallowed.
+    /// Connections that died: read/decode errors, peer closes, a
+    /// handshake in another wire version, and sends abandoned after the
+    /// retry budget or refused as oversized. Never silently swallowed.
     pub disconnects: AtomicU64,
 }
 
@@ -107,7 +113,7 @@ pub struct TcpNode<M> {
     fault_hook: Mutex<Option<crate::fault::FaultHook>>,
 }
 
-impl<M: Serialize + DeserializeOwned + Send + 'static> TcpNode<M> {
+impl<M: Wire + Send + 'static> TcpNode<M> {
     /// Binds `listen` and starts accepting; `peers` maps every other
     /// site to its listen address.
     ///
@@ -239,6 +245,7 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> TcpNode<M> {
         let mut buf = BytesMut::new();
         encode_frame(
             &Handshake {
+                version: WIRE_VERSION,
                 site: self.site.0,
                 path: path.0,
             },
@@ -300,7 +307,7 @@ impl<M> Drop for TcpNode<M> {
     }
 }
 
-fn reader_loop<M: DeserializeOwned + Send + 'static>(
+fn reader_loop<M: Wire + Send + 'static>(
     mut stream: TcpStream,
     to: SiteId,
     tx: mailbox::Sender<M>,
@@ -330,7 +337,13 @@ fn reader_loop<M: DeserializeOwned + Send + 'static>(
         loop {
             if from.is_none() {
                 match decode_frame::<Handshake>(&mut buf) {
-                    Ok(Some(h)) => from = Some((SiteId(h.site), PathId(h.path))),
+                    Ok(Some(h)) if h.version == WIRE_VERSION => {
+                        from = Some((SiteId(h.site), PathId(h.path)));
+                    }
+                    Ok(Some(h)) => {
+                        disconnect(Some((SiteId(h.site), PathId(h.path))), "wire version");
+                        return;
+                    }
                     Ok(None) => break,
                     Err(_) => {
                         disconnect(from, "bad handshake frame");
@@ -392,7 +405,7 @@ fn reader_loop<M: DeserializeOwned + Send + 'static>(
     }
 }
 
-impl<M: Serialize + DeserializeOwned + Send + 'static> Transport<M> for TcpNode<M> {
+impl<M: Wire + Send + 'static> Transport<M> for TcpNode<M> {
     fn send(&self, to: SiteId, path: PathId, msg: M) {
         #[cfg(feature = "spans")]
         let _span = pscc_obs::span("tcp_send");
@@ -414,7 +427,11 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> Transport<M> for TcpNode<
         // same encoded frame.
         let mut buf = BytesMut::new();
         if encode_frame(&msg, &mut buf).is_err() {
-            return; // local serialization bug; nothing to retry
+            // Over the frame limit: no retry can send it. Surface it as
+            // an abandoned send.
+            self.stats.disconnects.fetch_add(1, Ordering::Relaxed);
+            trace_record(&self.trace, pscc_obs::EventKind::NetDisconnect { peer: to });
+            return;
         }
         // Physical duplicate on the same ordered stream.
         #[cfg(feature = "fault-inject")]
@@ -575,6 +592,57 @@ mod tests {
             "peer close was swallowed"
         );
         n1.shutdown();
+    }
+
+    /// Opens a raw connection to `node`, writes a hand-built handshake in
+    /// `version` and one `String` frame, and returns the connection (open,
+    /// so that its close is not what the node counts) and what `node`
+    /// delivered.
+    fn handshake_in(
+        version: u8,
+        node: &TcpNode<String>,
+        addr: SocketAddr,
+    ) -> (TcpStream, Option<String>) {
+        let mut frame = vec![0, 0, 0, 6, version];
+        frame.extend_from_slice(&7u32.to_le_bytes()); // site 7
+        frame.push(0); // path 0
+        frame.extend_from_slice(&[0, 0, 0, 6, 2, 0, 0, 0, b'h', b'i']);
+        let mut raw = TcpStream::connect(addr).expect("connect");
+        raw.write_all(&frame).expect("write");
+        let got = node.recv_timeout(Duration::from_millis(300)).map(|env| {
+            assert_eq!(env.from, SiteId(7));
+            env.msg
+        });
+        (raw, got)
+    }
+
+    #[test]
+    fn tcp_reader_refuses_another_wire_version() {
+        let l = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = addr_of(&l);
+        drop(l);
+        let node = TcpNode::<String>::start(SiteId(0), addr, HashMap::new()).unwrap();
+        let trace = pscc_obs::event::TraceHandle::new(SiteId(0), 64);
+        node.set_trace(trace.clone());
+        let (_current, got) = handshake_in(WIRE_VERSION, &node, addr);
+        assert_eq!(got.as_deref(), Some("hi"));
+        assert_eq!(node.stats().disconnects.load(Ordering::Relaxed), 0);
+
+        let (_other, got) = handshake_in(WIRE_VERSION + 1, &node, addr);
+        assert_eq!(got, None);
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while node.stats().disconnects.load(Ordering::Relaxed) == 0
+            && std::time::Instant::now() < deadline
+        {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(node.stats().disconnects.load(Ordering::Relaxed), 1);
+        assert_eq!(node.stats().frames_received.load(Ordering::Relaxed), 1);
+        assert!(trace.snapshot().iter().any(|e| matches!(
+            e.kind,
+            pscc_obs::EventKind::NetDisconnect { peer: SiteId(7) }
+        )));
+        node.shutdown();
     }
 
     #[cfg(feature = "fault-inject")]

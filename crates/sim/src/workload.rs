@@ -18,10 +18,9 @@
 
 use pscc_common::{FileId, Oid, PageId, SystemConfig, VolId};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Which of the paper's three data-sharing patterns to generate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkloadKind {
     /// High per-application locality, moderate sharing (80% of accesses
     /// to a private 450-page hot range).
@@ -59,7 +58,7 @@ impl std::fmt::Display for WorkloadKind {
 }
 
 /// A fully parameterized workload (Table 2 row).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorkloadSpec {
     /// The sharing pattern.
     pub kind: WorkloadKind,

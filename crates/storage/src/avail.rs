@@ -6,7 +6,6 @@
 //! *dummy object* (paper §4.3.2), which occupies the top bit.
 
 use pscc_common::ids::DUMMY_SLOT;
-use serde::{Deserialize, Serialize};
 
 const DUMMY_BIT: u64 = 1 << 63;
 /// Maximum real slot index representable.
@@ -24,7 +23,7 @@ pub const MAX_SLOT: u16 = 62;
 /// assert!(!m.is_available(3));
 /// assert!(m.is_dummy_available());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct AvailMask {
     bits: u64,
 }
@@ -105,6 +104,8 @@ impl AvailMask {
         }
     }
 }
+
+pscc_common::impl_wire!(struct AvailMask { bits });
 
 #[cfg(test)]
 mod tests {

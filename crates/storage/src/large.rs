@@ -9,14 +9,13 @@
 //! matters for multi-gigabyte objects).
 
 use pscc_common::{Oid, PageId, PsccError};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// The header of a large object: total size and the ordered list of data
 /// pages. Serialized into an ordinary small-object slot; the consistency
 /// protocol locks the header `Oid` (paper §4.4: "access to large objects
 /// can be controlled by locking their headers").
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct LargeHeader {
     /// Total byte length of the object.
     pub size: u64,
@@ -65,7 +64,7 @@ impl LargeHeader {
 
 /// Storage for large-object data pages (raw byte pages, not slotted —
 /// they are private to one object and never share space, paper §4.4).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct LargeObjectStore {
     page_payload: u32,
     pages: BTreeMap<PageId, Vec<u8>>,

@@ -14,8 +14,10 @@
 //! slot `i` at `page_size - 4*(i+1)`. A dead slot has offset
 //! [`DEAD_OFFSET`]. Records are raw object bytes.
 
-use serde::{Deserialize, Serialize};
+use pscc_common::wire::{Wire, WireError};
 
+/// The page sizes [`SlottedPage::new`] accepts (offsets are 16-bit).
+const PAGE_SIZES: std::ops::RangeInclusive<usize> = 64..=65_536;
 /// Size of the page header in bytes.
 pub const HEADER_SIZE: usize = 16;
 /// Size of one slot descriptor in bytes.
@@ -35,7 +37,7 @@ const DEAD_OFFSET: u16 = u16::MAX;
 /// p.update(s, b"world").unwrap();
 /// assert_eq!(p.get(s), Some(&b"world"[..]));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlottedPage {
     data: Vec<u8>,
 }
@@ -48,7 +50,10 @@ impl SlottedPage {
     /// Panics if `page_size` is smaller than 64 bytes or larger than
     /// 65 536 (offsets are 16-bit).
     pub fn new(page_size: u32) -> Self {
-        assert!((64..=65_536).contains(&page_size), "unsupported page size");
+        assert!(
+            PAGE_SIZES.contains(&(page_size as usize)),
+            "unsupported page size"
+        );
         let mut p = SlottedPage {
             data: vec![0; page_size as usize],
         };
@@ -261,6 +266,57 @@ impl SlottedPage {
     pub fn size(&self) -> usize {
         self.data.len()
     }
+
+    /// Checks that the image is a layout this type's methods can work on
+    /// without indexing outside it: a size [`SlottedPage::new`] accepts,
+    /// a slot array below the header, a free offset inside the record
+    /// area, every live record inside the allocated part of it, and no
+    /// more live and hole bytes than that part holds.
+    fn check_layout(&self) -> Result<(), &'static str> {
+        if !PAGE_SIZES.contains(&self.data.len()) {
+            return Err("page size outside 64..=65536");
+        }
+        let slots_start = self
+            .data
+            .len()
+            .checked_sub(SLOT_SIZE * self.slot_count() as usize)
+            .filter(|s| *s >= HEADER_SIZE)
+            .ok_or("slot array overlaps the page header")?;
+        let free = self.free_offset() as usize;
+        if !(HEADER_SIZE..=slots_start).contains(&free) {
+            return Err("free offset outside the record area");
+        }
+        let mut used = self.hole_bytes() as usize;
+        for slot in 0..self.slot_count() {
+            let Some((off, len)) = self.slot(slot) else {
+                continue;
+            };
+            if (off as usize) < HEADER_SIZE || off as usize + len as usize > free {
+                return Err("live slot outside the record area");
+            }
+            used += len as usize;
+        }
+        if used > free - HEADER_SIZE {
+            return Err("records and holes exceed the record area");
+        }
+        Ok(())
+    }
+}
+
+/// A page image is its bytes; decoding refuses an image whose layout
+/// would make the page's own methods index outside it.
+impl Wire for SlottedPage {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.data.put(out);
+    }
+
+    fn get(input: &mut &[u8]) -> Result<Self, WireError> {
+        let page = SlottedPage {
+            data: Vec::get(input)?,
+        };
+        page.check_layout().map_err(WireError::Invalid)?;
+        Ok(page)
+    }
 }
 
 #[cfg(test)]
@@ -371,6 +427,46 @@ mod tests {
             }
         }
         assert_eq!(p.hole_bytes(), 0);
+    }
+
+    #[test]
+    fn decoding_refuses_layouts_the_methods_would_index_outside() {
+        let mut good = SlottedPage::new(128);
+        good.insert(&[5u8; 20]).unwrap();
+        let decode = |page: &SlottedPage| {
+            let mut image = Vec::new();
+            page.put(&mut image);
+            pscc_common::wire::decode::<SlottedPage>(&image)
+        };
+        assert_eq!(decode(&good), Ok(good.clone()));
+        let broken = |edit: &dyn Fn(&mut SlottedPage)| {
+            let mut page = good.clone();
+            edit(&mut page);
+            decode(&page)
+        };
+        let refused = |why| Err(WireError::Invalid(why));
+        for size in [3, 63, 65_537] {
+            assert_eq!(
+                decode(&SlottedPage::from_bytes(vec![0; size])),
+                refused("page size outside 64..=65536")
+            );
+        }
+        assert_eq!(
+            broken(&|p| p.set_slot_count(29)),
+            refused("slot array overlaps the page header")
+        );
+        assert_eq!(
+            broken(&|p| p.set_free_offset(125)),
+            refused("free offset outside the record area")
+        );
+        assert_eq!(
+            broken(&|p| p.set_slot(0, 30, 20)),
+            refused("live slot outside the record area")
+        );
+        assert_eq!(
+            broken(&|p| p.set_hole_bytes(1)),
+            refused("records and holes exceed the record area")
+        );
     }
 
     #[test]

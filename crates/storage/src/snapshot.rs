@@ -6,10 +6,9 @@
 use crate::avail::AvailMask;
 use crate::page::SlottedPage;
 use pscc_common::PageId;
-use serde::{Deserialize, Serialize};
 
 /// A shipped page copy.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PageSnapshot {
     /// Which page this is a copy of.
     pub page: PageId,
@@ -31,6 +30,13 @@ impl PageSnapshot {
         self.image.size() + 32
     }
 }
+
+pscc_common::impl_wire!(struct PageSnapshot {
+    page,
+    image,
+    avail,
+    ship_seq,
+});
 
 #[cfg(test)]
 mod tests {

@@ -6,7 +6,6 @@
 
 use crate::page::{SlottedPage, SLOT_SIZE};
 use pscc_common::{FileId, Oid, PageId, PsccError, SystemConfig, VolId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Marker prefix distinguishing a forwarding tombstone from object bytes.
@@ -15,7 +14,7 @@ use std::collections::BTreeMap;
 const FORWARD_MAGIC: [u8; 4] = *b"\xffFWD";
 
 /// Per-file metadata.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 struct FileMeta {
     pages: Vec<u32>,
 }
@@ -31,7 +30,7 @@ struct FileMeta {
 /// let vol = Volume::create_database(VolId(0), &cfg);
 /// assert_eq!(vol.page_count(), cfg.database_pages as usize);
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Volume {
     id: VolId,
     page_size: u32,

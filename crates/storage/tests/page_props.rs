@@ -1,8 +1,11 @@
 //! Property tests: the slotted page must behave like a `HashMap<slot,
 //! Vec<u8>>` under any sequence of inserts, updates, and deletes, and
-//! must never lose bytes to fragmentation that compaction could reclaim.
+//! must never lose bytes to fragmentation that compaction could reclaim;
+//! every image it builds must pass the wire decoder's layout check, and
+//! every image that passes it must be safe to operate on.
 
 use proptest::prelude::*;
+use pscc_common::wire::{self, Wire};
 use pscc_storage::{SlottedPage, HEADER_SIZE, SLOT_SIZE};
 use std::collections::HashMap;
 
@@ -90,10 +93,56 @@ proptest! {
             );
         }
 
-        // Serialization: a byte-level round trip preserves everything.
+        // Serialization: a byte-level round trip preserves everything,
+        // and the decoder's layout check accepts what the methods built.
         let copy = SlottedPage::from_bytes(page.as_bytes().to_vec());
         for (slot, bytes) in &model {
             prop_assert_eq!(copy.get(*slot), Some(&bytes[..]));
+        }
+        let mut image = Vec::new();
+        page.put(&mut image);
+        prop_assert_eq!(wire::decode::<SlottedPage>(&image), Ok(page));
+    }
+
+    /// A peer's page image with corrupted header or slot bytes either
+    /// fails to decode or is a page every method works on.
+    #[test]
+    fn decoded_images_are_safe_to_use(
+        lens in proptest::collection::vec(0usize..60, 0..12),
+        flips in proptest::collection::vec((0usize..40, any::<u8>()), 1..6),
+        body in proptest::collection::vec(any::<u8>(), 0..300),
+    ) {
+        let mut page = SlottedPage::new(512);
+        for (i, len) in lens.iter().enumerate() {
+            page.insert(&vec![i as u8; *len]);
+            if i % 3 == 2 {
+                page.delete((i / 2) as u16);
+            }
+        }
+        let mut image = Vec::new();
+        page.put(&mut image);
+        // Bytes 4..20 are the page header, the last 20 its slot array.
+        let n = image.len();
+        for (at, value) in flips {
+            let pos = if at < 16 { 4 + at } else { n - (at - 15) };
+            image[pos] = value;
+        }
+        if let Ok(mut got) = wire::decode::<SlottedPage>(&image) {
+            for slot in 0..got.slot_count() {
+                let _ = got.get(slot);
+            }
+            let live = got.live_slots();
+            if let Some(&slot) = live.first() {
+                let _ = got.update(slot, &body);
+                got.delete(slot);
+            }
+            let _ = got.insert(&body);
+            if let Some(&slot) = live.last() {
+                let _ = got.update(slot, &body);
+            }
+            got.compact();
+            let _ = got.insert(&body);
+            prop_assert!(got.free_space() <= got.size());
         }
     }
 

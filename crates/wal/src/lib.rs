@@ -47,16 +47,14 @@
 //! assert!(cache.drain_txn(txn).is_empty());
 //! ```
 
+use pscc_common::wire::{self, Wire};
 use pscc_common::{Oid, PageId, PsccError, SiteId, TxnId};
 use pscc_storage::{SlottedPage, Volume};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// A log sequence number assigned by a server's log.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Lsn(pub u64);
 
 impl fmt::Display for Lsn {
@@ -66,7 +64,7 @@ impl fmt::Display for Lsn {
 }
 
 /// What a log record describes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LogPayload {
     /// An object overwrite, with before- and after-images (the
     /// before-image enables server-side undo of shipped-but-uncommitted
@@ -201,8 +199,26 @@ impl LogPayload {
     }
 }
 
+pscc_common::impl_wire!(struct Lsn { 0 });
+pscc_common::impl_wire!(enum LogPayload {
+    Update { oid, before, after },
+    Create { oid, body },
+    Delete { oid, before },
+    Prepare,
+    Commit,
+    Abort,
+    MigrateBegin { lo, hi, to },
+    MigrateCommit { lo, hi, to, layout },
+    MigrateRollback { lo, hi },
+    MigrateEnd { lo, hi },
+    MigrateIn { from, page, image },
+    MigrateInEnd { from, lo, hi, layout, n },
+    MigrateLand { from, lo, hi, layout },
+});
+pscc_common::impl_wire!(struct LogRecord { txn, payload });
+
 /// One log record.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogRecord {
     /// The transaction that generated it.
     pub txn: TxnId,
@@ -697,46 +713,49 @@ thread_local! {
     static FRAMES_ENCODED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// Appends one `[len | checksum | payload]` frame to `buf`.
+/// Appends one `[len | checksum | payload]` frame to `buf`: the
+/// payload's length and FNV-1a checksum as little-endian `u32`s, then
+/// the [`Wire`] encoding of `(lsn, record)`.
 fn encode_frame(buf: &mut Vec<u8>, lsn: Lsn, rec: &LogRecord) {
     #[cfg(test)]
     FRAMES_ENCODED.with(|n| n.set(n.get() + 1));
-    let payload = serde_json::to_vec(&(lsn, rec)).expect("log record serializes");
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&fnv32(&payload).to_le_bytes());
-    buf.extend_from_slice(&payload);
+    let header = buf.len();
+    buf.extend_from_slice(&[0; 8]);
+    lsn.put(buf);
+    rec.put(buf);
+    let payload = &buf[header + 8..];
+    let len = u32::try_from(payload.len()).expect("a log record under 4 GiB");
+    let sum = fnv32(payload);
+    buf[header..header + 4].copy_from_slice(&len.to_le_bytes());
+    buf[header + 4..header + 8].copy_from_slice(&sum.to_le_bytes());
 }
 
 /// Decodes a durable log image back into `(lsn, record)` pairs.
 ///
 /// A crash can tear the tail of the image mid-frame; analysis must not
-/// panic on it. Decoding stops at the first incomplete or
-/// checksum-corrupt frame and reports it through the second return
-/// value — the intact prefix is the recoverable log.
+/// panic on it. Decoding stops at the first incomplete, checksum-corrupt
+/// or undecodable frame and reports it through the second return value
+/// — the intact prefix is the recoverable log.
 pub fn decode_log(bytes: &[u8]) -> (Vec<(Lsn, LogRecord)>, bool) {
     let mut out = Vec::new();
-    let mut at = 0usize;
-    while at < bytes.len() {
-        if at + 8 > bytes.len() {
-            return (out, true); // torn inside a frame header
-        }
-        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
-        let sum = u32::from_le_bytes(bytes[at + 4..at + 8].try_into().unwrap());
-        let start = at + 8;
-        let Some(end) = start.checked_add(len).filter(|e| *e <= bytes.len()) else {
-            return (out, true); // torn inside the payload
+    let mut rest = bytes;
+    while !rest.is_empty() {
+        let Ok(pair) = next_frame(&mut rest) else {
+            return (out, true);
         };
-        let payload = &bytes[start..end];
-        if fnv32(payload) != sum {
-            return (out, true); // corrupt frame
-        }
-        match serde_json::from_slice::<(Lsn, LogRecord)>(payload) {
-            Ok(pair) => out.push(pair),
-            Err(_) => return (out, true),
-        }
-        at = end;
+        out.push(pair);
     }
     (out, false)
+}
+
+/// Decodes the frame at the front of `rest` and advances past it.
+fn next_frame(rest: &mut &[u8]) -> Result<(Lsn, LogRecord), wire::WireError> {
+    let (len, sum) = <(u32, u32)>::get(rest)?;
+    let payload = wire::take(rest, len as usize)?;
+    if fnv32(payload) != sum {
+        return Err(wire::WireError::Invalid("log frame checksum"));
+    }
+    wire::decode(payload)
 }
 
 /// Stamps `page`'s header LSN after a redo application, never moving it
@@ -1115,6 +1134,183 @@ mod tests {
         let (recs, torn) = decode_log(&corrupt);
         assert!(torn);
         assert_eq!(recs.len(), 1);
+    }
+
+    /// One record of every payload variant, in declaration order.
+    fn samples() -> Vec<LogRecord> {
+        let (vol, oid, txn) = setup();
+        let site = SiteId(2);
+        let image = vol.page(oid.page).expect("the object's page").clone();
+        [
+            LogPayload::Update {
+                oid,
+                before: vec![1; 24],
+                after: vec![2; 24],
+            },
+            LogPayload::Create {
+                oid,
+                body: vec![3; 8],
+            },
+            LogPayload::Delete {
+                oid,
+                before: vec![4; 8],
+            },
+            LogPayload::Prepare,
+            LogPayload::Commit,
+            LogPayload::Abort,
+            LogPayload::MigrateBegin {
+                lo: 0,
+                hi: 8,
+                to: site,
+            },
+            LogPayload::MigrateCommit {
+                lo: 0,
+                hi: 8,
+                to: site,
+                layout: 2,
+            },
+            LogPayload::MigrateRollback { lo: 0, hi: 8 },
+            LogPayload::MigrateEnd { lo: 0, hi: 8 },
+            LogPayload::MigrateIn {
+                from: site,
+                page: oid.page,
+                image,
+            },
+            LogPayload::MigrateInEnd {
+                from: site,
+                lo: 0,
+                hi: 8,
+                layout: 2,
+                n: 1,
+            },
+            LogPayload::MigrateLand {
+                from: site,
+                lo: 0,
+                hi: 8,
+                layout: 2,
+            },
+        ]
+        .into_iter()
+        .map(|payload| LogRecord { txn, payload })
+        .collect()
+    }
+
+    /// The declaration position of a payload's variant. No wildcard: a
+    /// new variant must be added here, and then to `samples()`.
+    fn variant_index(p: &LogPayload) -> usize {
+        match p {
+            LogPayload::Update { .. } => 0,
+            LogPayload::Create { .. } => 1,
+            LogPayload::Delete { .. } => 2,
+            LogPayload::Prepare => 3,
+            LogPayload::Commit => 4,
+            LogPayload::Abort => 5,
+            LogPayload::MigrateBegin { .. } => 6,
+            LogPayload::MigrateCommit { .. } => 7,
+            LogPayload::MigrateRollback { .. } => 8,
+            LogPayload::MigrateEnd { .. } => 9,
+            LogPayload::MigrateIn { .. } => 10,
+            LogPayload::MigrateInEnd { .. } => 11,
+            LogPayload::MigrateLand { .. } => 12,
+        }
+    }
+
+    /// The durable image of `records`, forced at LSNs 1, 2, ...
+    fn image_of(records: &[LogRecord]) -> Vec<u8> {
+        let mut log = ServerLog::new();
+        for r in records {
+            log.append(r.clone());
+        }
+        log.force();
+        log.crash_image().log
+    }
+
+    #[test]
+    fn every_payload_variant_round_trips() {
+        let records = samples();
+        let kinds: Vec<usize> = records.iter().map(|r| variant_index(&r.payload)).collect();
+        assert_eq!(kinds, (0..13).collect::<Vec<_>>());
+        let (got, torn) = decode_log(&image_of(&records));
+        assert!(!torn);
+        let lsns: Vec<Lsn> = (1..=13).map(Lsn).collect();
+        assert_eq!(got, lsns.into_iter().zip(records).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn every_strict_prefix_of_a_frame_is_a_torn_tail() {
+        for rec in samples() {
+            let image = image_of(std::slice::from_ref(&rec));
+            for cut in 1..image.len() {
+                assert_eq!(
+                    decode_log(&image[..cut]),
+                    (Vec::new(), true),
+                    "{:?} cut at {cut}",
+                    rec.payload
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_frame_whose_payload_does_not_decode_is_a_torn_tail() {
+        // A well-formed frame around a payload with an unknown tag: the
+        // checksum holds, the record does not.
+        let mut payload = Vec::new();
+        Lsn(1).put(&mut payload);
+        TxnId::new(SiteId(1), 1).put(&mut payload);
+        payload.push(13);
+        let mut image = (payload.len() as u32).to_le_bytes().to_vec();
+        image.extend_from_slice(&fnv32(&payload).to_le_bytes());
+        image.extend_from_slice(&payload);
+        let good = image_of(&samples()[..1]);
+        let (got, torn) = decode_log(&[good.as_slice(), &image].concat());
+        assert!(torn);
+        assert_eq!(got.len(), 1);
+    }
+
+    #[test]
+    fn log_frame_bytes_are_pinned() {
+        // A changed encoding must fail here, and bump `WIRE_VERSION`.
+        let oid = Oid::new(PageId::new(pscc_common::FileId::new(VolId(0), 3), 5), 2);
+        let rec = LogRecord::update(TxnId::new(SiteId(1), 2), oid, vec![1, 2], vec![3, 4]);
+        let mut frame = Vec::new();
+        encode_frame(&mut frame, Lsn(7), &rec);
+        #[rustfmt::skip]
+        let expected = [
+            47, 0, 0, 0,                // payload length
+            0xef, 0x05, 0xba, 0x00,     // FNV-1a of the payload
+            7, 0, 0, 0, 0, 0, 0, 0,     // lsn
+            1, 0, 0, 0,                 // txn.site
+            2, 0, 0, 0, 0, 0, 0, 0,     // txn.seq
+            0,                          // LogPayload::Update
+            0, 0, 0, 0, 3, 0, 0, 0,     // oid.page.file (vol, file)
+            5, 0, 0, 0, 2, 0,           // oid.page.page, oid.slot
+            2, 0, 0, 0, 1, 2,           // before
+            2, 0, 0, 0, 3, 4,           // after
+        ];
+        assert_eq!(frame, expected);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Corrupted and random images decode to a prefix, never a panic.
+        #[test]
+        fn damaged_images_never_panic(
+            flips in proptest::collection::vec((proptest::prelude::any::<u32>(), proptest::prelude::any::<u8>()), 1..8),
+            junk in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..200),
+        ) {
+            let records = samples();
+            let mut image = image_of(&records);
+            for (at, value) in flips {
+                let at = at as usize % image.len();
+                image[at] ^= value | 1;
+            }
+            let (got, torn) = decode_log(&image);
+            proptest::prop_assert!(torn || got.len() == records.len());
+            let (got, _) = decode_log(&junk);
+            proptest::prop_assert!(got.len() <= junk.len() / 8);
+        }
     }
 
     #[test]
