@@ -466,7 +466,7 @@ impl SystemConfig {
                 return Err(ConfigError::BufFracOutOfRange { what, value });
             }
         }
-        let mut tiered_files = std::collections::HashSet::new();
+        let mut tiered_files = crate::hash::HashSet::default();
         for spec in &self.edge_tiers {
             if spec.file >= self.edge_files {
                 return Err(ConfigError::TierOnUnknownFile {

@@ -28,6 +28,7 @@
 
 pub mod config;
 pub mod error;
+pub mod hash;
 pub mod ids;
 pub mod lock;
 pub mod stats;

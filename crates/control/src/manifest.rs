@@ -210,7 +210,7 @@ impl ClusterManifest {
         if self.sites.is_empty() {
             return Err(ManifestError::Empty);
         }
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = pscc_common::hash::HashSet::default();
         for s in &self.sites {
             if !seen.insert(s.site) {
                 return Err(ManifestError::DuplicateSite(s.site));
@@ -235,7 +235,7 @@ impl ClusterManifest {
                 }
             }
         }
-        let mut tier_seen = std::collections::HashSet::new();
+        let mut tier_seen = pscc_common::hash::HashSet::default();
         for t in &self.tiers {
             if !seen.contains(&t.site) {
                 return Err(ManifestError::TierUnknownSite(t.site));

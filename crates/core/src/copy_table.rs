@@ -2,8 +2,8 @@
 //! (and, for hierarchical locking, which files), plus the per-client ship
 //! sequence numbers that defuse purge races (§4.2.4).
 
+use pscc_common::hash::HashMap;
 use pscc_common::{FileId, PageId, SiteId};
-use std::collections::HashMap;
 
 /// Copy table of one owning peer server.
 #[derive(Debug, Default)]

@@ -36,26 +36,27 @@ impl PeerServer {
                 Some(h) => h.app,
                 None => return,
             };
-            let op = if write {
-                crate::msg::AppOp::Write {
-                    oid,
-                    bytes: bytes.clone(),
-                }
-            } else {
-                crate::msg::AppOp::Read(oid)
+            // Built only by the gate that keeps it: the access almost
+            // never waits, and a write would copy its value per gate.
+            let work = || {
+                let op = if write {
+                    crate::msg::AppOp::Write {
+                        oid,
+                        bytes: bytes.clone(),
+                    }
+                } else {
+                    crate::msg::AppOp::Read(oid)
+                };
+                crate::msg::Input::App(crate::msg::AppRequest {
+                    app,
+                    txn: Some(txn),
+                    op,
+                })
             };
-            let work = crate::msg::Input::App(crate::msg::AppRequest {
-                app,
-                txn: Some(txn),
-                op,
-            });
-            if self.queue_if_migrating(oid.page, work.clone()) {
-                return;
-            }
-            if self.queue_if_deescalating(oid.page, work.clone()) {
-                return;
-            }
-            if self.start_deescalation_if_needed(oid.page, txn, work) {
+            if self.queue_if_migrating(oid.page, work)
+                || self.queue_if_deescalating(oid.page, work)
+                || self.start_deescalation_if_needed(oid.page, txn, work)
+            {
                 return;
             }
         }

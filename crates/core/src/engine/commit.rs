@@ -5,9 +5,10 @@
 use super::{CbKey, DiskCont, PeerServer, ReqCont};
 use crate::msg::{AppReply, CbTarget, DiskOp, Message, ReqId};
 use crate::txn::TxnStatus;
+use pscc_common::hash::HashMap;
 use pscc_common::{AbortReason, SiteId, TxnId};
 use pscc_wal::{LogPayload, LogRecord};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// How a record-application pass finishes.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,7 +45,7 @@ impl PeerServer {
     /// The application asked to commit `txn`.
     pub(crate) fn client_commit(&mut self, txn: TxnId) {
         let records = self.log_cache.drain_txn(txn);
-        let mut by_owner: HashMap<SiteId, Vec<LogRecord>> = HashMap::new();
+        let mut by_owner: HashMap<SiteId, Vec<LogRecord>> = HashMap::default();
         for rec in records {
             let owner = rec
                 .payload

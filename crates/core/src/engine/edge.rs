@@ -529,12 +529,13 @@ impl PeerServer {
                 pages: purged,
             });
         }
-        let dead_pages: Vec<PageId> = self
+        let mut dead_pages: Vec<PageId> = self
             .edge_fetching
             .keys()
             .copied()
             .filter(|p| self.owners.owner_of(*p) == Some(dead))
             .collect();
+        dead_pages.sort_unstable(); // the aborts below go out in this order
         for page in dead_pages {
             self.edge_fetching.remove(&page);
             let waiters = self.edge_waiting.remove(&page).unwrap_or_default();

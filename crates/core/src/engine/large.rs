@@ -16,9 +16,9 @@
 
 use super::PeerServer;
 use crate::msg::{Message, ReqId};
+use pscc_common::hash::HashMap;
 use pscc_common::{LockMode, LockableId, Oid, PageId, SiteId, TxnId};
 use pscc_storage::LargeHeader;
-use std::collections::HashMap;
 
 /// Encodes a header [`Oid`] into the `Done.data` payload of
 /// `CreateLarge`.
@@ -146,7 +146,7 @@ impl PeerServer {
         let Some(owner) = self.client_route(txn, header.page) else {
             return;
         };
-        let mut pending = HashMap::new();
+        let mut pending = HashMap::default();
         for pg in hdr.pages[first..=last].iter() {
             let have = self.large_cache.contains_key(pg)
                 || (owner == self.site && self.large.page(*pg).is_some());

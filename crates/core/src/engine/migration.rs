@@ -721,11 +721,16 @@ impl PeerServer {
     /// returning `true` if queued. Remote traffic is shed with `Busy`
     /// instead (clients already know how to back off); local work has
     /// no one to shed to, so it parks until the move commits (then
-    /// re-routes) or rolls back (then proceeds).
-    pub(crate) fn queue_if_migrating(&mut self, page: PageId, work: Input) -> bool {
+    /// re-routes) or rolls back (then proceeds). `work` is called only
+    /// when it is queued.
+    pub(crate) fn queue_if_migrating(
+        &mut self,
+        page: PageId,
+        work: impl FnOnce() -> Input,
+    ) -> bool {
         match &mut self.migrating {
             Some(m) if (m.lo..m.hi).contains(&page.page) => {
-                m.queued.push(work);
+                m.queued.push(work());
                 true
             }
             _ => false,
@@ -747,8 +752,8 @@ impl PeerServer {
         let mut open: Vec<(u32, u32, SiteId)> = Vec::new();
         // Destination side: staged images per source, and the in-doubt
         // `MigrateInEnd` they belong to.
-        let mut staging: std::collections::HashMap<SiteId, Vec<(PageId, SlottedPage)>> =
-            std::collections::HashMap::new();
+        let mut staging: pscc_common::hash::HashMap<SiteId, Vec<(PageId, SlottedPage)>> =
+            pscc_common::hash::HashMap::default();
         let mut in_doubt: Option<MigrationInbound> = None;
         for (_, rec) in records {
             match &rec.payload {

@@ -39,6 +39,7 @@ use crate::races::RaceTable;
 use crate::residency::Residency;
 use crate::timeout::TimeoutEstimator;
 use crate::txn::{HomeTxn, TxnRegistry, TxnStatus};
+use pscc_common::hash::{HashMap, HashSet};
 use pscc_common::{
     AbortReason, Counters, LockMode, LockableId, Oid, PageId, SimTime, SiteId, SpanId, Stage,
     SystemConfig, TraceCtx, TxnId,
@@ -46,7 +47,7 @@ use pscc_common::{
 use pscc_lockmgr::{Acquire, LockTable, Ticket};
 use pscc_storage::Volume;
 use pscc_wal::{LogCache, ServerLog};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// How many recently-aborted remote transactions a server remembers for
 /// straggler refusal (see [`PeerServer::tombstone_txn`]). Transaction
@@ -536,58 +537,58 @@ impl PeerServer {
             residency: Residency::new(residency_pages.max(1)),
             copy_table: CopyTable::new(),
             log: ServerLog::new(),
-            cb_ops: HashMap::new(),
-            cb_by_object: HashMap::new(),
-            de_ops: HashMap::new(),
-            de_by_page: HashMap::new(),
+            cb_ops: HashMap::default(),
+            cb_by_object: HashMap::default(),
+            de_ops: HashMap::default(),
+            de_by_page: HashMap::default(),
             overflow_page: None,
             cache: ClientCache::new(cache_pages.max(1)),
             large: pscc_storage::LargeObjectStore::new(cfg.page_size),
-            large_cache: HashMap::new(),
+            large_cache: HashMap::default(),
             large_reads: Vec::new(),
-            large_writes: HashMap::new(),
-            large_creates: HashMap::new(),
-            large_invals: HashMap::new(),
+            large_writes: HashMap::default(),
+            large_creates: HashMap::default(),
+            large_invals: HashMap::default(),
             log_cache: LogCache::new(),
             races: RaceTable::new(),
-            pending_fetches: HashMap::new(),
-            cb_ctxs: HashMap::new(),
-            lock_conts: HashMap::new(),
-            req_conts: HashMap::new(),
-            disk_conts: HashMap::new(),
-            timers: HashMap::new(),
-            ticket_timers: HashMap::new(),
+            pending_fetches: HashMap::default(),
+            cb_ctxs: HashMap::default(),
+            lock_conts: HashMap::default(),
+            req_conts: HashMap::default(),
+            disk_conts: HashMap::default(),
+            timers: HashMap::default(),
+            ticket_timers: HashMap::default(),
             timeout_est,
-            lease_heard: HashMap::new(),
+            lease_heard: HashMap::default(),
             hb_peers: std::collections::BTreeSet::new(),
             hb_armed: false,
-            dead_sites: HashSet::new(),
+            dead_sites: HashSet::default(),
             epoch: 1,
-            joined: HashMap::new(),
+            joined: HashMap::default(),
             require_rejoin: false,
-            peer_epochs: HashMap::new(),
-            admitted: HashMap::new(),
+            peer_epochs: HashMap::default(),
+            admitted: HashMap::default(),
             admitted_peak: 0,
-            credits: HashMap::new(),
-            credit_waiters: HashMap::new(),
-            inflight: HashMap::new(),
+            credits: HashMap::default(),
+            credit_waiters: HashMap::default(),
+            inflight: HashMap::default(),
             dead_txns: BoundedFifoMap::new(DEAD_TXN_MEMORY),
             draining: None,
             migrating: None,
             migrating_in: None,
             migrated_out: Vec::new(),
-            migration_waits: HashMap::new(),
+            migration_waits: HashMap::default(),
             edge_cache: pscc_edge::EdgeCache::new(cache_pages.max(1)),
-            edge_watch: HashMap::new(),
-            edge_renew_timer: HashMap::new(),
-            edge_renews: HashMap::new(),
-            edge_owner_epoch: HashMap::new(),
-            edge_waiting: HashMap::new(),
-            edge_fetching: HashMap::new(),
+            edge_watch: HashMap::default(),
+            edge_renew_timer: HashMap::default(),
+            edge_renews: HashMap::default(),
+            edge_owner_epoch: HashMap::default(),
+            edge_waiting: HashMap::default(),
+            edge_fetching: HashMap::default(),
             edge_subs: pscc_edge::SubscriptionTable::new(),
-            edge_versions: HashMap::new(),
+            edge_versions: HashMap::default(),
             cur_ctx: None,
-            txn_spans: HashMap::new(),
+            txn_spans: HashMap::default(),
             req_ctx: BoundedFifoMap::new(REQ_CTX_MEMORY),
             next_span: 0,
             next_req: 0,

@@ -7,11 +7,11 @@
 
 use super::{CbDone, CbOp, DeOp, DiskCont, LockCont, PeerServer, TimerKind};
 use crate::msg::{CbId, CbTarget, DeId, DiskOp, Message, ReqId};
+use pscc_common::hash::HashSet;
 use pscc_common::{ids::DUMMY_SLOT, LockMode, LockableId, Oid, PageId, SiteId, TxnId};
 use pscc_lockmgr::Acquire;
 use pscc_storage::{AvailMask, PageSnapshot};
 use pscc_wal::LogRecord;
-use std::collections::HashSet;
 
 impl PeerServer {
     // ------------------------------------------------------------------
@@ -82,7 +82,7 @@ impl PeerServer {
             }
             Ok(_) => {
                 if from == self.site {
-                    !self.queue_if_migrating(page, crate::msg::Input::Msg { from, msg })
+                    !self.queue_if_migrating(page, || crate::msg::Input::Msg { from, msg })
                 } else if self
                     .migrating
                     .as_ref()
@@ -119,14 +119,13 @@ impl PeerServer {
             return;
         }
         self.txns.spread(txn);
-        let work = crate::msg::Input::Msg {
+        let work = || crate::msg::Input::Msg {
             from,
             msg: Message::ReadObj { req, txn, oid },
         };
-        if self.queue_if_deescalating(oid.page, work.clone()) {
-            return;
-        }
-        if self.start_deescalation_if_needed(oid.page, txn, work) {
+        if self.queue_if_deescalating(oid.page, work)
+            || self.start_deescalation_if_needed(oid.page, txn, work)
+        {
             return;
         }
         let cont = LockCont::ServerRead {
@@ -291,14 +290,13 @@ impl PeerServer {
             return;
         }
         self.txns.spread(txn);
-        let work = crate::msg::Input::Msg {
+        let work = || crate::msg::Input::Msg {
             from,
             msg: Message::WriteObj { req, txn, oid },
         };
-        if self.queue_if_deescalating(oid.page, work.clone()) {
-            return;
-        }
-        if self.start_deescalation_if_needed(oid.page, txn, work) {
+        if self.queue_if_deescalating(oid.page, work)
+            || self.start_deescalation_if_needed(oid.page, txn, work)
+        {
             return;
         }
         let cont = LockCont::ServerWrite {
@@ -919,10 +917,15 @@ impl PeerServer {
     // ------------------------------------------------------------------
 
     /// Queues the work item if a deescalation for its page is in flight.
-    pub(crate) fn queue_if_deescalating(&mut self, page: PageId, work: crate::msg::Input) -> bool {
+    /// `work` is called only then.
+    pub(crate) fn queue_if_deescalating(
+        &mut self,
+        page: PageId,
+        work: impl FnOnce() -> crate::msg::Input,
+    ) -> bool {
         if let Some(de) = self.de_by_page.get(&page) {
             if let Some(op) = self.de_ops.get_mut(de) {
-                op.queued.push(work);
+                op.queued.push(work());
                 return true;
             }
         }
@@ -931,12 +934,12 @@ impl PeerServer {
 
     /// Starts deescalation when a transaction from another client holds
     /// adaptive locks on the page. Returns `true` if the work was
-    /// deferred.
+    /// deferred; `work` is called only then.
     pub(crate) fn start_deescalation_if_needed(
         &mut self,
         page: PageId,
         txn: TxnId,
-        work: crate::msg::Input,
+        work: impl FnOnce() -> crate::msg::Input,
     ) -> bool {
         let holder_site = self
             .locks
@@ -958,7 +961,7 @@ impl PeerServer {
             DeOp {
                 page,
                 client,
-                queued: vec![work],
+                queued: vec![work()],
             },
         );
         self.de_by_page.insert(page, de);

@@ -3,7 +3,9 @@
 //! the tracer's parked request contexts) are both "keep the last N, the
 //! oldest goes first".
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
+
+use pscc_common::hash::HashMap;
 use std::hash::Hash;
 
 /// A hash map bounded to the `cap` most recently inserted keys.
@@ -23,7 +25,7 @@ pub(crate) struct BoundedFifoMap<K, V> {
 impl<K: Hash + Eq + Clone, V> BoundedFifoMap<K, V> {
     pub(crate) fn new(cap: usize) -> Self {
         BoundedFifoMap {
-            map: HashMap::new(),
+            map: HashMap::default(),
             order: VecDeque::new(),
             cap,
         }

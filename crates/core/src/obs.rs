@@ -12,10 +12,10 @@
 //! sweeps into per-transaction commit-latency breakdowns.
 
 use crate::msg::{CbId, ReqId};
+use pscc_common::hash::HashMap;
 use pscc_common::{SimDuration, SimTime, SiteId, Stage, TxnId};
 use pscc_obs::event::{EventKind, TraceHandle};
 use pscc_obs::Histogram;
-use std::collections::HashMap;
 
 /// Observability state of one [`crate::PeerServer`].
 #[derive(Debug, Default)]

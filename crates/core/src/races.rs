@@ -13,8 +13,8 @@
 //! outstanding at that moment must be ignored.
 
 use crate::msg::ReqId;
+use pscc_common::hash::{HashMap, HashSet};
 use pscc_common::PageId;
-use std::collections::{HashMap, HashSet};
 
 /// One registered callback race.
 #[derive(Debug, Clone)]

@@ -4,8 +4,8 @@
 //! a disk write (dirty) — the quantities the paper's experiments measure.
 
 use crate::lru::LruOrder;
+use pscc_common::hash::HashMap;
 use pscc_common::PageId;
-use std::collections::HashMap;
 
 /// LRU residency tracker for one server's buffer pool.
 #[derive(Debug, Default)]

@@ -3,8 +3,8 @@
 //! these records plus the engine's continuation tables.
 
 use crate::msg::{AppOp, ReqId};
+use pscc_common::hash::{HashMap, HashSet};
 use pscc_common::{AppId, Oid, PageId, SiteId, TxnId};
-use std::collections::{HashMap, HashSet};
 
 /// Lifecycle of a home-site transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,13 +62,13 @@ impl HomeTxn {
             app,
             status: TxnStatus::Active,
             current_op: None,
-            participants: HashSet::new(),
-            adaptive_pages: HashSet::new(),
-            page_write_grants: HashSet::new(),
-            outstanding_reqs: HashSet::new(),
-            updated: HashSet::new(),
-            votes: HashSet::new(),
-            decided_acks: HashSet::new(),
+            participants: HashSet::default(),
+            adaptive_pages: HashSet::default(),
+            page_write_grants: HashSet::default(),
+            outstanding_reqs: HashSet::default(),
+            updated: HashSet::default(),
+            votes: HashSet::default(),
+            decided_acks: HashSet::default(),
             local_commit_done: false,
         }
     }

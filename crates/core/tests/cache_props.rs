@@ -3,10 +3,10 @@
 //! preserve the availability invariants.
 
 use proptest::prelude::*;
+use pscc_common::hash::{HashMap, HashSet};
 use pscc_common::{FileId, Oid, PageId, SiteId, TxnId, VolId};
 use pscc_core::cache::ClientCache;
 use pscc_storage::{AvailMask, SlottedPage};
-use std::collections::{HashMap, HashSet};
 
 const N_SLOTS: u16 = 6;
 
@@ -76,9 +76,9 @@ proptest! {
     fn cache_merge_invariants(ops in proptest::collection::vec(arb_op(), 1..60)) {
         let mut cache = ClientCache::new(8);
         // Model: per (page, slot): available?, dirty-by.
-        let mut avail: HashMap<(u8, u8), bool> = HashMap::new();
-        let mut dirty: HashMap<(u8, u8), u8> = HashMap::new();
-        let mut cached: HashSet<u8> = HashSet::new();
+        let mut avail: HashMap<(u8, u8), bool> = HashMap::default();
+        let mut dirty: HashMap<(u8, u8), u8> = HashMap::default();
+        let mut cached: HashSet<u8> = HashSet::default();
 
         for op in ops {
             match op {

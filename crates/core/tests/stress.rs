@@ -15,11 +15,11 @@
 mod common;
 
 use common::{version_of, Cluster};
+use pscc_common::hash::HashMap;
 use pscc_common::{AppId, FileId, Oid, PageId, Protocol, SiteId, SystemConfig, VolId};
 use pscc_core::{AppOp, AppReply, OwnerMap};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Phase {
@@ -170,7 +170,7 @@ fn run_stress_chaos(
         .collect();
 
     let mut c = Cluster::new(n_sites, cfg, owners.clone(), seed);
-    let mut expected: HashMap<Oid, u64> = HashMap::new();
+    let mut expected: HashMap<Oid, u64> = HashMap::default();
 
     let mut iterations = 0usize;
     loop {

@@ -6,8 +6,8 @@
 //! local cycle. Strongly connected components with more than one node (or
 //! a self-loop) are deadlocks.
 
+use pscc_common::hash::HashMap;
 use pscc_common::TxnId;
-use std::collections::HashMap;
 
 /// Finds the deadlock cycles in a waits-for edge list.
 ///
@@ -26,7 +26,7 @@ use std::collections::HashMap;
 /// assert_eq!(cycles[0].len(), 2);
 /// ```
 pub fn detect_cycles(edges: &[(TxnId, TxnId)]) -> Vec<Vec<TxnId>> {
-    let mut adj: HashMap<TxnId, Vec<TxnId>> = HashMap::new();
+    let mut adj: HashMap<TxnId, Vec<TxnId>> = HashMap::default();
     let mut self_loop: Vec<TxnId> = Vec::new();
     for &(a, b) in edges {
         if a == b {
@@ -44,7 +44,7 @@ pub fn detect_cycles(edges: &[(TxnId, TxnId)]) -> Vec<Vec<TxnId>> {
         lowlink: u32,
         on_stack: bool,
     }
-    let mut state: HashMap<TxnId, NodeState> = HashMap::new();
+    let mut state: HashMap<TxnId, NodeState> = HashMap::default();
     let mut stack: Vec<TxnId> = Vec::new();
     let mut next_index: u32 = 0;
     let mut sccs: Vec<Vec<TxnId>> = Vec::new();
@@ -112,6 +112,9 @@ pub fn detect_cycles(edges: &[(TxnId, TxnId)]) -> Vec<Vec<TxnId>> {
             sccs.push(vec![t]);
         }
     }
+    // The search starts from the nodes in hash order; the caller aborts
+    // one victim per cycle in the order returned.
+    sccs.sort();
     sccs
 }
 
@@ -154,11 +157,11 @@ mod tests {
 
     #[test]
     fn two_disjoint_cycles() {
-        let mut c = detect_cycles(&[(t(1), t(2)), (t(2), t(1)), (t(5), t(6)), (t(6), t(5))]);
-        c.sort();
-        assert_eq!(c.len(), 2);
-        assert_eq!(c[0], vec![t(1), t(2)]);
-        assert_eq!(c[1], vec![t(5), t(6)]);
+        let edges = [(t(5), t(6)), (t(6), t(5)), (t(1), t(2)), (t(2), t(1))];
+        for seed in 0..=3 {
+            let c = pscc_common::hash::with_hash_seed(seed, || detect_cycles(&edges));
+            assert_eq!(c, vec![vec![t(1), t(2)], vec![t(5), t(6)]]);
+        }
     }
 
     #[test]

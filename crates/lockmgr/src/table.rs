@@ -11,10 +11,11 @@
 //! [`LockTable::scan`] — and [`LockTable::assert_consistent`] rebuilds
 //! all of them by full scan.
 
+use pscc_common::hash::HashMap;
 use pscc_common::{LockMode, LockableId, Oid, PageId, TxnId};
 use pscc_obs::event::{EventKind, TraceHandle};
 use std::collections::hash_map::{Entry as MapEntry, OccupiedEntry};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 
 /// Identifies one suspended lock acquisition.
@@ -869,8 +870,8 @@ impl LockTable {
     ///
     /// Panics with a description of the violated granule or index.
     pub fn assert_consistent(&self) {
-        let mut by_txn: HashMap<TxnId, TxnLocks> = HashMap::new();
-        let mut objects_on_page: HashMap<PageId, Vec<u16>> = HashMap::new();
+        let mut by_txn: HashMap<TxnId, TxnLocks> = HashMap::default();
+        let mut objects_on_page: HashMap<PageId, Vec<u16>> = HashMap::default();
         let mut queued = BTreeSet::new();
         for (id, e) in &self.entries {
             assert!(!e.is_unused(), "unused entry kept for {id}");
@@ -1155,8 +1156,8 @@ mod tests {
 
     #[test]
     fn release_grants_in_acquisition_order_every_time() {
-        // Two tables built the same way hash differently (`RandomState`
-        // is per map); the sequence of grants a release resumes must not.
+        // Under each hash seed the table's maps iterate in another order;
+        // the sequence of grants a release resumes must not change with it.
         let order: [(u32, u16); 8] = [
             (5, 1),
             (2, 0),
@@ -1185,8 +1186,9 @@ mod tests {
             out.grants.iter().map(|g| g.id).collect::<Vec<_>>()
         };
         let want: Vec<LockableId> = order.iter().map(|(p, s)| obj(*p, *s)).collect();
-        assert_eq!(build(), want);
-        assert_eq!(build(), want);
+        for seed in 0..=3 {
+            assert_eq!(pscc_common::hash::with_hash_seed(seed, build), want);
+        }
     }
 
     #[test]

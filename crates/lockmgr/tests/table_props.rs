@@ -3,9 +3,9 @@
 //! always drain to empty.
 
 use proptest::prelude::*;
+use pscc_common::hash::HashMap;
 use pscc_common::{FileId, LockMode, LockableId, Oid, PageId, SiteId, TxnId, VolId};
 use pscc_lockmgr::{Acquire, LockTable, Ticket};
-use std::collections::HashMap;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -55,7 +55,7 @@ proptest! {
     #[test]
     fn random_ops_preserve_invariants(ops in proptest::collection::vec(arb_op(), 1..120)) {
         let mut lt = LockTable::new();
-        let mut outstanding: HashMap<u8, Vec<Ticket>> = HashMap::new();
+        let mut outstanding: HashMap<u8, Vec<Ticket>> = HashMap::default();
         let mut live: Vec<Ticket> = Vec::new();
 
         let settle = |granted: Vec<pscc_lockmgr::Grant>,

@@ -56,9 +56,10 @@ pub mod tcp;
 
 pub use mailbox::Waker;
 
+use pscc_common::hash::HashMap;
 use pscc_common::SiteId;
 use rand::Rng;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -365,7 +366,7 @@ pub struct SeededNet<M> {
 impl<M> Default for SeededNet<M> {
     fn default() -> Self {
         SeededNet {
-            queues: HashMap::new(),
+            queues: HashMap::default(),
             in_flight: 0,
         }
     }
@@ -559,7 +560,7 @@ mod tests {
             net.send(s0, s1, PathId((i % 2) as u8), i);
         }
         let mut rng = StdRng::seed_from_u64(42);
-        let mut per_path: HashMap<PathId, Vec<u32>> = HashMap::new();
+        let mut per_path: HashMap<PathId, Vec<u32>> = HashMap::default();
         while let Some(env) = net.deliver_next(&mut rng) {
             per_path.entry(env.path).or_default().push(env.msg);
         }

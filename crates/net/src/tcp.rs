@@ -17,10 +17,10 @@ use crate::codec::{decode_frame, encode_frame};
 use crate::mailbox::{self, mailbox};
 use crate::{Envelope, LaneClassifier, PathId, Transport, Waker, DEFAULT_MAILBOX_CAPACITY};
 use bytes::BytesMut;
+use pscc_common::hash::HashMap;
 use pscc_common::wire::{Wire, WIRE_VERSION};
 use pscc_common::SiteId;
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -123,7 +123,7 @@ impl<M: Wire + Send + 'static> TcpNode<M> {
     pub fn start(
         site: SiteId,
         listen: SocketAddr,
-        peers: HashMap<SiteId, SocketAddr>,
+        peers: impl IntoIterator<Item = (SiteId, SocketAddr)>,
     ) -> std::io::Result<Self> {
         Self::start_bounded(site, listen, peers, DEFAULT_MAILBOX_CAPACITY, None)
     }
@@ -144,7 +144,7 @@ impl<M: Wire + Send + 'static> TcpNode<M> {
     pub fn start_bounded(
         site: SiteId,
         listen: SocketAddr,
-        peers: HashMap<SiteId, SocketAddr>,
+        peers: impl IntoIterator<Item = (SiteId, SocketAddr)>,
         capacity: usize,
         classify: Option<LaneClassifier<M>>,
     ) -> std::io::Result<Self> {
@@ -183,8 +183,8 @@ impl<M: Wire + Send + 'static> TcpNode<M> {
         };
         Ok(TcpNode {
             site,
-            peers,
-            conns: Mutex::new(HashMap::new()),
+            peers: peers.into_iter().collect(),
+            conns: Mutex::new(HashMap::default()),
             inbox,
             shutdown,
             acceptor: Some(acceptor),
@@ -484,10 +484,8 @@ mod tests {
         let a0 = addr_of(&l0);
         let a1 = addr_of(&l1);
         drop((l0, l1));
-        let peers0: HashMap<SiteId, SocketAddr> = [(SiteId(1), a1)].into();
-        let peers1: HashMap<SiteId, SocketAddr> = [(SiteId(0), a0)].into();
-        let n0 = TcpNode::start(SiteId(0), a0, peers0).unwrap();
-        let n1 = TcpNode::start(SiteId(1), a1, peers1).unwrap();
+        let n0 = TcpNode::start(SiteId(0), a0, [(SiteId(1), a1)]).unwrap();
+        let n1 = TcpNode::start(SiteId(1), a1, [(SiteId(0), a0)]).unwrap();
         (n0, n1)
     }
 
@@ -510,7 +508,7 @@ mod tests {
         for i in 0..50 {
             n0.send(SiteId(1), PathId((i % 3) as u8), format!("{i}"));
         }
-        let mut per_path: HashMap<PathId, Vec<u64>> = HashMap::new();
+        let mut per_path: HashMap<PathId, Vec<u64>> = HashMap::default();
         for _ in 0..50 {
             let env = n1.recv_timeout(Duration::from_secs(5)).expect("delivery");
             per_path
@@ -552,8 +550,7 @@ mod tests {
         let l_dead = TcpListener::bind("127.0.0.1:0").unwrap();
         let a_dead = addr_of(&l_dead);
         drop((l0, l_dead));
-        let peers: HashMap<SiteId, SocketAddr> = [(SiteId(1), a_dead)].into();
-        let mut n0 = TcpNode::<String>::start(SiteId(0), a0, peers).unwrap();
+        let mut n0 = TcpNode::<String>::start(SiteId(0), a0, [(SiteId(1), a_dead)]).unwrap();
         n0.configure_retry(Duration::from_millis(1), Duration::from_millis(4), 3);
         let trace = pscc_obs::event::TraceHandle::new(SiteId(0), 64);
         n0.set_trace(trace.clone());
@@ -621,7 +618,7 @@ mod tests {
         let l = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = addr_of(&l);
         drop(l);
-        let node = TcpNode::<String>::start(SiteId(0), addr, HashMap::new()).unwrap();
+        let node = TcpNode::<String>::start(SiteId(0), addr, []).unwrap();
         let trace = pscc_obs::event::TraceHandle::new(SiteId(0), 64);
         node.set_trace(trace.clone());
         let (_current, got) = handshake_in(WIRE_VERSION, &node, addr);
@@ -678,13 +675,12 @@ mod tests {
         let a0 = addr_of(&l0);
         let a1 = addr_of(&l1);
         drop((l0, l1));
-        let peers0: HashMap<SiteId, SocketAddr> = [(SiteId(1), a1)].into();
-        let peers1: HashMap<SiteId, SocketAddr> = [(SiteId(0), a0)].into();
         // Messages starting with '!' are consistency traffic.
         let classify: LaneClassifier<String> = Arc::new(|m: &String| m.starts_with('!'));
-        let n0 = TcpNode::<String>::start(SiteId(0), a0, peers0).unwrap();
+        let n0 = TcpNode::<String>::start(SiteId(0), a0, [(SiteId(1), a1)]).unwrap();
         let n1 =
-            TcpNode::<String>::start_bounded(SiteId(1), a1, peers1, 16, Some(classify)).unwrap();
+            TcpNode::<String>::start_bounded(SiteId(1), a1, [(SiteId(0), a0)], 16, Some(classify))
+                .unwrap();
         n0.send(SiteId(1), PathId(0), "bulk-a".to_string());
         n0.send(SiteId(1), PathId(0), "bulk-b".to_string());
         n0.send(SiteId(1), PathId(0), "!urgent".to_string());

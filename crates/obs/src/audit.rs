@@ -40,8 +40,8 @@
 //! (chaos `dup`) are harmless because every mutation is idempotent.
 
 use crate::event::{EventKind, TraceEvent};
+use pscc_common::hash::{HashMap, HashSet};
 use pscc_common::{LockMode, LockableId, SimTime, SiteId, TxnId};
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// One invariant violation found in the stream.

@@ -9,8 +9,9 @@
 //! Chrome `trace_event` JSON loadable in Perfetto / `chrome://tracing`.
 
 use crate::event::{EventKind, TraceEvent};
+use pscc_common::hash::HashMap;
 use pscc_common::{SimTime, SiteId, SpanId, TxnId};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// One reconstructed message-hop span.

@@ -32,12 +32,12 @@
 //! [`Volume`](pscc_storage::Volume) plus a [`RestartOutcome`]; epochs,
 //! rejoin, and 2PC resolution live in `pscc-core`.
 
+use pscc_common::hash::{HashMap, HashSet};
 use pscc_common::{PsccError, TxnId};
 use pscc_storage::Volume;
 use pscc_wal::{
     apply_undo, decode_log, redo_upto, DurableState, LogPayload, LogRecord, Lsn, ServerLog,
 };
-use std::collections::{HashMap, HashSet};
 
 /// What the analysis/redo/undo passes did (exported through the
 /// recovery counters and the `recovery_time` histogram).
@@ -99,9 +99,9 @@ pub fn restart(init: Volume, durable: &DurableState) -> RestartOutcome {
 
     // ---- Analysis ----
     let mut volume;
-    let mut active: HashMap<TxnId, TxnState> = HashMap::new();
-    let mut winners: HashSet<TxnId> = HashSet::new();
-    let mut losers: HashMap<TxnId, Vec<LogRecord>> = HashMap::new();
+    let mut active: HashMap<TxnId, TxnState> = HashMap::default();
+    let mut winners: HashSet<TxnId> = HashSet::default();
+    let mut losers: HashMap<TxnId, Vec<LogRecord>> = HashMap::default();
     let mut max_lsn = Lsn(0);
     match &durable.checkpoint {
         Some(ckpt) => {
@@ -153,7 +153,7 @@ pub fn restart(init: Volume, durable: &DurableState) -> RestartOutcome {
     }
     // Transactions still active at end of log: in doubt if prepared,
     // losers otherwise.
-    let mut in_doubt: HashMap<TxnId, Vec<LogRecord>> = HashMap::new();
+    let mut in_doubt: HashMap<TxnId, Vec<LogRecord>> = HashMap::default();
     for (txn, st) in active {
         if st.prepared {
             in_doubt.insert(txn, st.records);
@@ -163,7 +163,7 @@ pub fn restart(init: Volume, durable: &DurableState) -> RestartOutcome {
     }
 
     // ---- Redo: repeat history over the tail ----
-    let mut dirty: HashSet<pscc_common::PageId> = HashSet::new();
+    let mut dirty: HashSet<pscc_common::PageId> = HashSet::default();
     for (lsn, rec) in &tail {
         if let Some(page) = rec.payload.page() {
             dirty.insert(page);

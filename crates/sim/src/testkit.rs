@@ -10,6 +10,7 @@
 //! reproducible.
 
 use crate::chaos::{FaultDecision, FaultPlan};
+use pscc_common::hash::{HashMap, HashSet};
 use pscc_common::{AppId, PsccError, SimDuration, SimTime, SiteId, SystemConfig, TxnId};
 use pscc_control::{
     ClusterManifest, ClusterView, ControlAction, ControlStatus, MigrationObs, ObservedSite,
@@ -24,7 +25,7 @@ use pscc_obs::EventKind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::BinaryHeap;
 
 /// The pseudo-site the cluster supervisor speaks as. It runs no engine:
 /// control messages *from* it are injected directly into a site's
@@ -103,9 +104,9 @@ impl Cluster {
             cfg,
             owners,
             faults: None,
-            crashed: HashSet::new(),
+            crashed: HashSet::default(),
             delayed: Vec::new(),
-            reorder_held: HashMap::new(),
+            reorder_held: HashMap::default(),
             control_inbox: Vec::new(),
             supervisor: None,
             next_ctl_req: 0,

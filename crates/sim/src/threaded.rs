@@ -318,7 +318,6 @@ impl ThreadedCluster {
     ///
     /// Panics if localhost listeners cannot be bound.
     pub fn new_tcp(n: u32, cfg: SystemConfig, owners: OwnerMap) -> Self {
-        use std::collections::HashMap;
         use std::net::{SocketAddr, TcpListener};
         let sites: Vec<SiteId> = (0..n).map(SiteId).collect();
         let addrs: Vec<SocketAddr> = sites
@@ -333,11 +332,10 @@ impl ThreadedCluster {
         let transports = sites
             .iter()
             .map(|&s| {
-                let peers: HashMap<SiteId, SocketAddr> = sites
+                let peers = sites
                     .iter()
                     .filter(|o| **o != s)
-                    .map(|o| (*o, addrs[o.0 as usize]))
-                    .collect();
+                    .map(|o| (*o, addrs[o.0 as usize]));
                 let node = pscc_net::tcp::TcpNode::<Message>::start(s, addrs[s.0 as usize], peers)
                     .expect("tcp node");
                 (s, node)

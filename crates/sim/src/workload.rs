@@ -292,7 +292,7 @@ mod tests {
         let mut i = 0;
         while i < refs.len() {
             let page = refs[i].0.page;
-            let mut slots = std::collections::HashSet::new();
+            let mut slots = pscc_common::hash::HashSet::default();
             while i < refs.len() && refs[i].0.page == page {
                 assert!(slots.insert(refs[i].0.slot), "duplicate slot on {page}");
                 i += 1;

@@ -8,6 +8,7 @@
 //! Every schedule is reproducible from its seed pair (cluster seed +
 //! fault-plan seed); `EXPERIMENTS.md` documents how to replay one.
 
+use pscc_common::hash::{with_hash_seed, HashSet};
 use pscc_common::{
     AppId, FileId, LockableId, Oid, PageId, Protocol, SimDuration, SiteId, SystemConfig, TxnId,
     VolId,
@@ -16,7 +17,6 @@ use pscc_core::{AppOp, AppReply, OwnerMap};
 use pscc_obs::MetricsRegistry;
 use pscc_sim::chaos::FaultPlan;
 use pscc_sim::testkit::{version_of, Cluster};
-use std::collections::HashSet;
 
 const OWNER: SiteId = SiteId(0);
 const A: SiteId = SiteId(1);
@@ -165,17 +165,34 @@ fn crash_with_ex_lock_and_pending_callback_ps_aa() {
 
 #[test]
 fn same_seed_replays_identical_chaos_run() {
+    // Same fault seed, other hash seeds: the replay — every traced event
+    // at its virtual time, not just the counters — must not depend on the
+    // order the tables iterate in.
+    let trace = |c: &Cluster| -> Vec<_> {
+        c.merged_trace()
+            .into_iter()
+            .map(|e| (e.at, e.site, e.seq, e.kind))
+            .collect()
+    };
     let a = crash_holding_ex_lock(Protocol::PsAa, seed(42));
-    let b = crash_holding_ex_lock(Protocol::PsAa, seed(42));
-    assert_eq!(
-        a.total_stats(),
-        b.total_stats(),
-        "chaos run not deterministic"
-    );
-    assert_eq!(
-        a.faults().map(|f| f.injected),
-        b.faults().map(|f| f.injected)
-    );
+    for hash_seed in 1..=3 {
+        let b = with_hash_seed(hash_seed, || {
+            crash_holding_ex_lock(Protocol::PsAa, seed(42))
+        });
+        assert_eq!(
+            a.total_stats(),
+            b.total_stats(),
+            "chaos run not deterministic (hash seed {hash_seed})"
+        );
+        assert_eq!(
+            a.faults().map(|f| f.injected),
+            b.faults().map(|f| f.injected)
+        );
+        assert!(
+            trace(&a) == trace(&b),
+            "chaos trace differs (hash seed {hash_seed})"
+        );
+    }
 }
 
 #[test]

@@ -10,6 +10,7 @@
 //! invariant auditor (including the one-authoritative-owner and
 //! write-after-migrate checks) over the merged event stream.
 
+use pscc_common::hash::HashSet;
 use pscc_common::{
     AppId, FileId, LockableId, Oid, PageId, Protocol, SimDuration, SiteId, SystemConfig, TxnId,
     VolId,
@@ -20,7 +21,6 @@ use pscc_obs::event::EventKind;
 use pscc_obs::AvailabilityTimeline;
 use pscc_sim::chaos::FaultPlan;
 use pscc_sim::testkit::{version_of, Cluster, ConvergeError};
-use std::collections::HashSet;
 
 const OWNER_A: SiteId = SiteId(0);
 const OWNER_B: SiteId = SiteId(1);

@@ -2,12 +2,12 @@
 //! histogram-vs-counter consistency, and exporter structure, under each
 //! of the paper's three protocols (PS, PS-OA, PS-AA).
 
+use pscc_common::hash::HashMap;
 use pscc_common::{AppId, Counters, FileId, Oid, PageId, Protocol, SiteId, SystemConfig, VolId};
 use pscc_core::{AppOp, OwnerMap};
 use pscc_obs::event::{merge_traces, render_dump, EventKind, TraceHandle};
 use pscc_obs::MetricsRegistry;
 use pscc_sim::testkit::Cluster;
-use std::collections::HashMap;
 
 const S: SiteId = SiteId(0);
 const A: SiteId = SiteId(1);
@@ -77,9 +77,9 @@ fn grant_never_precedes_request() {
     for proto in PROTOCOLS {
         let (_c, handles) = contended_run(proto);
         for h in &handles {
-            let mut requests: HashMap<String, usize> = HashMap::new();
-            let mut grants: HashMap<String, usize> = HashMap::new();
-            let mut waits: HashMap<String, usize> = HashMap::new();
+            let mut requests: HashMap<String, usize> = HashMap::default();
+            let mut grants: HashMap<String, usize> = HashMap::default();
+            let mut waits: HashMap<String, usize> = HashMap::default();
             let mut prev_seq = None;
             for e in h.snapshot() {
                 if let Some(p) = prev_seq {
@@ -127,7 +127,7 @@ fn merged_trace_is_chronological() {
         let (_c, handles) = contended_run(proto);
         let merged = merge_traces(handles.iter().map(TraceHandle::snapshot).collect());
         assert!(merged.len() > 10, "{proto}: trace should not be empty");
-        let mut last_per_site: HashMap<u32, u64> = HashMap::new();
+        let mut last_per_site: HashMap<u32, u64> = HashMap::default();
         for w in merged.windows(2) {
             assert!(w[0].at <= w[1].at, "{proto}: merged trace out of order");
         }

@@ -12,6 +12,7 @@
 //! Every schedule is reproducible from its seed; `CHAOS_SEED` perturbs
 //! the interleaving in CI (`CHAOS_SEED=2 cargo test --test rolling`).
 
+use pscc_common::hash::HashSet;
 use pscc_common::{
     AppId, FileId, LockableId, Oid, PageId, Protocol, SimDuration, SiteId, SystemConfig, TxnId,
     VolId,
@@ -21,7 +22,6 @@ use pscc_core::{AppOp, AppReply, Message, OwnerMap, ReqId};
 use pscc_obs::event::EventKind;
 use pscc_obs::AvailabilityTimeline;
 use pscc_sim::testkit::{version_of, Cluster};
-use std::collections::HashSet;
 
 const OWNER_A: SiteId = SiteId(0);
 const OWNER_B: SiteId = SiteId(1);

@@ -16,6 +16,7 @@
 //! Every schedule is reproducible from its seed; `CHAOS_SEED` perturbs
 //! the interleaving exactly as in `chaos.rs`, and CI sweeps it.
 
+use pscc_common::hash::HashSet;
 use pscc_common::{
     AppId, FileId, LockableId, Oid, PageId, Protocol, SimDuration, SiteId, SystemConfig, TxnId,
     VolId,
@@ -24,7 +25,6 @@ use pscc_core::{AppOp, AppReply, OwnerMap};
 use pscc_obs::MetricsRegistry;
 use pscc_sim::chaos::FaultPlan;
 use pscc_sim::testkit::{version_of, Cluster};
-use std::collections::HashSet;
 
 const OWNER: SiteId = SiteId(0);
 const A: SiteId = SiteId(1);

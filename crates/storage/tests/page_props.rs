@@ -5,9 +5,9 @@
 //! every image that passes it must be safe to operate on.
 
 use proptest::prelude::*;
+use pscc_common::hash::HashMap;
 use pscc_common::wire::{self, Wire};
 use pscc_storage::{SlottedPage, HEADER_SIZE, SLOT_SIZE};
-use std::collections::HashMap;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -33,7 +33,7 @@ proptest! {
     #[test]
     fn page_matches_model(ops in proptest::collection::vec(arb_op(), 1..80)) {
         let mut page = SlottedPage::new(1024);
-        let mut model: HashMap<u16, Vec<u8>> = HashMap::new();
+        let mut model: HashMap<u16, Vec<u8>> = HashMap::default();
 
         for op in ops {
             match op {

@@ -47,10 +47,10 @@
 //! assert!(cache.drain_txn(txn).is_empty());
 //! ```
 
+use pscc_common::hash::{HashMap, HashSet};
 use pscc_common::wire::{self, Wire};
 use pscc_common::{Oid, PageId, PsccError, SiteId, TxnId};
 use pscc_storage::{SlottedPage, Volume};
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// A log sequence number assigned by a server's log.
@@ -367,7 +367,7 @@ impl LogCache {
     ///
     /// Panics with a description of the first mismatch.
     pub fn assert_consistent(&self) {
-        let mut scanned: HashMap<PageId, Vec<TxnId>> = HashMap::new();
+        let mut scanned: HashMap<PageId, Vec<TxnId>> = HashMap::default();
         let mut len = 0;
         for (txn, records) in &self.by_txn {
             assert!(!records.is_empty(), "empty record list kept for {txn}");
@@ -560,7 +560,7 @@ impl ServerLog {
     /// charges the I/O).
     pub fn checkpoint(&mut self, base: Volume) -> bool {
         let wrote = self.force();
-        let mut dpt: HashMap<PageId, Lsn> = HashMap::new();
+        let mut dpt: HashMap<PageId, Lsn> = HashMap::default();
         for (lsn, rec) in &self.tail {
             if let Some(page) = rec.payload.page() {
                 dpt.entry(page).or_insert(*lsn);
@@ -1028,8 +1028,8 @@ mod tests {
                         log.force();
                         log = ServerLog::after_recovery(
                             log.current_lsn(),
-                            HashMap::new(),
-                            HashSet::new(),
+                            HashMap::default(),
+                            HashSet::default(),
                         );
                     }
                 }
@@ -1431,9 +1431,9 @@ mod tests {
     fn after_recovery_resumes_lsns_and_outcomes() {
         let (_, oid, t1) = setup();
         let t2 = TxnId::new(SiteId(2), 7);
-        let mut in_doubt = HashMap::new();
+        let mut in_doubt = HashMap::default();
         in_doubt.insert(t1, vec![LogRecord::update(t1, oid, vec![1], vec![2])]);
-        let mut log = ServerLog::after_recovery(Lsn(42), in_doubt, HashSet::from([t2]));
+        let mut log = ServerLog::after_recovery(Lsn(42), in_doubt, [t2].into_iter().collect());
         assert_eq!(log.current_lsn(), Lsn(42));
         assert_eq!(log.durable_lsn(), Lsn(42));
         assert!(log.was_committed(t2));
