@@ -1138,13 +1138,13 @@ impl PeerServer {
         if let Some(t) = ctx.timer {
             self.timers.remove(&t);
         }
-        let mut grants = Vec::new();
-        for item in ctx.held.iter().rev() {
-            grants.extend(self.locks.release_one(ctx.txn, *item));
-        }
         if !ctx.held.is_empty() {
             self.obs
                 .record(pscc_obs::EventKind::LocksReleased { txn: ctx.txn });
+        }
+        let mut grants = Vec::new();
+        for item in ctx.held.iter().rev() {
+            grants.extend(self.locks.release_one(ctx.txn, *item));
         }
         let (owner, cb) = key;
         self.send(owner, Message::CbOk { cb, purged_page });
@@ -1165,12 +1165,12 @@ impl PeerServer {
             self.lock_conts.remove(&ticket);
             grants.extend(self.locks.cancel(ticket));
         }
-        for item in ctx.held.iter().rev() {
-            grants.extend(self.locks.release_one(ctx.txn, *item));
-        }
         if !ctx.held.is_empty() {
             self.obs
                 .record(pscc_obs::EventKind::LocksReleased { txn: ctx.txn });
+        }
+        for item in ctx.held.iter().rev() {
+            grants.extend(self.locks.release_one(ctx.txn, *item));
         }
         self.process_grants(grants);
     }

@@ -175,8 +175,10 @@ impl PeerServer {
             return;
         };
         self.cache.clean_txn(txn);
-        let out = self.locks.release_all(txn);
+        // Recorded before the release: the lock table records the grants
+        // it hands the waiters inside `release_all` (DESIGN.md §9).
         self.obs.record(pscc_obs::EventKind::LocksReleased { txn });
+        let out = self.locks.release_all(txn);
         for t in &out.cancelled {
             self.lock_conts.remove(t);
             self.finish_wait(*t, false);
@@ -363,9 +365,9 @@ impl PeerServer {
                 self.edge_publish_commit(pages);
             }
             self.log.end_txn(state.txn, false);
-            let out = self.locks.release_all(state.txn);
             self.obs
                 .record(pscc_obs::EventKind::LocksReleased { txn: state.txn });
+            let out = self.locks.release_all(state.txn);
             for t in &out.cancelled {
                 self.lock_conts.remove(t);
                 self.finish_wait(*t, false);
@@ -542,8 +544,8 @@ impl PeerServer {
         // no verdict will ever depart for them.
         self.admitted.retain(|_, t| *t != txn);
         // Release all locks and cancel all waits.
-        let out = self.locks.release_all(txn);
         self.obs.record(pscc_obs::EventKind::LocksReleased { txn });
+        let out = self.locks.release_all(txn);
         for t in &out.cancelled {
             self.lock_conts.remove(t);
             self.finish_wait(*t, false);

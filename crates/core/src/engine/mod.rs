@@ -16,6 +16,7 @@
 mod client;
 mod commit;
 pub mod drain;
+mod drive;
 mod edge;
 pub mod large;
 mod liveness;
@@ -24,6 +25,7 @@ mod recovery;
 mod server;
 
 pub use drain::DrainPhase;
+pub use drive::Env;
 pub use migration::MigrationPhase;
 
 use crate::cache::ClientCache;
@@ -325,10 +327,9 @@ pub(crate) struct DeOp {
 
 /// One peer server of the system.
 ///
-/// Drive it by calling [`PeerServer::handle`] with each input event and
-/// executing the returned outputs (sending messages, arming timers,
-/// performing "disk" waits). Both the threaded harness and the
-/// discrete-event simulator do exactly this.
+/// Feed it each input event through [`PeerServer::drive`], which hands
+/// the effects (sends, timer arms, "disk" waits, replies) to the
+/// harness's [`Env`]. Every harness does exactly this.
 #[derive(Debug)]
 pub struct PeerServer {
     pub(crate) site: SiteId,
@@ -494,9 +495,12 @@ pub struct PeerServer {
     next_timer: u64,
     next_disk: u64,
 
-    // Self-addressed messages processed within the current handle call.
+    // Self-addressed messages processed within the current drive call,
+    // the effects it produced so far, and the disks its env completed at
+    // once (engine/drive.rs).
     pub(crate) internal: VecDeque<Input>,
     pub(crate) out: Vec<Output>,
+    completed: VecDeque<DiskReqId>,
 
     /// Event counters.
     pub stats: Counters,
@@ -598,6 +602,7 @@ impl PeerServer {
             next_disk: 0,
             internal: VecDeque::new(),
             out: Vec::new(),
+            completed: VecDeque::new(),
             stats: Counters::default(),
             obs: crate::obs::SiteObs::default(),
             cfg,
@@ -793,20 +798,6 @@ impl PeerServer {
         )
     }
 
-    /// Handles one input event at virtual time `now`, returning the
-    /// output effects. Self-addressed messages are processed within this
-    /// call (zero message cost — the peer-servers local fast path).
-    pub fn handle(&mut self, now: SimTime, input: Input) -> Vec<Output> {
-        debug_assert!(now >= self.now, "time went backwards");
-        self.now = now;
-        self.obs.set_now(now);
-        self.internal.push_back(input);
-        while let Some(ev) = self.internal.pop_front() {
-            self.dispatch(ev);
-        }
-        std::mem::take(&mut self.out)
-    }
-
     fn dispatch(&mut self, input: Input) {
         // Each input establishes its own causal context; a traced
         // message re-sets it in `handle_msg`.
@@ -903,8 +894,9 @@ impl PeerServer {
             // A message for a *different* transaction sent from this
             // context is a real causal edge (e.g. a commit's release
             // unblocking another transaction's grant) — keep the edge,
-            // attribute the hop to the message's own transaction.
-            let txn = msg_txn.unwrap_or(c.txn);
+            // attribute the hop to the message's own transaction, or to
+            // its request's for a reply that names none.
+            let txn = msg_txn.or(parked.map(|p| p.txn)).unwrap_or(c.txn);
             let origin = if txn == c.txn { c.origin } else { txn.site };
             (txn, origin, c.span)
         } else if let Some(c) = parked {
@@ -1591,22 +1583,35 @@ pub(crate) fn credit_request(msg: &Message) -> Option<(ReqId, TxnId)> {
 mod tests {
     use super::*;
     use crate::msg::{AppReply, AppRequest};
-    use pscc_common::{AppId, FileId, SimTime, VolId};
+    use pscc_common::{AppId, FileId, SimDuration, SimTime, VolId};
+
+    /// An env that completes every disk at once and records every
+    /// effect, disks included, in the order it receives them.
+    #[derive(Default)]
+    struct Record(Vec<Output>);
+
+    impl Env for Record {
+        fn send(&mut self, to: SiteId, msg: Message) {
+            self.0.send(to, msg);
+        }
+        fn disk(&mut self, req: DiskReqId, op: DiskOp) -> bool {
+            self.0.disk(req, op);
+            true
+        }
+        fn arm_timer(&mut self, timer: TimerId, delay: SimDuration) {
+            self.0.arm_timer(timer, delay);
+        }
+        fn reply(&mut self, reply: AppReply) {
+            self.0.reply(reply);
+        }
+    }
 
     /// Feeds `input` to `s`, completing disk requests at once; returns
     /// every output produced.
     fn drive(s: &mut PeerServer, input: Input) -> Vec<Output> {
-        let mut all = Vec::new();
-        let mut work = VecDeque::from([input]);
-        while let Some(i) = work.pop_front() {
-            for o in s.handle(SimTime::ZERO, i) {
-                if let Output::Disk { req, .. } = o {
-                    work.push_back(Input::DiskDone { req });
-                }
-                all.push(o);
-            }
-        }
-        all
+        let mut rec = Record::default();
+        s.drive(SimTime::ZERO, input, &mut rec);
+        rec.0
     }
 
     fn app(s: &mut PeerServer, app: u32, txn: Option<TxnId>, op: AppOp) -> Vec<Output> {
@@ -1630,11 +1635,19 @@ mod tests {
             .any(|o| matches!(o, Output::App(AppReply::Done { txn, .. }) if *txn == t))
     }
 
-    #[test]
-    fn lock_or_park_parks_once_and_resumes_the_same_continuation() {
+    fn owner() -> PeerServer {
         let site = SiteId(0);
         let cfg = pscc_common::SystemConfig::small();
-        let mut s = PeerServer::new(site, cfg, OwnerMap::Single(site));
+        PeerServer::new(site, cfg, OwnerMap::Single(site))
+    }
+
+    fn page(n: u32) -> PageId {
+        PageId::new(FileId::new(VolId(0), 0), n)
+    }
+
+    #[test]
+    fn lock_or_park_parks_once_and_resumes_the_same_continuation() {
+        let mut s = owner();
         let item = LockableId::File(FileId::new(VolId(0), 0));
         let lock = AppOp::Lock {
             item,
@@ -1668,5 +1681,98 @@ mod tests {
         let outs = app(&mut s, 1, Some(t1), AppOp::Commit);
         assert!(done_for(&outs, t2));
         assert!(s.lock_conts.is_empty() && s.ticket_timers.is_empty());
+    }
+
+    #[test]
+    fn drive_hands_a_calls_effects_before_its_completions_in_issue_order() {
+        let mut s = owner();
+        let t = begin(&mut s, 1);
+        // Two page ships wait on the disk, with a send issued between
+        // them; a stale timer fire adds nothing of its own.
+        let ship = |req, p| DiskCont::Ship {
+            req: ReqId(req),
+            from: SiteId(1),
+            txn: t,
+            page: page(p),
+            requested: None,
+        };
+        s.disk(DiskOp::ReadPage(page(1)), ship(1, 1));
+        s.send(SiteId(2), Message::Heartbeat);
+        s.disk(DiskOp::ReadPage(page(2)), ship(2, 2));
+        let timer = TimerId(u64::MAX);
+        let seen: Vec<String> = drive(&mut s, Input::TimerFired { timer })
+            .iter()
+            .map(|o| match o {
+                Output::Disk { req, .. } => format!("disk {}", req.0),
+                Output::Send { msg, .. } => format!("{} {:?}", msg.label(), msg.req_of_reply()),
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        let replies = ["read_reply Some(ReqId(1))", "read_reply Some(ReqId(2))"];
+        assert_eq!(
+            seen,
+            ["disk 1", "heartbeat None", "disk 2", replies[0], replies[1]]
+        );
+    }
+
+    /// Eight small transactions at the owner, fed input by input.
+    fn workload(s: &mut PeerServer, mut feed: impl FnMut(&mut PeerServer, Input)) {
+        for i in 0..8 {
+            let t = Some(TxnId::new(SiteId(0), i + 1));
+            let oid = Oid::new(page(i as u32 % 3), 0);
+            let ops = [
+                (None, AppOp::Begin),
+                (t, AppOp::Read(oid)),
+                (t, AppOp::Write { oid, bytes: None }),
+                (t, AppOp::Commit),
+            ];
+            for (txn, op) in ops {
+                let app = AppId(1);
+                feed(s, Input::App(AppRequest { app, txn, op }));
+            }
+        }
+    }
+
+    #[test]
+    fn handle_returns_what_drive_hands_a_vec() {
+        let (mut a, mut b) = (owner(), owner());
+        let (mut handled, mut driven) = (Vec::new(), Vec::new());
+        workload(&mut a, |s, i| handled.extend(s.handle(SimTime::ZERO, i)));
+        workload(&mut b, |s, i| s.drive(SimTime::ZERO, i, &mut driven));
+        assert!(handled.iter().any(|o| matches!(o, Output::Disk { .. })));
+        assert_eq!(handled, driven);
+    }
+
+    #[test]
+    fn drive_reuses_the_engines_output_buffer() {
+        let mut s = owner();
+        let mut sink = Record::default();
+        let mut feed = |s: &mut PeerServer, i| s.drive(SimTime::ZERO, i, &mut sink);
+        workload(&mut s, &mut feed);
+        let warm = (s.out.as_ptr(), s.out.capacity());
+        assert!(warm.1 > 0);
+        workload(&mut s, &mut feed);
+        assert_eq!((s.out.as_ptr(), s.out.capacity()), warm);
+    }
+
+    #[test]
+    fn a_release_is_recorded_before_the_grant_it_causes() {
+        use pscc_obs::EventKind as K;
+        let mut s = owner();
+        let ring = s.enable_trace(1024);
+        let item = LockableId::File(FileId::new(VolId(0), 0));
+        let mode = LockMode::Ex;
+        let (t1, t2) = (begin(&mut s, 1), begin(&mut s, 2));
+        app(&mut s, 1, Some(t1), AppOp::Lock { item, mode });
+        app(&mut s, 2, Some(t2), AppOp::Lock { item, mode });
+        app(&mut s, 1, Some(t1), AppOp::Commit);
+        let kinds: Vec<K> = ring.snapshot().into_iter().map(|e| e.kind).collect();
+        let released = kinds
+            .iter()
+            .position(|k| matches!(k, K::LocksReleased { txn } if *txn == t1));
+        let granted = kinds
+            .iter()
+            .position(|k| matches!(k, K::LockGrant { txn, mode: LockMode::Ex, .. } if *txn == t2));
+        assert!(released.unwrap() < granted.unwrap(), "{kinds:?}");
     }
 }

@@ -30,8 +30,8 @@
 //! Pages are re-fetched lazily afterwards — re-registration is implicit
 //! in the normal fetch path.
 
-use super::{PeerServer, ReqCont};
-use crate::msg::{Message, Output, ReqId};
+use super::{Env, PeerServer, ReqCont};
+use crate::msg::{Message, ReqId};
 use crate::owner_map::OwnerMap;
 use crate::txn::TxnStatus;
 use pscc_common::{AbortReason, LockMode, LockableId, Oid, PageId, SiteId, SystemConfig, TxnId};
@@ -45,16 +45,16 @@ impl PeerServer {
     ///
     /// Runs restart recovery, re-registers in-doubt transactions and
     /// queries their coordinators, takes a fresh checkpoint so the
-    /// durable image is self-contained again, and returns the server
-    /// together with the outputs (queries, timer arms) the harness must
-    /// execute.
+    /// durable image is self-contained again, hands the effects
+    /// (queries, timer arms) to `env` and returns the server.
     pub fn recover(
         site: SiteId,
         cfg: SystemConfig,
         owners: OwnerMap,
         durable: &DurableState,
         prior_epoch: u64,
-    ) -> (Self, Vec<Output>) {
+        env: &mut impl Env,
+    ) -> Self {
         let started = std::time::Instant::now();
         let mut s = PeerServer::new(site, cfg, owners);
         let outcome = pscc_recovery::restart(s.volume.clone(), durable);
@@ -143,11 +143,8 @@ impl PeerServer {
         // Queries addressed to this very site (a 2PC transaction homed
         // here died with the crash) resolve synchronously — the fresh
         // home has no memory of them, so they become presumed aborts.
-        while let Some(ev) = s.internal.pop_front() {
-            s.dispatch(ev);
-        }
-        let outs = std::mem::take(&mut s.out);
-        (s, outs)
+        s.run(env);
+        s
     }
 
     // ------------------------------------------------------------------

@@ -27,14 +27,15 @@
 //! adaptive interval of §5.5.
 //!
 //! The central type is [`PeerServer`], an event-driven state machine: it
-//! consumes [`Input`]s and produces [`Output`]s, so the identical
-//! protocol code runs on real threads (see `pscc-net`) and under the
-//! discrete-event harness (`pscc-sim`) that regenerates the paper's
-//! figures.
+//! consumes [`Input`]s and hands its effects to an [`Env`] through
+//! [`PeerServer::drive`], so the identical protocol code runs on real
+//! threads (see `pscc-net`) and under the discrete-event harness
+//! (`pscc-sim`) that regenerates the paper's figures.
 //!
 //! # Examples
 //!
-//! A one-site system executing a transaction against its own volume:
+//! A one-site system executing a transaction against its own volume,
+//! its effects staged in a `Vec<Output>` (the simplest [`Env`]):
 //!
 //! ```
 //! use pscc_core::{AppOp, AppReply, AppRequest, Input, Output, OwnerMap, PeerServer};
@@ -43,21 +44,22 @@
 //! let cfg = SystemConfig::small();
 //! let site = SiteId(0);
 //! let mut server = PeerServer::new(site, cfg, OwnerMap::Single(site));
+//! let mut outs: Vec<Output> = Vec::new();
 //!
 //! // Begin a transaction.
-//! let outs = server.handle(SimTime::ZERO, Input::App(AppRequest {
+//! server.drive(SimTime::ZERO, Input::App(AppRequest {
 //!     app: AppId(0), txn: None, op: AppOp::Begin,
-//! }));
-//! let txn = match &outs[0] {
-//!     Output::App(AppReply::Started { txn, .. }) => *txn,
+//! }), &mut outs);
+//! let txn = match outs.pop() {
+//!     Some(Output::App(AppReply::Started { txn, .. })) => txn,
 //!     other => panic!("unexpected {other:?}"),
 //! };
 //!
 //! // Read object 0 of page 0 (self-owned: no messages, maybe one disk read).
 //! let oid = Oid::new(PageId::new(FileId::new(VolId(0), 0), 0), 0);
-//! let outs = server.handle(SimTime::ZERO, Input::App(AppRequest {
+//! server.drive(SimTime::ZERO, Input::App(AppRequest {
 //!     app: AppId(0), txn: Some(txn), op: AppOp::Read(oid),
-//! }));
+//! }), &mut outs);
 //! assert!(!outs.is_empty());
 //! ```
 
@@ -76,7 +78,7 @@ pub mod timeout;
 pub mod txn;
 
 pub use engine::large::{decode_header_oid, encode_header_oid};
-pub use engine::{DrainPhase, MigrationPhase, PeerServer};
+pub use engine::{DrainPhase, Env, MigrationPhase, PeerServer};
 pub use msg::{
     AppOp, AppReply, AppRequest, CbId, CbTarget, DeId, DiskOp, DiskReqId, FifoPath, Input, Message,
     Output, ReqId, TimerId,

@@ -2,11 +2,9 @@
 //! client-server configuration (site 0 owns everything; sites 1..n are
 //! clients).
 
-mod common;
-
-use common::{version_of, Cluster};
-use pscc_common::{AppId, FileId, Oid, PageId, Protocol, SiteId, SystemConfig, VolId};
+use pscc_common::{AppId, FileId, Oid, PageId, Protocol, PsccError, SiteId, SystemConfig, VolId};
 use pscc_core::{AppOp, AppReply, OwnerMap};
+use pscc_sim::testkit::{version_of, Cluster};
 
 const SERVER: SiteId = SiteId(0);
 const A: SiteId = SiteId(1);
@@ -29,15 +27,20 @@ fn oid(page: u32, slot: u16) -> Oid {
     Oid::new(PageId::new(FileId::new(VolId(SERVER.0), 0), page), slot)
 }
 
+/// A synthesized write of `oid` (bumps its version).
+fn write(oid: Oid) -> AppOp {
+    AppOp::Write { oid, bytes: None }
+}
+
 #[test]
 fn local_read_write_commit_on_owner() {
     let mut c = cluster(Protocol::PsAa);
     let t = c.begin(SERVER, APP);
     let x = oid(0, 0);
-    let v0 = c.read(SERVER, APP, t, x);
+    let v0 = c.read(SERVER, APP, t, x).unwrap();
     assert_eq!(version_of(&v0), 0);
-    c.write(SERVER, APP, t, x);
-    c.commit(SERVER, APP, t);
+    c.write(SERVER, APP, t, x, None).unwrap();
+    c.commit(SERVER, APP, t).unwrap();
     // Committed value visible in the owner's volume.
     let bytes = c.sites[0].volume().read_object(x).unwrap();
     assert_eq!(version_of(bytes), 1);
@@ -50,7 +53,7 @@ fn remote_read_caches_and_hits() {
     let mut c = cluster(Protocol::PsAa);
     let t = c.begin(A, APP);
     let x = oid(3, 2);
-    let v = c.read(A, APP, t, x);
+    let v = c.read(A, APP, t, x).unwrap();
     assert_eq!(version_of(&v), 0);
     let after_first = c.total_stats();
     assert_eq!(after_first.read_requests, 1);
@@ -58,12 +61,12 @@ fn remote_read_caches_and_hits() {
 
     // Second read of the same object — and of a *different* object on
     // the same page — are pure cache hits.
-    c.read(A, APP, t, x);
-    c.read(A, APP, t, oid(3, 7));
+    c.read(A, APP, t, x).unwrap();
+    c.read(A, APP, t, oid(3, 7)).unwrap();
     let after = c.total_stats();
     assert_eq!(after.read_requests, 1, "no further fetches");
     assert_eq!(after.cache_hits, 2);
-    c.commit(A, APP, t);
+    c.commit(A, APP, t).unwrap();
 }
 
 #[test]
@@ -71,15 +74,15 @@ fn intertransaction_caching_survives_commit() {
     let mut c = cluster(Protocol::PsAa);
     let x = oid(5, 1);
     let t1 = c.begin(A, APP);
-    c.read(A, APP, t1, x);
-    c.commit(A, APP, t1);
+    c.read(A, APP, t1, x).unwrap();
+    c.commit(A, APP, t1).unwrap();
     // A new transaction reads the same object without any server
     // interaction (inter-transaction caching, paper §1).
     let msgs_before = c.total_stats().msgs_sent;
     let t2 = c.begin(A, APP);
-    c.read(A, APP, t2, x);
+    c.read(A, APP, t2, x).unwrap();
     assert_eq!(c.total_stats().msgs_sent, msgs_before);
-    c.commit(A, APP, t2);
+    c.commit(A, APP, t2).unwrap();
 }
 
 #[test]
@@ -89,24 +92,24 @@ fn write_invalidates_other_clients_copy() {
 
     // B caches the page.
     let tb = c.begin(B, APP);
-    c.read(B, APP, tb, x);
-    c.commit(B, APP, tb);
+    c.read(B, APP, tb, x).unwrap();
+    c.commit(B, APP, tb).unwrap();
 
     // A updates X: a callback reaches B; since B is idle on the page,
     // the whole page is purged there (adaptive callbacks, §4.1.1).
     let ta = c.begin(A, APP);
-    c.read(A, APP, ta, x);
-    c.write(A, APP, ta, x);
-    c.commit(A, APP, ta);
+    c.read(A, APP, ta, x).unwrap();
+    c.write(A, APP, ta, x, None).unwrap();
+    c.commit(A, APP, ta).unwrap();
     let stats = c.total_stats();
     assert!(stats.callbacks_sent >= 1);
     assert!(stats.callbacks_purged_page >= 1);
 
     // B re-reads and sees the committed update.
     let tb2 = c.begin(B, APP);
-    let v = c.read(B, APP, tb2, x);
+    let v = c.read(B, APP, tb2, x).unwrap();
     assert_eq!(version_of(&v), 1);
-    c.commit(B, APP, tb2);
+    c.commit(B, APP, tb2).unwrap();
 }
 
 #[test]
@@ -114,19 +117,19 @@ fn ps_aa_grants_adaptive_lock_and_saves_messages() {
     let mut c = cluster(Protocol::PsAa);
     let t = c.begin(A, APP);
     let p = 9;
-    c.read(A, APP, t, oid(p, 0));
-    c.write(A, APP, t, oid(p, 0));
+    c.read(A, APP, t, oid(p, 0)).unwrap();
+    c.write(A, APP, t, oid(p, 0), None).unwrap();
     let s1 = c.total_stats();
     assert_eq!(s1.adaptive_grants, 1, "nobody else caches the page");
 
     // Further updates to other objects of the page are free.
     let msgs = c.total_stats().msgs_sent;
-    c.write(A, APP, t, oid(p, 1));
-    c.write(A, APP, t, oid(p, 2));
+    c.write(A, APP, t, oid(p, 1), None).unwrap();
+    c.write(A, APP, t, oid(p, 2), None).unwrap();
     let s2 = c.total_stats();
     assert_eq!(s2.msgs_sent, msgs, "adaptive writes send nothing");
     assert_eq!(s2.adaptive_hits, 2);
-    c.commit(A, APP, t);
+    c.commit(A, APP, t).unwrap();
     // Committed values durable at the owner.
     assert_eq!(
         version_of(c.sites[0].volume().read_object(oid(p, 2)).unwrap()),
@@ -139,14 +142,14 @@ fn ps_oa_never_grants_adaptive() {
     let mut c = cluster(Protocol::PsOa);
     let t = c.begin(A, APP);
     let p = 9;
-    c.read(A, APP, t, oid(p, 0));
-    c.write(A, APP, t, oid(p, 0));
-    c.write(A, APP, t, oid(p, 1));
+    c.read(A, APP, t, oid(p, 0)).unwrap();
+    c.write(A, APP, t, oid(p, 0), None).unwrap();
+    c.write(A, APP, t, oid(p, 1), None).unwrap();
     let s = c.total_stats();
     assert_eq!(s.adaptive_grants, 0);
     assert_eq!(s.adaptive_hits, 0);
     assert_eq!(s.write_requests, 2, "every object write goes to the server");
-    c.commit(A, APP, t);
+    c.commit(A, APP, t).unwrap();
 }
 
 #[test]
@@ -156,21 +159,21 @@ fn deescalation_on_cross_client_access() {
 
     // A acquires an adaptive lock on page p.
     let ta = c.begin(A, APP);
-    c.read(A, APP, ta, oid(p, 0));
-    c.write(A, APP, ta, oid(p, 0));
+    c.read(A, APP, ta, oid(p, 0)).unwrap();
+    c.write(A, APP, ta, oid(p, 0), None).unwrap();
     assert_eq!(c.total_stats().adaptive_grants, 1);
 
     // B reads a *different* object of p: the server must deescalate A's
     // adaptive lock first (paper §4.1.2), then B proceeds.
     let tb = c.begin(B, APP);
-    let v = c.read(B, APP, tb, oid(p, 5));
+    let v = c.read(B, APP, tb, oid(p, 5)).unwrap();
     assert_eq!(version_of(&v), 0);
     assert_eq!(c.total_stats().deescalations, 1);
 
     // A's next write on the page must go to the server again (the
     // adaptive grant is gone)...
     let w_before = c.total_stats().write_requests;
-    c.write(A, APP, ta, oid(p, 1));
+    c.write(A, APP, ta, oid(p, 1), None).unwrap();
     assert_eq!(c.total_stats().write_requests, w_before + 1);
 
     // ...and A's uncommitted update on slot 0 stays invisible to B: the
@@ -179,7 +182,7 @@ fn deescalation_on_cross_client_access() {
     c.submit(B, APP, Some(tb), AppOp::Read(oid(p, 0)));
     c.pump();
     assert!(c.find_reply(B, tb).is_none(), "B must wait for A's EX lock");
-    c.commit(A, APP, ta);
+    c.commit(A, APP, ta).unwrap();
     c.pump();
     match c.find_reply(B, tb) {
         Some(AppReply::Done { data: Some(d), .. }) => {
@@ -187,7 +190,7 @@ fn deescalation_on_cross_client_access() {
         }
         other => panic!("unexpected {other:?}"),
     }
-    c.commit(B, APP, tb);
+    c.commit(B, APP, tb).unwrap();
 }
 
 #[test]
@@ -195,25 +198,25 @@ fn reescalation_after_contention_dissipates() {
     let mut c = cluster(Protocol::PsAa);
     let p = 13;
     let ta = c.begin(A, APP);
-    c.read(A, APP, ta, oid(p, 0));
-    c.write(A, APP, ta, oid(p, 0));
+    c.read(A, APP, ta, oid(p, 0)).unwrap();
+    c.write(A, APP, ta, oid(p, 0), None).unwrap();
     assert_eq!(c.total_stats().adaptive_grants, 1);
 
     // B touches the page (deescalation), then goes away.
     let tb = c.begin(B, APP);
-    c.read(B, APP, tb, oid(p, 5));
-    c.commit(B, APP, tb);
+    c.read(B, APP, tb, oid(p, 5)).unwrap();
+    c.commit(B, APP, tb).unwrap();
     assert_eq!(c.total_stats().deescalations, 1);
 
     // A commits; a later A transaction re-escalates: its write callback
     // purges B's copy entirely, so the adaptive lock is granted again
     // (paper §4.1.2 "reescalate if the contention has dissipated").
-    c.commit(A, APP, ta);
+    c.commit(A, APP, ta).unwrap();
     let ta2 = c.begin(A, APP);
-    c.read(A, APP, ta2, oid(p, 1));
-    c.write(A, APP, ta2, oid(p, 1));
+    c.read(A, APP, ta2, oid(p, 1)).unwrap();
+    c.write(A, APP, ta2, oid(p, 1), None).unwrap();
     assert_eq!(c.total_stats().adaptive_grants, 2);
-    c.commit(A, APP, ta2);
+    c.commit(A, APP, ta2).unwrap();
 }
 
 #[test]
@@ -223,24 +226,24 @@ fn ps_protocol_page_level_locking() {
     let x = oid(p, 0);
 
     let tb = c.begin(B, APP);
-    c.read(B, APP, tb, x);
-    c.commit(B, APP, tb);
+    c.read(B, APP, tb, x).unwrap();
+    c.commit(B, APP, tb).unwrap();
 
     let ta = c.begin(A, APP);
-    c.read(A, APP, ta, x);
-    c.write(A, APP, ta, x);
+    c.read(A, APP, ta, x).unwrap();
+    c.write(A, APP, ta, x, None).unwrap();
     // Page-level write permission: later writes on the same page are
     // server-free under the EX page lock.
     let msgs = c.total_stats().msgs_sent;
-    c.write(A, APP, ta, oid(p, 1));
+    c.write(A, APP, ta, oid(p, 1), None).unwrap();
     assert_eq!(c.total_stats().msgs_sent, msgs);
-    c.commit(A, APP, ta);
+    c.commit(A, APP, ta).unwrap();
 
     // B's copy was purged by the page callback; re-read sees v1.
     let tb2 = c.begin(B, APP);
-    let v = c.read(B, APP, tb2, oid(p, 1));
+    let v = c.read(B, APP, tb2, oid(p, 1)).unwrap();
     assert_eq!(version_of(&v), 1);
-    c.commit(B, APP, tb2);
+    c.commit(B, APP, tb2).unwrap();
     // And no object-level machinery ran.
     let s = c.total_stats();
     assert_eq!(s.adaptive_grants, 0);
@@ -259,8 +262,8 @@ fn ps_false_sharing_blocks_where_psaa_proceeds() {
         let p = 17;
         let ta = c.begin(A, APP);
         let tb = c.begin(B, APP);
-        c.read(A, APP, ta, oid(p, 0));
-        c.write(A, APP, ta, oid(p, 0));
+        c.read(A, APP, ta, oid(p, 0)).unwrap();
+        c.write(A, APP, ta, oid(p, 0), None).unwrap();
         c.submit(B, APP, Some(tb), AppOp::Read(oid(p, 9)));
         c.pump();
         let b_done = c.find_reply(B, tb).is_some();
@@ -268,12 +271,12 @@ fn ps_false_sharing_blocks_where_psaa_proceeds() {
             b_done, expect_concurrent,
             "{proto}: concurrent-reader completion"
         );
-        c.commit(A, APP, ta);
+        c.commit(A, APP, ta).unwrap();
         c.pump();
         if !b_done {
             assert!(c.find_reply(B, tb).is_some(), "{proto}: B resumes after A");
         }
-        c.commit(B, APP, tb);
+        c.commit(B, APP, tb).unwrap();
     }
 }
 
@@ -285,25 +288,25 @@ fn uncommitted_object_is_unavailable_to_other_client() {
     let y = oid(p, 4);
 
     let ta = c.begin(A, APP);
-    c.read(A, APP, ta, x);
-    c.write(A, APP, ta, x);
+    c.read(A, APP, ta, x).unwrap();
+    c.write(A, APP, ta, x, None).unwrap();
 
     // B fetches the page for a different object: X must arrive marked
     // unavailable (paper §4.2.3), so B's read of Y succeeds but a read
     // of X goes back to the server and blocks.
     let tb = c.begin(B, APP);
-    let v = c.read(B, APP, tb, y);
+    let v = c.read(B, APP, tb, y).unwrap();
     assert_eq!(version_of(&v), 0);
     c.submit(B, APP, Some(tb), AppOp::Read(x));
     c.pump();
     assert!(c.find_reply(B, tb).is_none(), "X is write-locked by A");
-    c.commit(A, APP, ta);
+    c.commit(A, APP, ta).unwrap();
     c.pump();
     match c.find_reply(B, tb) {
         Some(AppReply::Done { data: Some(d), .. }) => assert_eq!(version_of(&d), 1),
         other => panic!("unexpected {other:?}"),
     }
-    c.commit(B, APP, tb);
+    c.commit(B, APP, tb).unwrap();
 }
 
 #[test]
@@ -311,23 +314,24 @@ fn abort_undoes_everywhere() {
     let mut c = cluster(Protocol::PsAa);
     let x = oid(21, 0);
     let ta = c.begin(A, APP);
-    c.read(A, APP, ta, x);
-    c.write(A, APP, ta, x);
-    match c.run_op(A, APP, ta, AppOp::Abort) {
-        AppReply::Aborted { .. } => {}
-        other => panic!("unexpected {other:?}"),
-    }
+    c.read(A, APP, ta, x).unwrap();
+    c.write(A, APP, ta, x, None).unwrap();
+    let aborted = c.run_op(A, APP, ta, AppOp::Abort);
+    assert!(
+        matches!(aborted, Err(PsccError::Aborted { .. })),
+        "{aborted:?}"
+    );
     // B reads the original value.
     let tb = c.begin(B, APP);
-    let v = c.read(B, APP, tb, x);
+    let v = c.read(B, APP, tb, x).unwrap();
     assert_eq!(version_of(&v), 0);
-    c.commit(B, APP, tb);
+    c.commit(B, APP, tb).unwrap();
     // And A itself re-reads the original value (its dirty copy was
     // marked unavailable and re-fetched).
     let ta2 = c.begin(A, APP);
-    let v = c.read(A, APP, ta2, x);
+    let v = c.read(A, APP, ta2, x).unwrap();
     assert_eq!(version_of(&v), 0);
-    c.commit(A, APP, ta2);
+    c.commit(A, APP, ta2).unwrap();
 }
 
 #[test]
@@ -338,31 +342,15 @@ fn deadlock_detected_and_victim_aborted() {
     let ta = c.begin(A, APP);
     let tb = c.begin(B, APP);
 
-    c.read(A, APP, ta, x);
-    c.write(A, APP, ta, x);
-    c.read(B, APP, tb, y);
-    c.write(B, APP, tb, y);
+    c.read(A, APP, ta, x).unwrap();
+    c.write(A, APP, ta, x, None).unwrap();
+    c.read(B, APP, tb, y).unwrap();
+    c.write(B, APP, tb, y, None).unwrap();
 
     // Cross writes: A→y, B→x.
-    c.submit(
-        A,
-        APP,
-        Some(ta),
-        AppOp::Write {
-            oid: y,
-            bytes: None,
-        },
-    );
+    c.submit(A, APP, Some(ta), write(y));
     c.pump();
-    c.submit(
-        B,
-        APP,
-        Some(tb),
-        AppOp::Write {
-            oid: x,
-            bytes: None,
-        },
-    );
+    c.submit(B, APP, Some(tb), write(x));
     c.pump();
 
     let ra = c.find_reply(A, ta);
@@ -381,13 +369,13 @@ fn deadlock_detected_and_victim_aborted() {
         if !matches!(rb, Some(AppReply::Done { .. })) {
             assert!(c.find_reply(B, tb).is_some(), "survivor's write completes");
         }
-        c.commit(B, APP, tb);
+        c.commit(B, APP, tb).unwrap();
     } else {
         c.pump();
         if !matches!(ra, Some(AppReply::Done { .. })) {
             assert!(c.find_reply(A, ta).is_some(), "survivor's write completes");
         }
-        c.commit(A, APP, ta);
+        c.commit(A, APP, ta).unwrap();
     }
 }
 
@@ -400,9 +388,9 @@ fn serializability_smoke_counter_increments() {
     for i in 0..10 {
         let site = if i % 2 == 0 { A } else { B };
         let t = c.begin(site, APP);
-        c.read(site, APP, t, x);
-        c.write(site, APP, t, x);
-        c.commit(site, APP, t);
+        c.read(site, APP, t, x).unwrap();
+        c.write(site, APP, t, x, None).unwrap();
+        c.commit(site, APP, t).unwrap();
     }
     assert_eq!(version_of(c.sites[0].volume().read_object(x).unwrap()), 10);
 }
@@ -415,34 +403,30 @@ fn explicit_file_lock_purges_and_blocks() {
 
     // B caches a page of the file.
     let tb = c.begin(B, APP);
-    c.read(B, APP, tb, x);
-    c.commit(B, APP, tb);
+    c.read(B, APP, tb, x).unwrap();
+    c.commit(B, APP, tb).unwrap();
 
     // A takes an explicit EX file lock: B's cached pages of the file are
     // purged (paper §4.3.1).
     let ta = c.begin(A, APP);
-    match c.run_op(
-        A,
-        APP,
-        ta,
-        AppOp::Lock {
-            item: file.into(),
-            mode: pscc_common::LockMode::Ex,
-        },
-    ) {
-        AppReply::Done { .. } => {}
-        other => panic!("unexpected {other:?}"),
-    }
+    let lock = AppOp::Lock {
+        item: file.into(),
+        mode: pscc_common::LockMode::Ex,
+    };
+    assert!(matches!(
+        c.run_op(A, APP, ta, lock),
+        Ok(AppReply::Done { .. })
+    ));
     assert!(!c.sites[B.0 as usize].volume().contains_page(x.page)); // B owns nothing anyway
                                                                     // B's new read blocks behind the file lock.
     let tb2 = c.begin(B, APP);
     c.submit(B, APP, Some(tb2), AppOp::Read(x));
     c.pump();
     assert!(c.find_reply(B, tb2).is_none(), "file EX blocks readers");
-    c.commit(A, APP, ta);
+    c.commit(A, APP, ta).unwrap();
     c.pump();
     assert!(c.find_reply(B, tb2).is_some());
-    c.commit(B, APP, tb2);
+    c.commit(B, APP, tb2).unwrap();
 }
 
 #[test]
@@ -450,22 +434,18 @@ fn fully_cached_page_sh_lock_is_local_only() {
     let mut c = cluster(Protocol::PsAa);
     let x = oid(29, 0);
     let t = c.begin(A, APP);
-    c.read(A, APP, t, x); // page now fully cached
+    c.read(A, APP, t, x).unwrap(); // page now fully cached
     let msgs = c.total_stats().msgs_sent;
-    match c.run_op(
-        A,
-        APP,
-        t,
-        AppOp::Lock {
-            item: pscc_common::LockableId::Page(x.page),
-            mode: pscc_common::LockMode::Sh,
-        },
-    ) {
-        AppReply::Done { .. } => {}
-        other => panic!("unexpected {other:?}"),
-    }
+    let lock = AppOp::Lock {
+        item: pscc_common::LockableId::Page(x.page),
+        mode: pscc_common::LockMode::Sh,
+    };
+    assert!(matches!(
+        c.run_op(A, APP, t, lock),
+        Ok(AppReply::Done { .. })
+    ));
     assert_eq!(c.total_stats().msgs_sent, msgs, "SH page lock stayed local");
-    c.commit(A, APP, t);
+    c.commit(A, APP, t).unwrap();
 }
 
 #[test]
@@ -478,35 +458,27 @@ fn blocked_callback_resolves_after_holder_commits() {
     // Warm B's cache so the next read is local-only (no server lock) —
     // the preconditions of Fig. 3's client D.
     let tb0 = c.begin(B, APP);
-    c.read(B, APP, tb0, x);
-    c.commit(B, APP, tb0);
+    c.read(B, APP, tb0, x).unwrap();
+    c.commit(B, APP, tb0).unwrap();
 
     let tb = c.begin(B, APP);
-    c.read(B, APP, tb, x); // B holds a local-only SH lock on X
+    c.read(B, APP, tb, x).unwrap(); // B holds a local-only SH lock on X
 
     let ta = c.begin(A, APP);
-    c.read(A, APP, ta, x);
-    c.submit(
-        A,
-        APP,
-        Some(ta),
-        AppOp::Write {
-            oid: x,
-            bytes: None,
-        },
-    );
+    c.read(A, APP, ta, x).unwrap();
+    c.submit(A, APP, Some(ta), write(x));
     c.pump();
     assert!(c.find_reply(A, ta).is_none(), "callback blocked at B");
     assert!(c.total_stats().callbacks_blocked >= 1);
 
-    c.commit(B, APP, tb);
+    c.commit(B, APP, tb).unwrap();
     c.pump();
     assert!(c.find_reply(A, ta).is_some(), "write proceeds after B ends");
-    c.commit(A, APP, ta);
+    c.commit(A, APP, ta).unwrap();
 
     // B re-reads: sees the new committed version.
     let tb2 = c.begin(B, APP);
-    let v = c.read(B, APP, tb2, x);
+    let v = c.read(B, APP, tb2, x).unwrap();
     assert_eq!(version_of(&v), 1);
-    c.commit(B, APP, tb2);
+    c.commit(B, APP, tb2).unwrap();
 }

@@ -3,14 +3,12 @@
 //! with callback redo (§4.3.2), dummy-object callbacks for explicit
 //! IX page locks, and volume-level locks.
 
-mod common;
-
-use common::{drain, version_of, Cluster};
 use pscc_common::{
     AppId, FileId, LockMode, LockableId, Oid, PageId, Protocol, SiteId, SystemConfig, VolId,
 };
 use pscc_core::{AppOp, AppReply, OwnerMap};
 use pscc_net::PathId;
+use pscc_sim::testkit::{version_of, Cluster};
 
 const S: SiteId = SiteId(0);
 const A: SiteId = SiteId(1);
@@ -30,11 +28,19 @@ fn oid(page: u32, slot: u16) -> Oid {
     Oid::new(PageId::new(FileId::new(VolId(0), 0), page), slot)
 }
 
+/// A synthesized write of `oid` (bumps its version).
+fn write(oid: Oid) -> AppOp {
+    AppOp::Write { oid, bytes: None }
+}
+
 fn lock(c: &mut Cluster, site: SiteId, txn: pscc_common::TxnId, item: LockableId, mode: LockMode) {
-    match c.run_op(site, APP, txn, AppOp::Lock { item, mode }) {
-        AppReply::Done { .. } => {}
-        other => panic!("lock failed: {other:?}"),
-    }
+    let reply = c
+        .run_op(site, APP, txn, AppOp::Lock { item, mode })
+        .unwrap();
+    assert!(
+        matches!(reply, AppReply::Done { .. }),
+        "lock failed: {reply:?}"
+    );
 }
 
 /// The full §4.3.2 scenario: a local-only SH page lock blocks an object
@@ -49,8 +55,8 @@ fn page_level_blocked_callback_with_sneak_and_redo() {
 
     // B fully caches page p, then takes a LOCAL-ONLY SH page lock.
     let tb0 = c.begin(B, APP);
-    c.read(B, APP, tb0, x);
-    c.commit(B, APP, tb0);
+    c.read(B, APP, tb0, x).unwrap();
+    c.commit(B, APP, tb0).unwrap();
     let tb = c.begin(B, APP);
     let msgs = c.total_stats().msgs_sent;
     lock(&mut c, B, tb, LockableId::Page(x.page), LockMode::Sh);
@@ -60,24 +66,16 @@ fn page_level_blocked_callback_with_sneak_and_redo() {
     // Fig. 4 ordering: C's read request must already be waiting on X at
     // the server when the page-level callback-blocked reply arrives.
     let ta = c.begin(A, APP);
-    c.read(A, APP, ta, x);
+    c.read(A, APP, ta, x).unwrap();
     let tc = c.begin(C, APP);
-    c.submit(
-        A,
-        APP,
-        Some(ta),
-        AppOp::Write {
-            oid: x,
-            bytes: None,
-        },
-    );
-    drain(&mut c, A, S, PathId(0)); // server takes EX(X); callback queued to B
+    c.submit(A, APP, Some(ta), write(x));
+    c.drain(A, S, PathId(0)); // server takes EX(X); callback queued to B
     c.submit(C, APP, Some(tc), AppOp::Read(x));
-    drain(&mut c, C, S, PathId(0)); // C's SH(X) queues behind A's EX
-    drain(&mut c, S, B, PathId(2)); // callback blocks at B's page lock
-    drain(&mut c, B, S, PathId(0)); // CbBlocked: downgrade dance; C sneaks in
+    c.drain(C, S, PathId(0)); // C's SH(X) queues behind A's EX
+    c.drain(S, B, PathId(2)); // callback blocks at B's page lock
+    c.drain(B, S, PathId(0)); // CbBlocked: downgrade dance; C sneaks in
     assert!(c.total_stats().callbacks_blocked >= 1);
-    drain(&mut c, S, C, PathId(1)); // the sneaked copy reaches C
+    c.drain(S, C, PathId(1)); // the sneaked copy reaches C
     match c.find_reply(C, tc) {
         Some(AppReply::Done { data: Some(v), .. }) => {
             assert_eq!(version_of(&v), 0, "C reads the pre-update version")
@@ -88,11 +86,11 @@ fn page_level_blocked_callback_with_sneak_and_redo() {
         c.find_reply(A, ta).is_none(),
         "A must wait for B's page lock"
     );
-    c.commit(C, APP, tc);
+    c.commit(C, APP, tc).unwrap();
 
     // B finishes; the callback redo re-invalidates C's copy and A's
     // write completes.
-    c.commit(B, APP, tb);
+    c.commit(B, APP, tb).unwrap();
     c.pump();
     assert!(
         c.find_reply(A, ta).is_some(),
@@ -102,13 +100,13 @@ fn page_level_blocked_callback_with_sneak_and_redo() {
         c.total_stats().callback_redos >= 1,
         "the second-objective violation must trigger a redo"
     );
-    c.commit(A, APP, ta);
+    c.commit(A, APP, ta).unwrap();
 
     // C re-reads: its copy was re-invalidated, so it sees version 1.
     let tc2 = c.begin(C, APP);
-    let v = c.read(C, APP, tc2, x);
+    let v = c.read(C, APP, tc2, x).unwrap();
     assert_eq!(version_of(&v), 1, "C must not retain the sneaked copy");
-    c.commit(C, APP, tc2);
+    c.commit(C, APP, tc2).unwrap();
 }
 
 /// Explicit IX page locks generate dummy-object callbacks that revoke
@@ -121,8 +119,8 @@ fn explicit_ix_page_lock_sends_dummy_callbacks() {
 
     // B fully caches the page.
     let tb0 = c.begin(B, APP);
-    c.read(B, APP, tb0, x);
-    c.commit(B, APP, tb0);
+    c.read(B, APP, tb0, x).unwrap();
+    c.commit(B, APP, tb0).unwrap();
 
     // A takes an explicit IX page lock: a dummy-object callback makes
     // B's copy no longer *fully* cached...
@@ -150,10 +148,10 @@ fn explicit_ix_page_lock_sends_dummy_callbacks() {
         c.find_reply(B, tb).is_none(),
         "SH page lock must wait behind the IX at the server"
     );
-    c.commit(A, APP, ta);
+    c.commit(A, APP, ta).unwrap();
     c.pump();
     assert!(c.find_reply(B, tb).is_some());
-    c.commit(B, APP, tb);
+    c.commit(B, APP, tb).unwrap();
 }
 
 /// Volume-level EX locks purge every cached page of the volume at other
@@ -164,9 +162,9 @@ fn volume_lock_purges_everything() {
     let (x, y) = (oid(54, 0), oid(55, 0));
 
     let tb = c.begin(B, APP);
-    c.read(B, APP, tb, x);
-    c.read(B, APP, tb, y);
-    c.commit(B, APP, tb);
+    c.read(B, APP, tb, x).unwrap();
+    c.read(B, APP, tb, y).unwrap();
+    c.commit(B, APP, tb).unwrap();
 
     let ta = c.begin(A, APP);
     lock(&mut c, A, ta, LockableId::Volume(VolId(0)), LockMode::Ex);
@@ -179,10 +177,10 @@ fn volume_lock_purges_everything() {
         c.find_reply(B, tb2).is_none(),
         "volume EX blocks all readers"
     );
-    c.commit(A, APP, ta);
+    c.commit(A, APP, ta).unwrap();
     c.pump();
     assert!(c.find_reply(B, tb2).is_some());
-    c.commit(B, APP, tb2);
+    c.commit(B, APP, tb2).unwrap();
 }
 
 /// Intention file locks (IS/IX) coexist at the server; SH file locks
@@ -198,7 +196,7 @@ fn file_lock_mode_semantics() {
     // IS coexists with IX.
     let tb = c.begin(B, APP);
     lock(&mut c, B, tb, LockableId::File(file), LockMode::Is);
-    c.commit(B, APP, tb);
+    c.commit(B, APP, tb).unwrap();
 
     // SH must wait behind IX.
     let tc = c.begin(C, APP);
@@ -213,10 +211,10 @@ fn file_lock_mode_semantics() {
     );
     c.pump();
     assert!(c.find_reply(C, tc).is_none(), "SH file must wait behind IX");
-    c.commit(A, APP, ta);
+    c.commit(A, APP, ta).unwrap();
     c.pump();
     assert!(c.find_reply(C, tc).is_some());
-    c.commit(C, APP, tc);
+    c.commit(C, APP, tc).unwrap();
 }
 
 /// A blocked *file* callback replicates the conflict and resolves when
@@ -229,10 +227,10 @@ fn blocked_file_callback_resolves() {
 
     // B holds a local-only SH on an object of the file (cached read).
     let tb0 = c.begin(B, APP);
-    c.read(B, APP, tb0, x);
-    c.commit(B, APP, tb0);
+    c.read(B, APP, tb0, x).unwrap();
+    c.commit(B, APP, tb0).unwrap();
     let tb = c.begin(B, APP);
-    c.read(B, APP, tb, x); // local-only SH obj + IS file
+    c.read(B, APP, tb, x).unwrap(); // local-only SH obj + IS file
 
     // A requests EX on the whole file: the file callback at B blocks on
     // B's local IS file lock.
@@ -251,11 +249,11 @@ fn blocked_file_callback_resolves() {
         c.find_reply(A, ta).is_none(),
         "file EX must wait for B's reader"
     );
-    c.commit(B, APP, tb);
+    c.commit(B, APP, tb).unwrap();
     c.pump();
     assert!(
         c.find_reply(A, ta).is_some(),
         "file EX granted after B ends"
     );
-    c.commit(A, APP, ta);
+    c.commit(A, APP, ta).unwrap();
 }

@@ -1,11 +1,9 @@
 //! Peer-servers configuration tests (partitioned ownership) and
 //! two-phase commit across owners (paper §3.3, §5.5).
 
-mod common;
-
-use common::{version_of, Cluster};
-use pscc_common::{AppId, FileId, Oid, PageId, Protocol, SiteId, SystemConfig, VolId};
+use pscc_common::{AppId, FileId, Oid, PageId, Protocol, PsccError, SiteId, SystemConfig, VolId};
 use pscc_core::{AppOp, AppReply, OwnerMap};
+use pscc_sim::testkit::{version_of, Cluster};
 
 const APP: AppId = AppId(0);
 
@@ -28,15 +26,20 @@ fn oid_at(owner: u32, page: u32, slot: u16) -> Oid {
     Oid::new(PageId::new(FileId::new(VolId(owner), 0), page), slot)
 }
 
+/// A synthesized write of `oid` (bumps its version).
+fn write(oid: Oid) -> AppOp {
+    AppOp::Write { oid, bytes: None }
+}
+
 #[test]
 fn peer_local_access_sends_no_messages() {
     let mut c = peer_cluster(1);
     let s1 = SiteId(1);
     let t = c.begin(s1, APP);
     let x = oid_at(1, 200, 3); // owned by site 1 itself
-    c.read(s1, APP, t, x);
-    c.write(s1, APP, t, x);
-    c.commit(s1, APP, t);
+    c.read(s1, APP, t, x).unwrap();
+    c.write(s1, APP, t, x, None).unwrap();
+    c.commit(s1, APP, t).unwrap();
     assert_eq!(c.total_stats().msgs_sent, 0);
     assert_eq!(version_of(c.sites[1].volume().read_object(x).unwrap()), 1);
 }
@@ -47,10 +50,10 @@ fn peer_remote_access_roundtrips() {
     let s0 = SiteId(0);
     let t = c.begin(s0, APP);
     let x = oid_at(1, 200, 3); // owned by site 1, accessed from site 0
-    let v = c.read(s0, APP, t, x);
+    let v = c.read(s0, APP, t, x).unwrap();
     assert_eq!(version_of(&v), 0);
-    c.write(s0, APP, t, x);
-    c.commit(s0, APP, t);
+    c.write(s0, APP, t, x, None).unwrap();
+    c.commit(s0, APP, t).unwrap();
     assert_eq!(version_of(c.sites[1].volume().read_object(x).unwrap()), 1);
     assert!(c.total_stats().msgs_sent > 0);
 }
@@ -64,10 +67,10 @@ fn two_phase_commit_spans_owners() {
     let y = oid_at(2, 310, 0); // owner: site 2
     let z = oid_at(0, 10, 0); // owner: site 0 (local)
     for o in [x, y, z] {
-        c.read(s0, APP, t, o);
-        c.write(s0, APP, t, o);
+        c.read(s0, APP, t, o).unwrap();
+        c.write(s0, APP, t, o, None).unwrap();
     }
-    c.commit(s0, APP, t);
+    c.commit(s0, APP, t).unwrap();
     // All three partitions durably updated.
     assert_eq!(version_of(c.sites[1].volume().read_object(x).unwrap()), 1);
     assert_eq!(version_of(c.sites[2].volume().read_object(y).unwrap()), 1);
@@ -85,25 +88,26 @@ fn multi_owner_abort_undoes_all_partitions() {
     let y = oid_at(2, 310, 0);
 
     let t = c.begin(s0, APP);
-    c.read(s0, APP, t, x);
-    c.write(s0, APP, t, x);
-    c.read(s0, APP, t, y);
-    c.write(s0, APP, t, y);
-    match c.run_op(s0, APP, t, AppOp::Abort) {
-        AppReply::Aborted { .. } => {}
-        other => panic!("unexpected {other:?}"),
-    }
+    c.read(s0, APP, t, x).unwrap();
+    c.write(s0, APP, t, x, None).unwrap();
+    c.read(s0, APP, t, y).unwrap();
+    c.write(s0, APP, t, y, None).unwrap();
+    let aborted = c.run_op(s0, APP, t, AppOp::Abort);
+    assert!(
+        matches!(aborted, Err(PsccError::Aborted { .. })),
+        "{aborted:?}"
+    );
     c.pump();
     assert_eq!(version_of(c.sites[1].volume().read_object(x).unwrap()), 0);
     assert_eq!(version_of(c.sites[2].volume().read_object(y).unwrap()), 0);
 
     // A fresh transaction can update both (no stranded locks anywhere).
     let t2 = c.begin(s0, APP);
-    c.read(s0, APP, t2, x);
-    c.write(s0, APP, t2, x);
-    c.read(s0, APP, t2, y);
-    c.write(s0, APP, t2, y);
-    c.commit(s0, APP, t2);
+    c.read(s0, APP, t2, x).unwrap();
+    c.write(s0, APP, t2, x, None).unwrap();
+    c.read(s0, APP, t2, y).unwrap();
+    c.write(s0, APP, t2, y, None).unwrap();
+    c.commit(s0, APP, t2).unwrap();
     assert_eq!(version_of(c.sites[1].volume().read_object(x).unwrap()), 1);
 }
 
@@ -116,22 +120,22 @@ fn cross_peer_sharing_with_callbacks() {
     // Sites 1 and 2 cache the page.
     for s in [s1, s2] {
         let t = c.begin(s, APP);
-        c.read(s, APP, t, x);
-        c.commit(s, APP, t);
+        c.read(s, APP, t, x).unwrap();
+        c.commit(s, APP, t).unwrap();
     }
     // The owner itself updates x: callbacks go to both remote cachers.
     let t = c.begin(s0, APP);
-    c.read(s0, APP, t, x);
-    c.write(s0, APP, t, x);
-    c.commit(s0, APP, t);
+    c.read(s0, APP, t, x).unwrap();
+    c.write(s0, APP, t, x, None).unwrap();
+    c.commit(s0, APP, t).unwrap();
     assert!(c.total_stats().callbacks_sent >= 2);
 
     // Both see the new value.
     for s in [s1, s2] {
         let t = c.begin(s, APP);
-        let v = c.read(s, APP, t, x);
+        let v = c.read(s, APP, t, x).unwrap();
         assert_eq!(version_of(&v), 1);
-        c.commit(s, APP, t);
+        c.commit(s, APP, t).unwrap();
     }
 }
 
@@ -146,10 +150,10 @@ fn distributed_increment_serializes() {
             let site = SiteId(s);
             let t = c.begin(site, APP);
             for o in objs {
-                c.read(site, APP, t, o);
-                c.write(site, APP, t, o);
+                c.read(site, APP, t, o).unwrap();
+                c.write(site, APP, t, o, None).unwrap();
             }
-            c.commit(site, APP, t);
+            c.commit(site, APP, t).unwrap();
             let _ = round;
         }
     }
@@ -174,31 +178,15 @@ fn lock_wait_timeout_aborts_waiter() {
 
     let t0 = c.begin(s0, APP);
     let t1 = c.begin(s1, APP);
-    c.read(s0, APP, t0, x);
-    c.write(s0, APP, t0, x);
-    c.read(s1, APP, t1, y);
-    c.write(s1, APP, t1, y);
+    c.read(s0, APP, t0, x).unwrap();
+    c.write(s0, APP, t0, x, None).unwrap();
+    c.read(s1, APP, t1, y).unwrap();
+    c.write(s1, APP, t1, y, None).unwrap();
     // Cross access: t0 wants y (waits at owner 1), t1 wants x (waits at
     // owner 0). Neither owner sees a full cycle locally.
-    c.submit(
-        s0,
-        APP,
-        Some(t0),
-        AppOp::Write {
-            oid: y,
-            bytes: None,
-        },
-    );
+    c.submit(s0, APP, Some(t0), write(y));
     c.pump();
-    c.submit(
-        s1,
-        APP,
-        Some(t1),
-        AppOp::Write {
-            oid: x,
-            bytes: None,
-        },
-    );
+    c.submit(s1, APP, Some(t1), write(x));
     c.pump();
     assert!(c.find_reply(s0, t0).is_none());
     assert!(c.find_reply(s1, t1).is_none());
@@ -231,11 +219,11 @@ fn eviction_ships_logs_early_and_purges() {
     // each.
     for p in 0..12u32 {
         let o = Oid::new(PageId::new(FileId::new(VolId(0), 0), p), 0);
-        c.read(site, APP, t, o);
-        c.write(site, APP, t, o);
+        c.read(site, APP, t, o).unwrap();
+        c.write(site, APP, t, o, None).unwrap();
     }
     assert!(c.total_stats().pages_purged > 0, "evictions must occur");
-    c.commit(site, APP, t);
+    c.commit(site, APP, t).unwrap();
     for p in 0..12u32 {
         let o = Oid::new(PageId::new(FileId::new(VolId(0), 0), p), 0);
         assert_eq!(
@@ -261,17 +249,17 @@ fn rereading_own_evicted_dirty_object() {
     let site = SiteId(1);
     let t = c.begin(site, APP);
     let first = Oid::new(PageId::new(FileId::new(VolId(0), 0), 0), 0);
-    c.read(site, APP, t, first);
-    c.write(site, APP, t, first);
+    c.read(site, APP, t, first).unwrap();
+    c.write(site, APP, t, first, None).unwrap();
     // Push the dirty page out.
     for p in 1..6u32 {
         let o = Oid::new(PageId::new(FileId::new(VolId(0), 0), p), 0);
-        c.read(site, APP, t, o);
+        c.read(site, APP, t, o).unwrap();
     }
     // Re-read the updated object: must see version 1 (own update), not 0.
-    let v = c.read(site, APP, t, first);
+    let v = c.read(site, APP, t, first).unwrap();
     assert_eq!(version_of(&v), 1, "own uncommitted update must be visible");
-    c.commit(site, APP, t);
+    c.commit(site, APP, t).unwrap();
     assert_eq!(
         version_of(c.sites[0].volume().read_object(first).unwrap()),
         1

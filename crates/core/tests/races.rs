@@ -4,13 +4,11 @@
 //! race. Each test drives the adversarial interleaving explicitly and
 //! asserts the protocol's documented resolution.
 
-mod common;
-
-use common::{drain, version_of, Cluster};
 use pscc_common::{AppId, FileId, Oid, PageId, Protocol, SiteId, SystemConfig, VolId};
 use pscc_core::{AppOp, AppReply, OwnerMap};
 use pscc_net::PathId;
-use pscc_obs::event::{merge_traces, render_dump, TraceHandle};
+use pscc_obs::event::render_dump;
+use pscc_sim::testkit::{version_of, Cluster};
 
 const S: SiteId = SiteId(0);
 const A: SiteId = SiteId(1);
@@ -21,6 +19,11 @@ fn oid(page: u32, slot: u16) -> Oid {
     Oid::new(PageId::new(FileId::new(VolId(0), 0), page), slot)
 }
 
+/// A synthesized write of `oid` (bumps its version).
+fn write(oid: Oid) -> AppOp {
+    AppOp::Write { oid, bytes: None }
+}
+
 fn cluster() -> Cluster {
     let cfg = SystemConfig {
         protocol: Protocol::PsAa,
@@ -29,16 +32,10 @@ fn cluster() -> Cluster {
     Cluster::new(3, cfg, OwnerMap::Single(S), 99)
 }
 
-/// Turns on protocol tracing at every site of `c`.
-fn trace_all(c: &mut Cluster) -> Vec<TraceHandle> {
-    c.sites.iter_mut().map(|s| s.enable_trace(4096)).collect()
-}
-
-/// The merged postmortem dump of all sites' rings.
-fn dump_of(traces: &[TraceHandle]) -> String {
-    render_dump(&merge_traces(
-        traces.iter().map(TraceHandle::snapshot).collect(),
-    ))
+/// The merged postmortem dump of all sites' rings (the testkit traces
+/// every site).
+fn dump_of(c: &Cluster) -> String {
+    render_dump(&c.merged_trace())
 }
 
 /// Fig. 5: a callback overtakes the read reply it races with; the raced
@@ -46,7 +43,6 @@ fn dump_of(traces: &[TraceHandle]) -> String {
 #[test]
 fn callback_race_keeps_object_unavailable() {
     let mut c = cluster();
-    let traces = trace_all(&mut c);
     let p = 2;
     let x = oid(p, 0);
     let y = oid(p, 5);
@@ -54,45 +50,37 @@ fn callback_race_keeps_object_unavailable() {
     // Make X unavailable at A: B updates X (uncommitted) while A fetches
     // the page.
     let tb = c.begin(B, APP);
-    c.read(B, APP, tb, x);
-    c.write(B, APP, tb, x);
+    c.read(B, APP, tb, x).unwrap();
+    c.write(B, APP, tb, x, None).unwrap();
     let ta = c.begin(A, APP);
     let z = oid(p, 7);
-    c.read(A, APP, ta, z); // page cached at A (X unavailable); no server
-                           // lock on Y — Fig. 5's preconditions
-    c.commit(B, APP, tb);
+    c.read(A, APP, ta, z).unwrap(); // page cached at A (X unavailable); no server
+                                    // lock on Y — Fig. 5's preconditions
+    c.commit(B, APP, tb).unwrap();
     c.pump();
 
     // B's next transaction warms up *before* any staging (the helpers
     // pump the network).
     let tb2 = c.begin(B, APP);
-    c.read(B, APP, tb2, y);
+    c.read(B, APP, tb2, y).unwrap();
 
     // A requests X (it is unavailable locally). Deliver the request and
     // let the server ship the reply — but do NOT deliver it yet.
     c.submit(A, APP, Some(ta), AppOp::Read(x));
-    drain(&mut c, A, S, PathId(0));
+    c.drain(A, S, PathId(0));
     // Reply (with X AND Y available) now sits on path 1.
 
     // B updates Y; the callback for Y reaches A *before* the read reply
     // (different paths — Fig. 5's crossing).
-    c.submit(
-        B,
-        APP,
-        Some(tb2),
-        AppOp::Write {
-            oid: y,
-            bytes: None,
-        },
-    );
-    drain(&mut c, B, S, PathId(0)); // write request reaches server
-    drain(&mut c, S, A, PathId(2)); // CALLBACK first (the race)
-    drain(&mut c, A, S, PathId(0)); // CbOk back
-    drain(&mut c, S, B, PathId(1)); // write granted
+    c.submit(B, APP, Some(tb2), write(y));
+    c.drain(B, S, PathId(0)); // write request reaches server
+    c.drain(S, A, PathId(2)); // CALLBACK first (the race)
+    c.drain(A, S, PathId(0)); // CbOk back
+    c.drain(S, B, PathId(1)); // write granted
     assert!(c.find_reply(B, tb2).is_some(), "B's update of Y complete");
 
     // NOW the stale read reply lands at A, still claiming Y available.
-    drain(&mut c, S, A, PathId(1));
+    c.drain(S, A, PathId(1));
     assert!(c.find_reply(A, ta).is_some(), "A's read of X completes");
     assert!(
         c.total_stats().callback_races >= 1,
@@ -107,7 +95,7 @@ fn callback_race_keeps_object_unavailable() {
         c.find_reply(A, ta).is_none(),
         "Y must be unavailable at A (stale reply must not resurrect it)"
     );
-    c.commit(B, APP, tb2);
+    c.commit(B, APP, tb2).unwrap();
     c.pump();
     match c.find_reply(A, ta) {
         Some(AppReply::Done { data: Some(d), .. }) => {
@@ -115,10 +103,10 @@ fn callback_race_keeps_object_unavailable() {
         }
         other => panic!("unexpected {other:?}"),
     }
-    c.commit(A, APP, ta);
+    c.commit(A, APP, ta).unwrap();
 
     // The merged time-ordered multi-site dump must name the race.
-    let dump = dump_of(&traces);
+    let dump = dump_of(&c);
     assert!(
         dump.contains("callback_race"),
         "postmortem trace must name the §4.2.4 callback race:\n{dump}"
@@ -137,71 +125,70 @@ fn stale_purge_is_ignored_and_callbacks_still_arrive() {
         ..SystemConfig::small()
     };
     let mut c = Cluster::new(3, cfg, OwnerMap::Single(S), 7);
-    let traces = trace_all(&mut c);
     let p0 = 0;
     let x0 = oid(p0, 0);
     let x5 = oid(p0, 5);
 
     // B updates x5 (uncommitted) so it ships unavailable to A.
     let tb = c.begin(B, APP);
-    c.read(B, APP, tb, x5);
-    c.write(B, APP, tb, x5);
+    c.read(B, APP, tb, x5).unwrap();
+    c.write(B, APP, tb, x5, None).unwrap();
 
     // A caches p0 (ship_seq 1, x5 unavailable).
     let ta = c.begin(A, APP);
-    c.read(A, APP, ta, x0);
+    c.read(A, APP, ta, x0).unwrap();
 
     // A requests x5: blocks at the server behind B's EX.
     c.submit(A, APP, Some(ta), AppOp::Read(x5));
-    drain(&mut c, A, S, PathId(0));
+    c.drain(A, S, PathId(0));
 
     // A touches two more pages; installing the second evicts p0 and
     // queues a purge (seq 1) on path 0 — NOT delivered yet. Every step
     // is manual so the purge stays in flight.
     let purges_before = c.total_stats().pages_purged;
     c.submit(A, APP, Some(ta), AppOp::Read(oid(1, 0)));
-    drain(&mut c, A, S, PathId(0));
-    drain(&mut c, S, A, PathId(1));
+    c.drain(A, S, PathId(0));
+    c.drain(S, A, PathId(1));
     assert!(c.find_reply(A, ta).is_some(), "read of page 1 done");
     c.submit(A, APP, Some(ta), AppOp::Read(oid(2, 0)));
-    drain(&mut c, A, S, PathId(0));
-    drain(&mut c, S, A, PathId(1)); // install evicts p0, queues the purge
+    c.drain(A, S, PathId(0));
+    c.drain(S, A, PathId(1)); // install evicts p0, queues the purge
     assert!(c.find_reply(A, ta).is_some(), "read of page 2 done");
     assert!(c.total_stats().pages_purged > purges_before, "p0 evicted");
 
     // B commits: the server grants A's blocked read and re-ships p0
     // (ship_seq 2). The reply sits on path 1.
     c.submit(B, APP, Some(tb), AppOp::Commit);
-    drain(&mut c, B, S, PathId(0));
-    drain(&mut c, S, B, PathId(1));
+    c.drain(B, S, PathId(0));
+    c.drain(S, B, PathId(1));
 
     // NOW the stale purge (seq 1) reaches the server: it must be
     // ignored, because the in-flight seq-2 copy supersedes it.
-    drain(&mut c, A, S, PathId(0));
+    c.drain(A, S, PathId(0));
     assert!(c.total_stats().purge_races >= 1, "stale purge detected");
 
     // Reply lands; A reads its x5 with B's committed value.
-    drain(&mut c, S, A, PathId(1));
+    c.drain(S, A, PathId(1));
     c.pump();
     match c.find_reply(A, ta) {
         Some(AppReply::Done { data: Some(d), .. }) => assert_eq!(version_of(&d), 1),
         other => panic!("unexpected {other:?}"),
     }
-    c.commit(A, APP, ta);
+    c.commit(A, APP, ta).unwrap();
 
     // Because the copy-table entry survived, a later writer's callback
     // still reaches A and invalidates its copy.
     let tb2 = c.begin(B, APP);
-    c.read(B, APP, tb2, x0);
-    c.write(B, APP, tb2, x0);
-    c.commit(B, APP, tb2);
+    c.read(B, APP, tb2, x0).unwrap();
+    c.write(B, APP, tb2, x0, None).unwrap();
+    c.commit(B, APP, tb2).unwrap();
     c.pump();
     let ta2 = c.begin(A, APP);
-    let v = c.read(A, APP, ta2, x0);
+    let v = c.read(A, APP, ta2, x0).unwrap();
     assert_eq!(version_of(&v), 1, "A must observe B's committed x0");
-    c.commit(A, APP, ta2);
+    c.commit(A, APP, ta2).unwrap();
 
-    let dump = dump_of(&traces);
+    let dump = dump_of(&c);
     assert!(
         dump.contains("purge_race"),
         "postmortem trace must name the §4.2.4 purge race:\n{dump}"
@@ -214,59 +201,50 @@ fn stale_purge_is_ignored_and_callbacks_still_arrive() {
 #[test]
 fn deescalation_race_voids_stale_adaptive_grant() {
     let mut c = cluster();
-    let traces = trace_all(&mut c);
     let p = 4;
 
     // A's write request goes out; the server grants ADAPTIVE (nobody
     // else caches p). Hold the WriteGranted on path 1.
     let ta = c.begin(A, APP);
-    c.read(A, APP, ta, oid(p, 0));
-    c.submit(
-        A,
-        APP,
-        Some(ta),
-        AppOp::Write {
-            oid: oid(p, 0),
-            bytes: None,
-        },
-    );
-    drain(&mut c, A, S, PathId(0));
+    c.read(A, APP, ta, oid(p, 0)).unwrap();
+    c.submit(A, APP, Some(ta), write(oid(p, 0)));
+    c.drain(A, S, PathId(0));
 
     // B reads another object of p: the server deescalates A's adaptive
     // lock. The Deescalate (path 2) overtakes the WriteGranted (path 1).
     let tb = c.begin(B, APP);
     c.submit(B, APP, Some(tb), AppOp::Read(oid(p, 5)));
-    drain(&mut c, B, S, PathId(0));
-    drain(&mut c, S, A, PathId(2)); // Deescalate first — the race
-    drain(&mut c, A, S, PathId(0)); // DeescalateReply
-    drain(&mut c, S, B, PathId(1)); // B's page arrives
+    c.drain(B, S, PathId(0));
+    c.drain(S, A, PathId(2)); // Deescalate first — the race
+    c.drain(A, S, PathId(0)); // DeescalateReply
+    c.drain(S, B, PathId(1)); // B's page arrives
     assert!(c.find_reply(B, tb).is_some(), "B's read completes");
     assert_eq!(c.total_stats().deescalations, 1);
 
     // Now the stale adaptive grant lands at A: its adaptive bit must be
     // voided by the registered race.
-    drain(&mut c, S, A, PathId(1));
+    c.drain(S, A, PathId(1));
     c.pump();
     assert!(c.find_reply(A, ta).is_some(), "A's write completes");
 
     // A's next write on the page must go to the server (no adaptive).
     let wr = c.total_stats().write_requests;
-    c.write(A, APP, ta, oid(p, 1));
+    c.write(A, APP, ta, oid(p, 1), None).unwrap();
     assert_eq!(
         c.total_stats().write_requests,
         wr + 1,
         "stale adaptive bit must have been discarded"
     );
-    c.commit(A, APP, ta);
-    c.commit(B, APP, tb);
+    c.commit(A, APP, ta).unwrap();
+    c.commit(B, APP, tb).unwrap();
 
     // Serializability check: B re-reads o1 and sees A's committed value.
     let tb2 = c.begin(B, APP);
-    let v = c.read(B, APP, tb2, oid(p, 1));
+    let v = c.read(B, APP, tb2, oid(p, 1)).unwrap();
     assert_eq!(version_of(&v), 1);
-    c.commit(B, APP, tb2);
+    c.commit(B, APP, tb2).unwrap();
 
-    let dump = dump_of(&traces);
+    let dump = dump_of(&c);
     assert!(
         dump.contains("deescalated"),
         "postmortem trace must record the deescalation:\n{dump}"
@@ -286,22 +264,6 @@ fn abort_overtaking_its_request_leaves_no_orphan_lock() {
     use pscc_common::{AbortReason, SimTime, TxnId};
     use pscc_core::{Input, Message, Output, PeerServer, ReqId};
 
-    /// Handles one message, immediately completing any disk I/O it asks
-    /// for (in-memory storage), and returns everything it produced.
-    fn drive_msg(s: &mut PeerServer, from: SiteId, msg: Message, now: SimTime) -> Vec<Output> {
-        let mut outs = s.handle(now, Input::Msg { from, msg });
-        let mut i = 0;
-        while i < outs.len() {
-            if let Output::Disk { req, .. } = &outs[i] {
-                let req = *req;
-                let more = s.handle(now, Input::DiskDone { req });
-                outs.extend(more);
-            }
-            i += 1;
-        }
-        outs
-    }
-
     let cfg = SystemConfig {
         protocol: Protocol::PsAa,
         ..SystemConfig::small()
@@ -310,28 +272,20 @@ fn abort_overtaking_its_request_leaves_no_orphan_lock() {
     let now = SimTime::ZERO;
     let x = oid(2, 0);
     let dead = TxnId::new(A, 7);
+    let mut outs: Vec<Output> = Vec::new();
 
     // The abort arrives first — reordered ahead of the request it kills.
-    s.handle(
-        now,
-        Input::Msg {
-            from: A,
-            msg: Message::AbortTxn { txn: dead },
-        },
-    );
+    let msg = Message::AbortTxn { txn: dead };
+    s.drive(now, Input::Msg { from: A, msg }, &mut outs);
 
     // The dead transaction's write arrives late: it must be refused
     // with the abort verdict, holding no admission slot and no lock.
-    let outs = drive_msg(
-        &mut s,
-        A,
-        Message::WriteObj {
-            req: ReqId(1),
-            txn: dead,
-            oid: x,
-        },
-        now,
-    );
+    let msg = Message::WriteObj {
+        req: ReqId(1),
+        txn: dead,
+        oid: x,
+    };
+    s.drive(now, Input::Msg { from: A, msg }, &mut outs);
     assert!(
         outs.iter().any(|o| matches!(
             o,
@@ -351,16 +305,13 @@ fn abort_overtaking_its_request_leaves_no_orphan_lock() {
     // The object is free: another client's write is granted immediately
     // instead of waiting out a lock timeout against the orphan.
     let live = TxnId::new(B, 1);
-    let outs = drive_msg(
-        &mut s,
-        B,
-        Message::WriteObj {
-            req: ReqId(2),
-            txn: live,
-            oid: x,
-        },
-        now,
-    );
+    let msg = Message::WriteObj {
+        req: ReqId(2),
+        txn: live,
+        oid: x,
+    };
+    outs.clear();
+    s.drive(now, Input::Msg { from: B, msg }, &mut outs);
     assert!(
         outs.iter().any(|o| matches!(
             o,

@@ -9,13 +9,12 @@
 //! * later accesses to a forwarded object are point-served by the owner
 //!   (forwarded objects are never client-cached).
 
-mod common;
-
-use common::Cluster;
 use pscc_common::{
-    AppId, FileId, LockMode, LockableId, Oid, PageId, Protocol, SiteId, SystemConfig, VolId,
+    AppId, FileId, LockMode, LockableId, Oid, PageId, Protocol, PsccError, SiteId, SystemConfig,
+    TxnId, VolId,
 };
 use pscc_core::{decode_header_oid, AppOp, AppReply, OwnerMap};
+use pscc_sim::testkit::Cluster;
 
 const S: SiteId = SiteId(0);
 const A: SiteId = SiteId(1);
@@ -34,19 +33,26 @@ fn oid(page: u32, slot: u16) -> Oid {
     Oid::new(PageId::new(FileId::new(VolId(0), 0), page), slot)
 }
 
-fn write_bytes(c: &mut Cluster, site: SiteId, txn: pscc_common::TxnId, o: Oid, bytes: Vec<u8>) {
-    match c.run_op(
-        site,
-        APP,
-        txn,
-        AppOp::Write {
-            oid: o,
-            bytes: Some(bytes),
-        },
-    ) {
-        AppReply::Done { .. } => {}
-        other => panic!("write failed: {other:?}"),
+/// Runs `op` for `t` at `site` to its `Done` and returns what it carries.
+fn done(c: &mut Cluster, site: SiteId, t: TxnId, op: AppOp) -> Option<Vec<u8>> {
+    match c.run_op(site, APP, t, op).unwrap() {
+        AppReply::Done { data, .. } => data,
+        other => panic!("unexpected {other:?}"),
     }
+}
+
+fn ex(item: LockableId) -> AppOp {
+    AppOp::Lock {
+        item,
+        mode: LockMode::Ex,
+    }
+}
+
+fn abort(c: &mut Cluster, t: TxnId) {
+    assert!(matches!(
+        c.run_op(A, APP, t, AppOp::Abort),
+        Err(PsccError::Aborted { .. })
+    ));
 }
 
 #[test]
@@ -54,10 +60,10 @@ fn shrink_and_regrow_in_place() {
     let mut c = cluster();
     let x = oid(33, 0);
     let t = c.begin(A, APP);
-    c.read(A, APP, t, x);
-    write_bytes(&mut c, A, t, x, vec![7u8; 8]); // shrink
-    write_bytes(&mut c, A, t, x, vec![8u8; 40]); // regrow (fits)
-    c.commit(A, APP, t);
+    c.read(A, APP, t, x).unwrap();
+    c.write(A, APP, t, x, Some(vec![7u8; 8])).unwrap(); // shrink
+    c.write(A, APP, t, x, Some(vec![8u8; 40])).unwrap(); // regrow (fits)
+    c.commit(A, APP, t).unwrap();
     let stored = c.sites[0].volume().read_object(x).unwrap();
     assert_eq!(stored, &[8u8; 40][..]);
 }
@@ -69,9 +75,9 @@ fn growth_overflow_forwards_at_owner() {
     let mut c = cluster();
     let x = oid(35, 2);
     let t = c.begin(A, APP);
-    c.read(A, APP, t, x);
-    write_bytes(&mut c, A, t, x, vec![5u8; 600]);
-    c.commit(A, APP, t);
+    c.read(A, APP, t, x).unwrap();
+    c.write(A, APP, t, x, Some(vec![5u8; 600])).unwrap();
+    c.commit(A, APP, t).unwrap();
 
     // The object's id remains valid and reads return the grown bytes —
     // from another client too.
@@ -83,15 +89,15 @@ fn growth_overflow_forwards_at_owner() {
         "the object must have been forwarded"
     );
     let tb = c.begin(B, APP);
-    let got = c.read(B, APP, tb, x);
+    let got = c.read(B, APP, tb, x).unwrap();
     assert_eq!(got, vec![5u8; 600]);
-    c.commit(B, APP, tb);
+    c.commit(B, APP, tb).unwrap();
 
     // Neighbours on the home page are untouched.
     let t2 = c.begin(B, APP);
-    let n = c.read(B, APP, t2, oid(35, 3));
+    let n = c.read(B, APP, t2, oid(35, 3)).unwrap();
     assert_eq!(n.len(), SystemConfig::small().object_size() as usize);
-    c.commit(B, APP, t2);
+    c.commit(B, APP, t2).unwrap();
 }
 
 #[test]
@@ -99,22 +105,22 @@ fn forwarded_object_can_be_updated_again() {
     let mut c = cluster();
     let x = oid(37, 0);
     let t = c.begin(A, APP);
-    c.read(A, APP, t, x);
-    write_bytes(&mut c, A, t, x, vec![1u8; 700]); // forwarded at commit
-    c.commit(A, APP, t);
+    c.read(A, APP, t, x).unwrap();
+    c.write(A, APP, t, x, Some(vec![1u8; 700])).unwrap(); // forwarded at commit
+    c.commit(A, APP, t).unwrap();
 
     // A second transaction updates the now-forwarded object.
     let t2 = c.begin(A, APP);
-    c.read(A, APP, t2, x);
-    write_bytes(&mut c, A, t2, x, vec![2u8; 700]);
-    c.commit(A, APP, t2);
+    c.read(A, APP, t2, x).unwrap();
+    c.write(A, APP, t2, x, Some(vec![2u8; 700])).unwrap();
+    c.commit(A, APP, t2).unwrap();
     assert_eq!(c.sites[0].volume().read_object(x).unwrap(), &[2u8; 700][..]);
 
     // And version-bump (synthesized) writes work on forwarded objects.
     let t3 = c.begin(B, APP);
-    c.read(B, APP, t3, x);
-    c.write(B, APP, t3, x);
-    c.commit(B, APP, t3);
+    c.read(B, APP, t3, x).unwrap();
+    c.write(B, APP, t3, x, None).unwrap();
+    c.commit(B, APP, t3).unwrap();
     let stored = c.sites[0].volume().read_object(x).unwrap();
     assert_eq!(u64::from_le_bytes(stored[0..8].try_into().unwrap()), {
         let mut v = [2u8; 8];
@@ -129,20 +135,17 @@ fn growth_overflow_abort_restores_original() {
     let x = oid(39, 1);
     let size = SystemConfig::small().object_size() as usize;
     let t = c.begin(A, APP);
-    c.read(A, APP, t, x);
-    write_bytes(&mut c, A, t, x, vec![9u8; 800]);
-    match c.run_op(A, APP, t, AppOp::Abort) {
-        AppReply::Aborted { .. } => {}
-        other => panic!("unexpected {other:?}"),
-    }
+    c.read(A, APP, t, x).unwrap();
+    c.write(A, APP, t, x, Some(vec![9u8; 800])).unwrap();
+    abort(&mut c, t);
     c.pump();
     // The original bytes are back (before-image undo, possibly through
     // the forwarded location).
     let stored = c.sites[0].volume().read_object(x).unwrap();
     assert_eq!(stored, vec![0u8; size]);
     let tb = c.begin(B, APP);
-    assert_eq!(c.read(B, APP, tb, x), vec![0u8; size]);
-    c.commit(B, APP, tb);
+    assert_eq!(c.read(B, APP, tb, x).unwrap(), vec![0u8; size]);
+    c.commit(B, APP, tb).unwrap();
 }
 
 #[test]
@@ -151,32 +154,12 @@ fn create_object_on_locked_page() {
     let page = oid(41, 0).page;
     let t = c.begin(A, APP);
     // Creation requires the page cached + an explicit EX page lock.
-    c.read(A, APP, t, oid(41, 0));
-    match c.run_op(
-        A,
-        APP,
-        t,
-        AppOp::Lock {
-            item: LockableId::Page(page),
-            mode: LockMode::Ex,
-        },
-    ) {
-        AppReply::Done { .. } => {}
-        other => panic!("lock failed: {other:?}"),
-    }
-    let new_oid = match c.run_op(
-        A,
-        APP,
-        t,
-        AppOp::Create {
-            page,
-            bytes: b"created".to_vec(),
-        },
-    ) {
-        AppReply::Done { data: Some(d), .. } => decode_header_oid(&d).expect("oid"),
-        other => panic!("create failed: {other:?}"),
-    };
-    c.commit(A, APP, t);
+    c.read(A, APP, t, oid(41, 0)).unwrap();
+    done(&mut c, A, t, ex(LockableId::Page(page)));
+    let bytes = b"created".to_vec();
+    let created = done(&mut c, A, t, AppOp::Create { page, bytes }).expect("created");
+    let new_oid = decode_header_oid(&created).expect("oid");
+    c.commit(A, APP, t).unwrap();
 
     // Durable at the owner and visible to another client.
     assert_eq!(
@@ -184,8 +167,8 @@ fn create_object_on_locked_page() {
         b"created"
     );
     let tb = c.begin(B, APP);
-    assert_eq!(c.read(B, APP, tb, new_oid), b"created".to_vec());
-    c.commit(B, APP, tb);
+    assert_eq!(c.read(B, APP, tb, new_oid).unwrap(), b"created".to_vec());
+    c.commit(B, APP, tb).unwrap();
 }
 
 #[test]
@@ -193,20 +176,11 @@ fn create_without_page_lock_is_refused() {
     let mut c = cluster();
     let page = oid(43, 0).page;
     let t = c.begin(A, APP);
-    c.read(A, APP, t, oid(43, 0));
-    match c.run_op(
-        A,
-        APP,
-        t,
-        AppOp::Create {
-            page,
-            bytes: b"x".to_vec(),
-        },
-    ) {
-        AppReply::Done { data, .. } => assert!(data.is_none(), "must refuse"),
-        other => panic!("unexpected {other:?}"),
-    }
-    c.commit(A, APP, t);
+    c.read(A, APP, t, oid(43, 0)).unwrap();
+    let bytes = b"x".to_vec();
+    let refused = done(&mut c, A, t, AppOp::Create { page, bytes });
+    assert!(refused.is_none(), "must refuse");
+    c.commit(A, APP, t).unwrap();
 }
 
 #[test]
@@ -214,37 +188,17 @@ fn delete_object_end_to_end() {
     let mut c = cluster();
     let x = oid(45, 4);
     let t = c.begin(A, APP);
-    c.read(A, APP, t, x);
-    match c.run_op(
-        A,
-        APP,
-        t,
-        AppOp::Lock {
-            item: LockableId::Object(x),
-            mode: LockMode::Ex,
-        },
-    ) {
-        AppReply::Done { .. } => {}
-        other => panic!("lock failed: {other:?}"),
-    }
-    match c.run_op(A, APP, t, AppOp::Delete(x)) {
-        AppReply::Done {
-            data: Some(before), ..
-        } => {
-            assert_eq!(before.len(), SystemConfig::small().object_size() as usize)
-        }
-        other => panic!("delete failed: {other:?}"),
-    }
-    c.commit(A, APP, t);
+    c.read(A, APP, t, x).unwrap();
+    done(&mut c, A, t, ex(LockableId::Object(x)));
+    let before = done(&mut c, A, t, AppOp::Delete(x)).expect("before-image");
+    assert_eq!(before.len(), SystemConfig::small().object_size() as usize);
+    c.commit(A, APP, t).unwrap();
     assert_eq!(c.sites[0].volume().read_object(x), None);
 
     // A reader of the deleted object gets an empty read.
     let tb = c.begin(B, APP);
-    match c.run_op(B, APP, tb, AppOp::Read(x)) {
-        AppReply::Done { data, .. } => assert!(data.is_none()),
-        other => panic!("unexpected {other:?}"),
-    }
-    c.commit(B, APP, tb);
+    assert!(done(&mut c, B, tb, AppOp::Read(x)).is_none());
+    c.commit(B, APP, tb).unwrap();
 }
 
 #[test]
@@ -253,30 +207,13 @@ fn delete_then_abort_restores() {
     let x = oid(47, 4);
     let size = SystemConfig::small().object_size() as usize;
     let t = c.begin(A, APP);
-    c.read(A, APP, t, x);
-    match c.run_op(
-        A,
-        APP,
-        t,
-        AppOp::Lock {
-            item: LockableId::Object(x),
-            mode: LockMode::Ex,
-        },
-    ) {
-        AppReply::Done { .. } => {}
-        other => panic!("lock failed: {other:?}"),
-    }
-    match c.run_op(A, APP, t, AppOp::Delete(x)) {
-        AppReply::Done { data: Some(_), .. } => {}
-        other => panic!("delete failed: {other:?}"),
-    }
-    match c.run_op(A, APP, t, AppOp::Abort) {
-        AppReply::Aborted { .. } => {}
-        other => panic!("unexpected {other:?}"),
-    }
+    c.read(A, APP, t, x).unwrap();
+    done(&mut c, A, t, ex(LockableId::Object(x)));
+    assert!(done(&mut c, A, t, AppOp::Delete(x)).is_some());
+    abort(&mut c, t);
     c.pump();
     // Object still there.
     let tb = c.begin(B, APP);
-    assert_eq!(c.read(B, APP, tb, x), vec![0u8; size]);
-    c.commit(B, APP, tb);
+    assert_eq!(c.read(B, APP, tb, x).unwrap(), vec![0u8; size]);
+    c.commit(B, APP, tb).unwrap();
 }

@@ -80,6 +80,8 @@ pub struct InvariantAuditor {
     /// check 2: (owner site, txn, item) -> callback recipients still
     /// pending an ack.
     cb_pending: HashMap<(SiteId, TxnId, LockableId), HashSet<SiteId>>,
+    /// check 2: (owner site, txn, item) danced down, not yet re-upgraded.
+    danced: HashSet<(SiteId, TxnId, LockableId)>,
     /// check 3: per site, transactions tombstoned there.
     tombstoned: HashMap<SiteId, HashSet<TxnId>>,
     /// check 3: sites currently fully drained.
@@ -129,6 +131,7 @@ impl InvariantAuditor {
             .retain(|(s, _), t| !(*s == site && *t == txn));
         self.cb_pending
             .retain(|(s, t, _), _| !(*s == site && *t == txn));
+        self.danced.retain(|(s, t, _)| !(*s == site && *t == txn));
     }
 
     /// Feeds one event; call in merged-stream order.
@@ -138,9 +141,12 @@ impl InvariantAuditor {
             EventKind::LockGrant { txn, item, mode } => {
                 if *mode == LockMode::Ex {
                     // Check 2 first: the grant must not race its own
-                    // callback fan-out.
+                    // callback fan-out — except the re-upgrade that ends a
+                    // callback dance (Fig. 4, §4.3.2), whose write verdict
+                    // still waits for every ack.
+                    let redo = self.danced.remove(&(site, *txn, *item));
                     if let Some(pending) = self.cb_pending.get(&(site, *txn, *item)) {
-                        if !pending.is_empty() {
+                        if !pending.is_empty() && !redo {
                             let n = pending.len();
                             self.violate(
                                 e,
@@ -169,10 +175,11 @@ impl InvariantAuditor {
                     self.ex_holder.remove(&(site, *item));
                 }
             }
-            EventKind::LockDowngrade { txn, item }
-                if self.ex_holder.get(&(site, *item)) == Some(txn) =>
-            {
-                self.ex_holder.remove(&(site, *item));
+            EventKind::LockDowngrade { txn, item } => {
+                if self.ex_holder.get(&(site, *item)) == Some(txn) {
+                    self.ex_holder.remove(&(site, *item));
+                }
+                self.danced.insert((site, *txn, *item));
             }
             EventKind::LocksReleased { txn }
             | EventKind::Abort { txn, .. }
@@ -224,6 +231,7 @@ impl InvariantAuditor {
                     let s = *from;
                     self.ex_holder.retain(|(site, _), _| *site != s);
                     self.cb_pending.retain(|(site, _, _), _| *site != s);
+                    self.danced.retain(|(site, _, _)| *site != s);
                     self.tombstoned.remove(&s);
                     self.drained.remove(&s);
                 }
@@ -552,6 +560,58 @@ mod tests {
             grant(3, 2, 20, t, item(1), LockMode::Ex),
         ];
         assert!(audit_events(&crashed).is_empty());
+    }
+
+    #[test]
+    fn dance_reupgrade_is_exempt_from_check_2() {
+        let (t, x) = (txn(0, 1), item(1));
+        let at = |seq, kind| ev(seq, 2, seq * 10, kind);
+        let cb = |seq, to| {
+            at(
+                seq,
+                EventKind::CallbackSent {
+                    to: SiteId(to),
+                    txn: t,
+                    item: x,
+                },
+            )
+        };
+        let down = |seq, txn| at(seq, EventKind::LockDowngrade { txn, item: x });
+        let ex = |seq| grant(seq, 2, seq * 10, t, x, LockMode::Ex);
+        let blocked = EventKind::CallbackBlocked {
+            from: SiteId(1),
+            txn: t,
+            item: x,
+        };
+        let first = |v: Vec<TraceEvent>| audit_events(&v).first().map(|v| v.check);
+        // Fig. 4: site 1 reports the callback blocked; the owner
+        // downgrades EX→SH and re-grants EX while site 3's ack is still
+        // pending. That re-upgrade is the dance, not an early grant.
+        let danced = vec![
+            ex(1),
+            cb(2, 1),
+            cb(3, 3),
+            at(4, blocked.clone()),
+            down(5, t),
+            ex(6),
+        ];
+        assert_eq!(first(danced.clone()), None);
+        // The exemption covers one re-upgrade only.
+        let again = [danced, vec![ex(7)]].concat();
+        assert_eq!(first(again), Some("grant_before_callback_ack"));
+        // Another transaction's downgrade exempts nothing.
+        let other = vec![
+            cb(2, 1),
+            cb(3, 3),
+            at(4, blocked),
+            down(5, txn(1, 1)),
+            ex(6),
+        ];
+        assert_eq!(first(other), Some("grant_before_callback_ack"));
+        // The mark dies with the transaction.
+        let released = EventKind::LocksReleased { txn: t };
+        let gone = vec![cb(2, 3), down(3, t), at(4, released), cb(5, 3), ex(6)];
+        assert_eq!(first(gone), Some("grant_before_callback_ack"));
     }
 
     #[test]

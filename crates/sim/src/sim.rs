@@ -94,6 +94,8 @@ pub struct Simulation {
     now: SimTime,
     seq: u64,
     events: BinaryHeap<HeapItem>,
+    /// A task's effects, staged until it ends (DESIGN.md §12 "One driver").
+    outputs: Vec<Output>,
 }
 
 impl Simulation {
@@ -129,6 +131,7 @@ impl Simulation {
             now: SimTime::ZERO,
             seq: 0,
             events: BinaryHeap::new(),
+            outputs: Vec::new(),
         }
     }
 
@@ -162,8 +165,8 @@ impl Simulation {
                 if let Input::Msg { msg, .. } = &input {
                     cost += self.cost.msg_cpu(msg); // receive side
                 }
-                let now = self.now;
-                let outputs = self.sites[site].handle(now, input);
+                let mut outputs = std::mem::take(&mut self.outputs);
+                self.sites[site].drive(self.now, input, &mut outputs);
                 // Send costs extend this task; effects take place at end.
                 let mut send_cost = SimDuration::ZERO;
                 for o in &outputs {
@@ -172,7 +175,8 @@ impl Simulation {
                     }
                 }
                 let end = self.now + cost + send_cost;
-                self.apply_outputs(site, outputs, end);
+                self.apply_outputs(site, &mut outputs, end);
+                self.outputs = outputs;
                 self.schedule(end, Event::CpuDone { site, after: None });
             }
             Task::Think(app) => {
@@ -188,8 +192,8 @@ impl Simulation {
         }
     }
 
-    fn apply_outputs(&mut self, site: usize, outputs: Vec<Output>, end: SimTime) {
-        for o in outputs {
+    fn apply_outputs(&mut self, site: usize, outputs: &mut Vec<Output>, end: SimTime) {
+        for o in outputs.drain(..) {
             match o {
                 Output::Send { to, msg } => {
                     let at = end + self.cost.msg_latency;

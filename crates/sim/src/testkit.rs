@@ -17,8 +17,8 @@ use pscc_control::{
     SitePhase, StepKind, Supervisor,
 };
 use pscc_core::{
-    AppOp, AppReply, AppRequest, DiskReqId, DrainPhase, Input, Message, MigrationPhase, Output,
-    OwnerMap, PeerServer, ReqId, TimerId,
+    AppOp, AppReply, AppRequest, DiskOp, DiskReqId, DrainPhase, Env, Input, Message,
+    MigrationPhase, Output, OwnerMap, PeerServer, ReqId, TimerId,
 };
 use pscc_net::{PathId, SeededNet};
 use pscc_obs::EventKind;
@@ -69,6 +69,8 @@ pub struct Cluster {
     /// restarted site gets a fresh ring; the old one is kept for the
     /// merged postmortem stream).
     traces: Vec<pscc_obs::event::TraceHandle>,
+    /// The engines' effects, staged here for routing (reused).
+    outs: Vec<Output>,
 }
 
 impl Cluster {
@@ -111,6 +113,7 @@ impl Cluster {
             supervisor: None,
             next_ctl_req: 0,
             traces,
+            outs: Vec::new(),
         }
     }
 
@@ -187,13 +190,10 @@ impl Cluster {
         }
     }
 
-    /// Restarts a crashed site. A pure client (owning no pages) comes
-    /// back as a fresh, empty state machine — the model of a process
-    /// that lost all volatile state. A site that owns data runs
-    /// ARIES-style restart recovery instead: the crash image its WAL
-    /// left behind (the model of a surviving log device) is replayed
-    /// through [`PeerServer::recover`], its epoch is bumped, and its
-    /// recovery outputs (coordinator queries, timer arms) are routed.
+    /// Restarts a crashed site through [`PeerServer::restart`]: ARIES
+    /// restart recovery over the crash image its WAL left behind (the
+    /// model of a surviving log device), with its recovery effects routed,
+    /// or a fresh state machine for a site with nothing durable.
     ///
     /// # Errors
     ///
@@ -209,24 +209,8 @@ impl Cluster {
                 "restart_site: site is not crashed",
             ));
         }
-        let owns_data = !self
-            .owners
-            .pages_of(site, self.cfg.database_pages)
-            .is_empty();
-        let durable = self.sites[i].crash_image();
-        // A site that owned nothing at seed time may still have durable
-        // state to recover — migration made it an owner (checkpoint
-        // layout or migration records in the log).
-        let outs = if owns_data || durable.checkpoint.is_some() || !durable.log.is_empty() {
-            let prior = self.sites[i].epoch();
-            let (s, outs) =
-                PeerServer::recover(site, self.cfg.clone(), self.owners.clone(), &durable, prior);
-            self.sites[i] = s;
-            outs
-        } else {
-            self.sites[i] = PeerServer::new(site, self.cfg.clone(), self.owners.clone());
-            Vec::new()
-        };
+        let mut outs = std::mem::take(&mut self.outs);
+        self.sites[i] = self.sites[i].restart(self.cfg.clone(), self.owners.clone(), &mut outs);
         // The replacement engine records into a fresh ring; the old one
         // stays in `traces` so the merged stream spans the crash.
         self.traces
@@ -382,8 +366,18 @@ impl Cluster {
         }
     }
 
-    fn run_outputs(&mut self, site: SiteId, outs: Vec<Output>) {
-        for o in outs {
+    /// Feeds `input` to `site`'s engine and routes its effects; with
+    /// `inline_disks` its disks complete at once, not after the latency.
+    fn feed(&mut self, site: SiteId, input: Input, inline_disks: bool) {
+        let mut outs = std::mem::take(&mut self.outs);
+        let env = &mut Staged(&mut outs, inline_disks);
+        self.sites[site.0 as usize].drive(self.now, input, env);
+        self.run_outputs(site, outs);
+    }
+
+    /// Routes staged effects, then keeps the buffer for the next feed.
+    fn run_outputs(&mut self, site: SiteId, mut outs: Vec<Output>) {
+        for o in outs.drain(..) {
             match o {
                 Output::Send { to, msg } => {
                     let path = PathId(msg.path() as u8);
@@ -402,13 +396,22 @@ impl Cluster {
                 Output::App(reply) => self.replies.push((site, reply)),
             }
         }
+        self.outs = outs;
     }
 
     /// Submits an application request without waiting.
     pub fn submit(&mut self, site: SiteId, app: AppId, txn: Option<TxnId>, op: AppOp) {
-        let now = self.now;
-        let outs = self.sites[site.0 as usize].handle(now, Input::App(AppRequest { app, txn, op }));
-        self.run_outputs(site, outs);
+        self.feed(site, Input::App(AppRequest { app, txn, op }), false);
+    }
+
+    /// Delivers every message queued from `from` to `to` on `path` in FIFO
+    /// order, disks completing at once: staged delivery for §4.2.4 races.
+    pub fn drain(&mut self, from: SiteId, to: SiteId, path: PathId) {
+        while let Some(env) = self.net.deliver_from(from, to, path) {
+            if !self.crashed.contains(&to) {
+                self.feed(to, Input::Msg { from, msg: env.msg }, true);
+            }
+        }
     }
 
     /// Delivers one pending message (seeded choice) or the earliest
@@ -423,15 +426,11 @@ impl Cluster {
                 // before the crash.
                 return true;
             }
-            let now = self.now;
-            let outs = self.sites[env.to.0 as usize].handle(
-                now,
-                Input::Msg {
-                    from: env.from,
-                    msg: env.msg,
-                },
-            );
-            self.run_outputs(env.to, outs);
+            let input = Input::Msg {
+                from: env.from,
+                msg: env.msg,
+            };
+            self.feed(env.to, input, false);
             return true;
         }
         // The net is drained; reorder holds can no longer get "behind"
@@ -461,22 +460,12 @@ impl Cluster {
         }
         if let Some((Reverse(t), ev)) = self.sched.pop() {
             self.now = self.now.max(t);
-            let now = self.now;
-            match ev {
-                Sched::Disk(s, req) => {
-                    if self.crashed.contains(&SiteId(s)) {
-                        return true;
-                    }
-                    let outs = self.sites[s as usize].handle(now, Input::DiskDone { req });
-                    self.run_outputs(SiteId(s), outs);
-                }
-                Sched::Timer(s, timer) => {
-                    if self.crashed.contains(&SiteId(s)) {
-                        return true;
-                    }
-                    let outs = self.sites[s as usize].handle(now, Input::TimerFired { timer });
-                    self.run_outputs(SiteId(s), outs);
-                }
+            let (s, input) = match ev {
+                Sched::Disk(s, req) => (s, Input::DiskDone { req }),
+                Sched::Timer(s, timer) => (s, Input::TimerFired { timer }),
+            };
+            if !self.crashed.contains(&SiteId(s)) {
+                self.feed(SiteId(s), input, false);
             }
             return true;
         }
@@ -670,15 +659,11 @@ impl Cluster {
         if self.crashed.contains(&to) {
             return;
         }
-        let now = self.now;
-        let outs = self.sites[to.0 as usize].handle(
-            now,
-            Input::Msg {
-                from: CONTROLLER,
-                msg,
-            },
-        );
-        self.run_outputs(to, outs);
+        let input = Input::Msg {
+            from: CONTROLLER,
+            msg,
+        };
+        self.feed(to, input, false);
     }
 
     /// Control-plane verdicts (`DrainOk`/`UndrainOk`) collected so far.
@@ -899,6 +884,25 @@ impl Cluster {
                 .obs
                 .record(EventKind::ConvergeDone { steps, ok });
         }
+    }
+}
+
+/// The testkit's env: the `Vec<Output>` env, except that disks complete
+/// at once when the flag is set ([`Cluster::drain`]).
+struct Staged<'a>(&'a mut Vec<Output>, bool);
+
+impl Env for Staged<'_> {
+    fn send(&mut self, to: SiteId, msg: Message) {
+        self.0.send(to, msg);
+    }
+    fn disk(&mut self, req: DiskReqId, op: DiskOp) -> bool {
+        self.1 || self.0.disk(req, op)
+    }
+    fn arm_timer(&mut self, timer: TimerId, delay: SimDuration) {
+        self.0.arm_timer(timer, delay);
+    }
+    fn reply(&mut self, reply: AppReply) {
+        self.0.reply(reply);
     }
 }
 

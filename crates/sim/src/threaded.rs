@@ -29,12 +29,12 @@ use crate::testkit::CONTROLLER;
 use crossbeam::channel as mpsc;
 use pscc_common::{AppId, PsccError, SimTime, SiteId, SystemConfig, TxnId};
 use pscc_core::{
-    AppOp, AppReply, AppRequest, DrainPhase, Input, Message, Output, OwnerMap, PeerServer, ReqId,
-    TimerId,
+    AppOp, AppReply, AppRequest, DiskOp, DiskReqId, DrainPhase, Env, Input, Message, OwnerMap,
+    PeerServer, ReqId, TimerId,
 };
 use pscc_net::{Envelope, InProcNetwork, PathId, Transport, Waker};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -116,18 +116,43 @@ impl SiteHandle {
 
 /// One peer server and everything its thread owns.
 struct Site<T> {
-    id: SiteId,
     cfg: SystemConfig,
     owners: OwnerMap,
     engine: PeerServer,
-    transport: T,
-    /// Armed timers, earliest first.
-    timers: BinaryHeap<Reverse<(Instant, TimerId)>>,
+    io: SiteIo<T>,
     commands: mpsc::Receiver<Cmd>,
-    replies: mpsc::Sender<AppReply>,
     /// The cluster's time zero: the engine sees wall time elapsed since.
     start: Instant,
     idle_wait: Duration,
+}
+
+/// A site's [`Env`]: sends go to the transport (acks to [`CONTROLLER`]
+/// are dropped — the supervisor polls probes instead), timers to a
+/// wall-clock heap, replies to the driver channel; disks complete at
+/// once (storage is in memory).
+struct SiteIo<T> {
+    transport: T,
+    /// Armed timers, earliest first.
+    timers: BinaryHeap<Reverse<(Instant, TimerId)>>,
+    replies: mpsc::Sender<AppReply>,
+}
+
+impl<T: Transport<Message>> Env for SiteIo<T> {
+    fn send(&mut self, to: SiteId, msg: Message) {
+        if to != CONTROLLER {
+            self.transport.send(to, PathId(msg.path() as u8), msg);
+        }
+    }
+    fn disk(&mut self, _: DiskReqId, _: DiskOp) -> bool {
+        true
+    }
+    fn arm_timer(&mut self, timer: TimerId, delay: pscc_common::SimDuration) {
+        let at = Instant::now() + Duration::from_micros(delay.as_micros());
+        self.timers.push(Reverse((at, timer)));
+    }
+    fn reply(&mut self, reply: AppReply) {
+        let _ = self.replies.send(reply);
+    }
 }
 
 impl<T: Transport<Message>> Site<T> {
@@ -135,11 +160,11 @@ impl<T: Transport<Message>> Site<T> {
         while !stop.load(Ordering::Acquire) {
             let mut busy = false;
             let now = Instant::now();
-            while let Some(&Reverse((at, timer))) = self.timers.peek() {
+            while let Some(&Reverse((at, timer))) = self.io.timers.peek() {
                 if at > now {
                     break;
                 }
-                self.timers.pop();
+                self.io.timers.pop();
                 self.handle(Input::TimerFired { timer });
                 busy = true;
             }
@@ -153,7 +178,7 @@ impl<T: Transport<Message>> Site<T> {
                 busy = true;
             }
             for _ in 0..MSG_BATCH {
-                let Some(env) = self.transport.recv_timeout(Duration::ZERO) else {
+                let Some(env) = self.io.transport.recv_timeout(Duration::ZERO) else {
                     break;
                 };
                 self.message(env);
@@ -163,6 +188,7 @@ impl<T: Transport<Message>> Site<T> {
                 continue;
             }
             let wait = self
+                .io
                 .timers
                 .peek()
                 .map_or(self.idle_wait, |Reverse((at, _))| {
@@ -171,7 +197,7 @@ impl<T: Transport<Message>> Site<T> {
                 });
             // The one place this thread blocks. Whatever ends the wait,
             // the next pass looks at every source again.
-            if let Some(env) = self.transport.recv_timeout(wait) {
+            if let Some(env) = self.io.transport.recv_timeout(wait) {
                 self.message(env);
             }
         }
@@ -208,77 +234,23 @@ impl<T: Transport<Message>> Site<T> {
         }
     }
 
-    /// Rebuilds the engine in place. Owners come back through ARIES
-    /// restart recovery over the durable image; pure clients restart
-    /// cold (nothing durable to lose).
+    /// Rebuilds the engine in place through [`PeerServer::restart`]:
+    /// ARIES restart recovery over the durable image, or a cold start
+    /// for a site with nothing durable to lose.
     fn restart(&mut self) {
-        let owns_data = !self
-            .owners
-            .pages_of(self.id, self.cfg.database_pages)
-            .is_empty();
-        let outs = if owns_data {
-            let durable = self.engine.crash_image();
-            let prior = self.engine.epoch();
-            let (next, outs) = PeerServer::recover(
-                self.id,
-                self.cfg.clone(),
-                self.owners.clone(),
-                &durable,
-                prior,
-            );
-            self.engine = next;
-            outs
-        } else {
-            self.engine = PeerServer::new(self.id, self.cfg.clone(), self.owners.clone());
-            Vec::new()
-        };
-        self.engine.stats.faults_injected += 1;
         // A crashed process forgets its timers.
-        self.timers.clear();
-        self.apply(outs);
+        self.io.timers.clear();
+        self.engine = self
+            .engine
+            .restart(self.cfg.clone(), self.owners.clone(), &mut self.io);
+        self.engine.stats.faults_injected += 1;
     }
 
-    /// Wall time since the cluster started, as the engine's clock.
-    fn now(&self) -> SimTime {
-        SimTime::from_micros(self.start.elapsed().as_micros() as u64)
-    }
-
+    /// Feeds `input` to the engine at the wall time since the cluster
+    /// started.
     fn handle(&mut self, input: Input) {
-        let outs = self.engine.handle(self.now(), input);
-        self.apply(outs);
-    }
-
-    /// Applies engine outputs: sends go to the transport (acks addressed
-    /// to [`CONTROLLER`] are dropped — the supervisor thread polls probes
-    /// instead of holding an endpoint), timers are armed against wall
-    /// clock and app replies go to the driver channel. Disks complete at
-    /// once (storage is in memory): their completions are fed back here,
-    /// in order, before the site takes any other input.
-    fn apply(&mut self, mut outs: Vec<Output>) {
-        let mut disk_done = VecDeque::new();
-        loop {
-            for o in outs {
-                match o {
-                    Output::Send { to, msg } => {
-                        if to != CONTROLLER {
-                            self.transport.send(to, PathId(msg.path() as u8), msg);
-                        }
-                    }
-                    Output::Disk { req, .. } => disk_done.push_back(req),
-                    Output::ArmTimer { timer, delay } => {
-                        let at = Instant::now() + Duration::from_micros(delay.as_micros());
-                        self.timers.push(Reverse((at, timer)));
-                    }
-                    Output::App(reply) => {
-                        let _ = self.replies.send(reply);
-                    }
-                }
-            }
-            let Some(req) = disk_done.pop_front() else {
-                return;
-            };
-            outs = self.engine.handle(self.now(), Input::DiskDone { req });
-        }
+        let now = SimTime::from_micros(self.start.elapsed().as_micros() as u64);
+        self.engine.drive(now, input, &mut self.io);
     }
 }
 
@@ -375,14 +347,15 @@ impl ThreadedCluster {
             let waker = transport.waker();
             reply_rx.push(rrx);
             let site = Site {
-                id,
                 cfg: cfg.clone(),
                 owners: owners.clone(),
                 engine: PeerServer::new(id, cfg.clone(), owners.clone()),
-                transport,
-                timers: BinaryHeap::new(),
+                io: SiteIo {
+                    transport,
+                    timers: BinaryHeap::new(),
+                    replies,
+                },
                 commands,
-                replies,
                 start,
                 idle_wait: if waker.is_some() {
                     IDLE_PARK

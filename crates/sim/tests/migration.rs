@@ -841,3 +841,44 @@ fn unreachable_destination_aborts_and_rolls_back() {
     c.pump_for(SimDuration::from_millis(500));
     c.assert_survivors_quiescent();
 }
+
+/// A range migrated to a pure client makes it an owner the boot map does
+/// not know. Its restart — the one decision both harnesses call,
+/// `PeerServer::restart` — must recover the crash image instead of
+/// starting cold and losing the range.
+#[test]
+fn range_migrated_to_a_pure_client_survives_its_restart() {
+    let cfg = migration_cfg(Protocol::PsAa);
+    let mut c = Cluster::new(4, cfg.clone(), owners(), seed(131));
+    let dest = SiteId(2);
+    let xa = oid_owned_by(0, 10, 1);
+    commit_update_with_retries(&mut c, SiteId(3), xa);
+
+    let m = steady_manifest(
+        &c,
+        vec![MoveRange {
+            lo: 0,
+            hi: 50,
+            from: OWNER_A,
+            to: dest,
+        }],
+        SimDuration::from_secs(2),
+        3,
+    );
+    c.apply_manifest(m).expect("manifest validates");
+    c.converge(SimDuration::from_millis(20), SimDuration::from_secs(30))
+        .expect("migration must converge");
+    c.pump_for(SimDuration::from_millis(500));
+    let site = &c.sites[dest.0 as usize];
+    assert_eq!(site.layout_version(), 2);
+
+    // Restarting the live image: recovery, not a cold start.
+    let mut effects = Vec::new();
+    let next = site.restart(cfg, owners(), &mut effects);
+    assert_eq!(next.epoch(), site.epoch() + 1, "restarted cold");
+    assert_eq!(next.layout_version(), 2, "recovery lost the layout");
+    let moved = next.volume().read_object(xa).expect("range lost");
+    assert_eq!(version_of(moved), 1);
+
+    c.assert_survivors_quiescent();
+}

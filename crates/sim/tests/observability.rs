@@ -248,3 +248,37 @@ fn trace_dump_names_protocol_milestones() {
         }
     }
 }
+
+/// A reply names its request's transaction, not the one whose message
+/// released it: A's abort at the owner grants B's waiting read, and the
+/// `read_reply` the abort sends is B's — never a data verdict for the
+/// transaction the owner just tombstoned.
+#[test]
+fn reply_released_by_an_abort_names_its_request() {
+    let mut c = Cluster::new(3, SystemConfig::small(), OwnerMap::Single(S), 0xAB07);
+    let x = oid(5, 0);
+    let ta = c.begin(A, APP);
+    c.read(A, APP, ta, x).unwrap();
+    c.write(A, APP, ta, x, None).unwrap();
+    let tb = c.begin(B, APP);
+    c.submit(B, APP, Some(tb), AppOp::Read(x));
+    c.pump();
+    assert!(c.find_reply(B, tb).is_none(), "B's read waits behind A");
+    c.submit(A, APP, Some(ta), AppOp::Abort);
+    c.pump();
+    assert!(c.find_reply(B, tb).is_some(), "A's abort releases B's read");
+
+    assert_eq!(c.audit(), Vec::new());
+    let named: Vec<_> = c
+        .merged_trace()
+        .into_iter()
+        .filter_map(|e| match e.kind {
+            EventKind::MsgSend { ctx, to, label } if e.site == S && label == "read_reply" => {
+                Some((to, ctx.txn))
+            }
+            _ => None,
+        })
+        .collect();
+    assert!(named.contains(&(B, tb)), "{named:?}");
+    assert!(named.iter().all(|(to, t)| t.site == *to), "{named:?}");
+}
