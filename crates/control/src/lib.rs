@@ -12,16 +12,22 @@
 //! Drain → Stop → Restart (Recover + Rejoin) → Undrain
 //! ```
 //!
-//! At most `max_unavailable` sites are in flight at a time; every step
-//! carries a deadline, a bounded retry budget with widening backoff,
-//! and a rollback path (undrain what was draining, restart what was
-//! stopped) if the cluster refuses to converge.
+//! At most `max_unavailable` sites are in flight at a time. Declared
+//! ownership moves (Prepare → Commit) and per-file tier rows (SetTier)
+//! follow, one at a time. Every step of every program is one flight
+//! through one step table: a deadline, a bounded retry budget with
+//! widening backoff, and a rollback path (undrain what was draining,
+//! restart what was stopped, abort the migration) if the cluster
+//! refuses to converge.
 //!
 //! The crate is sans-IO in the same spirit as `pscc-core`: the
-//! supervisor never talks to a network or clock. Harnesses feed it
-//! views stamped with virtual time and execute the [`ControlAction`]s
-//! it returns (the testkit `Cluster::converge` and the threaded
-//! harness's supervisor thread both do).
+//! supervisor never talks to a network or clock. A [`Harness`] gives it
+//! views stamped with the harness's time, executes the
+//! [`ControlAction`]s it returns and lets time pass, and
+//! [`Supervisor::converge`] is the one loop over it. Both harnesses run
+//! it: the testkit's `Cluster::converge` under virtual time, and the
+//! threaded cluster's `spawn_converge` on a supervisor thread under wall
+//! time.
 //!
 //! # Examples
 //!
@@ -56,10 +62,12 @@
 //! assert_eq!(tick.status, ControlStatus::InProgress);
 //! ```
 
+pub mod converge;
 pub mod manifest;
 pub mod reconcile;
 pub mod view;
 
+pub use converge::{ConvergeError, ConvergeReport, Harness};
 pub use manifest::{
     ClusterManifest, DesiredState, ManifestError, MoveRange, SiteSpec, TierAssignment,
 };

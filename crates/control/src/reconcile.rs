@@ -1,24 +1,31 @@
 //! The reconciler: diff desired vs. observed, emit bounded safe steps.
 //!
 //! [`Supervisor::tick`] is a pure state-machine transition: given the
-//! latest [`ClusterView`], it advances per-site step programs, enforces
-//! per-step deadlines with a widening retry backoff, admits new sites
-//! into the operation while fewer than `max_unavailable` are in flight,
-//! and — if any step exhausts its retries — aborts the whole operation
-//! and emits the rollback actions that return the cluster to service
-//! (undrain what was draining, restart what was stopped).
+//! latest [`ClusterView`], it advances the operation's three programs —
+//! the site walk, then the declared moves, then the tier rollout. Every
+//! step in flight is one `Flight`, and every program runs on the same
+//! two pieces: the step table (`Supervisor::row`: what a step sends,
+//! when the view shows it done, which step follows) and one poll
+//! (`Supervisor::poll`: deadlines with a widening retry backoff, the
+//! give-up, the step count). New sites are admitted into the walk while
+//! fewer than `max_unavailable` are in flight; if any step exhausts its
+//! retries, the whole operation aborts and the program that owns it
+//! emits the rollback that returns the cluster to service (undrain what
+//! was draining, restart what was stopped, abort the migration).
 
 use crate::manifest::{ClusterManifest, DesiredState, ManifestError, MoveRange, SiteSpec};
-use crate::view::{ClusterView, MigrationObs, SitePhase};
+use crate::view::{ClusterView, MigrationObs, ObservedSite, SitePhase};
 use pscc_common::{ConsistencyTier, SimTime, SiteId};
-use std::collections::VecDeque;
 
-/// One step of a site's program, in execution order.
+/// One step of a program, in execution order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepKind {
     /// Ask the site to drain (graceful admission close + WAL force).
     Drain,
-    /// Stop the drained site's process.
+    /// Stop the drained site's process. Done once the site is observed
+    /// down — or, for an `Up` spec, up again in an epoch that satisfies
+    /// it (a harness whose stop is a restart in place never shows the
+    /// site down).
     Stop,
     /// Start the site again (restart recovery bumps its epoch).
     Restart,
@@ -32,21 +39,6 @@ pub enum StepKind {
     /// Retune one site's per-file consistency tiers (one `SetTierReq`
     /// per manifest tier row; applied online, no drain).
     SetTier,
-}
-
-impl StepKind {
-    /// The step's name as it appears in `converge_step` events.
-    pub fn name(self) -> &'static str {
-        match self {
-            StepKind::Drain => "drain",
-            StepKind::Stop => "stop",
-            StepKind::Restart => "restart",
-            StepKind::Undrain => "undrain",
-            StepKind::MigratePrepare => "migrate_prepare",
-            StepKind::MigrateCommit => "migrate_commit",
-            StepKind::SetTier => "set_tier",
-        }
-    }
 }
 
 /// An instruction for the harness executing the plan.
@@ -95,21 +87,6 @@ pub enum ControlAction {
 }
 
 impl ControlAction {
-    fn for_step(step: StepKind, site: SiteId) -> ControlAction {
-        match step {
-            StepKind::Drain => ControlAction::Drain(site),
-            StepKind::Stop => ControlAction::Stop(site),
-            StepKind::Restart => ControlAction::Restart(site),
-            StepKind::Undrain => ControlAction::Undrain(site),
-            // Migration and tier steps carry extra payload and are
-            // built by their own machines, never from a per-site
-            // program.
-            StepKind::MigratePrepare | StepKind::MigrateCommit | StepKind::SetTier => {
-                unreachable!("migration and tier steps are driven by their own machines")
-            }
-        }
-    }
-
     /// The site the action targets.
     pub fn site(self) -> SiteId {
         match self {
@@ -121,6 +98,20 @@ impl ControlAction {
             | ControlAction::MigrateCommit { from: s }
             | ControlAction::MigrateAbort { from: s }
             | ControlAction::SetTier { site: s, .. } => s,
+        }
+    }
+
+    /// The action's name as it appears in `converge_step` events.
+    pub fn name(self) -> &'static str {
+        match self {
+            ControlAction::Drain(_) => "drain",
+            ControlAction::Stop(_) => "stop",
+            ControlAction::Restart(_) => "restart",
+            ControlAction::Undrain(_) => "undrain",
+            ControlAction::MigratePrepare { .. } => "migrate_prepare",
+            ControlAction::MigrateCommit { .. } => "migrate_commit",
+            ControlAction::MigrateAbort { .. } => "migrate_abort",
+            ControlAction::SetTier { .. } => "set_tier",
         }
     }
 }
@@ -151,39 +142,43 @@ pub struct TickResult {
     pub actions: Vec<ControlAction>,
 }
 
-/// A site currently being walked through its program.
-#[derive(Debug, Clone)]
-struct InFlight {
+/// One step in flight, whichever program it belongs to.
+#[derive(Debug, Clone, Copy)]
+struct Flight {
+    /// The site the step targets (a move's source).
     site: SiteId,
-    /// Remaining steps; front is the one in flight.
-    plan: VecDeque<StepKind>,
-    /// Deadline for the current step.
-    deadline: SimTime,
-    /// Retries consumed by the current step.
-    retries: u32,
-}
-
-/// The move currently being driven (at most one at a time).
-#[derive(Debug, Clone, Copy)]
-struct MoveFlight {
-    /// `MigratePrepare` or `MigrateCommit`.
+    /// The step.
     step: StepKind,
-    /// Deadline for the current step.
+    /// When the step is next retried (or given up).
     deadline: SimTime,
-    /// Retries consumed by the current step.
+    /// Retries the step has used.
     retries: u32,
-    /// The layout version both endpoints must reach for the move to
-    /// count as done (source layout at prepare time + 1).
-    expect_layout: u64,
 }
 
-/// The tier rollout currently in flight at one site.
-#[derive(Debug, Clone, Copy)]
-struct TierFlight {
-    /// Deadline for the site's fingerprint to converge.
-    deadline: SimTime,
-    /// Retries consumed so far.
-    retries: u32,
+impl Flight {
+    /// A flight about to be issued for the first time.
+    fn new(site: SiteId, step: StepKind) -> Self {
+        Flight {
+            site,
+            step,
+            deadline: SimTime::ZERO,
+            retries: 0,
+        }
+    }
+}
+
+/// One row of the step table: what executing the step sends, whether
+/// the view shows it done, and the step after it in its program.
+type Row = (Vec<ControlAction>, bool, Option<StepKind>);
+
+/// Where a program stands after [`Supervisor::poll`].
+enum Progress {
+    /// Its flight is still out.
+    Running,
+    /// Its last step is done.
+    Done,
+    /// Its step exhausted its retries.
+    GaveUp,
 }
 
 /// The reconciling cluster supervisor. See the crate docs for the
@@ -191,18 +186,19 @@ struct TierFlight {
 #[derive(Debug, Clone)]
 pub struct Supervisor {
     manifest: ClusterManifest,
-    in_flight: Vec<InFlight>,
-    /// Index of the next (or current) move in `manifest.moves`.
-    move_idx: usize,
-    /// The move currently in flight, if any.
-    move_flight: Option<MoveFlight>,
-    /// Sites with tier rows, walked in first-appearance order after the
-    /// moves are done.
+    /// The sites being walked through their programs (at most
+    /// `max_unavailable`).
+    walk: Vec<Flight>,
+    /// Sites with tier rows, in first-appearance order.
     tier_sites: Vec<SiteId>,
-    /// Index of the next (or current) site in `tier_sites`.
-    tier_idx: usize,
-    /// The tier rollout currently in flight, if any.
-    tier_flight: Option<TierFlight>,
+    /// The next (or current) sequential operation: an index over the
+    /// manifest's moves, then over `tier_sites`.
+    op_idx: usize,
+    /// The move or tier rollout in flight, if any.
+    op: Option<Flight>,
+    /// The layout version both endpoints of the move in flight must
+    /// reach (the source's at prepare time + 1).
+    move_layout: u64,
     status: ControlStatus,
     steps_executed: u64,
     last_draining: u64,
@@ -216,12 +212,11 @@ impl Supervisor {
         let tier_sites = manifest.tier_sites();
         Ok(Supervisor {
             manifest,
-            in_flight: Vec::new(),
-            move_idx: 0,
-            move_flight: None,
+            walk: Vec::new(),
             tier_sites,
-            tier_idx: 0,
-            tier_flight: None,
+            op_idx: 0,
+            op: None,
+            move_layout: 0,
             status: ControlStatus::InProgress,
             steps_executed: 0,
             last_draining: 0,
@@ -229,18 +224,8 @@ impl Supervisor {
         })
     }
 
-    /// The manifest being reconciled.
-    pub fn manifest(&self) -> &ClusterManifest {
-        &self.manifest
-    }
-
-    /// Current status (also returned by every tick).
-    pub fn status(&self) -> ControlStatus {
-        self.status
-    }
-
-    /// Total step executions so far, retries included (the
-    /// `converge_done` event's step count).
+    /// Steps issued so far, retries included (the `converge_done`
+    /// event's step count). A give-up's rollback is not a step.
     pub fn steps_executed(&self) -> u64 {
         self.steps_executed
     }
@@ -257,61 +242,27 @@ impl Supervisor {
         self.last_down
     }
 
-    /// The program that takes `spec.site` from its observation to its
-    /// desired state. Empty when the site is already there.
-    fn plan_for(spec: &SiteSpec, view: &ClusterView) -> VecDeque<StepKind> {
-        let Some(obs) = view.get(spec.site) else {
-            // Unobserved sites cannot be reconciled; an empty plan keeps
-            // them out of flight (the operation will not converge, and
-            // the caller's budget surfaces that).
-            return VecDeque::new();
-        };
+    /// The first step of the program that takes `spec.site` from its
+    /// observation to its desired state; the steps after it follow from
+    /// the step table. `None` when the site is already there.
+    fn plan_for(spec: &SiteSpec, view: &ClusterView) -> Option<StepKind> {
+        // Unobserved sites cannot be reconciled; no plan keeps them out
+        // of flight (the operation will not converge, and the caller's
+        // budget surfaces that).
+        let obs = view.get(spec.site)?;
         match spec.desired {
-            DesiredState::Down => {
-                if obs.up {
-                    VecDeque::from([StepKind::Drain, StepKind::Stop])
-                } else {
-                    VecDeque::new()
-                }
-            }
+            DesiredState::Down => obs.up.then_some(StepKind::Drain),
             DesiredState::Up { min_epoch } => {
                 if !obs.up {
-                    VecDeque::from([StepKind::Restart, StepKind::Undrain])
+                    Some(StepKind::Restart)
                 } else if obs.epoch < min_epoch {
-                    VecDeque::from([
-                        StepKind::Drain,
-                        StepKind::Stop,
-                        StepKind::Restart,
-                        StepKind::Undrain,
-                    ])
+                    Some(StepKind::Drain)
                 } else if obs.phase != SitePhase::Active {
-                    VecDeque::from([StepKind::Undrain])
+                    Some(StepKind::Undrain)
                 } else {
-                    VecDeque::new()
+                    None
                 }
             }
-        }
-    }
-
-    /// Whether `step` has completed for `spec.site` per the view.
-    fn step_complete(spec: &SiteSpec, step: StepKind, view: &ClusterView) -> bool {
-        let Some(obs) = view.get(spec.site) else {
-            return false;
-        };
-        match step {
-            StepKind::Drain => obs.up && obs.phase == SitePhase::Drained,
-            StepKind::Stop => !obs.up,
-            StepKind::Restart => {
-                let min = match spec.desired {
-                    DesiredState::Up { min_epoch } => min_epoch,
-                    DesiredState::Down => 1,
-                };
-                obs.up && obs.epoch >= min
-            }
-            StepKind::Undrain => obs.up && obs.phase == SitePhase::Active,
-            // Migration and tier steps never appear in per-site
-            // programs; their machines track completion themselves.
-            StepKind::MigratePrepare | StepKind::MigrateCommit | StepKind::SetTier => false,
         }
     }
 
@@ -320,168 +271,201 @@ impl Supervisor {
             .sites
             .iter()
             .find(|s| s.site == site)
-            .expect("in-flight site is always from the manifest")
+            .expect("a walking site is always from the manifest")
     }
 
-    /// Drives the declared ownership moves, one at a time, once the
-    /// site walk has nothing in flight (migration needs both endpoints
-    /// stable). Returns the site and step of a move that exhausted its
-    /// retries — terminal for the whole operation.
-    fn drive_moves(
-        &mut self,
-        view: &ClusterView,
-        actions: &mut Vec<ControlAction>,
-    ) -> Option<(SiteId, StepKind)> {
-        if !self.in_flight.is_empty() || self.move_idx >= self.manifest.moves.len() {
-            return None;
-        }
-        let mv: MoveRange = self.manifest.moves[self.move_idx];
-        let src = view.get(mv.from).copied();
-        let dst = view.get(mv.to).copied();
-        let prepare = ControlAction::MigratePrepare {
-            from: mv.from,
-            lo: mv.lo,
-            hi: mv.hi,
-            to: mv.to,
+    /// The move in flight (only asked while `op_idx` points at a move).
+    fn current_move(&self) -> MoveRange {
+        self.manifest.moves[self.op_idx]
+    }
+
+    /// The step table: what `f.step` sends, whether `view` shows it
+    /// done, and the step after it in its program.
+    fn row(&self, f: &Flight, view: &ClusterView) -> Row {
+        let site = f.site;
+        let obs = view.get(site);
+        let up = obs.filter(|o| o.up);
+        // Reborn: up in an epoch the site's spec accepts. A `Down` spec
+        // accepts none, and its program ends at Stop.
+        let min_epoch = || match self.spec_of(site).desired {
+            DesiredState::Up { min_epoch } => Some(min_epoch),
+            DesiredState::Down => None,
         };
-        let Some(fly) = self.move_flight.as_mut() else {
-            // Start the move once both endpoints are observed up.
-            if let (Some(s), Some(d)) = (src, dst) {
-                if s.up && d.up {
-                    actions.push(prepare);
-                    self.steps_executed += 1;
-                    self.move_flight = Some(MoveFlight {
-                        step: StepKind::MigratePrepare,
-                        deadline: view.now + self.manifest.step_timeout,
-                        retries: 0,
-                        expect_layout: s.layout + 1,
-                    });
-                }
-            }
-            return None;
-        };
-        let done = match fly.step {
+        let reborn = |o: &ObservedSite| min_epoch().is_some_and(|m| o.epoch >= m);
+        match f.step {
+            StepKind::Drain => (
+                vec![ControlAction::Drain(site)],
+                up.is_some_and(|o| o.phase == SitePhase::Drained),
+                Some(StepKind::Stop),
+            ),
+            StepKind::Stop => (
+                vec![ControlAction::Stop(site)],
+                obs.is_some_and(|o| !o.up || reborn(o)),
+                min_epoch().map(|_| StepKind::Restart),
+            ),
+            StepKind::Restart => (
+                vec![ControlAction::Restart(site)],
+                up.is_some_and(reborn),
+                Some(StepKind::Undrain),
+            ),
+            StepKind::Undrain => (
+                vec![ControlAction::Undrain(site)],
+                up.is_some_and(|o| o.phase == SitePhase::Active),
+                None,
+            ),
             StepKind::MigratePrepare => {
-                src.is_some_and(|o| o.up && o.migration == MigrationObs::Prepared)
+                let mv = self.current_move();
+                (
+                    vec![ControlAction::MigratePrepare {
+                        from: mv.from,
+                        lo: mv.lo,
+                        hi: mv.hi,
+                        to: mv.to,
+                    }],
+                    up.is_some_and(|o| o.migration == MigrationObs::Prepared),
+                    Some(StepKind::MigrateCommit),
+                )
             }
-            _ => {
+            StepKind::MigrateCommit => {
                 // Committed and landed: both endpoints at the new
                 // layout, the source back to idle.
-                src.is_some_and(|o| {
-                    o.up && o.layout >= fly.expect_layout && o.migration == MigrationObs::Idle
-                }) && dst.is_some_and(|o| o.up && o.layout >= fly.expect_layout)
+                let landed = |s| {
+                    view.get(s)
+                        .is_some_and(|o| o.up && o.layout >= self.move_layout)
+                };
+                (
+                    vec![ControlAction::MigrateCommit { from: site }],
+                    up.is_some_and(|o| o.migration == MigrationObs::Idle)
+                        && landed(site)
+                        && landed(self.current_move().to),
+                    None,
+                )
             }
-        };
-        if done {
-            if fly.step == StepKind::MigratePrepare {
-                fly.step = StepKind::MigrateCommit;
-                fly.deadline = view.now + self.manifest.step_timeout;
-                fly.retries = 0;
-                actions.push(ControlAction::MigrateCommit { from: mv.from });
-            } else {
-                // Move complete; the next tick starts the next one.
-                self.move_flight = None;
-                self.move_idx += 1;
-            }
-            self.steps_executed += 1;
-            return None;
+            StepKind::SetTier => (
+                self.manifest
+                    .tiers
+                    .iter()
+                    .filter(|t| t.site == site)
+                    .map(|t| ControlAction::SetTier {
+                        site,
+                        file: t.file,
+                        tier: t.tier,
+                    })
+                    .collect(),
+                up.is_some_and(|o| o.tiers_fp == self.manifest.tiers_fp_for(site)),
+                None,
+            ),
         }
-        if view.now < fly.deadline {
-            return None;
+    }
+
+    /// Ticks one program's flight. Steps the view shows done hand over
+    /// to the step after them, which is issued at once (as is `f`
+    /// itself when `fresh`). A step still out past its deadline is
+    /// issued again with a widening deadline, `step_timeout × (retries
+    /// + 1)`, until `max_step_retries` retries are spent.
+    fn poll(
+        &mut self,
+        f: &mut Flight,
+        view: &ClusterView,
+        mut fresh: bool,
+        actions: &mut Vec<ControlAction>,
+    ) -> Progress {
+        while let (_, true, next) = self.row(f, view) {
+            let Some(next) = next else {
+                return Progress::Done;
+            };
+            f.step = next;
+            fresh = true;
         }
-        if fly.retries >= self.manifest.max_step_retries {
-            // A migration that will not finish is rolled back, never
-            // left half-done: the source either aborts (pre-commit) or
-            // reports the commit already durable.
-            actions.push(ControlAction::MigrateAbort { from: mv.from });
-            self.steps_executed += 1;
-            return Some((mv.from, fly.step));
+        if fresh {
+            f.retries = 0;
+        } else if view.now < f.deadline {
+            return Progress::Running;
+        } else if f.retries >= self.manifest.max_step_retries {
+            return Progress::GaveUp;
+        } else {
+            f.retries += 1;
         }
-        fly.retries += 1;
-        fly.deadline = view.now
+        f.deadline = view.now
             + self
                 .manifest
                 .step_timeout
-                .mul_f64(f64::from(fly.retries) + 1.0);
-        // A source that crashed before its commit recovered with the
-        // migration rolled back: start over from the prepare.
-        if fly.step == StepKind::MigrateCommit
-            && src.is_some_and(|o| {
-                o.up && o.migration == MigrationObs::Idle && o.layout < fly.expect_layout
-            })
-        {
-            fly.step = StepKind::MigratePrepare;
-        }
-        actions.push(match fly.step {
-            StepKind::MigratePrepare => prepare,
-            _ => ControlAction::MigrateCommit { from: mv.from },
-        });
+                .mul_f64(f64::from(f.retries) + 1.0);
+        actions.extend(self.row(f, view).0);
         self.steps_executed += 1;
-        None
+        Progress::Running
     }
 
-    /// Drives the declared tier rollout, one site at a time, after the
-    /// site walk and the moves are done (so fingerprints are not judged
-    /// against a site that is mid-restart). Returns the site of a
-    /// rollout that exhausted its retries — terminal for the operation.
-    fn drive_tiers(
+    /// The flight that starts the next move or tier rollout, once the
+    /// sites it needs are observed up. `None` while they are not, or
+    /// when nothing is left.
+    fn start_op(&mut self, view: &ClusterView) -> Option<Flight> {
+        let up = |s| view.get(s).filter(|o| o.up);
+        if self.op_idx < self.manifest.moves.len() {
+            let mv = self.current_move();
+            up(mv.to)?;
+            self.move_layout = up(mv.from)?.layout + 1;
+            Some(Flight::new(mv.from, StepKind::MigratePrepare))
+        } else {
+            let site = *self
+                .tier_sites
+                .get(self.op_idx - self.manifest.moves.len())?;
+            up(site)?;
+            Some(Flight::new(site, StepKind::SetTier))
+        }
+    }
+
+    /// Drives the declared moves, then the tier rollout site by site,
+    /// one at a time, once the site walk has nothing in flight:
+    /// migration needs both endpoints stable, and a fingerprint is not
+    /// judged against a site mid-restart. Returns the site and step of
+    /// an operation that gave up.
+    fn drive_ops(
         &mut self,
         view: &ClusterView,
         actions: &mut Vec<ControlAction>,
     ) -> Option<(SiteId, StepKind)> {
-        if !self.in_flight.is_empty() || self.move_idx < self.manifest.moves.len() {
-            return None;
-        }
-        while self.tier_idx < self.tier_sites.len() {
-            let site = self.tier_sites[self.tier_idx];
-            let expect = self.manifest.tiers_fp_for(site);
-            let obs = view.get(site).copied();
-            if obs.is_some_and(|o| o.up && o.tiers_fp == expect) {
-                // This site's rollout landed; walk on in the same tick.
-                self.tier_flight = None;
-                self.tier_idx += 1;
-                continue;
-            }
-            let rows: Vec<ControlAction> = self
-                .manifest
-                .tiers
-                .iter()
-                .filter(|t| t.site == site)
-                .map(|t| ControlAction::SetTier {
-                    site,
-                    file: t.file,
-                    tier: t.tier,
-                })
-                .collect();
-            let Some(fly) = self.tier_flight.as_mut() else {
-                // Start the rollout once the site is observed up.
-                if obs.is_some_and(|o| o.up) {
-                    self.steps_executed += rows.len() as u64;
-                    actions.extend(rows);
-                    self.tier_flight = Some(TierFlight {
-                        deadline: view.now + self.manifest.step_timeout,
-                        retries: 0,
-                    });
-                }
-                return None;
+        loop {
+            let (mut f, fresh) = match self.op.take() {
+                Some(f) => (f, false),
+                None => (self.start_op(view)?, true),
             };
-            if view.now < fly.deadline {
-                return None;
+            // A source that crashed before its commit recovered with the
+            // migration rolled back: the retry starts over from the
+            // prepare.
+            if f.step == StepKind::MigrateCommit
+                && view.get(f.site).is_some_and(|o| {
+                    o.up && o.migration == MigrationObs::Idle && o.layout < self.move_layout
+                })
+            {
+                f.step = StepKind::MigratePrepare;
             }
-            if fly.retries >= self.manifest.max_step_retries {
-                return Some((site, StepKind::SetTier));
+            match self.poll(&mut f, view, fresh, actions) {
+                Progress::Running => {
+                    self.op = Some(f);
+                    return None;
+                }
+                // Walk on in the same tick.
+                Progress::Done => self.op_idx += 1,
+                Progress::GaveUp => {
+                    // A migration that will not finish is rolled back,
+                    // never left half-done: the source either aborts
+                    // (pre-commit) or reports the commit already durable.
+                    if self.op_idx < self.manifest.moves.len() {
+                        actions.push(ControlAction::MigrateAbort { from: f.site });
+                    }
+                    return Some((f.site, f.step));
+                }
             }
-            fly.retries += 1;
-            fly.deadline = view.now
-                + self
-                    .manifest
-                    .step_timeout
-                    .mul_f64(f64::from(fly.retries) + 1.0);
-            self.steps_executed += rows.len() as u64;
-            actions.extend(rows);
-            return None;
         }
-        None
+    }
+
+    fn abort(&mut self, site: SiteId, step: StepKind, actions: Vec<ControlAction>) -> TickResult {
+        self.status = ControlStatus::Aborted { site, step };
+        TickResult {
+            status: self.status,
+            actions,
+        }
     }
 
     /// One reconciliation transition. Pure with respect to IO: reads
@@ -500,126 +484,85 @@ impl Supervisor {
         let mut actions = Vec::new();
         let mut aborted: Option<(SiteId, StepKind)> = None;
 
-        // Advance (or time out) every in-flight program.
-        let mut still = Vec::new();
-        for mut fly in std::mem::take(&mut self.in_flight) {
-            let spec = *self.spec_of(fly.site);
-            let mut advanced = false;
+        // Advance (or time out) every walking site.
+        for mut f in std::mem::take(&mut self.walk) {
+            let mut fresh = false;
             // A site that died while we were draining (or reopening) it
             // cannot answer the step in flight; re-plan from what is
             // actually there (typically straight to Restart) instead of
             // retrying a handshake with a corpse.
-            if matches!(fly.plan.front(), Some(StepKind::Drain | StepKind::Undrain))
-                && view.get(fly.site).is_some_and(|o| !o.up)
+            if matches!(f.step, StepKind::Drain | StepKind::Undrain)
+                && view.get(f.site).is_some_and(|o| !o.up)
             {
-                fly.plan = Self::plan_for(&spec, view);
-                advanced = true;
+                let Some(first) = Self::plan_for(self.spec_of(f.site), view) else {
+                    continue; // nothing left to do; site leaves the walk
+                };
+                f.step = first;
+                fresh = true;
             }
-            while let Some(&step) = fly.plan.front() {
-                if Self::step_complete(&spec, step, view) {
-                    fly.plan.pop_front();
-                    advanced = true;
-                } else {
-                    break;
+            match self.poll(&mut f, view, fresh, &mut actions) {
+                Progress::Running => self.walk.push(f),
+                Progress::Done => {}
+                Progress::GaveUp => {
+                    aborted = Some((f.site, f.step));
+                    self.walk.push(f);
                 }
             }
-            let Some(&step) = fly.plan.front() else {
-                continue; // program finished; site leaves the flight
-            };
-            if advanced {
-                actions.push(ControlAction::for_step(step, fly.site));
-                fly.deadline = view.now + self.manifest.step_timeout;
-                fly.retries = 0;
-                self.steps_executed += 1;
-            } else if view.now >= fly.deadline {
-                if fly.retries >= self.manifest.max_step_retries {
-                    aborted = Some((fly.site, step));
-                    still.push(fly);
-                    continue;
-                }
-                fly.retries += 1;
-                // Widening backoff: each retry gets a longer deadline.
-                let patience = self
-                    .manifest
-                    .step_timeout
-                    .mul_f64(f64::from(fly.retries) + 1.0);
-                fly.deadline = view.now + patience;
-                actions.push(ControlAction::for_step(step, fly.site));
-                self.steps_executed += 1;
-            }
-            still.push(fly);
         }
-        self.in_flight = still;
 
         if let Some((site, step)) = aborted {
-            // Roll back: reopen every site the operation touched. A
+            // Roll back: reopen every site the walk touched. A
             // draining/drained site is undrained; a stopped site is
             // restarted (best effort — it may itself be the stuck one).
-            let mut rollback = Vec::new();
-            for fly in self.in_flight.drain(..) {
-                match view.get(fly.site) {
-                    Some(obs) if !obs.up => rollback.push(ControlAction::Restart(fly.site)),
-                    Some(obs) if obs.phase != SitePhase::Active => {
-                        rollback.push(ControlAction::Undrain(fly.site))
+            let rollback = self
+                .walk
+                .drain(..)
+                .filter_map(|f| {
+                    let obs = view.get(f.site)?;
+                    if !obs.up {
+                        Some(ControlAction::Restart(f.site))
+                    } else if obs.phase != SitePhase::Active {
+                        Some(ControlAction::Undrain(f.site))
+                    } else {
+                        None
                     }
-                    _ => {}
-                }
-            }
-            self.steps_executed += rollback.len() as u64;
-            self.status = ControlStatus::Aborted { site, step };
-            return TickResult {
-                status: self.status,
-                actions: rollback,
-            };
+                })
+                .collect();
+            return self.abort(site, step, rollback);
         }
 
         // Admit new sites while the unavailability budget allows.
-        for spec in &self.manifest.sites {
-            if self.in_flight.len() >= self.manifest.max_unavailable {
+        for i in 0..self.manifest.sites.len() {
+            if self.walk.len() >= self.manifest.max_unavailable {
                 break;
             }
-            if self.in_flight.iter().any(|f| f.site == spec.site) {
+            let spec = self.manifest.sites[i];
+            if self.walk.iter().any(|f| f.site == spec.site) {
                 continue;
             }
-            let plan = Self::plan_for(spec, view);
-            let Some(&first) = plan.front() else {
+            let Some(first) = Self::plan_for(&spec, view) else {
                 continue; // already at desired state
             };
-            actions.push(ControlAction::for_step(first, spec.site));
-            self.steps_executed += 1;
-            self.in_flight.push(InFlight {
-                site: spec.site,
-                plan,
-                deadline: view.now + self.manifest.step_timeout,
-                retries: 0,
-            });
+            let mut f = Flight::new(spec.site, first);
+            if let Progress::Running = self.poll(&mut f, view, true, &mut actions) {
+                self.walk.push(f);
+            }
         }
 
-        if let Some((site, step)) = self.drive_moves(view, &mut actions) {
-            self.status = ControlStatus::Aborted { site, step };
-            return TickResult {
-                status: self.status,
-                actions,
-            };
-        }
-
-        if let Some((site, step)) = self.drive_tiers(view, &mut actions) {
-            self.status = ControlStatus::Aborted { site, step };
-            return TickResult {
-                status: self.status,
-                actions,
-            };
+        if self.walk.is_empty() {
+            if let Some((site, step)) = self.drive_ops(view, &mut actions) {
+                return self.abort(site, step, actions);
+            }
         }
 
         let all_satisfied = self
             .manifest
             .sites
             .iter()
-            .all(|s| Self::plan_for(s, view).is_empty());
-        self.status = if self.in_flight.is_empty()
+            .all(|s| Self::plan_for(s, view).is_none());
+        self.status = if self.walk.is_empty()
             && all_satisfied
-            && self.move_idx >= self.manifest.moves.len()
-            && self.tier_idx >= self.tier_sites.len()
+            && self.op_idx >= self.manifest.moves.len() + self.tier_sites.len()
         {
             ControlStatus::Converged
         } else {
@@ -1090,5 +1033,91 @@ mod tests {
         ));
         assert_eq!(sup.sites_draining(), 1);
         assert_eq!(sup.rolling_unavailable(), 1);
+    }
+
+    /// The deadline of the one flight `sup` has out.
+    fn deadline(sup: &Supervisor) -> SimTime {
+        sup.walk.iter().chain(&sup.op).next().unwrap().deadline
+    }
+
+    #[test]
+    fn every_program_retries_on_one_schedule() {
+        const RETRIES: u32 = 3;
+        let t = SimDuration::from_millis(100);
+        let mut walk = rolling(1, 1);
+        walk.manifest.max_step_retries = RETRIES;
+        let empty = pscc_common::tiers_fingerprint([]);
+        // Each program, with the observation that keeps its step stuck.
+        let cases = [
+            (
+                "site walk stuck draining",
+                walk,
+                vec![obs(0, true, 1, SitePhase::Draining)],
+            ),
+            (
+                "move stuck preparing",
+                Supervisor::new(move_manifest(RETRIES)).unwrap(),
+                vec![
+                    obs_m(0, 1, MigrationObs::Preparing),
+                    obs_m(1, 1, MigrationObs::Idle),
+                ],
+            ),
+            (
+                "tier roll stuck on its fingerprint",
+                Supervisor::new(tier_manifest(RETRIES).0).unwrap(),
+                vec![obs_t(0, empty), obs_t(1, empty)],
+            ),
+        ];
+        for (name, mut sup, sites) in cases {
+            let stuck = |now| ClusterView {
+                now,
+                sites: sites.clone(),
+            };
+            let start = SimTime::from_micros(1_000);
+            let t0 = sup.tick(&stuck(start));
+            assert_eq!(t0.actions.len(), 1, "{name}: first issue");
+            assert_eq!(deadline(&sup), start + t, "{name}: first deadline");
+            for retry in 1..=RETRIES {
+                // Nothing happens before the deadline...
+                let due = deadline(&sup);
+                let quiet = sup.tick(&stuck(SimTime::from_micros(due.as_micros() - 1)));
+                assert!(quiet.actions.is_empty(), "{name}: early retry");
+                // ...a late tick re-issues the step with a deadline
+                // widened to (retries + 1) × T from that tick.
+                let now = due + SimDuration::from_micros(7);
+                let r = sup.tick(&stuck(now));
+                assert_eq!(r.actions, t0.actions, "{name}: retry {retry}");
+                assert_eq!(r.status, ControlStatus::InProgress);
+                assert_eq!(
+                    deadline(&sup),
+                    now + t.mul_f64(f64::from(retry) + 1.0),
+                    "{name}: deadline after retry {retry}"
+                );
+            }
+            let gave_up = sup.tick(&stuck(deadline(&sup)));
+            assert!(
+                matches!(gave_up.status, ControlStatus::Aborted { site, .. } if site == SiteId(0)),
+                "{name}: {:?}",
+                gave_up.status
+            );
+            assert_eq!(
+                sup.steps_executed(),
+                1 + u64::from(RETRIES),
+                "{name}: steps executed"
+            );
+        }
+    }
+
+    #[test]
+    fn stop_is_done_for_a_site_already_reborn() {
+        // A harness whose stop restarts the site in place never shows it
+        // down: up again in the spec's epoch, the walk is finished.
+        let mut sup = rolling(1, 1);
+        sup.tick(&view(0, vec![obs(0, true, 1, SitePhase::Active)]));
+        let t = sup.tick(&view(10, vec![obs(0, true, 1, SitePhase::Drained)]));
+        assert_eq!(t.actions, vec![ControlAction::Stop(SiteId(0))]);
+        let t = sup.tick(&view(20, vec![obs(0, true, 2, SitePhase::Active)]));
+        assert!(t.actions.is_empty(), "{:?}", t.actions);
+        assert_eq!(t.status, ControlStatus::Converged);
     }
 }

@@ -13,8 +13,8 @@ use crate::chaos::{FaultDecision, FaultPlan};
 use pscc_common::hash::{HashMap, HashSet};
 use pscc_common::{AppId, PsccError, SimDuration, SimTime, SiteId, SystemConfig, TxnId};
 use pscc_control::{
-    ClusterManifest, ClusterView, ControlAction, ControlStatus, MigrationObs, ObservedSite,
-    SitePhase, StepKind, Supervisor,
+    ClusterManifest, ClusterView, ControlAction, ControlStatus, ConvergeError, ConvergeReport,
+    Harness, MigrationObs, ObservedSite, SitePhase, Supervisor,
 };
 use pscc_core::{
     AppOp, AppReply, AppRequest, DiskOp, DiskReqId, DrainPhase, Env, Input, Message,
@@ -672,39 +672,15 @@ impl Cluster {
     }
 
     /// A point-in-time [`ClusterView`] of every site: liveness from the
-    /// harness's crash set, epoch / drain phase / queue depth from the
-    /// engine probes.
+    /// harness's crash set, everything else from the engine probes.
     pub fn observe(&self) -> ClusterView {
-        let sites = self
-            .sites
-            .iter()
-            .map(|s| {
-                let site = s.site();
-                ObservedSite {
-                    site,
-                    up: !self.crashed.contains(&site),
-                    epoch: s.epoch(),
-                    phase: match s.drain_phase() {
-                        DrainPhase::Active => SitePhase::Active,
-                        DrainPhase::Draining => SitePhase::Draining,
-                        DrainPhase::Drained => SitePhase::Drained,
-                    },
-                    queue_depth: s.queue_depth(),
-                    layout: s.layout_version(),
-                    migration: match s.migration_phase() {
-                        MigrationPhase::Idle => MigrationObs::Idle,
-                        MigrationPhase::Preparing => MigrationObs::Preparing,
-                        MigrationPhase::Prepared => MigrationObs::Prepared,
-                        MigrationPhase::Transferring => MigrationObs::Transferring,
-                        MigrationPhase::Committing => MigrationObs::Committing,
-                    },
-                    tiers_fp: s.tiers_fingerprint(),
-                }
-            })
-            .collect();
         ClusterView {
             now: self.now,
-            sites,
+            sites: self
+                .sites
+                .iter()
+                .map(|s| observe_site(s, !self.crashed.contains(&s.site())))
+                .collect(),
         }
     }
 
@@ -722,11 +698,6 @@ impl Cluster {
         Ok(())
     }
 
-    /// The installed reconciler, if any (gauges, status).
-    pub fn supervisor(&self) -> Option<&Supervisor> {
-        self.supervisor.as_ref()
-    }
-
     /// One reconciliation tick: observe, diff, execute the emitted
     /// actions. Does **not** pump — callers interleave their own
     /// traffic and pumping between ticks (see [`Self::converge`] for
@@ -740,88 +711,22 @@ impl Cluster {
             .supervisor
             .take()
             .expect("converge_step: no manifest applied");
-        let view = self.observe();
-        let tick = sup.tick(&view);
+        let tick = sup.tick(&self.observe());
         self.supervisor = Some(sup);
         for action in tick.actions {
-            self.execute_control_action(action);
+            self.execute(action);
         }
         tick.status
     }
 
-    fn execute_control_action(&mut self, action: ControlAction) {
-        let site = action.site();
-        let step = match action {
-            ControlAction::Drain(_) => StepKind::Drain,
-            ControlAction::Stop(_) => StepKind::Stop,
-            ControlAction::Restart(_) => StepKind::Restart,
-            ControlAction::Undrain(_) => StepKind::Undrain,
-            ControlAction::MigratePrepare { .. } => StepKind::MigratePrepare,
-            ControlAction::MigrateCommit { .. } | ControlAction::MigrateAbort { .. } => {
-                StepKind::MigrateCommit
-            }
-            ControlAction::SetTier { .. } => StepKind::SetTier,
-        };
-        if !self.crashed.contains(&site) {
-            self.sites[site.0 as usize]
-                .obs
-                .record(EventKind::ConvergeStep {
-                    site,
-                    step: step.name(),
-                });
-        }
-        match action {
-            ControlAction::Drain(s) => {
-                self.next_ctl_req += 1;
-                let req = ReqId(self.next_ctl_req);
-                self.send_control(s, Message::DrainReq { req });
-            }
-            ControlAction::Undrain(s) => {
-                self.next_ctl_req += 1;
-                let req = ReqId(self.next_ctl_req);
-                self.send_control(s, Message::UndrainReq { req });
-            }
-            // Illegal transitions (e.g. stopping a site that crashed on
-            // its own mid-step) are probed, not fatal: the reconciler
-            // re-plans from the next observation.
-            ControlAction::Stop(s) => {
-                let _ = self.try_crash_site(s);
-            }
-            ControlAction::Restart(s) => {
-                let _ = self.try_restart_site(s);
-            }
-            ControlAction::MigratePrepare { from, lo, hi, to } => {
-                self.next_ctl_req += 1;
-                let req = ReqId(self.next_ctl_req);
-                self.send_control(from, Message::MigratePrepare { req, lo, hi, to });
-            }
-            ControlAction::MigrateCommit { from } => {
-                self.next_ctl_req += 1;
-                let req = ReqId(self.next_ctl_req);
-                self.send_control(from, Message::MigrateTransfer { req });
-            }
-            ControlAction::MigrateAbort { from } => {
-                self.next_ctl_req += 1;
-                let req = ReqId(self.next_ctl_req);
-                self.send_control(from, Message::MigrateAbortReq { req });
-            }
-            ControlAction::SetTier { site, file, tier } => {
-                self.next_ctl_req += 1;
-                let req = ReqId(self.next_ctl_req);
-                self.send_control(site, Message::SetTierReq { req, file, tier });
-            }
-        }
-    }
-
-    /// Reconciles until the manifest converges, pumping `poll` of
+    /// [`Supervisor::converge`] over this cluster, pumping `poll` of
     /// virtual time (timers included) between ticks, for at most
-    /// `budget` of virtual time.
+    /// `budget` of virtual time; a `converge_done` event records the
+    /// outcome.
     ///
     /// # Errors
     ///
-    /// [`ConvergeError::Aborted`] if a step exhausted its retries (the
-    /// rollback actions have already been executed);
-    /// [`ConvergeError::BudgetExhausted`] if the budget elapsed first.
+    /// As [`Supervisor::converge`].
     ///
     /// # Panics
     ///
@@ -831,46 +736,17 @@ impl Cluster {
         poll: SimDuration,
         budget: SimDuration,
     ) -> Result<ConvergeReport, ConvergeError> {
-        let started = self.now;
-        let deadline = self.now + budget;
-        loop {
-            let status = self.converge_step();
-            match status {
-                ControlStatus::Converged => {
-                    let steps = self
-                        .supervisor
-                        .as_ref()
-                        .map_or(0, Supervisor::steps_executed);
-                    self.record_converge_done(steps, true);
-                    return Ok(ConvergeReport {
-                        steps,
-                        elapsed: self.now.since(started),
-                    });
-                }
-                ControlStatus::Aborted { site, step } => {
-                    // Let the rollback actions land before reporting.
-                    self.pump_for(poll);
-                    let steps = self
-                        .supervisor
-                        .as_ref()
-                        .map_or(0, Supervisor::steps_executed);
-                    self.record_converge_done(steps, false);
-                    return Err(ConvergeError::Aborted { site, step });
-                }
-                ControlStatus::InProgress => {
-                    if self.now >= deadline {
-                        return Err(ConvergeError::BudgetExhausted);
-                    }
-                    let before = self.now;
-                    self.pump_for(poll);
-                    if self.now == before {
-                        // Fully idle cluster: advance the clock by hand
-                        // so step deadlines (and the budget) can lapse.
-                        self.now = before + poll;
-                    }
-                }
-            }
+        let mut sup = self
+            .supervisor
+            .take()
+            .expect("converge: no manifest applied");
+        let outcome = sup.converge(self, poll, budget);
+        let steps = sup.steps_executed();
+        self.supervisor = Some(sup);
+        if outcome != Err(ConvergeError::BudgetExhausted) {
+            self.record_converge_done(steps, outcome.is_ok());
         }
+        outcome
     }
 
     fn record_converge_done(&mut self, steps: u64, ok: bool) {
@@ -885,6 +761,93 @@ impl Cluster {
                 .record(EventKind::ConvergeDone { steps, ok });
         }
     }
+}
+
+impl Harness for Cluster {
+    fn observe(&self) -> ClusterView {
+        Cluster::observe(self)
+    }
+
+    fn execute(&mut self, action: ControlAction) {
+        let site = action.site();
+        if !self.crashed.contains(&site) {
+            self.sites[site.0 as usize]
+                .obs
+                .record(EventKind::ConvergeStep {
+                    site,
+                    step: action.name(),
+                });
+        }
+        // Illegal transitions (e.g. stopping a site that crashed on its
+        // own mid-step) are probed, not fatal: the reconciler re-plans
+        // from the next observation.
+        match control_message(action, ReqId(self.next_ctl_req + 1)) {
+            Some(msg) => {
+                self.next_ctl_req += 1;
+                self.send_control(site, msg);
+            }
+            None if matches!(action, ControlAction::Stop(_)) => {
+                let _ = self.try_crash_site(site);
+            }
+            None => {
+                let _ = self.try_restart_site(site);
+            }
+        }
+    }
+
+    /// Pumps `dur` of virtual time; a fully idle cluster has its clock
+    /// advanced by hand, so step deadlines (and the budget) can lapse.
+    fn wait(&mut self, dur: SimDuration) {
+        let before = self.now;
+        self.pump_for(dur);
+        if self.now == before {
+            self.now = before + dur;
+        }
+    }
+}
+
+/// What the control plane observes of one engine, `up` being the
+/// harness's liveness signal: the one mapping from the engine's probes
+/// to an [`ObservedSite`], for both harnesses.
+pub(crate) fn observe_site(s: &PeerServer, up: bool) -> ObservedSite {
+    ObservedSite {
+        site: s.site(),
+        up,
+        epoch: s.epoch(),
+        phase: match s.drain_phase() {
+            DrainPhase::Active => SitePhase::Active,
+            DrainPhase::Draining => SitePhase::Draining,
+            DrainPhase::Drained => SitePhase::Drained,
+        },
+        queue_depth: s.queue_depth(),
+        layout: s.layout_version(),
+        migration: match s.migration_phase() {
+            MigrationPhase::Idle => MigrationObs::Idle,
+            MigrationPhase::Preparing => MigrationObs::Preparing,
+            MigrationPhase::Prepared => MigrationObs::Prepared,
+            MigrationPhase::Transferring => MigrationObs::Transferring,
+            MigrationPhase::Committing => MigrationObs::Committing,
+        },
+        tiers_fp: s.tiers_fingerprint(),
+    }
+}
+
+/// The control message that carries `action`, sent as [`CONTROLLER`]
+/// with request id `req`: the one mapping, for both harnesses. `None`
+/// for `Stop` and `Restart`, which act on the site's process, not its
+/// engine.
+pub(crate) fn control_message(action: ControlAction, req: ReqId) -> Option<Message> {
+    Some(match action {
+        ControlAction::Drain(_) => Message::DrainReq { req },
+        ControlAction::Undrain(_) => Message::UndrainReq { req },
+        ControlAction::MigratePrepare { lo, hi, to, .. } => {
+            Message::MigratePrepare { req, lo, hi, to }
+        }
+        ControlAction::MigrateCommit { .. } => Message::MigrateTransfer { req },
+        ControlAction::MigrateAbort { .. } => Message::MigrateAbortReq { req },
+        ControlAction::SetTier { file, tier, .. } => Message::SetTierReq { req, file, tier },
+        ControlAction::Stop(_) | ControlAction::Restart(_) => return None,
+    })
 }
 
 /// The testkit's env: the `Vec<Output>` env, except that disks complete
@@ -904,30 +867,6 @@ impl Env for Staged<'_> {
     fn reply(&mut self, reply: AppReply) {
         self.0.reply(reply);
     }
-}
-
-/// The outcome of a successful [`Cluster::converge`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ConvergeReport {
-    /// Reconciliation steps executed, retries included.
-    pub steps: u64,
-    /// Virtual time the operation took.
-    pub elapsed: SimDuration,
-}
-
-/// Why [`Cluster::converge`] gave up.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConvergeError {
-    /// A step exhausted its retries; the reconciler aborted and rolled
-    /// the touched sites back into service.
-    Aborted {
-        /// The site whose step gave up.
-        site: SiteId,
-        /// The step that could not complete.
-        step: StepKind,
-    },
-    /// The virtual-time budget elapsed before convergence.
-    BudgetExhausted,
 }
 
 /// Extracts the version counter of a synthesized object (first 8 bytes).

@@ -25,12 +25,16 @@
 //! thread naps briefly before it lets a site pay for waking it (see
 //! [`ThreadedCluster::recv_reply`]).
 
-use crate::testkit::CONTROLLER;
+use crate::testkit::{control_message, observe_site, CONTROLLER};
 use crossbeam::channel as mpsc;
-use pscc_common::{AppId, PsccError, SimTime, SiteId, SystemConfig, TxnId};
+use pscc_common::{AppId, PsccError, SimDuration, SimTime, SiteId, SystemConfig, TxnId};
+use pscc_control::{
+    ClusterManifest, ClusterView, ControlAction, ConvergeError, ConvergeReport, Harness,
+    ManifestError, ObservedSite, Supervisor,
+};
 use pscc_core::{
-    AppOp, AppReply, AppRequest, DiskOp, DiskReqId, DrainPhase, Env, Input, Message, OwnerMap,
-    PeerServer, ReqId, TimerId,
+    AppOp, AppReply, AppRequest, DiskOp, DiskReqId, Env, Input, Message, OwnerMap, PeerServer,
+    ReqId, TimerId,
 };
 use pscc_net::{Envelope, InProcNetwork, PathId, Transport, Waker};
 use std::cmp::Reverse;
@@ -40,31 +44,19 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// A site thread's answer to [`Cmd::Probe`] — the observed state the
-/// supervisor thread reconciles against.
-#[derive(Debug, Clone, Copy)]
-pub struct SiteProbe {
-    /// The engine's epoch (bumped by each in-thread restart recovery).
-    pub epoch: u64,
-    /// Drain lifecycle phase.
-    pub phase: DrainPhase,
-    /// Admitted remote data requests.
-    pub queue_depth: usize,
-}
-
 /// Commands a driver can send to a site thread.
 enum Cmd {
     App(AppRequest),
     /// Ask the site to report its counters.
     Stats(mpsc::Sender<pscc_common::Counters>),
-    /// Inject a control-plane message as [`CONTROLLER`] (drain/undrain).
+    /// Inject a control-plane message as [`CONTROLLER`].
     Control(Message),
-    /// Ask the site to report its control-plane observables.
-    Probe(mpsc::Sender<SiteProbe>),
+    /// Ask the site to report what the control plane observes of it.
+    Probe(mpsc::Sender<ObservedSite>),
     /// Restart the engine in place: the current instance is dropped (the
     /// model of a process crash), its durable WAL image survives, and a
     /// recovered engine takes over the same thread and transport.
-    Restart(mpsc::Sender<()>),
+    Restart,
 }
 
 /// How long an idle site stays parked before it looks at its stop flag
@@ -111,6 +103,60 @@ impl SiteHandle {
         if let Some(w) = &self.waker {
             w.wake();
         }
+    }
+
+    /// What the control plane observes of the site.
+    fn probe(&self) -> Result<ObservedSite, PsccError> {
+        let (ptx, prx) = mpsc::bounded(1);
+        self.send(Cmd::Probe(ptx))?;
+        prx.recv_timeout(Duration::from_secs(5))
+            .map_err(|_| PsccError::InvalidOperation("probe: site thread unresponsive"))
+    }
+}
+
+/// Wall time since the cluster's time zero, as the engines see it.
+fn clock(start: Instant) -> SimTime {
+    SimTime::from_micros(start.elapsed().as_micros() as u64)
+}
+
+/// A [`ClusterView`] of `sites` (a site whose thread does not answer is
+/// left out).
+fn view_of(sites: &[SiteHandle], start: Instant) -> ClusterView {
+    ClusterView {
+        now: clock(start),
+        sites: sites.iter().filter_map(|s| s.probe().ok()).collect(),
+    }
+}
+
+/// The supervisor thread's hold on the cluster: the site threads'
+/// command channels — the interface a remote operator would have — and
+/// the cluster's clock.
+struct Remote {
+    sites: Vec<SiteHandle>,
+    start: Instant,
+    next_req: u64,
+}
+
+impl Harness for Remote {
+    fn observe(&self) -> ClusterView {
+        view_of(&self.sites, self.start)
+    }
+
+    fn execute(&mut self, action: ControlAction) {
+        self.next_req += 1;
+        let cmd = match control_message(action, ReqId(self.next_req)) {
+            Some(msg) => Cmd::Control(msg),
+            // A thread-hosted site has no stopped state: Stop and
+            // Restart are both the in-place crash and recovery, so the
+            // site is never observed down and its Stop step completes on
+            // the new epoch.
+            None => Cmd::Restart,
+        };
+        let _ = self.sites[action.site().0 as usize].send(cmd);
+    }
+
+    fn wait(&mut self, dur: SimDuration) {
+        std::thread::sleep(Duration::from_micros(dur.as_micros()));
     }
 }
 
@@ -221,16 +267,9 @@ impl<T: Transport<Message>> Site<T> {
                 msg,
             }),
             Cmd::Probe(tx) => {
-                let _ = tx.send(SiteProbe {
-                    epoch: self.engine.epoch(),
-                    phase: self.engine.drain_phase(),
-                    queue_depth: self.engine.queue_depth(),
-                });
+                let _ = tx.send(observe_site(&self.engine, true));
             }
-            Cmd::Restart(done) => {
-                self.restart();
-                let _ = done.send(());
-            }
+            Cmd::Restart => self.restart(),
         }
     }
 
@@ -249,14 +288,15 @@ impl<T: Transport<Message>> Site<T> {
     /// Feeds `input` to the engine at the wall time since the cluster
     /// started.
     fn handle(&mut self, input: Input) {
-        let now = SimTime::from_micros(self.start.elapsed().as_micros() as u64);
-        self.engine.drive(now, input, &mut self.io);
+        self.engine.drive(clock(self.start), input, &mut self.io);
     }
 }
 
 /// A cluster of peer servers, each on its own OS thread.
 pub struct ThreadedCluster {
     sites: Vec<SiteHandle>,
+    /// Time zero of every engine's clock.
+    start: Instant,
     reply_rx: Vec<mpsc::Receiver<AppReply>>,
     shutdown: Arc<AtomicBool>,
     handles: Vec<JoinHandle<()>>,
@@ -369,6 +409,7 @@ impl ThreadedCluster {
         }
         ThreadedCluster {
             sites,
+            start,
             reply_rx,
             shutdown,
             handles,
@@ -462,83 +503,52 @@ impl ThreadedCluster {
         let _ = self.sites[site.0 as usize].send(Cmd::Control(msg));
     }
 
-    /// Reports `site`'s control-plane observables.
+    /// What the control plane observes of `site`.
     ///
     /// # Errors
     ///
     /// [`PsccError::InvalidOperation`] if the site thread is gone or
     /// does not answer within five seconds.
-    pub fn probe(&self, site: SiteId) -> Result<SiteProbe, PsccError> {
-        Self::probe_via(&self.sites[site.0 as usize])
+    pub fn probe(&self, site: SiteId) -> Result<ObservedSite, PsccError> {
+        self.sites[site.0 as usize].probe()
     }
 
-    fn probe_via(site: &SiteHandle) -> Result<SiteProbe, PsccError> {
-        let (ptx, prx) = mpsc::bounded(1);
-        site.send(Cmd::Probe(ptx))?;
-        prx.recv_timeout(Duration::from_secs(5))
-            .map_err(|_| PsccError::InvalidOperation("probe: site thread unresponsive"))
+    /// A point-in-time [`ClusterView`] of every site that answers its
+    /// probe, stamped with the wall time since the cluster started.
+    pub fn observe(&self) -> ClusterView {
+        view_of(&self.sites, self.start)
     }
 
-    /// Rolls each of `sites` through drain → restart → undrain from a
-    /// dedicated supervisor thread, one site at a time, while the rest
-    /// of the cluster keeps serving. Each step must complete within
-    /// `step_timeout` of wall clock. Returns the join handle; joining
-    /// yields the post-roll epoch of each rolled site in order.
+    /// Reconciles the cluster to `manifest` from a supervisor thread:
+    /// [`Supervisor::converge`] over the site threads' command channels,
+    /// sleeping `poll` between ticks, for at most `budget` of wall time,
+    /// while the cluster keeps serving. Joining the handle yields the
+    /// outcome.
     ///
-    /// The supervisor talks to site threads only through their command
-    /// channels — exactly the interface a remote operator would have —
-    /// so the roll exercises the same drain protocol as the
-    /// deterministic harness, under a preemptive scheduler.
-    pub fn spawn_rolling_restart(
+    /// A site here is never observed down (see [`StepKind::Stop`]), so
+    /// a manifest row that asks for `DesiredState::Down` cannot
+    /// converge.
+    ///
+    /// [`StepKind::Stop`]: pscc_control::StepKind::Stop
+    ///
+    /// # Errors
+    ///
+    /// Returns the manifest's validation error.
+    pub fn spawn_converge(
         &self,
-        step_timeout: Duration,
-        sites: Vec<SiteId>,
-    ) -> JoinHandle<Result<Vec<u64>, PsccError>> {
-        let sites: Vec<SiteHandle> = sites
-            .iter()
-            .map(|s| self.sites[s.0 as usize].clone())
-            .collect();
-        std::thread::spawn(move || {
-            let wait = |site: &SiteHandle,
-                        ok: &dyn Fn(&SiteProbe) -> bool,
-                        err: &'static str|
-             -> Result<SiteProbe, PsccError> {
-                let deadline = Instant::now() + step_timeout;
-                loop {
-                    let p = Self::probe_via(site)?;
-                    if ok(&p) {
-                        return Ok(p);
-                    }
-                    if Instant::now() > deadline {
-                        return Err(PsccError::InvalidOperation(err));
-                    }
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            };
-            let mut epochs = Vec::with_capacity(sites.len());
-            for (i, site) in sites.iter().enumerate() {
-                let req = ReqId(i as u64 + 1);
-                let before = Self::probe_via(site)?.epoch;
-                site.send(Cmd::Control(Message::DrainReq { req }))?;
-                wait(
-                    site,
-                    &|p| p.phase == DrainPhase::Drained,
-                    "rolling: drain step timed out",
-                )?;
-                let (dtx, drx) = mpsc::bounded(1);
-                site.send(Cmd::Restart(dtx))?;
-                drx.recv_timeout(step_timeout)
-                    .map_err(|_| PsccError::InvalidOperation("rolling: restart step timed out"))?;
-                site.send(Cmd::Control(Message::UndrainReq { req }))?;
-                let after = wait(
-                    site,
-                    &|p| p.phase == DrainPhase::Active && p.epoch >= before,
-                    "rolling: undrain step timed out",
-                )?;
-                epochs.push(after.epoch);
-            }
-            Ok(epochs)
-        })
+        manifest: ClusterManifest,
+        poll: SimDuration,
+        budget: SimDuration,
+    ) -> Result<JoinHandle<Result<ConvergeReport, ConvergeError>>, ManifestError> {
+        let mut sup = Supervisor::new(manifest)?;
+        let mut remote = Remote {
+            sites: self.sites.clone(),
+            start: self.start,
+            next_req: 0,
+        };
+        Ok(std::thread::spawn(move || {
+            sup.converge(&mut remote, poll, budget)
+        }))
     }
 
     /// Sums the counters of every site.

@@ -15,12 +15,14 @@ use pscc_common::{
     AppId, FileId, LockableId, Oid, PageId, Protocol, SimDuration, SiteId, SystemConfig, TxnId,
     VolId,
 };
-use pscc_control::{ClusterManifest, ControlStatus, DesiredState, MoveRange, SiteSpec, StepKind};
+use pscc_control::{
+    ClusterManifest, ControlStatus, ConvergeError, DesiredState, MoveRange, SiteSpec, StepKind,
+};
 use pscc_core::{AppOp, AppReply, Message, MigrationPhase, OwnerMap, ReqId};
 use pscc_obs::event::EventKind;
 use pscc_obs::AvailabilityTimeline;
 use pscc_sim::chaos::FaultPlan;
-use pscc_sim::testkit::{version_of, Cluster, ConvergeError};
+use pscc_sim::testkit::{version_of, Cluster};
 
 const OWNER_A: SiteId = SiteId(0);
 const OWNER_B: SiteId = SiteId(1);
@@ -795,6 +797,14 @@ fn unreachable_destination_aborts_and_rolls_back() {
             step: StepKind::MigrateCommit,
         },
         "retries must exhaust at the transfer/commit step"
+    );
+    // The give-up is traced as the abort it sends, not as another commit.
+    assert!(
+        c.merged_trace().iter().any(|e| matches!(
+            e.kind,
+            EventKind::ConvergeStep { site, step: "migrate_abort" } if site == OWNER_A
+        )),
+        "no migrate_abort step traced"
     );
 
     // Let the partition heal: the chunks shipped by the (now aborted)

@@ -3,13 +3,15 @@
 //! nondeterministic scheduling. Serializability must hold regardless.
 
 use pscc_common::{
-    AppId, FileId, Oid, PageId, Protocol, PsccError, SimDuration, SiteId, SystemConfig, VolId,
+    AppId, ConsistencyTier, FileId, Oid, PageId, Protocol, PsccError, SimDuration, SiteId,
+    SystemConfig, VolId,
 };
+use pscc_control::{ClusterManifest, ConvergeError, ConvergeReport, TierAssignment};
 use pscc_core::{AppOp, AppReply, Message, OwnerMap, ReqId};
 use pscc_net::{Endpoint, Envelope, InProcNetwork, PathId, Transport};
 use pscc_sim::threaded::ThreadedCluster;
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -302,99 +304,73 @@ fn threaded_peer_partition_transactions() {
     cluster.shutdown();
 }
 
-#[test]
-fn threaded_rolling_restart_under_live_traffic() {
-    use std::sync::atomic::AtomicU64;
-
-    let cfg = ps_aa();
-    let cluster = ThreadedCluster::new(3, cfg, OwnerMap::Single(SiteId(0)));
-    let x = oid(3, 0);
-    let stop = AtomicBool::new(false);
-    let committed = AtomicU64::new(0);
-
-    let outcome = std::thread::scope(|s| {
-        let cluster = &cluster;
-        let stop = &stop;
-        let committed = &committed;
-        // A driver hammers the owner's counter for the whole run,
-        // tolerating the aborts of the drain/restart window.
-        s.spawn(move || {
-            let site = SiteId(2);
-            let app = AppId(2);
-            while !stop.load(Ordering::Relaxed) {
-                let Ok(txn) = cluster.begin(site, app) else {
-                    continue;
-                };
-                let ok = cluster
-                    .run_op(
-                        site,
-                        app,
-                        txn,
-                        AppOp::Write {
-                            oid: x,
-                            bytes: None,
-                        },
-                    )
-                    .and_then(|_| cluster.run_op(site, app, txn, AppOp::Commit));
-                if ok.is_ok() {
-                    committed.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        });
-
-        // Let traffic flow, then roll the owner under it. Outcomes are
-        // recorded and asserted only after the scope ends: a panic here
-        // would leave `stop` unset and deadlock the scope's join.
-        let wait_for = |target: u64, limit: Duration| {
-            let deadline = Instant::now() + limit;
-            while committed.load(Ordering::Relaxed) < target {
-                if Instant::now() > deadline {
-                    return false;
-                }
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            true
+/// A closed loop of update transactions on `x` at `site` until `stop`,
+/// counting commits and tolerating the aborts of a roll's
+/// drain/restart windows.
+fn update_until(cluster: &ThreadedCluster, site: SiteId, x: Oid, stop: &AtomicBool, n: &AtomicU64) {
+    let app = AppId(site.0);
+    while !stop.load(Ordering::Relaxed) {
+        let Ok(txn) = cluster.begin(site, app) else {
+            continue;
         };
-        let pre_ok = wait_for(3, Duration::from_secs(30));
-        let before = cluster.probe(SiteId(0)).map(|p| p.epoch);
-        let roll = cluster
-            .spawn_rolling_restart(Duration::from_secs(20), vec![SiteId(0)])
-            .join()
-            .expect("supervisor thread");
-        // Commits must resume against the restarted owner. The driver's
-        // first attempts can burn reply timeouts on transactions the
-        // restart killed, so the allowance is generous.
-        let resumed_from = committed.load(Ordering::Relaxed);
-        let post_ok = wait_for(resumed_from + 3, Duration::from_secs(60));
-        stop.store(true, Ordering::Relaxed);
-        (pre_ok, before, roll, post_ok)
-    });
-    let (pre_ok, before, roll, post_ok) = outcome;
-    assert!(pre_ok, "no commits before the roll");
-    let before = before.expect("owner probe before the roll");
-    let epochs = roll.expect("roll converges");
-    assert_eq!(epochs.len(), 1);
-    assert!(
-        epochs[0] > before,
-        "owner epoch must advance across the roll ({before} -> {})",
-        epochs[0]
-    );
-    assert!(post_ok, "no commits after the roll");
+        let ok = cluster
+            .run_op(
+                site,
+                app,
+                txn,
+                AppOp::Write {
+                    oid: x,
+                    bytes: None,
+                },
+            )
+            .and_then(|_| cluster.run_op(site, app, txn, AppOp::Commit));
+        if ok.is_ok() {
+            n.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
 
-    // Zero committed work lost: the durable counter equals the number
-    // of commit acknowledgements the driver observed. Site 1 sat idle
-    // all run, so its first transaction can land in the post-restart
-    // fence/rejoin window and abort — retry until the read goes through.
-    let site = SiteId(1);
+/// Whether `n` reaches `target` within `limit`.
+fn wait_for(n: &AtomicU64, target: u64, limit: Duration) -> bool {
+    let deadline = Instant::now() + limit;
+    while n.load(Ordering::Relaxed) < target {
+        if Instant::now() > deadline {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    true
+}
+
+/// Runs `manifest` to convergence on a supervisor thread.
+fn converge(
+    cluster: &ThreadedCluster,
+    manifest: ClusterManifest,
+) -> Result<ConvergeReport, ConvergeError> {
+    cluster
+        .spawn_converge(
+            manifest,
+            SimDuration::from_millis(5),
+            SimDuration::from_secs(120),
+        )
+        .expect("manifest validates")
+        .join()
+        .expect("supervisor thread")
+}
+
+/// Reads the counter of `x` at `site`. A site that sat idle through a
+/// roll can land its first transaction in the post-restart fence/rejoin
+/// window and abort, so the read is retried until it goes through.
+fn read_counter(cluster: &ThreadedCluster, site: SiteId, x: Oid) -> u64 {
     let app = AppId(9);
     let deadline = Instant::now() + Duration::from_secs(30);
-    let value = loop {
+    loop {
         let attempt = cluster
             .begin(site, app)
             .and_then(|txn| cluster.run_op(site, app, txn, AppOp::Read(x)));
         match attempt {
             Ok(AppReply::Done { data: Some(d), .. }) => {
-                break u64::from_le_bytes(d[0..8].try_into().unwrap());
+                return u64::from_le_bytes(d[0..8].try_into().unwrap());
             }
             other => {
                 assert!(
@@ -404,12 +380,151 @@ fn threaded_rolling_restart_under_live_traffic() {
                 std::thread::sleep(Duration::from_millis(20));
             }
         }
-    };
+    }
+}
+
+#[test]
+fn threaded_rolling_restart_under_live_traffic() {
+    let cfg = ps_aa();
+    let cluster = ThreadedCluster::new(3, cfg, OwnerMap::Single(SiteId(0)));
+    let x = oid(3, 0);
+    let stop = AtomicBool::new(false);
+    let committed = AtomicU64::new(0);
+
+    let outcome = std::thread::scope(|s| {
+        let (cluster, stop, committed) = (&cluster, &stop, &committed);
+        // A client hammers the owner's counter for the whole run.
+        s.spawn(move || update_until(cluster, SiteId(2), x, stop, committed));
+
+        // Let traffic flow, then roll the owner under it. Outcomes are
+        // recorded and asserted only after the scope ends: a panic here
+        // would leave `stop` unset and deadlock the scope's join.
+        let pre_ok = wait_for(committed, 3, Duration::from_secs(30));
+        let before = cluster.probe(SiteId(0)).map(|p| p.epoch);
+        let roll = before.as_ref().ok().map(|&epoch| {
+            let m = ClusterManifest::rolling_restart(
+                &[(SiteId(0), epoch)],
+                1,
+                SimDuration::from_secs(20),
+            );
+            converge(cluster, m)
+        });
+        let after = cluster.probe(SiteId(0)).map(|p| p.epoch);
+        // Commits must resume against the restarted owner. The client's
+        // first attempts can burn reply timeouts on transactions the
+        // restart killed, so the allowance is generous.
+        let resumed_from = committed.load(Ordering::Relaxed);
+        let post_ok = wait_for(committed, resumed_from + 3, Duration::from_secs(60));
+        stop.store(true, Ordering::Relaxed);
+        (pre_ok, before, roll, after, post_ok)
+    });
+    let (pre_ok, before, roll, after, post_ok) = outcome;
+    assert!(pre_ok, "no commits before the roll");
+    let before = before.expect("owner probe before the roll");
+    roll.expect("owner probed").expect("roll converges");
+    let after = after.expect("owner probe after the roll");
+    assert!(
+        after > before,
+        "owner epoch must advance across the roll ({before} -> {after})"
+    );
+    assert!(post_ok, "no commits after the roll");
+
+    // Zero committed work lost: the durable counter equals the number
+    // of commit acknowledgements the client observed.
     assert_eq!(
-        value,
+        read_counter(&cluster, SiteId(1), x),
         committed.load(Ordering::Relaxed),
         "committed updates lost (or phantom) across the threaded roll"
     );
+    cluster.shutdown();
+}
+
+/// The headline roll of `rolling.rs`, on OS threads and by the same
+/// supervisor: both owners of a partitioned database restarted one at a
+/// time (`max_unavailable` 1) plus a tier row rolled onto one of them,
+/// while a client per partition keeps committing.
+#[test]
+fn threaded_rolling_restart_of_two_owners_and_a_tier_under_live_traffic() {
+    let owners = [SiteId(0), SiteId(1)];
+    let cluster = ThreadedCluster::new(
+        4,
+        ps_aa(),
+        OwnerMap::Ranges(vec![(0, 225, owners[0]), (225, 450, owners[1])]),
+    );
+    // Client site 2 updates an object of owner 0, client site 3 one of
+    // owner 1 (each owner stores its partition under its own volume).
+    let objects = [
+        Oid::new(PageId::new(FileId::new(VolId(0), 0), 10), 0),
+        Oid::new(PageId::new(FileId::new(VolId(1), 0), 300), 0),
+    ];
+    let committed = [AtomicU64::new(0), AtomicU64::new(0)];
+    let stop = AtomicBool::new(false);
+    // A file the traffic does not touch, so its reads stay strict.
+    let tier = TierAssignment {
+        site: owners[0],
+        file: 7,
+        tier: ConsistencyTier::BoundedStale {
+            ttl: SimDuration::from_millis(50),
+        },
+    };
+
+    let outcome = std::thread::scope(|s| {
+        for (i, &x) in objects.iter().enumerate() {
+            let (cluster, stop, n) = (&cluster, &stop, &committed[i]);
+            s.spawn(move || update_until(cluster, SiteId(2 + i as u32), x, stop, n));
+        }
+        let pre_ok = committed
+            .iter()
+            .all(|n| wait_for(n, 3, Duration::from_secs(30)));
+        let before: Result<Vec<u64>, _> = owners
+            .iter()
+            .map(|&o| cluster.probe(o).map(|p| p.epoch))
+            .collect();
+        let manifest = before.as_ref().ok().map(|epochs| {
+            let current: Vec<(SiteId, u64)> =
+                owners.iter().copied().zip(epochs.iter().copied()).collect();
+            let mut m = ClusterManifest::rolling_restart(&current, 1, SimDuration::from_secs(20));
+            m.tiers = vec![tier];
+            m
+        });
+        let roll = manifest.clone().map(|m| converge(&cluster, m));
+        let after: Result<Vec<_>, _> = owners.iter().map(|&o| cluster.probe(o)).collect();
+        let post_ok = committed.iter().all(|n| {
+            let resumed_from = n.load(Ordering::Relaxed);
+            wait_for(n, resumed_from + 3, Duration::from_secs(60))
+        });
+        stop.store(true, Ordering::Relaxed);
+        (pre_ok, before, manifest, roll, after, post_ok)
+    });
+    let (pre_ok, before, manifest, roll, after, post_ok) = outcome;
+    assert!(pre_ok, "both partitions must commit before the roll");
+    let before = before.expect("owner probes before the roll");
+    let manifest = manifest.expect("manifest built");
+    let report = roll.expect("roll ran").expect("roll converges");
+    assert!(report.steps >= 3, "two walks and a tier row: {report:?}");
+    let after = after.expect("owner probes after the roll");
+    for ((site, was), now) in owners.iter().zip(&before).zip(&after) {
+        assert!(
+            now.epoch > *was,
+            "{site} epoch never advanced ({was} -> {})",
+            now.epoch
+        );
+    }
+    assert_eq!(
+        after[0].tiers_fp,
+        manifest.tiers_fp_for(owners[0]),
+        "tier row never landed"
+    );
+    assert!(post_ok, "a partition stopped committing after the roll");
+
+    // Zero committed work lost on either partition.
+    for (x, n) in objects.iter().zip(&committed) {
+        assert_eq!(
+            read_counter(&cluster, SiteId(2), *x),
+            n.load(Ordering::Relaxed),
+            "committed updates lost (or phantom) on {x:?} across the threaded roll"
+        );
+    }
     cluster.shutdown();
 }
 
