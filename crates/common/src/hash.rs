@@ -145,6 +145,14 @@ pub fn with_hash_seed<R>(seed: u64, f: impl FnOnce() -> R) -> R {
     f()
 }
 
+/// FNV-1a (64-bit) over `bytes`: a fingerprint that no hash seed moves,
+/// for golden values pinned in tests.
+pub fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
