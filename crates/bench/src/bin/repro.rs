@@ -285,20 +285,20 @@ fn migration_drill() -> String {
     use pscc_common::{AppId, FileId, Oid, PageId, SimDuration, VolId};
     use pscc_control::{ClusterManifest, DesiredState, MoveRange, SiteSpec};
     use pscc_core::{AppOp, AppReply, OwnerMap};
-    use pscc_sim::testkit::Cluster;
+    use pscc_sim::Simulation;
 
     let owners = OwnerMap::Ranges(vec![(0, 225, SiteId(0)), (225, 450, SiteId(1))]);
     let cfg = SystemConfig {
         protocol: Protocol::PsAa,
         ..SystemConfig::small()
     };
-    let mut c = Cluster::new(4, cfg, owners, 8);
+    let mut c = Simulation::seeded(4, cfg, owners, 8);
     let app = AppId(0);
     let oid = |page: u32| Oid::new(PageId::new(FileId::new(VolId(0), 0), page), 1);
 
     // One committed update per attempt, retried through the fencing
     // and re-route windows a migration opens.
-    fn commit(c: &mut Cluster, site: SiteId, app: AppId, o: Oid) {
+    fn commit(c: &mut Simulation, site: SiteId, app: AppId, o: Oid) {
         for _ in 0..50 {
             let t = c.begin(site, app);
             c.submit(
@@ -401,7 +401,7 @@ fn edge_drill() -> String {
         AppId, ConsistencyTier, EdgeTierSpec, FileId, Oid, PageId, SimDuration, VolId,
     };
     use pscc_core::OwnerMap;
-    use pscc_sim::testkit::Cluster;
+    use pscc_sim::Simulation;
 
     const ROUNDS: usize = 24;
     let run = |tier: Option<ConsistencyTier>| {
@@ -409,7 +409,7 @@ fn edge_drill() -> String {
         if let Some(tier) = tier {
             cfg.edge_tiers = vec![EdgeTierSpec { file: 0, tier }];
         }
-        let mut c = Cluster::new(4, cfg, OwnerMap::Single(SiteId(0)), 9);
+        let mut c = Simulation::seeded(4, cfg, OwnerMap::Single(SiteId(0)), 9);
         let app = AppId(0);
         let hot = Oid::new(PageId::new(FileId::new(VolId(0), 0), 3), 1);
         for _ in 0..ROUNDS {

@@ -392,9 +392,9 @@ impl SystemConfig {
 
     /// Reject knob combinations that would not fail at construction but
     /// would wedge or misbehave at runtime (latent deadlocks, hot spins,
-    /// empty clamp ranges). Entry points — the testkit `Cluster`, the
-    /// threaded harness, the simulation builder, and the `repro` binary —
-    /// call this before instantiating any site.
+    /// empty clamp ranges). Entry points — both `Simulation`
+    /// constructors, the threaded harness, and the `repro` binary — call
+    /// this before instantiating any site.
     ///
     /// # Examples
     ///

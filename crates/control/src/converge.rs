@@ -6,8 +6,8 @@ use crate::view::ClusterView;
 use pscc_common::{SimDuration, SiteId};
 
 /// What the supervisor needs of a cluster it reconciles. The
-/// deterministic testkit implements it over virtual time, the threaded
-/// cluster over wall time.
+/// simulation implements it over virtual time, the threaded cluster
+/// over wall time.
 pub trait Harness {
     /// A snapshot of the cluster now.
     fn observe(&self) -> ClusterView;

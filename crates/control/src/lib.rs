@@ -25,7 +25,7 @@
 //! views stamped with the harness's time, executes the
 //! [`ControlAction`]s it returns and lets time pass, and
 //! [`Supervisor::converge`] is the one loop over it. Both harnesses run
-//! it: the testkit's `Cluster::converge` under virtual time, and the
+//! it: `Simulation::converge` under virtual time, and the
 //! threaded cluster's `spawn_converge` on a supervisor thread under wall
 //! time.
 //!

@@ -18,7 +18,7 @@ pub trait Env {
     fn reply(&mut self, reply: AppReply);
 }
 
-/// Stages every effect, disks included, for the DES and the testkit.
+/// Stages every effect, disks included, for the simulation.
 impl Env for Vec<Output> {
     fn send(&mut self, to: SiteId, msg: Message) {
         self.push(Output::Send { to, msg });

@@ -46,7 +46,9 @@ impl PeerServer {
     /// Runs restart recovery, re-registers in-doubt transactions and
     /// queries their coordinators, takes a fresh checkpoint so the
     /// durable image is self-contained again, hands the effects
-    /// (queries, timer arms) to `env` and returns the server.
+    /// (queries, timer arms) to `env` and returns the server. The
+    /// harness that restarts the site records how long this took in
+    /// `obs.recovery_time`; the engine reads no clock.
     pub fn recover(
         site: SiteId,
         cfg: SystemConfig,
@@ -55,7 +57,6 @@ impl PeerServer {
         prior_epoch: u64,
         env: &mut impl Env,
     ) -> Self {
-        let started = std::time::Instant::now();
         let mut s = PeerServer::new(site, cfg, owners);
         let outcome = pscc_recovery::restart(s.volume.clone(), durable);
         s.volume = outcome.volume;
@@ -129,9 +130,6 @@ impl PeerServer {
         s.log.checkpoint(s.volume.clone());
         s.stats.disk_writes += 1;
 
-        s.obs
-            .recovery_time
-            .record_micros(started.elapsed().as_micros() as u64);
         s.obs.record(EventKind::Recovered {
             site,
             epoch: s.epoch,

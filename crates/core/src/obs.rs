@@ -36,7 +36,8 @@ pub struct SiteObs {
     /// consistency protocols actually differ.
     pub txn_latency: Histogram,
     /// Restart recovery duration (analysis + redo + undo wall clock,
-    /// one sample per completed recovery).
+    /// one sample per completed recovery). The harness that restarts
+    /// the site records it; the engine reads no clock.
     pub recovery_time: Histogram,
     /// Ownership-migration pause: range freeze (`MigratePrepare`
     /// accepted) to the source's commit record going durable — the

@@ -4,7 +4,8 @@
 
 use pscc_common::{AppId, FileId, Oid, PageId, Protocol, PsccError, SiteId, SystemConfig, VolId};
 use pscc_core::{AppOp, AppReply, OwnerMap};
-use pscc_sim::testkit::{version_of, Cluster};
+use pscc_sim::testkit::version_of;
+use pscc_sim::Simulation;
 
 const SERVER: SiteId = SiteId(0);
 const A: SiteId = SiteId(1);
@@ -18,8 +19,8 @@ fn cfg(p: Protocol) -> SystemConfig {
     }
 }
 
-fn cluster(p: Protocol) -> Cluster {
-    Cluster::new(3, cfg(p), OwnerMap::Single(SERVER), 42)
+fn cluster(p: Protocol) -> Simulation {
+    Simulation::seeded(3, cfg(p), OwnerMap::Single(SERVER), 42)
 }
 
 fn oid(page: u32, slot: u16) -> Oid {

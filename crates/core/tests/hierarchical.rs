@@ -8,7 +8,8 @@ use pscc_common::{
 };
 use pscc_core::{AppOp, AppReply, OwnerMap};
 use pscc_net::PathId;
-use pscc_sim::testkit::{version_of, Cluster};
+use pscc_sim::testkit::version_of;
+use pscc_sim::Simulation;
 
 const S: SiteId = SiteId(0);
 const A: SiteId = SiteId(1);
@@ -16,12 +17,12 @@ const B: SiteId = SiteId(2);
 const C: SiteId = SiteId(3);
 const APP: AppId = AppId(0);
 
-fn cluster() -> Cluster {
+fn cluster() -> Simulation {
     let cfg = SystemConfig {
         protocol: Protocol::PsAa,
         ..SystemConfig::small()
     };
-    Cluster::new(4, cfg, OwnerMap::Single(S), 17)
+    Simulation::seeded(4, cfg, OwnerMap::Single(S), 17)
 }
 
 fn oid(page: u32, slot: u16) -> Oid {
@@ -33,7 +34,13 @@ fn write(oid: Oid) -> AppOp {
     AppOp::Write { oid, bytes: None }
 }
 
-fn lock(c: &mut Cluster, site: SiteId, txn: pscc_common::TxnId, item: LockableId, mode: LockMode) {
+fn lock(
+    c: &mut Simulation,
+    site: SiteId,
+    txn: pscc_common::TxnId,
+    item: LockableId,
+    mode: LockMode,
+) {
     let reply = c
         .run_op(site, APP, txn, AppOp::Lock { item, mode })
         .unwrap();

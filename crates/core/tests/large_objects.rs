@@ -6,19 +6,19 @@ use pscc_common::{
     AppId, FileId, LockMode, LockableId, Oid, PageId, Protocol, SiteId, SystemConfig, TxnId, VolId,
 };
 use pscc_core::{decode_header_oid, AppOp, AppReply, OwnerMap};
-use pscc_sim::testkit::Cluster;
+use pscc_sim::Simulation;
 
 const S: SiteId = SiteId(0);
 const A: SiteId = SiteId(1);
 const B: SiteId = SiteId(2);
 const APP: AppId = AppId(0);
 
-fn cluster() -> Cluster {
+fn cluster() -> Simulation {
     let cfg = SystemConfig {
         protocol: Protocol::PsAa,
         ..SystemConfig::small()
     };
-    Cluster::new(3, cfg, OwnerMap::Single(S), 31)
+    Simulation::seeded(3, cfg, OwnerMap::Single(S), 31)
 }
 
 fn header_page() -> PageId {
@@ -26,7 +26,7 @@ fn header_page() -> PageId {
 }
 
 /// Runs `op` for `t` at `site` to its `Done` and returns what it carries.
-fn done(c: &mut Cluster, site: SiteId, t: TxnId, op: AppOp) -> Option<Vec<u8>> {
+fn done(c: &mut Simulation, site: SiteId, t: TxnId, op: AppOp) -> Option<Vec<u8>> {
     match c.run_op(site, APP, t, op).unwrap() {
         AppReply::Done { data, .. } => data,
         other => panic!("unexpected {other:?}"),
@@ -41,7 +41,7 @@ fn ex(item: LockableId) -> AppOp {
 }
 
 /// Creates a large object of `content` and returns its header oid.
-fn create(c: &mut Cluster, site: SiteId, t: TxnId, content: &[u8]) -> Oid {
+fn create(c: &mut Simulation, site: SiteId, t: TxnId, content: &[u8]) -> Oid {
     // Creation requires an explicit EX lock on the header page.
     done(c, site, t, ex(LockableId::Page(header_page())));
     let op = AppOp::CreateLarge {
@@ -52,7 +52,7 @@ fn create(c: &mut Cluster, site: SiteId, t: TxnId, content: &[u8]) -> Oid {
 }
 
 fn read_large(
-    c: &mut Cluster,
+    c: &mut Simulation,
     site: SiteId,
     t: TxnId,
     header: Oid,
@@ -68,7 +68,7 @@ fn read_large(
 }
 
 fn write_large(
-    c: &mut Cluster,
+    c: &mut Simulation,
     site: SiteId,
     t: TxnId,
     header: Oid,

@@ -3,11 +3,12 @@
 
 use pscc_common::{AppId, FileId, Oid, PageId, Protocol, PsccError, SiteId, SystemConfig, VolId};
 use pscc_core::{AppOp, AppReply, OwnerMap};
-use pscc_sim::testkit::{version_of, Cluster};
+use pscc_sim::testkit::version_of;
+use pscc_sim::Simulation;
 
 const APP: AppId = AppId(0);
 
-fn peer_cluster(seed: u64) -> Cluster {
+fn peer_cluster(seed: u64) -> Simulation {
     let cfg = SystemConfig {
         protocol: Protocol::PsAa,
         ..SystemConfig::small()
@@ -18,7 +19,7 @@ fn peer_cluster(seed: u64) -> Cluster {
         (150, 300, SiteId(1)),
         (300, 450, SiteId(2)),
     ]);
-    Cluster::new(3, cfg, owners, seed)
+    Simulation::seeded(3, cfg, owners, seed)
 }
 
 /// Pages live on the volume of their owning site.
@@ -212,7 +213,7 @@ fn eviction_ships_logs_early_and_purges() {
         ..SystemConfig::small()
     };
     let owners = OwnerMap::Single(SiteId(0));
-    let mut c = Cluster::new(2, cfg, owners, 8);
+    let mut c = Simulation::seeded(2, cfg, owners, 8);
     let site = SiteId(1);
     let t = c.begin(site, APP);
     // Touch enough pages to overflow the cache several times, updating
@@ -245,7 +246,7 @@ fn rereading_own_evicted_dirty_object() {
         ..SystemConfig::small()
     };
     let owners = OwnerMap::Single(SiteId(0));
-    let mut c = Cluster::new(2, cfg, owners, 9);
+    let mut c = Simulation::seeded(2, cfg, owners, 9);
     let site = SiteId(1);
     let t = c.begin(site, APP);
     let first = Oid::new(PageId::new(FileId::new(VolId(0), 0), 0), 0);

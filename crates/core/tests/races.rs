@@ -8,7 +8,8 @@ use pscc_common::{AppId, FileId, Oid, PageId, Protocol, SiteId, SystemConfig, Vo
 use pscc_core::{AppOp, AppReply, OwnerMap};
 use pscc_net::PathId;
 use pscc_obs::event::render_dump;
-use pscc_sim::testkit::{version_of, Cluster};
+use pscc_sim::testkit::version_of;
+use pscc_sim::Simulation;
 
 const S: SiteId = SiteId(0);
 const A: SiteId = SiteId(1);
@@ -24,17 +25,17 @@ fn write(oid: Oid) -> AppOp {
     AppOp::Write { oid, bytes: None }
 }
 
-fn cluster() -> Cluster {
+fn cluster() -> Simulation {
     let cfg = SystemConfig {
         protocol: Protocol::PsAa,
         ..SystemConfig::small()
     };
-    Cluster::new(3, cfg, OwnerMap::Single(S), 99)
+    Simulation::seeded(3, cfg, OwnerMap::Single(S), 99)
 }
 
-/// The merged postmortem dump of all sites' rings (the testkit traces
-/// every site).
-fn dump_of(c: &Cluster) -> String {
+/// The merged postmortem dump of all sites' rings (a seeded simulation
+/// traces every site).
+fn dump_of(c: &Simulation) -> String {
     render_dump(&c.merged_trace())
 }
 
@@ -124,7 +125,7 @@ fn stale_purge_is_ignored_and_callbacks_still_arrive() {
         client_buf_frac: 0.005, // 2-page client cache
         ..SystemConfig::small()
     };
-    let mut c = Cluster::new(3, cfg, OwnerMap::Single(S), 7);
+    let mut c = Simulation::seeded(3, cfg, OwnerMap::Single(S), 7);
     let p0 = 0;
     let x0 = oid(p0, 0);
     let x5 = oid(p0, 5);

@@ -14,19 +14,19 @@ use pscc_common::{
     TxnId, VolId,
 };
 use pscc_core::{decode_header_oid, AppOp, AppReply, OwnerMap};
-use pscc_sim::testkit::Cluster;
+use pscc_sim::Simulation;
 
 const S: SiteId = SiteId(0);
 const A: SiteId = SiteId(1);
 const B: SiteId = SiteId(2);
 const APP: AppId = AppId(0);
 
-fn cluster() -> Cluster {
+fn cluster() -> Simulation {
     let cfg = SystemConfig {
         protocol: Protocol::PsAa,
         ..SystemConfig::small()
     };
-    Cluster::new(3, cfg, OwnerMap::Single(S), 63)
+    Simulation::seeded(3, cfg, OwnerMap::Single(S), 63)
 }
 
 fn oid(page: u32, slot: u16) -> Oid {
@@ -34,7 +34,7 @@ fn oid(page: u32, slot: u16) -> Oid {
 }
 
 /// Runs `op` for `t` at `site` to its `Done` and returns what it carries.
-fn done(c: &mut Cluster, site: SiteId, t: TxnId, op: AppOp) -> Option<Vec<u8>> {
+fn done(c: &mut Simulation, site: SiteId, t: TxnId, op: AppOp) -> Option<Vec<u8>> {
     match c.run_op(site, APP, t, op).unwrap() {
         AppReply::Done { data, .. } => data,
         other => panic!("unexpected {other:?}"),
@@ -48,7 +48,7 @@ fn ex(item: LockableId) -> AppOp {
     }
 }
 
-fn abort(c: &mut Cluster, t: TxnId) {
+fn abort(c: &mut Simulation, t: TxnId) {
     assert!(matches!(
         c.run_op(A, APP, t, AppOp::Abort),
         Err(PsccError::Aborted { .. })

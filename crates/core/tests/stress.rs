@@ -19,7 +19,8 @@
 use pscc_common::hash::HashMap;
 use pscc_common::{AppId, FileId, Oid, PageId, Protocol, SiteId, SystemConfig, VolId};
 use pscc_core::{AppOp, AppReply, OwnerMap};
-use pscc_sim::testkit::{version_of, Cluster};
+use pscc_sim::testkit::version_of;
+use pscc_sim::Simulation;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -183,7 +184,7 @@ fn run_stress_chaos(
         })
         .collect();
 
-    let mut c = Cluster::new(n_sites, cfg, owners.clone(), seed);
+    let mut c = Simulation::seeded(n_sites, cfg, owners.clone(), seed);
     let mut expected: HashMap<Oid, u64> = HashMap::default();
 
     let mut iterations = 0usize;
@@ -200,7 +201,7 @@ fn run_stress_chaos(
                     r.app.0, r.site.0, r.phase, r.waiting, r.aborts, r.txn
                 );
             }
-            eprintln!("net in flight: {}", c.net.len());
+            eprintln!("net in flight: {}", c.in_flight());
             panic!("stress driver livelocked (seed {seed})");
         }
         let mut all_done = true;

@@ -16,7 +16,8 @@ use pscc_control::{ClusterManifest, ControlStatus, SitePhase};
 use pscc_core::{AppOp, AppReply, OwnerMap};
 use pscc_obs::event::EventKind;
 use pscc_obs::AvailabilityTimeline;
-use pscc_sim::testkit::{version_of, Cluster};
+use pscc_sim::testkit::version_of;
+use pscc_sim::Simulation;
 
 const OWNER_A: SiteId = SiteId(0);
 const OWNER_B: SiteId = SiteId(1);
@@ -31,7 +32,12 @@ fn oid_owned_by(site: u32, page: u32, slot: u16) -> Oid {
 /// One closed-loop commit attempt at `site`, tolerating the aborts of
 /// drain windows and fencing after a restart. Returns whether the
 /// update committed.
-fn try_commit_once(c: &mut Cluster, site: SiteId, oid: Oid, tl: &mut AvailabilityTimeline) -> bool {
+fn try_commit_once(
+    c: &mut Simulation,
+    site: SiteId,
+    oid: Oid,
+    tl: &mut AvailabilityTimeline,
+) -> bool {
     let t = c.begin(site, APP);
     c.submit(site, APP, Some(t), AppOp::Write { oid, bytes: None });
     c.pump_for(SimDuration::from_millis(50));
@@ -66,7 +72,7 @@ fn main() {
     cfg.callback_response_timeout = SimDuration::from_millis(200);
 
     let owners = OwnerMap::Ranges(vec![(0, 225, OWNER_A), (225, 450, OWNER_B)]);
-    let mut c = Cluster::new(4, cfg, owners, seed);
+    let mut c = Simulation::seeded(4, cfg, owners, seed);
     let traces = [
         c.sites[OWNER_A.0 as usize].enable_trace(8192),
         c.sites[OWNER_B.0 as usize].enable_trace(8192),

@@ -1,20 +1,22 @@
-//! Deterministic fault injection for the in-process cluster.
+//! Deterministic fault injection for the simulation.
 //!
 //! A [`FaultPlan`] is a seeded, scripted schedule of message-level
-//! faults that the [`Cluster`](crate::testkit::Cluster) consults on
-//! every send: drop a message, duplicate it, delay it by a fixed
+//! faults that the [`Simulation`] consults on every send, under either
+//! delivery policy: drop a message, duplicate it, delay it by a fixed
 //! amount, reorder it behind later traffic on the same path, or hold it
-//! until a scripted partition heals. Site crashes and restarts are
-//! driven directly through [`Cluster::crash_site`] and
-//! [`Cluster::restart_site`] so a test can pin the crash to an exact
+//! until a scripted partition heals. A held message enters the policy's
+//! queue when it is released. Site crashes and restarts are driven
+//! directly through [`Simulation::crash_site`] and
+//! [`Simulation::restart_site`] so a test can pin the crash to an exact
 //! protocol state (e.g. "while holding an EX lock with a callback
 //! pending").
 //!
-//! [`Cluster::crash_site`]: crate::testkit::Cluster::crash_site
-//! [`Cluster::restart_site`]: crate::testkit::Cluster::restart_site
+//! [`Simulation`]: crate::Simulation
+//! [`Simulation::crash_site`]: crate::Simulation::crash_site
+//! [`Simulation::restart_site`]: crate::Simulation::restart_site
 //!
 //! Determinism: the plan owns its own `StdRng`, separate from the
-//! cluster's delivery rng, so the same seed pair replays the identical
+//! simulation's delivery rng, so the same seed pair replays the identical
 //! fault schedule byte for byte. Every injected fault is counted in
 //! the sending site's `faults_injected` counter and recorded as a
 //! [`FaultInjected`](pscc_obs::EventKind::FaultInjected) trace event,

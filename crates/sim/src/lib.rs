@@ -17,8 +17,15 @@
 //! * [`CostModel`] — calibrated per-event costs (Table 1 scale);
 //! * [`WorkloadSpec`] / [`TxnScript`] — the HOTCOLD / UNIFORM / HICON
 //!   generators of the paper's Table 2;
-//! * [`Simulation`] — the event loop binding applications, peer servers,
-//!   CPUs, disks, and the network;
+//! * [`Simulation`] — the one virtual-time harness, binding peer servers,
+//!   applications, disks and the network under a delivery policy:
+//!   `Timed` ([`Simulation::new`]), the cost-model DES with CPU and disk
+//!   queues, or `Seeded` ([`Simulation::seeded`]), instant delivery in a
+//!   seeded order for race exploration. Crashes, [`chaos::FaultPlan`]s,
+//!   tracing, the audit and metrics work under both;
+//! * [`testkit`] — its step-wise API: run one operation, drain one path,
+//!   drive the control plane;
+//! * [`threaded`] — the same engines on OS threads over real transports;
 //! * [`experiment`] — per-figure experiment specs and the sweep runner
 //!   that regenerates Figures 6–15.
 //!

@@ -25,6 +25,7 @@
 //! thread naps briefly before it lets a site pay for waking it (see
 //! [`ThreadedCluster::recv_reply`]).
 
+use crate::sim::restart_engine;
 use crate::testkit::{control_message, observe_site, CONTROLLER};
 use crossbeam::channel as mpsc;
 use pscc_common::{AppId, PsccError, SimDuration, SimTime, SiteId, SystemConfig, TxnId};
@@ -274,14 +275,14 @@ impl<T: Transport<Message>> Site<T> {
     }
 
     /// Rebuilds the engine in place through [`PeerServer::restart`]:
-    /// ARIES restart recovery over the durable image, or a cold start
-    /// for a site with nothing durable to lose.
+    /// ARIES restart recovery over the durable image (its wall time goes
+    /// into `recovery_time`), or a cold start for a site with nothing
+    /// durable to lose.
     fn restart(&mut self) {
         // A crashed process forgets its timers.
         self.io.timers.clear();
-        self.engine = self
-            .engine
-            .restart(self.cfg.clone(), self.owners.clone(), &mut self.io);
+        let (cfg, owners) = (self.cfg.clone(), self.owners.clone());
+        self.engine = restart_engine(&self.engine, cfg, owners, &mut self.io);
         self.engine.stats.faults_injected += 1;
     }
 

@@ -7,7 +7,7 @@ use pscc_common::{AppId, Counters, FileId, Oid, PageId, Protocol, SiteId, System
 use pscc_core::{AppOp, OwnerMap};
 use pscc_obs::event::{merge_traces, render_dump, EventKind, TraceHandle};
 use pscc_obs::MetricsRegistry;
-use pscc_sim::testkit::Cluster;
+use pscc_sim::Simulation;
 
 const S: SiteId = SiteId(0);
 const A: SiteId = SiteId(1);
@@ -25,12 +25,12 @@ fn oid(page: u32, slot: u16) -> Oid {
 /// wait), A commits, B's write is granted and committed (calling back /
 /// deescalating A's copy), then A re-reads. Returns the cluster and the
 /// per-site trace handles.
-fn contended_run(proto: Protocol) -> (Cluster, Vec<TraceHandle>) {
+fn contended_run(proto: Protocol) -> (Simulation, Vec<TraceHandle>) {
     let cfg = SystemConfig {
         protocol: proto,
         ..SystemConfig::small()
     };
-    let mut c = Cluster::new(3, cfg, OwnerMap::Single(S), 0xC0FFEE);
+    let mut c = Simulation::seeded(3, cfg, OwnerMap::Single(S), 0xC0FFEE);
     let handles: Vec<TraceHandle> = c.sites.iter_mut().map(|s| s.enable_trace(8192)).collect();
     let x = oid(3, 0);
     let y = oid(3, 4);
@@ -255,7 +255,7 @@ fn trace_dump_names_protocol_milestones() {
 /// transaction the owner just tombstoned.
 #[test]
 fn reply_released_by_an_abort_names_its_request() {
-    let mut c = Cluster::new(3, SystemConfig::small(), OwnerMap::Single(S), 0xAB07);
+    let mut c = Simulation::seeded(3, SystemConfig::small(), OwnerMap::Single(S), 0xAB07);
     let x = oid(5, 0);
     let ta = c.begin(A, APP);
     c.read(A, APP, ta, x).unwrap();

@@ -21,7 +21,8 @@ use pscc_control::{ClusterManifest, ControlStatus, SitePhase};
 use pscc_core::{AppOp, AppReply, Message, OwnerMap, ReqId};
 use pscc_obs::event::EventKind;
 use pscc_obs::AvailabilityTimeline;
-use pscc_sim::testkit::{version_of, Cluster};
+use pscc_sim::testkit::version_of;
+use pscc_sim::Simulation;
 
 const OWNER_A: SiteId = SiteId(0);
 const OWNER_B: SiteId = SiteId(1);
@@ -62,7 +63,7 @@ fn rolling_cfg(proto: Protocol) -> SystemConfig {
 
 /// At most one distinct transaction holds EX on `items` across the
 /// surviving sites.
-fn assert_one_ex_copy(c: &Cluster, items: &[LockableId]) {
+fn assert_one_ex_copy(c: &Simulation, items: &[LockableId]) {
     for item in items {
         let holders: HashSet<TxnId> = c
             .sites
@@ -80,7 +81,7 @@ fn assert_one_ex_copy(c: &Cluster, items: &[LockableId]) {
 /// Commits one update transaction at `site` against `oid`, tolerating
 /// the aborts of fencing/rejoin windows after an owner restart by
 /// retrying with fresh transactions. Panics if the site stays wedged.
-fn commit_update_with_retries(c: &mut Cluster, site: SiteId, oid: Oid) {
+fn commit_update_with_retries(c: &mut Simulation, site: SiteId, oid: Oid) {
     for _ in 0..50 {
         let t = c.begin(site, APP);
         c.submit(site, APP, Some(t), AppOp::Write { oid, bytes: None });
@@ -134,7 +135,7 @@ impl LoopClient {
     /// from the cluster), submitting at most one follow-up operation.
     fn poll(
         &mut self,
-        c: &mut Cluster,
+        c: &mut Simulation,
         inbox: &mut Vec<(SiteId, AppReply)>,
         tl: &mut AvailabilityTimeline,
     ) {
@@ -222,7 +223,7 @@ fn rolling_restart_under_live_traffic(proto: Protocol, seed: u64) {
     let budget = SimDuration::from_secs(30);
 
     let owners = OwnerMap::Ranges(vec![(0, 225, OWNER_A), (225, 450, OWNER_B)]);
-    let mut c = Cluster::new(4, rolling_cfg(proto), owners, seed);
+    let mut c = Simulation::seeded(4, rolling_cfg(proto), owners, seed);
     let trace = c.sites[OWNER_A.0 as usize].enable_trace(8192);
 
     // One client per partition, each updating a private object.
@@ -237,7 +238,7 @@ fn rolling_restart_under_live_traffic(proto: Protocol, seed: u64) {
     let mut tl = AvailabilityTimeline::new(c.now(), window);
     let mut inbox: Vec<(SiteId, AppReply)> = Vec::new();
     let started = c.now();
-    let drive = |c: &mut Cluster,
+    let drive = |c: &mut Simulation,
                  clients: &mut Vec<LoopClient>,
                  inbox: &mut Vec<(SiteId, AppReply)>,
                  tl: &mut AvailabilityTimeline| {
@@ -415,7 +416,7 @@ fn rolling_restart_of_every_owner_under_live_traffic_ps_aa() {
 /// the restart path and still converge; committed work survives and the
 /// one-EX-copy invariant holds.
 fn crash_while_draining(proto: Protocol, seed: u64) {
-    let mut c = Cluster::new(3, rolling_cfg(proto), OwnerMap::Single(OWNER_A), seed);
+    let mut c = Simulation::seeded(3, rolling_cfg(proto), OwnerMap::Single(OWNER_A), seed);
     let x = oid_on_page(5, 1);
 
     let t = c.begin(SiteId(1), APP);
@@ -483,7 +484,7 @@ fn drain_races_a_busy_storm() {
     let mut cfg = rolling_cfg(Protocol::PsAa);
     cfg.admission_cap = 2;
     cfg.fetch_credits = 1;
-    let mut c = Cluster::new(3, cfg, OwnerMap::Single(OWNER_A), seed(71));
+    let mut c = Simulation::seeded(3, cfg, OwnerMap::Single(OWNER_A), seed(71));
     let trace = c.sites[OWNER_A.0 as usize].enable_trace(8192);
 
     // Fire a herd of writes at distinct pages from both clients, without
@@ -573,7 +574,7 @@ fn drain_races_a_busy_storm() {
 /// after which the shed write's retry goes through.
 #[test]
 fn drain_in_place_closes_admission_and_undrain_reopens() {
-    let mut c = Cluster::new(
+    let mut c = Simulation::seeded(
         3,
         rolling_cfg(Protocol::PsAa),
         OwnerMap::Single(OWNER_A),
@@ -640,7 +641,7 @@ fn drain_in_place_closes_admission_and_undrain_reopens() {
 /// twins that report illegal transitions instead of panicking.
 #[test]
 fn try_crash_and_restart_report_illegal_transitions() {
-    let mut c = Cluster::new(
+    let mut c = Simulation::seeded(
         3,
         rolling_cfg(Protocol::PsAa),
         OwnerMap::Single(OWNER_A),
@@ -662,5 +663,5 @@ fn try_crash_and_restart_report_illegal_transitions() {
 fn zero_admission_cap_is_rejected_at_construction() {
     let mut cfg = SystemConfig::small();
     cfg.admission_cap = 0;
-    let _ = Cluster::new(3, cfg, OwnerMap::Single(OWNER_A), 0);
+    let _ = Simulation::seeded(3, cfg, OwnerMap::Single(OWNER_A), 0);
 }

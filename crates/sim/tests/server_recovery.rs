@@ -22,9 +22,10 @@ use pscc_common::{
     VolId,
 };
 use pscc_core::{AppOp, AppReply, OwnerMap};
-use pscc_obs::MetricsRegistry;
+use pscc_obs::Histogram;
 use pscc_sim::chaos::FaultPlan;
-use pscc_sim::testkit::{version_of, Cluster};
+use pscc_sim::testkit::version_of;
+use pscc_sim::Simulation;
 
 const OWNER: SiteId = SiteId(0);
 const A: SiteId = SiteId(1);
@@ -67,7 +68,7 @@ fn recovery_cfg(proto: Protocol) -> SystemConfig {
 
 /// At most one distinct transaction holds EX on `items` across the
 /// surviving sites.
-fn assert_one_ex_copy(c: &Cluster, items: &[LockableId]) {
+fn assert_one_ex_copy(c: &Simulation, items: &[LockableId]) {
     for item in items {
         let holders: HashSet<TxnId> = c
             .sites
@@ -87,7 +88,7 @@ fn assert_one_ex_copy(c: &Cluster, items: &[LockableId]) {
 /// `RejoinRequired` and sacrifices the transaction that carried it; if a
 /// nudge already completed the handshake (outcome-query traffic passes
 /// the fence and triggers it), requests just flow.
-fn complete_rejoin(c: &mut Cluster, site: SiteId, scratch: Oid) {
+fn complete_rejoin(c: &mut Simulation, site: SiteId, scratch: Oid) {
     let t = c.begin(site, APP);
     match c.write(site, APP, t, scratch, None) {
         Ok(_) => {
@@ -109,7 +110,7 @@ fn owner_crash_mid_commit(proto: Protocol, base_seed: u64) {
     // schedule crashes into.
     cfg.server_buf_frac = 0.01;
     cfg.peer_buf_frac = 0.01;
-    let mut c = Cluster::new(3, cfg, OwnerMap::Single(OWNER), seed(base_seed));
+    let mut c = Simulation::seeded(3, cfg, OwnerMap::Single(OWNER), seed(base_seed));
     let x = oid_on_page(3, 1);
     let ys: Vec<Oid> = (0..10).map(|i| oid_on_page(100 + 10 * i, 1)).collect();
 
@@ -225,7 +226,7 @@ fn owner_crash_mid_commit_ps_aa() {
 /// half commits, matching the other participant.
 fn prepared_in_doubt_commits_after_restart(proto: Protocol, base_seed: u64) {
     let owners = OwnerMap::Ranges(vec![(0, 225, SiteId(0)), (225, 450, SiteId(1))]);
-    let mut c = Cluster::new(3, recovery_cfg(proto), owners, seed(base_seed));
+    let mut c = Simulation::seeded(3, recovery_cfg(proto), owners, seed(base_seed));
     let s0 = SiteId(0);
     let home = SiteId(2);
     let ox = oid_on_page(3, 1); // owned by site 0
@@ -294,7 +295,7 @@ fn prepared_in_doubt_commits_after_restart_ps_aa() {
 #[test]
 fn prepared_in_doubt_aborts_when_coordinator_forgot() {
     let owners = OwnerMap::Ranges(vec![(0, 225, SiteId(0)), (225, 450, SiteId(1))]);
-    let mut c = Cluster::new(3, recovery_cfg(Protocol::PsAa), owners, seed(79));
+    let mut c = Simulation::seeded(3, recovery_cfg(Protocol::PsAa), owners, seed(79));
     let home = SiteId(2);
     let ox = oid_on_page(3, 1);
     let oy = oid_owned_by(1, 300, 1);
@@ -351,7 +352,7 @@ fn prepared_in_doubt_aborts_when_coordinator_forgot() {
 /// durable image is self-contained.
 #[test]
 fn crash_after_checkpoint_recovers_both_sides_of_it() {
-    let mut c = Cluster::new(
+    let mut c = Simulation::seeded(
         3,
         recovery_cfg(Protocol::PsAa),
         OwnerMap::Single(OWNER),
@@ -407,7 +408,7 @@ fn crash_after_checkpoint_recovers_both_sides_of_it() {
 /// attempt to commit through its stale epoch-1 registration must be
 /// fenced and aborted, never applied.
 fn stale_exclusive_copy_fenced_across_epoch_bump(proto: Protocol, base_seed: u64) {
-    let mut c = Cluster::new(
+    let mut c = Simulation::seeded(
         3,
         recovery_cfg(proto),
         OwnerMap::Single(OWNER),
@@ -482,7 +483,7 @@ fn stale_exclusive_copy_fenced_ps_aa() {
 /// involved — the fence alone protects the invariant.
 #[test]
 fn falsely_suspected_client_cannot_use_stale_exclusive_copy() {
-    let mut c = Cluster::new(
+    let mut c = Simulation::seeded(
         3,
         recovery_cfg(Protocol::PsAa),
         OwnerMap::Single(OWNER),
@@ -526,17 +527,21 @@ fn falsely_suspected_client_cannot_use_stale_exclusive_copy() {
     c.assert_survivors_quiescent();
 }
 
-/// The durability and recovery telemetry reaches both exporters the
-/// same way `Sim::metrics` wires it: recovery counters via the counters
-/// struct, per-site durability gauges, and the recovery-time histogram.
+/// The durability and recovery telemetry reaches both exporters through
+/// `Simulation::metrics`: recovery counters via the counters struct,
+/// per-site durability gauges, the recovery-time histogram the restart
+/// path records, and the events dropped by every ring — the crashed
+/// owner's replaced ring included.
 #[test]
 fn recovery_metrics_reach_prometheus_and_json_exports() {
-    let mut c = Cluster::new(
+    let mut c = Simulation::seeded(
         3,
         recovery_cfg(Protocol::PsAa),
         OwnerMap::Single(OWNER),
         seed(97),
     );
+    // Rings small enough to overflow before the crash.
+    c.enable_trace(4);
     let x = oid_on_page(3, 1);
     let t1 = c.begin(A, APP);
     c.write(A, APP, t1, x, None).unwrap();
@@ -545,19 +550,12 @@ fn recovery_metrics_reach_prometheus_and_json_exports() {
     c.restart_site(OWNER);
     complete_rejoin(&mut c, A, oid_on_page(420, 1));
 
-    let mut reg = MetricsRegistry::new();
-    reg.counters_struct(&c.total_stats());
-    for s in &c.sites {
-        reg.histogram("recovery_time", &s.obs.recovery_time);
-        let id = s.site().0;
-        reg.gauge(&format!("durable_lsn_site{id}"), s.durable_lsn() as f64);
-        reg.gauge(
-            &format!("checkpoint_age_site{id}"),
-            s.checkpoint_age() as f64,
-        );
-        reg.gauge(&format!("epoch_site{id}"), s.epoch() as f64);
-    }
-
+    let reg = c.metrics();
+    let dropped = reg.counter_value("trace_events_dropped");
+    assert!(c.trace_dropped() > 0, "the small rings never overflowed");
+    assert_eq!(dropped, Some(c.trace_dropped()));
+    let recoveries = reg.histogram_ref("recovery_time").map(Histogram::count);
+    assert_eq!(recoveries, Some(1), "one restart recovery, one sample");
     assert!(reg.counter_value("epoch_bumps").unwrap() >= 1);
     assert!(reg.counter_value("recovery_redo_records").unwrap() >= 1);
     assert_eq!(reg.gauge_value("epoch_site0"), Some(2.0));

@@ -19,7 +19,7 @@
 
 use pscc_common::{AppId, FileId, Oid, PageId, Protocol, SiteId, SystemConfig, VolId};
 use pscc_core::OwnerMap;
-use pscc_sim::testkit::Cluster;
+use pscc_sim::Simulation;
 
 fn obj(page: u32, slot: u16) -> Oid {
     Oid::new(PageId::new(FileId::new(VolId(0), 0), page), slot)
@@ -30,7 +30,7 @@ fn run(protocol: Protocol) {
         protocol,
         ..SystemConfig::small()
     };
-    let mut c = Cluster::new(3, cfg, OwnerMap::Single(SiteId(0)), 3);
+    let mut c = Simulation::seeded(3, cfg, OwnerMap::Single(SiteId(0)), 3);
     let app = AppId(0);
     let (a, b) = (SiteId(1), SiteId(2));
 

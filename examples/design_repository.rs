@@ -12,7 +12,8 @@
 
 use pscc_common::{AppId, FileId, Oid, PageId, Protocol, SiteId, SystemConfig, VolId};
 use pscc_core::OwnerMap;
-use pscc_sim::testkit::{version_of, Cluster};
+use pscc_sim::testkit::version_of;
+use pscc_sim::Simulation;
 
 /// A "part" is one object; an "assembly" is a page of 10 parts that tend
 /// to be edited together (physical clustering, as a real OODBMS would
@@ -27,7 +28,7 @@ fn main() {
         ..SystemConfig::small()
     };
     // One repository server, three engineering workstations.
-    let mut c = Cluster::new(4, cfg, OwnerMap::Single(SiteId(0)), 7);
+    let mut c = Simulation::seeded(4, cfg, OwnerMap::Single(SiteId(0)), 7);
     let engineers = [SiteId(1), SiteId(2), SiteId(3)];
     let app = AppId(0);
 

@@ -11,7 +11,8 @@
 
 use pscc_common::{AppId, FileId, Oid, PageId, Protocol, SiteId, SystemConfig, VolId};
 use pscc_core::OwnerMap;
-use pscc_sim::testkit::{version_of, Cluster};
+use pscc_sim::testkit::version_of;
+use pscc_sim::Simulation;
 
 fn main() {
     let cfg = SystemConfig {
@@ -24,7 +25,7 @@ fn main() {
         (150, 300, SiteId(1)),
         (300, 450, SiteId(2)),
     ]);
-    let mut c = Cluster::new(3, cfg, owners, 11);
+    let mut c = Simulation::seeded(3, cfg, owners, 11);
     let app = AppId(0);
 
     // Objects live on the volume of their owning peer.

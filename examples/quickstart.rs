@@ -10,7 +10,8 @@
 
 use pscc_common::{AppId, FileId, Oid, PageId, Protocol, SiteId, SystemConfig, VolId};
 use pscc_core::OwnerMap;
-use pscc_sim::testkit::{version_of, Cluster};
+use pscc_sim::testkit::version_of;
+use pscc_sim::Simulation;
 
 fn main() {
     // Site 0 owns the database; sites 1 and 2 are clients.
@@ -18,7 +19,7 @@ fn main() {
         protocol: Protocol::PsAa,
         ..SystemConfig::small()
     };
-    let mut cluster = Cluster::new(3, cfg, OwnerMap::Single(SiteId(0)), 42);
+    let mut cluster = Simulation::seeded(3, cfg, OwnerMap::Single(SiteId(0)), 42);
     let (alice, bob) = (SiteId(1), SiteId(2));
     let app = AppId(0);
 

@@ -7,7 +7,8 @@ use pscc_common::{
 };
 use pscc_core::{AppOp, OwnerMap};
 use pscc_sim::experiment::{quick_spec, run_point, Figure};
-use pscc_sim::testkit::{version_of, Cluster};
+use pscc_sim::testkit::version_of;
+use pscc_sim::Simulation;
 
 fn cfg(p: Protocol) -> SystemConfig {
     SystemConfig {
@@ -24,7 +25,7 @@ fn obj(vol: u32, page: u32, slot: u16) -> Oid {
 fn full_stack_transfer_between_accounts() {
     // The classic bank transfer: money moves, totals are conserved, and
     // a concurrent reader never sees a half-done transfer.
-    let mut c = Cluster::new(3, cfg(Protocol::PsAa), OwnerMap::Single(SiteId(0)), 1);
+    let mut c = Simulation::seeded(3, cfg(Protocol::PsAa), OwnerMap::Single(SiteId(0)), 1);
     let app = AppId(0);
     let (alice, bob) = (SiteId(1), SiteId(2));
     let (acc1, acc2) = (obj(0, 5, 0), obj(0, 6, 0));
@@ -68,7 +69,7 @@ fn all_protocols_agree_on_final_state() {
     // produce identical durable data.
     let mut finals = Vec::new();
     for p in [Protocol::Ps, Protocol::PsOa, Protocol::PsAa] {
-        let mut c = Cluster::new(3, cfg(p), OwnerMap::Single(SiteId(0)), 2);
+        let mut c = Simulation::seeded(3, cfg(p), OwnerMap::Single(SiteId(0)), 2);
         let app = AppId(0);
         for i in 0..6u32 {
             let site = SiteId(1 + i % 2);
@@ -92,7 +93,7 @@ fn hierarchical_file_lock_spans_partitions() {
     // An explicit EX file lock in a peer-servers system must reach every
     // owner of the file's pages.
     let owners = OwnerMap::Ranges(vec![(0, 225, SiteId(0)), (225, 450, SiteId(1))]);
-    let mut c = Cluster::new(3, cfg(Protocol::PsAa), owners, 3);
+    let mut c = Simulation::seeded(3, cfg(Protocol::PsAa), owners, 3);
     let app = AppId(0);
     let scanner = SiteId(2);
 
@@ -152,7 +153,7 @@ fn quick_simulation_smoke_for_every_figure() {
 fn volumes_survive_byte_level_roundtrip() {
     // Storage + WAL: a committed state serializes page-by-page and
     // reloads identically (what a restart would read from disk).
-    let mut c = Cluster::new(2, cfg(Protocol::PsAa), OwnerMap::Single(SiteId(0)), 4);
+    let mut c = Simulation::seeded(2, cfg(Protocol::PsAa), OwnerMap::Single(SiteId(0)), 4);
     let app = AppId(0);
     let t = c.begin(SiteId(1), app);
     let o = obj(0, 12, 7);
