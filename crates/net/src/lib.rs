@@ -13,6 +13,9 @@
 //!   source shares, so each `(src, dst, path)` triple is FIFO and paths
 //!   merge in arrival order. The mailbox is also the one place a site
 //!   thread blocks; a [`Waker`] ends that wait from outside.
+//! * [`tcp::TcpNode`] — the same over real sockets, one connection per
+//!   `(src, dst, path)`; the site thread reads its own connections
+//!   inside the same kind of wait.
 //! * [`SeededNet`] — a single-threaded, deterministic message pool for
 //!   simulation and race-exploration tests: per-path FIFO is enforced,
 //!   and the *choice of which path delivers next* is driven by a seeded
@@ -20,15 +23,18 @@
 //!
 //! ## Overload protection
 //!
-//! Every mailbox is **bounded** (`SystemConfig::mailbox_capacity` in the
-//! harnesses; [`DEFAULT_MAILBOX_CAPACITY`] otherwise) and split into two
-//! lanes. An optional [`LaneClassifier`] marks *consistency* traffic
+//! Every inbox — an in-process mailbox or a TCP node's — is **bounded**
+//! (`SystemConfig::mailbox_capacity` in the harnesses;
+//! [`DEFAULT_MAILBOX_CAPACITY`] otherwise) and split into two lanes. An
+//! optional [`LaneClassifier`] marks *consistency* traffic
 //! (callbacks, commit decisions, rejoin handshakes, flow-control
 //! verdicts); that lane is never shed and receivers drain it ahead of
 //! the bulk lane, so a fetch flood cannot wedge the messages callback
-//! locking depends on. Bulk-lane sends on a full mailbox wait briefly
-//! and then drop — counted, never silent — which the engine's
-//! timeout-and-retry machinery already tolerates. Without a classifier
+//! locking depends on. In-process, bulk-lane sends on a full mailbox
+//! wait briefly and then drop — counted, never silent — which the
+//! engine's timeout-and-retry machinery already tolerates; over TCP a
+//! connection whose lane is full is not read, so its sender blocks and
+//! nothing is dropped. Without a classifier
 //! all traffic uses the priority lane (bounded, blocking, lossless),
 //! which preserves the historical unbounded-channel semantics for
 //! message types the classifier has never seen.
@@ -51,7 +57,9 @@
 pub mod codec;
 #[cfg(feature = "fault-inject")]
 pub mod fault;
+mod lanes;
 mod mailbox;
+mod poll;
 pub mod tcp;
 
 pub use mailbox::Waker;
@@ -292,7 +300,7 @@ impl<M: Send + 'static> Endpoint<M> {
             path,
             msg,
         };
-        match mailbox.send(env, Some(BULK_FULL_TIMEOUT)) {
+        match mailbox.send(env, BULK_FULL_TIMEOUT) {
             Ok(()) => {}
             Err(mailbox::SendError::Full) => {
                 self.dropped.fetch_add(1, Ordering::Relaxed);

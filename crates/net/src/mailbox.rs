@@ -1,15 +1,15 @@
 //! The bounded two-lane mailbox of one site, and the one place that
 //! site's thread blocks.
 //!
-//! A monitor: both lanes, the wake flag and the handle counts live under
-//! one mutex; receivers park on `ready`, senders that found their lane
-//! full park on `space`. Because every source of work for the site —
-//! either lane, [`Waker::wake`], the last sender leaving — changes the
+//! A monitor: the [`Lanes`], the wake flag and the handle counts live
+//! under one mutex; receivers park on `ready`, senders that found their
+//! lane full park on `space`. Because every source of work for the site
+//! — either lane, [`Waker::wake`], the last sender leaving — changes the
 //! state under that mutex and then notifies `ready`, a receiver that
 //! tested the state and went to sleep cannot miss any of them.
 
+use crate::lanes::Lanes;
 use crate::{Envelope, LaneClassifier};
-use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -23,8 +23,7 @@ pub(crate) enum SendError {
 }
 
 struct State<M> {
-    prio: VecDeque<Envelope<M>>,
-    bulk: VecDeque<Envelope<M>>,
+    lanes: Lanes<M>,
     /// Set by [`Waker::wake`], cleared by the timed wait it ends.
     woken: bool,
     senders: usize,
@@ -39,9 +38,6 @@ struct Inner<M> {
     state: Mutex<State<M>>,
     ready: Condvar,
     space: Condvar,
-    /// Per lane.
-    capacity: usize,
-    classify: Option<LaneClassifier<M>>,
 }
 
 impl<M> Inner<M> {
@@ -77,11 +73,9 @@ pub(crate) fn mailbox<M>(
     capacity: usize,
     classify: Option<LaneClassifier<M>>,
 ) -> (Sender<M>, Receiver<M>) {
-    assert!(capacity > 0, "need a non-zero mailbox capacity");
     let inner = Arc::new(Inner {
         state: Mutex::new(State {
-            prio: VecDeque::new(),
-            bulk: VecDeque::new(),
+            lanes: Lanes::new(capacity, classify),
             woken: false,
             senders: 1,
             receivers: 1,
@@ -90,8 +84,6 @@ pub(crate) fn mailbox<M>(
         }),
         ready: Condvar::new(),
         space: Condvar::new(),
-        capacity,
-        classify,
     });
     (Sender(Arc::clone(&inner)), Receiver(inner))
 }
@@ -102,41 +94,39 @@ pub(crate) struct Sender<M>(Arc<Inner<M>>);
 impl<M> Sender<M> {
     /// Enqueues `env` on the lane its classifier picks. The priority
     /// lane is lossless: a full lane blocks the sender. A full bulk lane
-    /// blocks for at most `bulk_patience` (`None`: as long as it takes)
-    /// and then reports [`SendError::Full`].
+    /// blocks for at most `bulk_patience` and then reports
+    /// [`SendError::Full`].
     pub(crate) fn send(
         &self,
-        env: Envelope<M>,
-        bulk_patience: Option<Duration>,
+        mut env: Envelope<M>,
+        bulk_patience: Duration,
     ) -> Result<(), SendError> {
         let inner = &*self.0;
-        let prio = inner.classify.as_ref().is_none_or(|c| c(&env.msg));
-        let patience = bulk_patience.filter(|_| !prio);
         let mut deadline = None;
         let mut st = inner.lock();
         loop {
             if st.receivers == 0 {
                 return Err(SendError::Closed);
             }
-            let lane = if prio { &mut st.prio } else { &mut st.bulk };
-            if lane.len() < inner.capacity {
-                lane.push_back(env);
-                if st.parked_receivers > 0 {
-                    inner.ready.notify_one();
-                }
-                return Ok(());
-            }
-            let left = match patience {
-                None => None,
-                Some(patience) => {
-                    // The clock is read only once the lane is full.
-                    let now = Instant::now();
-                    let deadline = *deadline.get_or_insert(now + patience);
-                    if now >= deadline {
-                        return Err(SendError::Full);
+            env = match st.lanes.push(env) {
+                Ok(()) => {
+                    if st.parked_receivers > 0 {
+                        inner.ready.notify_one();
                     }
-                    Some(deadline - now)
+                    return Ok(());
                 }
+                Err(env) => env,
+            };
+            let left = if st.lanes.is_prio(&env.msg) {
+                None
+            } else {
+                // The clock is read only once the lane is full.
+                let now = Instant::now();
+                let deadline = *deadline.get_or_insert(now + bulk_patience);
+                if now >= deadline {
+                    return Err(SendError::Full);
+                }
+                Some(deadline - now)
             };
             st.parked_senders += 1;
             st = wait(&inner.space, st, left);
@@ -178,15 +168,11 @@ impl<M> Receiver<M> {
         let mut deadline = None;
         let mut st = inner.lock();
         loop {
-            let popped = match st.prio.pop_front() {
-                Some(env) => Some((env, st.prio.len())),
-                None => st.bulk.pop_front().map(|env| (env, st.bulk.len())),
-            };
-            if let Some((env, left_in_lane)) = popped {
+            if let Some((env, was_full)) = st.lanes.pop() {
                 // Only a lane that was full can have senders waiting on
                 // it. Both lanes share the condvar: wake them all and let
                 // each re-test its own lane.
-                if left_in_lane + 1 == inner.capacity && st.parked_senders > 0 {
+                if was_full && st.parked_senders > 0 {
                     inner.space.notify_all();
                 }
                 return Some(env);
@@ -219,8 +205,7 @@ impl<M> Receiver<M> {
 
     /// Messages queued on both lanes.
     pub(crate) fn len(&self) -> usize {
-        let st = self.0.lock();
-        st.prio.len() + st.bulk.len()
+        self.0.lock().lanes.len()
     }
 }
 
@@ -249,7 +234,9 @@ impl<M> Drop for Receiver<M> {
     }
 }
 
-trait Wake: Send + Sync {
+/// What a [`Waker`] rings: the inbox of one site, whichever transport
+/// fills it.
+pub(crate) trait Wake: Send + Sync {
     fn wake(&self);
 }
 
@@ -273,10 +260,10 @@ impl<M: Send> Wake for Inner<M> {
 /// So *queue the work, then wake*: the site either sees the work before
 /// it parks or is woken after.
 #[derive(Clone)]
-pub struct Waker(Arc<dyn Wake>);
+pub struct Waker(pub(crate) Arc<dyn Wake>);
 
 impl Waker {
-    /// Ends the current or next parked wait of the mailbox's site.
+    /// Ends the current or next parked wait of the inbox's site.
     pub fn wake(&self) {
         self.0.wake();
     }
@@ -289,9 +276,9 @@ impl std::fmt::Debug for Waker {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::PathId;
+    use crate::{Endpoint, InProcNetwork, PathId};
     use pscc_common::SiteId;
     use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -327,50 +314,95 @@ mod tests {
 
     const LONG: Duration = Duration::from_secs(30);
 
+    /// The wake rule as any transport's inbox keeps it. Each takes the
+    /// receiving transport; the TCP tests run the same bodies.
+    pub(crate) mod wake_rule {
+        use super::LONG;
+        use crate::Transport;
+        use std::time::{Duration, Instant};
+
+        fn ring<T: Transport<u64>>(rx: &T) {
+            rx.waker().expect("the transport can be woken").wake();
+        }
+
+        /// Asserts that a wait of `d` with nothing queued runs its full
+        /// length: no wake is owed.
+        fn runs_full_length<T: Transport<u64>>(rx: &T, d: Duration) {
+            let t0 = Instant::now();
+            assert!(rx.recv_timeout(d).is_none());
+            assert!(t0.elapsed() >= d, "a wake was still owed");
+        }
+
+        pub(crate) fn before_the_wait_ends_it_once<T: Transport<u64>>(rx: &T) {
+            ring(rx);
+            // A poll never parks, so it leaves the flag for a call that would.
+            assert!(rx.recv_timeout(Duration::ZERO).is_none());
+            let t0 = Instant::now();
+            assert!(rx.recv_timeout(LONG).is_none());
+            assert!(t0.elapsed() < LONG / 2, "the wake was lost");
+            // Consumed: the next wait runs its full length.
+            runs_full_length(rx, Duration::from_millis(20));
+        }
+
+        /// `until_waiting` returns once the spawned receiver is inside
+        /// its wait.
+        pub(crate) fn during_the_wait_ends_it<T: Transport<u64> + Sync>(
+            rx: &T,
+            until_waiting: impl FnOnce(),
+        ) {
+            let waker = rx.waker().expect("the transport can be woken");
+            std::thread::scope(|s| {
+                let parked = s.spawn(|| {
+                    let t0 = Instant::now();
+                    let got = rx.recv_timeout(LONG);
+                    (got, t0.elapsed())
+                });
+                until_waiting();
+                waker.wake();
+                let (got, waited) = parked.join().expect("receiver thread");
+                assert!(got.is_none());
+                assert!(waited < LONG / 2, "still parked after the wake");
+            });
+            // The wait it ended consumed the wake.
+            runs_full_length(rx, Duration::from_millis(20));
+        }
+
+        /// `deliver(m)` returns once `m` is queued in `rx`'s inbox.
+        pub(crate) fn a_message_outranks_it<T: Transport<u64>>(rx: &T, deliver: impl FnOnce(u64)) {
+            ring(rx);
+            deliver(2);
+            assert_eq!(rx.recv_timeout(LONG).map(|e| e.msg), Some(2));
+            // The wake is still owed to the next wait that would park.
+            let t0 = Instant::now();
+            assert!(rx.recv_timeout(LONG).is_none());
+            assert!(t0.elapsed() < LONG / 2);
+        }
+    }
+
+    /// A two-site in-process network with [`two_lane`]'s classifier: the
+    /// sender's and the receiver's endpoints.
+    fn endpoints() -> (Endpoint<u64>, Endpoint<u64>) {
+        let classify: LaneClassifier<u64> = Arc::new(|m: &u64| m % 2 == 1);
+        let net = InProcNetwork::with_overload(&[SiteId(0), SiteId(1)], 1, 4, Some(classify));
+        (net.endpoint(SiteId(0)), net.endpoint(SiteId(1)))
+    }
+
     #[test]
     fn a_wake_before_the_wait_ends_it_once() {
-        let (_tx, rx) = two_lane(4);
-        rx.waker().wake();
-        // A poll never parks, so it leaves the flag for a call that would.
-        assert!(rx.recv(Some(Duration::ZERO)).is_none());
-        let t0 = Instant::now();
-        assert!(rx.recv(Some(LONG)).is_none());
-        assert!(t0.elapsed() < LONG / 2, "the wake was lost");
-        // Consumed: the next wait runs its full length.
-        let t0 = Instant::now();
-        assert!(rx.recv(Some(Duration::from_millis(20))).is_none());
-        assert!(t0.elapsed() >= Duration::from_millis(20));
+        let (_tx, rx) = endpoints();
+        wake_rule::before_the_wait_ends_it_once(&rx);
     }
 
     #[test]
     fn a_wake_during_the_wait_ends_it() {
-        let (_tx, rx) = two_lane(4);
-        let waker = rx.waker();
-        std::thread::scope(|s| {
-            let parked = s.spawn(|| {
-                let t0 = Instant::now();
-                let got = rx.recv(Some(LONG));
-                (got, t0.elapsed())
-            });
-            until_parked(&rx, false);
-            waker.wake();
-            let (got, waited) = parked.join().expect("receiver thread");
-            assert!(got.is_none());
-            assert!(waited < LONG / 2, "still parked after the wake");
-        });
-        assert!(!rx.0.lock().woken, "the wait it ended consumes the wake");
+        let (_tx, rx) = endpoints();
+        wake_rule::during_the_wait_ends_it(&rx, || until_parked(&rx.inbox, false));
     }
 
     #[test]
     fn a_message_outranks_a_pending_wake() {
-        let (tx, rx) = two_lane(4);
-        rx.waker().wake();
-        tx.send(env(2), None).unwrap();
-        assert_eq!(rx.recv(Some(LONG)).map(|e| e.msg), Some(2));
-        // The wake is still owed to the next wait that would park.
-        let t0 = Instant::now();
-        assert!(rx.recv(Some(LONG)).is_none());
-        assert!(t0.elapsed() < LONG / 2);
+        let (tx, rx) = endpoints();
+        wake_rule::a_message_outranks_it(&rx, |m| tx.send(SiteId(1), PathId(0), m));
     }
 
     #[test]
@@ -382,7 +414,7 @@ mod tests {
                 (rx.recv(Some(LONG)), t0.elapsed())
             });
             until_parked(&rx, false);
-            tx.send(env(2), None).unwrap(); // even: bulk
+            tx.send(env(2), LONG).unwrap(); // even: bulk
             let (got, waited) = parked.join().expect("receiver thread");
             assert_eq!(got.map(|e| e.msg), Some(2));
             assert!(waited < LONG / 2);
@@ -392,7 +424,7 @@ mod tests {
     #[test]
     fn a_timed_wait_parks_with_no_sender_left_and_an_untimed_one_returns() {
         let (tx, rx) = two_lane(4);
-        tx.send(env(1), None).unwrap();
+        tx.send(env(1), LONG).unwrap();
         drop(tx);
         // What is queued is still delivered.
         assert_eq!(rx.recv(None).map(|e| e.msg), Some(1));
@@ -408,14 +440,14 @@ mod tests {
     #[test]
     fn a_full_priority_lane_blocks_and_a_full_bulk_lane_runs_out_of_patience() {
         let (tx, rx) = two_lane(1);
-        tx.send(env(2), None).unwrap();
+        tx.send(env(2), LONG).unwrap();
         assert_eq!(
-            tx.send(env(4), Some(Duration::from_millis(5))),
+            tx.send(env(4), Duration::from_millis(5)),
             Err(SendError::Full)
         );
-        tx.send(env(1), None).unwrap();
+        tx.send(env(1), LONG).unwrap();
         std::thread::scope(|s| {
-            let blocked = s.spawn(|| tx.send(env(3), Some(Duration::ZERO)));
+            let blocked = s.spawn(|| tx.send(env(3), Duration::ZERO));
             until_parked(&rx, true);
             // Patience is for bulk only: the priority sender is still
             // there, and one slot frees it.
@@ -431,9 +463,9 @@ mod tests {
     #[test]
     fn a_blocked_sender_is_released_when_the_receiver_goes() {
         let (tx, rx) = two_lane(1);
-        tx.send(env(1), None).unwrap();
+        tx.send(env(1), LONG).unwrap();
         std::thread::scope(|s| {
-            let blocked = s.spawn(|| tx.send(env(3), None));
+            let blocked = s.spawn(|| tx.send(env(3), LONG));
             until_parked(&rx, true);
             drop(rx);
             assert_eq!(
@@ -457,7 +489,7 @@ mod tests {
                 let tx = tx.clone();
                 s.spawn(move || {
                     for i in 0..EACH {
-                        tx.send(env(p * EACH + i), None).unwrap();
+                        tx.send(env(p * EACH + i), LONG).unwrap();
                     }
                 });
             }

@@ -7,25 +7,41 @@
 //!
 //! Topology: every node listens on one address; outgoing connections are
 //! opened lazily per `(destination, path)` and announce `(site, path)`
-//! and the [`WIRE_VERSION`] in a handshake frame; a reader refuses a
-//! connection that speaks another version. A reader thread per accepted
-//! connection decodes frames into the node's mailbox — the same two-lane
-//! monitor the in-process network uses, so a site blocks, and is woken,
-//! the same way over either transport.
+//! and the [`WIRE_VERSION`] in a handshake frame; a node refuses a
+//! connection that speaks another version. A node spawns no thread. The
+//! thread that receives — a site's own — accepts connections and reads
+//! them, nonblocking, inside [`Transport::recv_timeout`], which waits in
+//! one `ppoll` over the listener, the accepted connections and a wake
+//! socketpair that [`Transport::waker`] writes to. Decoded frames go into
+//! the same two lanes the in-process mailbox has, so a site blocks, and
+//! is woken, the same way over either transport.
+//!
+//! Back-pressure: a connection whose next message finds its lane full is
+//! not read until that lane has room, so the kernel's TCP window fills
+//! and the sender's write blocks — bounded memory, no message lost. A
+//! write that would block reads this node's own connections while it
+//! waits: two sites that flood each other would otherwise both stall on
+//! full socket buffers, each waiting for the other to read.
 
 use crate::codec::{decode_frame, encode_frame};
-use crate::mailbox::{self, mailbox};
+use crate::lanes::Lanes;
+use crate::mailbox::Wake;
+use crate::poll::{self, PollFd, POLLIN, POLLOUT};
 use crate::{Envelope, LaneClassifier, PathId, Transport, Waker, DEFAULT_MAILBOX_CAPACITY};
 use bytes::BytesMut;
 use pscc_common::hash::HashMap;
 use pscc_common::wire::{Wire, WIRE_VERSION};
 use pscc_common::SiteId;
+use pscc_obs::event::TraceHandle;
+use pscc_obs::EventKind;
 use std::collections::hash_map::Entry;
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
+use std::time::{Duration, Instant};
 
 /// The first frame on every connection: which encoding the writer speaks
 /// and who writes on which path. A reader drops a connection whose
@@ -38,10 +54,9 @@ struct Handshake {
 }
 pscc_common::impl_wire!(struct Handshake { version, site, path });
 
-/// Wire-level counters of one [`TcpNode`], shared with its reader
-/// threads. Message frames only — handshake frames are excluded from
-/// frame counts (their bytes still count on the receive side, where the
-/// stream is read as a whole).
+/// Wire-level counters of one [`TcpNode`]. Message frames only —
+/// handshake frames are excluded from frame counts (their bytes still
+/// count on the receive side, where the stream is read as a whole).
 #[derive(Debug, Default)]
 pub struct NetStats {
     /// Message frames written.
@@ -55,8 +70,9 @@ pub struct NetStats {
     /// Send attempts retried after a connect/write failure.
     pub retries: AtomicU64,
     /// Connections that died: read/decode errors, peer closes, a
-    /// handshake in another wire version, and sends abandoned after the
-    /// retry budget or refused as oversized. Never silently swallowed.
+    /// handshake in another wire version, failed accepts, and sends
+    /// abandoned after the retry budget or refused as oversized. Never
+    /// silently swallowed.
     pub disconnects: AtomicU64,
 }
 
@@ -78,15 +94,27 @@ impl NetStats {
     }
 }
 
-/// Shared optional trace sink: reader threads and the send path record
-/// disconnect/retry events through it when a harness installs a handle.
-type SharedTrace = Arc<Mutex<Option<pscc_obs::event::TraceHandle>>>;
+/// What a node's send and receive paths record into: its counters, and
+/// a trace once a harness installs one.
+#[derive(Default)]
+struct Tally {
+    stats: NetStats,
+    trace: Mutex<Option<TraceHandle>>,
+}
 
-fn trace_record(trace: &SharedTrace, kind: pscc_obs::EventKind) {
-    if let Ok(guard) = trace.lock() {
-        if let Some(h) = guard.as_ref() {
-            h.record(kind);
+impl Tally {
+    fn record(&self, kind: EventKind) {
+        if let Ok(guard) = self.trace.lock() {
+            if let Some(h) = guard.as_ref() {
+                h.record(kind);
+            }
         }
+    }
+
+    /// A connection died, an accept failed, or a send was given up.
+    fn disconnect(&self, peer: SiteId) {
+        self.stats.disconnects.fetch_add(1, Ordering::Relaxed);
+        self.record(EventKind::NetDisconnect { peer });
     }
 }
 
@@ -94,17 +122,23 @@ fn trace_record(trace: &SharedTrace, kind: pscc_obs::EventKind) {
 /// its handshake identified the sender.
 const UNKNOWN_PEER: SiteId = SiteId(u32::MAX);
 
+/// How long a failed accept keeps the listener out of the wait. A full
+/// descriptor table leaves the listener ready, so without the pause a
+/// wait would spin on it.
+const ACCEPT_PAUSE: Duration = Duration::from_millis(10);
+
+/// Bytes one read takes off a connection.
+const READ_CHUNK: usize = 16 * 1024;
+
 /// One site of a TCP-connected peer-servers deployment.
 pub struct TcpNode<M> {
     site: SiteId,
     peers: HashMap<SiteId, SocketAddr>,
     // (dst, path) -> established outgoing connection.
     conns: Mutex<HashMap<(SiteId, PathId), TcpStream>>,
-    inbox: mailbox::Receiver<M>,
-    shutdown: Arc<AtomicBool>,
-    acceptor: Option<std::thread::JoinHandle<()>>,
-    stats: Arc<NetStats>,
-    trace: SharedTrace,
+    inbox: Mutex<Inbox<M>>,
+    doorbell: Arc<Doorbell>,
+    tally: Tally,
     // Reconnect policy (see `configure_retry`).
     backoff_base: Duration,
     backoff_max: Duration,
@@ -113,9 +147,72 @@ pub struct TcpNode<M> {
     fault_hook: Mutex<Option<crate::fault::FaultHook>>,
 }
 
+/// Everything inbound: held by the thread that receives, and by a send
+/// that reads while its write is blocked.
+struct Inbox<M> {
+    listener: TcpListener,
+    /// Set by a failed accept: the listener sits out the waits until then.
+    accept_paused_until: Option<Instant>,
+    readers: Vec<Reader<M>>,
+    lanes: Lanes<M>,
+    /// The receiving end of the [`Doorbell`].
+    doorbell: UnixStream,
+    /// Reused by every wait: the ring or the writer, the listener, then
+    /// one slot per reader.
+    fds: Vec<PollFd>,
+    /// Reused by every read.
+    chunk: Box<[u8]>,
+    /// Accepts still to fail as if the descriptor table were full.
+    #[cfg(test)]
+    accept_errors: u32,
+}
+
+/// One accepted connection.
+struct Reader<M> {
+    stream: TcpStream,
+    /// Bytes read and not yet decoded.
+    buf: BytesMut,
+    /// Who writes on it, once its handshake is read.
+    from: Option<(SiteId, PathId)>,
+    /// A decoded message its lane has no room for yet. Until it goes in,
+    /// nothing more is decoded or read from this connection.
+    stalled: Option<Envelope<M>>,
+}
+
+/// What a wait of the inbox looks at besides the listener and readers.
+#[derive(Clone, Copy)]
+enum Also {
+    /// The doorbell: a receive that [`Transport::waker`] can end.
+    Doorbell,
+    /// An outgoing connection, for writability: a send whose write would
+    /// block.
+    Writable(RawFd),
+}
+
+/// The wake of a [`TcpNode`]. The flag is what a wait that would park
+/// consumes; the byte written down the socketpair ends a wait already in
+/// `ppoll`. Only the ring that raises the flag writes, so the pair never
+/// fills, and a wait that takes the flag down finds any ring after it by
+/// its byte. Both sides swap the flag `AcqRel`: a wait that takes it down
+/// then sees the work queued before the ring that raised it.
+struct Doorbell {
+    rung: AtomicBool,
+    tx: UnixStream,
+}
+
+impl Wake for Doorbell {
+    fn wake(&self) {
+        if !self.rung.swap(true, Ordering::AcqRel) {
+            // Nonblocking; the pair holds far more bytes than could be
+            // unread here.
+            let _ = (&self.tx).write(&[1]);
+        }
+    }
+}
+
 impl<M: Wire + Send + 'static> TcpNode<M> {
-    /// Binds `listen` and starts accepting; `peers` maps every other
-    /// site to its listen address.
+    /// Binds `listen`; `peers` maps every other site to its listen
+    /// address.
     ///
     /// # Errors
     ///
@@ -129,14 +226,15 @@ impl<M: Wire + Send + 'static> TcpNode<M> {
     }
 
     /// Like [`TcpNode::start`] with explicit overload knobs: per-lane
-    /// mailbox `capacity` (from `SystemConfig::mailbox_capacity`) and an
+    /// inbox `capacity` (from `SystemConfig::mailbox_capacity`) and an
     /// optional classifier routing consistency traffic onto a priority
     /// lane that [`Transport::recv_timeout`] drains first. Without a
     /// classifier all traffic uses the priority lane.
     ///
     /// # Errors
     ///
-    /// I/O errors from binding the listener.
+    /// I/O errors from binding the listener or making the wake
+    /// socketpair.
     ///
     /// # Panics
     ///
@@ -148,48 +246,32 @@ impl<M: Wire + Send + 'static> TcpNode<M> {
         capacity: usize,
         classify: Option<LaneClassifier<M>>,
     ) -> std::io::Result<Self> {
-        assert!(capacity > 0, "need a non-zero mailbox capacity");
+        let lanes = Lanes::new(capacity, classify);
         let listener = TcpListener::bind(listen)?;
         listener.set_nonblocking(true)?;
-        let (tx, inbox) = mailbox(capacity, classify);
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(NetStats::default());
-        let trace: SharedTrace = Arc::new(Mutex::new(None));
-        let acceptor = {
-            let stop = Arc::clone(&shutdown);
-            let stats = Arc::clone(&stats);
-            let trace = Arc::clone(&trace);
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            stream.set_nodelay(true).ok();
-                            stream.set_nonblocking(false).ok();
-                            let tx = tx.clone();
-                            let stop = Arc::clone(&stop);
-                            let stats = Arc::clone(&stats);
-                            let trace = Arc::clone(&trace);
-                            std::thread::spawn(move || {
-                                reader_loop(stream, site, tx, stop, stats, trace);
-                            });
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(1));
-                        }
-                        Err(_) => return,
-                    }
-                }
-            })
-        };
+        let (tx, rx) = UnixStream::pair()?;
+        tx.set_nonblocking(true)?;
+        rx.set_nonblocking(true)?;
         Ok(TcpNode {
             site,
             peers: peers.into_iter().collect(),
             conns: Mutex::new(HashMap::default()),
-            inbox,
-            shutdown,
-            acceptor: Some(acceptor),
-            stats,
-            trace,
+            inbox: Mutex::new(Inbox {
+                listener,
+                accept_paused_until: None,
+                readers: Vec::new(),
+                lanes,
+                doorbell: rx,
+                fds: Vec::new(),
+                chunk: vec![0; READ_CHUNK].into_boxed_slice(),
+                #[cfg(test)]
+                accept_errors: 0,
+            }),
+            doorbell: Arc::new(Doorbell {
+                rung: AtomicBool::new(false),
+                tx,
+            }),
+            tally: Tally::default(),
             backoff_base: Duration::from_millis(10),
             backoff_max: Duration::from_millis(1_000),
             max_retries: 5,
@@ -207,9 +289,9 @@ impl<M: Wire + Send + 'static> TcpNode<M> {
     }
 
     /// Installs a trace handle; disconnects and retries are recorded as
-    /// protocol events from then on (including from reader threads).
-    pub fn set_trace(&self, handle: pscc_obs::event::TraceHandle) {
-        if let Ok(mut guard) = self.trace.lock() {
+    /// protocol events from then on.
+    pub fn set_trace(&self, handle: TraceHandle) {
+        if let Ok(mut guard) = self.tally.trace.lock() {
             *guard = Some(handle);
         }
     }
@@ -225,20 +307,30 @@ impl<M: Wire + Send + 'static> TcpNode<M> {
 
     /// This node's wire-level counters.
     pub fn stats(&self) -> &NetStats {
-        &self.stats
+        &self.tally.stats
     }
 
-    /// Current mailbox depth (both lanes) — the queue gauge harnesses
-    /// export per node.
+    /// Messages queued in the inbox (both lanes), once what the
+    /// connections hold has been read — the queue gauge harnesses export
+    /// per node.
     pub fn queue_depth(&self) -> usize {
-        self.inbox.len()
+        let mut inbox = self.lock_inbox();
+        inbox.poll(self.site, &self.tally, Some(Duration::ZERO), Also::Doorbell);
+        inbox.lanes.len()
+    }
+
+    fn lock_inbox(&self) -> MutexGuard<'_, Inbox<M>> {
+        // A panic mid-update leaves at worst a reader with a partial
+        // frame, which its peer's next bytes complete or its decoder
+        // refuses: the inbox stays usable.
+        self.inbox.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Opens the `(to, path)` connection and announces `(site, path)`
     /// on it.
     fn dial(&self, to: SiteId, path: PathId) -> std::io::Result<TcpStream> {
         let addr = self.peers.get(&to).copied().ok_or_else(|| {
-            std::io::Error::new(std::io::ErrorKind::NotFound, format!("unknown peer {to}"))
+            std::io::Error::new(ErrorKind::NotFound, format!("unknown peer {to}"))
         })?;
         let mut stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
@@ -253,6 +345,7 @@ impl<M: Wire + Send + 'static> TcpNode<M> {
         )
         .map_err(|e| std::io::Error::other(e.to_string()))?;
         stream.write_all(&buf)?;
+        stream.set_nonblocking(true)?;
         Ok(stream)
     }
 
@@ -269,11 +362,12 @@ impl<M: Wire + Send + 'static> TcpNode<M> {
             Entry::Occupied(e) => e.into_mut(),
             Entry::Vacant(v) => v.insert(self.dial(to, path)?),
         };
-        let written = stream.write_all(buf);
+        let written = self.write_reading(stream, buf);
         match written {
             Ok(()) => {
-                self.stats.frames_sent.fetch_add(1, Ordering::Relaxed);
-                self.stats
+                self.tally.stats.frames_sent.fetch_add(1, Ordering::Relaxed);
+                self.tally
+                    .stats
                     .bytes_sent
                     .fetch_add(buf.len() as u64, Ordering::Relaxed);
             }
@@ -284,122 +378,223 @@ impl<M: Wire + Send + 'static> TcpNode<M> {
         written
     }
 
-    /// Stops the acceptor and closes connections.
-    pub fn shutdown(mut self) {
-        self.stop();
-    }
-
-    fn stop(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
-        self.conns.lock().expect("conns poisoned").clear();
-    }
-}
-
-impl<M> Drop for TcpNode<M> {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-fn reader_loop<M: Wire + Send + 'static>(
-    mut stream: TcpStream,
-    to: SiteId,
-    tx: mailbox::Sender<M>,
-    stop: Arc<AtomicBool>,
-    stats: Arc<NetStats>,
-    trace: SharedTrace,
-) {
-    stream
-        .set_read_timeout(Some(Duration::from_millis(50)))
-        .ok();
-    let mut buf = BytesMut::new();
-    let mut from: Option<(SiteId, PathId)> = None;
-    let mut chunk = [0u8; 16 * 1024];
-    // Records the connection's death before the thread exits, so no
-    // failure path is silent.
-    let disconnect = |peer: Option<(SiteId, PathId)>, why: &str| {
-        stats.disconnects.fetch_add(1, Ordering::Relaxed);
-        let peer = peer.map_or(UNKNOWN_PEER, |(s, _)| s);
-        trace_record(&trace, pscc_obs::EventKind::NetDisconnect { peer });
-        let _ = why; // kept for debugger visibility in the closure frame
-    };
-    loop {
-        if stop.load(Ordering::Relaxed) {
-            return; // orderly local shutdown, not a disconnect
-        }
-        // Drain complete frames already buffered.
-        loop {
-            if from.is_none() {
-                match decode_frame::<Handshake>(&mut buf) {
-                    Ok(Some(h)) if h.version == WIRE_VERSION => {
-                        from = Some((SiteId(h.site), PathId(h.path)));
-                    }
-                    Ok(Some(h)) => {
-                        disconnect(Some((SiteId(h.site), PathId(h.path))), "wire version");
-                        return;
-                    }
-                    Ok(None) => break,
-                    Err(_) => {
-                        disconnect(from, "bad handshake frame");
-                        return;
+    /// Writes all of `buf` to the nonblocking `stream`. While the socket
+    /// is full, this node's own connections are read into its lanes: the
+    /// peer may be blocked writing to us.
+    fn write_reading(&self, mut stream: &TcpStream, mut buf: &[u8]) -> std::io::Result<()> {
+        while !buf.is_empty() {
+            match stream.write(buf) {
+                Ok(0) => return Err(ErrorKind::WriteZero.into()),
+                Ok(n) => buf = &buf[n..],
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    let fd = stream.as_raw_fd();
+                    let inbox = match self.inbox.try_lock() {
+                        Ok(inbox) => Some(inbox),
+                        Err(TryLockError::Poisoned(p)) => Some(p.into_inner()),
+                        Err(TryLockError::WouldBlock) => None,
+                    };
+                    match inbox {
+                        Some(mut inbox) => {
+                            inbox.poll(self.site, &self.tally, None, Also::Writable(fd));
+                        }
+                        // Another thread is receiving, so it reads the
+                        // connections; look at the socket again soon.
+                        None => poll::wait(
+                            &mut [PollFd::new(Some(fd), POLLOUT)],
+                            Some(Duration::from_millis(1)),
+                        ),
                     }
                 }
-                continue;
+                Err(e) => return Err(e),
             }
-            match decode_frame::<M>(&mut buf) {
-                Ok(Some(msg)) => {
-                    stats.frames_received.fetch_add(1, Ordering::Relaxed);
-                    let Some((site, path)) = from else {
-                        // Unreachable (handshake decoded above), but a
-                        // peer must never be able to panic this thread.
-                        disconnect(None, "frame before handshake");
-                        return;
+        }
+        Ok(())
+    }
+
+    /// Closes the listener and every connection.
+    pub fn shutdown(self) {}
+}
+
+impl<M: Wire> Inbox<M> {
+    /// Reads what the connections hold into the lanes, waiting up to
+    /// `timeout` (`None`: no limit) in one `ppoll` for the listener, a
+    /// reader that is not stalled, or `also` to be ready. A reader that
+    /// fails is counted, traced and closed.
+    fn poll(&mut self, to: SiteId, tally: &Tally, timeout: Option<Duration>, also: Also) {
+        let Inbox {
+            readers,
+            lanes,
+            fds,
+            chunk,
+            ..
+        } = self;
+        // Readers stalled on a full lane first: a pop may have made room.
+        readers.retain_mut(|r| r.stalled.is_none() || r.decode(to, lanes, tally));
+        let mut timeout = timeout;
+        if let Some(until) = self.accept_paused_until {
+            let left = until.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                self.accept_paused_until = None;
+            } else {
+                timeout = Some(timeout.map_or(left, |t| t.min(left)));
+            }
+        }
+        let accepting = self.accept_paused_until.is_none();
+        fds.clear();
+        fds.push(match also {
+            Also::Doorbell => PollFd::new(Some(self.doorbell.as_raw_fd()), POLLIN),
+            Also::Writable(fd) => PollFd::new(Some(fd), POLLOUT),
+        });
+        fds.push(PollFd::new(
+            accepting.then(|| self.listener.as_raw_fd()),
+            POLLIN,
+        ));
+        fds.extend(
+            readers
+                .iter()
+                .map(|r| PollFd::new(r.stalled.is_none().then(|| r.stream.as_raw_fd()), POLLIN)),
+        );
+        poll::wait(fds, timeout);
+        if matches!(also, Also::Doorbell) && fds[0].ready() {
+            // The flag, not these bytes, says whether a wake is owed.
+            while let Ok(n) = (&self.doorbell).read(chunk) {
+                if n < chunk.len() {
+                    break;
+                }
+            }
+        }
+        let mut ready = fds[2..].iter().map(PollFd::ready);
+        readers.retain_mut(|r| !ready.next().unwrap_or(false) || r.read(to, lanes, tally, chunk));
+        if fds[1].ready() {
+            self.accept(to, tally);
+        }
+    }
+
+    /// Accepts every connection waiting and reads what each brought.
+    fn accept(&mut self, to: SiteId, tally: &Tally) {
+        loop {
+            #[cfg(test)]
+            let accepted = match self.accept_errors.checked_sub(1) {
+                Some(left) => {
+                    self.accept_errors = left;
+                    Err(std::io::Error::other("descriptor table full"))
+                }
+                None => self.listener.accept(),
+            };
+            #[cfg(not(test))]
+            let accepted = self.listener.accept();
+            match accepted {
+                Ok((stream, _)) => {
+                    if stream.set_nonblocking(true).is_err() {
+                        tally.disconnect(UNKNOWN_PEER);
+                        continue;
+                    }
+                    let mut reader = Reader {
+                        stream,
+                        buf: BytesMut::new(),
+                        from: None,
+                        stalled: None,
                     };
-                    let env = Envelope {
-                        from: site,
-                        to,
-                        path,
-                        msg,
-                    };
-                    // A full lane, bulk included, blocks this reader: it
-                    // then stops reading its socket, the kernel's TCP
-                    // window fills, and the *sender's* retry loop takes
-                    // over — bounded memory with no message loss.
-                    if tx.send(env, None).is_err() {
-                        return; // local node dropped its mailbox
+                    if reader.read(to, &mut self.lanes, tally, &mut self.chunk) {
+                        self.readers.push(reader);
                     }
                 }
-                Ok(None) => break,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(_) => {
-                    disconnect(from, "bad message frame");
+                    tally.disconnect(UNKNOWN_PEER);
+                    self.accept_paused_until = Some(Instant::now() + ACCEPT_PAUSE);
                     return;
                 }
             }
         }
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                disconnect(from, "peer closed");
-                return;
+    }
+}
+
+impl<M: Wire> Reader<M> {
+    fn peer(&self) -> SiteId {
+        self.from.map_or(UNKNOWN_PEER, |(site, _)| site)
+    }
+
+    /// Reads what the connection holds, a chunk at a time, decoding as
+    /// it goes, until it would block or a lane fills. Returns `false`
+    /// once the connection is dead (counted and traced).
+    fn read(&mut self, to: SiteId, lanes: &mut Lanes<M>, tally: &Tally, chunk: &mut [u8]) -> bool {
+        while self.stalled.is_none() {
+            match self.stream.read(chunk) {
+                Ok(0) => {
+                    tally.disconnect(self.peer());
+                    return false;
+                }
+                Ok(n) => {
+                    tally
+                        .stats
+                        .bytes_received
+                        .fetch_add(n as u64, Ordering::Relaxed);
+                    self.buf.extend_from_slice(&chunk[..n]);
+                    if !self.decode(to, lanes, tally) {
+                        return false;
+                    }
+                    if n < chunk.len() {
+                        // Drained: the next wait reports what comes next.
+                        break;
+                    }
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => {
+                    tally.disconnect(self.peer());
+                    return false;
+                }
             }
-            Ok(n) => {
-                stats.bytes_received.fetch_add(n as u64, Ordering::Relaxed);
-                buf.extend_from_slice(&chunk[..n]);
+        }
+        true
+    }
+
+    /// Moves the complete frames in `buf` into their lanes, the stalled
+    /// message first, until a lane is full. Returns `false` on a frame
+    /// that does not decode or a handshake in another wire version
+    /// (counted and traced).
+    fn decode(&mut self, to: SiteId, lanes: &mut Lanes<M>, tally: &Tally) -> bool {
+        if let Some(env) = self.stalled.take() {
+            if let Err(env) = lanes.push(env) {
+                self.stalled = Some(env);
+                return true;
             }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(_) => {
-                disconnect(from, "read error");
-                return;
+        }
+        loop {
+            let Some((from, path)) = self.from else {
+                match decode_frame::<Handshake>(&mut self.buf) {
+                    Ok(Some(h)) if h.version == WIRE_VERSION => {
+                        self.from = Some((SiteId(h.site), PathId(h.path)));
+                        continue;
+                    }
+                    Ok(Some(h)) => tally.disconnect(SiteId(h.site)),
+                    Ok(None) => return true,
+                    Err(_) => tally.disconnect(UNKNOWN_PEER),
+                }
+                return false;
+            };
+            match decode_frame::<M>(&mut self.buf) {
+                Ok(Some(msg)) => {
+                    tally.stats.frames_received.fetch_add(1, Ordering::Relaxed);
+                    let env = Envelope {
+                        from,
+                        to,
+                        path,
+                        msg,
+                    };
+                    if let Err(env) = lanes.push(env) {
+                        self.stalled = Some(env);
+                        return true;
+                    }
+                }
+                Ok(None) => return true,
+                Err(_) => {
+                    tally.disconnect(from);
+                    return false;
+                }
             }
         }
     }
@@ -429,8 +624,7 @@ impl<M: Wire + Send + 'static> Transport<M> for TcpNode<M> {
         if encode_frame(&msg, &mut buf).is_err() {
             // Over the frame limit: no retry can send it. Surface it as
             // an abandoned send.
-            self.stats.disconnects.fetch_add(1, Ordering::Relaxed);
-            trace_record(&self.trace, pscc_obs::EventKind::NetDisconnect { peer: to });
+            self.tally.disconnect(to);
             return;
         }
         // Physical duplicate on the same ordered stream.
@@ -443,11 +637,8 @@ impl<M: Wire + Send + 'static> Transport<M> for TcpNode<M> {
         let mut delay = self.backoff_base;
         for attempt in 0..=self.max_retries {
             if attempt > 0 {
-                self.stats.retries.fetch_add(1, Ordering::Relaxed);
-                trace_record(
-                    &self.trace,
-                    pscc_obs::EventKind::NetRetry { peer: to, attempt },
-                );
+                self.tally.stats.retries.fetch_add(1, Ordering::Relaxed);
+                self.tally.record(EventKind::NetRetry { peer: to, attempt });
                 std::thread::sleep(delay);
                 delay = (delay * 2).min(self.backoff_max);
             }
@@ -456,28 +647,56 @@ impl<M: Wire + Send + 'static> Transport<M> for TcpNode<M> {
             }
         }
         // Retry budget exhausted: the peer is unreachable. Surface it.
-        self.stats.disconnects.fetch_add(1, Ordering::Relaxed);
-        trace_record(&self.trace, pscc_obs::EventKind::NetDisconnect { peer: to });
+        self.tally.disconnect(to);
     }
 
+    /// Takes the next message, priority lane first, reading the
+    /// connections when no priority message is queued. With nothing to
+    /// take it waits up to `timeout` in `ppoll`; a wake ends the wait with
+    /// `None` under the rule [`Waker`] states.
     fn recv_timeout(&self, timeout: Duration) -> Option<Envelope<M>> {
-        self.inbox.recv(Some(timeout))
+        let mut inbox = self.lock_inbox();
+        let mut deadline = None;
+        // Whether the connections were read since the lanes were last
+        // looked at (a wait reads what ended it).
+        let mut fresh = false;
+        loop {
+            // A queued priority message outranks whatever the connections
+            // hold; a bulk one does not.
+            if !fresh && !inbox.lanes.has_prio() {
+                inbox.poll(self.site, &self.tally, Some(Duration::ZERO), Also::Doorbell);
+            }
+            if let Some((env, _)) = inbox.lanes.pop() {
+                return Some(env);
+            }
+            let now = Instant::now();
+            let deadline = *deadline.get_or_insert(now + timeout);
+            // Tested before the wake flag, so a call that would not have
+            // parked anyway (a zero timeout) leaves the flag for the one
+            // that would.
+            if now >= deadline || self.doorbell.rung.swap(false, Ordering::AcqRel) {
+                return None;
+            }
+            inbox.poll(self.site, &self.tally, Some(deadline - now), Also::Doorbell);
+            fresh = true;
+        }
     }
 
     fn waker(&self) -> Option<Waker> {
-        Some(self.inbox.waker())
+        Some(Waker(Arc::clone(&self.doorbell) as Arc<dyn Wake>))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mailbox::tests::wake_rule;
 
     fn addr_of(listener: &TcpListener) -> SocketAddr {
         listener.local_addr().expect("bound")
     }
 
-    fn two_nodes() -> (TcpNode<String>, TcpNode<String>) {
+    fn two_nodes<M: Wire + Send + 'static>() -> (TcpNode<M>, TcpNode<M>) {
         // Bind ephemeral ports first to learn the addresses.
         let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
         let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -491,7 +710,7 @@ mod tests {
 
     #[test]
     fn tcp_roundtrip_with_handshake() {
-        let (n0, n1) = two_nodes();
+        let (n0, n1) = two_nodes::<String>();
         n0.send(SiteId(1), PathId(0), "hello".to_string());
         let env = n1.recv_timeout(Duration::from_secs(5)).expect("delivery");
         assert_eq!(env.from, SiteId(0));
@@ -504,7 +723,7 @@ mod tests {
 
     #[test]
     fn tcp_per_path_fifo() {
-        let (n0, n1) = two_nodes();
+        let (n0, n1) = two_nodes::<String>();
         for i in 0..50 {
             n0.send(SiteId(1), PathId((i % 3) as u8), format!("{i}"));
         }
@@ -527,7 +746,7 @@ mod tests {
 
     #[test]
     fn tcp_stats_count_frames_and_bytes() {
-        let (n0, n1) = two_nodes();
+        let (n0, n1) = two_nodes::<String>();
         n0.send(SiteId(1), PathId(0), "count me".to_string());
         let env = n1.recv_timeout(Duration::from_secs(5)).expect("delivery");
         assert_eq!(env.msg, "count me");
@@ -574,15 +793,13 @@ mod tests {
 
     #[test]
     fn tcp_reader_counts_peer_disconnect() {
-        let (n0, n1) = two_nodes();
+        let (n0, n1) = two_nodes::<String>();
         n0.send(SiteId(1), PathId(0), "warmup".to_string());
         n1.recv_timeout(Duration::from_secs(5)).expect("delivery");
         n0.shutdown(); // closes the established connection into n1
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while n1.stats().disconnects.load(Ordering::Relaxed) == 0
-            && std::time::Instant::now() < deadline
-        {
-            std::thread::sleep(Duration::from_millis(5));
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while n1.stats().disconnects.load(Ordering::Relaxed) == 0 && Instant::now() < deadline {
+            n1.recv_timeout(Duration::from_millis(5));
         }
         assert!(
             n1.stats().disconnects.load(Ordering::Relaxed) >= 1,
@@ -627,11 +844,9 @@ mod tests {
 
         let (_other, got) = handshake_in(WIRE_VERSION + 1, &node, addr);
         assert_eq!(got, None);
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while node.stats().disconnects.load(Ordering::Relaxed) == 0
-            && std::time::Instant::now() < deadline
-        {
-            std::thread::sleep(Duration::from_millis(5));
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while node.stats().disconnects.load(Ordering::Relaxed) == 0 && Instant::now() < deadline {
+            node.recv_timeout(Duration::from_millis(5));
         }
         assert_eq!(node.stats().disconnects.load(Ordering::Relaxed), 1);
         assert_eq!(node.stats().frames_received.load(Ordering::Relaxed), 1);
@@ -646,7 +861,7 @@ mod tests {
     #[test]
     fn tcp_fault_hook_drops_and_duplicates() {
         use std::sync::atomic::AtomicUsize;
-        let (n0, n1) = two_nodes();
+        let (n0, n1) = two_nodes::<String>();
         let calls = Arc::new(AtomicUsize::new(0));
         let c = Arc::clone(&calls);
         n0.set_fault_hook(Box::new(move |_, _| {
@@ -686,8 +901,8 @@ mod tests {
         n0.send(SiteId(1), PathId(0), "!urgent".to_string());
         // Wait for all three to be decoded into the mailbox before
         // draining, so lane order (not arrival timing) decides.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while n1.queue_depth() < 3 && std::time::Instant::now() < deadline {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while n1.queue_depth() < 3 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(2));
         }
         assert_eq!(n1.queue_depth(), 3);
@@ -705,7 +920,7 @@ mod tests {
 
     #[test]
     fn tcp_bidirectional() {
-        let (n0, n1) = two_nodes();
+        let (n0, n1) = two_nodes::<String>();
         n0.send(SiteId(1), PathId(1), "ping".to_string());
         let env = n1.recv_timeout(Duration::from_secs(5)).expect("ping");
         assert_eq!(env.msg, "ping");
@@ -715,5 +930,89 @@ mod tests {
         assert_eq!(env.from, SiteId(1));
         n0.shutdown();
         n1.shutdown();
+    }
+
+    #[test]
+    fn tcp_accept_errors_are_counted_and_accepting_goes_on() {
+        let l = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = addr_of(&l);
+        drop(l);
+        let node = TcpNode::<String>::start(SiteId(0), addr, []).unwrap();
+        let trace = pscc_obs::event::TraceHandle::new(SiteId(0), 64);
+        node.set_trace(trace.clone());
+        // The next accept fails as it does when the descriptor table is
+        // full; the connection waits in the listener's queue meanwhile.
+        node.lock_inbox().accept_errors = 1;
+        let (_raw, got) = handshake_in(WIRE_VERSION, &node, addr);
+        assert_eq!(got.as_deref(), Some("hi"), "accepting stopped");
+        assert_eq!(node.stats().disconnects.load(Ordering::Relaxed), 1);
+        assert!(trace.snapshot().iter().any(|e| matches!(
+            e.kind,
+            pscc_obs::EventKind::NetDisconnect { peer: UNKNOWN_PEER }
+        )));
+        node.shutdown();
+    }
+
+    #[test]
+    fn tcp_a_wake_before_the_wait_ends_it_once() {
+        let (_n0, n1) = two_nodes::<u64>();
+        wake_rule::before_the_wait_ends_it_once(&n1);
+    }
+
+    #[test]
+    fn tcp_a_wake_during_the_wait_ends_it() {
+        let (_n0, n1) = two_nodes::<u64>();
+        // The receiver holds the inbox for the whole of its wait.
+        wake_rule::during_the_wait_ends_it(&n1, || {
+            while n1.inbox.try_lock().is_ok() {
+                std::thread::yield_now();
+            }
+        });
+    }
+
+    #[test]
+    fn tcp_a_message_outranks_a_pending_wake() {
+        let (n0, n1) = two_nodes::<u64>();
+        wake_rule::a_message_outranks_it(&n1, |m| {
+            n0.send(SiteId(1), PathId(0), m);
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while n1.queue_depth() == 0 && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+        });
+    }
+
+    #[test]
+    fn tcp_mutual_flood_does_not_deadlock() {
+        // Each node writes more pages to the other than the two sockets'
+        // buffers hold before it reads one. Only a write that keeps
+        // reading its own connections while it is blocked finishes.
+        const FRAMES: usize = 2_000;
+        const PAGE: usize = 4_096;
+        let (n0, n1) = two_nodes::<Vec<u8>>();
+        let (done_tx, done) = std::sync::mpsc::sync_channel(2);
+        for (peer, node) in [(SiteId(1), n0), (SiteId(0), n1)] {
+            let done_tx = done_tx.clone();
+            // Detached, so a deadlock fails the test instead of hanging it.
+            std::thread::spawn(move || {
+                for i in 0..FRAMES {
+                    node.send(peer, PathId(0), vec![i as u8; PAGE]);
+                }
+                let got = (0..FRAMES)
+                    .map_while(|_| node.recv_timeout(Duration::from_secs(10)))
+                    .filter(|env| env.msg.len() == PAGE)
+                    .count();
+                let _ = done_tx.send(got);
+            });
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        for _ in 0..2 {
+            let left = deadline.saturating_duration_since(Instant::now());
+            assert_eq!(
+                done.recv_timeout(left),
+                Ok(FRAMES),
+                "two nodes writing to each other deadlocked"
+            );
+        }
     }
 }

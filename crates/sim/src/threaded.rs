@@ -5,10 +5,11 @@
 //! concurrent message handling — and the strongest validation that the
 //! engine's state machine is driven correctly from outside.
 //!
-//! Applications submit requests through per-site channels and receive
-//! replies the same way; everything else (timing, delivery order) is up
-//! to the operating system's scheduler, so runs are *not* deterministic —
-//! exactly the point.
+//! Applications submit requests through per-site bounded channels
+//! (`std::sync::mpsc::sync_channel`) and receive replies the same way;
+//! everything else (timing, delivery order) is up to the operating
+//! system's scheduler, so runs are *not* deterministic — exactly the
+//! point.
 //!
 //! # The site loop
 //!
@@ -17,17 +18,18 @@
 //! wait: a message by arriving, a timer by bounding the wait, a command
 //! by its producer calling the transport's [`Waker`] *after* queueing it
 //! (every producer goes through `SiteHandle::send`). Each pass first
-//! takes, without blocking, the timers now due, the commands queued when
-//! the pass began and a bounded batch of messages, so no source starves
-//! another; only a pass that found nothing blocks. See DESIGN.md §12.
+//! takes, without blocking, the timers now due, then a bounded batch of
+//! commands and one of messages, so no source starves another; only a
+//! pass that found nothing blocks. Over TCP that wait is also where the
+//! site reads its own sockets: no other thread touches them. See
+//! DESIGN.md §12.
 //!
 //! Replies go the other way with the opposite policy: an application
-//! thread naps briefly before it lets a site pay for waking it (see
-//! [`ThreadedCluster::recv_reply`]).
+//! thread naps briefly, on a timer made precise for it, before it lets a
+//! site pay for waking it (see [`ThreadedCluster::recv_reply`]).
 
 use crate::sim::restart_engine;
 use crate::testkit::{control_message, observe_site, CONTROLLER};
-use crossbeam::channel as mpsc;
 use pscc_common::{AppId, PsccError, SimDuration, SimTime, SiteId, SystemConfig, TxnId};
 use pscc_control::{
     ClusterManifest, ClusterView, ControlAction, ConvergeError, ConvergeReport, Harness,
@@ -41,7 +43,7 @@ use pscc_net::{Envelope, InProcNetwork, PathId, Transport, Waker};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -49,11 +51,11 @@ use std::time::{Duration, Instant};
 enum Cmd {
     App(AppRequest),
     /// Ask the site to report its counters.
-    Stats(mpsc::Sender<pscc_common::Counters>),
+    Stats(mpsc::SyncSender<pscc_common::Counters>),
     /// Inject a control-plane message as [`CONTROLLER`].
     Control(Message),
     /// Ask the site to report what the control plane observes of it.
-    Probe(mpsc::Sender<ObservedSite>),
+    Probe(mpsc::SyncSender<ObservedSite>),
     /// Restart the engine in place: the current instance is dropped (the
     /// model of a process crash), its durable WAL image survives, and a
     /// recovered engine takes over the same thread and transport.
@@ -70,20 +72,56 @@ const IDLE_PARK: Duration = Duration::from_millis(100);
 /// when a command arrives, so the site polls for commands at this period.
 const IDLE_POLL: Duration = Duration::from_micros(200);
 
-/// Messages one pass takes before timers and commands get another look.
-const MSG_BATCH: usize = 64;
+/// Commands, and then messages, one pass takes before the other sources
+/// get another look.
+const PASS_BATCH: usize = 64;
 
 /// How long an application thread that found no reply queued stays away
 /// before it asks to be woken for one (see
-/// [`ThreadedCluster::recv_reply`]). The kernel's default timer slack
-/// (50 µs) rounds it up to about 75 µs.
+/// [`ThreadedCluster::recv_reply`]). It lasts about that long because
+/// [`precise_naps`] cut the thread's timer slack to 1 µs; at the
+/// kernel's default slack (50 µs) it would last about 75 µs.
 const REPLY_NAP: Duration = Duration::from_micros(20);
+
+#[cfg(target_os = "linux")]
+mod slack {
+    use std::ffi::{c_int, c_ulong};
+
+    /// The timer slack of a thread that has called `recv_reply`.
+    pub(super) const NAP_SLACK_NS: c_ulong = 1_000;
+    pub(super) const PR_SET_TIMERSLACK: c_int = 29;
+    #[cfg(test)]
+    pub(super) const PR_GET_TIMERSLACK: c_int = 30;
+
+    extern "C" {
+        pub(super) fn prctl(option: c_int, ...) -> c_int;
+    }
+}
+
+/// Cuts the calling thread's timer slack to 1 µs, once per thread, so
+/// its naps end when they are due rather than up to 50 µs later.
+/// Threads it spawns afterwards inherit the slack; no other thread's
+/// slack changes.
+fn precise_naps() {
+    #[cfg(target_os = "linux")]
+    {
+        thread_local! {
+            static DONE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+        }
+        if !DONE.replace(true) {
+            // SAFETY: PR_SET_TIMERSLACK reads one unsigned long, the slack
+            // in ns, and touches no memory of the caller's. A refusal
+            // leaves the default slack, which only lengthens the nap.
+            unsafe { slack::prctl(slack::PR_SET_TIMERSLACK, slack::NAP_SLACK_NS) };
+        }
+    }
+}
 
 /// The driver's side of one site: its command channel, and the waker
 /// that makes the site look at it.
 #[derive(Clone)]
 struct SiteHandle {
-    cmd_tx: mpsc::Sender<Cmd>,
+    cmd_tx: mpsc::SyncSender<Cmd>,
     waker: Option<Waker>,
 }
 
@@ -108,7 +146,7 @@ impl SiteHandle {
 
     /// What the control plane observes of the site.
     fn probe(&self) -> Result<ObservedSite, PsccError> {
-        let (ptx, prx) = mpsc::bounded(1);
+        let (ptx, prx) = mpsc::sync_channel(1);
         self.send(Cmd::Probe(ptx))?;
         prx.recv_timeout(Duration::from_secs(5))
             .map_err(|_| PsccError::InvalidOperation("probe: site thread unresponsive"))
@@ -181,7 +219,7 @@ struct SiteIo<T> {
     transport: T,
     /// Armed timers, earliest first.
     timers: BinaryHeap<Reverse<(Instant, TimerId)>>,
-    replies: mpsc::Sender<AppReply>,
+    replies: mpsc::SyncSender<AppReply>,
 }
 
 impl<T: Transport<Message>> Env for SiteIo<T> {
@@ -215,16 +253,16 @@ impl<T: Transport<Message>> Site<T> {
                 self.handle(Input::TimerFired { timer });
                 busy = true;
             }
-            // What was queued when the pass began, not what keeps coming:
-            // a driver that never pauses must not shut out the network.
-            for _ in 0..self.commands.len() {
+            // A bounded batch, not whatever keeps coming: a driver that
+            // never pauses must not shut out the network.
+            for _ in 0..PASS_BATCH {
                 let Ok(cmd) = self.commands.try_recv() else {
                     break;
                 };
                 self.command(cmd);
                 busy = true;
             }
-            for _ in 0..MSG_BATCH {
+            for _ in 0..PASS_BATCH {
                 let Some(env) = self.io.transport.recv_timeout(Duration::ZERO) else {
                     break;
                 };
@@ -298,7 +336,10 @@ pub struct ThreadedCluster {
     sites: Vec<SiteHandle>,
     /// Time zero of every engine's clock.
     start: Instant,
-    reply_rx: Vec<mpsc::Receiver<AppReply>>,
+    /// Per site. A std `Receiver` is not `Sync`; the lock is uncontended
+    /// when one thread takes a site's replies, as it must (replies are
+    /// not addressed to a thread).
+    reply_rx: Vec<Mutex<mpsc::Receiver<AppReply>>>,
     shutdown: Arc<AtomicBool>,
     handles: Vec<JoinHandle<()>>,
 }
@@ -383,10 +424,10 @@ impl ThreadedCluster {
         // growing memory without limit.
         let cmd_capacity = cfg.mailbox_capacity.max(1) as usize;
         for (id, transport) in transports {
-            let (cmd_tx, commands) = mpsc::bounded::<Cmd>(cmd_capacity);
-            let (replies, rrx) = mpsc::bounded::<AppReply>(cmd_capacity);
+            let (cmd_tx, commands) = mpsc::sync_channel::<Cmd>(cmd_capacity);
+            let (replies, rrx) = mpsc::sync_channel::<AppReply>(cmd_capacity);
             let waker = transport.waker();
-            reply_rx.push(rrx);
+            reply_rx.push(Mutex::new(rrx));
             let site = Site {
                 cfg: cfg.clone(),
                 owners: owners.clone(),
@@ -433,13 +474,18 @@ impl ThreadedCluster {
     /// for every hand-off saturates its CPU on waking applications. The
     /// nap moves that cost off the sites: they answer a batch of requests
     /// into the queue and park, and the application finds the replies
-    /// when its own timer fires (DESIGN.md §12).
+    /// when its own timer fires (DESIGN.md §12). The first call on a
+    /// thread cuts that thread's timer slack to 1 µs, so the nap lasts
+    /// what it asks for.
     ///
     /// # Errors
     ///
     /// [`PsccError::InvalidOperation`] on timeout.
     pub fn recv_reply(&self, site: SiteId) -> Result<AppReply, PsccError> {
-        let replies = &self.reply_rx[site.0 as usize];
+        precise_naps();
+        let replies = self.reply_rx[site.0 as usize]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         if let Ok(reply) = replies.try_recv() {
             return Ok(reply);
         }
@@ -556,7 +602,7 @@ impl ThreadedCluster {
     pub fn total_stats(&self) -> pscc_common::Counters {
         let mut total = pscc_common::Counters::default();
         for site in &self.sites {
-            let (stx, srx) = mpsc::bounded(1);
+            let (stx, srx) = mpsc::sync_channel(1);
             if site.send(Cmd::Stats(stx)).is_ok() {
                 if let Ok(c) = srx.recv_timeout(Duration::from_secs(5)) {
                     total += c;
@@ -587,5 +633,38 @@ impl ThreadedCluster {
 impl Drop for ThreadedCluster {
     fn drop(&mut self) {
         self.stop();
+    }
+}
+
+#[cfg(all(test, target_os = "linux"))]
+mod tests {
+    use super::*;
+    use slack::NAP_SLACK_NS;
+
+    fn timer_slack_ns() -> std::ffi::c_ulong {
+        // SAFETY: PR_GET_TIMERSLACK reads no argument and returns the
+        // calling thread's slack.
+        unsafe { slack::prctl(slack::PR_GET_TIMERSLACK) as std::ffi::c_ulong }
+    }
+
+    #[test]
+    fn recv_reply_makes_its_own_thread_nap_precisely() {
+        // This thread never calls `recv_reply`, so what it spawns
+        // inherits the slack it started with.
+        let default = std::thread::spawn(timer_slack_ns).join().unwrap();
+        assert_ne!(default, NAP_SLACK_NS);
+        let cluster = ThreadedCluster::new(1, SystemConfig::small(), OwnerMap::Single(SiteId(0)));
+        let after = std::thread::scope(|s| {
+            s.spawn(|| {
+                cluster.begin(SiteId(0), AppId(1)).expect("begin");
+                timer_slack_ns()
+            })
+            .join()
+            .unwrap()
+        });
+        assert_eq!(after, NAP_SLACK_NS);
+        let fresh = std::thread::spawn(timer_slack_ns).join().unwrap();
+        assert_eq!(fresh, default, "the slack leaked to another thread");
+        cluster.shutdown();
     }
 }

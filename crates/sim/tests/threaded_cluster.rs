@@ -186,9 +186,9 @@ fn timer_fires_while_commands_keep_arriving() {
         );
         waited
     });
-    // A pass takes the timers due, then at most the commands queued when
-    // it began: some 15 ms here. A timer fired only on an empty channel
-    // takes ten times that, when it fires at all.
+    // A pass takes the timers due, then at most 64 commands. A timer
+    // fired only on an empty channel takes far longer, when it fires at
+    // all.
     assert!(
         waited < Duration::from_millis(100),
         "a 5 ms timer took {waited:?} to fire under command load"
@@ -534,4 +534,56 @@ fn tcp_cluster_end_to_end() {
     // localhost. One server, two clients, concurrent counter increments.
     let cluster = ThreadedCluster::new_tcp(3, ps_aa(), OwnerMap::Single(SiteId(0)));
     counter_increments_serialize(cluster, oid(5, 0), 5);
+}
+
+/// A reply that takes longer than the application's nap: a write at
+/// client site 1 waits for the lock a transaction at owner site 0
+/// holds, so its reply comes only once that one commits, and
+/// `recv_reply` must still be waiting for it on the channel.
+fn a_reply_slower_than_the_nap_is_returned(cluster: ThreadedCluster) {
+    const HELD: Duration = Duration::from_millis(50);
+    let x = oid(3, 0);
+    let write = AppOp::Write {
+        oid: x,
+        bytes: None,
+    };
+    let (owner, client) = (SiteId(0), SiteId(1));
+    let holder = cluster.begin(owner, AppId(1)).unwrap();
+    cluster
+        .run_op(owner, AppId(1), holder, write.clone())
+        .unwrap();
+    let waiter = cluster.begin(client, AppId(2)).unwrap();
+    let t0 = Instant::now();
+    let (outcome, waited) = std::thread::scope(|s| {
+        let waiting = s.spawn(|| {
+            let outcome = cluster.run_op(client, AppId(2), waiter, write.clone());
+            (outcome, t0.elapsed())
+        });
+        std::thread::sleep(HELD);
+        cluster
+            .run_op(owner, AppId(1), holder, AppOp::Commit)
+            .expect("the holder commits");
+        waiting.join().expect("waiting thread")
+    });
+    assert!(
+        matches!(outcome, Ok(AppReply::Done { txn, .. }) if txn == waiter),
+        "the lock wait's reply was lost: {outcome:?}"
+    );
+    assert!(waited >= HELD, "the write did not wait for the lock");
+    cluster
+        .run_op(client, AppId(2), waiter, AppOp::Commit)
+        .expect("the waiter commits");
+    cluster.shutdown();
+}
+
+#[test]
+fn a_reply_slower_than_the_nap_is_returned_inproc() {
+    let cluster = ThreadedCluster::new(2, ps_aa(), OwnerMap::Single(SiteId(0)));
+    a_reply_slower_than_the_nap_is_returned(cluster);
+}
+
+#[test]
+fn a_reply_slower_than_the_nap_is_returned_over_tcp() {
+    let cluster = ThreadedCluster::new_tcp(2, ps_aa(), OwnerMap::Single(SiteId(0)));
+    a_reply_slower_than_the_nap_is_returned(cluster);
 }
