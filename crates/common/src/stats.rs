@@ -88,10 +88,10 @@ pub struct Counters {
     /// already aborted here (the request was reordered behind its own
     /// abort on a slower transport lane).
     pub stale_requests_refused: u64,
-    /// Graceful drains begun at this site (control-plane `DrainReq`).
+    /// Graceful drains begun at this site (the control plane's drain op).
     pub drains_started: u64,
     /// Graceful drains that reached the drained state (WAL forced, all
-    /// admitted work retired) and reported `DrainOk`.
+    /// admitted work retired).
     pub drains_completed: u64,
     /// Ownership migrations begun at this site as the source.
     pub migrations_started: u64,

@@ -47,7 +47,7 @@ pub struct MoveRange {
 
 /// A declared per-file consistency tier at one owner site (DESIGN.md
 /// §11). The rows for a site together declare its *complete* non-Strict
-/// tier map: the reconciler sends one `SetTierReq` per row and waits
+/// tier map: the reconciler issues one `SetTier` action per row and waits
 /// for the site's observed tier fingerprint to equal the fingerprint of
 /// exactly these rows, so a row with [`ConsistencyTier::Strict`]
 /// retires a file's tier and files with tiers not declared here keep
@@ -112,7 +112,7 @@ pub enum ManifestError {
     /// would depend on send order.
     DuplicateTier(SiteId, u32),
     /// A non-Strict tier row carries a zero staleness bound (the engine
-    /// would reject the `SetTierReq`'s resulting config).
+    /// would reject the resulting config).
     ZeroTierBound(SiteId, u32),
 }
 

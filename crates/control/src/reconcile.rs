@@ -36,23 +36,23 @@ pub enum StepKind {
     MigratePrepare,
     /// Ask the prepared source to transfer and commit the migration.
     MigrateCommit,
-    /// Retune one site's per-file consistency tiers (one `SetTierReq`
-    /// per manifest tier row; applied online, no drain).
+    /// Retune one site's per-file consistency tiers (one `SetTier`
+    /// action per manifest tier row; applied online, no drain).
     SetTier,
 }
 
 /// An instruction for the harness executing the plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ControlAction {
-    /// Send `DrainReq` to the site.
+    /// Drain the site.
     Drain(SiteId),
     /// Stop (crash) the site's process.
     Stop(SiteId),
     /// Restart the site (restart recovery + rejoin happen inside).
     Restart(SiteId),
-    /// Send `UndrainReq` to the site.
+    /// Undrain the site.
     Undrain(SiteId),
-    /// Send `MigratePrepare` for `[lo, hi) → to` to the source site.
+    /// Prepare the source site to migrate `[lo, hi)` to `to`.
     MigratePrepare {
         /// Source (current owner) driving the migration.
         from: SiteId,
@@ -63,19 +63,19 @@ pub enum ControlAction {
         /// New owner.
         to: SiteId,
     },
-    /// Send `MigrateTransfer` to the prepared source (the engine runs
+    /// Tell the prepared source to transfer the range (the engine runs
     /// Transfer → Commit → Activate from there on its own).
     MigrateCommit {
         /// Source driving the migration.
         from: SiteId,
     },
-    /// Send `MigrateAbortReq` to the source: roll the migration back
-    /// (or learn it already committed).
+    /// Tell the source to roll the migration back (a migration already
+    /// past its commit point completes forward instead).
     MigrateAbort {
         /// Source driving the migration.
         from: SiteId,
     },
-    /// Send `SetTierReq` to the site: set `file`'s consistency tier.
+    /// Set `file`'s consistency tier at the site.
     SetTier {
         /// The owner site whose tier map changes.
         site: SiteId,

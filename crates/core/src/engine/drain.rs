@@ -1,13 +1,14 @@
 //! Graceful drain: the control plane's handshake for taking an owner
 //! out of service without losing work (DESIGN.md §8).
 //!
-//! The supervisor sends [`Message::DrainReq`]; the site then:
+//! On [`ControlOp::Drain`] the site:
 //!
 //! 1. **Closes admission** — every *new* remote data request is refused
-//!    with [`Message::Busy`], exactly as if the PR 4 admission cap were
-//!    zero. Clients already know how to back off and retry, so shed work
-//!    is deferred, never failed. The consistency lane (callbacks, 2PC,
-//!    aborts, rejoin) stays open so admitted transactions can terminate.
+//!    with [`Message::Busy`](crate::Message::Busy), exactly as if the
+//!    admission cap were zero. Clients already know how to back off and
+//!    retry, so shed work is deferred, never failed. The consistency
+//!    lane (callbacks, 2PC, aborts, rejoin) stays open so admitted
+//!    transactions can terminate.
 //! 2. **Retires in-flight work** — a periodic check (the `DrainCheck`
 //!    timer, one `busy_retry_hint` per tick) waits until the admitted
 //!    table, callback fan-outs, deescalations, and data-bearing disk
@@ -15,18 +16,21 @@
 //! 3. **Forces the WAL** — committed work is already durable (commit
 //!    forces the log), so this is a belt-and-braces barrier that makes
 //!    the drained image self-contained.
-//! 4. **Reports** — [`Message::DrainOk`] tells the supervisor the site
-//!    can be stopped with zero committed-work loss. The site stays
-//!    closed until [`Message::UndrainReq`] (rollback / reopen) or a
-//!    restart builds a fresh engine.
+//! 4. **Stands drained** — [`DrainPhase::Drained`] tells the supervisor,
+//!    which reads it from the site's probe, that the site can be stopped
+//!    with zero committed-work loss. The site stays closed until
+//!    [`ControlOp::Undrain`] (rollback / reopen) or a restart builds a
+//!    fresh engine.
 //!
-//! Everything is idempotent: duplicate `DrainReq`s re-answer a finished
-//! drain, `UndrainReq` on an active site simply confirms.
-
-use pscc_common::SiteId;
+//! Everything is idempotent from the phase alone: a repeated `Drain`
+//! finds the site draining or drained and does nothing, and `Undrain`
+//! on an active site does nothing.
+//!
+//! [`ControlOp::Drain`]: crate::ControlOp::Drain
+//! [`ControlOp::Undrain`]: crate::ControlOp::Undrain
 
 use super::{DiskCont, PeerServer, TimerKind};
-use crate::msg::{DiskOp, Message, Output, ReqId};
+use crate::msg::{DiskOp, Output};
 
 /// Where a site stands in the drain lifecycle (a test/metrics probe).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,49 +39,23 @@ pub enum DrainPhase {
     Active,
     /// Drain requested; in-flight work is still retiring.
     Draining,
-    /// Drain complete (`DrainOk` sent); admission stays closed.
+    /// Drain complete (work retired, log forced); admission stays closed.
     Drained,
-}
-
-/// Book-keeping for an in-progress or completed drain.
-#[derive(Debug, Clone)]
-pub(crate) struct DrainState {
-    /// Who asked (the supervisor; replies go here).
-    pub requester: SiteId,
-    /// Correlates `DrainOk` with the request.
-    pub req: ReqId,
-    /// Whether `DrainOk` has been sent.
-    pub done: bool,
 }
 
 impl PeerServer {
     /// Where this site stands in the drain lifecycle.
     pub fn drain_phase(&self) -> DrainPhase {
-        match &self.draining {
-            None => DrainPhase::Active,
-            Some(d) if d.done => DrainPhase::Drained,
-            Some(_) => DrainPhase::Draining,
-        }
+        self.drain
     }
 
-    /// Handles [`Message::DrainReq`]: begin (or re-answer) a drain.
-    pub(crate) fn server_drain_req(&mut self, from: SiteId, req: ReqId) {
-        if let Some(d) = &mut self.draining {
-            // Duplicate request: re-point the reply and re-answer if the
-            // drain already finished (the supervisor may be retrying a
-            // step whose DrainOk it never saw).
-            d.requester = from;
-            d.req = req;
-            if d.done {
-                self.send(from, Message::DrainOk { req });
-            }
+    /// Handles [`ControlOp::Drain`](crate::ControlOp::Drain): begin a
+    /// drain, unless one is already under way or done.
+    pub(crate) fn begin_drain(&mut self) {
+        if self.drain != DrainPhase::Active {
             return;
         }
-        self.draining = Some(DrainState {
-            requester: from,
-            req,
-            done: false,
-        });
+        self.drain = DrainPhase::Draining;
         self.stats.drains_started += 1;
         self.obs
             .record(pscc_obs::EventKind::DrainBegin { site: self.site });
@@ -86,20 +64,21 @@ impl PeerServer {
         self.drain_check_fired();
     }
 
-    /// Handles [`Message::UndrainReq`]: reopen admission. Idempotent —
-    /// an already-active site (e.g. freshly restarted) just confirms.
-    pub(crate) fn server_undrain_req(&mut self, from: SiteId, req: ReqId) {
-        if self.draining.take().is_some() {
+    /// Handles [`ControlOp::Undrain`](crate::ControlOp::Undrain): reopen
+    /// admission. An already-active site (e.g. freshly restarted) is
+    /// left as it is.
+    pub(crate) fn undrain(&mut self) {
+        if self.drain != DrainPhase::Active {
+            self.drain = DrainPhase::Active;
             self.obs
                 .record(pscc_obs::EventKind::Undrained { site: self.site });
         }
-        self.send(from, Message::UndrainOk { req });
     }
 
     /// Whether a drain is closing admission right now (checked by
     /// [`PeerServer::admit`]).
     pub(crate) fn drain_refuses_admission(&self) -> bool {
-        self.draining.is_some()
+        self.drain != DrainPhase::Active
     }
 
     fn arm_drain_check(&mut self) {
@@ -127,8 +106,7 @@ impl PeerServer {
     /// The periodic `DrainCheck` tick: finish the drain when the site's
     /// owner-role work has retired, otherwise look again next tick.
     pub(crate) fn drain_check_fired(&mut self) {
-        let still_draining = matches!(&self.draining, Some(d) if !d.done);
-        if !still_draining {
+        if self.drain != DrainPhase::Draining {
             return; // stale fire: undrained or already done
         }
         if !self.drain_work_retired() {
@@ -142,19 +120,14 @@ impl PeerServer {
         }
     }
 
-    /// The drain's WAL force is durable: report `DrainOk`.
+    /// The drain's WAL force is durable: the site is drained.
     pub(crate) fn drain_forced(&mut self) {
-        let Some(d) = &mut self.draining else {
-            return; // undrained while the force was in flight
-        };
-        if d.done {
-            return;
+        if self.drain != DrainPhase::Draining {
+            return; // undrained while the force was in flight, or done
         }
-        d.done = true;
-        let (requester, req) = (d.requester, d.req);
+        self.drain = DrainPhase::Drained;
         self.stats.drains_completed += 1;
         self.obs
             .record(pscc_obs::EventKind::DrainDone { site: self.site });
-        self.send(requester, Message::DrainOk { req });
     }
 }

@@ -471,18 +471,13 @@ impl PeerServer {
     // Online tier rolls (control plane)
     // ------------------------------------------------------------------
 
-    /// Adopts `tier` for file number `file` — the reconciler's
-    /// zero-downtime tier roll. Both roles adjust conservatively: the
+    /// Handles [`ControlOp::SetTier`](crate::ControlOp::SetTier): adopts
+    /// `tier` for file number `file` — the reconciler's zero-downtime
+    /// tier roll. Both roles adjust conservatively: the
     /// edge purges its copies of the file (they were judged under the
     /// old tier), the owner side just lets its published state stand
     /// (publishing consults the new tier from now on).
-    pub(crate) fn handle_set_tier(
-        &mut self,
-        from: SiteId,
-        req: ReqId,
-        file: u32,
-        tier: ConsistencyTier,
-    ) {
+    pub(crate) fn set_tier(&mut self, file: u32, tier: ConsistencyTier) {
         self.cfg.edge_tiers.retain(|t| t.file != file);
         if !matches!(tier, ConsistencyTier::Strict) {
             self.cfg
@@ -490,7 +485,6 @@ impl PeerServer {
                 .push(pscc_common::EdgeTierSpec { file, tier });
         }
         self.edge_cache.purge_file(file);
-        self.send(from, Message::SetTierOk { req });
     }
 
     // ------------------------------------------------------------------

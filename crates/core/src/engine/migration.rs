@@ -2,16 +2,18 @@
 //!
 //! A migration re-homes the page-number range `[lo, hi)` from this site
 //! (the *source*) to a destination peer while the cluster serves
-//! traffic. The supervisor drives it in two control-plane steps —
-//! [`Message::MigratePrepare`] then [`Message::MigrateTransfer`] — and
-//! every step is fenced by WAL records so a crash at any point resolves
-//! to exactly one authoritative owner:
+//! traffic. The supervisor drives it in two control ops —
+//! [`ControlOp::MigratePrepare`] then [`ControlOp::MigrateCommit`] —
+//! and observes each step in the source's [`MigrationPhase`] and
+//! layout version; no step is answered. Every step is fenced by WAL
+//! records so a crash at any point resolves to exactly one
+//! authoritative owner:
 //!
 //! 1. **Prepare** — freeze new work on the range (remote requests shed
 //!    with `Busy`, owner-local accesses queued), wait for in-flight
 //!    work on it to drain (the `MigrationCheck` timer, one
 //!    `busy_retry_hint` per tick), force a [`LogPayload::MigrateBegin`]
-//!    record, answer [`Message::MigratePrepared`].
+//!    record, stand `Prepared`.
 //! 2. **Transfer** — ship the range's page images and copy-table
 //!    entries in one [`Message::TransferChunk`]. The destination stages
 //!    them (not yet installed), forces [`LogPayload::MigrateIn`] +
@@ -26,7 +28,7 @@
 //!    pages, adopts the layout, logs [`LogPayload::MigrateLand`] and
 //!    checkpoints (the landed images ride the checkpoint base), then
 //!    acks; the source logs a lazy [`LogPayload::MigrateEnd`], drops
-//!    its images, and reports [`Message::MigrateDone`].
+//!    its images, and returns to `Idle` at the new layout.
 //!
 //! Crash matrix (resolved by [`PeerServer::recover_migrations`]):
 //!
@@ -40,9 +42,17 @@
 //! [`Message::QueryMigration`] is answered *statelessly* from the
 //! directory (`layout reached` ∧ `range no longer ours` ⇔ committed),
 //! so the answer survives checkpoint truncation of the source's log.
+//!
+//! A repeated control op finds its work done or under way and does
+//! nothing twice: a second prepare while a migration is in flight, or
+//! once the range has moved, changes nothing; a commit or abort with no
+//! migration in flight changes nothing.
+//!
+//! [`ControlOp::MigratePrepare`]: crate::ControlOp::MigratePrepare
+//! [`ControlOp::MigrateCommit`]: crate::ControlOp::MigrateCommit
 
 use super::{DiskCont, PeerServer, TimerKind};
-use crate::msg::{CbTarget, DiskOp, Input, Message, Output, ReqId};
+use crate::msg::{CbTarget, DiskOp, Input, Message, Output};
 use pscc_common::{LockableId, PageId, SimTime, SiteId, Stage, TxnId};
 use pscc_storage::SlottedPage;
 use pscc_wal::{LogPayload, LogRecord};
@@ -63,7 +73,7 @@ pub enum MigrationPhase {
     /// Range frozen; waiting for in-flight work on it to drain and the
     /// `MigrateBegin` record to force.
     Preparing,
-    /// `MigratePrepared` sent; awaiting the supervisor's transfer step.
+    /// `MigrateBegin` is durable; awaiting the supervisor's commit op.
     Prepared,
     /// `TransferChunk` shipped; awaiting the destination's durable ack.
     Transferring,
@@ -75,10 +85,6 @@ pub enum MigrationPhase {
 /// Book-keeping for an in-progress outbound migration at the source.
 #[derive(Debug)]
 pub(crate) struct MigrationState {
-    /// The supervisor (step replies go here).
-    pub requester: SiteId,
-    /// Correlates the current step's reply.
-    pub req: ReqId,
     pub lo: u32,
     pub hi: u32,
     pub to: SiteId,
@@ -131,44 +137,24 @@ impl PeerServer {
     // Source: prepare
     // ------------------------------------------------------------------
 
-    /// Handles [`Message::MigratePrepare`]: freeze the range and start
+    /// Handles [`ControlOp::MigratePrepare`]: freeze the range and start
     /// draining in-flight work on it.
-    pub(crate) fn server_migrate_prepare(
-        &mut self,
-        from: SiteId,
-        req: ReqId,
-        lo: u32,
-        hi: u32,
-        to: SiteId,
-    ) {
-        if let Some(m) = &mut self.migrating {
-            if m.lo == lo && m.hi == hi && m.to == to {
-                // Duplicate (supervisor retry): re-point the reply and
-                // re-answer if the prepare already finished.
-                m.requester = from;
-                m.req = req;
-                if m.phase != MigrationPhase::Preparing {
-                    self.send(from, Message::MigratePrepared { req });
-                }
-            }
-            // A different in-flight migration: drop the request; the
-            // supervisor runs one move at a time and will retry.
-            return;
-        }
+    ///
+    /// [`ControlOp::MigratePrepare`]: crate::ControlOp::MigratePrepare
+    pub(crate) fn migrate_prepare(&mut self, lo: u32, hi: u32, to: SiteId) {
+        // A migration in flight (a retry of this one, or another move:
+        // the supervisor runs one at a time and will retry) or a range
+        // that already moved (a committed migration this retry crossed)
+        // leaves nothing to start.
         let probe = PageId::new(
             pscc_common::FileId::new(pscc_common::VolId(self.site.0), 0),
             lo,
         );
-        if self.owners.owner_of(probe) != Some(self.site) {
-            // The range already moved (a committed migration this retry
-            // crossed): the prepare is trivially satisfied.
-            self.send(from, Message::MigratePrepared { req });
+        if self.migrating.is_some() || self.owners.owner_of(probe) != Some(self.site) {
             return;
         }
         let layout = self.owners.version() + 1;
         self.migrating = Some(MigrationState {
-            requester: from,
-            req,
             lo,
             hi,
             to,
@@ -265,35 +251,31 @@ impl PeerServer {
         }
     }
 
-    /// The `MigrateBegin` force is durable: report `MigratePrepared`.
+    /// The `MigrateBegin` force is durable: the range is prepared.
     pub(crate) fn migrate_prepare_forced(&mut self) {
-        let Some(m) = &mut self.migrating else {
-            return; // aborted while the force was in flight
-        };
-        if m.phase != MigrationPhase::Preparing {
-            return;
+        if let Some(m) = &mut self.migrating {
+            // Still `Preparing` unless aborted while the force was in
+            // flight.
+            if m.phase == MigrationPhase::Preparing {
+                m.phase = MigrationPhase::Prepared;
+            }
         }
-        m.phase = MigrationPhase::Prepared;
-        let (requester, req) = (m.requester, m.req);
-        self.send(requester, Message::MigratePrepared { req });
     }
 
     // ------------------------------------------------------------------
     // Source: transfer and commit
     // ------------------------------------------------------------------
 
-    /// Handles [`Message::MigrateTransfer`]: ship the prepared range.
-    pub(crate) fn server_migrate_transfer(&mut self, from: SiteId, req: ReqId) {
+    /// Handles [`ControlOp::MigrateCommit`]: ship the prepared range.
+    ///
+    /// [`ControlOp::MigrateCommit`]: crate::ControlOp::MigrateCommit
+    pub(crate) fn migrate_transfer(&mut self) {
+        // No migration in flight: a retry that crossed completion (or
+        // crash roll-forward). The layout already tells the supervisor
+        // everything it needs.
         let Some(m) = &mut self.migrating else {
-            // No migration in flight: a retry that crossed completion
-            // (or crash roll-forward). The layout already tells the
-            // supervisor everything it needs.
-            let layout = self.owners.version();
-            self.send(from, Message::MigrateDone { req, layout });
             return;
         };
-        m.requester = from;
-        m.req = req;
         match m.phase {
             MigrationPhase::Preparing => (), // not ready; supervisor retries
             MigrationPhase::Prepared | MigrationPhase::Transferring => {
@@ -425,7 +407,7 @@ impl PeerServer {
 
     /// Handles [`Message::MigrateActivated`]: the destination serves
     /// the range — discard our images, log the (lazy) end record, and
-    /// report `MigrateDone`.
+    /// retire the migration.
     pub(crate) fn server_migrate_activated(&mut self, from: SiteId, lo: u32, hi: u32, layout: u64) {
         let Some(idx) = self
             .migrated_out
@@ -444,9 +426,7 @@ impl PeerServer {
         }
         if let Some(m) = &self.migrating {
             if m.lo == lo && m.hi == hi {
-                let (requester, req) = (m.requester, m.req);
                 let queued = self.migrating.take().map(|m| m.queued).unwrap_or_default();
-                self.send(requester, Message::MigrateDone { req, layout });
                 // Frozen-range work re-routes through the new layout.
                 for w in queued {
                     self.internal.push_back(w);
@@ -459,59 +439,38 @@ impl PeerServer {
     // Source: abort
     // ------------------------------------------------------------------
 
-    /// Handles [`Message::MigrateAbortReq`]: roll back if the commit
-    /// record is not yet durable, otherwise complete forward.
-    pub(crate) fn server_migrate_abort(&mut self, from: SiteId, req: ReqId) {
-        match &self.migrating {
-            None => {
-                // Nothing in flight; report which way the last move (if
-                // any) resolved so the supervisor's view converges.
-                let committed = !self.migrated_out.is_empty();
-                self.send(from, Message::MigrateAborted { req, committed });
-            }
-            Some(m) if m.phase == MigrationPhase::Committing => {
-                // Past the point of no return: the abort loses.
-                self.send(
-                    from,
-                    Message::MigrateAborted {
-                        req,
-                        committed: true,
-                    },
-                );
-            }
-            Some(_) => {
-                let m = self.migrating.take().expect("checked above");
-                self.log.append(LogRecord {
-                    txn: migration_txn(self.site),
-                    payload: LogPayload::MigrateRollback { lo: m.lo, hi: m.hi },
-                });
-                self.stats.migrations_aborted += 1;
-                self.obs.record(pscc_obs::EventKind::MigrationAborted {
-                    site: self.site,
-                    lo: m.lo,
-                    hi: m.hi,
-                });
-                // The destination may hold a staged copy: discard it.
-                self.send(
-                    m.to,
-                    Message::MigrationResolved {
-                        lo: m.lo,
-                        hi: m.hi,
-                        layout: m.layout,
-                        committed: false,
-                    },
-                );
-                self.send(
-                    from,
-                    Message::MigrateAborted {
-                        req,
-                        committed: false,
-                    },
-                );
-                for w in m.queued {
-                    self.internal.push_back(w);
-                }
-            }
+    /// Handles [`ControlOp::MigrateAbort`]: roll back if the commit
+    /// record is not yet durable, otherwise complete forward. With
+    /// nothing in flight there is nothing to do.
+    ///
+    /// [`ControlOp::MigrateAbort`]: crate::ControlOp::MigrateAbort
+    pub(crate) fn migrate_abort(&mut self) {
+        // Past the point of no return, the abort loses.
+        let Some(m) = (self.migrating).take_if(|m| m.phase != MigrationPhase::Committing) else {
+            return;
+        };
+        self.log.append(LogRecord {
+            txn: migration_txn(self.site),
+            payload: LogPayload::MigrateRollback { lo: m.lo, hi: m.hi },
+        });
+        self.stats.migrations_aborted += 1;
+        self.obs.record(pscc_obs::EventKind::MigrationAborted {
+            site: self.site,
+            lo: m.lo,
+            hi: m.hi,
+        });
+        // The destination may hold a staged copy: discard it.
+        self.send(
+            m.to,
+            Message::MigrationResolved {
+                lo: m.lo,
+                hi: m.hi,
+                layout: m.layout,
+                committed: false,
+            },
+        );
+        for w in m.queued {
+            self.internal.push_back(w);
         }
     }
 

@@ -32,8 +32,8 @@ use crate::cache::ClientCache;
 use crate::copy_table::CopyTable;
 use crate::fifo_map::BoundedFifoMap;
 use crate::msg::{
-    AppOp, AppReply, CbId, CbTarget, DeId, DiskOp, DiskReqId, Input, Message, Output, ReqId,
-    TimerId,
+    AppOp, AppReply, CbId, CbTarget, ControlOp, DeId, DiskOp, DiskReqId, Input, Message, Output,
+    ReqId, TimerId,
 };
 use crate::owner_map::OwnerMap;
 use crate::ownership::OwnershipDirectory;
@@ -208,11 +208,11 @@ pub(crate) enum DiskCont {
     CommitApply(commit::CommitApply),
     /// The log force at the end of commit application completed.
     CommitForced(commit::CommitApply),
-    /// The WAL force at the end of a graceful drain completed; report
-    /// `DrainOk` to the control plane (engine/drain.rs).
+    /// The WAL force at the end of a graceful drain completed; the site
+    /// is drained (engine/drain.rs).
     DrainForced,
-    /// A migration's `MigrateBegin` force completed at the source;
-    /// report `MigratePrepared` (engine/migration.rs).
+    /// A migration's `MigrateBegin` force completed at the source; the
+    /// range is prepared (engine/migration.rs).
     MigratePrepareForced,
     /// A migration's `MigrateCommit` force completed at the source;
     /// publish the new layout and offer activation.
@@ -432,9 +432,9 @@ pub struct PeerServer {
     pub(crate) dead_txns: BoundedFifoMap<TxnId, ()>,
 
     // Control plane (DESIGN.md §8).
-    /// In-progress or completed graceful drain, if any. While set, new
+    /// Where the site stands in a graceful drain. Unless `Active`, new
     /// remote data requests are refused with `Busy` (engine/drain.rs).
-    pub(crate) draining: Option<drain::DrainState>,
+    pub(crate) drain: DrainPhase,
 
     // Ownership migration (DESIGN.md §10).
     /// In-progress outbound migration at this site as the source.
@@ -577,7 +577,7 @@ impl PeerServer {
             credit_waiters: HashMap::default(),
             inflight: HashMap::default(),
             dead_txns: BoundedFifoMap::new(DEAD_TXN_MEMORY),
-            draining: None,
+            drain: DrainPhase::Active,
             migrating: None,
             migrating_in: None,
             migrated_out: Vec::new(),
@@ -804,6 +804,14 @@ impl PeerServer {
         self.cur_ctx = None;
         match input {
             Input::App(req) => self.handle_app(req),
+            Input::Control(op) => match op {
+                ControlOp::Drain => self.begin_drain(),
+                ControlOp::Undrain => self.undrain(),
+                ControlOp::MigratePrepare { lo, hi, to } => self.migrate_prepare(lo, hi, to),
+                ControlOp::MigrateCommit => self.migrate_transfer(),
+                ControlOp::MigrateAbort => self.migrate_abort(),
+                ControlOp::SetTier { file, tier } => self.set_tier(file, tier),
+            },
             Input::Msg { from, msg } => self.handle_msg(from, msg),
             Input::DiskDone { req } => self.handle_disk_done(req),
             Input::TimerFired { timer } => self.handle_timer(timer),
@@ -859,11 +867,8 @@ impl PeerServer {
         }
         let msg = self.trace_wrap(to, msg);
         self.stats.msgs_sent += 1;
-        // Control-plane replies go to the supervisor, which is not a
-        // peer: never start heartbeating it.
-        let control = msg.is_control_plane();
         self.out.push(Output::Send { to, msg });
-        if self.cfg.leases_enabled && !control {
+        if self.cfg.leases_enabled {
             self.note_contact(to);
         }
     }
@@ -1364,10 +1369,7 @@ impl PeerServer {
             }
             m => m,
         };
-        // Control-plane messages come from the supervisor, not a peer:
-        // no lease is armed for their sender (it owns no data and does
-        // not heartbeat).
-        if self.cfg.leases_enabled && from != self.site && !msg.is_control_plane() {
+        if self.cfg.leases_enabled && from != self.site {
             self.observe_peer(from);
         }
         // Epoch fence: a peer that must rejoin (this server restarted,
@@ -1456,19 +1458,7 @@ impl PeerServer {
                 self.client_txn_resolved(from, txn, committed)
             }
 
-            // Control plane (DESIGN.md §8).
-            Message::DrainReq { req } => self.server_drain_req(from, req),
-            Message::UndrainReq { req } => self.server_undrain_req(from, req),
-            // Drain verdicts are addressed to the supervisor; an engine
-            // receiving one (e.g. a duplicated frame) ignores it.
-            Message::DrainOk { .. } | Message::UndrainOk { .. } => (),
-
             // Ownership migration (DESIGN.md §10).
-            Message::MigratePrepare { req, lo, hi, to } => {
-                self.server_migrate_prepare(from, req, lo, hi, to)
-            }
-            Message::MigrateTransfer { req } => self.server_migrate_transfer(from, req),
-            Message::MigrateAbortReq { req } => self.server_migrate_abort(from, req),
             Message::TransferChunk {
                 lo,
                 hi,
@@ -1499,11 +1489,6 @@ impl PeerServer {
                 layout,
                 new_owner,
             } => self.client_wrong_owner(from, req, lo, hi, layout, new_owner),
-            // Migration step replies are addressed to the supervisor;
-            // an engine receiving one ignores it.
-            Message::MigratePrepared { .. }
-            | Message::MigrateDone { .. }
-            | Message::MigrateAborted { .. } => (),
 
             // Large objects (paper §4.4).
             Message::FetchLargePage { req, page } => self.server_fetch_large(req, from, page),
@@ -1557,8 +1542,6 @@ impl PeerServer {
                 epoch,
                 resubscribed,
             } => self.edge_renew_ok(from, req, epoch, resubscribed),
-            Message::SetTierReq { req, file, tier } => self.handle_set_tier(from, req, file, tier),
-            Message::SetTierOk { .. } => (),
 
             // Unreachable: the envelope was peeled at the top of this
             // function (nested envelopes are never produced).

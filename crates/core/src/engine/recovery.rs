@@ -159,13 +159,6 @@ impl PeerServer {
         if from == self.site {
             return false;
         }
-        // Control-plane traffic bypasses the fence entirely: the
-        // supervisor is not a peer with cached state (it never joins an
-        // epoch), and a freshly restarted site must be drainable and
-        // undrainable before any peer has rejoined.
-        if msg.is_control_plane() {
-            return false;
-        }
         let current = match self.joined.get(&from) {
             Some(&e) => e == self.epoch,
             // First contact with a server that never restarted joins

@@ -55,8 +55,6 @@
 //! ```
 
 pub mod codec;
-#[cfg(feature = "fault-inject")]
-pub mod fault;
 mod lanes;
 mod mailbox;
 mod poll;

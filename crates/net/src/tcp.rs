@@ -143,8 +143,6 @@ pub struct TcpNode<M> {
     backoff_base: Duration,
     backoff_max: Duration,
     max_retries: u32,
-    #[cfg(feature = "fault-inject")]
-    fault_hook: Mutex<Option<crate::fault::FaultHook>>,
 }
 
 /// Everything inbound: held by the thread that receives, and by a send
@@ -275,8 +273,6 @@ impl<M: Wire + Send + 'static> TcpNode<M> {
             backoff_base: Duration::from_millis(10),
             backoff_max: Duration::from_millis(1_000),
             max_retries: 5,
-            #[cfg(feature = "fault-inject")]
-            fault_hook: Mutex::new(None),
         })
     }
 
@@ -293,15 +289,6 @@ impl<M: Wire + Send + 'static> TcpNode<M> {
     pub fn set_trace(&self, handle: TraceHandle) {
         if let Ok(mut guard) = self.tally.trace.lock() {
             *guard = Some(handle);
-        }
-    }
-
-    /// Installs a fault-injection hook consulted before every physical
-    /// write (chaos testing over real sockets).
-    #[cfg(feature = "fault-inject")]
-    pub fn set_fault_hook(&self, hook: crate::fault::FaultHook) {
-        if let Ok(mut guard) = self.fault_hook.lock() {
-            *guard = Some(hook);
         }
     }
 
@@ -602,35 +589,13 @@ impl<M: Wire> Reader<M> {
 
 impl<M: Wire + Send + 'static> Transport<M> for TcpNode<M> {
     fn send(&self, to: SiteId, path: PathId, msg: M) {
-        #[cfg(feature = "spans")]
-        let _span = pscc_obs::span("tcp_send");
-        #[cfg(feature = "fault-inject")]
-        let duplicate = {
-            let action = self
-                .fault_hook
-                .lock()
-                .ok()
-                .and_then(|g| g.as_ref().map(|h| h(to, path)))
-                .unwrap_or(crate::fault::FaultAction::Deliver);
-            match action {
-                crate::fault::FaultAction::Deliver => false,
-                crate::fault::FaultAction::Drop => return,
-                crate::fault::FaultAction::Duplicate => true,
-            }
-        };
-        // One buffer per send: the duplicate and every retry write the
-        // same encoded frame.
+        // One buffer per send: every retry writes the same encoded frame.
         let mut buf = BytesMut::new();
         if encode_frame(&msg, &mut buf).is_err() {
             // Over the frame limit: no retry can send it. Surface it as
             // an abandoned send.
             self.tally.disconnect(to);
             return;
-        }
-        // Physical duplicate on the same ordered stream.
-        #[cfg(feature = "fault-inject")]
-        if duplicate {
-            let _ = self.try_write(to, path, &buf);
         }
         // Retry with exponential backoff + reconnect instead of dying
         // silently on the first connect/write failure.
@@ -855,32 +820,6 @@ mod tests {
             pscc_obs::EventKind::NetDisconnect { peer: SiteId(7) }
         )));
         node.shutdown();
-    }
-
-    #[cfg(feature = "fault-inject")]
-    #[test]
-    fn tcp_fault_hook_drops_and_duplicates() {
-        use std::sync::atomic::AtomicUsize;
-        let (n0, n1) = two_nodes::<String>();
-        let calls = Arc::new(AtomicUsize::new(0));
-        let c = Arc::clone(&calls);
-        n0.set_fault_hook(Box::new(move |_, _| {
-            match c.fetch_add(1, Ordering::Relaxed) {
-                0 => crate::fault::FaultAction::Drop,
-                1 => crate::fault::FaultAction::Duplicate,
-                _ => crate::fault::FaultAction::Deliver,
-            }
-        }));
-        n0.send(SiteId(1), PathId(0), "dropped".to_string());
-        n0.send(SiteId(1), PathId(0), "duped".to_string());
-        n0.send(SiteId(1), PathId(0), "normal".to_string());
-        let mut got = Vec::new();
-        while let Some(env) = n1.recv_timeout(Duration::from_millis(500)) {
-            got.push(env.msg);
-        }
-        assert_eq!(got, vec!["duped", "duped", "normal"]);
-        n0.shutdown();
-        n1.shutdown();
     }
 
     #[test]

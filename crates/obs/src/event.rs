@@ -167,8 +167,8 @@ pub enum EventKind {
     /// A site began a graceful drain on behalf of the control plane: new
     /// remote data requests are refused while in-flight work retires.
     DrainBegin { site: SiteId },
-    /// A draining site retired its admitted work, forced its WAL, and
-    /// reported `DrainOk` to the requester.
+    /// A draining site retired its admitted work and forced its WAL: it
+    /// is drained.
     DrainDone { site: SiteId },
     /// The cluster supervisor issued one reconciliation step against a
     /// site (`step` names it: drain/stop/restart/rejoin/undrain).

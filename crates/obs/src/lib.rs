@@ -12,7 +12,6 @@ pub mod critical_path;
 pub mod event;
 pub mod hist;
 pub mod registry;
-pub mod span;
 pub mod timeline;
 pub mod trace;
 
@@ -21,6 +20,5 @@ pub use critical_path::TxnBreakdown;
 pub use event::{EventKind, EventRing, TraceEvent};
 pub use hist::Histogram;
 pub use registry::MetricsRegistry;
-pub use span::{span, SpanGuard};
 pub use timeline::{AvailabilityTimeline, AvailabilityWindow};
 pub use trace::{build_span_trees, render_perfetto, SpanTree};

@@ -19,7 +19,6 @@
 use crate::chaos::{FaultDecision, FaultPlan};
 use crate::cost::CostModel;
 use crate::driver::{AppDriver, DriverAction};
-use crate::testkit::CONTROLLER;
 use pscc_common::hash::HashMap;
 use pscc_common::{AppId, Counters, PsccError, SimDuration, SimTime, SiteId, SystemConfig};
 use pscc_control::Supervisor;
@@ -155,12 +154,8 @@ pub struct Simulation {
     reorder_held: HashMap<Link, Vec<Message>>,
     /// Replies to applications no driver runs, for `take_replies`.
     pub(crate) replies: Vec<(SiteId, AppReply)>,
-    /// Replies addressed to [`CONTROLLER`], intercepted before routing.
-    pub(crate) control_inbox: Vec<(SiteId, Message)>,
     /// The active manifest's reconciler (`apply_manifest`).
     pub(crate) supervisor: Option<Supervisor>,
-    /// Request-id allocator for control messages sent as [`CONTROLLER`].
-    pub(crate) next_ctl_req: u64,
     /// Every trace ring enabled over the run: a restarted site records
     /// into a fresh ring, and the old one stays for the merged stream.
     traces: Vec<TraceHandle>,
@@ -234,9 +229,7 @@ impl Simulation {
             faults: None,
             reorder_held: HashMap::default(),
             replies: Vec::new(),
-            control_inbox: Vec::new(),
             supervisor: None,
-            next_ctl_req: 0,
             traces: Vec::new(),
             trace_cap: 0,
             outs: Vec::new(),
@@ -494,16 +487,6 @@ impl Simulation {
     /// Routes one send, made at `at`, through the fault plan (if any)
     /// into the policy's queue.
     fn route(&mut self, from: SiteId, to: SiteId, msg: Message, at: SimTime) {
-        if to == CONTROLLER {
-            // The supervisor runs no engine; its replies are intercepted
-            // here. Anything that is not a control-plane verdict — e.g. a
-            // heartbeat from a site that somehow learned the address — is
-            // dropped.
-            if msg.is_control_plane() {
-                self.control_inbox.push((from, msg));
-            }
-            return;
-        }
         let link = (from, to, PathId(msg.path() as u8));
         let decision = match &mut self.faults {
             Some(plan) => plan.decide(at, from, to, link.2),

@@ -14,15 +14,9 @@ use pscc_control::{
     Harness, MigrationObs, ObservedSite, SitePhase, Supervisor,
 };
 use pscc_core::{
-    AppOp, AppReply, AppRequest, DrainPhase, Input, Message, MigrationPhase, PeerServer, ReqId,
+    AppOp, AppReply, AppRequest, ControlOp, DrainPhase, Input, MigrationPhase, PeerServer,
 };
 use pscc_obs::EventKind;
-
-/// The pseudo-site the cluster supervisor speaks as. It runs no engine:
-/// control messages *from* it are injected directly into a site's
-/// inbox, and replies *to* it are intercepted by the harness before
-/// routing (no site index exists for it).
-pub const CONTROLLER: SiteId = SiteId(u32::MAX);
 
 impl Simulation {
     /// Submits an application request without waiting.
@@ -179,22 +173,12 @@ impl Simulation {
     // The control plane (DESIGN.md §8)
     // ------------------------------------------------------------------
 
-    /// Injects a control message from [`CONTROLLER`] into `site`'s
-    /// engine and routes the outputs. A message to a crashed site is
-    /// lost, exactly like a network frame.
-    pub fn send_control(&mut self, to: SiteId, msg: Message) {
+    /// Hands a control op to `site`'s engine and routes the outputs. An
+    /// op for a crashed site is lost.
+    pub fn send_control(&mut self, to: SiteId, op: ControlOp) {
         if !self.is_crashed(to) {
-            let input = Input::Msg {
-                from: CONTROLLER,
-                msg,
-            };
-            self.accept(to.0 as usize, input);
+            self.accept(to.0 as usize, Input::Control(op));
         }
-    }
-
-    /// Control-plane verdicts (`DrainOk`/`UndrainOk`) collected so far.
-    pub fn take_control_replies(&mut self) -> Vec<(SiteId, Message)> {
-        std::mem::take(&mut self.control_inbox)
     }
 
     /// A point-in-time [`ClusterView`] of every site: liveness from the
@@ -300,11 +284,8 @@ impl Harness for Simulation {
         // Illegal transitions (e.g. stopping a site that crashed on its
         // own mid-step) are probed, not fatal: the reconciler re-plans
         // from the next observation.
-        match control_message(action, ReqId(self.next_ctl_req + 1)) {
-            Some(msg) => {
-                self.next_ctl_req += 1;
-                self.send_control(site, msg);
-            }
+        match control_op(action) {
+            Some(op) => self.send_control(site, op),
             None if matches!(action, ControlAction::Stop(_)) => {
                 let _ = self.try_crash_site(site);
             }
@@ -351,20 +332,19 @@ pub(crate) fn observe_site(s: &PeerServer, up: bool) -> ObservedSite {
     }
 }
 
-/// The control message that carries `action`, sent as [`CONTROLLER`]
-/// with request id `req`: the one mapping, for both harnesses. `None`
-/// for `Stop` and `Restart`, which act on the site's process, not its
-/// engine.
-pub(crate) fn control_message(action: ControlAction, req: ReqId) -> Option<Message> {
+/// The engine op that carries `action`: the one mapping, for both
+/// harnesses. `None` for `Stop` and `Restart`, which act on the site's
+/// process, not its engine.
+pub(crate) fn control_op(action: ControlAction) -> Option<ControlOp> {
     Some(match action {
-        ControlAction::Drain(_) => Message::DrainReq { req },
-        ControlAction::Undrain(_) => Message::UndrainReq { req },
+        ControlAction::Drain(_) => ControlOp::Drain,
+        ControlAction::Undrain(_) => ControlOp::Undrain,
         ControlAction::MigratePrepare { lo, hi, to, .. } => {
-            Message::MigratePrepare { req, lo, hi, to }
+            ControlOp::MigratePrepare { lo, hi, to }
         }
-        ControlAction::MigrateCommit { .. } => Message::MigrateTransfer { req },
-        ControlAction::MigrateAbort { .. } => Message::MigrateAbortReq { req },
-        ControlAction::SetTier { file, tier, .. } => Message::SetTierReq { req, file, tier },
+        ControlAction::MigrateCommit { .. } => ControlOp::MigrateCommit,
+        ControlAction::MigrateAbort { .. } => ControlOp::MigrateAbort,
+        ControlAction::SetTier { file, tier, .. } => ControlOp::SetTier { file, tier },
         ControlAction::Stop(_) | ControlAction::Restart(_) => return None,
     })
 }

@@ -29,15 +29,15 @@
 //! site pay for waking it (see [`ThreadedCluster::recv_reply`]).
 
 use crate::sim::restart_engine;
-use crate::testkit::{control_message, observe_site, CONTROLLER};
+use crate::testkit::{control_op, observe_site};
 use pscc_common::{AppId, PsccError, SimDuration, SimTime, SiteId, SystemConfig, TxnId};
 use pscc_control::{
     ClusterManifest, ClusterView, ControlAction, ConvergeError, ConvergeReport, Harness,
     ManifestError, ObservedSite, Supervisor,
 };
 use pscc_core::{
-    AppOp, AppReply, AppRequest, DiskOp, DiskReqId, Env, Input, Message, OwnerMap, PeerServer,
-    ReqId, TimerId,
+    AppOp, AppReply, AppRequest, ControlOp, DiskOp, DiskReqId, Env, Input, Message, OwnerMap,
+    PeerServer, TimerId,
 };
 use pscc_net::{Envelope, InProcNetwork, PathId, Transport, Waker};
 use std::cmp::Reverse;
@@ -52,8 +52,8 @@ enum Cmd {
     App(AppRequest),
     /// Ask the site to report its counters.
     Stats(mpsc::SyncSender<pscc_common::Counters>),
-    /// Inject a control-plane message as [`CONTROLLER`].
-    Control(Message),
+    /// Hand a control op to the engine.
+    Control(ControlOp),
     /// Ask the site to report what the control plane observes of it.
     Probe(mpsc::SyncSender<ObservedSite>),
     /// Restart the engine in place: the current instance is dropped (the
@@ -173,7 +173,6 @@ fn view_of(sites: &[SiteHandle], start: Instant) -> ClusterView {
 struct Remote {
     sites: Vec<SiteHandle>,
     start: Instant,
-    next_req: u64,
 }
 
 impl Harness for Remote {
@@ -182,9 +181,8 @@ impl Harness for Remote {
     }
 
     fn execute(&mut self, action: ControlAction) {
-        self.next_req += 1;
-        let cmd = match control_message(action, ReqId(self.next_req)) {
-            Some(msg) => Cmd::Control(msg),
+        let cmd = match control_op(action) {
+            Some(op) => Cmd::Control(op),
             // A thread-hosted site has no stopped state: Stop and
             // Restart are both the in-place crash and recovery, so the
             // site is never observed down and its Stop step completes on
@@ -211,10 +209,9 @@ struct Site<T> {
     idle_wait: Duration,
 }
 
-/// A site's [`Env`]: sends go to the transport (acks to [`CONTROLLER`]
-/// are dropped — the supervisor polls probes instead), timers to a
-/// wall-clock heap, replies to the driver channel; disks complete at
-/// once (storage is in memory).
+/// A site's [`Env`]: sends go to the transport, timers to a wall-clock
+/// heap, replies to the applications' channel; disks complete at once
+/// (storage is in memory).
 struct SiteIo<T> {
     transport: T,
     /// Armed timers, earliest first.
@@ -224,9 +221,7 @@ struct SiteIo<T> {
 
 impl<T: Transport<Message>> Env for SiteIo<T> {
     fn send(&mut self, to: SiteId, msg: Message) {
-        if to != CONTROLLER {
-            self.transport.send(to, PathId(msg.path() as u8), msg);
-        }
+        self.transport.send(to, PathId(msg.path() as u8), msg);
     }
     fn disk(&mut self, _: DiskReqId, _: DiskOp) -> bool {
         true
@@ -301,10 +296,7 @@ impl<T: Transport<Message>> Site<T> {
             Cmd::Stats(tx) => {
                 let _ = tx.send(self.engine.stats);
             }
-            Cmd::Control(msg) => self.handle(Input::Msg {
-                from: CONTROLLER,
-                msg,
-            }),
+            Cmd::Control(op) => self.handle(Input::Control(op)),
             Cmd::Probe(tx) => {
                 let _ = tx.send(observe_site(&self.engine, true));
             }
@@ -545,9 +537,9 @@ impl ThreadedCluster {
         }
     }
 
-    /// Injects a control-plane message at `site` as [`CONTROLLER`].
-    pub fn send_control(&self, site: SiteId, msg: Message) {
-        let _ = self.sites[site.0 as usize].send(Cmd::Control(msg));
+    /// Hands a control op to `site`'s engine.
+    pub fn send_control(&self, site: SiteId, op: ControlOp) {
+        let _ = self.sites[site.0 as usize].send(Cmd::Control(op));
     }
 
     /// What the control plane observes of `site`.
@@ -591,7 +583,6 @@ impl ThreadedCluster {
         let mut remote = Remote {
             sites: self.sites.clone(),
             start: self.start,
-            next_req: 0,
         };
         Ok(std::thread::spawn(move || {
             sup.converge(&mut remote, poll, budget)

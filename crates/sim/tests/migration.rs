@@ -18,7 +18,7 @@ use pscc_common::{
 use pscc_control::{
     ClusterManifest, ControlStatus, ConvergeError, DesiredState, MoveRange, SiteSpec, StepKind,
 };
-use pscc_core::{AppOp, AppReply, Message, MigrationPhase, OwnerMap, ReqId};
+use pscc_core::{AppOp, AppReply, ControlOp, MigrationPhase, OwnerMap};
 use pscc_obs::event::EventKind;
 use pscc_obs::AvailabilityTimeline;
 use pscc_sim::chaos::FaultPlan;
@@ -546,6 +546,28 @@ fn churn_migration_trace_is_pinned() {
     }
 }
 
+/// Hands `op` to `site` and checks that it changed nothing: no counter,
+/// no site's layout or migration phase, and nothing sent. A control op
+/// is not answered, so a repeat finds its work done or under way in the
+/// engine's state and must leave that state alone.
+fn assert_op_changes_nothing(c: &mut Simulation, site: SiteId, op: ControlOp) {
+    let state = |c: &Simulation| {
+        let sites: Vec<_> = (c.sites.iter())
+            .map(|s| {
+                (
+                    s.layout_version(),
+                    s.migration_phase(),
+                    s.migration_inbound(),
+                )
+            })
+            .collect();
+        (c.total_stats(), sites, c.in_flight())
+    };
+    let before = state(c);
+    c.send_control(site, op);
+    assert_eq!(state(c), before, "{op:?} at {site} changed something");
+}
+
 /// Crash the source mid-Transfer, after the destination has staged the
 /// chunk but before the `TransferAck` can land: no `MigrateCommit`
 /// record is durable, so recovery must roll the migration back, tell
@@ -560,8 +582,7 @@ fn crash_source_mid_transfer_rolls_back() {
 
     c.send_control(
         OWNER_A,
-        Message::MigratePrepare {
-            req: ReqId(9001),
+        ControlOp::MigratePrepare {
             lo: 0,
             hi: 50,
             to: OWNER_B,
@@ -576,10 +597,24 @@ fn crash_source_mid_transfer_rolls_back() {
         ),
         "source never reached Prepared"
     );
+    // A repeated prepare, of this move or another, starts nothing.
+    let prepare = ControlOp::MigratePrepare {
+        lo: 0,
+        hi: 50,
+        to: OWNER_B,
+    };
+    assert_op_changes_nothing(&mut c, OWNER_A, prepare);
+    let other = ControlOp::MigratePrepare {
+        lo: 50,
+        hi: 60,
+        to: OWNER_B,
+    };
+    assert_op_changes_nothing(&mut c, OWNER_A, other);
+    assert_eq!(c.total_stats().migrations_started, 1);
 
     // Ship the chunk; crash the source the moment the destination has
     // staged it. The ack racing back finds a dead source.
-    c.send_control(OWNER_A, Message::MigrateTransfer { req: ReqId(9002) });
+    c.send_control(OWNER_A, ControlOp::MigrateCommit);
     assert!(
         pump_until(
             &mut c,
@@ -611,6 +646,8 @@ fn crash_source_mid_transfer_rolls_back() {
         "destination must discard the staged copy of an aborted migration"
     );
     assert!(c.total_stats().migrations_aborted >= 1);
+    // An abort with nothing in flight has nothing to undo.
+    assert_op_changes_nothing(&mut c, OWNER_A, ControlOp::MigrateAbort);
 
     // The source is still the owner and the data never moved.
     assert_eq!(
@@ -651,8 +688,7 @@ fn crash_dest_while_staged_still_completes() {
 
     c.send_control(
         OWNER_A,
-        Message::MigratePrepare {
-            req: ReqId(9101),
+        ControlOp::MigratePrepare {
             lo: 0,
             hi: 50,
             to: OWNER_B,
@@ -667,7 +703,7 @@ fn crash_dest_while_staged_still_completes() {
         ),
         "source never reached Prepared"
     );
-    c.send_control(OWNER_A, Message::MigrateTransfer { req: ReqId(9102) });
+    c.send_control(OWNER_A, ControlOp::MigrateCommit);
     assert!(
         pump_until(
             &mut c,
@@ -684,7 +720,7 @@ fn crash_dest_while_staged_still_completes() {
     // re-issue the transfer as the supervisor's retry would, covering
     // the interleaving where the ack died with the destination.
     c.pump_for(SimDuration::from_secs(1));
-    c.send_control(OWNER_A, Message::MigrateTransfer { req: ReqId(9103) });
+    c.send_control(OWNER_A, ControlOp::MigrateCommit);
     assert!(
         pump_until(
             &mut c,
@@ -702,6 +738,15 @@ fn crash_dest_while_staged_still_completes() {
         c.sites[OWNER_B.0 as usize].migration_inbound(),
         c.sites[OWNER_B.0 as usize].layout_version(),
     );
+    // A commit retried after completion finds the move done, and a
+    // repeated prepare finds the range gone.
+    assert_op_changes_nothing(&mut c, OWNER_A, ControlOp::MigrateCommit);
+    let prepare = ControlOp::MigratePrepare {
+        lo: 0,
+        hi: 50,
+        to: OWNER_B,
+    };
+    assert_op_changes_nothing(&mut c, OWNER_A, prepare);
 
     // Data landed at the destination; fresh updates route there.
     assert_eq!(

@@ -18,7 +18,7 @@ use pscc_common::{
     VolId,
 };
 use pscc_control::{ClusterManifest, ControlStatus, SitePhase};
-use pscc_core::{AppOp, AppReply, Message, OwnerMap, ReqId};
+use pscc_core::{AppOp, AppReply, ControlOp, OwnerMap};
 use pscc_obs::event::EventKind;
 use pscc_obs::AvailabilityTimeline;
 use pscc_sim::testkit::version_of;
@@ -570,8 +570,8 @@ fn drain_races_a_busy_storm() {
 
 /// The drain protocol in place, no restart: admission closes and new
 /// work is shed with `Busy`, the WAL is forced, the lifecycle shows in
-/// phase + counters + control replies, and undrain reopens the site —
-/// after which the shed write's retry goes through.
+/// phase + counters, a repeated drain changes nothing, and undrain
+/// reopens the site — after which the shed write's retry goes through.
 #[test]
 fn drain_in_place_closes_admission_and_undrain_reopens() {
     let mut c = Simulation::seeded(
@@ -583,22 +583,23 @@ fn drain_in_place_closes_admission_and_undrain_reopens() {
     let x = oid_on_page(3, 1);
     commit_update_with_retries(&mut c, SiteId(1), x);
 
-    c.send_control(OWNER_A, Message::DrainReq { req: ReqId(1) });
+    c.send_control(OWNER_A, ControlOp::Drain);
     c.pump_for(SimDuration::from_millis(500));
     assert_eq!(
         c.observe().get(OWNER_A).unwrap().phase,
         SitePhase::Drained,
         "owner must reach Drained"
     );
-    assert!(
-        c.take_control_replies()
-            .iter()
-            .any(|(s, m)| *s == OWNER_A && matches!(m, Message::DrainOk { .. })),
-        "DrainOk never reached the controller"
-    );
+    // A repeated drain finds the site drained and starts nothing.
+    c.send_control(OWNER_A, ControlOp::Drain);
+    c.pump_for(SimDuration::from_millis(100));
+    assert_eq!(c.observe().get(OWNER_A).unwrap().phase, SitePhase::Drained);
     let total = c.total_stats();
-    assert!(total.drains_started >= 1, "drain not counted: {total}");
-    assert!(total.drains_completed >= 1, "drain not completed: {total}");
+    assert_eq!(total.drains_started, 1, "drain not counted once: {total}");
+    assert_eq!(
+        total.drains_completed, 1,
+        "drain not completed once: {total}"
+    );
 
     // A drained owner refuses new data requests...
     let t = c.begin(SiteId(2), APP);
@@ -618,7 +619,7 @@ fn drain_in_place_closes_admission_and_undrain_reopens() {
     );
 
     // ...until undrained, at which point the backoff retry goes through.
-    c.send_control(OWNER_A, Message::UndrainReq { req: ReqId(2) });
+    c.send_control(OWNER_A, ControlOp::Undrain);
     c.pump_for(SimDuration::from_secs(5));
     assert_eq!(c.observe().get(OWNER_A).unwrap().phase, SitePhase::Active);
     match c.find_reply(SiteId(2), t) {
@@ -633,6 +634,54 @@ fn drain_in_place_closes_admission_and_undrain_reopens() {
         other => panic!("shed write never completed after undrain: {other:?}"),
     }
     assert!(c.total_stats().busy_retries >= 1);
+    c.pump_for(SimDuration::from_millis(500));
+    c.assert_survivors_quiescent();
+}
+
+/// A freshly restarted owner is drainable before any peer has rejoined:
+/// a control op is not a message, so the epoch fence never sees it.
+/// Without peer traffic the restarted owner reaches `Drained` having
+/// sent nothing — in particular no `RejoinRequired` — and undrain
+/// reopens it to the peers that then rejoin.
+#[test]
+fn restarted_owner_drains_before_any_peer_rejoins() {
+    let cfg = SystemConfig {
+        // No heartbeats: nothing reaches the owner unless a test sends it.
+        leases_enabled: false,
+        ..rolling_cfg(Protocol::PsAa)
+    };
+    let mut c = Simulation::seeded(3, cfg, OwnerMap::Single(OWNER_A), seed(83));
+    let x = oid_on_page(3, 1);
+    commit_update_with_retries(&mut c, SiteId(1), x);
+    let epoch = c.observe().get(OWNER_A).unwrap().epoch;
+
+    c.crash_site(OWNER_A);
+    c.restart_site(OWNER_A);
+    assert!(
+        c.observe().get(OWNER_A).unwrap().epoch > epoch,
+        "no recovery ran"
+    );
+    assert_eq!(c.in_flight(), 0, "the restart itself sent something");
+    let sent = c.sites[OWNER_A.0 as usize].stats.msgs_sent;
+
+    c.send_control(OWNER_A, ControlOp::Drain);
+    c.pump();
+    assert_eq!(
+        c.observe().get(OWNER_A).unwrap().phase,
+        SitePhase::Drained,
+        "restarted owner must reach Drained"
+    );
+    assert_eq!(
+        c.sites[OWNER_A.0 as usize].stats.msgs_sent, sent,
+        "the drain sent a message (a RejoinRequired?)"
+    );
+    assert_eq!(c.in_flight(), 0);
+
+    c.send_control(OWNER_A, ControlOp::Undrain);
+    assert_eq!(c.observe().get(OWNER_A).unwrap().phase, SitePhase::Active);
+    // The peers rejoin on their next request and the owner serves it.
+    commit_update_with_retries(&mut c, SiteId(1), x);
+    commit_update_with_retries(&mut c, SiteId(2), oid_on_page(4, 1));
     c.pump_for(SimDuration::from_millis(500));
     c.assert_survivors_quiescent();
 }

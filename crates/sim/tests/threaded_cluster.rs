@@ -7,7 +7,7 @@ use pscc_common::{
     SystemConfig, VolId,
 };
 use pscc_control::{ClusterManifest, ConvergeError, ConvergeReport, TierAssignment};
-use pscc_core::{AppOp, AppReply, Message, OwnerMap, ReqId};
+use pscc_core::{AppOp, AppReply, ControlOp, Message, OwnerMap};
 use pscc_net::{Endpoint, Envelope, InProcNetwork, PathId, Transport};
 use pscc_sim::threaded::ThreadedCluster;
 use std::cell::Cell;
@@ -166,8 +166,8 @@ fn timer_fires_while_commands_keep_arriving() {
             s.spawn(move || {
                 let mut sent = 0u64;
                 while !stop.load(Ordering::Relaxed) {
-                    // Confirmed by an active site and otherwise ignored.
-                    cluster.send_control(site, Message::UndrainReq { req: ReqId(1) });
+                    // Nothing to undo at an active site.
+                    cluster.send_control(site, ControlOp::Undrain);
                     sent += 1;
                     if sent == 10_000 {
                         flooding.wait();
