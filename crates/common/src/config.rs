@@ -1,6 +1,7 @@
 //! System-wide configuration: protocol selection and the platform
 //! constants of the paper's Table 1.
 
+use crate::ids::{LockableId, Oid};
 use crate::time::Duration;
 use std::fmt;
 
@@ -28,6 +29,18 @@ impl Protocol {
     /// Whether adaptive page locks are granted on write requests.
     pub fn adaptive_locking(self) -> bool {
         matches!(self, Protocol::PsAa)
+    }
+
+    /// The granule an access to `oid` locks: the object itself at
+    /// object granularity, its page under PS. The engine runs one access
+    /// path for all three protocols and takes this granule at the client
+    /// and at the owner.
+    pub fn granule(self, oid: Oid) -> LockableId {
+        if self.object_level() {
+            LockableId::Object(oid)
+        } else {
+            LockableId::Page(oid.page)
+        }
     }
 }
 
@@ -108,7 +121,7 @@ crate::impl_wire!(enum ConsistencyTier {
 /// volume).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EdgeTierSpec {
-    /// File number the tier applies to. Must be `< edge_files`.
+    /// File number the tier applies to. Must be `< PARTITION_FILES`.
     pub file: u32,
     /// The consistency dial for that file.
     pub tier: ConsistencyTier,
@@ -192,10 +205,6 @@ pub struct SystemConfig {
     /// The `retry_after` hint a shed request carries back to the client
     /// (base of its exponential, jittered backoff).
     pub busy_retry_hint: Duration,
-    /// Number of files the edge tier map may address (file numbers
-    /// `0..edge_files`). The seed workloads use a single file per
-    /// volume, so the default is 1.
-    pub edge_files: u32,
     /// Per-file consistency tiers for edge sites. Files not listed are
     /// `Strict`. Empty by default: no edge machinery arms and every
     /// read takes the serializable path, byte-for-byte unchanged.
@@ -251,9 +260,10 @@ pub enum ConfigError {
     /// partition or owner crash severs the watch, the edge would have no
     /// bound to degrade to and could never answer another read.
     WatchWithoutFallback { file: u32 },
-    /// A tier names a file number outside `0..edge_files` — it would
-    /// silently never match any page and the operator's intent is lost.
-    TierOnUnknownFile { file: u32, edge_files: u32 },
+    /// A tier names a file number outside `0..PARTITION_FILES` — it
+    /// would silently never match any page and the operator's intent is
+    /// lost.
+    TierOnUnknownFile { file: u32 },
     /// Two tier entries name the same file; which one wins would depend
     /// on map-insertion order.
     DuplicateTierFile { file: u32 },
@@ -303,9 +313,9 @@ impl fmt::Display for ConfigError {
                 f,
                 "watch-based tier for file {file} needs a nonzero fallback_ttl to degrade to when the watch is severed"
             ),
-            ConfigError::TierOnUnknownFile { file, edge_files } => write!(
+            ConfigError::TierOnUnknownFile { file } => write!(
                 f,
-                "edge tier names unknown file {file} (edge_files = {edge_files})"
+                "edge tier names unknown file {file} (a volume has {PARTITION_FILES} file)"
             ),
             ConfigError::DuplicateTierFile { file } => {
                 write!(f, "file {file} appears in more than one edge tier entry")
@@ -325,6 +335,10 @@ pub const MIN_MAILBOX_CAPACITY: u32 = 4;
 /// virtual time). Bounds past this are treated as configuration
 /// mistakes by [`SystemConfig::validate`], not tuning choices.
 pub const MAX_TIER_TTL: Duration = Duration::from_secs(3_600);
+
+/// Files in each owner's volume (`Volume::create_partition` makes one).
+/// An edge tier's file number must be below it.
+pub const PARTITION_FILES: u32 = 1;
 
 impl SystemConfig {
     /// The configuration of the paper's Table 1.
@@ -350,7 +364,6 @@ impl SystemConfig {
             fetch_credits: 64,
             admission_cap: 256,
             busy_retry_hint: Duration::from_millis(10),
-            edge_files: 1,
             edge_tiers: Vec::new(),
         }
     }
@@ -468,11 +481,8 @@ impl SystemConfig {
         }
         let mut tiered_files = crate::hash::HashSet::default();
         for spec in &self.edge_tiers {
-            if spec.file >= self.edge_files {
-                return Err(ConfigError::TierOnUnknownFile {
-                    file: spec.file,
-                    edge_files: self.edge_files,
-                });
+            if spec.file >= PARTITION_FILES {
+                return Err(ConfigError::TierOnUnknownFile { file: spec.file });
             }
             if !tiered_files.insert(spec.file) {
                 return Err(ConfigError::DuplicateTierFile { file: spec.file });
@@ -732,16 +742,12 @@ mod tests {
         }];
         assert_eq!(
             c.validate(),
-            Err(ConfigError::TierOnUnknownFile {
-                file: 7,
-                edge_files: 1
-            })
+            Err(ConfigError::TierOnUnknownFile { file: 7 })
         );
 
         let mut c = base();
-        c.edge_files = 2;
         let spec = EdgeTierSpec {
-            file: 1,
+            file: 0,
             tier: ConsistencyTier::WatchBased {
                 fallback_ttl: Duration::from_millis(250),
             },
@@ -749,7 +755,7 @@ mod tests {
         c.edge_tiers = vec![spec, spec];
         assert_eq!(
             c.validate(),
-            Err(ConfigError::DuplicateTierFile { file: 1 })
+            Err(ConfigError::DuplicateTierFile { file: 0 })
         );
 
         // A well-formed tier map passes, and tier_of falls back to Strict.
@@ -791,5 +797,12 @@ mod tests {
         assert!(Protocol::PsOa.object_level() && !Protocol::PsOa.adaptive_locking());
         assert!(Protocol::PsAa.object_level() && Protocol::PsAa.adaptive_locking());
         assert_eq!(format!("{}", Protocol::PsOa), "PS-OA");
+        let oid = Oid::new(
+            crate::PageId::new(crate::FileId::new(crate::VolId(0), 0), 3),
+            2,
+        );
+        assert_eq!(Protocol::Ps.granule(oid), LockableId::Page(oid.page));
+        assert_eq!(Protocol::PsOa.granule(oid), LockableId::Object(oid));
+        assert_eq!(Protocol::PsAa.granule(oid), LockableId::Object(oid));
     }
 }

@@ -21,7 +21,7 @@ use std::fmt;
 /// connect and refuse a peer that speaks another one; any change to a
 /// [`Wire`] impl's bytes (a reordered field or variant, a new variant in
 /// the middle of an enum) must bump it.
-pub const WIRE_VERSION: u8 = 2;
+pub const WIRE_VERSION: u8 = 3;
 
 /// Why a byte string did not decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -3,9 +3,9 @@
 //! deescalation handling, and cache eviction with purge notices.
 
 use super::{CbCtx, CbKey, LockCont, PeerServer, ReqCont, TimerKind};
-use crate::msg::{AppReply, CbId, CbTarget, DeId, Message, ReqId};
+use crate::msg::{AppReply, CbId, DeId, Message, ReqId};
 use pscc_common::{
-    AbortReason, FileId, LockMode, LockableId, Oid, PageId, Protocol, SiteId, Stage, TxnId, VolId,
+    AbortReason, FileId, LockMode, LockableId, Oid, PageId, SiteId, Stage, TxnId, VolId,
 };
 use pscc_lockmgr::Acquire;
 use pscc_storage::PageSnapshot;
@@ -17,7 +17,8 @@ impl PeerServer {
     // ------------------------------------------------------------------
 
     /// An application read or write of `oid` by `txn` (paper §4.1.1:
-    /// "its master thread first obtains a local lock on the object").
+    /// "its master thread first obtains a local lock on the object" — on
+    /// its page under PS).
     pub(crate) fn client_access(
         &mut self,
         txn: TxnId,
@@ -60,18 +61,6 @@ impl PeerServer {
                 return;
             }
         }
-        if self.cfg.protocol == Protocol::Ps {
-            // Pure page server: lock at page granularity.
-            let mode = if write { LockMode::Ex } else { LockMode::Sh };
-            let cont = LockCont::LocalPage {
-                txn,
-                oid,
-                write,
-                bytes,
-            };
-            self.lock_or_park(txn, LockableId::Page(oid.page), mode, cont);
-            return;
-        }
         let mode = if write { LockMode::Ex } else { LockMode::Sh };
         let cont = LockCont::LocalAccess {
             txn,
@@ -79,10 +68,11 @@ impl PeerServer {
             write,
             bytes,
         };
-        self.lock_or_park(txn, LockableId::Object(oid), mode, cont);
+        self.lock_or_park(txn, self.cfg.protocol.granule(oid), mode, cont);
     }
 
-    /// Local object lock held; consult the cache / adaptive state.
+    /// Local lock on the access's granule held; consult the cache and
+    /// the page grants.
     pub(crate) fn client_access_locked(
         &mut self,
         txn: TxnId,
@@ -113,8 +103,9 @@ impl PeerServer {
             self.fetch(txn, oid, Some(bytes));
             return;
         }
-        // Adaptive page lock held by *this* transaction? Then the update
-        // needs no server interaction at all (paper §4.1.2).
+        // A grant covering the page held by *this* transaction — an
+        // adaptive page lock (paper §4.1.2), or PS's EX page lock? Then
+        // the update needs no server interaction at all.
         let adaptive = self
             .txns
             .home
@@ -137,71 +128,6 @@ impl PeerServer {
             h.participants.insert(owner);
         }
         self.send(owner, Message::WriteObj { req, txn, oid });
-    }
-
-    /// PS path with the page lock held.
-    pub(crate) fn client_ps_locked(
-        &mut self,
-        txn: TxnId,
-        oid: Oid,
-        write: bool,
-        bytes: Option<Vec<u8>>,
-    ) {
-        if !self.txn_is_running(txn) {
-            return;
-        }
-        let page = oid.page;
-        if !write {
-            // An aborted transaction's updated objects are unavailable
-            // even under PS, so the object (not just the page) must be
-            // readable; otherwise re-fetch the page.
-            match self.cache.read_object(oid) {
-                Some(data) => {
-                    self.stats.cache_hits += 1;
-                    self.finish_read(txn, oid, Some(data));
-                }
-                None => {
-                    self.stats.cache_misses += 1;
-                    self.fetch_page(txn, oid, None);
-                }
-            }
-            return;
-        }
-        let granted = self
-            .txns
-            .home
-            .get(&txn)
-            .is_some_and(|h| h.page_write_grants.contains(&page));
-        if granted && self.cache.object_cached(oid) {
-            self.stats.adaptive_hits += 1; // server-free write under the page grant
-            self.finish_write(txn, oid, bytes);
-            return;
-        }
-        if !self.cache.object_cached(oid) {
-            // A write needing the page is not a read miss (see
-            // `client_access_locked`); `read_requests` counts the fetch.
-            self.fetch_page(txn, oid, Some((oid, bytes)));
-            return;
-        }
-        let Some(owner) = self.client_route(txn, page) else {
-            return;
-        };
-        let req = self.fresh_req();
-        self.stats.write_requests += 1;
-        self.req_conts.insert(
-            req,
-            ReqCont::WritePage {
-                txn,
-                page,
-                oid,
-                bytes,
-            },
-        );
-        if let Some(h) = self.txns.home.get_mut(&txn) {
-            h.outstanding_reqs.insert(req);
-            h.participants.insert(owner);
-        }
-        self.send(owner, Message::WritePage { req, txn, page });
     }
 
     fn fetch(&mut self, txn: TxnId, oid: Oid, then_write: Option<Option<Vec<u8>>>) {
@@ -229,37 +155,9 @@ impl PeerServer {
         self.obs.fetch_sent(req, txn, self.now);
         self.obs.record(pscc_obs::EventKind::FetchSent {
             to: owner,
-            item: LockableId::Object(oid),
+            item: self.cfg.protocol.granule(oid),
         });
         self.send(owner, Message::ReadObj { req, txn, oid });
-    }
-
-    fn fetch_page(&mut self, txn: TxnId, oid: Oid, then_write: Option<(Oid, Option<Vec<u8>>)>) {
-        let page = oid.page;
-        let Some(owner) = self.client_route(txn, page) else {
-            return;
-        };
-        let req = self.fresh_req();
-        self.stats.read_requests += 1;
-        self.req_conts.insert(
-            req,
-            ReqCont::FetchPage {
-                txn,
-                oid,
-                then_write,
-            },
-        );
-        self.pending_fetches.entry(page).or_default().insert(req);
-        if let Some(h) = self.txns.home.get_mut(&txn) {
-            h.outstanding_reqs.insert(req);
-            h.participants.insert(owner);
-        }
-        self.obs.fetch_sent(req, txn, self.now);
-        self.obs.record(pscc_obs::EventKind::FetchSent {
-            to: owner,
-            item: LockableId::Page(page),
-        });
-        self.send(owner, Message::ReadPage { req, txn, page });
     }
 
     // ------------------------------------------------------------------
@@ -387,98 +285,57 @@ impl PeerServer {
         );
         self.send_purges(evicted);
 
-        match cont {
-            Some(ReqCont::Fetch {
-                txn,
-                oid,
-                then_write,
-            }) => {
-                if let Some(h) = self.txns.home.get_mut(&txn) {
-                    h.outstanding_reqs.remove(&req);
-                }
-                if !self.txn_is_running(txn) {
-                    return;
-                }
-                match then_write {
-                    None => {
-                        // `None` here legitimately means the object was
-                        // deleted (its slot is dead on the shipped page).
-                        let data = self.cache.read_object(oid);
-                        self.finish_read(txn, oid, data);
-                    }
-                    Some(bytes) => self.client_access_locked(txn, oid, true, bytes),
-                }
+        let Some(ReqCont::Fetch {
+            txn,
+            oid,
+            then_write,
+        }) = cont
+        else {
+            return;
+        };
+        if let Some(h) = self.txns.home.get_mut(&txn) {
+            h.outstanding_reqs.remove(&req);
+        }
+        if !self.txn_is_running(txn) {
+            return;
+        }
+        match then_write {
+            None => {
+                // `None` here legitimately means the object was deleted
+                // (its slot is dead on the shipped page).
+                let data = self.cache.read_object(oid);
+                self.finish_read(txn, oid, data);
             }
-            Some(ReqCont::FetchPage {
-                txn,
-                oid,
-                then_write,
-            }) => {
-                if let Some(h) = self.txns.home.get_mut(&txn) {
-                    h.outstanding_reqs.remove(&req);
-                }
-                if !self.txn_is_running(txn) {
-                    return;
-                }
-                match then_write {
-                    None => {
-                        let data = self.cache.read_object(oid);
-                        self.finish_read(txn, oid, data);
-                    }
-                    Some((woid, bytes)) => self.client_ps_locked(txn, woid, true, bytes),
-                }
-            }
-            _ => {}
+            Some(bytes) => self.client_access_locked(txn, oid, true, bytes),
         }
     }
 
-    /// Write permission arrived; apply the update. A deescalation race
-    /// (§4.2.4) voids the adaptive bit.
+    /// Write permission arrived; apply the update. A grant covering the
+    /// page is kept for the transaction's later writes to it, unless a
+    /// deescalation race (§4.2.4) voided it.
     pub(crate) fn client_write_granted(&mut self, req: ReqId, adaptive: bool) {
         let deescalated = self.races.consume_deescalation(req);
-        match self.req_conts.remove(&req) {
-            Some(ReqCont::Write { txn, oid, bytes }) => {
-                if let Some(h) = self.txns.home.get_mut(&txn) {
-                    h.outstanding_reqs.remove(&req);
-                }
-                if !self.txn_is_running(txn) {
-                    return;
-                }
-                if adaptive && !deescalated {
-                    if let Some(h) = self.txns.home.get_mut(&txn) {
-                        h.adaptive_pages.insert(oid.page);
-                    }
-                }
-                // The page may have been evicted while the request was in
-                // flight; re-fetch before applying.
-                if !self.cache.object_cached(oid) {
-                    self.fetch(txn, oid, Some(bytes));
-                    return;
-                }
-                self.finish_write(txn, oid, bytes);
-            }
-            Some(ReqCont::WritePage {
-                txn,
-                page,
-                oid,
-                bytes,
-            }) => {
-                if let Some(h) = self.txns.home.get_mut(&txn) {
-                    h.outstanding_reqs.remove(&req);
-                    h.page_write_grants.insert(page);
-                }
-                if !self.txn_is_running(txn) {
-                    return;
-                }
-                let _ = page;
-                if !self.cache.object_cached(oid) {
-                    self.fetch_page(txn, oid, Some((oid, bytes)));
-                    return;
-                }
-                self.finish_write(txn, oid, bytes);
-            }
-            _ => {}
+        let Some(ReqCont::Write { txn, oid, bytes }) = self.req_conts.remove(&req) else {
+            return;
+        };
+        if let Some(h) = self.txns.home.get_mut(&txn) {
+            h.outstanding_reqs.remove(&req);
         }
+        if !self.txn_is_running(txn) {
+            return;
+        }
+        if adaptive && !deescalated {
+            if let Some(h) = self.txns.home.get_mut(&txn) {
+                h.adaptive_pages.insert(oid.page);
+            }
+        }
+        // The page may have been evicted while the request was in flight;
+        // re-fetch before applying.
+        if !self.cache.object_cached(oid) {
+            self.fetch(txn, oid, Some(bytes));
+            return;
+        }
+        self.finish_write(txn, oid, bytes);
     }
 
     /// The owner denied a request because the transaction was chosen as
@@ -487,9 +344,7 @@ impl PeerServer {
         let txn = match self.req_conts.remove(&req) {
             Some(
                 ReqCont::Fetch { txn, .. }
-                | ReqCont::FetchPage { txn, .. }
                 | ReqCont::Write { txn, .. }
-                | ReqCont::WritePage { txn, .. }
                 | ReqCont::Lock { txn }
                 | ReqCont::ForwardRead { txn }
                 | ReqCont::ForwardWrite { txn, .. },
@@ -890,10 +745,9 @@ impl PeerServer {
                 }
             }
             let log_records = self.log_cache.drain_page(page);
-            // Losing the page loses any adaptive grants on it.
+            // Losing the page loses any page grants on it.
             for h in self.txns.home.values_mut() {
                 h.adaptive_pages.remove(&page);
-                h.page_write_grants.remove(&page);
             }
             self.send(
                 owner,
@@ -914,7 +768,13 @@ impl PeerServer {
 
     /// A callback request arrived: allocate a callback thread and run the
     /// three-case protocol.
-    pub(crate) fn client_callback(&mut self, from: SiteId, cb: CbId, txn: TxnId, target: CbTarget) {
+    pub(crate) fn client_callback(
+        &mut self,
+        from: SiteId,
+        cb: CbId,
+        txn: TxnId,
+        target: LockableId,
+    ) {
         let key: CbKey = (from, cb);
         let mut ctx = CbCtx {
             txn,
@@ -923,13 +783,13 @@ impl PeerServer {
             timer: None,
         };
         match target {
-            CbTarget::Object(oid) => {
+            LockableId::Object(oid) => {
                 let page = LockableId::Page(oid.page);
                 // Case 1: nobody here uses the page — purge it outright.
                 if self.locks.try_acquire_single(txn, page, LockMode::Ex) {
                     ctx.held.push(page);
                     self.cb_ctxs.insert(key, ctx);
-                    self.finish_cb_whole(key, CbTarget::PageAll(oid.page), true);
+                    self.finish_cb_whole(key, page, true);
                     return;
                 }
                 // Hierarchical path: IX on the page (may block on a
@@ -951,33 +811,17 @@ impl PeerServer {
                     }
                 }
             }
-            CbTarget::PageAll(p) => {
-                let item = LockableId::Page(p);
-                self.cb_whole_acquire(key, ctx, txn, item, target);
-            }
-            CbTarget::File(f) => {
-                let item = LockableId::File(f);
-                self.cb_whole_acquire(key, ctx, txn, item, target);
-            }
-            CbTarget::Volume(v) => {
-                let item = LockableId::Volume(v);
-                self.cb_whole_acquire(key, ctx, txn, item, target);
+            LockableId::Page(_) | LockableId::File(_) | LockableId::Volume(_) => {
+                self.cb_whole_acquire(key, ctx, txn, target);
             }
         }
     }
 
-    fn cb_whole_acquire(
-        &mut self,
-        key: CbKey,
-        mut ctx: CbCtx,
-        txn: TxnId,
-        item: LockableId,
-        target: CbTarget,
-    ) {
-        let (a, _) = self.locks.acquire_single(txn, item, LockMode::Ex);
+    fn cb_whole_acquire(&mut self, key: CbKey, mut ctx: CbCtx, txn: TxnId, target: LockableId) {
+        let (a, _) = self.locks.acquire_single(txn, target, LockMode::Ex);
         match a {
             Acquire::Granted => {
-                ctx.held.push(item);
+                ctx.held.push(target);
                 self.cb_ctxs.insert(key, ctx);
                 self.finish_cb_whole(key, target, true);
             }
@@ -986,7 +830,7 @@ impl PeerServer {
                 self.cb_ctxs.insert(key, ctx);
                 self.lock_conts
                     .insert(t, LockCont::CbCtxWhole { key, txn, target });
-                self.cb_blocked_report(key, item, LockMode::Ex, txn);
+                self.cb_blocked_report(key, target, LockMode::Ex, txn);
                 self.arm_cb_timer(key, txn);
             }
         }
@@ -1075,51 +919,48 @@ impl PeerServer {
     }
 
     /// Whole-granule EX acquired: purge and acknowledge.
-    pub(crate) fn cb_ctx_whole_locked(&mut self, key: CbKey, txn: TxnId, target: CbTarget) {
+    pub(crate) fn cb_ctx_whole_locked(&mut self, key: CbKey, txn: TxnId, target: LockableId) {
         let Some(ctx) = self.cb_ctxs.get_mut(&key) else {
             return;
         };
         ctx.waiting = None;
-        ctx.held.push(target.lockable());
+        ctx.held.push(target);
         let _ = txn;
         self.finish_cb_whole(key, target, false);
     }
 
     /// Purges the target granule and completes the callback thread.
     /// `fast` marks the immediate whole-page grab of case 1.
-    fn finish_cb_whole(&mut self, key: CbKey, target: CbTarget, fast: bool) {
+    fn finish_cb_whole(&mut self, key: CbKey, target: LockableId, fast: bool) {
         match target {
-            CbTarget::PageAll(p) => {
+            LockableId::Page(p) => {
                 if self.cache.purge(p).is_some() {
                     self.stats.pages_purged += 1;
                 }
-                // Any adaptive grants on the page die with it.
+                // Any page grants on the page die with it.
                 for h in self.txns.home.values_mut() {
                     h.adaptive_pages.remove(&p);
-                    h.page_write_grants.remove(&p);
                 }
             }
-            CbTarget::File(f) => {
+            LockableId::File(f) => {
                 for p in self.cache.pages_of_file(f) {
                     self.cache.purge(p);
                     self.stats.pages_purged += 1;
                     for h in self.txns.home.values_mut() {
                         h.adaptive_pages.remove(&p);
-                        h.page_write_grants.remove(&p);
                     }
                 }
             }
-            CbTarget::Volume(v) => {
+            LockableId::Volume(v) => {
                 for p in self.cache.pages_of_volume(v) {
                     self.cache.purge(p);
                     self.stats.pages_purged += 1;
                     for h in self.txns.home.values_mut() {
                         h.adaptive_pages.remove(&p);
-                        h.page_write_grants.remove(&p);
                     }
                 }
             }
-            CbTarget::Object(_) => unreachable!("objects use finish_cb"),
+            LockableId::Object(_) => unreachable!("objects use finish_cb"),
         }
         if fast {
             self.stats.callbacks_purged_page += 1;

@@ -3,10 +3,10 @@
 //! procedure (client purge + server undo + callback cancellation).
 
 use super::{CbKey, DiskCont, PeerServer, ReqCont};
-use crate::msg::{AppReply, CbTarget, DiskOp, Message, ReqId};
+use crate::msg::{AppReply, DiskOp, Input, Message, ReqId};
 use crate::txn::TxnStatus;
 use pscc_common::hash::HashMap;
-use pscc_common::{AbortReason, SiteId, TxnId};
+use pscc_common::{AbortReason, LockableId, SiteId, TxnId};
 use pscc_wal::{LogPayload, LogRecord};
 use std::collections::VecDeque;
 
@@ -489,7 +489,7 @@ impl PeerServer {
         for cb in cbs {
             let op = self.cb_ops.remove(&cb).expect("listed above");
             self.obs.cb_closed(cb);
-            if let CbTarget::Object(o) = op.target {
+            if let LockableId::Object(o) = op.target {
                 self.cb_by_object.remove(&o);
             }
             if let Some(t) = op.upgrade {
@@ -504,9 +504,17 @@ impl PeerServer {
                 }
             }
         }
-        // Drop deescalation-queued work from the aborted transaction.
+        // Drop deescalation-queued work from the aborted transaction: its
+        // application accesses and its fetch and write requests.
         for op in self.de_ops.values_mut() {
-            op.queued.retain(|w| input_txn(w) != Some(txn));
+            op.queued.retain(|w| {
+                let owner = match w {
+                    Input::App(req) => req.txn,
+                    Input::Msg { msg, .. } => msg.txn_id(),
+                    _ => None,
+                };
+                owner != Some(txn)
+            });
         }
         // A durable Abort record lets restart analysis tell a
         // rolled-back transaction from an in-doubt one (it is not
@@ -572,25 +580,5 @@ impl PeerServer {
         let p = self.volume.allocate_page(file);
         self.overflow_page = Some(p);
         p
-    }
-}
-
-/// The transaction a queued work item belongs to (for abort-time pruning
-/// of deescalation queues).
-fn input_txn(w: &crate::msg::Input) -> Option<TxnId> {
-    match w {
-        crate::msg::Input::App(req) => req.txn,
-        crate::msg::Input::Msg {
-            msg:
-                Message::ReadObj { txn, .. }
-                | Message::ReadPage { txn, .. }
-                | Message::WriteObj { txn, .. }
-                | Message::WritePage { txn, .. }
-                | Message::LockItem { txn, .. }
-                | Message::CommitReq { txn, .. }
-                | Message::Prepare { txn, .. },
-            ..
-        } => Some(*txn),
-        _ => None,
     }
 }

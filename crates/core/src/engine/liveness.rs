@@ -155,8 +155,6 @@ impl PeerServer {
         for h in self.txns.home.values_mut() {
             h.adaptive_pages
                 .retain(|p| owners.owner_of(*p) != Some(dead));
-            h.page_write_grants
-                .retain(|p| owners.owner_of(*p) != Some(dead));
         }
 
         // Abort every in-flight transaction whose home is the dead site:

@@ -52,7 +52,7 @@
 //! [`ControlOp::MigrateCommit`]: crate::ControlOp::MigrateCommit
 
 use super::{DiskCont, PeerServer, TimerKind};
-use crate::msg::{CbTarget, DiskOp, Input, Message, Output};
+use crate::msg::{DiskOp, Input, Message, Output};
 use pscc_common::{LockableId, PageId, SimTime, SiteId, Stage, TxnId};
 use pscc_storage::SlottedPage;
 use pscc_wal::{LogPayload, LogRecord};
@@ -206,11 +206,11 @@ impl PeerServer {
                 return false;
             }
         }
-        let cb_touches = |t: &CbTarget| match t {
-            CbTarget::Object(oid) => in_range(&oid.page),
-            CbTarget::PageAll(p) => in_range(p),
+        let cb_touches = |t: &LockableId| match t {
+            LockableId::Object(oid) => in_range(&oid.page),
+            LockableId::Page(p) => in_range(p),
             // Whole-file/volume callbacks are rare; be conservative.
-            CbTarget::File(_) | CbTarget::Volume(_) => true,
+            LockableId::File(_) | LockableId::Volume(_) => true,
         };
         if self.cb_ops.values().any(|op| cb_touches(&op.target)) {
             return false;

@@ -32,8 +32,8 @@ use crate::cache::ClientCache;
 use crate::copy_table::CopyTable;
 use crate::fifo_map::BoundedFifoMap;
 use crate::msg::{
-    AppOp, AppReply, CbId, CbTarget, ControlOp, DeId, DiskOp, DiskReqId, Input, Message, Output,
-    ReqId, TimerId,
+    AppOp, AppReply, CbId, ControlOp, DeId, DiskOp, DiskReqId, Input, Message, Output, ReqId,
+    TimerId, Verdict,
 };
 use crate::owner_map::OwnerMap;
 use crate::ownership::OwnershipDirectory;
@@ -66,16 +66,9 @@ const REQ_CTX_MEMORY: usize = 4096;
 /// What resumes when a lock ticket is granted.
 #[derive(Debug, Clone)]
 pub(crate) enum LockCont {
-    /// Client role: local lock for an object access acquired; continue
-    /// the read/write.
+    /// Client role: local lock on an object access's granule acquired;
+    /// continue the read/write.
     LocalAccess {
-        txn: TxnId,
-        oid: Oid,
-        write: bool,
-        bytes: Option<Vec<u8>>,
-    },
-    /// Client role (PS): local page lock acquired; continue the access.
-    LocalPage {
         txn: TxnId,
         oid: Oid,
         write: bool,
@@ -87,33 +80,20 @@ pub(crate) enum LockCont {
         item: LockableId,
         mode: LockMode,
     },
-    /// Owner role: SH object lock granted; ship the page.
+    /// Owner role: SH lock on the read's granule granted; ship the page.
     ServerRead {
         req: ReqId,
         from: SiteId,
         txn: TxnId,
         oid: Oid,
     },
-    /// Owner role (PS): SH page lock granted; ship the page.
-    ServerReadPage {
-        req: ReqId,
-        from: SiteId,
-        txn: TxnId,
-        page: PageId,
-    },
-    /// Owner role: EX object lock granted; start the callback operation.
+    /// Owner role: EX lock on the write's granule granted; start the
+    /// callback operation.
     ServerWrite {
         req: ReqId,
         from: SiteId,
         txn: TxnId,
         oid: Oid,
-    },
-    /// Owner role (PS / explicit EX page): EX page lock granted.
-    ServerWritePage {
-        req: ReqId,
-        from: SiteId,
-        txn: TxnId,
-        page: PageId,
     },
     /// Owner role: explicit lock granted at the server.
     ServerExplicit {
@@ -137,7 +117,7 @@ pub(crate) enum LockCont {
     CbCtxWhole {
         key: CbKey,
         txn: TxnId,
-        target: CbTarget,
+        target: LockableId,
     },
 }
 
@@ -154,24 +134,9 @@ pub(crate) enum ReqCont {
         oid: Oid,
         then_write: Option<Option<Vec<u8>>>,
     },
-    /// A PS page fetch for reading `oid`; optionally continue into a
-    /// write instead.
-    FetchPage {
-        txn: TxnId,
-        oid: Oid,
-        then_write: Option<(Oid, Option<Vec<u8>>)>,
-    },
     /// A write-permission request.
     Write {
         txn: TxnId,
-        oid: Oid,
-        bytes: Option<Vec<u8>>,
-    },
-    /// A PS page write-permission request (carrying the triggering
-    /// object update).
-    WritePage {
-        txn: TxnId,
-        page: PageId,
         oid: Oid,
         bytes: Option<Vec<u8>>,
     },
@@ -285,7 +250,7 @@ pub(crate) struct CbCtx {
 #[derive(Debug)]
 pub(crate) struct CbOp {
     pub txn: TxnId,
-    pub target: CbTarget,
+    pub target: LockableId,
     /// Clients whose acknowledgment is still pending.
     pub pending: HashSet<SiteId>,
     /// Whether every acked client purged the whole page (pre-condition
@@ -304,10 +269,8 @@ pub(crate) struct CbOp {
 /// Completion action of a callback operation.
 #[derive(Debug, Clone)]
 pub(crate) enum CbDone {
-    /// Grant object write permission (`WriteGranted`).
+    /// Grant write permission on `oid` (`WriteGranted`).
     Write { req: ReqId, to: SiteId, oid: Oid },
-    /// Grant page write permission (PS protocol).
-    WritePage { req: ReqId, to: SiteId },
     /// Grant an explicit lock.
     Lock { req: ReqId, to: SiteId },
 }
@@ -825,7 +788,7 @@ impl PeerServer {
     /// Sends `msg` to `to`; a self-send loops back internally for free.
     ///
     /// Remote sends run the overload-protection bookkeeping (DESIGN.md
-    /// §6): a departing request verdict retires its admission slot, and
+    /// §7): a departing verdict retires its request's admission slot, and
     /// an outgoing data request spends one of the owner's credits — or
     /// waits locally when the credits are exhausted.
     pub(crate) fn send(&mut self, to: SiteId, msg: Message) {
@@ -836,15 +799,8 @@ impl PeerServer {
             });
             return;
         }
-        match &msg {
-            Message::ReadReply { req, .. }
-            | Message::WriteGranted { req, .. }
-            | Message::LockGranted { req }
-            | Message::ReqDenied { req, .. }
-            | Message::WrongOwner { req, .. } => {
-                self.admitted.remove(&(to, *req));
-            }
-            _ => {}
+        if let Some((req, _)) = msg.verdict() {
+            self.admitted.remove(&(to, req));
         }
         if let Some((req, txn)) = credit_request(&msg) {
             let cap = self.cfg.fetch_credits.max(1);
@@ -1179,12 +1135,6 @@ impl PeerServer {
                 write,
                 bytes,
             } => self.client_access_locked(txn, oid, write, bytes),
-            LockCont::LocalPage {
-                txn,
-                oid,
-                write,
-                bytes,
-            } => self.client_ps_locked(txn, oid, write, bytes),
             LockCont::LocalExplicit { txn, item, mode } => {
                 self.client_explicit_locked(txn, item, mode)
             }
@@ -1194,24 +1144,12 @@ impl PeerServer {
                 txn,
                 oid,
             } => self.server_read_locked(req, from, txn, oid),
-            LockCont::ServerReadPage {
-                req,
-                from,
-                txn,
-                page,
-            } => self.server_read_page_locked(req, from, txn, page),
             LockCont::ServerWrite {
                 req,
                 from,
                 txn,
                 oid,
             } => self.server_write_locked(req, from, txn, oid),
-            LockCont::ServerWritePage {
-                req,
-                from,
-                txn,
-                page,
-            } => self.server_write_page_locked(req, from, txn, page),
             LockCont::ServerExplicit {
                 req,
                 from,
@@ -1379,36 +1317,28 @@ impl PeerServer {
             return;
         }
         // Overload protection (DESIGN.md §6): data requests from remote
-        // peers pass admission control; incoming request verdicts return
-        // the credit they consumed (and retire the retained in-flight
-        // copy) before normal processing.
+        // peers pass admission control; an incoming verdict returns the
+        // credit its request consumed before normal processing. A final
+        // verdict also retires the retained in-flight copy; a redirect
+        // keeps it, to be sent again.
         if from != self.site {
             if let Some((req, txn)) = credit_request(&msg) {
                 if !self.admit(from, req, txn) {
                     return;
                 }
             }
-            match &msg {
-                Message::ReadReply { req, .. }
-                | Message::WriteGranted { req, .. }
-                | Message::LockGranted { req }
-                | Message::ReqDenied { req, .. } => {
-                    self.inflight.remove(req);
-                    self.credit_release(from);
+            if let Some((req, verdict)) = msg.verdict() {
+                if verdict == Verdict::Final {
+                    self.inflight.remove(&req);
                 }
-                // A redirect keeps the retained in-flight copy (it will
-                // be re-routed), but returns the credit it consumed.
-                Message::Busy { .. } | Message::WrongOwner { .. } => self.credit_release(from),
-                _ => {}
+                self.credit_release(from);
             }
         }
         match msg {
             Message::Heartbeat => (),
             // Owner role.
             Message::ReadObj { req, txn, oid } => self.server_read(req, from, txn, oid),
-            Message::ReadPage { req, txn, page } => self.server_read_page(req, from, txn, page),
             Message::WriteObj { req, txn, oid } => self.server_write(req, from, txn, oid),
-            Message::WritePage { req, txn, page } => self.server_write_page(req, from, txn, page),
             Message::LockItem {
                 req,
                 txn,

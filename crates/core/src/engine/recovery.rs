@@ -255,8 +255,6 @@ impl PeerServer {
         for h in self.txns.home.values_mut() {
             h.adaptive_pages
                 .retain(|p| owners.owner_of(*p) != Some(server));
-            h.page_write_grants
-                .retain(|p| owners.owner_of(*p) != Some(server));
         }
 
         // Active transactions that touched the server lost their locks

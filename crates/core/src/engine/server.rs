@@ -6,7 +6,7 @@
 //! purge-race detection (§4.2.4).
 
 use super::{CbDone, CbOp, DeOp, DiskCont, LockCont, PeerServer, TimerKind};
-use crate::msg::{CbId, CbTarget, DeId, DiskOp, Message, ReqId};
+use crate::msg::{CbId, DeId, DiskOp, Message, ReqId};
 use pscc_common::hash::HashSet;
 use pscc_common::{ids::DUMMY_SLOT, LockMode, LockableId, Oid, PageId, SiteId, TxnId};
 use pscc_lockmgr::Acquire;
@@ -89,9 +89,8 @@ impl PeerServer {
                     .is_some_and(|m| (m.lo..m.hi).contains(&page.page))
                 {
                     // The freeze must drain; `Busy` (not a queue) keeps
-                    // the source's admission table empty-able. The slot
-                    // taken at admission is handed back here.
-                    self.admitted.remove(&(from, req));
+                    // the source's admission table empty-able: like every
+                    // verdict, it hands back the slot taken at admission.
                     self.stats.requests_shed += 1;
                     self.obs
                         .record(pscc_obs::EventKind::RequestShed { peer: from });
@@ -114,6 +113,7 @@ impl PeerServer {
     // Reads (paper §4.1.1)
     // ------------------------------------------------------------------
 
+    /// A fetch: SH on the protocol's granule for `oid`, then ship.
     pub(crate) fn server_read(&mut self, req: ReqId, from: SiteId, txn: TxnId, oid: Oid) {
         if !self.server_owner_fence(from, req, oid.page, Message::ReadObj { req, txn, oid }) {
             return;
@@ -134,35 +134,19 @@ impl PeerServer {
             txn,
             oid,
         };
-        self.lock_or_park(txn, LockableId::Object(oid), LockMode::Sh, cont);
+        self.lock_or_park(txn, self.cfg.protocol.granule(oid), LockMode::Sh, cont);
     }
 
+    /// The read's lock is held: ship. Under PS the page ships with no
+    /// requested object, because the §4.2.3 marking rule's condition 1
+    /// and the §4.3.2 second-objective check are object-granularity
+    /// rules.
     pub(crate) fn server_read_locked(&mut self, req: ReqId, from: SiteId, txn: TxnId, oid: Oid) {
-        self.ship_or_read(req, from, txn, oid.page, Some(oid));
-    }
-
-    pub(crate) fn server_read_page(&mut self, req: ReqId, from: SiteId, txn: TxnId, page: PageId) {
-        if !self.server_owner_fence(from, req, page, Message::ReadPage { req, txn, page }) {
-            return;
-        }
-        self.txns.spread(txn);
-        let cont = LockCont::ServerReadPage {
-            req,
-            from,
-            txn,
-            page,
+        let requested = match self.cfg.protocol.granule(oid) {
+            LockableId::Object(o) => Some(o),
+            _ => None,
         };
-        self.lock_or_park(txn, LockableId::Page(page), LockMode::Sh, cont);
-    }
-
-    pub(crate) fn server_read_page_locked(
-        &mut self,
-        req: ReqId,
-        from: SiteId,
-        txn: TxnId,
-        page: PageId,
-    ) {
-        self.ship_or_read(req, from, txn, page, None);
+        self.ship_or_read(req, from, txn, oid.page, requested);
     }
 
     /// Ships the page, going to disk first if it is not buffer-resident.
@@ -285,6 +269,8 @@ impl PeerServer {
     // Writes and callbacks (paper §4.1.1–4.1.2, Fig. 3)
     // ------------------------------------------------------------------
 
+    /// A write-permission request: EX on the protocol's granule for
+    /// `oid`, then call that granule back.
     pub(crate) fn server_write(&mut self, req: ReqId, from: SiteId, txn: TxnId, oid: Oid) {
         if !self.server_owner_fence(from, req, oid.page, Message::WriteObj { req, txn, oid }) {
             return;
@@ -305,7 +291,7 @@ impl PeerServer {
             txn,
             oid,
         };
-        self.lock_or_park(txn, LockableId::Object(oid), LockMode::Ex, cont);
+        self.lock_or_park(txn, self.cfg.protocol.granule(oid), LockMode::Ex, cont);
     }
 
     pub(crate) fn server_write_locked(&mut self, req: ReqId, from: SiteId, txn: TxnId, oid: Oid) {
@@ -314,64 +300,25 @@ impl PeerServer {
         }
         self.start_callbacks(
             txn,
-            CbTarget::Object(oid),
-            oid.page,
+            self.cfg.protocol.granule(oid),
             CbDone::Write { req, to: from, oid },
-        );
-    }
-
-    pub(crate) fn server_write_page(&mut self, req: ReqId, from: SiteId, txn: TxnId, page: PageId) {
-        if !self.server_owner_fence(from, req, page, Message::WritePage { req, txn, page }) {
-            return;
-        }
-        self.txns.spread(txn);
-        let cont = LockCont::ServerWritePage {
-            req,
-            from,
-            txn,
-            page,
-        };
-        self.lock_or_park(txn, LockableId::Page(page), LockMode::Ex, cont);
-    }
-
-    pub(crate) fn server_write_page_locked(
-        &mut self,
-        req: ReqId,
-        from: SiteId,
-        txn: TxnId,
-        page: PageId,
-    ) {
-        if !self.txns.is_active(txn) {
-            return;
-        }
-        self.start_callbacks(
-            txn,
-            CbTarget::PageAll(page),
-            page,
-            CbDone::WritePage { req, to: from },
         );
     }
 
     /// Fans out callbacks to every caching client except the requester's
     /// home; completes immediately when there are none.
-    pub(crate) fn start_callbacks(
-        &mut self,
-        txn: TxnId,
-        target: CbTarget,
-        page_or_anchor: PageId,
-        done: CbDone,
-    ) {
+    pub(crate) fn start_callbacks(&mut self, txn: TxnId, target: LockableId, done: CbDone) {
         let targets: Vec<SiteId> = match target {
-            CbTarget::Object(_) | CbTarget::PageAll(_) => {
-                self.copy_table.clients_except(page_or_anchor, txn.site)
+            LockableId::Object(Oid { page, .. }) | LockableId::Page(page) => {
+                self.copy_table.clients_except(page, txn.site)
             }
-            CbTarget::File(f) => self
+            LockableId::File(f) => self
                 .copy_table
                 .file_clients(f)
                 .into_iter()
                 .filter(|s| *s != txn.site)
                 .collect(),
-            CbTarget::Volume(v) => self
+            LockableId::Volume(v) => self
                 .copy_table
                 .volume_clients(v)
                 .into_iter()
@@ -391,7 +338,7 @@ impl PeerServer {
             done,
         };
         self.cb_ops.insert(cb, op);
-        if let CbTarget::Object(o) = target {
+        if let LockableId::Object(o) = target {
             self.cb_by_object.insert(o, cb);
         }
         // This site's own cached copy (the owner in its client role) is
@@ -405,10 +352,10 @@ impl PeerServer {
             }
             if purged {
                 match target {
-                    CbTarget::Object(o) => self.copy_table.drop_entry(o.page, self.site),
-                    CbTarget::PageAll(p) => self.copy_table.drop_entry(p, self.site),
-                    CbTarget::File(f) => self.copy_table.drop_file_entries(f, self.site),
-                    CbTarget::Volume(v) => {
+                    LockableId::Object(o) => self.copy_table.drop_entry(o.page, self.site),
+                    LockableId::Page(p) => self.copy_table.drop_entry(p, self.site),
+                    LockableId::File(f) => self.copy_table.drop_file_entries(f, self.site),
+                    LockableId::Volume(v) => {
                         for f in self.volume.files() {
                             if f.vol == v {
                                 self.copy_table.drop_file_entries(f, self.site);
@@ -441,7 +388,7 @@ impl PeerServer {
             self.obs.record(pscc_obs::EventKind::CallbackSent {
                 to: site,
                 txn,
-                item: target.lockable(),
+                item: target,
             });
             self.send(site, Message::Callback { cb, txn, target });
         }
@@ -449,9 +396,9 @@ impl PeerServer {
 
     /// Invalidates this site's own cached copy on behalf of `txn`'s
     /// callback. Returns whether the whole granule was purged.
-    fn self_callback(&mut self, txn: TxnId, target: CbTarget) -> bool {
+    fn self_callback(&mut self, txn: TxnId, target: LockableId) -> bool {
         match target {
-            CbTarget::Object(oid) => {
+            LockableId::Object(oid) => {
                 let in_use = self
                     .locks
                     .holders(LockableId::Page(oid.page))
@@ -483,30 +430,28 @@ impl PeerServer {
                     }
                     for h in self.txns.home.values_mut() {
                         h.adaptive_pages.remove(&oid.page);
-                        h.page_write_grants.remove(&oid.page);
                     }
                     self.stats.callbacks_purged_page += 1;
                     true
                 }
             }
-            CbTarget::PageAll(p) => {
+            LockableId::Page(p) => {
                 if self.cache.purge(p).is_some() {
                     self.stats.pages_purged += 1;
                 }
                 for h in self.txns.home.values_mut() {
                     h.adaptive_pages.remove(&p);
-                    h.page_write_grants.remove(&p);
                 }
                 true
             }
-            CbTarget::File(f) => {
+            LockableId::File(f) => {
                 for p in self.cache.pages_of_file(f) {
                     self.cache.purge(p);
                     self.stats.pages_purged += 1;
                 }
                 true
             }
-            CbTarget::Volume(v) => {
+            LockableId::Volume(v) => {
                 for p in self.cache.pages_of_volume(v) {
                     self.cache.purge(p);
                     self.stats.pages_purged += 1;
@@ -526,7 +471,7 @@ impl PeerServer {
             return;
         }
         op.all_purged &= purged_page;
-        let (cb_txn, cb_item) = (op.txn, op.target.lockable());
+        let (cb_txn, cb_item) = (op.txn, op.target);
         self.obs.cb_acked(cb, self.now);
         self.obs.record(pscc_obs::EventKind::CallbackPurged {
             from,
@@ -544,10 +489,10 @@ impl PeerServer {
         };
         if purged_page {
             match op.target {
-                CbTarget::Object(o) => self.copy_table.drop_entry(o.page, from),
-                CbTarget::PageAll(p) => self.copy_table.drop_entry(p, from),
-                CbTarget::File(f) => self.copy_table.drop_file_entries(f, from),
-                CbTarget::Volume(v) => {
+                LockableId::Object(o) => self.copy_table.drop_entry(o.page, from),
+                LockableId::Page(p) => self.copy_table.drop_entry(p, from),
+                LockableId::File(f) => self.copy_table.drop_file_entries(f, from),
+                LockableId::Volume(v) => {
                     for f in self.volume.files() {
                         if f.vol == v {
                             self.copy_table.drop_file_entries(f, from);
@@ -577,7 +522,7 @@ impl PeerServer {
         self.obs.record(pscc_obs::EventKind::CallbackBlocked {
             from,
             txn: cbtxn,
-            item: target.lockable(),
+            item: target,
         });
         if op.upgrade.is_some() {
             // Already mid-dance from another client's blocked report; the
@@ -585,7 +530,7 @@ impl PeerServer {
             // covers re-acquisition.
         }
         match target {
-            CbTarget::Object(oid) => {
+            LockableId::Object(oid) => {
                 let obj = LockableId::Object(oid);
                 let page = LockableId::Page(oid.page);
                 let page_level = holders
@@ -667,8 +612,8 @@ impl PeerServer {
                     self.issue_upgrade(cb, cbtxn, obj, LockMode::Ex);
                 }
             }
-            CbTarget::PageAll(p) => {
-                let page = LockableId::Page(p);
+            LockableId::Page(_) => {
+                let page = target;
                 if self.locks.held_mode(cbtxn, page) == Some(LockMode::Ex) {
                     self.locks.downgrade(cbtxn, page, LockMode::Sh);
                     self.obs.record(pscc_obs::EventKind::LockDowngrade {
@@ -688,15 +633,16 @@ impl PeerServer {
                 }
                 self.issue_upgrade(cb, cbtxn, page, LockMode::Ex);
             }
-            CbTarget::File(_) | CbTarget::Volume(_) => {
+            LockableId::File(_) | LockableId::Volume(_) => {
                 // §4.3.1: EX file → SIX, replicate IS locks, upgrade back.
-                let item = target.lockable();
-                if self.locks.held_mode(cbtxn, item) == Some(LockMode::Ex) {
-                    self.locks.downgrade(cbtxn, item, LockMode::Six);
-                    self.obs
-                        .record(pscc_obs::EventKind::LockDowngrade { txn: cbtxn, item });
+                if self.locks.held_mode(cbtxn, target) == Some(LockMode::Ex) {
+                    self.locks.downgrade(cbtxn, target, LockMode::Six);
+                    self.obs.record(pscc_obs::EventKind::LockDowngrade {
+                        txn: cbtxn,
+                        item: target,
+                    });
                 }
-                for (t, it, m) in &holders {
+                for (t, item, m) in &holders {
                     if self.replicable(*t) {
                         // Local-only file locks are intentions (IS) from
                         // cached reads; stronger modes arrive as reported.
@@ -712,10 +658,10 @@ impl PeerServer {
                         } else {
                             LockMode::Is
                         };
-                        self.locks.force_grant(*t, *it, m);
+                        self.locks.force_grant(*t, *item, m);
                     }
                 }
-                self.issue_upgrade(cb, cbtxn, item, LockMode::Ex);
+                self.issue_upgrade(cb, cbtxn, target, LockMode::Ex);
             }
         }
         self.check_deadlocks();
@@ -760,7 +706,7 @@ impl PeerServer {
         op.upgrade = None;
         let cbtxn = op.txn;
         let target = op.target;
-        if let CbTarget::Object(oid) = target {
+        if let LockableId::Object(oid) = target {
             let obj = LockableId::Object(oid);
             if self.locks.held_mode(cbtxn, obj) != Some(LockMode::Ex) {
                 self.issue_upgrade(cb, cbtxn, obj, LockMode::Ex);
@@ -788,7 +734,7 @@ impl PeerServer {
             self.obs.cb_closed(cb);
             if let Some(op) = self.cb_ops.get(&cb) {
                 self.obs.record(pscc_obs::EventKind::Race {
-                    item: op.target.lockable(),
+                    item: op.target,
                     kind: pscc_obs::event::RaceKind::CallbackRedo,
                 });
             }
@@ -802,16 +748,11 @@ impl PeerServer {
                 op.violated = false;
                 (op.txn, op.target, op.done.clone())
             };
-            if let CbTarget::Object(o) = target {
+            if let LockableId::Object(o) = target {
                 self.cb_by_object.remove(&o);
             }
             self.cb_ops.remove(&cb);
-            let anchor = match target {
-                CbTarget::Object(o) => o.page,
-                CbTarget::PageAll(p) => p,
-                _ => PageId::default(),
-            };
-            self.start_callbacks(txn, target, anchor, done);
+            self.start_callbacks(txn, target, done);
             return;
         }
         let Some(op) = self.cb_ops.remove(&cb) else {
@@ -821,7 +762,7 @@ impl PeerServer {
             return;
         };
         self.obs.cb_closed(cb);
-        if let CbTarget::Object(o) = op.target {
+        if let LockableId::Object(o) = op.target {
             self.cb_by_object.remove(&o);
         }
         match op.done {
@@ -829,6 +770,9 @@ impl PeerServer {
                 let adaptive = self.cfg.protocol.adaptive_locking()
                     && op.all_purged
                     && self.can_grant_adaptive(oid.page, op.txn);
+                // A write at page granularity holds the EX page lock, so
+                // its grant covers the page like an adaptive one.
+                let page_lock = matches!(op.target, LockableId::Page(_));
                 if adaptive {
                     self.locks.set_adaptive(op.txn, oid.page);
                     self.stats.adaptive_grants += 1;
@@ -841,18 +785,11 @@ impl PeerServer {
                 // ack a write for a page it has committed away.
                 self.obs
                     .record(pscc_obs::EventKind::WriteAck { page: oid.page, to });
-                self.send(to, Message::WriteGranted { req, adaptive });
-            }
-            CbDone::WritePage { req, to } => {
-                if let CbTarget::PageAll(p) = op.target {
-                    self.obs
-                        .record(pscc_obs::EventKind::WriteAck { page: p, to });
-                }
                 self.send(
                     to,
                     Message::WriteGranted {
                         req,
-                        adaptive: false,
+                        adaptive: adaptive || page_lock,
                     },
                 );
             }
@@ -1072,26 +1009,15 @@ impl PeerServer {
         }
         let done = CbDone::Lock { req, to: from };
         match (item, mode) {
-            // EX object (e.g. a large-object header, §4.4): ordinary
-            // object callbacks.
-            (LockableId::Object(o), LockMode::Ex) => {
-                self.start_callbacks(txn, CbTarget::Object(o), o.page, done)
-            }
-            // EX page: purge everywhere (like a PS write).
-            (LockableId::Page(p), LockMode::Ex) => {
-                self.start_callbacks(txn, CbTarget::PageAll(p), p, done)
-            }
+            // EX on any granule calls that granule back: an object (e.g.
+            // a large-object header, §4.4) like a PS-OA write, a page
+            // like a PS write, a file or volume purged everywhere
+            // (§4.3.1).
+            (_, LockMode::Ex) => self.start_callbacks(txn, item, done),
             // IX/SIX page: dummy-object callbacks invalidate local-only
             // SH page coverage at the clients (paper §4.3.2).
             (LockableId::Page(p), LockMode::Ix | LockMode::Six) => {
-                self.start_callbacks(txn, CbTarget::Object(Oid::dummy(p)), p, done)
-            }
-            // EX file/volume: purge the whole file everywhere (§4.3.1).
-            (LockableId::File(f), LockMode::Ex) => {
-                self.start_callbacks(txn, CbTarget::File(f), PageId::default(), done)
-            }
-            (LockableId::Volume(v), LockMode::Ex) => {
-                self.start_callbacks(txn, CbTarget::Volume(v), PageId::default(), done)
+                self.start_callbacks(txn, LockableId::Object(Oid::dummy(p)), done)
             }
             // Shared/intention modes: the server lock suffices.
             _ => self.send(from, Message::LockGranted { req }),

@@ -80,8 +80,8 @@ pub mod txn;
 pub use engine::large::{decode_header_oid, encode_header_oid};
 pub use engine::{DrainPhase, Env, MigrationPhase, PeerServer};
 pub use msg::{
-    AppOp, AppReply, AppRequest, CbId, CbTarget, ControlOp, DeId, DiskOp, DiskReqId, FifoPath,
-    Input, Message, Output, ReqId, TimerId,
+    AppOp, AppReply, AppRequest, CbId, ControlOp, DeId, DiskOp, DiskReqId, FifoPath, Input,
+    Message, Output, ReqId, TimerId,
 };
 pub use owner_map::{OwnerMap, OwnershipError};
 pub use ownership::{LayoutImage, OwnershipDirectory};

@@ -32,12 +32,10 @@ pub struct HomeTxn {
     /// Remote owners this transaction has spread to (excluding the home
     /// site, whose data is handled locally).
     pub participants: HashSet<SiteId>,
-    /// Pages on which this transaction holds a client-side adaptive
-    /// write grant (PS-AA, §4.1.2).
+    /// Pages on which this transaction holds a write grant covering the
+    /// whole page: an adaptive page lock (PS-AA, §4.1.2) or the EX page
+    /// lock of a PS write. Writes to their objects need no server.
     pub adaptive_pages: HashSet<PageId>,
-    /// Pages on which this transaction holds a server-granted page-level
-    /// EX (the PS protocol's write grants; also explicit EX page locks).
-    pub page_write_grants: HashSet<PageId>,
     /// Outstanding requests this transaction has in flight, so an abort
     /// can retire them.
     pub outstanding_reqs: HashSet<ReqId>,
@@ -64,7 +62,6 @@ impl HomeTxn {
             current_op: None,
             participants: HashSet::default(),
             adaptive_pages: HashSet::default(),
-            page_write_grants: HashSet::default(),
             outstanding_reqs: HashSet::default(),
             updated: HashSet::default(),
             votes: HashSet::default(),

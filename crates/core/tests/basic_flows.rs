@@ -2,7 +2,9 @@
 //! client-server configuration (site 0 owns everything; sites 1..n are
 //! clients).
 
-use pscc_common::{AppId, FileId, Oid, PageId, Protocol, PsccError, SiteId, SystemConfig, VolId};
+use pscc_common::{
+    AppId, FileId, LockableId, Oid, PageId, Protocol, PsccError, SiteId, SystemConfig, VolId,
+};
 use pscc_core::{AppOp, AppReply, OwnerMap};
 use pscc_sim::testkit::version_of;
 use pscc_sim::Simulation;
@@ -226,6 +228,16 @@ fn ps_protocol_page_level_locking() {
     let p = 15;
     let x = oid(p, 0);
 
+    // An owner-local write takes the page lock in the shared table, not
+    // the object lock, and sends nothing.
+    let ts = c.begin(SERVER, APP);
+    let local = oid(p + 100, 3);
+    c.write(SERVER, APP, ts, local, None).unwrap();
+    assert_eq!(c.sites[0].ex_holders(LockableId::Page(local.page)), [ts]);
+    assert!(c.sites[0].ex_holders(LockableId::Object(local)).is_empty());
+    c.commit(SERVER, APP, ts).unwrap();
+    assert_eq!(c.total_stats().msgs_sent, 0);
+
     let tb = c.begin(B, APP);
     c.read(B, APP, tb, x).unwrap();
     c.commit(B, APP, tb).unwrap();
@@ -245,10 +257,64 @@ fn ps_protocol_page_level_locking() {
     let v = c.read(B, APP, tb2, oid(p, 1)).unwrap();
     assert_eq!(version_of(&v), 1);
     c.commit(B, APP, tb2).unwrap();
-    // And no object-level machinery ran.
+
+    // A blind write to a page A does not cache: one fetch, one write
+    // request; a second write to the page sends nothing.
+    let ta2 = c.begin(A, APP);
+    let before = c.total_stats();
+    c.write(A, APP, ta2, oid(p + 1, 0), None).unwrap();
+    let after = c.total_stats();
+    assert_eq!(after.read_requests, before.read_requests + 1);
+    assert_eq!(after.write_requests, before.write_requests + 1);
+    c.write(A, APP, ta2, oid(p + 1, 4), None).unwrap();
+    assert_eq!(c.total_stats().msgs_sent, after.msgs_sent);
+    c.commit(A, APP, ta2).unwrap();
+
+    // No object-level machinery ran; the page grants served the two
+    // server-free writes.
     let s = c.total_stats();
     assert_eq!(s.adaptive_grants, 0);
     assert_eq!(s.deescalations, 0);
+    assert_eq!(s.adaptive_hits, 2);
+}
+
+/// Under PS, a write grant that arrives after its page was evicted
+/// re-fetches the page and then applies the write.
+#[test]
+fn ps_grant_after_eviction_refetches() {
+    let cfg = SystemConfig {
+        client_buf_frac: 0.005, // 2-page client cache
+        ..cfg(Protocol::Ps)
+    };
+    let mut c = Simulation::seeded(3, cfg, OwnerMap::Single(SERVER), 42);
+    let x = oid(0, 0);
+
+    // B reads the page and keeps its SH page lock at the owner, so A's
+    // write waits there.
+    let tb = c.begin(B, APP);
+    c.read(B, APP, tb, oid(0, 9)).unwrap();
+    let ta = c.begin(A, APP);
+    c.read(A, APP, ta, x).unwrap();
+    c.submit(A, APP, Some(ta), write(x));
+    c.pump();
+    assert!(c.find_reply(A, ta).is_none(), "A's write waits on B's lock");
+
+    // Another application at A reads two other pages: page 0 is evicted.
+    let app2 = AppId(1);
+    let ta2 = c.begin(A, app2);
+    let purged = c.total_stats().pages_purged;
+    c.read(A, app2, ta2, oid(1, 0)).unwrap();
+    c.read(A, app2, ta2, oid(2, 0)).unwrap();
+    assert!(c.total_stats().pages_purged > purged, "page 0 evicted");
+
+    // B ends: the grant reaches A, which fetches page 0 again and writes.
+    let fetches = c.total_stats().read_requests;
+    c.commit(B, APP, tb).unwrap();
+    assert!(matches!(c.find_reply(A, ta), Some(AppReply::Done { .. })));
+    assert_eq!(c.total_stats().read_requests, fetches + 1);
+    c.commit(A, APP, ta).unwrap();
+    c.commit(A, app2, ta2).unwrap();
+    assert_eq!(version_of(c.sites[0].volume().read_object(x).unwrap()), 1);
 }
 
 #[test]

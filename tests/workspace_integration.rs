@@ -173,7 +173,7 @@ fn protocol_messages_survive_wire_roundtrip() {
     // Every protocol message must survive the byte-level frame codec a
     // TCP deployment would use.
     use bytes::BytesMut;
-    use pscc_core::{CbTarget, Message, ReqId};
+    use pscc_core::{Message, ReqId};
     use pscc_net::codec::{decode_frame, encode_frame};
     use pscc_storage::{AvailMask, PageSnapshot, SlottedPage};
 
@@ -205,7 +205,7 @@ fn protocol_messages_survive_wire_roundtrip() {
         Message::Callback {
             cb: pscc_core::CbId(4),
             txn,
-            target: CbTarget::Object(Oid::new(page, 3)),
+            target: LockableId::Object(Oid::new(page, 3)),
         },
         Message::Purge {
             client: SiteId(1),
