@@ -21,7 +21,7 @@
 //! of the workspace; use [`HashMap`] and [`HashSet`] from here.
 
 use std::cell::Cell;
-use std::hash::BuildHasher;
+use std::hash::{BuildHasher, Hasher};
 
 /// The multiplier of each word; rustc-hash 2's 64-bit constant.
 const K: u64 = 0xf135_7aea_2e62_a9c5;
@@ -153,11 +153,27 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
     })
 }
 
+/// A 32-bit checksum of `bytes` that no hash seed moves, for frames that
+/// outlive the process: the seed-0 [`FixedHasher`] over them (their
+/// length, then eight bytes per multiply), then MurmurHash3's 64-bit
+/// finalizer, folded to 32 bits. Every step after a word is a bijection
+/// of the state, so a change to one word always changes the 64-bit
+/// result; the finalizer spreads that change over both halves before
+/// the fold.
+pub fn checksum32(bytes: &[u8]) -> u32 {
+    let mut h = FixedHasher { state: 0 };
+    h.write(bytes);
+    let mut x = h.finish();
+    x = (x ^ (x >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
+    x = (x ^ (x >> 33)).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    x ^= x >> 33;
+    (x ^ (x >> 32)) as u32
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{FileId, Oid, PageId, VolId};
-    use std::hash::Hasher;
 
     fn page(p: u32) -> PageId {
         PageId::new(FileId::new(VolId(1), 0), p)
@@ -249,6 +265,25 @@ mod tests {
         let distinct: std::collections::BTreeSet<_> = lens.iter().collect();
         assert_eq!(distinct.len(), lens.len(), "zero strings of 0..=17 bytes");
         assert_ne!(hash_bytes(b"abcdefgh"), hash_bytes(b"abcdefgh\0"));
+    }
+
+    #[test]
+    fn checksum_ignores_the_seed_and_sees_every_byte() {
+        let bytes: Vec<u8> = (0..61u8).map(|b| b.wrapping_mul(37)).collect();
+        let sum = checksum32(&bytes);
+        for seed in 1..=3 {
+            assert_eq!(with_hash_seed(seed, || checksum32(&bytes)), sum);
+        }
+        for i in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut flipped = bytes.clone();
+                flipped[i] ^= 1 << bit;
+                assert_ne!(checksum32(&flipped), sum, "bit {bit} of byte {i}");
+            }
+        }
+        // The length counts: trailing zeros are not padding.
+        assert_ne!(checksum32(&[0; 5]), checksum32(&[0; 6]));
+        assert_ne!(checksum32(&[]), checksum32(&[0; 8]));
     }
 
     #[test]

@@ -20,8 +20,9 @@ use std::fmt;
 /// Version of the encoding as a whole. Peers exchange it when they
 /// connect and refuse a peer that speaks another one; any change to a
 /// [`Wire`] impl's bytes (a reordered field or variant, a new variant in
-/// the middle of an enum) must bump it.
-pub const WIRE_VERSION: u8 = 3;
+/// the middle of an enum) or to the log frame around them (its
+/// checksum) must bump it.
+pub const WIRE_VERSION: u8 = 4;
 
 /// Why a byte string did not decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -10,6 +10,11 @@
 //! [`entry_mut`] / [`drop_if_unused`], [`LockTable::enqueue`] /
 //! [`LockTable::scan`] — and [`LockTable::assert_consistent`] rebuilds
 //! all of them by full scan.
+//!
+//! The containers those places empty — a granule's entry, a page's slot
+//! list, a transaction's lists — go to a free list ([`Spare`]) and the
+//! same places take them back from it, so once the table has held its
+//! working set an uncontended acquire and release allocate nothing.
 
 use pscc_common::hash::HashMap;
 use pscc_common::{LockMode, LockableId, Oid, PageId, TxnId};
@@ -116,6 +121,9 @@ impl Entry {
     }
 }
 
+/// A root-to-leaf acquisition path: at most volume, file, page, object.
+type Path = [(LockableId, LockMode)];
+
 /// The pending state of a (possibly hierarchical) acquisition.
 #[derive(Debug, Clone)]
 struct Pending {
@@ -137,6 +145,29 @@ struct TxnLocks {
     waiting: Vec<Ticket>,
 }
 
+/// Emptied containers kept for reuse, each with the capacity it grew
+/// to. All of them are empty ([`LockTable::assert_consistent`] checks).
+/// They are at most as many as the table held at once.
+#[derive(Debug, Default)]
+struct Spare {
+    entries: Vec<Entry>,
+    slots: Vec<Vec<u16>>,
+    txns: Vec<TxnLocks>,
+}
+
+impl Spare {
+    /// `txn`'s lists, made from spare ones if it has none.
+    fn txn_locks<'a>(
+        &mut self,
+        by_txn: &'a mut HashMap<TxnId, TxnLocks>,
+        txn: TxnId,
+    ) -> &'a mut TxnLocks {
+        by_txn
+            .entry(txn)
+            .or_insert_with(|| self.txns.pop().unwrap_or_default())
+    }
+}
+
 /// A multigranularity lock table for one site. See the crate docs for the
 /// full feature list.
 #[derive(Debug, Default)]
@@ -151,44 +182,53 @@ pub struct LockTable {
     /// Granules with a non-empty wait queue (ordered, so that deadlock
     /// detection visits them the same way in every process).
     queued: BTreeSet<LockableId>,
+    spare: Spare,
     next_ticket: u64,
     trace: Option<TraceHandle>,
 }
 
-/// The entry of `id`, created if absent. Creating an object's entry
-/// lists the object under its page; [`drop_if_unused`] unlists it when
-/// the entry goes.
+/// The entry of `id`, created (from a spare one) if absent. Creating an
+/// object's entry lists the object under its page; [`drop_if_unused`]
+/// unlists it when the entry goes.
 fn entry_mut<'a>(
     entries: &'a mut HashMap<LockableId, Entry>,
     objects_on_page: &mut HashMap<PageId, Vec<u16>>,
+    spare: &mut Spare,
     id: LockableId,
 ) -> &'a mut Entry {
     match entries.entry(id) {
         MapEntry::Occupied(e) => e.into_mut(),
         MapEntry::Vacant(v) => {
             if let LockableId::Object(o) = id {
-                objects_on_page.entry(o.page).or_default().push(o.slot);
+                objects_on_page
+                    .entry(o.page)
+                    .or_insert_with(|| spare.slots.pop().unwrap_or_default())
+                    .push(o.slot);
             }
-            v.insert(Entry::default())
+            v.insert(spare.entries.pop().unwrap_or_default())
         }
     }
 }
 
-/// Forgets a granule that has neither holders nor waiters left. Every
+/// Forgets a granule that has neither holders nor waiters left, keeping
+/// its emptied entry (and its page's emptied slot list) as spares. Every
 /// path that takes a holder or a waiter away ends here, so this is the
 /// one place a granule leaves the table and the per-page list.
 fn drop_if_unused(
     e: OccupiedEntry<'_, LockableId, Entry>,
     objects_on_page: &mut HashMap<PageId, Vec<u16>>,
+    spare: &mut Spare,
 ) {
     if !e.get().is_unused() {
         return;
     }
-    if let (LockableId::Object(o), _) = e.remove_entry() {
+    let (id, entry) = e.remove_entry();
+    spare.entries.push(entry);
+    if let LockableId::Object(o) = id {
         if let MapEntry::Occupied(mut slots) = objects_on_page.entry(o.page) {
             slots.get_mut().retain(|s| *s != o.slot);
             if slots.get().is_empty() {
-                slots.remove();
+                spare.slots.push(slots.remove());
             }
         }
     }
@@ -200,6 +240,7 @@ fn drop_if_unused(
 fn add_holder(
     entry: &mut Entry,
     by_txn: &mut HashMap<TxnId, TxnLocks>,
+    spare: &mut Spare,
     id: LockableId,
     txn: TxnId,
     mode: LockMode,
@@ -216,7 +257,7 @@ fn add_holder(
                 count: 1,
                 adaptive: false,
             });
-            by_txn.entry(txn).or_default().held.push(id);
+            spare.txn_locks(by_txn, txn).held.push(id);
         }
     }
 }
@@ -275,12 +316,22 @@ impl LockTable {
         });
         // Root first, leaf last; skip steps already covered by held modes.
         let intention = mode.ancestor_intention();
-        let mut path: Vec<(LockableId, LockMode)> = Vec::with_capacity(4);
-        path.push((id, mode));
-        path.extend(id.ancestors().map(|g| (g, intention)));
-        path.reverse();
-        path.retain(|(g, m)| !self.held_covers(txn, *g, *m));
-        if path.is_empty() {
+        let mut path = [(id, mode); 4];
+        let mut len = 1;
+        for g in id.ancestors() {
+            path[len] = (g, intention);
+            len += 1;
+        }
+        path[..len].reverse();
+        let mut kept = 0;
+        for i in 0..len {
+            let (g, m) = path[i];
+            if !self.held_covers(txn, g, m) {
+                path[kept] = (g, m);
+                kept += 1;
+            }
+        }
+        if kept == 0 {
             self.emit(EventKind::LockGrant {
                 txn,
                 item: id,
@@ -288,7 +339,7 @@ impl LockTable {
             });
             return (Acquire::Granted, Vec::new());
         }
-        self.run_path(txn, path, (id, mode))
+        self.run_path(txn, &path[..kept], (id, mode))
     }
 
     /// Acquires `mode` on `id` only, without touching ancestors. Used by
@@ -317,7 +368,7 @@ impl LockTable {
             });
             return (Acquire::Granted, Vec::new());
         }
-        self.run_path(txn, vec![(id, mode)], (id, mode))
+        self.run_path(txn, &[(id, mode)], (id, mode))
     }
 
     /// Attempts to acquire `mode` on `id` for `txn` immediately; on
@@ -352,20 +403,16 @@ impl LockTable {
         }
     }
 
+    /// Runs `path` from its root; only a request that must wait copies
+    /// it, into its [`Pending`] state.
     fn run_path(
         &mut self,
         txn: TxnId,
-        path: Vec<(LockableId, LockMode)>,
+        path: &Path,
         leaf: (LockableId, LockMode),
     ) -> (Acquire, Vec<Grant>) {
-        let mut p = Pending {
-            txn,
-            path,
-            step: 0,
-            leaf,
-        };
-        match self.advance(&mut p) {
-            true => {
+        match self.advance(txn, path, 0) {
+            None => {
                 self.emit(EventKind::LockGrant {
                     txn,
                     item: leaf.0,
@@ -373,33 +420,36 @@ impl LockTable {
                 });
                 (Acquire::Granted, Vec::new())
             }
-            false => {
+            Some(step) => {
                 self.emit(EventKind::LockWait {
                     txn,
                     item: leaf.0,
                     mode: leaf.1,
                 });
                 let ticket = self.fresh_ticket();
+                let p = Pending {
+                    txn,
+                    path: path.to_vec(),
+                    step,
+                    leaf,
+                };
                 self.enqueue(ticket, &p);
-                self.by_txn.entry(txn).or_default().waiting.push(ticket);
+                (self.spare.txn_locks(&mut self.by_txn, txn).waiting).push(ticket);
                 self.pending.insert(ticket, p);
                 (Acquire::Wait(ticket), Vec::new())
             }
         }
     }
 
-    /// Tries to complete the pending request from its current step.
-    /// Returns `true` if fully granted; on `false`, `p.step` indexes the
-    /// step that must wait.
-    fn advance(&mut self, p: &mut Pending) -> bool {
-        while p.step < p.path.len() {
-            let (g, m) = p.path[p.step];
-            if !self.held_covers(p.txn, g, m) && !self.try_grant(p.txn, g, m) {
-                return false;
+    /// Tries to complete `txn`'s request along `path` from step `from`.
+    /// Returns `None` if fully granted, else the step that must wait.
+    fn advance(&mut self, txn: TxnId, path: &Path, from: usize) -> Option<usize> {
+        for (step, &(g, m)) in path.iter().enumerate().skip(from) {
+            if !self.held_covers(txn, g, m) && !self.try_grant(txn, g, m) {
+                return Some(step);
             }
-            p.step += 1;
         }
-        true
+        None
     }
 
     /// Grants `mode` on `id` to `txn` if that is possible right now: a
@@ -409,13 +459,18 @@ impl LockTable {
     fn try_grant(&mut self, txn: TxnId, id: LockableId, mode: LockMode) -> bool {
         // A granule without state grants anything, so an entry created
         // here is never left behind empty.
-        let entry = entry_mut(&mut self.entries, &mut self.objects_on_page, id);
+        let entry = entry_mut(
+            &mut self.entries,
+            &mut self.objects_on_page,
+            &mut self.spare,
+            id,
+        );
         let grantable = match entry.holder(txn) {
             Some(h) => entry.compatible_with_others(txn, h.mode.sup(mode)),
             None => entry.queue.is_empty() && entry.compatible_with_others(txn, mode),
         };
         if grantable {
-            add_holder(entry, &mut self.by_txn, id, txn, mode);
+            add_holder(entry, &mut self.by_txn, &mut self.spare, id, txn, mode);
         }
         grantable
     }
@@ -432,10 +487,10 @@ impl LockTable {
 
     /// Edits `txn`'s index entry, dropping it once nothing is left.
     fn unlist(&mut self, txn: TxnId, edit: impl FnOnce(&mut TxnLocks)) {
-        if let Some(l) = self.by_txn.get_mut(&txn) {
-            edit(l);
-            if l.held.is_empty() && l.waiting.is_empty() {
-                self.by_txn.remove(&txn);
+        if let MapEntry::Occupied(mut l) = self.by_txn.entry(txn) {
+            edit(l.get_mut());
+            if l.get().held.is_empty() && l.get().waiting.is_empty() {
+                self.spare.txns.push(l.remove());
             }
         }
     }
@@ -444,7 +499,12 @@ impl LockTable {
     /// of ordinary waiters, FIFO among themselves.
     fn enqueue(&mut self, ticket: Ticket, p: &Pending) {
         let (g, m) = p.path[p.step];
-        let entry = entry_mut(&mut self.entries, &mut self.objects_on_page, g);
+        let entry = entry_mut(
+            &mut self.entries,
+            &mut self.objects_on_page,
+            &mut self.spare,
+            g,
+        );
         let waiter = Waiter {
             ticket,
             txn: p.txn,
@@ -561,8 +621,13 @@ impl LockTable {
             "force_grant({txn}, {id}, {mode}) conflicts with existing holders: {:?}",
             self.holders(id)
         );
-        let entry = entry_mut(&mut self.entries, &mut self.objects_on_page, id);
-        add_holder(entry, &mut self.by_txn, id, txn, mode);
+        let entry = entry_mut(
+            &mut self.entries,
+            &mut self.objects_on_page,
+            &mut self.spare,
+            id,
+        );
+        add_holder(entry, &mut self.by_txn, &mut self.spare, id, txn, mode);
     }
 
     /// Downgrades `txn`'s lock on `id` to `to` **without** re-scanning
@@ -631,20 +696,23 @@ impl LockTable {
         }
         // Let go of everything first, then let the waiters in: one that
         // needs two of these granules gets through both in one scan.
-        let held = self.by_txn.remove(&txn).map(|l| l.held).unwrap_or_default();
+        let Some(mut locks) = self.by_txn.remove(&txn) else {
+            return out;
+        };
         let mut contended = Vec::new();
-        for id in held {
+        for id in locks.held.drain(..) {
             visited();
             let MapEntry::Occupied(mut e) = self.entries.entry(id) else {
                 continue;
             };
             e.get_mut().holders.retain(|h| h.txn != txn);
             if e.get().queue.is_empty() {
-                drop_if_unused(e, &mut self.objects_on_page);
+                drop_if_unused(e, &mut self.objects_on_page, &mut self.spare);
             } else {
                 contended.push(id);
             }
         }
+        self.spare.txns.push(locks);
         for id in contended {
             out.grants.extend(self.scan(id));
         }
@@ -693,13 +761,17 @@ impl LockTable {
                 break;
             }
             let w = entry.queue.pop_front().expect("front checked above");
-            add_holder(entry, &mut self.by_txn, id, w.txn, w.mode);
+            add_holder(entry, &mut self.by_txn, &mut self.spare, id, w.txn, w.mode);
             let mut p = self
                 .pending
                 .remove(&w.ticket)
                 .expect("waiter without pending state");
-            p.step += 1;
-            if self.advance(&mut p) {
+            if let Some(step) = self.advance(p.txn, &p.path, p.step + 1) {
+                // Re-queue at the deeper granule.
+                p.step = step;
+                self.enqueue(w.ticket, &p);
+                self.pending.insert(w.ticket, p);
+            } else {
                 self.emit(EventKind::LockGrant {
                     txn: p.txn,
                     item: p.leaf.0,
@@ -712,16 +784,12 @@ impl LockTable {
                     id: p.leaf.0,
                     mode: p.leaf.1,
                 });
-            } else {
-                // Re-queue at the deeper granule.
-                self.enqueue(w.ticket, &p);
-                self.pending.insert(w.ticket, p);
             }
         }
         if let MapEntry::Occupied(e) = self.entries.entry(id) {
             if e.get().queue.is_empty() {
                 self.queued.remove(&id);
-                drop_if_unused(e, &mut self.objects_on_page);
+                drop_if_unused(e, &mut self.objects_on_page, &mut self.spare);
             }
         }
         grants
@@ -923,6 +991,19 @@ impl LockTable {
         }
         assert_eq!(indexed_objects, objects_on_page, "per-page object index");
         assert_eq!(self.queued, queued, "queued-granule index");
+        let spare = &self.spare;
+        assert!(
+            spare.entries.iter().all(Entry::is_unused),
+            "a spare entry keeps a holder or a waiter"
+        );
+        assert!(
+            spare.slots.iter().all(Vec::is_empty),
+            "a spare slot list keeps a slot"
+        );
+        assert!(
+            (spare.txns.iter()).all(|l| l.held.is_empty() && l.waiting.is_empty()),
+            "a spare transaction list keeps a granule or a ticket"
+        );
     }
 
     /// Number of granules with any lock state (diagnostics).

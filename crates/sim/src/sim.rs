@@ -86,29 +86,81 @@ enum Event {
     Release(Link, Message),
 }
 
-struct HeapItem {
+/// A scheduled event's place in the heap; the event itself waits in
+/// its `slot` of the slab, so the heap moves small keys.
+struct Key {
     at: SimTime,
     /// Orders same-time events: the scheduling sequence, or
     /// [`seeded_tie`] for Seeded timers and disks.
     tie: u128,
-    event: Event,
+    slot: usize,
 }
 
-impl PartialEq for HeapItem {
+impl PartialEq for Key {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.tie == other.tie
     }
 }
-impl Eq for HeapItem {}
-impl PartialOrd for HeapItem {
+impl Eq for Key {}
+impl PartialOrd for Key {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for HeapItem {
+impl Ord for Key {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap by (time, tie).
+        // Min-heap by (time, tie); the slot is not part of the order.
         (other.at, other.tie).cmp(&(self.at, self.tie))
+    }
+}
+
+/// The scheduled events: a min-heap of keys over a slab of events whose
+/// emptied slots are reused, so the slab holds no more slots than the
+/// heap's peak length.
+#[derive(Default)]
+struct Events {
+    heap: BinaryHeap<Key>,
+    slab: Vec<Option<Event>>,
+    free: Vec<usize>,
+    /// The most keys the heap has held at once.
+    #[cfg(test)]
+    peak: usize,
+}
+
+impl Events {
+    fn push(&mut self, at: SimTime, tie: u128, event: Event) {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot] = Some(event);
+                slot
+            }
+            None => {
+                self.slab.push(Some(event));
+                self.slab.len() - 1
+            }
+        };
+        self.heap.push(Key { at, tie, slot });
+        #[cfg(test)]
+        {
+            self.peak = self.peak.max(self.heap.len());
+        }
+    }
+
+    /// The earliest event's time and the event.
+    fn peek(&self) -> Option<(SimTime, &Event)> {
+        let key = self.heap.peek()?;
+        Some((key.at, self.slab[key.slot].as_ref().expect("a keyed slot")))
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, Event)> {
+        let key = self.heap.pop()?;
+        self.free.push(key.slot);
+        Some((key.at, self.slab[key.slot].take().expect("a keyed slot")))
+    }
+
+    /// Every scheduled event, in no particular order.
+    fn iter(&self) -> impl Iterator<Item = &Event> {
+        self.slab.iter().flatten()
     }
 }
 
@@ -147,7 +199,7 @@ pub struct Simulation {
     owners: OwnerMap,
     pub(crate) now: SimTime,
     seq: u64,
-    events: BinaryHeap<HeapItem>,
+    events: Events,
     crashed: Vec<bool>,
     faults: Option<FaultPlan>,
     /// Messages held by a reorder fault until later same-link traffic.
@@ -224,7 +276,7 @@ impl Simulation {
             owners,
             now: SimTime::ZERO,
             seq: 0,
-            events: BinaryHeap::new(),
+            events: Events::default(),
             crashed: vec![false; n_sites as usize],
             faults: None,
             reorder_held: HashMap::default(),
@@ -254,7 +306,7 @@ impl Simulation {
             (Policy::Seeded { .. }, Event::DiskDone { site, req }) => seeded_tie(2, *site, req.0),
             _ => u128::from(self.seq),
         };
-        self.events.push(HeapItem { at, tie, event });
+        self.events.push(at, tie, event);
     }
 
     /// Processes one event: a message whose hold ended, else (Seeded) one
@@ -267,7 +319,7 @@ impl Simulation {
         while self
             .events
             .peek()
-            .is_some_and(|e| e.at <= self.now && matches!(e.event, Event::Release(..)))
+            .is_some_and(|(at, e)| at <= self.now && matches!(e, Event::Release(..)))
         {
             self.dispatch_next();
         }
@@ -299,11 +351,11 @@ impl Simulation {
     }
 
     fn dispatch_next(&mut self) -> bool {
-        let Some(item) = self.events.pop() else {
+        let Some((at, event)) = self.events.pop() else {
             return false;
         };
-        self.now = self.now.max(item.at);
-        match item.event {
+        self.now = self.now.max(at);
+        match event {
             Event::CpuDone { site, after } => {
                 if let Some(app) = after {
                     let idx = app.0 as usize;
@@ -328,7 +380,7 @@ impl Simulation {
             Policy::Timed { .. } => self
                 .events
                 .iter()
-                .filter(|e| matches!(e.event, Event::Deliver { .. }))
+                .filter(|e| matches!(e, Event::Deliver { .. }))
                 .count(),
         }
     }
@@ -365,7 +417,7 @@ impl Simulation {
         self.pump_until(500_000, "cluster did not quiesce", |s| {
             s.in_flight() == 0
                 && s.reorder_held.is_empty()
-                && (s.events.iter()).all(|e| matches!(e.event, Event::Timer { .. }))
+                && (s.events.iter()).all(|e| matches!(e, Event::Timer { .. }))
         });
     }
 
@@ -575,7 +627,7 @@ impl Simulation {
         let warmup_at = SimTime::ZERO + warmup;
         let end_at = SimTime::ZERO + end;
         let mut at_warmup = None;
-        while let Some(at) = self.events.peek().map(|e| e.at) {
+        while let Some((at, _)) = self.events.peek() {
             if at > end_at {
                 break;
             }
@@ -874,5 +926,125 @@ impl Env for Staged<'_> {
     }
     fn reply(&mut self, reply: AppReply) {
         self.0.reply(reply);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::experiment::{build_sim, paper_spec, Figure};
+    use pscc_common::Protocol;
+    use pscc_core::ReqId;
+    use std::cmp::Reverse;
+
+    /// One event of each kind for `site`, told apart by `n`.
+    fn every_kind(site: usize, n: u64) -> [Event; 5] {
+        let msg = || Message::CommitOk { req: ReqId(n) };
+        [
+            Event::CpuDone {
+                site,
+                after: Some(AppId(n as u32)),
+            },
+            Event::Deliver {
+                to: site,
+                from: SiteId(9),
+                msg: msg(),
+            },
+            Event::DiskDone {
+                site,
+                req: DiskReqId(n),
+            },
+            Event::Timer {
+                site,
+                timer: TimerId(n),
+            },
+            Event::Release((SiteId(9), SiteId(site as u32), PathId(0)), msg()),
+        ]
+    }
+
+    fn label(e: &Event) -> (u8, usize, u64) {
+        match e {
+            Event::CpuDone {
+                site,
+                after: Some(app),
+            } => (0, *site, u64::from(app.0)),
+            Event::Deliver {
+                to,
+                msg: Message::CommitOk { req },
+                ..
+            } => (1, *to, req.0),
+            Event::DiskDone { site, req } => (2, *site, req.0),
+            Event::Timer { site, timer } => (3, *site, timer.0),
+            Event::Release((_, to, _), Message::CommitOk { req }) => (4, to.0 as usize, req.0),
+            other => panic!("not a test event: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn same_time_events_pop_in_the_order_of_a_heap_of_time_and_tie() {
+        let (cfg, owners) = (SystemConfig::small(), OwnerMap::Single(SiteId(0)));
+        let timed = Simulation::new(cfg.clone(), owners.clone(), 3, Vec::new(), CostModel::sp2());
+        let seeded = Simulation::seeded(3, cfg, owners, 7);
+        for (policy, mut sim) in [("timed", timed), ("seeded", seeded)] {
+            let mut reference = BinaryHeap::new();
+            let mut popped = 0;
+            // Four rounds at two instants, all five kinds at every site,
+            // with pops between rounds so that freed slots are reused.
+            for round in 0..4u64 {
+                let at = SimTime::ZERO + SimDuration::from_millis(if round == 2 { 3 } else { 5 });
+                for site in [2, 0, 1] {
+                    for event in every_kind(site, round * 10 + site as u64) {
+                        let tie = match (&event, policy) {
+                            (Event::Timer { site, timer }, "seeded") => {
+                                seeded_tie(1, *site, timer.0)
+                            }
+                            (Event::DiskDone { site, req }, "seeded") => {
+                                seeded_tie(2, *site, req.0)
+                            }
+                            _ => u128::from(sim.seq + 1),
+                        };
+                        reference.push(Reverse((at, tie, label(&event))));
+                        sim.schedule(at, event);
+                    }
+                }
+                for _ in 0..4 {
+                    let (at, event) = sim.events.pop().expect("scheduled");
+                    let Reverse((want_at, _, want)) = reference.pop().expect("scheduled");
+                    assert_eq!(
+                        (at, label(&event)),
+                        (want_at, want),
+                        "{policy} pop {popped}"
+                    );
+                    popped += 1;
+                }
+            }
+            while let Some(Reverse((want_at, _, want))) = reference.pop() {
+                let (at, event) = sim.events.pop().expect("as many as the reference");
+                assert_eq!(
+                    (at, label(&event)),
+                    (want_at, want),
+                    "{policy} pop {popped}"
+                );
+                popped += 1;
+            }
+            assert!(sim.events.pop().is_none());
+            assert_eq!(popped, 60);
+            assert!(sim.events.slab.len() <= sim.events.peak);
+        }
+    }
+
+    #[test]
+    fn the_slab_holds_no_more_slots_than_the_heap_held_keys() {
+        // A `fig-des` point: Fig. 13, PS-AA, write probability 0.3, 30
+        // virtual seconds.
+        let mut spec = paper_spec(Figure::Fig13, Protocol::PsAa, 0.3);
+        spec.warmup = SimDuration::from_secs(5);
+        spec.end = SimDuration::from_secs(30);
+        let mut sim = build_sim(&spec);
+        assert!(sim.run(spec.warmup, spec.end).commits > 0);
+        let events = &sim.events;
+        assert!(events.peak > 0);
+        assert!(events.slab.len() <= events.peak);
+        assert_eq!(events.free.len() + events.heap.len(), events.slab.len());
     }
 }

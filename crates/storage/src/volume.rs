@@ -54,38 +54,31 @@ impl Volume {
     /// pages, each holding `cfg.objects_per_page` objects of
     /// `cfg.object_size()` bytes (Table 1).
     pub fn create_database(id: VolId, cfg: &SystemConfig) -> Self {
-        let mut vol = Volume::new(id, cfg.page_size);
-        let file = vol.create_file();
-        let body = vec![0u8; cfg.object_size() as usize];
-        for _ in 0..cfg.database_pages {
-            let pid = vol.allocate_page(file);
-            let page = vol.pages.get_mut(&pid).expect("just allocated");
-            for _ in 0..cfg.objects_per_page {
-                page.insert(&body).expect("object must fit by config");
-            }
-        }
-        vol
+        Self::formatted(id, cfg, 0..cfg.database_pages)
     }
 
     /// Builds a partition of the paper's database holding only the pages
     /// in `page_numbers` of a conceptual global file. Page *numbers* stay
     /// globally meaningful; only residency is partitioned.
     pub fn create_partition(id: VolId, cfg: &SystemConfig, page_numbers: &[u32]) -> Self {
+        Self::formatted(id, cfg, page_numbers.iter().copied())
+    }
+
+    /// A volume of one file holding the pages `page_numbers`, in that
+    /// order, each a copy of one page formatted with the paper's objects:
+    /// every page of the database starts as the same image.
+    fn formatted(id: VolId, cfg: &SystemConfig, page_numbers: impl Iterator<Item = u32>) -> Self {
+        let mut template = SlottedPage::new(cfg.page_size);
+        let body = vec![0u8; cfg.object_size() as usize];
+        for _ in 0..cfg.objects_per_page {
+            template.insert(&body).expect("object must fit by config");
+        }
         let mut vol = Volume::new(id, cfg.page_size);
         let file = vol.create_file();
-        let body = vec![0u8; cfg.object_size() as usize];
-        for &n in page_numbers {
-            let pid = PageId::new(file, n);
-            let mut page = SlottedPage::new(cfg.page_size);
-            for _ in 0..cfg.objects_per_page {
-                page.insert(&body).expect("object must fit by config");
-            }
-            vol.pages.insert(pid, page);
-            vol.files
-                .get_mut(&file.file)
-                .expect("file exists")
-                .pages
-                .push(n);
+        let meta = vol.files.get_mut(&file.file).expect("file exists");
+        for n in page_numbers {
+            vol.pages.insert(PageId::new(file, n), template.clone());
+            meta.pages.push(n);
             vol.next_page = vol.next_page.max(n + 1);
         }
         vol
@@ -344,6 +337,63 @@ mod tests {
         let first = vol.file_pages(file).next().unwrap();
         let page = vol.page(first).unwrap();
         assert_eq!(page.live_slots().len(), cfg.objects_per_page as usize);
+    }
+
+    /// The builds the template replaced: each page allocated or
+    /// installed on its own, then filled object by object.
+    fn reference(id: VolId, cfg: &SystemConfig, page_numbers: Option<&[u32]>) -> Volume {
+        let mut vol = Volume::new(id, cfg.page_size);
+        let file = vol.create_file();
+        let body = vec![0u8; cfg.object_size() as usize];
+        let pids: Vec<PageId> = match page_numbers {
+            None => (0..cfg.database_pages)
+                .map(|_| vol.allocate_page(file))
+                .collect(),
+            Some(numbers) => numbers
+                .iter()
+                .map(|&n| {
+                    let pid = PageId::new(file, n);
+                    vol.install_page(pid, SlottedPage::new(cfg.page_size));
+                    vol.files.get_mut(&file.file).unwrap().pages.push(n);
+                    vol.next_page = vol.next_page.max(n + 1);
+                    pid
+                })
+                .collect(),
+        };
+        for pid in pids {
+            for _ in 0..cfg.objects_per_page {
+                vol.create_object(pid, &body).unwrap();
+            }
+        }
+        vol
+    }
+
+    fn assert_same_volume(got: &Volume, want: &Volume) {
+        assert_eq!((got.id, got.page_size), (want.id, want.page_size));
+        assert_eq!(got.files(), want.files());
+        for f in want.files() {
+            assert!(got.file_pages(f).eq(want.file_pages(f)), "pages of {f}");
+        }
+        assert_eq!(
+            (got.next_file, got.next_page),
+            (want.next_file, want.next_page)
+        );
+        assert_eq!(got.page_count(), want.page_count());
+        assert!(got.pages == want.pages, "every page image");
+    }
+
+    #[test]
+    fn template_volumes_equal_object_by_object_builds() {
+        for cfg in [SystemConfig::paper(), SystemConfig::small()] {
+            let db = Volume::create_database(VolId(3), &cfg);
+            assert_same_volume(&db, &reference(VolId(3), &cfg, None));
+            drop(db);
+            let every_third: Vec<u32> = (1..cfg.database_pages).step_by(3).collect();
+            for numbers in [&every_third[..], &[7, 2, 9][..], &[][..]] {
+                let part = Volume::create_partition(VolId(1), &cfg, numbers);
+                assert_same_volume(&part, &reference(VolId(1), &cfg, Some(numbers)));
+            }
+        }
     }
 
     #[test]

@@ -47,7 +47,7 @@
 //! assert!(cache.drain_txn(txn).is_empty());
 //! ```
 
-use pscc_common::hash::{HashMap, HashSet};
+use pscc_common::hash::{checksum32, HashMap, HashSet};
 use pscc_common::wire::{self, Wire};
 use pscc_common::{Oid, PageId, PsccError, SiteId, TxnId};
 use pscc_storage::{SlottedPage, Volume};
@@ -697,16 +697,6 @@ pub fn apply_undo(vol: &mut Volume, rec: &LogRecord) -> Result<(), PsccError> {
     }
 }
 
-/// FNV-1a over `bytes`, folded to 32 bits (per-frame checksum).
-fn fnv32(bytes: &[u8]) -> u32 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (h ^ (h >> 32)) as u32
-}
-
 #[cfg(test)]
 thread_local! {
     /// Frames this thread has encoded (the force tests count them).
@@ -714,7 +704,7 @@ thread_local! {
 }
 
 /// Appends one `[len | checksum | payload]` frame to `buf`: the
-/// payload's length and FNV-1a checksum as little-endian `u32`s, then
+/// payload's length and [`checksum32`] as little-endian `u32`s, then
 /// the [`Wire`] encoding of `(lsn, record)`.
 fn encode_frame(buf: &mut Vec<u8>, lsn: Lsn, rec: &LogRecord) {
     #[cfg(test)]
@@ -725,7 +715,7 @@ fn encode_frame(buf: &mut Vec<u8>, lsn: Lsn, rec: &LogRecord) {
     rec.put(buf);
     let payload = &buf[header + 8..];
     let len = u32::try_from(payload.len()).expect("a log record under 4 GiB");
-    let sum = fnv32(payload);
+    let sum = checksum32(payload);
     buf[header..header + 4].copy_from_slice(&len.to_le_bytes());
     buf[header + 4..header + 8].copy_from_slice(&sum.to_le_bytes());
 }
@@ -752,7 +742,7 @@ pub fn decode_log(bytes: &[u8]) -> (Vec<(Lsn, LogRecord)>, bool) {
 fn next_frame(rest: &mut &[u8]) -> Result<(Lsn, LogRecord), wire::WireError> {
     let (len, sum) = <(u32, u32)>::get(rest)?;
     let payload = wire::take(rest, len as usize)?;
-    if fnv32(payload) != sum {
+    if checksum32(payload) != sum {
         return Err(wire::WireError::Invalid("log frame checksum"));
     }
     wire::decode(payload)
@@ -1260,12 +1250,40 @@ mod tests {
         TxnId::new(SiteId(1), 1).put(&mut payload);
         payload.push(13);
         let mut image = (payload.len() as u32).to_le_bytes().to_vec();
-        image.extend_from_slice(&fnv32(&payload).to_le_bytes());
+        image.extend_from_slice(&checksum32(&payload).to_le_bytes());
         image.extend_from_slice(&payload);
         let good = image_of(&samples()[..1]);
         let (got, torn) = decode_log(&[good.as_slice(), &image].concat());
         assert!(torn);
         assert_eq!(got.len(), 1);
+    }
+
+    #[test]
+    fn every_single_byte_flip_is_caught() {
+        let image = image_of(&samples());
+        let (whole, torn) = decode_log(&image);
+        assert!(!torn);
+        for at in 0..image.len() {
+            for flip in [0x01, 0x80, 0xff] {
+                let mut damaged = image.clone();
+                damaged[at] ^= flip;
+                let (got, torn) = decode_log(&damaged);
+                assert!(
+                    torn && got.len() < whole.len() && got[..] == whole[..got.len()],
+                    "byte {at} ^ {flip:#04x}: {} records, torn {torn}",
+                    got.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn no_hash_seed_moves_the_image() {
+        let image = image_of(&samples());
+        for seed in 0..=3 {
+            let again = pscc_common::hash::with_hash_seed(seed, || image_of(&samples()));
+            assert_eq!(again, image, "hash seed {seed}");
+        }
     }
 
     #[test]
@@ -1278,7 +1296,7 @@ mod tests {
         #[rustfmt::skip]
         let expected = [
             47, 0, 0, 0,                // payload length
-            0xef, 0x05, 0xba, 0x00,     // FNV-1a of the payload
+            0x4f, 0x19, 0xa4, 0x2c,     // checksum32 of the payload
             7, 0, 0, 0, 0, 0, 0, 0,     // lsn
             1, 0, 0, 0,                 // txn.site
             2, 0, 0, 0, 0, 0, 0, 0,     // txn.seq
