@@ -2,7 +2,7 @@
 //! write-permission requests, adaptive write grants, callback threads,
 //! deescalation handling, and cache eviction with purge notices.
 
-use super::{CbCtx, CbKey, LockCont, PeerServer, ReqCont, TimerKind};
+use super::{CbCtx, CbKey, LockCont, PeerServer, ReqCont, Request, TimerKind};
 use crate::msg::{AppReply, CbId, DeId, Message, ReqId};
 use pscc_common::{
     AbortReason, FileId, LockMode, LockableId, Oid, PageId, SiteId, Stage, TxnId, VolId,
@@ -119,45 +119,105 @@ impl PeerServer {
         let Some(owner) = self.client_route(txn, oid.page) else {
             return;
         };
-        let req = self.fresh_req();
         self.stats.write_requests += 1;
-        self.req_conts
-            .insert(req, ReqCont::Write { txn, oid, bytes });
-        if let Some(h) = self.txns.home.get_mut(&txn) {
-            h.outstanding_reqs.insert(req);
-            h.participants.insert(owner);
-        }
-        self.send(owner, Message::WriteObj { req, txn, oid });
+        let req = self.issue(txn, owner, ReqCont::Write { oid, bytes });
+        self.send_data(req);
     }
 
     fn fetch(&mut self, txn: TxnId, oid: Oid, then_write: Option<Option<Vec<u8>>>) {
         let Some(owner) = self.client_route(txn, oid.page) else {
             return;
         };
-        let req = self.fresh_req();
         self.stats.read_requests += 1;
-        self.req_conts.insert(
-            req,
-            ReqCont::Fetch {
-                txn,
-                oid,
-                then_write,
-            },
-        );
-        self.pending_fetches
-            .entry(oid.page)
-            .or_default()
-            .insert(req);
-        if let Some(h) = self.txns.home.get_mut(&txn) {
-            h.outstanding_reqs.insert(req);
-            h.participants.insert(owner);
-        }
-        self.obs.fetch_sent(req, txn, self.now);
+        let req = self.issue(txn, owner, ReqCont::Fetch { oid, then_write });
         self.obs.record(pscc_obs::EventKind::FetchSent {
             to: owner,
             item: self.cfg.protocol.granule(oid),
         });
-        self.send(owner, Message::ReadObj { req, txn, oid });
+        self.send_data(req);
+    }
+
+    // ------------------------------------------------------------------
+    // The request table: one way in, one way out
+    // ------------------------------------------------------------------
+
+    /// Records a new request of home transaction `txn` to `to` and
+    /// returns its id: the record goes in the request table, the id in
+    /// the transaction's index (and the page's, for a fetch), and `to`
+    /// joins the transaction's participants. The caller sends.
+    pub(crate) fn issue(&mut self, txn: TxnId, to: SiteId, cont: ReqCont) -> ReqId {
+        let req = self.fresh_req();
+        if let ReqCont::Fetch { oid, .. } = cont {
+            self.pending_fetches
+                .entry(oid.page)
+                .or_default()
+                .insert(req);
+        }
+        if let Some(h) = self.txns.home.get_mut(&txn) {
+            h.outstanding_reqs.insert(req);
+            h.participants.insert(to);
+        }
+        let record = Request {
+            txn,
+            to,
+            cont,
+            issued: self.now,
+            stalled: None,
+            retry: None,
+            redirected: None,
+        };
+        self.requests.insert(req, record);
+        req
+    }
+
+    /// Sends data request `req` (`ReadObj`, `WriteObj` or `LockItem`),
+    /// built from its record, to the record's owner.
+    pub(crate) fn send_data(&mut self, req: ReqId) {
+        let Some(r) = self.requests.get(&req) else {
+            return;
+        };
+        let to = r.to;
+        if let Some(msg) = r.data_msg(req) {
+            self.send(to, msg);
+        }
+    }
+
+    /// Retires request `req` on its answer: the record leaves the table
+    /// and both indexes. `None` if it was already retired (its
+    /// transaction ended).
+    pub(crate) fn settle(&mut self, req: ReqId) -> Option<Request> {
+        let r = self.requests.remove(&req)?;
+        if let Some(h) = self.txns.home.get_mut(&r.txn) {
+            h.outstanding_reqs.remove(&req);
+        }
+        if let ReqCont::Fetch { oid, .. } = r.cont {
+            if let Some(p) = self.pending_fetches.get_mut(&oid.page) {
+                p.remove(&req);
+                if p.is_empty() {
+                    self.pending_fetches.remove(&oid.page);
+                }
+            }
+        }
+        Some(r)
+    }
+
+    /// [`Self::settle`], keeping the record only while its transaction
+    /// still runs, so the answer should resume it.
+    pub(crate) fn settle_running(&mut self, req: ReqId) -> Option<Request> {
+        self.settle(req).filter(|r| self.txn_is_running(r.txn))
+    }
+
+    /// The outstanding requests of home transaction `txn` whose record
+    /// `pick` accepts.
+    pub(crate) fn reqs_of(&self, txn: TxnId, pick: impl Fn(&Request) -> bool) -> Vec<ReqId> {
+        let Some(h) = self.txns.home.get(&txn) else {
+            return Vec::new();
+        };
+        h.outstanding_reqs
+            .iter()
+            .copied()
+            .filter(|r| self.requests.get(r).is_some_and(&pick))
+            .collect()
     }
 
     // ------------------------------------------------------------------
@@ -210,40 +270,24 @@ impl PeerServer {
             return;
         }
         for site in sites {
-            let req = self.fresh_req();
-            self.req_conts.insert(req, ReqCont::Lock { txn });
-            if let Some(h) = self.txns.home.get_mut(&txn) {
-                h.outstanding_reqs.insert(req);
-                h.participants.insert(site);
-            }
-            self.send(
-                site,
-                Message::LockItem {
-                    req,
-                    txn,
-                    item,
-                    mode,
-                },
-            );
+            let req = self.issue(txn, site, ReqCont::Lock { item, mode });
+            self.send_data(req);
         }
     }
 
     /// A `LockGranted` reply: the op completes when no requests remain.
     pub(crate) fn client_lock_granted(&mut self, req: ReqId) {
-        let Some(ReqCont::Lock { txn }) = self.req_conts.remove(&req) else {
+        let Some(Request {
+            txn,
+            cont: ReqCont::Lock { .. },
+            ..
+        }) = self.settle(req)
+        else {
             return;
         };
-        let done = {
-            let Some(h) = self.txns.home.get_mut(&txn) else {
-                return;
-            };
-            h.outstanding_reqs.remove(&req);
-            // Other explicit-lock requests may still be outstanding.
-            !h.outstanding_reqs
-                .iter()
-                .any(|r| matches!(self.req_conts.get(r), Some(ReqCont::Lock { .. })))
-        };
-        if done {
+        // Other explicit-lock requests may still be outstanding.
+        let lock = |r: &Request| matches!(r.cont, ReqCont::Lock { .. });
+        if self.txns.home.contains_key(&txn) && self.reqs_of(txn, lock).is_empty() {
             self.complete_op(txn, None);
         }
     }
@@ -255,19 +299,17 @@ impl PeerServer {
     /// A shipped page arrived (paper §4.2.3 merge rules + §4.2.4 race
     /// table).
     pub(crate) fn client_read_reply(&mut self, req: ReqId, snapshot: PageSnapshot) {
-        let cont = self.req_conts.remove(&req);
+        let record = self.settle(req);
         let page = snapshot.page;
-        self.obs.fetch_done(req, self.now);
+        if let Some(r) = &record {
+            let rtt = self.now.since(r.issued);
+            self.obs.fetch_rtt.record(rtt);
+            self.obs.stage_sample(r.txn, Stage::FetchRtt, rtt);
+        }
         self.obs.record(pscc_obs::EventKind::FetchDone {
             from: self.owners.owner_of(page).unwrap_or(self.site),
             item: LockableId::Page(page),
         });
-        if let Some(p) = self.pending_fetches.get_mut(&page) {
-            p.remove(&req);
-            if p.is_empty() {
-                self.pending_fetches.remove(&page);
-            }
-        }
         let raced = self.races.consume(page, req);
         if !raced.is_empty() {
             self.stats.callback_races += 1;
@@ -285,20 +327,14 @@ impl PeerServer {
         );
         self.send_purges(evicted);
 
-        let Some(ReqCont::Fetch {
+        let Some(Request {
             txn,
-            oid,
-            then_write,
-        }) = cont
+            cont: ReqCont::Fetch { oid, then_write },
+            ..
+        }) = record.filter(|r| self.txn_is_running(r.txn))
         else {
             return;
         };
-        if let Some(h) = self.txns.home.get_mut(&txn) {
-            h.outstanding_reqs.remove(&req);
-        }
-        if !self.txn_is_running(txn) {
-            return;
-        }
         match then_write {
             None => {
                 // `None` here legitimately means the object was deleted
@@ -315,15 +351,14 @@ impl PeerServer {
     /// deescalation race (§4.2.4) voided it.
     pub(crate) fn client_write_granted(&mut self, req: ReqId, adaptive: bool) {
         let deescalated = self.races.consume_deescalation(req);
-        let Some(ReqCont::Write { txn, oid, bytes }) = self.req_conts.remove(&req) else {
+        let Some(Request {
+            txn,
+            cont: ReqCont::Write { oid, bytes },
+            ..
+        }) = self.settle_running(req)
+        else {
             return;
         };
-        if let Some(h) = self.txns.home.get_mut(&txn) {
-            h.outstanding_reqs.remove(&req);
-        }
-        if !self.txn_is_running(txn) {
-            return;
-        }
         if adaptive && !deescalated {
             if let Some(h) = self.txns.home.get_mut(&txn) {
                 h.adaptive_pages.insert(oid.page);
@@ -341,20 +376,11 @@ impl PeerServer {
     /// The owner denied a request because the transaction was chosen as
     /// a victim: abort it here at its home.
     pub(crate) fn client_req_denied(&mut self, req: ReqId, reason: AbortReason) {
-        let txn = match self.req_conts.remove(&req) {
-            Some(
-                ReqCont::Fetch { txn, .. }
-                | ReqCont::Write { txn, .. }
-                | ReqCont::Lock { txn }
-                | ReqCont::ForwardRead { txn }
-                | ReqCont::ForwardWrite { txn, .. },
-            ) => txn,
-            _ => return,
+        let Some(r) = self.settle(req) else {
+            return;
         };
         self.races.forget_request(req);
-        self.obs.fetch_drop(req);
-        self.obs.queue_drop(req);
-        self.abort_txn_here(txn, reason);
+        self.abort_txn_here(r.txn, reason);
     }
 
     /// The owner reports our transaction was aborted as a victim there.
@@ -384,11 +410,11 @@ impl PeerServer {
 
     /// The owner this request reached no longer holds its page: range
     /// `[lo, hi)` migrated away under `layout`. Apply the move if it is
-    /// news, re-point the retained in-flight copy, and retry —
-    /// immediately when the redirect taught us something (a newer layout
-    /// or a destination other than the refusing site), with backoff when
-    /// it did not (the destination simply has not activated yet; blind
-    /// immediate retries would ping-pong between disagreeing sites).
+    /// news, re-point the request's record, and retry — immediately when
+    /// the redirect taught us something (a newer layout or a destination
+    /// other than the refusing site), with backoff when it did not (the
+    /// destination simply has not activated yet; blind immediate retries
+    /// would ping-pong between disagreeing sites).
     pub(crate) fn client_wrong_owner(
         &mut self,
         from: SiteId,
@@ -399,11 +425,8 @@ impl PeerServer {
         new_owner: SiteId,
     ) {
         self.stats.wrong_owner_redirects += 1;
-        if !self.req_conts.contains_key(&req) {
-            // The transaction ended while the redirect was in flight.
-            self.inflight.remove(&req);
-            self.migration_waits.remove(&req);
-            return;
+        if !self.requests.contains_key(&req) {
+            return; // the transaction ended while the redirect was in flight
         }
         let fresh = self.owners.apply_move(lo, hi, new_owner, layout);
         let dest = if fresh {
@@ -415,29 +438,24 @@ impl PeerServer {
             let probe = PageId::new(FileId::new(VolId(self.site.0), 0), lo);
             self.owners.owner_of(probe).unwrap_or(new_owner)
         };
-        let Some((site, msg, _)) = self.inflight.get_mut(&req) else {
+        let Some(r) = self.requests.get_mut(&req).filter(|r| r.retry.is_some()) else {
             return;
         };
-        *site = dest;
-        let msg = msg.clone();
-        if let Some(txn) = msg.txn_id() {
-            // The re-routed request will take locks at `dest`; commit
-            // must release them there.
-            if let Some(h) = self.txns.home.get_mut(&txn) {
-                h.participants.insert(dest);
-            }
+        r.to = dest;
+        // The re-routed request will take locks at `dest`; commit must
+        // release them there.
+        if let Some(h) = self.txns.home.get_mut(&r.txn) {
+            h.participants.insert(dest);
         }
         if fresh || dest != from {
             // The stall this migration imposed on the request ends now.
-            if let Some(t0) = self.migration_waits.remove(&req) {
-                if let Some(txn) = msg.txn_id() {
-                    self.obs
-                        .stage_sample(txn, Stage::MigrationPause, self.now.since(t0));
-                }
+            if let Some(t0) = r.redirected.take() {
+                let paused = self.now.since(t0);
+                self.obs.stage_sample(r.txn, Stage::MigrationPause, paused);
             }
-            self.send(dest, msg);
+            self.send_data(req);
         } else {
-            self.migration_waits.entry(req).or_insert(self.now);
+            r.redirected.get_or_insert(self.now);
             self.client_busy(from, req, self.cfg.busy_retry_hint);
         }
     }
@@ -448,32 +466,28 @@ impl PeerServer {
 
     /// An overloaded owner refused a data request with `Busy`: back off
     /// exponentially (with deterministic jitter derived from the request
-    /// id) and arm a retry timer. The retained in-flight copy keeps the
-    /// request replayable; its continuation stays installed, so the
-    /// eventual reply resumes it exactly as a first-try reply would.
+    /// id) and arm a retry timer. The request's record keeps it
+    /// replayable and resumable: the eventual reply resumes it exactly as
+    /// a first-try reply would.
     pub(crate) fn client_busy(
         &mut self,
         from: SiteId,
         req: ReqId,
         retry_after: pscc_common::SimDuration,
     ) {
-        if !self.req_conts.contains_key(&req) {
-            // The transaction ended (aborted) while the refusal was in
-            // flight; nothing left to retry.
-            self.inflight.remove(&req);
-            self.migration_waits.remove(&req);
+        // A request whose transaction ended while the refusal was in
+        // flight has no record: nothing left to retry.
+        let Some(r) = self.requests.get_mut(&req) else {
             return;
-        }
-        let Some((_, retained, attempt)) = self.inflight.get_mut(&req) else {
+        };
+        let Some(attempt) = r.retry.as_mut() else {
             return;
         };
         *attempt = attempt.saturating_add(1);
         let attempt = *attempt;
-        if let Some(txn) = retained.txn_id() {
-            // Busy backoff is queue time from the request's view; the
-            // interval closes when the retry finally departs.
-            self.obs.queue_begin(req, txn, self.now);
-        }
+        // Busy backoff is queue time from the request's view; the
+        // interval closes when the retry finally departs.
+        r.stalled.get_or_insert(self.now);
         let base = retry_after.as_micros().max(1);
         let backoff = base.saturating_mul(1 << attempt.min(6) as u64);
         // Deterministic jitter (no RNG in the engine): spread retries of
@@ -492,30 +506,23 @@ impl PeerServer {
         });
     }
 
-    /// A Busy-retry timer fired: re-send the retained request if its
-    /// transaction still wants it (the send re-enters credit-based flow
-    /// control, so it may queue locally instead of going out).
+    /// A Busy-retry timer fired: re-send the request if its transaction
+    /// still wants it (the send re-enters credit-based flow control, so
+    /// it may queue locally instead of going out).
     pub(crate) fn busy_retry_fired(&mut self, req: ReqId) {
-        if !self.req_conts.contains_key(&req) {
-            self.inflight.remove(&req);
-            self.migration_waits.remove(&req);
-            return;
-        }
-        let Some((site, msg, _)) = self.inflight.get(&req).cloned() else {
+        let Some(r) = self.requests.get_mut(&req).filter(|r| r.retry.is_some()) else {
             return;
         };
         // A retry departing after a migration stall closes its pause
         // interval (re-stamped if the destination refuses again).
-        if let Some(t0) = self.migration_waits.remove(&req) {
-            if let Some(txn) = msg.txn_id() {
-                self.obs
-                    .stage_sample(txn, Stage::MigrationPause, self.now.since(t0));
-            }
+        if let Some(t0) = r.redirected.take() {
+            let paused = self.now.since(t0);
+            self.obs.stage_sample(r.txn, Stage::MigrationPause, paused);
         }
         self.stats.busy_retries += 1;
         self.obs
-            .record(pscc_obs::EventKind::BusyRetry { peer: site });
-        self.send(site, msg);
+            .record(pscc_obs::EventKind::BusyRetry { peer: r.to });
+        self.send_data(req);
     }
 
     // ------------------------------------------------------------------
@@ -542,13 +549,7 @@ impl PeerServer {
             let Some(owner) = self.client_route(txn, oid.page) else {
                 return;
             };
-            let req = self.fresh_req();
-            self.req_conts
-                .insert(req, ReqCont::ForwardWrite { txn, oid, bytes });
-            if let Some(h) = self.txns.home.get_mut(&txn) {
-                h.outstanding_reqs.insert(req);
-                h.participants.insert(owner);
-            }
+            let req = self.issue(txn, owner, ReqCont::ForwardWrite { oid, bytes });
             self.send(owner, Message::ReadForwarded { req, txn, oid });
             return;
         }
@@ -588,12 +589,7 @@ impl PeerServer {
                 let Some(owner) = self.client_route(txn, oid.page) else {
                     return;
                 };
-                let req = self.fresh_req();
-                self.req_conts.insert(req, ReqCont::ForwardRead { txn });
-                if let Some(h) = self.txns.home.get_mut(&txn) {
-                    h.outstanding_reqs.insert(req);
-                    h.participants.insert(owner);
-                }
+                let req = self.issue(txn, owner, ReqCont::ForwardRead);
                 self.send(owner, Message::ReadForwarded { req, txn, oid });
                 return;
             }
@@ -603,23 +599,12 @@ impl PeerServer {
 
     /// The owner answered a forwarded-object point read.
     pub(crate) fn client_object_bytes(&mut self, req: ReqId, data: Option<Vec<u8>>) {
-        match self.req_conts.remove(&req) {
-            Some(ReqCont::ForwardRead { txn }) => {
-                if let Some(h) = self.txns.home.get_mut(&txn) {
-                    h.outstanding_reqs.remove(&req);
-                }
-                if !self.txn_is_running(txn) {
-                    return;
-                }
-                self.complete_op(txn, data);
-            }
-            Some(ReqCont::ForwardWrite { txn, oid, bytes }) => {
-                if let Some(h) = self.txns.home.get_mut(&txn) {
-                    h.outstanding_reqs.remove(&req);
-                }
-                if !self.txn_is_running(txn) {
-                    return;
-                }
+        let Some(Request { txn, cont, .. }) = self.settle_running(req) else {
+            return;
+        };
+        match cont {
+            ReqCont::ForwardRead => self.complete_op(txn, data),
+            ReqCont::ForwardWrite { oid, bytes } => {
                 let Some(before) = data else {
                     self.complete_op(txn, None);
                     return;
@@ -807,7 +792,7 @@ impl PeerServer {
                         self.lock_conts
                             .insert(t, LockCont::CbCtxPage { key, txn, oid });
                         self.cb_blocked_report(key, LockableId::Page(oid.page), LockMode::Ix, txn);
-                        self.arm_cb_timer(key, txn);
+                        self.arm_cb_timer(key);
                     }
                 }
             }
@@ -829,9 +814,9 @@ impl PeerServer {
                 ctx.waiting = Some(t);
                 self.cb_ctxs.insert(key, ctx);
                 self.lock_conts
-                    .insert(t, LockCont::CbCtxWhole { key, txn, target });
+                    .insert(t, LockCont::CbCtxWhole { key, target });
                 self.cb_blocked_report(key, target, LockMode::Ex, txn);
-                self.arm_cb_timer(key, txn);
+                self.arm_cb_timer(key);
             }
         }
     }
@@ -864,10 +849,10 @@ impl PeerServer {
         self.send(owner, Message::CbBlocked { cb, holders });
     }
 
-    fn arm_cb_timer(&mut self, key: CbKey, txn: TxnId) {
+    fn arm_cb_timer(&mut self, key: CbKey) {
         let timer = self.fresh_timer();
         let delay = self.timeout_est.timeout();
-        self.timers.insert(timer, TimerKind::CbWait { key, txn });
+        self.timers.insert(timer, TimerKind::CbWait { key });
         if let Some(ctx) = self.cb_ctxs.get_mut(&key) {
             ctx.timer = Some(timer);
         }
@@ -884,21 +869,20 @@ impl PeerServer {
         let item = LockableId::Object(oid);
         let (a, _) = self.locks.acquire_single(txn, item, LockMode::Ex);
         match a {
-            Acquire::Granted => self.cb_ctx_obj_locked(key, txn, oid),
+            Acquire::Granted => self.cb_ctx_obj_locked(key, oid),
             Acquire::Wait(t) => {
                 if let Some(ctx) = self.cb_ctxs.get_mut(&key) {
                     ctx.waiting = Some(t);
                 }
-                self.lock_conts
-                    .insert(t, LockCont::CbCtxObj { key, txn, oid });
+                self.lock_conts.insert(t, LockCont::CbCtxObj { key, oid });
                 self.cb_blocked_report(key, item, LockMode::Ex, txn);
-                self.arm_cb_timer(key, txn);
+                self.arm_cb_timer(key);
             }
         }
     }
 
     /// Object EX acquired: register races, invalidate, acknowledge.
-    pub(crate) fn cb_ctx_obj_locked(&mut self, key: CbKey, _txn: TxnId, oid: Oid) {
+    pub(crate) fn cb_ctx_obj_locked(&mut self, key: CbKey, oid: Oid) {
         let Some(ctx) = self.cb_ctxs.get_mut(&key) else {
             return;
         };
@@ -919,13 +903,12 @@ impl PeerServer {
     }
 
     /// Whole-granule EX acquired: purge and acknowledge.
-    pub(crate) fn cb_ctx_whole_locked(&mut self, key: CbKey, txn: TxnId, target: LockableId) {
+    pub(crate) fn cb_ctx_whole_locked(&mut self, key: CbKey, target: LockableId) {
         let Some(ctx) = self.cb_ctxs.get_mut(&key) else {
             return;
         };
         ctx.waiting = None;
         ctx.held.push(target);
-        let _ = txn;
         self.finish_cb_whole(key, target, false);
     }
 
@@ -1039,9 +1022,9 @@ impl PeerServer {
         // Deescalation race: in-flight write requests for this page may
         // come back with a stale adaptive bit — void it (§4.2.4).
         let outstanding: Vec<ReqId> = self
-            .req_conts
+            .requests
             .iter()
-            .filter_map(|(r, c)| match c {
+            .filter_map(|(r, rec)| match rec.cont {
                 ReqCont::Write { oid, .. } if oid.page == page => Some(*r),
                 _ => None,
             })

@@ -2,7 +2,7 @@
 //! two-phase commit for multi-owner transactions, and the abort
 //! procedure (client purge + server undo + callback cancellation).
 
-use super::{CbKey, DiskCont, PeerServer, ReqCont};
+use super::{CbKey, DiskCont, PeerServer, ReqCont, Request};
 use crate::msg::{AppReply, DiskOp, Input, Message, ReqId};
 use crate::txn::TxnStatus;
 use pscc_common::hash::HashMap;
@@ -78,8 +78,7 @@ impl PeerServer {
         }
         if participants.len() == 1 {
             let site = participants[0];
-            let req = self.fresh_req();
-            self.req_conts.insert(req, ReqCont::Commit { txn });
+            let req = self.issue(txn, site, ReqCont::Commit);
             let records = by_owner.remove(&site).unwrap_or_default();
             self.send(site, Message::CommitReq { req, txn, records });
             return;
@@ -91,8 +90,7 @@ impl PeerServer {
             stage: pscc_obs::event::CommitStage::Prepare,
         });
         for site in participants {
-            let req = self.fresh_req();
-            self.req_conts.insert(req, ReqCont::Prepare { txn, site });
+            let req = self.issue(txn, site, ReqCont::Prepare);
             let records = by_owner.remove(&site).unwrap_or_default();
             self.send(site, Message::Prepare { req, txn, records });
         }
@@ -100,17 +98,19 @@ impl PeerServer {
 
     /// `CommitOk` from the single participant.
     pub(crate) fn client_commit_ok(&mut self, req: ReqId) {
-        let Some(ReqCont::Commit { txn }) = self.req_conts.remove(&req) else {
-            return;
-        };
-        self.finish_home_commit(txn);
+        if let Some(r) = self.settle(req) {
+            self.finish_home_commit(r.txn);
+        }
     }
 
     /// A 2PC vote arrived — from the wire, or synthesized by recovery
     /// when a restarted participant's durable prepare stands in for a
     /// `Voted` message the crash swallowed.
     pub(crate) fn register_vote(&mut self, req: ReqId, txn: TxnId, yes: bool) {
-        let Some(ReqCont::Prepare { txn: t, site }) = self.req_conts.remove(&req) else {
+        let Some(Request {
+            txn: t, to: site, ..
+        }) = self.settle(req)
+        else {
             return;
         };
         debug_assert_eq!(t, txn);
@@ -426,29 +426,29 @@ impl PeerServer {
                 h.updated.iter().copied().collect::<Vec<_>>(),
             )
         };
-        // Overload protection: requests of this transaction still queued
-        // for a credit die with it; in-flight ones return their credit
-        // now (a late reply re-releases, but the pool is capped).
-        for q in self.credit_waiters.values_mut() {
-            q.retain(|m| super::credit_request(m).map(|(_, t)| t) != Some(txn));
-        }
-        self.credit_waiters.retain(|_, q| !q.is_empty());
-        for r in &reqs {
-            if let Some((site, _, _)) = self.inflight.remove(r) {
-                self.credit_release(site);
+        // Its requests die with it: each record leaves the table and the
+        // pending-fetch index (the server cancelled it and will never
+        // answer), and a request still queued for a credit leaves its
+        // owner's queue. Then the ones in flight return their credit
+        // (a late reply re-releases, but the pool is capped).
+        let mut in_flight = Vec::new();
+        for req in reqs {
+            self.races.forget_request(req);
+            let Some(r) = self.settle(req) else {
+                continue;
+            };
+            if let Some(q) = self.credit_waiters.get_mut(&r.to) {
+                q.retain(|&queued| queued != req);
+                if q.is_empty() {
+                    self.credit_waiters.remove(&r.to);
+                }
+            }
+            if r.retry.is_some() {
+                in_flight.push(r.to);
             }
         }
-        for r in reqs {
-            self.req_conts.remove(&r);
-            self.races.forget_request(r);
-            self.obs.fetch_drop(r);
-            self.obs.queue_drop(r);
-            // A request the server will never answer (it was cancelled
-            // there) must not leave a pending-fetch mark behind.
-            self.pending_fetches.retain(|_, set| {
-                set.remove(&r);
-                !set.is_empty()
-            });
+        for site in in_flight {
+            self.credit_release(site);
         }
         self.stats.aborts += 1;
         self.obs.commit_drop(txn);

@@ -14,7 +14,7 @@
 //! * `WriteLarge` requires an EX lock on the header (e.g. via
 //!   `AppOp::Lock`).
 
-use super::PeerServer;
+use super::{PeerServer, ReqCont};
 use crate::msg::{Message, ReqId};
 use pscc_common::hash::HashMap;
 use pscc_common::{LockMode, LockableId, Oid, PageId, SiteId, TxnId};
@@ -83,12 +83,7 @@ impl PeerServer {
         let Some(owner) = self.client_route(txn, header_page) else {
             return;
         };
-        let req = self.fresh_req();
-        self.large_creates.insert(req, txn);
-        if let Some(h) = self.txns.home.get_mut(&txn) {
-            h.outstanding_reqs.insert(req);
-            h.participants.insert(owner);
-        }
+        let req = self.issue(txn, owner, ReqCont::CreateLarge);
         self.send(
             owner,
             Message::CreateLargeReq {
@@ -101,16 +96,9 @@ impl PeerServer {
     }
 
     pub(crate) fn client_create_large_ok(&mut self, req: ReqId, header: Oid) {
-        let Some(txn) = self.large_creates.remove(&req) else {
-            return;
-        };
-        if let Some(h) = self.txns.home.get_mut(&txn) {
-            h.outstanding_reqs.remove(&req);
+        if let Some(r) = self.settle_running(req) {
+            self.complete_op(r.txn, Some(encode_header_oid(header)));
         }
-        if !self.txn_is_running(txn) {
-            return;
-        }
-        self.complete_op(txn, Some(encode_header_oid(header)));
     }
 
     /// Reads `len` bytes at `offset` of the large object whose header is
@@ -140,7 +128,7 @@ impl PeerServer {
         }
         // Which data pages does the range touch, and which are missing
         // locally? (The owner's own store counts as local.)
-        let payload = self.large_payload_per_page(&hdr);
+        let payload = self.large_payload_per_page();
         let first = (offset / payload) as usize;
         let last = ((offset + len.max(1) as u64 - 1) / payload) as usize;
         let Some(owner) = self.client_route(txn, header.page) else {
@@ -179,15 +167,13 @@ impl PeerServer {
         self.large_reads.push(op);
     }
 
-    fn large_payload_per_page(&self, hdr: &LargeHeader) -> u64 {
-        // Data pages carry a full page of payload; derive from the first
-        // page when cached, else from the configured size.
-        let _ = hdr;
+    /// Data pages carry a full page of payload.
+    fn large_payload_per_page(&self) -> u64 {
         self.cfg.page_size as u64
     }
 
     fn assemble_large(&mut self, hdr: &LargeHeader, offset: u64, len: u32) -> Option<Vec<u8>> {
-        let payload = self.large_payload_per_page(hdr);
+        let payload = self.large_payload_per_page();
         let mut out = Vec::with_capacity(len as usize);
         let mut pos = offset;
         let end = offset + len as u64;
@@ -247,12 +233,7 @@ impl PeerServer {
         let Some(owner) = self.client_route(txn, header.page) else {
             return;
         };
-        let req = self.fresh_req();
-        self.large_writes.insert(req, txn);
-        if let Some(h) = self.txns.home.get_mut(&txn) {
-            h.outstanding_reqs.insert(req);
-            h.participants.insert(owner);
-        }
+        let req = self.issue(txn, owner, ReqCont::WriteLarge);
         self.send(
             owner,
             Message::WriteLargeReq {
@@ -266,16 +247,9 @@ impl PeerServer {
     }
 
     pub(crate) fn client_write_large_ok(&mut self, req: ReqId) {
-        let Some(txn) = self.large_writes.remove(&req) else {
-            return;
-        };
-        if let Some(h) = self.txns.home.get_mut(&txn) {
-            h.outstanding_reqs.remove(&req);
+        if let Some(r) = self.settle_running(req) {
+            self.complete_op(r.txn, None);
         }
-        if !self.txn_is_running(txn) {
-            return;
-        }
-        self.complete_op(txn, None);
     }
 
     pub(crate) fn client_large_inval(&mut self, from: SiteId, inv: ReqId, pages: Vec<PageId>) {

@@ -38,8 +38,8 @@
 //! has moved on is a no-op. With leases disabled (the default) none of
 //! this arms, so failure-free runs are unchanged.
 
-use super::{CbKey, PeerServer, ReqCont, TimerKind};
-use crate::msg::{CbId, DeId, Message, Output, ReqId};
+use super::{CbKey, PeerServer, Request, TimerKind};
+use crate::msg::{CbId, DeId, Message, Output};
 use crate::txn::TxnStatus;
 use pscc_common::{AbortReason, SiteId, TxnId};
 
@@ -196,7 +196,9 @@ impl PeerServer {
         self.admitted.retain(|(s, _), _| *s != dead);
         self.credits.remove(&dead);
         self.credit_waiters.remove(&dead);
-        self.inflight.retain(|_, (s, _, _)| *s != dead);
+        for r in self.requests.values_mut().filter(|r| r.to == dead) {
+            r.retry = None;
+        }
 
         // Re-drive callback operations blocked on its acknowledgment
         // (the purge is moot — the cache is gone).
@@ -266,21 +268,13 @@ impl PeerServer {
                 self.abort_txn_here(txn, AbortReason::Internal);
                 continue;
             }
-            let commit_pending = self
-                .req_conts
-                .values()
-                .any(|c| matches!(c, ReqCont::Commit { txn: t } if *t == txn));
-            let prepare_pending: Vec<ReqId> = self
-                .req_conts
-                .iter()
-                .filter(|(_, c)| matches!(c, ReqCont::Prepare { txn: t, .. } if *t == txn))
-                .map(|(r, _)| *r)
-                .collect();
+            let commit_pending = !self.reqs_of(txn, Request::is_commit).is_empty();
+            let prepare_pending = self.reqs_of(txn, Request::is_prepare);
             if commit_pending || prepare_pending.is_empty() {
                 continue; // outcome possibly durable at the dead site
             }
             for r in prepare_pending {
-                self.req_conts.remove(&r);
+                self.settle(r);
             }
             if let Some(h) = self.txns.home.get_mut(&txn) {
                 h.status = TxnStatus::Active;

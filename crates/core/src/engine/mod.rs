@@ -33,7 +33,7 @@ use crate::copy_table::CopyTable;
 use crate::fifo_map::BoundedFifoMap;
 use crate::msg::{
     AppOp, AppReply, CbId, ControlOp, DeId, DiskOp, DiskReqId, Input, Message, Output, ReqId,
-    TimerId, Verdict,
+    TimerId,
 };
 use crate::owner_map::OwnerMap;
 use crate::ownership::OwnershipDirectory;
@@ -111,14 +111,10 @@ pub(crate) enum LockCont {
     CbCtxPage { key: CbKey, txn: TxnId, oid: Oid },
     /// Client role, callback thread: object EX acquired; invalidate and
     /// acknowledge.
-    CbCtxObj { key: CbKey, txn: TxnId, oid: Oid },
+    CbCtxObj { key: CbKey, oid: Oid },
     /// Client role, callback thread: EX on a whole page/file/volume
     /// acquired; purge and acknowledge.
-    CbCtxWhole {
-        key: CbKey,
-        txn: TxnId,
-        target: LockableId,
-    },
+    CbCtxWhole { key: CbKey, target: LockableId },
 }
 
 /// Client-side key of a callback operation (callback ids are only unique
@@ -126,35 +122,83 @@ pub(crate) enum LockCont {
 pub(crate) type CbKey = (SiteId, CbId);
 
 /// What resumes when a request's reply arrives.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) enum ReqCont {
     /// A page fetch for `oid`; optionally continue into a write.
     Fetch {
-        txn: TxnId,
         oid: Oid,
         then_write: Option<Option<Vec<u8>>>,
     },
     /// A write-permission request.
-    Write {
-        txn: TxnId,
-        oid: Oid,
-        bytes: Option<Vec<u8>>,
-    },
+    Write { oid: Oid, bytes: Option<Vec<u8>> },
     /// An explicit lock request.
-    Lock { txn: TxnId },
+    Lock { item: LockableId, mode: LockMode },
     /// A point-read of a forwarded object; completes the current op.
-    ForwardRead { txn: TxnId },
+    ForwardRead,
     /// A point-read of a forwarded object that precedes an update of it
     /// (the before-image is needed for the log record).
-    ForwardWrite {
-        txn: TxnId,
-        oid: Oid,
-        bytes: Option<Vec<u8>>,
-    },
+    ForwardWrite { oid: Oid, bytes: Option<Vec<u8>> },
     /// Single-participant commit awaiting `CommitOk`.
-    Commit { txn: TxnId },
-    /// 2PC prepare awaiting `Voted`.
-    Prepare { txn: TxnId, site: SiteId },
+    Commit,
+    /// 2PC prepare awaiting the vote of the request's owner.
+    Prepare,
+    /// A large-object update awaiting `WriteLargeOk`.
+    WriteLarge,
+    /// A large-object creation awaiting `CreateLargeOk`.
+    CreateLarge,
+}
+
+/// One outstanding request of a home transaction: what resumes on its
+/// reply, where it is addressed, and the state its retries and stage
+/// timings need (DESIGN.md §7). Issued by `PeerServer::issue`, retired
+/// by `PeerServer::settle` or the transaction's abort.
+#[derive(Debug)]
+pub(crate) struct Request {
+    pub txn: TxnId,
+    /// The owner it is addressed to; a redirect re-points it.
+    pub to: SiteId,
+    pub cont: ReqCont,
+    /// When it was issued: a fetch's round trip is measured from here,
+    /// across any stall or retry.
+    pub issued: SimTime,
+    /// When it began waiting for a credit or backing off after `Busy`
+    /// (the `QueueWait` stage's start); the first stall since its last
+    /// departure wins, and the next departure takes it.
+    pub stalled: Option<SimTime>,
+    /// `Some` once a data request has left for a remote owner on a
+    /// credit, so a `Busy` or `WrongOwner` verdict may send it again;
+    /// counts its `Busy` refusals. The owner's death ends it.
+    pub retry: Option<u32>,
+    /// When a stale `WrongOwner` first stalled it (the `MigrationPause`
+    /// stage's start); taken when it departs again.
+    pub redirected: Option<SimTime>,
+}
+
+impl Request {
+    /// The data request (the `credit` column) this record stands for,
+    /// rebuilt for a retry or a credit-stalled departure.
+    pub(crate) fn data_msg(&self, req: ReqId) -> Option<Message> {
+        let txn = self.txn;
+        Some(match self.cont {
+            ReqCont::Fetch { oid, .. } => Message::ReadObj { req, txn, oid },
+            ReqCont::Write { oid, .. } => Message::WriteObj { req, txn, oid },
+            ReqCont::Lock { item, mode } => Message::LockItem {
+                req,
+                txn,
+                item,
+                mode,
+            },
+            _ => return None,
+        })
+    }
+
+    pub(crate) fn is_commit(&self) -> bool {
+        matches!(self.cont, ReqCont::Commit)
+    }
+
+    pub(crate) fn is_prepare(&self) -> bool {
+        matches!(self.cont, ReqCont::Prepare)
+    }
 }
 
 /// What resumes when a disk request completes.
@@ -204,7 +248,7 @@ pub(crate) enum TimerKind {
     LockWait { ticket: Ticket, txn: TxnId },
     /// A callback thread's lock wait at a client; firing notifies the
     /// owner to abort the calling-back transaction.
-    CbWait { key: CbKey, txn: TxnId },
+    CbWait { key: CbKey },
     /// A per-peer lease at a server (leases enabled only). Firing with no
     /// message heard from `site` for a full `lease_duration` declares the
     /// site crashed and triggers orphan cleanup; otherwise it re-arms for
@@ -329,13 +373,13 @@ pub struct PeerServer {
     pub(crate) large: pscc_storage::LargeObjectStore,
     pub(crate) large_cache: HashMap<PageId, Vec<u8>>,
     pub(crate) large_reads: Vec<large::LargeRead>,
-    pub(crate) large_writes: HashMap<ReqId, TxnId>,
-    pub(crate) large_creates: HashMap<ReqId, TxnId>,
     pub(crate) large_invals: HashMap<ReqId, (SiteId, ReqId, HashSet<SiteId>)>,
 
     // Continuations.
     pub(crate) lock_conts: HashMap<Ticket, LockCont>,
-    pub(crate) req_conts: HashMap<ReqId, ReqCont>,
+    /// Client role: every outstanding request of a home transaction.
+    /// `pending_fetches` and each `HomeTxn::outstanding_reqs` index it.
+    pub(crate) requests: HashMap<ReqId, Request>,
     pub(crate) disk_conts: HashMap<DiskReqId, DiskCont>,
     pub(crate) timers: HashMap<TimerId, TimerKind>,
     pub(crate) ticket_timers: HashMap<Ticket, (TimerId, SimTime)>,
@@ -382,11 +426,7 @@ pub struct PeerServer {
     pub(crate) credits: HashMap<SiteId, u32>,
     /// Client role: data requests queued locally until a credit for
     /// their owner is returned by a reply.
-    pub(crate) credit_waiters: HashMap<SiteId, VecDeque<Message>>,
-    /// Client role: retained copies of in-flight data requests, so a
-    /// `Busy` refusal can re-send them after backoff. Value is
-    /// `(owner, message, busy-attempt count)`.
-    pub(crate) inflight: HashMap<ReqId, (SiteId, Message, u32)>,
+    pub(crate) credit_waiters: HashMap<SiteId, VecDeque<ReqId>>,
     /// Server role: remote transactions recently aborted here. Data
     /// requests and abort notices travel on different transport lanes,
     /// so a request can arrive *after* the abort that killed its
@@ -409,9 +449,6 @@ pub struct PeerServer {
     /// has not yet acknowledged activation; cleanup (`MigrateEnd`,
     /// image discard) runs when `MigrateActivated` arrives.
     pub(crate) migrated_out: Vec<(u32, u32, SiteId, u64)>,
-    /// Client role: when each redirect-stalled request first hit a
-    /// stale `WrongOwner` (the `MigrationPause` stage's start stamp).
-    pub(crate) migration_waits: HashMap<ReqId, SimTime>,
 
     // Edge tier (DESIGN.md §11). All empty unless `cfg.edge_tiers` is
     // non-empty — strict-only runs never touch any of it.
@@ -513,15 +550,13 @@ impl PeerServer {
             large: pscc_storage::LargeObjectStore::new(cfg.page_size),
             large_cache: HashMap::default(),
             large_reads: Vec::new(),
-            large_writes: HashMap::default(),
-            large_creates: HashMap::default(),
             large_invals: HashMap::default(),
             log_cache: LogCache::new(),
             races: RaceTable::new(),
             pending_fetches: HashMap::default(),
             cb_ctxs: HashMap::default(),
             lock_conts: HashMap::default(),
-            req_conts: HashMap::default(),
+            requests: HashMap::default(),
             disk_conts: HashMap::default(),
             timers: HashMap::default(),
             ticket_timers: HashMap::default(),
@@ -538,13 +573,11 @@ impl PeerServer {
             admitted_peak: 0,
             credits: HashMap::default(),
             credit_waiters: HashMap::default(),
-            inflight: HashMap::default(),
             dead_txns: BoundedFifoMap::new(DEAD_TXN_MEMORY),
             drain: DrainPhase::Active,
             migrating: None,
             migrating_in: None,
             migrated_out: Vec::new(),
-            migration_waits: HashMap::default(),
             edge_cache: pscc_edge::EdgeCache::new(cache_pages.max(1)),
             edge_watch: HashMap::default(),
             edge_renew_timer: HashMap::default(),
@@ -650,9 +683,10 @@ impl PeerServer {
             self.site
         );
         assert!(
-            self.req_conts.is_empty(),
-            "site {}: request continuation leak",
-            self.site
+            self.requests.is_empty(),
+            "site {}: {} outstanding requests leak",
+            self.site,
+            self.requests.len()
         );
         assert!(
             self.txns.home.is_empty() && self.txns.remote.is_empty(),
@@ -669,11 +703,6 @@ impl PeerServer {
             "site {}: admitted requests leak ({} slots)",
             self.site,
             self.admitted.len()
-        );
-        assert!(
-            self.inflight.is_empty(),
-            "site {}: in-flight request copies leak",
-            self.site
         );
         assert!(
             self.credit_waiters.values().all(VecDeque::is_empty),
@@ -746,7 +775,7 @@ impl PeerServer {
     /// A one-line state summary for diagnosing stuck systems.
     pub fn debug_summary(&self) -> String {
         format!(
-            "site {}: locks={} home={} remote={} cb_ops={} cb_ctxs={} de_ops={}              lock_conts={} req_conts={} fetches={} waiting={:?}",
+            "site {}: locks={} home={} remote={} cb_ops={} cb_ctxs={} de_ops={} lock_conts={} requests={} fetches={} waiting={:?}",
             self.site,
             self.locks.len(),
             self.txns.home.len(),
@@ -755,7 +784,7 @@ impl PeerServer {
             self.cb_ctxs.len(),
             self.de_ops.len(),
             self.lock_conts.len(),
-            self.req_conts.len(),
+            self.requests.len(),
             self.pending_fetches.len(),
             self.locks.waiting_txns(),
         )
@@ -802,24 +831,32 @@ impl PeerServer {
         if let Some((req, _)) = msg.verdict() {
             self.admitted.remove(&(to, req));
         }
-        if let Some((req, txn)) = credit_request(&msg) {
+        if let Some((req, _)) = credit_request(&msg) {
             let cap = self.cfg.fetch_credits.max(1);
             let c = self.credits.entry(to).or_insert(cap);
+            let record = self.requests.get_mut(&req);
             if *c == 0 {
                 self.stats.credits_stalled += 1;
                 self.obs
                     .record(pscc_obs::EventKind::CreditStalled { peer: to });
-                self.obs.queue_begin(req, txn, self.now);
-                self.credit_waiters.entry(to).or_default().push_back(msg);
+                // The queue holds the id; the record rebuilds the
+                // message when a credit comes back.
+                if let Some(r) = record {
+                    r.stalled.get_or_insert(self.now);
+                    self.credit_waiters.entry(to).or_default().push_back(req);
+                }
                 return;
             }
             *c -= 1;
-            // A request departing after a credit stall or busy backoff
-            // closes its queue-wait interval.
-            self.obs.queue_end(req, self.now);
-            self.inflight
-                .entry(req)
-                .or_insert_with(|| (to, msg.clone(), 0));
+            if let Some(r) = record {
+                r.retry.get_or_insert(0);
+                // A request departing after a credit stall or busy
+                // backoff closes its queue-wait interval.
+                if let Some(t0) = r.stalled.take() {
+                    let waited = self.now.since(t0);
+                    self.obs.stage_sample(r.txn, Stage::QueueWait, waited);
+                }
+            }
         }
         let msg = self.trace_wrap(to, msg);
         self.stats.msgs_sent += 1;
@@ -922,18 +959,14 @@ impl PeerServer {
         let cap = self.cfg.fetch_credits.max(1);
         let c = self.credits.entry(site).or_insert(cap);
         *c = (*c + 1).min(cap);
-        let next = self
-            .credit_waiters
-            .get_mut(&site)
-            .and_then(std::collections::VecDeque::pop_front);
-        if self
-            .credit_waiters
-            .get(&site)
-            .is_some_and(VecDeque::is_empty)
-        {
+        let Some(queue) = self.credit_waiters.get_mut(&site) else {
+            return;
+        };
+        let next = queue.pop_front();
+        if queue.is_empty() {
             self.credit_waiters.remove(&site);
         }
-        if let Some(msg) = next {
+        if let Some(msg) = next.and_then(|req| self.requests.get(&req)?.data_msg(req)) {
             self.send(site, msg);
         }
     }
@@ -1159,8 +1192,8 @@ impl PeerServer {
             } => self.server_explicit_locked(req, from, txn, item, mode),
             LockCont::CbUpgrade { cb } => self.server_cb_upgrade_done(cb),
             LockCont::CbCtxPage { key, txn, oid } => self.cb_ctx_page_locked(key, txn, oid),
-            LockCont::CbCtxObj { key, txn, oid } => self.cb_ctx_obj_locked(key, txn, oid),
-            LockCont::CbCtxWhole { key, txn, target } => self.cb_ctx_whole_locked(key, txn, target),
+            LockCont::CbCtxObj { key, oid } => self.cb_ctx_obj_locked(key, oid),
+            LockCont::CbCtxWhole { key, target } => self.cb_ctx_whole_locked(key, target),
         }
     }
 
@@ -1191,7 +1224,7 @@ impl PeerServer {
                 self.stats.timeout_aborts += 1;
                 self.abort_txn_here(txn, AbortReason::LockTimeout);
             }
-            TimerKind::CbWait { key, txn } => {
+            TimerKind::CbWait { key } => {
                 let still_waiting = self.cb_ctxs.get(&key).is_some_and(|c| c.waiting.is_some());
                 if !still_waiting {
                     return;
@@ -1202,7 +1235,6 @@ impl PeerServer {
                 self.stats.timeout_aborts += 1;
                 let (owner, cb) = key;
                 self.send(owner, Message::CbTimeout { cb });
-                let _ = txn;
             }
             TimerKind::Lease { site } => self.lease_fired(site),
             TimerKind::Heartbeat => self.heartbeat_fired(),
@@ -1318,19 +1350,14 @@ impl PeerServer {
         }
         // Overload protection (DESIGN.md §6): data requests from remote
         // peers pass admission control; an incoming verdict returns the
-        // credit its request consumed before normal processing. A final
-        // verdict also retires the retained in-flight copy; a redirect
-        // keeps it, to be sent again.
+        // credit its request consumed before normal processing.
         if from != self.site {
             if let Some((req, txn)) = credit_request(&msg) {
                 if !self.admit(from, req, txn) {
                     return;
                 }
             }
-            if let Some((req, verdict)) = msg.verdict() {
-                if verdict == Verdict::Final {
-                    self.inflight.remove(&req);
-                }
+            if msg.verdict().is_some() {
                 self.credit_release(from);
             }
         }
@@ -1666,6 +1693,189 @@ mod tests {
         assert!(warm.1 > 0);
         workload(&mut s, &mut feed);
         assert_eq!((s.out.as_ptr(), s.out.capacity()), warm);
+    }
+
+    /// A client's request lifecycle end to end: the owner (site 0) and a
+    /// client (site 1) are fed by hand, each at its own virtual time, so
+    /// the stage samples the request's record produces are exact.
+    struct Pair {
+        sites: [PeerServer; 2],
+    }
+
+    const OWNER: usize = 0;
+    const CLIENT: usize = 1;
+
+    impl Pair {
+        fn new() -> Self {
+            let cfg = pscc_common::SystemConfig::small();
+            let map = || OwnerMap::Single(SiteId(0));
+            let site = |i| PeerServer::new(SiteId(i), cfg.clone(), map());
+            Pair {
+                sites: [site(0), site(1)],
+            }
+        }
+
+        /// Feeds `input` to site `i` at `at` µs, completing its disks at
+        /// once; returns what it sent, the timers it armed and its
+        /// application replies.
+        fn step(&mut self, i: usize, at: u64, input: Input) -> Effects {
+            let now = SimTime::from_micros(at);
+            let s = &mut self.sites[i];
+            let mut fx = Effects::default();
+            let mut pending = VecDeque::from([input]);
+            while let Some(input) = pending.pop_front() {
+                for o in s.handle(now, input) {
+                    match o {
+                        Output::Send { to, msg } => fx.sent.push((to, msg)),
+                        Output::ArmTimer { timer, .. } => fx.timers.push(timer),
+                        Output::Disk { req, .. } => pending.push_back(Input::DiskDone { req }),
+                        Output::App(r) => fx.replies.push(r),
+                    }
+                }
+            }
+            fx
+        }
+
+        fn app(&mut self, at: u64, txn: Option<TxnId>, op: AppOp) -> Effects {
+            let req = AppRequest {
+                app: AppId(1),
+                txn,
+                op,
+            };
+            self.step(CLIENT, at, Input::App(req))
+        }
+
+        /// Delivers `msg` from the other site of the pair to site `i`.
+        fn deliver(&mut self, i: usize, at: u64, msg: Message) -> Effects {
+            let from = SiteId(1 - i as u32);
+            self.step(i, at, Input::Msg { from, msg })
+        }
+
+        fn begin(&mut self) -> TxnId {
+            match self.app(0, None, AppOp::Begin).replies[..] {
+                [AppReply::Started { txn, .. }] => txn,
+                ref other => panic!("unexpected {other:?}"),
+            }
+        }
+    }
+
+    #[derive(Default)]
+    struct Effects {
+        sent: Vec<(SiteId, Message)>,
+        timers: Vec<TimerId>,
+        replies: Vec<AppReply>,
+    }
+
+    impl Effects {
+        /// The one message sent.
+        fn msg(mut self) -> Message {
+            assert_eq!(self.sent.len(), 1, "{:?}", self.sent);
+            self.sent.pop().unwrap().1
+        }
+
+        /// The one timer armed.
+        fn timer(&self) -> TimerId {
+            assert_eq!(self.timers.len(), 1);
+            self.timers[0]
+        }
+    }
+
+    fn oid() -> Oid {
+        Oid::new(page(3), 0)
+    }
+
+    #[test]
+    fn a_twice_refused_fetch_times_its_round_trip_from_issue_and_each_backoff_as_queue_wait() {
+        let mut p = Pair::new();
+        let t = p.begin();
+        // The owner sheds every remote data request until its cap is
+        // restored.
+        p.sites[OWNER].cfg.admission_cap = 0;
+        let read = p.app(0, Some(t), AppOp::Read(oid())).msg();
+        let busy = p.deliver(OWNER, 100, read).msg();
+        let timer = p.deliver(CLIENT, 200, busy).timer();
+        let retry = p.step(CLIENT, 1_000, Input::TimerFired { timer }).msg();
+        let busy = p.deliver(OWNER, 1_100, retry).msg();
+        let timer = p.deliver(CLIENT, 1_200, busy).timer();
+        let retry = p.step(CLIENT, 3_000, Input::TimerFired { timer }).msg();
+        p.sites[OWNER].cfg.admission_cap = 256;
+        let reply = p.deliver(OWNER, 3_100, retry).msg();
+        assert!(matches!(reply, Message::ReadReply { .. }), "{reply:?}");
+        let done = p.deliver(CLIENT, 3_200, reply);
+        assert!(matches!(done.replies[..], [AppReply::Done { .. }]));
+
+        let c = &p.sites[CLIENT];
+        assert_eq!(c.stats.busy_retries, 2);
+        assert_eq!(c.obs.fetch_rtt.count(), 1);
+        assert_eq!(c.obs.fetch_rtt.sum_micros(), 3_200);
+        assert_eq!(c.obs.stage_hist(Stage::FetchRtt).sum_micros(), 3_200);
+        // Each refusal opens a queue-wait interval and the retry's
+        // departure closes it: 200 → 1 000 and 1 200 → 3 000.
+        let queued = c.obs.stage_hist(Stage::QueueWait);
+        assert_eq!((queued.count(), queued.sum_micros()), (2, 2_600));
+
+        let commit = p.app(4_000, Some(t), AppOp::Commit).msg();
+        let ok = p.deliver(OWNER, 4_100, commit).msg();
+        let done = p.deliver(CLIENT, 4_200, ok);
+        assert!(matches!(done.replies[..], [AppReply::Committed { .. }]));
+        p.sites.iter().for_each(PeerServer::assert_quiescent);
+    }
+
+    #[test]
+    fn a_refused_request_of_an_aborted_transaction_is_never_resent() {
+        let mut p = Pair::new();
+        let t = p.begin();
+        p.sites[OWNER].cfg.admission_cap = 0;
+        let read = p.app(0, Some(t), AppOp::Read(oid())).msg();
+        let busy = p.deliver(OWNER, 100, read).msg();
+        let timer = p.deliver(CLIENT, 200, busy).timer();
+        let abort = p.app(300, Some(t), AppOp::Abort);
+        assert!(matches!(abort.replies[..], [AppReply::Aborted { .. }]));
+        let abort = abort.msg();
+        assert!(matches!(abort, Message::AbortTxn { .. }), "{abort:?}");
+        let fired = p.step(CLIENT, 1_000, Input::TimerFired { timer });
+        assert!(fired.sent.is_empty(), "{:?}", fired.sent);
+        let c = &p.sites[CLIENT];
+        assert_eq!(c.credits[&SiteId(0)], c.cfg.fetch_credits);
+        assert_eq!(c.stats.busy_retries, 0);
+        assert!(p.deliver(OWNER, 1_100, abort).sent.is_empty());
+        p.sites.iter().for_each(PeerServer::assert_quiescent);
+    }
+
+    #[test]
+    fn a_stale_redirect_pauses_the_request_until_its_retry_departs() {
+        let mut p = Pair::new();
+        let t = p.begin();
+        let read = p.app(0, Some(t), AppOp::Read(oid())).msg();
+        let Message::ReadObj { req, .. } = read else {
+            panic!("{read:?}")
+        };
+        // A redirect naming a layout no newer than the client's: it
+        // routes by its own directory, back to the refusing owner, and
+        // backs off instead of ping-ponging.
+        let stale = Message::WrongOwner {
+            req,
+            lo: 0,
+            hi: 8,
+            layout: 1,
+            new_owner: SiteId(2),
+        };
+        let timer = p.deliver(CLIENT, 500, stale).timer();
+        let retry = p.step(CLIENT, 2_000, Input::TimerFired { timer }).msg();
+        assert!(matches!(retry, Message::ReadObj { req: r, .. } if r == req));
+        let pause = p.sites[CLIENT].obs.stage_hist(Stage::MigrationPause);
+        assert_eq!((pause.count(), pause.sum_micros()), (1, 1_500));
+
+        let reply = p.deliver(OWNER, 2_100, retry).msg();
+        let done = p.deliver(CLIENT, 2_200, reply);
+        assert!(matches!(done.replies[..], [AppReply::Done { .. }]));
+        let c = &p.sites[CLIENT];
+        assert_eq!(c.obs.stage_hist(Stage::MigrationPause).count(), 1);
+        assert_eq!(c.obs.fetch_rtt.sum_micros(), 2_200);
+        let commit = p.app(3_000, Some(t), AppOp::Commit).msg();
+        let ok = p.deliver(OWNER, 3_100, commit).msg();
+        p.deliver(CLIENT, 3_200, ok);
+        p.sites.iter().for_each(PeerServer::assert_quiescent);
     }
 
     #[test]

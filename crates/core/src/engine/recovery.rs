@@ -30,8 +30,8 @@
 //! Pages are re-fetched lazily afterwards — re-registration is implicit
 //! in the normal fetch path.
 
-use super::{Env, PeerServer, ReqCont};
-use crate::msg::{Message, ReqId};
+use super::{Env, PeerServer, Request};
+use crate::msg::Message;
 use crate::owner_map::OwnerMap;
 use crate::txn::TxnStatus;
 use pscc_common::{AbortReason, LockMode, LockableId, Oid, PageId, SiteId, SystemConfig, TxnId};
@@ -317,14 +317,8 @@ impl PeerServer {
             self.send(from, Message::Decide { txn, commit: false });
             return;
         }
-        let pending: Option<ReqId> = self
-            .req_conts
-            .iter()
-            .find(|(_, c)| {
-                matches!(c, ReqCont::Prepare { txn: t, site } if *t == txn && *site == from)
-            })
-            .map(|(r, _)| *r);
-        if let Some(req) = pending {
+        let prepare_to_from = |r: &Request| r.is_prepare() && r.to == from;
+        if let Some(&req) = self.reqs_of(txn, prepare_to_from).first() {
             // A durable prepare *is* the yes-vote whose `Voted` message
             // the crash swallowed; count it (this sends the decision if
             // the vote was the last one missing).
@@ -350,22 +344,18 @@ impl PeerServer {
         if txn.site != self.site || !self.txns.home.contains_key(&txn) {
             return;
         }
-        let commit_cont: Option<ReqId> = self
-            .req_conts
-            .iter()
-            .find(|(_, c)| matches!(c, ReqCont::Commit { txn: t } if *t == txn))
-            .map(|(r, _)| *r);
-        match (commit_cont, committed) {
+        let commit_req = self.reqs_of(txn, Request::is_commit).first().copied();
+        match (commit_req, committed) {
             (Some(req), true) => {
                 // Single-round commit whose `CommitOk` was lost: the
                 // participant's force made it durable — finish.
-                self.req_conts.remove(&req);
+                self.settle(req);
                 self.finish_home_commit(txn);
             }
             (Some(req), false) => {
                 // The commit request never became durable there: the
                 // transaction did not happen — roll back at home.
-                self.req_conts.remove(&req);
+                self.settle(req);
                 if let Some(h) = self.txns.home.get_mut(&txn) {
                     h.status = TxnStatus::Active;
                 }
@@ -382,22 +372,10 @@ impl PeerServer {
                 // (A participant that is merely in doubt resolves
                 // through `QueryTxn` to us instead; its prepare
                 // continuation is consumed by `coordinator_query`.)
-                let prep: Option<ReqId> = self
-                    .req_conts
-                    .iter()
-                    .find(|(_, c)| {
-                        matches!(c, ReqCont::Prepare { txn: t, site } if *t == txn && *site == from)
-                    })
-                    .map(|(r, _)| *r);
-                if prep.is_some() {
-                    let all: Vec<ReqId> = self
-                        .req_conts
-                        .iter()
-                        .filter(|(_, c)| matches!(c, ReqCont::Prepare { txn: t, .. } if *t == txn))
-                        .map(|(r, _)| *r)
-                        .collect();
-                    for r in all {
-                        self.req_conts.remove(&r);
+                let prepares = self.reqs_of(txn, Request::is_prepare);
+                if prepares.iter().any(|r| self.requests[r].to == from) {
+                    for r in prepares {
+                        self.settle(r);
                     }
                     if let Some(h) = self.txns.home.get_mut(&txn) {
                         h.status = TxnStatus::Active;

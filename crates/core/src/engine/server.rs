@@ -55,9 +55,13 @@ impl PeerServer {
             }
             Ok(owner) if owner != self.site => {
                 if from == self.site {
-                    // The new owner joins the transaction's participant
+                    // Our own request: its record now names the new
+                    // owner, which joins the transaction's participant
                     // set so commit releases the locks taken there.
                     self.stats.wrong_owner_redirects += 1;
+                    if let Some(r) = self.requests.get_mut(&req) {
+                        r.to = owner;
+                    }
                     if let Some(txn) = msg.txn_id() {
                         if let Some(h) = self.txns.home.get_mut(&txn) {
                             h.participants.insert(owner);
@@ -1028,9 +1032,9 @@ impl PeerServer {
     /// and return the current bytes. Protection comes from the lock the
     /// requester already holds on the (original) object.
     pub(crate) fn server_read_forwarded(&mut self, req: ReqId, from: SiteId, txn: TxnId, oid: Oid) {
-        // No in-flight retained copy exists for forwarded point reads
-        // (they ride outside credit flow control), so a misroute cannot
-        // redirect: refuse outright and let the transaction retry.
+        // Forwarded point reads ride outside credit flow control, so the
+        // client never resends one and a misroute cannot redirect:
+        // refuse outright and let the transaction retry.
         if self.owners.owner_of(oid.page) != Some(self.site) {
             self.obs
                 .record(pscc_obs::EventKind::OwnershipRefused { page: oid.page });

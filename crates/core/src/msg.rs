@@ -506,7 +506,7 @@ pub enum Message {
     },
     /// Owner → client: the request named a page this site no longer
     /// owns — the range migrated away under `layout`. The client
-    /// applies the layout delta, re-routes the retained request to
+    /// applies the layout delta, re-points the request's record to
     /// `new_owner`, and retries; the request is not failed.
     WrongOwner {
         /// The misrouted request.
@@ -644,11 +644,11 @@ pub(crate) enum Role {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Verdict {
     /// The request is done: the owner retires its admission slot, the
-    /// client drops its retained copy and gets its credit back.
+    /// client gets its credit back and settles the request's record.
     Final,
     /// The request must be sent again (shed, or routed to the wrong
-    /// owner): the owner retires its admission slot, the client keeps
-    /// its retained copy and gets its credit back.
+    /// owner): the owner retires its admission slot, the client gets its
+    /// credit back and keeps the record to rebuild the request from.
     Redirect,
 }
 
@@ -692,6 +692,16 @@ macro_rules! msg_table {
     (@verdict final) => { Some(Verdict::Final) };
     (@verdict redirect) => { Some(Verdict::Redirect) };
     (@verdict -) => { None };
+    // `@pick name; field field ...` is the row's `name` field, or `None`.
+    // Each field comes twice: the first copy is matched against the
+    // literal name, the second is the caller's own binding, so the
+    // expansion names the variable the match arm bound.
+    (@pick req; req $f:ident $($rest:ident)*) => { Some(*$f) };
+    (@pick txn; txn $f:ident $($rest:ident)*) => { Some(*$f) };
+    (@pick $name:ident; $other:ident $f:ident $($rest:ident)*) => {
+        msg_table!(@pick $name; $($rest)*)
+    };
+    (@pick $name:ident;) => { None };
     ($(
         $variant:ident => $label:literal, $lane:ident, $path:ident, $role:ident,
         $fenced:tt, $credit:tt, $verdict:tt { $($field:ident),* };
@@ -724,6 +734,31 @@ macro_rules! msg_table {
                             verdict: msg_table!(@verdict $verdict),
                         };
                         &ROW
+                    })*
+                }
+            }
+
+            /// The transaction this message works on behalf of, when
+            /// its row has a `txn` field (used to root a trace span when
+            /// no incoming context exists).
+            #[allow(unused_variables)]
+            pub fn txn_id(&self) -> Option<TxnId> {
+                match self {
+                    Message::Traced { inner, .. } => inner.txn_id(),
+                    $(Message::$variant { $($field),* } => {
+                        msg_table!(@pick txn; $($field $field)*)
+                    })*
+                }
+            }
+
+            /// The request id this message carries, when its row has a
+            /// `req` field.
+            #[allow(unused_variables)]
+            pub(crate) fn req(&self) -> Option<ReqId> {
+                match self {
+                    Message::Traced { inner, .. } => inner.req(),
+                    $(Message::$variant { $($field),* } => {
+                        msg_table!(@pick req; $($field $field)*)
                     })*
                 }
             }
@@ -898,64 +933,6 @@ impl Message {
     /// The FIFO path this message travels on.
     pub fn path(&self) -> FifoPath {
         self.meta().path
-    }
-
-    /// The transaction this message works on behalf of, when it names
-    /// one (used to root a trace span when no incoming context exists).
-    pub fn txn_id(&self) -> Option<TxnId> {
-        match self {
-            Message::Traced { inner, .. } => inner.txn_id(),
-            Message::ReadObj { txn, .. }
-            | Message::WriteObj { txn, .. }
-            | Message::LockItem { txn, .. }
-            | Message::Callback { txn, .. }
-            | Message::CommitReq { txn, .. }
-            | Message::Prepare { txn, .. }
-            | Message::Voted { txn, .. }
-            | Message::Decide { txn, .. }
-            | Message::Decided { txn }
-            | Message::AbortTxn { txn }
-            | Message::TxnAborted { txn, .. }
-            | Message::WriteLargeReq { txn, .. }
-            | Message::CreateLargeReq { txn, .. }
-            | Message::ReadForwarded { txn, .. }
-            | Message::QueryTxn { txn }
-            | Message::TxnResolved { txn, .. } => Some(*txn),
-            _ => None,
-        }
-    }
-
-    /// The request id this message carries, when it has a `req` field.
-    pub(crate) fn req(&self) -> Option<ReqId> {
-        match self {
-            Message::Traced { inner, .. } => inner.req(),
-            Message::ReadObj { req, .. }
-            | Message::ReadReply { req, .. }
-            | Message::WriteObj { req, .. }
-            | Message::WriteGranted { req, .. }
-            | Message::LockItem { req, .. }
-            | Message::LockGranted { req }
-            | Message::ReqDenied { req, .. }
-            | Message::CommitReq { req, .. }
-            | Message::CommitOk { req }
-            | Message::Prepare { req, .. }
-            | Message::Voted { req, .. }
-            | Message::FetchLargePage { req, .. }
-            | Message::LargePageReply { req, .. }
-            | Message::WriteLargeReq { req, .. }
-            | Message::WriteLargeOk { req }
-            | Message::CreateLargeReq { req, .. }
-            | Message::CreateLargeOk { req, .. }
-            | Message::ReadForwarded { req, .. }
-            | Message::ObjectBytes { req, .. }
-            | Message::Busy { req, .. }
-            | Message::WrongOwner { req, .. }
-            | Message::EdgeFetch { req, .. }
-            | Message::EdgePage { req, .. }
-            | Message::EdgeRenew { req, .. }
-            | Message::EdgeRenewOk { req, .. } => Some(*req),
-            _ => None,
-        }
     }
 
     /// For a *request* that will be answered by a reply echoing its
@@ -1767,6 +1744,11 @@ mod tests {
                 std::ptr::eq(w.meta(), row),
                 "traced {name} has its payload's row"
             );
+            // The field extractions derived from the rows' field lists.
+            assert_eq!(m.req(), old::req(&m), "{name} req");
+            assert_eq!(m.txn_id(), old::txn_id(&m), "{name} txn");
+            assert_eq!(w.req(), m.req(), "traced {name} req");
+            assert_eq!(w.txn_id(), m.txn_id(), "traced {name} txn");
             if let Message::Traced { .. } = m {
                 continue;
             }
@@ -2159,6 +2141,61 @@ mod tests {
                 | Message::LockGranted { .. }
                 | Message::ReqDenied { .. } => Some(Verdict::Final),
                 Message::Busy { .. } | Message::WrongOwner { .. } => Some(Verdict::Redirect),
+                _ => None,
+            }
+        }
+
+        pub(super) fn txn_id(msg: &Message) -> Option<TxnId> {
+            match msg {
+                Message::Traced { inner, .. } => txn_id(inner),
+                Message::ReadObj { txn, .. }
+                | Message::WriteObj { txn, .. }
+                | Message::LockItem { txn, .. }
+                | Message::Callback { txn, .. }
+                | Message::CommitReq { txn, .. }
+                | Message::Prepare { txn, .. }
+                | Message::Voted { txn, .. }
+                | Message::Decide { txn, .. }
+                | Message::Decided { txn }
+                | Message::AbortTxn { txn }
+                | Message::TxnAborted { txn, .. }
+                | Message::WriteLargeReq { txn, .. }
+                | Message::CreateLargeReq { txn, .. }
+                | Message::ReadForwarded { txn, .. }
+                | Message::QueryTxn { txn }
+                | Message::TxnResolved { txn, .. } => Some(*txn),
+                _ => None,
+            }
+        }
+
+        pub(super) fn req(msg: &Message) -> Option<ReqId> {
+            match msg {
+                Message::Traced { inner, .. } => req(inner),
+                Message::ReadObj { req, .. }
+                | Message::ReadReply { req, .. }
+                | Message::WriteObj { req, .. }
+                | Message::WriteGranted { req, .. }
+                | Message::LockItem { req, .. }
+                | Message::LockGranted { req }
+                | Message::ReqDenied { req, .. }
+                | Message::CommitReq { req, .. }
+                | Message::CommitOk { req }
+                | Message::Prepare { req, .. }
+                | Message::Voted { req, .. }
+                | Message::FetchLargePage { req, .. }
+                | Message::LargePageReply { req, .. }
+                | Message::WriteLargeReq { req, .. }
+                | Message::WriteLargeOk { req }
+                | Message::CreateLargeReq { req, .. }
+                | Message::CreateLargeOk { req, .. }
+                | Message::ReadForwarded { req, .. }
+                | Message::ObjectBytes { req, .. }
+                | Message::Busy { req, .. }
+                | Message::WrongOwner { req, .. }
+                | Message::EdgeFetch { req, .. }
+                | Message::EdgePage { req, .. }
+                | Message::EdgeRenew { req, .. }
+                | Message::EdgeRenewOk { req, .. } => Some(*req),
                 _ => None,
             }
         }

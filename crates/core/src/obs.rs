@@ -1,7 +1,8 @@
 //! Per-site observability state carried by the engine: an optional
 //! protocol trace handle, always-on latency histograms, and the
-//! in-flight stamps used to turn request/reply pairs into round-trip
-//! latencies. Recording is O(1) and allocation-free on the hot path;
+//! in-flight stamps used to turn callback, commit and 2PC pairs into
+//! latencies. A client request's own stamps live in its record in the
+//! engine's request table. Recording is O(1) and allocation-free on the hot path;
 //! the trace is off unless [`crate::PeerServer::enable_trace`] is
 //! called.
 //!
@@ -11,7 +12,7 @@
 //! served, which is what the critical-path analyzer in `pscc-obs`
 //! sweeps into per-transaction commit-latency breakdowns.
 
-use crate::msg::{CbId, ReqId};
+use crate::msg::CbId;
 use pscc_common::hash::HashMap;
 use pscc_common::{SimDuration, SimTime, SiteId, Stage, TxnId};
 use pscc_obs::event::{EventKind, TraceHandle};
@@ -50,14 +51,12 @@ pub struct SiteObs {
     pub edge_staleness: Histogram,
     /// Per-stage latency histograms (indexed by [`Stage::index`]).
     stage_hists: [Histogram; Stage::COUNT],
-    fetch_started: HashMap<ReqId, (TxnId, SimTime)>,
     cb_started: HashMap<CbId, (TxnId, SimTime)>,
     commit_started: HashMap<TxnId, SimTime>,
     txn_started: HashMap<TxnId, SimTime>,
     force_started: HashMap<TxnId, SimTime>,
     prepare_started: HashMap<TxnId, SimTime>,
     decide_started: HashMap<TxnId, SimTime>,
-    queue_started: HashMap<ReqId, (TxnId, SimTime)>,
 }
 
 impl SiteObs {
@@ -103,23 +102,6 @@ impl SiteObs {
             stage,
             micros: d.as_micros(),
         });
-    }
-
-    pub(crate) fn fetch_sent(&mut self, req: ReqId, txn: TxnId, now: SimTime) {
-        self.fetch_started.insert(req, (txn, now));
-    }
-
-    pub(crate) fn fetch_done(&mut self, req: ReqId, now: SimTime) {
-        if let Some((txn, t0)) = self.fetch_started.remove(&req) {
-            let d = now.since(t0);
-            self.fetch_rtt.record(d);
-            self.stage_sample(txn, Stage::FetchRtt, d);
-        }
-    }
-
-    /// Forgets a fetch stamp without recording (request cancelled).
-    pub(crate) fn fetch_drop(&mut self, req: ReqId) {
-        self.fetch_started.remove(&req);
     }
 
     pub(crate) fn cb_sent(&mut self, cb: CbId, txn: TxnId, now: SimTime) {
@@ -201,27 +183,6 @@ impl SiteObs {
             self.stage_sample(txn, Stage::TwopcDecide, now.since(t0));
         }
     }
-
-    /// A data request began waiting in an overload queue (credit stall
-    /// or busy backoff). First stall wins: a request that bounces
-    /// through several backoffs accumulates one interval from the
-    /// first stall to the final departure.
-    pub(crate) fn queue_begin(&mut self, req: ReqId, txn: TxnId, now: SimTime) {
-        self.queue_started.entry(req).or_insert((txn, now));
-    }
-
-    /// The stalled request finally departed (or was re-admitted).
-    pub(crate) fn queue_end(&mut self, req: ReqId, now: SimTime) {
-        if let Some((txn, t0)) = self.queue_started.remove(&req) {
-            self.stage_sample(txn, Stage::QueueWait, now.since(t0));
-        }
-    }
-
-    /// Forgets a queue stamp without recording (request died with its
-    /// transaction).
-    pub(crate) fn queue_drop(&mut self, req: ReqId) {
-        self.queue_started.remove(&req);
-    }
 }
 
 #[cfg(test)]
@@ -238,18 +199,18 @@ mod tests {
         let mut o = SiteObs::default();
         let t0 = SimTime::ZERO;
         let t1 = t0 + SimDuration::from_micros(250);
-        o.fetch_sent(ReqId(1), txn(1), t0);
-        o.fetch_done(ReqId(1), t1);
-        o.fetch_done(ReqId(2), t1); // unmatched: ignored
-        assert_eq!(o.fetch_rtt.count(), 1);
-        assert_eq!(o.fetch_rtt.sum_micros(), 250);
-        assert_eq!(o.stage_hist(Stage::FetchRtt).count(), 1);
-        assert_eq!(o.stage_hist(Stage::FetchRtt).sum_micros(), 250);
+        o.txn_begin(txn(1), t0);
+        o.commit_begin(txn(1), t0 + SimDuration::from_micros(50));
+        o.commit_done(txn(1), t1);
+        o.commit_done(txn(2), t1); // unmatched: ignored
+        assert_eq!(o.commit_latency.count(), 1);
+        assert_eq!(o.commit_latency.sum_micros(), 200);
+        assert_eq!(o.txn_latency.sum_micros(), 250);
 
         o.commit_begin(txn(1), t0);
         o.commit_drop(txn(1));
         o.commit_done(txn(1), t1); // dropped: ignored
-        assert_eq!(o.commit_latency.count(), 0);
+        assert_eq!(o.commit_latency.count(), 1);
     }
 
     #[test]
@@ -267,7 +228,7 @@ mod tests {
     }
 
     #[test]
-    fn stage_pairs_and_queue_first_stall_wins() {
+    fn stage_pairs_measure_durations() {
         let mut o = SiteObs::default();
         let t0 = SimTime::ZERO;
         o.force_begin(txn(1), t0);
@@ -279,16 +240,6 @@ mod tests {
         o.decide_done(txn(1), t0 + SimDuration::from_micros(700));
         assert_eq!(o.stage_hist(Stage::TwopcPrepare).sum_micros(), 500);
         assert_eq!(o.stage_hist(Stage::TwopcDecide).sum_micros(), 200);
-        // Repeated busy backoffs accumulate from the first stall.
-        o.queue_begin(ReqId(9), txn(2), t0);
-        o.queue_begin(ReqId(9), txn(2), t0 + SimDuration::from_micros(40));
-        o.queue_end(ReqId(9), t0 + SimDuration::from_micros(100));
-        assert_eq!(o.stage_hist(Stage::QueueWait).sum_micros(), 100);
-        // Dropped stamps never record.
-        o.queue_begin(ReqId(10), txn(2), t0);
-        o.queue_drop(ReqId(10));
-        o.queue_end(ReqId(10), t0 + SimDuration::from_micros(9));
-        assert_eq!(o.stage_hist(Stage::QueueWait).count(), 1);
     }
 
     #[test]
