@@ -123,6 +123,23 @@ pub fn decode<T: Wire>(mut bytes: &[u8]) -> Result<T, WireError> {
     }
 }
 
+/// Writes a byte string as a `Vec<u8>` is written: its length, then
+/// its bytes.
+pub fn put_bytes(bytes: &[u8], out: &mut Vec<u8>) {
+    put_len(bytes.len(), out);
+    out.extend_from_slice(bytes);
+}
+
+/// Reads a byte string [`put_bytes`] wrote, borrowing it from `input`.
+///
+/// # Errors
+///
+/// [`WireError::Truncated`] if fewer bytes remain than its length says.
+pub fn get_bytes<'a>(input: &mut &'a [u8]) -> Result<&'a [u8], WireError> {
+    let n = get_len(input)?;
+    take(input, n)
+}
+
 /// Writes a sequence's element count.
 ///
 /// # Panics

@@ -10,7 +10,7 @@
 use crate::lru::LruOrder;
 use pscc_common::hash::HashMap;
 use pscc_common::{Oid, PageId, TxnId};
-use pscc_storage::{AvailMask, SlottedPage};
+use pscc_storage::{AvailMask, PageSlice, SlottedPage};
 
 /// One cached page copy.
 #[derive(Debug, Clone)]
@@ -113,13 +113,15 @@ impl ClientCache {
         self.touch(page)
     }
 
-    /// Reads object bytes if locally cached.
-    pub fn read_object(&mut self, oid: Oid) -> Option<Vec<u8>> {
+    /// Reads object bytes if locally cached: a slice sharing the cached
+    /// image, so a hit copies and allocates nothing. Drop it before the
+    /// page is next written, or that write copies the whole image.
+    pub fn read_object(&mut self, oid: Oid) -> Option<PageSlice> {
         let cp = self.touch(oid.page)?;
         if !cp.avail.is_available(oid.slot) {
             return None;
         }
-        cp.image.get(oid.slot).map(<[u8]>::to_vec)
+        cp.image.slice(oid.slot)
     }
 
     /// Installs or merges an arriving page copy per the paper's §4.2.3
@@ -157,8 +159,7 @@ impl ClientCache {
                         // ...and dirty local bytes are preserved.
                         if cp.dirty.contains_key(&slot) {
                             if let Some(local) = cp.image.get(slot) {
-                                let local = local.to_vec();
-                                let _ = merged.update(slot, &local);
+                                let _ = merged.update(slot, local);
                             }
                         }
                     }
@@ -231,15 +232,15 @@ impl ClientCache {
     }
 
     /// Applies a local update: installs `bytes` into the object and
-    /// marks it dirty for `txn`. Returns the before-image, or `None` if
-    /// the (size-growing) update does not fit the page — the caller then
-    /// falls back to the §4.4 forwarding path.
+    /// marks it dirty for `txn`. Returns the before-image, as `Err` if
+    /// the (size-growing) update does not fit the page and nothing
+    /// changed — the caller then falls back to the §4.4 forwarding path.
     ///
     /// # Panics
     ///
     /// Panics if the object is not locally cached (protocol error: write
     /// permission is only granted for cached objects).
-    pub fn apply_update(&mut self, oid: Oid, bytes: &[u8], txn: TxnId) -> Option<Vec<u8>> {
+    pub fn apply_update(&mut self, oid: Oid, bytes: &[u8], txn: TxnId) -> Result<Vec<u8>, Vec<u8>> {
         let cp = self
             .touch(oid.page)
             .unwrap_or_else(|| panic!("update of uncached page {}", oid.page));
@@ -253,10 +254,10 @@ impl ClientCache {
             .expect("available object has bytes")
             .to_vec();
         if cp.image.update(oid.slot, bytes).is_err() {
-            return None;
+            return Err(before);
         }
         self.mark_dirty(oid, txn);
-        Some(before)
+        Ok(before)
     }
 
     /// Creates an object on a cached page (requires an explicit EX page
@@ -428,7 +429,10 @@ mod tests {
         let ev = c.install(pid(1), page_with(3), AvailMask::all_available(3), 1, &[]);
         assert!(ev.is_empty());
         assert!(c.object_cached(Oid::new(pid(1), 2)));
-        assert_eq!(c.read_object(Oid::new(pid(1), 1)), Some(vec![1u8; 16]));
+        assert_eq!(
+            c.read_object(Oid::new(pid(1), 1)).as_deref(),
+            Some(&[1u8; 16][..])
+        );
         assert!(c.fully_cached(pid(1)));
     }
 
@@ -459,7 +463,10 @@ mod tests {
         c.install(pid(1), page_with(3), proposed, 2, &[]);
         // Still available (was available before) and still dirty bytes.
         assert!(c.object_cached(Oid::new(pid(1), 0)));
-        assert_eq!(c.read_object(Oid::new(pid(1), 0)), Some(vec![9u8; 16]));
+        assert_eq!(
+            c.read_object(Oid::new(pid(1), 0)).as_deref(),
+            Some(&[9u8; 16][..])
+        );
     }
 
     #[test]

@@ -63,26 +63,26 @@ impl CopyTable {
 
     /// Clients caching `page`.
     pub fn clients(&self, page: PageId) -> Vec<SiteId> {
-        let mut v: Vec<SiteId> = self
-            .pages
-            .get(&page)
-            .map(|m| m.keys().copied().collect())
-            .unwrap_or_default();
-        v.sort();
-        v
+        self.clients_where(page, |_| true)
     }
 
     /// Clients caching `page`, excluding `except`.
     pub fn clients_except(&self, page: PageId, except: SiteId) -> Vec<SiteId> {
-        self.clients(page)
-            .into_iter()
-            .filter(|c| *c != except)
-            .collect()
+        self.clients_where(page, |c| c != except)
+    }
+
+    /// Clients caching `page` that `keep` accepts, in ascending order.
+    fn clients_where(&self, page: PageId, keep: impl Fn(SiteId) -> bool) -> Vec<SiteId> {
+        let mut v: Vec<SiteId> = (self.pages.get(&page).into_iter())
+            .flat_map(|m| m.keys().copied().filter(|&c| keep(c)))
+            .collect();
+        v.sort();
+        v
     }
 
     /// Whether anyone besides `except` caches the page.
     pub fn cached_elsewhere(&self, page: PageId, except: SiteId) -> bool {
-        !self.clients_except(page, except).is_empty()
+        (self.pages.get(&page)).is_some_and(|m| m.keys().any(|c| *c != except))
     }
 
     /// Clients caching at least one page of `file` (a file is "cached" at

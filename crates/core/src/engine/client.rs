@@ -8,7 +8,7 @@ use pscc_common::{
     AbortReason, FileId, LockMode, LockableId, Oid, PageId, SiteId, Stage, TxnId, VolId,
 };
 use pscc_lockmgr::Acquire;
-use pscc_storage::PageSnapshot;
+use pscc_storage::{PageSlice, PageSnapshot};
 use pscc_wal::LogRecord;
 
 impl PeerServer {
@@ -553,9 +553,12 @@ impl PeerServer {
             self.send(owner, Message::ReadForwarded { req, txn, oid });
             return;
         }
-        let new_bytes = bytes.unwrap_or_else(|| bump_version(cur.clone()));
+        let new_bytes = bytes.unwrap_or_else(|| bump_version(cur.to_vec()));
+        // The slice shares the cached image: holding it across the
+        // update would make the update copy the whole page.
+        drop(cur);
         match self.cache.apply_update(oid, &new_bytes, txn) {
-            Some(before) => {
+            Ok(before) => {
                 if let Some(h) = self.txns.home.get_mut(&txn) {
                     h.updated.insert(oid);
                 }
@@ -563,7 +566,7 @@ impl PeerServer {
                     .append(LogRecord::update(txn, oid, before, new_bytes));
                 self.complete_op(txn, None);
             }
-            None => {
+            Err(before) => {
                 // Size-growing update that overflows the page (§4.4):
                 // log it, then early-ship the page's records by purging
                 // the copy — the owner installs the update, forwarding
@@ -572,7 +575,7 @@ impl PeerServer {
                     h.updated.insert(oid);
                 }
                 self.log_cache
-                    .append(LogRecord::update(txn, oid, cur, new_bytes));
+                    .append(LogRecord::update(txn, oid, before, new_bytes));
                 if let Some(cp) = self.cache.purge(oid.page) {
                     self.send_purges(vec![(oid.page, cp)]);
                 }
@@ -583,7 +586,7 @@ impl PeerServer {
 
     /// Completes a read, following a §4.4 forwarding tombstone to the
     /// owner when needed.
-    pub(crate) fn finish_read(&mut self, txn: TxnId, oid: Oid, data: Option<Vec<u8>>) {
+    pub(crate) fn finish_read(&mut self, txn: TxnId, oid: Oid, data: Option<PageSlice>) {
         if let Some(d) = &data {
             if pscc_storage::forward_target(d).is_some() {
                 let Some(owner) = self.client_route(txn, oid.page) else {
@@ -603,7 +606,7 @@ impl PeerServer {
             return;
         };
         match cont {
-            ReqCont::ForwardRead => self.complete_op(txn, data),
+            ReqCont::ForwardRead => self.complete_op(txn, data.map(PageSlice::from)),
             ReqCont::ForwardWrite { oid, bytes } => {
                 let Some(before) = data else {
                     self.complete_op(txn, None);
@@ -646,7 +649,8 @@ impl PeerServer {
             txn,
             payload: pscc_wal::LogPayload::Create { oid, body: bytes },
         });
-        self.complete_op(txn, Some(crate::engine::large::encode_header_oid(oid)));
+        let header = crate::engine::large::encode_header_oid(oid);
+        self.complete_op(txn, Some(header.into()));
     }
 
     /// Deletes an object. Requires an EX lock on it and the copy cached;
@@ -674,11 +678,11 @@ impl PeerServer {
                 before: before.clone(),
             },
         });
-        self.complete_op(txn, Some(before));
+        self.complete_op(txn, Some(before.into()));
     }
 
     /// Answers the application for the transaction's current op.
-    pub(crate) fn complete_op(&mut self, txn: TxnId, data: Option<Vec<u8>>) {
+    pub(crate) fn complete_op(&mut self, txn: TxnId, data: Option<PageSlice>) {
         let Some(h) = self.txns.home.get_mut(&txn) else {
             return;
         };

@@ -294,8 +294,10 @@ impl PeerServer {
                 self.disk(DiskOp::ReadPage(page), DiskCont::CommitApply(state));
                 return;
             }
+            // Redo first, then the record moves into the log: it is
+            // stored once, never copied.
             let rec = state.records.pop_front().expect("peeked above");
-            let lsn = self.log.append(rec.clone());
+            let mut overflow = None;
             match pscc_wal::apply_redo(&mut self.volume, &rec) {
                 Ok(()) => {}
                 Err(pscc_common::PsccError::PageFull(_)) => {
@@ -303,19 +305,22 @@ impl PeerServer {
                     // forward the object to an overflow page (paper §4.4,
                     // the System-R-style technique).
                     if let pscc_wal::LogPayload::Update { oid, after, .. } = &rec.payload {
-                        let overflow = self.overflow_page_for(after.len());
-                        let fwd = self.volume.write_object_forwarding(*oid, after, overflow);
+                        let spill = self.overflow_page_for(after.len());
+                        let fwd = self.volume.write_object_forwarding(*oid, after, spill);
                         debug_assert!(fwd.is_ok(), "forwarding failed: {fwd:?}");
-                        self.touch_resident(overflow, true);
-                        pscc_wal::stamp_page_lsn(&mut self.volume, overflow, lsn);
+                        self.touch_resident(spill, true);
+                        overflow = Some(spill);
                     }
                 }
                 Err(e) => debug_assert!(false, "redo failed: {e:?}"),
             }
+            let lsn = self.log.append(rec);
             // Stamp the page LSN so restart redo can skip records whose
             // effects are already in the checkpoint base (ARIES
             // idempotence).
-            pscc_wal::stamp_page_lsn(&mut self.volume, page, lsn);
+            for page in std::iter::once(page).chain(overflow) {
+                pscc_wal::stamp_page_lsn(&mut self.volume, page, lsn);
+            }
         }
         // Finalize: write the control record and force the log, unless
         // this was a pure early-ship (purge) application.

@@ -18,7 +18,7 @@ use super::{PeerServer, ReqCont};
 use crate::msg::{Message, ReqId};
 use pscc_common::hash::HashMap;
 use pscc_common::{LockMode, LockableId, Oid, PageId, SiteId, TxnId};
-use pscc_storage::LargeHeader;
+use pscc_storage::{LargeHeader, PageSlice};
 
 /// Encodes a header [`Oid`] into the `Done.data` payload of
 /// `CreateLarge`.
@@ -97,7 +97,7 @@ impl PeerServer {
 
     pub(crate) fn client_create_large_ok(&mut self, req: ReqId, header: Oid) {
         if let Some(r) = self.settle_running(req) {
-            self.complete_op(r.txn, Some(encode_header_oid(header)));
+            self.complete_op(r.txn, Some(encode_header_oid(header).into()));
         }
     }
 
@@ -105,20 +105,16 @@ impl PeerServer {
     /// `header`. The header must be readable through this transaction's
     /// cache (a prior `Read(header)`).
     pub(crate) fn client_read_large(&mut self, txn: TxnId, header: Oid, offset: u64, len: u32) {
-        let header_bytes = match self.cache.read_object(header) {
-            Some(b) => b,
-            None => {
-                // Owner-local fast path: the header lives on our volume.
-                match self.volume.read_object(header) {
-                    Some(b) if self.owners.owner_of(header.page) == Some(self.site) => b.to_vec(),
-                    _ => {
-                        self.complete_op(txn, None);
-                        return;
-                    }
-                }
+        let cached = self.cache.read_object(header);
+        let header_bytes = match &cached {
+            Some(b) => Some(&b[..]),
+            // Owner-local fast path: the header lives on our volume.
+            None if self.owners.owner_of(header.page) == Some(self.site) => {
+                self.volume.read_object(header)
             }
+            None => None,
         };
-        let Some(hdr) = LargeHeader::decode(&header_bytes) else {
+        let Some(hdr) = header_bytes.and_then(LargeHeader::decode) else {
             self.complete_op(txn, None);
             return;
         };
@@ -145,7 +141,7 @@ impl PeerServer {
         }
         if pending.is_empty() {
             let data = self.assemble_large(&hdr, offset, len);
-            self.complete_op(txn, data);
+            self.complete_op(txn, data.map(PageSlice::from));
             return;
         }
         for (req, pg) in &pending {
@@ -211,7 +207,7 @@ impl PeerServer {
                 continue;
             }
             let data = self.assemble_large(&op.header, op.offset, op.len);
-            self.complete_op(op.txn, data);
+            self.complete_op(op.txn, data.map(PageSlice::from));
         }
     }
 

@@ -10,7 +10,7 @@ use crate::msg::{CbId, DeId, DiskOp, Message, ReqId};
 use pscc_common::hash::HashSet;
 use pscc_common::{ids::DUMMY_SLOT, LockMode, LockableId, Oid, PageId, SiteId, TxnId};
 use pscc_lockmgr::Acquire;
-use pscc_storage::{AvailMask, PageSnapshot};
+use pscc_storage::{AvailMask, PageSnapshot, SlottedPage};
 use pscc_wal::LogRecord;
 
 impl PeerServer {
@@ -199,46 +199,7 @@ impl PeerServer {
             });
             return;
         };
-        let n_slots = image.slot_count();
-        let mut avail = AvailMask::all_available(n_slots);
-        let requester_home = txn.site;
-        for slot in image.live_slots() {
-            let o = Oid::new(page, slot);
-            if requested == Some(o) {
-                continue; // condition 1: the requested object ships available
-            }
-            // Condition 2: EX-locked by a transaction from another client.
-            let ex_other = self
-                .locks
-                .holders(LockableId::Object(o))
-                .into_iter()
-                .any(|(t, m)| m == LockMode::Ex && t.site != requester_home);
-            // Condition 3: pending callback by a transaction from another
-            // client.
-            let cb_other = self
-                .cb_by_object
-                .get(&o)
-                .and_then(|cb| self.cb_ops.get(cb))
-                .is_some_and(|op| op.txn.site != requester_home);
-            if ex_other || cb_other {
-                avail.set_unavailable(slot);
-            }
-        }
-        // The dummy object (paper §4.3.2).
-        let dummy = Oid::dummy(page);
-        let dummy_cb = self
-            .cb_by_object
-            .get(&dummy)
-            .and_then(|cb| self.cb_ops.get(cb))
-            .is_some_and(|op| op.txn.site != requester_home);
-        let dummy_ex = self
-            .locks
-            .holders(LockableId::Object(dummy))
-            .into_iter()
-            .any(|(t, m)| m == LockMode::Ex && t.site != requester_home);
-        if (dummy_cb || dummy_ex) && requested != Some(dummy) {
-            avail.set_unavailable(DUMMY_SLOT);
-        }
+        let avail = self.ship_marks(&image, page, requested, txn.site);
         // Second-objective violation (§4.3.2): shipping the *requested*
         // object to a third client while a callback on it is pending
         // means the callback must be redone once its upgrade completes.
@@ -248,7 +209,7 @@ impl PeerServer {
                 .get(&o)
                 .and_then(|cb| self.cb_ops.get_mut(cb))
             {
-                if op.txn.site != requester_home {
+                if op.txn.site != txn.site {
                     op.violated = true;
                 }
             }
@@ -267,6 +228,41 @@ impl PeerServer {
                 },
             },
         );
+    }
+
+    /// The §4.2.3 availability marks of `page`'s `image` shipped to a
+    /// transaction of `requester`. A live object (or the dummy, §4.3.2)
+    /// other than the `requested` one ships unavailable when a
+    /// transaction from another client holds it EX (condition 2) or has
+    /// a callback pending on it (condition 3). Condition 2 is one pass
+    /// over the page's objects that have lock state.
+    pub(crate) fn ship_marks(
+        &self,
+        image: &SlottedPage,
+        page: PageId,
+        requested: Option<Oid>,
+        requester: SiteId,
+    ) -> AvailMask {
+        let mut avail = AvailMask::all_available(image.slot_count());
+        let marked =
+            |o: Oid| requested != Some(o) && (o.slot == DUMMY_SLOT || image.get(o.slot).is_some());
+        for (t, o) in self.locks.ex_object_locks_on_page(page) {
+            if t.site != requester && marked(o) {
+                avail.set_unavailable(o.slot);
+            }
+        }
+        if !self.cb_by_object.is_empty() {
+            for slot in (0..image.slot_count()).chain([DUMMY_SLOT]) {
+                let o = Oid::new(page, slot);
+                let cb_other = (self.cb_by_object.get(&o))
+                    .and_then(|cb| self.cb_ops.get(cb))
+                    .is_some_and(|op| op.txn.site != requester);
+                if cb_other && marked(o) {
+                    avail.set_unavailable(slot);
+                }
+            }
+        }
+        avail
     }
 
     // ------------------------------------------------------------------
@@ -882,10 +878,7 @@ impl PeerServer {
         txn: TxnId,
         work: impl FnOnce() -> crate::msg::Input,
     ) -> bool {
-        let holder_site = self
-            .locks
-            .adaptive_holders(page)
-            .into_iter()
+        let holder_site = (self.locks.adaptive_locks(page))
             .map(|t| t.site)
             .find(|s| *s != txn.site);
         let Some(client) = holder_site else {
@@ -1141,5 +1134,113 @@ impl PeerServer {
                 false,
             );
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::{CbDone, CbOp};
+    use super::*;
+    use crate::owner_map::OwnerMap;
+    use pscc_common::{FileId, SystemConfig, VolId};
+
+    /// The marking `server_ship` did before [`PeerServer::ship_marks`]:
+    /// one `holders` call per live slot and one for the dummy.
+    fn marks_by_slot(
+        s: &PeerServer,
+        image: &SlottedPage,
+        page: PageId,
+        requested: Option<Oid>,
+        requester_home: SiteId,
+    ) -> AvailMask {
+        let ex_other = |o: Oid| {
+            (s.locks.holders(LockableId::Object(o)).into_iter())
+                .any(|(t, m)| m == LockMode::Ex && t.site != requester_home)
+        };
+        let cb_other = |o: Oid| {
+            (s.cb_by_object.get(&o))
+                .and_then(|cb| s.cb_ops.get(cb))
+                .is_some_and(|op| op.txn.site != requester_home)
+        };
+        let mut avail = AvailMask::all_available(image.slot_count());
+        for slot in image.live_slots() {
+            let o = Oid::new(page, slot);
+            if requested != Some(o) && (ex_other(o) || cb_other(o)) {
+                avail.set_unavailable(slot);
+            }
+        }
+        let dummy = Oid::dummy(page);
+        if (cb_other(dummy) || ex_other(dummy)) && requested != Some(dummy) {
+            avail.set_unavailable(DUMMY_SLOT);
+        }
+        avail
+    }
+
+    #[test]
+    fn ship_marks_agree_with_the_per_slot_marking() {
+        let cfg = SystemConfig::small();
+        let page = PageId::new(FileId::new(VolId(0), 0), 3);
+        // Knuth's LCG: the states only have to be varied and repeat.
+        let mut state = 7u64;
+        let mut below = |n: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % n
+        };
+        let mut compared = 0;
+        for _ in 0..300 {
+            let mut s = PeerServer::new(SiteId(0), cfg.clone(), OwnerMap::Single(SiteId(0)));
+            let mut image = SlottedPage::new(512);
+            let n = below(10) as u16 + 1;
+            for _ in 0..n {
+                image.insert(&[1u8; 16]).expect("ten records fit");
+            }
+            for _ in 0..below(3) {
+                image.delete(below(n as u64) as u16);
+            }
+            // Slots past the last one and the dummy may have lock and
+            // callback state too.
+            let any_slot = |r: u64| match (r % (n as u64 + 3)) as u16 {
+                s if s == n + 2 => DUMMY_SLOT,
+                s => s,
+            };
+            for _ in 0..below(12) {
+                let txn = TxnId::new(SiteId(below(3) as u32), below(4) + 1);
+                let mode = [LockMode::Sh, LockMode::Ex][below(2) as usize];
+                let o = LockableId::Object(Oid::new(page, any_slot(below(1 << 16))));
+                s.locks.try_acquire_single(txn, o, mode);
+            }
+            for cb in 0..below(4) {
+                let txn = TxnId::new(SiteId(below(3) as u32), below(4) + 1);
+                let o = Oid::new(page, any_slot(below(1 << 16)));
+                let op = CbOp {
+                    txn,
+                    target: LockableId::Object(o),
+                    pending: HashSet::default(),
+                    all_purged: false,
+                    violated: false,
+                    upgrade: None,
+                    done: CbDone::Lock {
+                        req: ReqId(cb),
+                        to: txn.site,
+                    },
+                };
+                s.cb_ops.insert(CbId(cb), op);
+                s.cb_by_object.insert(o, CbId(cb));
+            }
+            for requester in (0..3).map(SiteId) {
+                let picks = [None, Some(any_slot(below(1 << 16))), Some(DUMMY_SLOT)];
+                for requested in picks.map(|p| p.map(|slot| Oid::new(page, slot))) {
+                    assert_eq!(
+                        s.ship_marks(&image, page, requested, requester),
+                        marks_by_slot(&s, &image, page, requested, requester),
+                        "requester {requester}, requested {requested:?}"
+                    );
+                    compared += 1;
+                }
+            }
+        }
+        assert_eq!(compared, 2_700);
     }
 }

@@ -15,7 +15,7 @@ use pscc_common::{
     AbortReason, AppId, LockMode, LockableId, Oid, PageId, SimDuration, SiteId, TxnId,
 };
 pub use pscc_common::{SpanId, TraceCtx};
-use pscc_storage::{PageSnapshot, SlottedPage};
+use pscc_storage::{PageSlice, PageSnapshot, SlottedPage};
 use pscc_wal::LogRecord;
 use std::fmt;
 
@@ -1098,8 +1098,9 @@ pub enum AppReply {
         app: AppId,
         /// The transaction.
         txn: TxnId,
-        /// Object bytes for reads.
-        data: Option<Vec<u8>>,
+        /// Object bytes for reads: a slice of the page they were read
+        /// from, not a copy.
+        data: Option<PageSlice>,
     },
     /// The transaction committed.
     Committed {

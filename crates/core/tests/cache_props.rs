@@ -117,7 +117,7 @@ proptest! {
                     if cache.object_cached(oid) {
                         let t = TxnId::new(SiteId(1), txn as u64);
                         let r = cache.apply_update(oid, &[txn + 1; 16], t);
-                        prop_assert!(r.is_some(), "in-range same-size update fits");
+                        prop_assert!(r.is_ok(), "in-range same-size update fits");
                         dirty.insert((page, slot), txn);
                     }
                 }

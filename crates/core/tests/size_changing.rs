@@ -36,7 +36,7 @@ fn oid(page: u32, slot: u16) -> Oid {
 /// Runs `op` for `t` at `site` to its `Done` and returns what it carries.
 fn done(c: &mut Simulation, site: SiteId, t: TxnId, op: AppOp) -> Option<Vec<u8>> {
     match c.run_op(site, APP, t, op).unwrap() {
-        AppReply::Done { data, .. } => data,
+        AppReply::Done { data, .. } => data.map(|d| d.to_vec()),
         other => panic!("unexpected {other:?}"),
     }
 }

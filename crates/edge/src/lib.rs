@@ -28,7 +28,7 @@
 //! files never enter either structure.
 
 use pscc_common::{ConsistencyTier, Oid, PageId, SimDuration, SimTime, SiteId, VolId};
-use pscc_storage::SlottedPage;
+use pscc_storage::{PageSlice, SlottedPage};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One cached page copy at an edge site.
@@ -116,15 +116,16 @@ impl EdgeCache {
         self.pages.get(&page)
     }
 
-    /// Reads one object's bytes from a cached copy, touching LRU state.
-    /// Returns `None` for uncached pages, invalidated entries, and dead
-    /// slots alike — the caller falls through to a fetch.
-    pub fn read_object(&mut self, oid: Oid) -> Option<Vec<u8>> {
+    /// Reads one object's bytes from a cached copy, touching LRU state:
+    /// a slice sharing the cached image, not a copy. Returns `None` for
+    /// uncached pages, invalidated entries, and dead slots alike — the
+    /// caller falls through to a fetch.
+    pub fn read_object(&mut self, oid: Oid) -> Option<PageSlice> {
         let e = self.get(oid.page)?;
         if e.invalidated {
             return None;
         }
-        e.image.get(oid.slot).map(<[u8]>::to_vec)
+        e.image.slice(oid.slot)
     }
 
     /// Marks a copy invalidated if the published version is newer than

@@ -404,14 +404,15 @@ impl LockTable {
     }
 
     /// Runs `path` from its root; only a request that must wait copies
-    /// it, into its [`Pending`] state.
+    /// it, into its [`Pending`] state. The callers have just probed
+    /// every step and found none held, so the steps are not probed again.
     fn run_path(
         &mut self,
         txn: TxnId,
         path: &Path,
         leaf: (LockableId, LockMode),
     ) -> (Acquire, Vec<Grant>) {
-        match self.advance(txn, path, 0) {
+        match path.iter().position(|&(g, m)| !self.try_grant(txn, g, m)) {
             None => {
                 self.emit(EventKind::LockGrant {
                     txn,
@@ -839,16 +840,13 @@ impl LockTable {
     /// transactions *from the same client* may hold them simultaneously,
     /// paper §4.1.2).
     pub fn adaptive_holders(&self, page: PageId) -> Vec<TxnId> {
-        self.entries
-            .get(&LockableId::Page(page))
-            .map(|e| {
-                e.holders
-                    .iter()
-                    .filter(|h| h.adaptive)
-                    .map(|h| h.txn)
-                    .collect()
-            })
-            .unwrap_or_default()
+        self.adaptive_locks(page).collect()
+    }
+
+    /// [`LockTable::adaptive_holders`] without collecting it.
+    pub fn adaptive_locks(&self, page: PageId) -> impl Iterator<Item = TxnId> + '_ {
+        (self.entries.get(&LockableId::Page(page)).into_iter())
+            .flat_map(|e| e.holders.iter().filter(|h| h.adaptive).map(|h| h.txn))
     }
 
     // ------------------------------------------------------------------
@@ -880,14 +878,18 @@ impl LockTable {
     /// Every EX **object** lock held on objects of `page` — the payload
     /// of a deescalation reply (paper §4.1.2).
     pub fn ex_object_holders_on_page(&self, page: PageId) -> Vec<(TxnId, Oid)> {
-        self.object_entries_on_page(page)
-            .flat_map(|(o, e)| {
-                e.holders
-                    .iter()
-                    .filter(|h| h.mode == LockMode::Ex)
-                    .map(move |h| (h.txn, o))
-            })
-            .collect()
+        self.ex_object_locks_on_page(page).collect()
+    }
+
+    /// [`LockTable::ex_object_holders_on_page`] without collecting it:
+    /// one pass over the page's objects that have lock state.
+    pub fn ex_object_locks_on_page(&self, page: PageId) -> impl Iterator<Item = (TxnId, Oid)> + '_ {
+        self.object_entries_on_page(page).flat_map(|(o, e)| {
+            e.holders
+                .iter()
+                .filter(|h| h.mode == LockMode::Ex)
+                .map(move |h| (h.txn, o))
+        })
     }
 
     /// Edges of the waits-for graph: `(waiter, holder-or-earlier-waiter)`.

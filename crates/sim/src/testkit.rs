@@ -134,7 +134,7 @@ impl Simulation {
         oid: pscc_common::Oid,
     ) -> Result<Vec<u8>, PsccError> {
         match self.run_op(site, app, txn, AppOp::Read(oid))? {
-            AppReply::Done { data: Some(d), .. } => Ok(d),
+            AppReply::Done { data: Some(d), .. } => Ok(d.to_vec()),
             _ => Err(PsccError::NoSuchObject(oid)),
         }
     }

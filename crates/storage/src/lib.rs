@@ -34,6 +34,6 @@ mod volume;
 
 pub use avail::AvailMask;
 pub use large::{LargeHeader, LargeObjectRef, LargeObjectStore};
-pub use page::{SlottedPage, HEADER_SIZE, SLOT_SIZE};
+pub use page::{PageSlice, SlottedPage, HEADER_SIZE, SLOT_SIZE};
 pub use snapshot::PageSnapshot;
 pub use volume::{forward_target, Volume};

@@ -13,8 +13,18 @@
 //! descriptor is 4 bytes at the end of the page: `(offset u16, len u16)`,
 //! slot `i` at `page_size - 4*(i+1)`. A dead slot has offset
 //! [`DEAD_OFFSET`]. Records are raw object bytes.
+//!
+//! The image is one refcounted buffer. A clone shares it, and a
+//! mutator copies it only while it is shared, so a page shipped,
+//! snapshotted or cached elsewhere costs a refcount until one side
+//! writes (DESIGN.md §13). A [`PageSlice`] borrows an object's bytes
+//! from that buffer: while one is alive, the next write to the page
+//! copies the whole image, so no slice is held across a mutation.
 
-use pscc_common::wire::{Wire, WireError};
+use pscc_common::wire::{self, Wire, WireError};
+use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// The page sizes [`SlottedPage::new`] accepts (offsets are 16-bit).
 const PAGE_SIZES: std::ops::RangeInclusive<usize> = 64..=65_536;
@@ -39,7 +49,54 @@ const DEAD_OFFSET: u16 = u16::MAX;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlottedPage {
-    data: Vec<u8>,
+    data: Arc<[u8]>,
+}
+
+/// An object's bytes as a refcounted slice of the page image they were
+/// read from, or as a buffer of their own ([`PageSlice::from`] adopts a
+/// `Vec` without copying it).
+#[derive(Clone)]
+pub struct PageSlice(Backing);
+
+#[derive(Clone)]
+enum Backing {
+    Image {
+        image: Arc<[u8]>,
+        start: usize,
+        end: usize,
+    },
+    Owned(Vec<u8>),
+}
+
+impl Deref for PageSlice {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match &self.0 {
+            Backing::Image { image, start, end } => &image[*start..*end],
+            Backing::Owned(bytes) => bytes,
+        }
+    }
+}
+
+impl From<Vec<u8>> for PageSlice {
+    fn from(bytes: Vec<u8>) -> Self {
+        PageSlice(Backing::Owned(bytes))
+    }
+}
+
+impl PartialEq for PageSlice {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for PageSlice {}
+
+impl fmt::Debug for PageSlice {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
 }
 
 impl SlottedPage {
@@ -55,7 +112,7 @@ impl SlottedPage {
             "unsupported page size"
         );
         let mut p = SlottedPage {
-            data: vec![0; page_size as usize],
+            data: Arc::from(vec![0; page_size as usize]),
         };
         p.set_free_offset(HEADER_SIZE as u16);
         p
@@ -65,8 +122,14 @@ impl SlottedPage {
         u16::from_le_bytes([self.data[off], self.data[off + 1]])
     }
 
+    /// The image, for writing: copied first if another page, snapshot
+    /// or [`PageSlice`] shares it.
+    fn buf_mut(&mut self) -> &mut [u8] {
+        Arc::make_mut(&mut self.data)
+    }
+
     fn set_u16(&mut self, off: usize, v: u16) {
-        self.data[off..off + 2].copy_from_slice(&v.to_le_bytes());
+        self.buf_mut()[off..off + 2].copy_from_slice(&v.to_le_bytes());
     }
 
     /// The page LSN (set by the recovery layer after applying a log
@@ -77,7 +140,7 @@ impl SlottedPage {
 
     /// Sets the page LSN.
     pub fn set_lsn(&mut self, lsn: u64) {
-        self.data[0..8].copy_from_slice(&lsn.to_le_bytes());
+        self.buf_mut()[0..8].copy_from_slice(&lsn.to_le_bytes());
     }
 
     /// Number of slots ever allocated (including dead ones).
@@ -173,7 +236,7 @@ impl SlottedPage {
             }
         };
         let off = self.free_offset();
-        self.data[off as usize..off as usize + bytes.len()].copy_from_slice(bytes);
+        self.buf_mut()[off as usize..off as usize + bytes.len()].copy_from_slice(bytes);
         self.set_free_offset(off + bytes.len() as u16);
         self.set_slot(slot, off, bytes.len() as u16);
         Some(slot)
@@ -185,6 +248,25 @@ impl SlottedPage {
             .map(|(off, len)| &self.data[off as usize..(off + len) as usize])
     }
 
+    /// The record in `slot`, if live, as a slice sharing this image: no
+    /// bytes are copied and nothing is allocated.
+    pub fn slice(&self, slot: u16) -> Option<PageSlice> {
+        self.slot(slot).map(|(off, len)| {
+            PageSlice(Backing::Image {
+                image: Arc::clone(&self.data),
+                start: off as usize,
+                end: (off + len) as usize,
+            })
+        })
+    }
+
+    /// Whether the two pages share one image buffer (neither has been
+    /// written since one was cloned from the other).
+    #[doc(hidden)]
+    pub fn shares_buffer_with(&self, other: &SlottedPage) -> bool {
+        Arc::ptr_eq(&self.data, &other.data)
+    }
+
     /// Overwrites the record in `slot`. Same-size updates happen in
     /// place; size-changing updates relocate within the page. Returns
     /// `Err(())` if the new size does not fit (the caller must forward
@@ -193,12 +275,12 @@ impl SlottedPage {
     pub fn update(&mut self, slot: u16, bytes: &[u8]) -> Result<(), ()> {
         let (off, len) = self.slot(slot).ok_or(())?;
         if bytes.len() == len as usize {
-            self.data[off as usize..(off + len) as usize].copy_from_slice(bytes);
+            self.buf_mut()[off as usize..(off + len) as usize].copy_from_slice(bytes);
             return Ok(());
         }
         if bytes.len() < len as usize {
             // Shrink in place; the tail becomes a hole.
-            self.data[off as usize..off as usize + bytes.len()].copy_from_slice(bytes);
+            self.buf_mut()[off as usize..off as usize + bytes.len()].copy_from_slice(bytes);
             self.set_slot(slot, off, bytes.len() as u16);
             self.set_hole_bytes(self.hole_bytes() + (len as usize - bytes.len()) as u16);
             return Ok(());
@@ -214,7 +296,7 @@ impl SlottedPage {
             self.compact();
         }
         let off = self.free_offset();
-        self.data[off as usize..off as usize + bytes.len()].copy_from_slice(bytes);
+        self.buf_mut()[off as usize..off as usize + bytes.len()].copy_from_slice(bytes);
         self.set_free_offset(off + bytes.len() as u16);
         self.set_slot(slot, off, bytes.len() as u16);
         Ok(())
@@ -236,20 +318,26 @@ impl SlottedPage {
             .collect()
     }
 
-    /// Rewrites all live records contiguously, turning holes into
-    /// contiguous free space.
+    /// Rewrites all live records contiguously, in slot order, turning
+    /// holes into contiguous free space. The records are read from the
+    /// old image into a copy of it, which becomes this page's image.
     pub fn compact(&mut self) {
-        let live: Vec<(u16, Vec<u8>)> = (0..self.slot_count())
-            .filter_map(|s| self.get(s).map(|b| (s, b.to_vec())))
-            .collect();
+        let mut page = SlottedPage {
+            data: Arc::clone(&self.data),
+        };
         let mut off = HEADER_SIZE as u16;
-        for (s, bytes) in live {
-            self.data[off as usize..off as usize + bytes.len()].copy_from_slice(&bytes);
-            self.set_slot(s, off, bytes.len() as u16);
-            off += bytes.len() as u16;
+        for s in 0..self.slot_count() {
+            let Some(bytes) = self.get(s) else {
+                continue;
+            };
+            let len = bytes.len() as u16;
+            page.buf_mut()[off as usize..(off + len) as usize].copy_from_slice(bytes);
+            page.set_slot(s, off, len);
+            off += len;
         }
-        self.set_free_offset(off);
-        self.set_hole_bytes(0);
+        page.set_free_offset(off);
+        page.set_hole_bytes(0);
+        *self = page;
     }
 
     /// The raw page bytes (for shipping and checksums).
@@ -257,9 +345,12 @@ impl SlottedPage {
         &self.data
     }
 
-    /// Reconstructs a page from raw bytes (the receive side of a ship).
+    /// Reconstructs a page from raw bytes, copied into a refcounted
+    /// buffer of its own.
     pub fn from_bytes(data: Vec<u8>) -> Self {
-        SlottedPage { data }
+        SlottedPage {
+            data: Arc::from(data),
+        }
     }
 
     /// Page size in bytes.
@@ -307,12 +398,12 @@ impl SlottedPage {
 /// would make the page's own methods index outside it.
 impl Wire for SlottedPage {
     fn put(&self, out: &mut Vec<u8>) {
-        self.data.put(out);
+        wire::put_bytes(&self.data, out);
     }
 
     fn get(input: &mut &[u8]) -> Result<Self, WireError> {
         let page = SlottedPage {
-            data: Vec::get(input)?,
+            data: Arc::from(wire::get_bytes(input)?),
         };
         page.check_layout().map_err(WireError::Invalid)?;
         Ok(page)
@@ -332,6 +423,20 @@ mod tests {
         assert_eq!(p.get(a), Some(&b"alpha"[..]));
         assert_eq!(p.get(b), Some(&b"beta"[..]));
         assert_eq!(p.live_slots(), vec![a, b]);
+    }
+
+    #[test]
+    fn a_slice_shares_the_image_and_an_owned_one_keeps_its_buffer() {
+        let mut p = SlottedPage::new(256);
+        let s = p.insert(b"alpha").unwrap();
+        let read = p.slice(s).unwrap();
+        assert_eq!(&*read, b"alpha");
+        assert_eq!(read.as_ptr(), p.get(s).unwrap().as_ptr());
+        let bytes = b"large object".to_vec();
+        let at = bytes.as_ptr();
+        let owned = PageSlice::from(bytes);
+        assert_eq!((&*owned, owned.as_ptr()), (&b"large object"[..], at));
+        assert_eq!(read, PageSlice::from(b"alpha".to_vec()));
     }
 
     #[test]

@@ -65,8 +65,9 @@ impl Volume {
     }
 
     /// A volume of one file holding the pages `page_numbers`, in that
-    /// order, each a copy of one page formatted with the paper's objects:
-    /// every page of the database starts as the same image.
+    /// order, each a clone of one page formatted with the paper's
+    /// objects: every page of the database starts as the same image, one
+    /// shared buffer until a page is first written.
     fn formatted(id: VolId, cfg: &SystemConfig, page_numbers: impl Iterator<Item = u32>) -> Self {
         let mut template = SlottedPage::new(cfg.page_size);
         let body = vec![0u8; cfg.object_size() as usize];

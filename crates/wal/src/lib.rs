@@ -21,8 +21,9 @@
 //!
 //! # Restart recovery
 //!
-//! The server log is *replayable*: [`ServerLog::force`] serializes every
-//! newly durable record into a checksummed byte image, and
+//! The server log is *replayable*: [`ServerLog::append`] serializes every
+//! record into a checksummed byte image, [`ServerLog::force`] makes
+//! what was appended durable, and
 //! [`ServerLog::checkpoint`] takes a fuzzy checkpoint — a base volume
 //! snapshot, the active-transaction table (with prepared flags), the
 //! dirty page table, and the cumulative commit outcomes — then truncates
@@ -438,8 +439,11 @@ pub struct DurableState {
 
 /// The server-side log: assigns LSNs, tracks durability, and remembers
 /// applied-but-uncommitted records per transaction so they can be undone
-/// on abort. Forced records are additionally serialized into a durable
-/// byte image so an owner crash is survivable (see [`DurableState`]).
+/// on abort. Every record is serialized into a byte image as it is
+/// appended; the forced prefix of that image is what survives an owner
+/// crash (see [`DurableState`]). A record is kept once: a data record
+/// moves into its transaction's in-flight list, a control record is
+/// only its frame.
 #[derive(Debug, Default)]
 pub struct ServerLog {
     next_lsn: u64,
@@ -450,11 +454,13 @@ pub struct ServerLog {
     prepared: HashSet<TxnId>,
     /// Transactions that have logged a `Commit` (cumulative).
     committed: HashSet<TxnId>,
-    /// Records since the last checkpoint, append order (the volatile
-    /// log tail; the prefix up to `durable_lsn` is also in `durable`).
-    tail: Vec<(Lsn, LogRecord)>,
-    /// Encoded image of the forced tail prefix.
-    durable: Vec<u8>,
+    /// The LSN and page of each data record since the last checkpoint,
+    /// append order: what the checkpoint's dirty page table is made of.
+    dirtied: Vec<(Lsn, PageId)>,
+    /// Encoded frames of every record since the last checkpoint (the
+    /// log tail); the first `durable_len` bytes are forced.
+    image: Vec<u8>,
+    durable_len: usize,
     /// The last fuzzy checkpoint.
     checkpoint: Option<Checkpoint>,
     /// The current ownership layout, stamped into future checkpoints
@@ -485,8 +491,9 @@ impl ServerLog {
             prepared: in_doubt.keys().copied().collect(),
             in_flight: in_doubt,
             committed,
-            tail: Vec::new(),
-            durable: Vec::new(),
+            dirtied: Vec::new(),
+            image: Vec::new(),
+            durable_len: 0,
             checkpoint: None,
             layout: None,
         }
@@ -499,14 +506,19 @@ impl ServerLog {
         self.layout = Some(layout);
     }
 
-    /// Appends a record, returning its LSN. Data records are remembered
-    /// for possible undo until [`ServerLog::end_txn`].
+    /// Appends a record, returning its LSN: encodes its frame into the
+    /// log tail, and keeps a data record for possible undo until
+    /// [`ServerLog::end_txn`].
     pub fn append(&mut self, rec: LogRecord) -> Lsn {
         self.next_lsn += 1;
         let lsn = Lsn(self.next_lsn);
+        encode_frame(&mut self.image, lsn, &rec);
+        if let Some(page) = rec.payload.page() {
+            self.dirtied.push((lsn, page));
+        }
         match rec.payload {
             LogPayload::Update { .. } | LogPayload::Create { .. } | LogPayload::Delete { .. } => {
-                self.in_flight.entry(rec.txn).or_default().push(rec.clone());
+                self.in_flight.entry(rec.txn).or_default().push(rec);
             }
             LogPayload::Prepare => {
                 self.prepared.insert(rec.txn);
@@ -525,33 +537,25 @@ impl ServerLog {
             | LogPayload::MigrateInEnd { .. }
             | LogPayload::MigrateLand { .. } => {}
         }
-        self.tail.push((lsn, rec));
         lsn
     }
 
     /// Forces the log to disk; returns `true` if anything needed writing
-    /// (i.e. the engine should charge one log-disk I/O). Newly durable
-    /// records are serialized into the crash-surviving byte image.
+    /// (i.e. the engine should charge one log-disk I/O). The records
+    /// appended since the last force, already encoded, join the
+    /// crash-surviving prefix of the image.
     pub fn force(&mut self) -> bool {
-        // LSNs are consecutive and `tail` holds every record appended
-        // since it was last emptied, when nothing was unforced: the
-        // unforced records are exactly its last `next_lsn - durable_lsn`
-        // entries. Nothing older is looked at, so a force costs the same
-        // however long the tail has grown.
-        let unforced = (self.next_lsn - self.durable_lsn) as usize;
-        if unforced == 0 {
+        if self.durable_lsn == self.next_lsn {
             return false;
         }
-        let first = self
-            .tail
-            .len()
-            .checked_sub(unforced)
-            .expect("the tail holds every unforced record");
-        for (lsn, rec) in &self.tail[first..] {
-            encode_frame(&mut self.durable, *lsn, rec);
-        }
+        self.durable_len = self.image.len();
         self.durable_lsn = self.next_lsn;
         true
+    }
+
+    /// The forced prefix of the log tail's image.
+    fn durable(&self) -> &[u8] {
+        &self.image[..self.durable_len]
     }
 
     /// Takes a fuzzy checkpoint against `base` (the caller's current
@@ -561,10 +565,8 @@ impl ServerLog {
     pub fn checkpoint(&mut self, base: Volume) -> bool {
         let wrote = self.force();
         let mut dpt: HashMap<PageId, Lsn> = HashMap::default();
-        for (lsn, rec) in &self.tail {
-            if let Some(page) = rec.payload.page() {
-                dpt.entry(page).or_insert(*lsn);
-            }
+        for (lsn, page) in self.dirtied.drain(..) {
+            dpt.entry(page).or_insert(lsn);
         }
         let mut dpt: Vec<(PageId, Lsn)> = dpt.into_iter().collect();
         dpt.sort();
@@ -589,8 +591,8 @@ impl ServerLog {
             committed: self.committed.clone(),
             layout: self.layout.clone(),
         });
-        self.tail.clear();
-        self.durable.clear();
+        self.image.clear();
+        self.durable_len = 0;
         wrote
     }
 
@@ -600,7 +602,7 @@ impl ServerLog {
     pub fn crash_image(&self) -> DurableState {
         DurableState {
             checkpoint: self.checkpoint.clone(),
-            log: self.durable.clone(),
+            log: self.durable().to_vec(),
         }
     }
 
@@ -964,14 +966,13 @@ mod tests {
         assert!(log.force());
     }
 
-    /// The durable image the pre-slice `force` built: scan the whole
-    /// tail, encode what lies past `durable_lsn`.
-    fn force_by_scan(log: &ServerLog) -> Vec<u8> {
-        let mut image = log.durable.clone();
-        for (lsn, rec) in &log.tail {
-            if lsn.0 > log.durable_lsn {
-                encode_frame(&mut image, *lsn, rec);
-            }
+    /// The durable image of `tail`, the records appended since the last
+    /// checkpoint with their LSNs, once every one up to `durable_lsn` is
+    /// forced: each one's frame, encoded on its own, in LSN order.
+    fn image_by_scan(tail: &[(Lsn, LogRecord)], durable_lsn: Lsn) -> Vec<u8> {
+        let mut image = Vec::new();
+        for (lsn, rec) in tail.iter().filter(|(lsn, _)| *lsn <= durable_lsn) {
+            encode_frame(&mut image, *lsn, rec);
         }
         image
     }
@@ -989,29 +990,34 @@ mod tests {
                 (state >> 33) % n
             };
             let mut log = ServerLog::new();
+            let mut tail = Vec::new();
             let mut forces = 0;
             for step in 0..400u64 {
                 let txn = TxnId::new(SiteId(1), step / 4);
-                match below(20) {
+                let rec = match below(20) {
                     0..=11 => {
                         let image = vec![below(256) as u8; below(24) as usize];
-                        log.append(LogRecord::update(txn, oid, image.clone(), image));
+                        Some(LogRecord::update(txn, oid, image.clone(), image))
                     }
-                    12..=13 => {
-                        log.append(LogRecord {
-                            txn,
-                            payload: LogPayload::Commit,
-                        });
-                    }
+                    12..=13 => Some(LogRecord {
+                        txn,
+                        payload: LogPayload::Commit,
+                    }),
                     14..=17 => {
-                        let expected = force_by_scan(&log);
+                        // Unforced records are not durable yet.
+                        let before = image_by_scan(&tail, log.durable_lsn());
+                        assert_eq!(log.durable(), before, "seed {seed} step {step}");
                         log.force();
-                        assert_eq!(log.durable, expected, "seed {seed} step {step}");
+                        let expected = image_by_scan(&tail, log.durable_lsn());
+                        assert_eq!(log.durable(), expected, "seed {seed} step {step}");
                         forces += 1;
+                        None
                     }
                     18 => {
                         log.checkpoint(vol.clone());
-                        assert!(log.durable.is_empty() && log.tail.is_empty());
+                        tail.clear();
+                        assert!(log.durable().is_empty() && log.image.is_empty());
+                        None
                     }
                     _ => {
                         // A restart: LSNs resume, the tail starts empty.
@@ -1021,24 +1027,28 @@ mod tests {
                             HashMap::default(),
                             HashSet::default(),
                         );
+                        tail.clear();
+                        None
                     }
+                };
+                if let Some(rec) = rec {
+                    tail.push((log.append(rec.clone()), rec));
                 }
             }
             assert!(forces > 20, "seed {seed} forced only {forces} times");
-            let expected = force_by_scan(&log);
             log.force();
-            assert_eq!(log.durable, expected);
-            let (recs, torn) = decode_log(&log.durable);
+            assert_eq!(log.durable(), image_by_scan(&tail, log.durable_lsn()));
+            let (recs, torn) = decode_log(log.durable());
             assert!(!torn);
-            assert_eq!(recs.len(), log.tail.len());
+            assert_eq!(recs, tail);
         }
     }
 
     #[test]
     fn force_encodes_only_the_records_appended_since_the_last_one() {
-        // A scan of the tail for unforced records would also encode three
-        // frames here; what this pins is that the slice `force` takes off
-        // the end of a long tail is those three and nothing else.
+        // Each record is encoded once, when it is appended: forcing the
+        // last three records of a long tail encodes those three and
+        // nothing else, and the force itself encodes nothing.
         let (_, oid, t1) = setup();
         let mut log = ServerLog::new();
         for i in 0..100_000u32 {
@@ -1049,13 +1059,15 @@ mod tests {
         }
         assert_eq!(log.durable_lsn(), Lsn(100_000));
         let before = FRAMES_ENCODED.with(std::cell::Cell::get);
-        let image_len = log.durable.len();
+        let image_len = log.durable().len();
         for _ in 0..3 {
             log.append(LogRecord::update(t1, oid, vec![7], vec![8]));
         }
+        let appended = FRAMES_ENCODED.with(std::cell::Cell::get);
         assert!(log.force());
-        assert_eq!(FRAMES_ENCODED.with(std::cell::Cell::get) - before, 3);
-        let (recs, torn) = decode_log(&log.durable[image_len..]);
+        assert_eq!(FRAMES_ENCODED.with(std::cell::Cell::get), appended);
+        assert_eq!(appended - before, 3);
+        let (recs, torn) = decode_log(&log.durable()[image_len..]);
         assert!(!torn);
         let lsns: Vec<Lsn> = recs.iter().map(|(lsn, _)| *lsn).collect();
         assert_eq!(lsns, [Lsn(100_001), Lsn(100_002), Lsn(100_003)]);
