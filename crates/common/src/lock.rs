@@ -56,6 +56,7 @@ impl LockMode {
     /// | SH  | ✓  | ✗  | ✓  | ✗   | ✗  |
     /// | SIX | ✓  | ✗  | ✗  | ✗   | ✗  |
     /// | EX  | ✗  | ✗  | ✗  | ✗   | ✗  |
+    #[inline]
     pub fn compatible(self, other: LockMode) -> bool {
         use LockMode::*;
         match (self, other) {
@@ -68,6 +69,7 @@ impl LockMode {
 
     /// Least upper bound of two modes in the lock-strength lattice; used
     /// when a transaction converts a lock it already holds.
+    #[inline]
     pub fn sup(self, other: LockMode) -> LockMode {
         use LockMode::*;
         match (self, other) {
@@ -83,6 +85,7 @@ impl LockMode {
 
     /// Whether holding `self` implies every right granted by `other`
     /// (i.e. `sup(self, other) == self`).
+    #[inline]
     pub fn covers(self, other: LockMode) -> bool {
         self.sup(other) == self
     }
@@ -107,6 +110,7 @@ impl LockMode {
     /// The intention mode a request in this mode requires on every
     /// ancestor granule (paper §4: "the lock manager automatically
     /// acquires the appropriate intention mode locks on the ancestors").
+    #[inline]
     pub fn ancestor_intention(self) -> LockMode {
         match self {
             LockMode::Is | LockMode::Sh => LockMode::Is,

@@ -647,6 +647,18 @@ impl PeerServer {
             .collect()
     }
 
+    /// Runs the lock table's full-scan self-check
+    /// ([`pscc_lockmgr::LockTable::assert_consistent`]); the seeded
+    /// harness calls it after every input.
+    ///
+    /// # Panics
+    ///
+    /// Panics with a description of the violated granule or index.
+    #[doc(hidden)]
+    pub fn assert_locks_consistent(&self) {
+        self.locks.assert_consistent();
+    }
+
     /// Asserts that no transaction state lingers: empty lock table, no
     /// callback/deescalation operations, no suspended continuations, no
     /// live transactions. Test harnesses call this after draining a

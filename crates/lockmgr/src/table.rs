@@ -2,24 +2,36 @@
 //! upgraders at the head, hierarchical acquisition, forced grants,
 //! downgrades, and the adaptive bit.
 //!
-//! Beside the granule map the table keeps three indexes, so that no
-//! operation on the transaction path scans it (DESIGN.md §13): what each
-//! transaction holds and waits for, which objects of each page have lock
-//! state, and which granules have a non-empty queue. Each index is
-//! written in one place — [`add_holder`] / [`LockTable::remove_holder`],
-//! [`entry_mut`] / [`drop_if_unused`], [`LockTable::enqueue`] /
-//! [`LockTable::scan`] — and [`LockTable::assert_consistent`] rebuilds
-//! all of them by full scan.
+//! The table is shaped like the hierarchy it locks (DESIGN.md §13).
+//! Volume and file granules, a handful per site, sit in a side table
+//! searched in place. Everything below them is kept per page, in one
+//! [`PageRec`]: the page granule's entry and the entries of the page's
+//! objects that have lock state, in the order they appeared, so that
+//! list is also the per-page object index. Records live in a slab
+//! reached through one page map ([`Granules`]). An acquisition probes
+//! that map at most once, since the page and object steps of its path
+//! share the record, and each transaction's held list keeps the record's
+//! handle beside each granule, so a release reaches what it frees
+//! without hashing.
 //!
-//! The containers those places empty — a granule's entry, a page's slot
-//! list, a transaction's lists — go to a free list ([`Spare`]) and the
-//! same places take them back from it, so once the table has held its
-//! working set an uncontended acquire and release allocate nothing.
+//! Beside the granules the table keeps two indexes, so that no
+//! operation on the transaction path scans it: what each transaction
+//! holds and waits for, and which granules have a non-empty queue. Each
+//! is written in one place — [`add_holder`] / [`LockTable::release_one`]
+//! / [`LockTable::release_all`], [`LockTable::enqueue`] /
+//! [`LockTable::scan`] — and [`LockTable::assert_consistent`] rebuilds
+//! both by full scan.
+//!
+//! What those places empty — an object's or an upper granule's entry, a
+//! page's record, a transaction's lists — is kept for reuse with the
+//! capacity it grew to, and the same places take it back, so once the
+//! table has held its working set an uncontended acquire and release
+//! allocate nothing.
 
 use pscc_common::hash::HashMap;
 use pscc_common::{LockMode, LockableId, Oid, PageId, TxnId};
 use pscc_obs::event::{EventKind, TraceHandle};
-use std::collections::hash_map::{Entry as MapEntry, OccupiedEntry};
+use std::collections::hash_map::Entry as MapEntry;
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 
@@ -109,6 +121,10 @@ impl Entry {
         self.holders.iter_mut().find(|h| h.txn == txn)
     }
 
+    fn covers(&self, txn: TxnId, mode: LockMode) -> bool {
+        self.holder(txn).is_some_and(|h| h.mode.covers(mode))
+    }
+
     fn compatible_with_others(&self, txn: TxnId, mode: LockMode) -> bool {
         self.holders
             .iter()
@@ -116,8 +132,245 @@ impl Entry {
             .all(|h| h.mode.compatible(mode))
     }
 
+    /// Whether `mode` can go to `txn` right now: a conversion needs only
+    /// compatibility with the other holders, a fresh request also an
+    /// empty queue (FIFO).
+    fn grants(&self, txn: TxnId, mode: LockMode) -> bool {
+        match self.holder(txn) {
+            Some(h) => self.compatible_with_others(txn, h.mode.sup(mode)),
+            None => self.queue.is_empty() && self.compatible_with_others(txn, mode),
+        }
+    }
+
     fn is_unused(&self) -> bool {
         self.holders.is_empty() && self.queue.is_empty()
+    }
+}
+
+/// Where a granule's entry lives: `None` for a volume or file granule
+/// (the side table), else the handle of its page's record.
+type Home = Option<u32>;
+
+/// The page a page or object granule is on; `None` above the page.
+fn page_of(id: LockableId) -> Option<PageId> {
+    match id {
+        LockableId::Page(p) => Some(p),
+        LockableId::Object(o) => Some(o.page),
+        LockableId::Volume(_) | LockableId::File(_) => None,
+    }
+}
+
+/// The home of `id` on a path whose page-level steps share record `rec`.
+fn at(id: LockableId, rec: Home) -> Home {
+    page_of(id).and(rec)
+}
+
+/// One page's lock state.
+#[derive(Debug, Default)]
+struct PageRec {
+    /// The page granule's entry; unused while only objects have state.
+    page: Entry,
+    /// The page's objects that have lock state, in the order their
+    /// entries appeared.
+    objects: Vec<(u16, Entry)>,
+    /// While the record is free, the next free one.
+    next_free: Option<u32>,
+}
+
+impl PageRec {
+    fn is_empty(&self) -> bool {
+        self.page.is_unused() && self.objects.is_empty()
+    }
+
+    fn object(&self, slot: u16) -> Option<usize> {
+        self.objects.iter().position(|(s, _)| *s == slot)
+    }
+
+    /// The page's objects that have lock state and their entries, in
+    /// the order they appeared.
+    fn objects(&self) -> impl Iterator<Item = (u16, &Entry)> {
+        self.objects.iter().map(|(s, e)| (*s, e))
+    }
+}
+
+/// Every granule with lock state. A page is in `pages` exactly while
+/// its record has some: the place that empties a record takes it out
+/// ([`Granules::free_if_empty`]).
+#[derive(Debug, Default)]
+struct Granules {
+    /// Volume and file granules.
+    upper: Vec<(LockableId, Entry)>,
+    /// Each page with lock state on it or its objects, to its record.
+    pages: HashMap<PageId, u32>,
+    /// The records, by handle; those no page uses are empty and chained
+    /// from `free`.
+    recs: Vec<PageRec>,
+    free: Option<u32>,
+    /// Emptied object and upper-granule entries, kept for reuse.
+    spare: Vec<Entry>,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Probes of the page map on this thread (the probe-count tests
+    /// read it).
+    static PAGE_PROBES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+fn probed() {
+    #[cfg(test)]
+    PAGE_PROBES.with(|n| n.set(n.get() + 1));
+}
+
+impl Granules {
+    /// Where `id` lives, by one probe of the page map; `None` if it is a
+    /// page or an object whose page has no record.
+    fn home(&self, id: LockableId) -> Option<Home> {
+        let Some(page) = page_of(id) else {
+            return Some(None);
+        };
+        probed();
+        self.pages.get(&page).map(|h| Some(*h))
+    }
+
+    /// Where `id` lives, by one probe of the page map that makes its
+    /// page's record (from a free one) if it has none. The caller leaves
+    /// lock state in that record before its operation ends, or hands it
+    /// back through [`Granules::free_if_empty`].
+    fn home_mut(&mut self, id: LockableId) -> Home {
+        let page = page_of(id)?;
+        probed();
+        match self.pages.entry(page) {
+            MapEntry::Occupied(e) => Some(*e.get()),
+            MapEntry::Vacant(v) => {
+                let h = match self.free {
+                    Some(h) => {
+                        self.free = self.recs[h as usize].next_free.take();
+                        h
+                    }
+                    None => {
+                        self.recs.push(PageRec::default());
+                        (self.recs.len() - 1) as u32
+                    }
+                };
+                Some(*v.insert(h))
+            }
+        }
+    }
+
+    /// The record of `page`, if it has one (one probe).
+    fn record(&self, page: PageId) -> Option<&PageRec> {
+        probed();
+        self.pages.get(&page).map(|h| &self.recs[*h as usize])
+    }
+
+    fn get(&self, id: LockableId, home: Home) -> Option<&Entry> {
+        match (id, home) {
+            (LockableId::Page(_), Some(h)) => Some(&self.recs[h as usize].page),
+            (LockableId::Object(o), Some(h)) => {
+                let rec = &self.recs[h as usize];
+                rec.object(o.slot).map(|i| &rec.objects[i].1)
+            }
+            _ => self.upper.iter().find(|(g, _)| *g == id).map(|(_, e)| e),
+        }
+    }
+
+    fn get_mut(&mut self, id: LockableId, home: Home) -> Option<&mut Entry> {
+        match (id, home) {
+            (LockableId::Page(_), Some(h)) => Some(&mut self.recs[h as usize].page),
+            (LockableId::Object(o), Some(h)) => {
+                let rec = &mut self.recs[h as usize];
+                rec.object(o.slot).map(|i| &mut rec.objects[i].1)
+            }
+            _ => (self.upper.iter_mut().find(|(g, _)| *g == id)).map(|(_, e)| e),
+        }
+    }
+
+    fn find(&self, id: LockableId) -> Option<&Entry> {
+        self.get(id, self.home(id)?)
+    }
+
+    fn find_mut(&mut self, id: LockableId) -> Option<&mut Entry> {
+        let home = self.home(id)?;
+        self.get_mut(id, home)
+    }
+
+    /// `id`'s entry at `home`, made (from a spare one) if absent. An
+    /// object's new entry joins the end of its page's list.
+    fn entry(&mut self, id: LockableId, home: Home) -> &mut Entry {
+        match (id, home) {
+            (LockableId::Page(_), Some(h)) => &mut self.recs[h as usize].page,
+            (LockableId::Object(o), Some(h)) => {
+                let rec = &mut self.recs[h as usize];
+                let i = rec.object(o.slot).unwrap_or_else(|| {
+                    rec.objects
+                        .push((o.slot, self.spare.pop().unwrap_or_default()));
+                    rec.objects.len() - 1
+                });
+                &mut rec.objects[i].1
+            }
+            _ => {
+                let upper = &mut self.upper;
+                let i = upper.iter().position(|(g, _)| *g == id).unwrap_or_else(|| {
+                    upper.push((id, self.spare.pop().unwrap_or_default()));
+                    upper.len() - 1
+                });
+                &mut upper[i].1
+            }
+        }
+    }
+
+    /// Forgets `id` if it has neither holders nor waiters left, keeping
+    /// its emptied entry as a spare, and its page's record once nothing
+    /// on the page has lock state. Every path that takes a holder or a
+    /// waiter away ends here.
+    fn drop_if_unused(&mut self, id: LockableId, home: Home) {
+        match (id, home) {
+            (LockableId::Page(p), Some(h)) => self.free_if_empty(p, h),
+            (LockableId::Object(o), Some(h)) => {
+                let rec = &mut self.recs[h as usize];
+                if let Some(i) = rec.object(o.slot).filter(|i| rec.objects[*i].1.is_unused()) {
+                    self.spare.push(rec.objects.remove(i).1);
+                }
+                self.free_if_empty(o.page, h);
+            }
+            _ => {
+                if let Some(i) = self
+                    .upper
+                    .iter()
+                    .position(|(g, e)| *g == id && e.is_unused())
+                {
+                    self.spare.push(self.upper.swap_remove(i).1);
+                }
+            }
+        }
+    }
+
+    /// Takes `page` out of the map and its record `h` to the free list
+    /// if nothing on the page has lock state: the one place a record
+    /// leaves the map.
+    fn free_if_empty(&mut self, page: PageId, h: u32) {
+        let rec = &mut self.recs[h as usize];
+        if rec.is_empty() {
+            probed();
+            self.pages.remove(&page);
+            rec.next_free = self.free.replace(h);
+        }
+    }
+
+    /// Every granule with lock state and where it lives: volume and
+    /// file granules, then page by page in map order.
+    fn all(&self) -> impl Iterator<Item = (LockableId, Home, &Entry)> {
+        let upper = self.upper.iter().map(|(id, e)| (*id, None, e));
+        let pages = self.pages.iter().flat_map(move |(&page, &h)| {
+            let rec = &self.recs[h as usize];
+            let own =
+                (!rec.page.is_unused()).then_some((LockableId::Page(page), Some(h), &rec.page));
+            let objects = (rec.objects())
+                .map(move |(s, e)| (LockableId::Object(Oid::new(page, s)), Some(h), e));
+            own.into_iter().chain(objects)
+        });
+        upper.chain(pages)
     }
 }
 
@@ -139,32 +392,36 @@ struct Pending {
 /// What one transaction has in the table.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 struct TxnLocks {
-    /// Granules it holds, acquisition order.
-    held: Vec<LockableId>,
+    /// Granules it holds and where each lives, acquisition order.
+    held: Vec<(LockableId, Home)>,
     /// Its suspended acquisitions, request order.
     waiting: Vec<Ticket>,
 }
 
-/// Emptied containers kept for reuse, each with the capacity it grew
-/// to. All of them are empty ([`LockTable::assert_consistent`] checks).
-/// They are at most as many as the table held at once.
+/// Every transaction with a holder or a pending ticket, and emptied
+/// lists kept for reuse.
 #[derive(Debug, Default)]
-struct Spare {
-    entries: Vec<Entry>,
-    slots: Vec<Vec<u16>>,
-    txns: Vec<TxnLocks>,
+struct Txns {
+    map: HashMap<TxnId, TxnLocks>,
+    spare: Vec<TxnLocks>,
 }
 
-impl Spare {
+impl Txns {
     /// `txn`'s lists, made from spare ones if it has none.
-    fn txn_locks<'a>(
-        &mut self,
-        by_txn: &'a mut HashMap<TxnId, TxnLocks>,
-        txn: TxnId,
-    ) -> &'a mut TxnLocks {
-        by_txn
+    fn locks(&mut self, txn: TxnId) -> &mut TxnLocks {
+        self.map
             .entry(txn)
-            .or_insert_with(|| self.txns.pop().unwrap_or_default())
+            .or_insert_with(|| self.spare.pop().unwrap_or_default())
+    }
+
+    /// Edits `txn`'s lists, dropping them once nothing is left.
+    fn unlist(&mut self, txn: TxnId, edit: impl FnOnce(&mut TxnLocks)) {
+        if let MapEntry::Occupied(mut l) = self.map.entry(txn) {
+            edit(l.get_mut());
+            if l.get().held.is_empty() && l.get().waiting.is_empty() {
+                self.spare.push(l.remove());
+            }
+        }
     }
 }
 
@@ -172,66 +429,14 @@ impl Spare {
 /// full feature list.
 #[derive(Debug, Default)]
 pub struct LockTable {
-    entries: HashMap<LockableId, Entry>,
+    granules: Granules,
     pending: HashMap<Ticket, Pending>,
-    /// Every transaction with a holder or a pending ticket.
-    by_txn: HashMap<TxnId, TxnLocks>,
-    /// Per page, the slots of its objects that have an entry, in the
-    /// order the entries appeared.
-    objects_on_page: HashMap<PageId, Vec<u16>>,
+    txns: Txns,
     /// Granules with a non-empty wait queue (ordered, so that deadlock
     /// detection visits them the same way in every process).
     queued: BTreeSet<LockableId>,
-    spare: Spare,
     next_ticket: u64,
     trace: Option<TraceHandle>,
-}
-
-/// The entry of `id`, created (from a spare one) if absent. Creating an
-/// object's entry lists the object under its page; [`drop_if_unused`]
-/// unlists it when the entry goes.
-fn entry_mut<'a>(
-    entries: &'a mut HashMap<LockableId, Entry>,
-    objects_on_page: &mut HashMap<PageId, Vec<u16>>,
-    spare: &mut Spare,
-    id: LockableId,
-) -> &'a mut Entry {
-    match entries.entry(id) {
-        MapEntry::Occupied(e) => e.into_mut(),
-        MapEntry::Vacant(v) => {
-            if let LockableId::Object(o) = id {
-                objects_on_page
-                    .entry(o.page)
-                    .or_insert_with(|| spare.slots.pop().unwrap_or_default())
-                    .push(o.slot);
-            }
-            v.insert(spare.entries.pop().unwrap_or_default())
-        }
-    }
-}
-
-/// Forgets a granule that has neither holders nor waiters left, keeping
-/// its emptied entry (and its page's emptied slot list) as spares. Every
-/// path that takes a holder or a waiter away ends here, so this is the
-/// one place a granule leaves the table and the per-page list.
-fn drop_if_unused(
-    e: OccupiedEntry<'_, LockableId, Entry>,
-    objects_on_page: &mut HashMap<PageId, Vec<u16>>,
-    spare: &mut Spare,
-) {
-    if !e.get().is_unused() {
-        return;
-    }
-    let (id, entry) = e.remove_entry();
-    spare.entries.push(entry);
-    if let LockableId::Object(o) = id {
-        if let MapEntry::Occupied(mut slots) = objects_on_page.entry(o.page) {
-            slots.get_mut().retain(|s| *s != o.slot);
-            if slots.get().is_empty() {
-                spare.slots.push(slots.remove());
-            }
-        }
-    }
 }
 
 /// Installs `mode` for `txn` in `id`'s `entry` (new holder or
@@ -239,9 +444,9 @@ fn drop_if_unused(
 /// granule joins the transaction's held list.
 fn add_holder(
     entry: &mut Entry,
-    by_txn: &mut HashMap<TxnId, TxnLocks>,
-    spare: &mut Spare,
+    locks: &mut TxnLocks,
     id: LockableId,
+    home: Home,
     txn: TxnId,
     mode: LockMode,
 ) {
@@ -257,7 +462,7 @@ fn add_holder(
                 count: 1,
                 adaptive: false,
             });
-            spare.txn_locks(by_txn, txn).held.push(id);
+            locks.held.push((id, home));
         }
     }
 }
@@ -314,19 +519,37 @@ impl LockTable {
             item: id,
             mode,
         });
-        // Root first, leaf last; skip steps already covered by held modes.
+        // Root first, leaf last, written in place (the leaf's level says
+        // how many ancestors it has); skip steps already covered by held
+        // modes.
         let intention = mode.ancestor_intention();
         let mut path = [(id, mode); 4];
-        let mut len = 1;
-        for g in id.ancestors() {
-            path[len] = (g, intention);
-            len += 1;
-        }
-        path[..len].reverse();
+        let len = match id {
+            LockableId::Volume(_) => 1,
+            LockableId::File(f) => {
+                path[0] = (LockableId::Volume(f.vol), intention);
+                2
+            }
+            LockableId::Page(p) => {
+                path[0] = (LockableId::Volume(p.file.vol), intention);
+                path[1] = (LockableId::File(p.file), intention);
+                3
+            }
+            LockableId::Object(o) => {
+                path[0] = (LockableId::Volume(o.page.file.vol), intention);
+                path[1] = (LockableId::File(o.page.file), intention);
+                path[2] = (LockableId::Page(o.page), intention);
+                4
+            }
+        };
+        // The page and object steps share one record: one probe finds
+        // (or makes) it for the check and the grant of both.
+        let rec = self.granules.home_mut(id);
         let mut kept = 0;
         for i in 0..len {
             let (g, m) = path[i];
-            if !self.held_covers(txn, g, m) {
+            let held = self.granules.get(g, at(g, rec));
+            if !held.is_some_and(|e| e.covers(txn, m)) {
                 path[kept] = (g, m);
                 kept += 1;
             }
@@ -339,7 +562,7 @@ impl LockTable {
             });
             return (Acquire::Granted, Vec::new());
         }
-        self.run_path(txn, &path[..kept], (id, mode))
+        self.run_path(txn, &path[..kept], (id, mode), rec)
     }
 
     /// Acquires `mode` on `id` only, without touching ancestors. Used by
@@ -356,19 +579,11 @@ impl LockTable {
             item: id,
             mode,
         });
-        if self.held_covers(txn, id, mode) {
-            // Re-entrant: bump the holder count so paired releases work.
-            if let Some(h) = self.entries.get_mut(&id).and_then(|e| e.holder_mut(txn)) {
-                h.count += 1;
-            }
-            self.emit(EventKind::LockGrant {
-                txn,
-                item: id,
-                mode,
-            });
+        let home = self.granules.home_mut(id);
+        if self.reenter(txn, id, home, mode) {
             return (Acquire::Granted, Vec::new());
         }
-        self.run_path(txn, &[(id, mode)], (id, mode))
+        self.run_path(txn, &[(id, mode)], (id, mode), home)
     }
 
     /// Attempts to acquire `mode` on `id` for `txn` immediately; on
@@ -380,18 +595,13 @@ impl LockTable {
             item: id,
             mode,
         });
-        if self.held_covers(txn, id, mode) {
-            if let Some(h) = self.entries.get_mut(&id).and_then(|e| e.holder_mut(txn)) {
-                h.count += 1;
-            }
-            self.emit(EventKind::LockGrant {
-                txn,
-                item: id,
-                mode,
-            });
+        // A record made here is not left empty: a granule without state
+        // grants anything.
+        let home = self.granules.home_mut(id);
+        if self.reenter(txn, id, home, mode) {
             return true;
         }
-        if self.try_grant(txn, id, mode) {
+        if self.try_grant(txn, id, home, mode) {
             self.emit(EventKind::LockGrant {
                 txn,
                 item: id,
@@ -403,16 +613,48 @@ impl LockTable {
         }
     }
 
-    /// Runs `path` from its root; only a request that must wait copies
-    /// it, into its [`Pending`] state. The callers have just probed
-    /// every step and found none held, so the steps are not probed again.
+    /// If `txn` already holds a mode on `id` covering `mode`, bumps its
+    /// holder count (so paired releases work) and records the grant.
+    fn reenter(&mut self, txn: TxnId, id: LockableId, home: Home, mode: LockMode) -> bool {
+        let held = self
+            .granules
+            .get_mut(id, home)
+            .and_then(|e| e.holder_mut(txn));
+        let Some(h) = held.filter(|h| h.mode.covers(mode)) else {
+            return false;
+        };
+        h.count += 1;
+        self.emit(EventKind::LockGrant {
+            txn,
+            item: id,
+            mode,
+        });
+        true
+    }
+
+    /// Runs `path` from its root, its page-level steps in record `rec`;
+    /// only a request that must wait copies it, into its [`Pending`]
+    /// state. The callers have just probed every step and found none
+    /// held, so the steps are not probed again.
     fn run_path(
         &mut self,
         txn: TxnId,
         path: &Path,
         leaf: (LockableId, LockMode),
+        rec: Home,
     ) -> (Acquire, Vec<Grant>) {
-        match path.iter().position(|&(g, m)| !self.try_grant(txn, g, m)) {
+        // Each run grants or queues something for `txn`, so its lists
+        // are looked up once, here.
+        let (granules, locks) = (&mut self.granules, self.txns.locks(txn));
+        let stuck = path.iter().position(|&(g, m)| {
+            let entry = granules.entry(g, at(g, rec));
+            let grants = entry.grants(txn, m);
+            if grants {
+                add_holder(entry, locks, g, at(g, rec), txn, m);
+            }
+            !grants
+        });
+        match stuck {
             None => {
                 self.emit(EventKind::LockGrant {
                     txn,
@@ -434,8 +676,14 @@ impl LockTable {
                     step,
                     leaf,
                 };
-                self.enqueue(ticket, &p);
-                (self.spare.txn_locks(&mut self.by_txn, txn).waiting).push(ticket);
+                let (g, _) = path[step];
+                self.enqueue(ticket, &p, at(g, rec));
+                // A record the caller made stays empty if the request
+                // waits above it.
+                if let (Some(h), None, Some(page)) = (rec, page_of(g), page_of(leaf.0)) {
+                    self.granules.free_if_empty(page, h);
+                }
+                self.txns.locks(txn).waiting.push(ticket);
                 self.pending.insert(ticket, p);
                 (Acquire::Wait(ticket), Vec::new())
             }
@@ -443,69 +691,43 @@ impl LockTable {
     }
 
     /// Tries to complete `txn`'s request along `path` from step `from`.
-    /// Returns `None` if fully granted, else the step that must wait.
-    fn advance(&mut self, txn: TxnId, path: &Path, from: usize) -> Option<usize> {
+    /// Returns `None` if fully granted, else the step that must wait and
+    /// where its granule lives. The page-level steps of a path are on
+    /// one page, so its map is probed once, at the first of them.
+    fn advance(&mut self, txn: TxnId, path: &Path, from: usize) -> Option<(usize, Home)> {
+        let mut rec = None;
         for (step, &(g, m)) in path.iter().enumerate().skip(from) {
-            if !self.held_covers(txn, g, m) && !self.try_grant(txn, g, m) {
-                return Some(step);
+            let home = match page_of(g) {
+                Some(_) => *rec.get_or_insert_with(|| self.granules.home_mut(g)),
+                None => None,
+            };
+            let held = self.granules.get(g, home).is_some_and(|e| e.covers(txn, m));
+            if !held && !self.try_grant(txn, g, home, m) {
+                return Some((step, home));
             }
         }
         None
     }
 
-    /// Grants `mode` on `id` to `txn` if that is possible right now: a
-    /// conversion needs only compatibility with the other holders, a
-    /// fresh request also an empty queue (FIFO). Nothing changes on
-    /// `false`.
-    fn try_grant(&mut self, txn: TxnId, id: LockableId, mode: LockMode) -> bool {
+    /// Grants `mode` on `id` (at `home`) to `txn` if that is possible
+    /// right now ([`Entry::grants`]). Nothing changes on `false`.
+    fn try_grant(&mut self, txn: TxnId, id: LockableId, home: Home, mode: LockMode) -> bool {
         // A granule without state grants anything, so an entry created
         // here is never left behind empty.
-        let entry = entry_mut(
-            &mut self.entries,
-            &mut self.objects_on_page,
-            &mut self.spare,
-            id,
-        );
-        let grantable = match entry.holder(txn) {
-            Some(h) => entry.compatible_with_others(txn, h.mode.sup(mode)),
-            None => entry.queue.is_empty() && entry.compatible_with_others(txn, mode),
-        };
-        if grantable {
-            add_holder(entry, &mut self.by_txn, &mut self.spare, id, txn, mode);
+        let entry = self.granules.entry(id, home);
+        let grants = entry.grants(txn, mode);
+        if grants {
+            add_holder(entry, self.txns.locks(txn), id, home, txn, mode);
         }
-        grantable
+        grants
     }
 
-    /// Drops `txn`'s holder on `id`, and `id` from its held list — the
-    /// counterpart of [`add_holder`] for a single granule
-    /// ([`LockTable::release_all`] takes the whole list instead).
-    fn remove_holder(&mut self, id: LockableId, txn: TxnId) {
-        if let Some(e) = self.entries.get_mut(&id) {
-            e.holders.retain(|h| h.txn != txn);
-        }
-        self.unlist(txn, |l| l.held.retain(|g| *g != id));
-    }
-
-    /// Edits `txn`'s index entry, dropping it once nothing is left.
-    fn unlist(&mut self, txn: TxnId, edit: impl FnOnce(&mut TxnLocks)) {
-        if let MapEntry::Occupied(mut l) = self.by_txn.entry(txn) {
-            edit(l.get_mut());
-            if l.get().held.is_empty() && l.get().waiting.is_empty() {
-                self.spare.txns.push(l.remove());
-            }
-        }
-    }
-
-    /// Queues `ticket` at the step `p` is stuck on. Upgraders go ahead
-    /// of ordinary waiters, FIFO among themselves.
-    fn enqueue(&mut self, ticket: Ticket, p: &Pending) {
+    /// Queues `ticket` at the step `p` is stuck on, whose granule lives
+    /// at `home`. Upgraders go ahead of ordinary waiters, FIFO among
+    /// themselves.
+    fn enqueue(&mut self, ticket: Ticket, p: &Pending, home: Home) {
         let (g, m) = p.path[p.step];
-        let entry = entry_mut(
-            &mut self.entries,
-            &mut self.objects_on_page,
-            &mut self.spare,
-            g,
-        );
+        let entry = self.granules.entry(g, home);
         let waiter = Waiter {
             ticket,
             txn: p.txn,
@@ -527,16 +749,13 @@ impl LockTable {
 
     /// Whether `txn` already holds a mode on `id` covering `mode`.
     pub fn held_covers(&self, txn: TxnId, id: LockableId, mode: LockMode) -> bool {
-        self.entries
-            .get(&id)
-            .and_then(|e| e.holder(txn))
-            .is_some_and(|h| h.mode.covers(mode))
+        self.granules.find(id).is_some_and(|e| e.covers(txn, mode))
     }
 
     /// The mode `txn` currently holds on `id`, if any.
     pub fn held_mode(&self, txn: TxnId, id: LockableId) -> Option<LockMode> {
-        self.entries
-            .get(&id)
+        self.granules
+            .find(id)
             .and_then(|e| e.holder(txn))
             .map(|h| h.mode)
     }
@@ -544,8 +763,8 @@ impl LockTable {
     /// All transactions currently waiting on `id`, with the mode each
     /// requested there.
     pub fn waiters(&self, id: LockableId) -> Vec<(TxnId, LockMode)> {
-        self.entries
-            .get(&id)
+        self.granules
+            .find(id)
             .map(|e| e.queue.iter().map(|w| (w.txn, w.mode)).collect())
             .unwrap_or_default()
     }
@@ -553,11 +772,12 @@ impl LockTable {
     /// Transactions waiting on any object of `page` (or on the page
     /// itself).
     pub fn waiters_on_page(&self, page: PageId) -> Vec<TxnId> {
-        let mut v: Vec<TxnId> = self
-            .entries
-            .get(&LockableId::Page(page))
+        let rec = self.granules.record(page);
+        let objects = rec
             .into_iter()
-            .chain(self.object_entries_on_page(page).map(|(_, e)| e))
+            .flat_map(|r| r.objects().map(|(_, e)| e).inspect(|_| visited()));
+        let mut v: Vec<TxnId> = (rec.map(|r| &r.page).into_iter())
+            .chain(objects)
             .flat_map(|e| e.queue.iter().map(|w| w.txn))
             .collect();
         v.sort();
@@ -568,22 +788,20 @@ impl LockTable {
     /// The entries of `page`'s objects that have lock state, in the
     /// order they appeared.
     fn object_entries_on_page(&self, page: PageId) -> impl Iterator<Item = (Oid, &Entry)> {
-        self.objects_on_page
-            .get(&page)
+        self.granules
+            .record(page)
             .into_iter()
-            .flatten()
-            .map(move |slot| {
+            .flat_map(PageRec::objects)
+            .map(move |(slot, e)| {
                 visited();
-                let o = Oid::new(page, *slot);
-                let e = &self.entries[&LockableId::Object(o)];
-                (o, e)
+                (Oid::new(page, slot), e)
             })
     }
 
     /// All current holders of `id`.
     pub fn holders(&self, id: LockableId) -> Vec<(TxnId, LockMode)> {
-        self.entries
-            .get(&id)
+        self.granules
+            .find(id)
             .map(|e| e.holders.iter().map(|h| (h.txn, h.mode)).collect())
             .unwrap_or_default()
     }
@@ -597,8 +815,8 @@ impl LockTable {
         mode: LockMode,
         txn: TxnId,
     ) -> Vec<(TxnId, LockMode)> {
-        self.entries
-            .get(&id)
+        self.granules
+            .find(id)
             .map(|e| {
                 e.holders
                     .iter()
@@ -615,20 +833,14 @@ impl LockTable {
     /// C1,S"). The caller must have arranged compatibility (by the
     /// protocol's downgrade rules); this is checked in debug builds.
     pub fn force_grant(&mut self, txn: TxnId, id: LockableId, mode: LockMode) {
+        let home = self.granules.home_mut(id);
+        let entry = self.granules.entry(id, home);
         debug_assert!(
-            self.entries
-                .get(&id)
-                .is_none_or(|e| e.compatible_with_others(txn, mode)),
+            entry.compatible_with_others(txn, mode),
             "force_grant({txn}, {id}, {mode}) conflicts with existing holders: {:?}",
-            self.holders(id)
+            entry.holders
         );
-        let entry = entry_mut(
-            &mut self.entries,
-            &mut self.objects_on_page,
-            &mut self.spare,
-            id,
-        );
-        add_holder(entry, &mut self.by_txn, &mut self.spare, id, txn, mode);
+        add_holder(entry, self.txns.locks(txn), id, home, txn, mode);
     }
 
     /// Downgrades `txn`'s lock on `id` to `to` **without** re-scanning
@@ -648,12 +860,10 @@ impl LockTable {
     ///
     /// Panics if `txn` holds no lock on `id` (protocol error).
     pub fn downgrade(&mut self, txn: TxnId, id: LockableId, to: LockMode) {
-        let entry = self
-            .entries
-            .get_mut(&id)
-            .unwrap_or_else(|| panic!("downgrade: no entry for {id}"));
-        let h = entry
-            .holder_mut(txn)
+        let h = self
+            .granules
+            .find_mut(id)
+            .and_then(|e| e.holder_mut(txn))
             .unwrap_or_else(|| panic!("downgrade: {txn} holds nothing on {id}"));
         h.mode = to;
     }
@@ -666,14 +876,19 @@ impl LockTable {
 
     /// Releases one logical hold of `txn` on `id` (used by callback
     /// threads when they complete). The holder disappears when its count
-    /// reaches zero. Returns any grants unblocked.
+    /// reaches zero, and `id` from `txn`'s held list with it. Returns any
+    /// grants unblocked.
     pub fn release_one(&mut self, txn: TxnId, id: LockableId) -> Vec<Grant> {
-        let Some(h) = self.entries.get_mut(&id).and_then(|e| e.holder_mut(txn)) else {
+        let Some(e) = self.granules.find_mut(id) else {
             return Vec::new();
         };
-        h.count -= 1;
-        if h.count == 0 {
-            self.remove_holder(id, txn);
+        let Some(i) = e.holders.iter().position(|h| h.txn == txn) else {
+            return Vec::new();
+        };
+        e.holders[i].count -= 1;
+        if e.holders[i].count == 0 {
+            e.holders.remove(i);
+            self.txns.unlist(txn, |l| l.held.retain(|(g, _)| *g != id));
         }
         self.scan(id)
     }
@@ -686,9 +901,7 @@ impl LockTable {
         // (a cancel may still grant a later ticket of the same
         // transaction; what that acquires is in the held list by the
         // time it is taken).
-        let tickets = self
-            .by_txn
-            .get(&txn)
+        let tickets = (self.txns.map.get(&txn))
             .map(|l| l.waiting.clone())
             .unwrap_or_default();
         for t in tickets {
@@ -696,24 +909,27 @@ impl LockTable {
             out.grants.extend(self.cancel(t));
         }
         // Let go of everything first, then let the waiters in: one that
-        // needs two of these granules gets through both in one scan.
-        let Some(mut locks) = self.by_txn.remove(&txn) else {
+        // needs two of these granules gets through both in one scan. The
+        // held list says where each granule lives; a record stays in use
+        // while the transaction still holds a granule in it, so each
+        // handle is good until its own turn.
+        let Some(mut locks) = self.txns.map.remove(&txn) else {
             return out;
         };
         let mut contended = Vec::new();
-        for id in locks.held.drain(..) {
+        for (id, home) in locks.held.drain(..) {
             visited();
-            let MapEntry::Occupied(mut e) = self.entries.entry(id) else {
+            let Some(e) = self.granules.get_mut(id, home) else {
                 continue;
             };
-            e.get_mut().holders.retain(|h| h.txn != txn);
-            if e.get().queue.is_empty() {
-                drop_if_unused(e, &mut self.objects_on_page, &mut self.spare);
+            e.holders.retain(|h| h.txn != txn);
+            if e.queue.is_empty() {
+                self.granules.drop_if_unused(id, home);
             } else {
                 contended.push(id);
             }
         }
-        self.spare.txns.push(locks);
+        self.txns.spare.push(locks);
         for id in contended {
             out.grants.extend(self.scan(id));
         }
@@ -727,9 +943,10 @@ impl LockTable {
         let Some(p) = self.pending.remove(&ticket) else {
             return Vec::new();
         };
-        self.unlist(p.txn, |l| l.waiting.retain(|t| *t != ticket));
+        self.txns
+            .unlist(p.txn, |l| l.waiting.retain(|t| *t != ticket));
         let (g, _) = p.path[p.step];
-        if let Some(e) = self.entries.get_mut(&g) {
+        if let Some(e) = self.granules.find_mut(g) {
             e.queue.retain(|w| w.ticket != ticket);
         }
         self.scan(g)
@@ -751,8 +968,13 @@ impl LockTable {
     /// here, so this is the one place a granule leaves the queued set.
     fn scan(&mut self, id: LockableId) -> Vec<Grant> {
         let mut grants = Vec::new();
+        // Granting and re-queueing only add lock state, so `id`'s record
+        // stays where it is until the end.
+        let Some(home) = self.granules.home(id) else {
+            return grants;
+        };
         loop {
-            let Some(entry) = self.entries.get_mut(&id) else {
+            let Some(entry) = self.granules.get_mut(id, home) else {
                 return grants;
             };
             let grantable = entry.queue.front().is_some_and(|w| {
@@ -762,15 +984,15 @@ impl LockTable {
                 break;
             }
             let w = entry.queue.pop_front().expect("front checked above");
-            add_holder(entry, &mut self.by_txn, &mut self.spare, id, w.txn, w.mode);
+            add_holder(entry, self.txns.locks(w.txn), id, home, w.txn, w.mode);
             let mut p = self
                 .pending
                 .remove(&w.ticket)
                 .expect("waiter without pending state");
-            if let Some(step) = self.advance(p.txn, &p.path, p.step + 1) {
+            if let Some((step, there)) = self.advance(p.txn, &p.path, p.step + 1) {
                 // Re-queue at the deeper granule.
                 p.step = step;
-                self.enqueue(w.ticket, &p);
+                self.enqueue(w.ticket, &p, there);
                 self.pending.insert(w.ticket, p);
             } else {
                 self.emit(EventKind::LockGrant {
@@ -778,7 +1000,8 @@ impl LockTable {
                     item: p.leaf.0,
                     mode: p.leaf.1,
                 });
-                self.unlist(p.txn, |l| l.waiting.retain(|t| *t != w.ticket));
+                self.txns
+                    .unlist(p.txn, |l| l.waiting.retain(|t| *t != w.ticket));
                 grants.push(Grant {
                     ticket: w.ticket,
                     txn: p.txn,
@@ -787,11 +1010,13 @@ impl LockTable {
                 });
             }
         }
-        if let MapEntry::Occupied(e) = self.entries.entry(id) {
-            if e.get().queue.is_empty() {
-                self.queued.remove(&id);
-                drop_if_unused(e, &mut self.objects_on_page, &mut self.spare);
-            }
+        if self
+            .granules
+            .get(id, home)
+            .is_some_and(|e| e.queue.is_empty())
+        {
+            self.queued.remove(&id);
+            self.granules.drop_if_unused(id, home);
         }
         grants
     }
@@ -808,10 +1033,9 @@ impl LockTable {
     ///
     /// Panics if `txn` holds no lock on the page.
     pub fn set_adaptive(&mut self, txn: TxnId, page: PageId) {
-        let id = LockableId::Page(page);
         let h = self
-            .entries
-            .get_mut(&id)
+            .granules
+            .find_mut(LockableId::Page(page))
             .and_then(|e| e.holder_mut(txn))
             .unwrap_or_else(|| panic!("set_adaptive: {txn} holds no lock on {page}"));
         h.adaptive = true;
@@ -820,8 +1044,8 @@ impl LockTable {
     /// Clears the adaptive bit for `txn` on `page` (deescalation).
     pub fn clear_adaptive(&mut self, txn: TxnId, page: PageId) {
         if let Some(h) = self
-            .entries
-            .get_mut(&LockableId::Page(page))
+            .granules
+            .find_mut(LockableId::Page(page))
             .and_then(|e| e.holder_mut(txn))
         {
             h.adaptive = false;
@@ -830,8 +1054,8 @@ impl LockTable {
 
     /// Whether `txn` holds an adaptive page lock on `page`.
     pub fn is_adaptive(&self, txn: TxnId, page: PageId) -> bool {
-        self.entries
-            .get(&LockableId::Page(page))
+        self.granules
+            .find(LockableId::Page(page))
             .and_then(|e| e.holder(txn))
             .is_some_and(|h| h.adaptive)
     }
@@ -845,8 +1069,10 @@ impl LockTable {
 
     /// [`LockTable::adaptive_holders`] without collecting it.
     pub fn adaptive_locks(&self, page: PageId) -> impl Iterator<Item = TxnId> + '_ {
-        (self.entries.get(&LockableId::Page(page)).into_iter())
-            .flat_map(|e| e.holders.iter().filter(|h| h.adaptive).map(|h| h.txn))
+        self.granules
+            .record(page)
+            .into_iter()
+            .flat_map(|r| r.page.holders.iter().filter(|h| h.adaptive).map(|h| h.txn))
     }
 
     // ------------------------------------------------------------------
@@ -855,13 +1081,17 @@ impl LockTable {
 
     /// Every lock `txn` currently holds.
     pub fn locks_of(&self, txn: TxnId) -> Vec<(LockableId, LockMode)> {
-        let held = self.by_txn.get(&txn).map(|l| l.held.as_slice());
+        let held = self.txns.map.get(&txn).map(|l| l.held.as_slice());
         held.unwrap_or_default()
             .iter()
-            .map(|id| {
+            .map(|&(id, home)| {
                 visited();
-                let h = self.entries[id].holder(txn).expect("listed as held");
-                (*id, h.mode)
+                let h = self
+                    .granules
+                    .get(id, home)
+                    .and_then(|e| e.holder(txn))
+                    .expect("listed as held");
+                (id, h.mode)
             })
             .collect()
     }
@@ -900,7 +1130,10 @@ impl LockTable {
         let mut edges = Vec::new();
         for id in &self.queued {
             visited();
-            let entry = &self.entries[id];
+            let entry = self
+                .granules
+                .find(*id)
+                .expect("a queued granule has an entry");
             for (i, w) in entry.queue.iter().enumerate() {
                 let target = w.convert_to.unwrap_or(w.mode);
                 for h in &entry.holders {
@@ -934,16 +1167,18 @@ impl LockTable {
 
     /// Test/diagnostic invariant: no two holders of any granule are
     /// incompatible (holders of the same txn excepted by construction),
-    /// and every index is exactly what a full scan of the table gives.
+    /// every index is exactly what a full scan of the table gives, and
+    /// every record is either in use by exactly one page or free and
+    /// empty.
     ///
     /// # Panics
     ///
     /// Panics with a description of the violated granule or index.
     pub fn assert_consistent(&self) {
+        let g = &self.granules;
         let mut by_txn: HashMap<TxnId, TxnLocks> = HashMap::default();
-        let mut objects_on_page: HashMap<PageId, Vec<u16>> = HashMap::default();
         let mut queued = BTreeSet::new();
-        for (id, e) in &self.entries {
+        for (id, home, e) in g.all() {
             assert!(!e.is_unused(), "unused entry kept for {id}");
             for (i, a) in e.holders.iter().enumerate() {
                 for b in e.holders.iter().skip(i + 1) {
@@ -956,18 +1191,15 @@ impl LockTable {
                         b.mode
                     );
                 }
-                by_txn.entry(a.txn).or_default().held.push(*id);
-            }
-            if let LockableId::Object(o) = id {
-                objects_on_page.entry(o.page).or_default().push(o.slot);
+                by_txn.entry(a.txn).or_default().held.push((id, home));
             }
             if !e.queue.is_empty() {
-                queued.insert(*id);
+                queued.insert(id);
             }
             for w in &e.queue {
                 let p = self.pending.get(&w.ticket);
                 assert!(
-                    p.is_some_and(|p| p.txn == w.txn && p.path[p.step].0 == *id),
+                    p.is_some_and(|p| p.txn == w.txn && p.path[p.step].0 == id),
                     "waiter {} on {id} has no matching pending state",
                     w.ticket
                 );
@@ -978,47 +1210,75 @@ impl LockTable {
         }
         // The indexes keep arrival order, a scan finds hash order:
         // compare as sets.
-        let mut indexed_txns = self.by_txn.clone();
+        let mut indexed_txns = self.txns.map.clone();
         for l in by_txn.values_mut().chain(indexed_txns.values_mut()) {
             l.held.sort();
             l.waiting.sort();
         }
         assert_eq!(indexed_txns, by_txn, "per-transaction index");
-        let mut indexed_objects = self.objects_on_page.clone();
-        for slots in objects_on_page
-            .values_mut()
-            .chain(indexed_objects.values_mut())
-        {
-            slots.sort_unstable();
-        }
-        assert_eq!(indexed_objects, objects_on_page, "per-page object index");
         assert_eq!(self.queued, queued, "queued-granule index");
-        let spare = &self.spare;
+        for (i, (id, _)) in g.upper.iter().enumerate() {
+            assert!(
+                matches!(id, LockableId::Volume(_) | LockableId::File(_)),
+                "{id} kept in the side table"
+            );
+            assert!(g.upper[..i].iter().all(|(o, _)| o != id), "{id} twice");
+        }
+        for (page, &h) in &g.pages {
+            let rec = &g.recs[h as usize];
+            assert!(!rec.is_empty(), "empty record kept for {page}");
+            for (i, (s, _)) in rec.objects.iter().enumerate() {
+                assert!(
+                    rec.objects[..i].iter().all(|(o, _)| o != s),
+                    "slot {s} of {page} twice"
+                );
+            }
+        }
+        let mut free = Vec::new();
+        let mut next = g.free;
+        while let Some(h) = next {
+            assert!(free.len() < g.recs.len(), "the free records loop");
+            free.push(h);
+            next = g.recs[h as usize].next_free;
+        }
+        let mut listed = vec![false; g.recs.len()];
+        for &h in g.pages.values().chain(&free) {
+            assert!(
+                !std::mem::replace(&mut listed[h as usize], true),
+                "record {h} listed twice"
+            );
+        }
         assert!(
-            spare.entries.iter().all(Entry::is_unused),
+            listed.iter().all(|l| *l),
+            "a record is neither in use nor free"
+        );
+        assert!(
+            free.iter().all(|&h| g.recs[h as usize].is_empty()),
+            "a free record keeps a holder, a waiter or an object"
+        );
+        assert!(
+            g.spare.iter().all(Entry::is_unused),
             "a spare entry keeps a holder or a waiter"
         );
         assert!(
-            spare.slots.iter().all(Vec::is_empty),
-            "a spare slot list keeps a slot"
-        );
-        assert!(
-            (spare.txns.iter()).all(|l| l.held.is_empty() && l.waiting.is_empty()),
+            self.txns
+                .spare
+                .iter()
+                .all(|l| l.held.is_empty() && l.waiting.is_empty()),
             "a spare transaction list keeps a granule or a ticket"
         );
     }
 
     /// Number of granules with any lock state (diagnostics).
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.granules.all().count()
     }
 
     /// Whether the table is completely empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty() && self.pending.is_empty()
+        self.granules.upper.is_empty() && self.granules.pages.is_empty() && self.pending.is_empty()
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1031,33 +1291,29 @@ mod tests {
 
     impl LockTable {
         fn locks_of_scan(&self, txn: TxnId) -> Vec<(LockableId, LockMode)> {
-            self.entries
-                .iter()
-                .filter_map(|(id, e)| e.holder(txn).map(|h| (*id, h.mode)))
+            self.granules
+                .all()
+                .filter_map(|(id, _, e)| e.holder(txn).map(|h| (id, h.mode)))
                 .collect()
         }
 
         fn object_holders_on_page_scan(&self, page: PageId) -> Vec<(TxnId, Oid, LockMode)> {
-            self.entries
-                .iter()
-                .filter_map(|(id, e)| match id {
+            self.granules
+                .all()
+                .filter_map(|(id, _, e)| match id {
                     LockableId::Object(o) if o.page == page => Some((o, e)),
                     _ => None,
                 })
-                .flat_map(|(o, e)| e.holders.iter().map(move |h| (h.txn, *o, h.mode)))
+                .flat_map(|(o, e)| e.holders.iter().map(move |h| (h.txn, o, h.mode)))
                 .collect()
         }
 
         fn waiters_on_page_scan(&self, page: PageId) -> Vec<TxnId> {
             let mut v: Vec<TxnId> = self
-                .entries
-                .iter()
-                .filter(|(id, _)| match id {
-                    LockableId::Object(o) => o.page == page,
-                    LockableId::Page(p) => *p == page,
-                    _ => false,
-                })
-                .flat_map(|(_, e)| e.queue.iter().map(|w| w.txn))
+                .granules
+                .all()
+                .filter(|(id, _, _)| page_of(*id) == Some(page))
+                .flat_map(|(_, _, e)| e.queue.iter().map(|w| w.txn))
                 .collect();
             v.sort();
             v.dedup();
@@ -1066,7 +1322,7 @@ mod tests {
 
         fn waits_for_edges_scan(&self) -> Vec<(TxnId, TxnId)> {
             let mut edges = Vec::new();
-            for entry in self.entries.values() {
+            for (_, _, entry) in self.granules.all() {
                 for (i, w) in entry.queue.iter().enumerate() {
                     let target = w.convert_to.unwrap_or(w.mode);
                     for h in &entry.holders {
@@ -1232,7 +1488,10 @@ mod tests {
             lt.assert_consistent();
             prop_assert!(lt.is_empty());
             prop_assert!(
-                lt.by_txn.is_empty() && lt.objects_on_page.is_empty() && lt.queued.is_empty()
+                lt.txns.map.is_empty()
+                    && lt.granules.upper.is_empty()
+                    && lt.granules.pages.is_empty()
+                    && lt.queued.is_empty()
             );
         }
     }
@@ -1347,6 +1606,59 @@ mod tests {
             "release_all visits the 3 held entries"
         );
         assert_eq!(lt.len(), 20_000);
+        lt.assert_consistent();
+    }
+
+    #[test]
+    fn an_access_probes_the_page_map_once() {
+        let probes = || PAGE_PROBES.with(std::cell::Cell::get);
+        let mut lt = LockTable::new();
+        // Another transaction's lock makes page 7's record exist.
+        assert_eq!(
+            lt.acquire(txn(0), obj(7, 0), LockMode::Sh).0,
+            Acquire::Granted
+        );
+
+        // A fresh object lock under three fresh intention locks.
+        let before = probes();
+        assert_eq!(
+            lt.acquire(txn(1), obj(7, 1), LockMode::Ex).0,
+            Acquire::Granted
+        );
+        assert_eq!(probes() - before, 1, "fresh object lock");
+        // One whose intention locks are held, and one held already.
+        let before = probes();
+        assert_eq!(
+            lt.acquire(txn(1), obj(7, 2), LockMode::Sh).0,
+            Acquire::Granted
+        );
+        assert_eq!(
+            lt.acquire(txn(1), obj(7, 1), LockMode::Sh).0,
+            Acquire::Granted
+        );
+        assert_eq!(probes() - before, 2, "one probe per access");
+
+        // 4 objects on each of pages 0..5 besides what it has on page 7:
+        // 30 granules (the volume and the file among them) on 6 pages,
+        // page 7's record kept by the other transaction.
+        for p in 0..5 {
+            for s in 0..4 {
+                assert_eq!(
+                    lt.acquire(txn(1), obj(p, s), LockMode::Sh).0,
+                    Acquire::Granted
+                );
+            }
+        }
+        assert_eq!(lt.locks_of(txn(1)).len(), 30);
+        let before = probes();
+        let out = lt.release_all(txn(1));
+        assert!(out.grants.is_empty() && out.cancelled.is_empty());
+        assert_eq!(probes() - before, 5, "one probe per record it empties");
+        lt.assert_consistent();
+        let before = probes();
+        lt.release_all(txn(0));
+        assert_eq!(probes() - before, 1);
+        assert!(lt.is_empty());
         lt.assert_consistent();
     }
 }

@@ -128,3 +128,27 @@ fn a_parked_request_allocates_only_its_own_state() {
     }
     assert!(lt.is_empty());
 }
+
+/// SH on one object of each of 1 000 pages from `first`, then the end
+/// of the transaction.
+fn wide_reader(lt: &mut LockTable, t: TxnId, first: u32) {
+    for p in first..first + 1_000 {
+        assert_eq!(lt.acquire(t, obj(p, 0), LockMode::Sh).0, Acquire::Granted);
+    }
+    let out = lt.release_all(t);
+    assert!(out.grants.is_empty() && out.cancelled.is_empty());
+}
+
+#[test]
+fn a_second_round_over_a_thousand_pages_allocates_nothing() {
+    let mut lt = LockTable::new();
+    wide_reader(&mut lt, txn(1), 0);
+    // The same pages again, then 1 000 others: the page records, their
+    // object lists and the page map all come back from the first round.
+    let ((), calls) = allocations(|| wide_reader(&mut lt, txn(2), 0));
+    assert_eq!(calls, 0, "the same 1 000 pages");
+    let ((), calls) = allocations(|| wide_reader(&mut lt, txn(3), 1_000));
+    assert_eq!(calls, 0, "1 000 other pages");
+    lt.assert_consistent();
+    assert!(lt.is_empty());
+}

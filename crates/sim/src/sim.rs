@@ -495,6 +495,11 @@ impl Simulation {
             (Policy::Seeded { .. }, _) => SimDuration::ZERO,
         };
         self.sites[site].drive(self.now, input, &mut Staged(&mut outs, inline_disks));
+        if let Policy::Seeded { .. } = self.policy {
+            // The seeded suites check the lock table's indexes mid-run,
+            // under callbacks, replication and deescalation.
+            self.sites[site].assert_locks_consistent();
+        }
         if let Policy::Timed { cost, .. } = &self.policy {
             for o in &outs {
                 if let Output::Send { msg, .. } = o {

@@ -5,6 +5,7 @@
 //! when a non-resident page is touched.
 
 use crate::page::{SlottedPage, SLOT_SIZE};
+use pscc_common::hash::HashMap;
 use pscc_common::{FileId, Oid, PageId, PsccError, SystemConfig, VolId};
 use std::collections::BTreeMap;
 
@@ -35,7 +36,7 @@ pub struct Volume {
     id: VolId,
     page_size: u32,
     files: BTreeMap<u32, FileMeta>,
-    pages: BTreeMap<PageId, SlottedPage>,
+    pages: HashMap<PageId, SlottedPage>,
     next_file: u32,
     next_page: u32,
 }
@@ -168,7 +169,9 @@ impl Volume {
     /// by ownership migration, which live under their original file id
     /// and so are invisible to [`Volume::file_pages`].
     pub fn all_pages(&self) -> impl Iterator<Item = (&PageId, &SlottedPage)> {
-        self.pages.iter()
+        let mut pages: Vec<_> = self.pages.iter().collect();
+        pages.sort_unstable_by_key(|(p, _)| **p);
+        pages.into_iter()
     }
 
     /// Total pages on the volume.
@@ -219,14 +222,22 @@ impl Volume {
     /// the new size does not fit on the (possibly forwarded-to) page —
     /// the caller should then use [`Volume::write_object_forwarding`].
     pub fn write_object(&mut self, oid: Oid, body: &[u8]) -> Result<(), PsccError> {
-        let target = self.resolve_forward(oid);
-        let p = self
+        // One search of the page map unless the slot is forwarded.
+        let home = self
             .pages
-            .get_mut(&target.page)
+            .get_mut(&oid.page)
             .ok_or(PsccError::NoSuchObject(oid))?;
-        if p.get(target.slot).is_none() {
-            return Err(PsccError::NoSuchObject(oid));
-        }
+        let fwd = match home.get(oid.slot) {
+            None => return Err(PsccError::NoSuchObject(oid)),
+            Some(bytes) => decode_forward(bytes),
+        };
+        let (p, target) = match fwd {
+            None => (home, oid),
+            Some(t) => match self.pages.get_mut(&t.page) {
+                Some(p) if p.get(t.slot).is_some() => (p, t),
+                _ => return Err(PsccError::NoSuchObject(oid)),
+            },
+        };
         p.update(target.slot, body)
             .map_err(|_| PsccError::PageFull(target.page))
     }
