@@ -70,4 +70,9 @@ impl<M> Lanes<M> {
     pub(crate) fn len(&self) -> usize {
         self.prio.len() + self.bulk.len()
     }
+
+    /// Whether both lanes are empty.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.prio.is_empty() && self.bulk.is_empty()
+    }
 }

@@ -55,10 +55,18 @@ extern "C" {
     fn poll(fds: *mut PollFd, nfds: std::ffi::c_uint, timeout_ms: c_int) -> c_int;
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Waits made on this thread (the wait-count tests read it).
+    pub(crate) static WAITS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Waits until one of `fds` is ready or `timeout` (`None`: no limit) has
 /// passed; a zero timeout only looks. An interrupted wait returns as if
 /// it had timed out, which every caller treats as "look again".
 pub(crate) fn wait(fds: &mut [PollFd], timeout: Option<Duration>) {
+    #[cfg(test)]
+    WAITS.with(|n| n.set(n.get() + 1));
     #[cfg(target_os = "linux")]
     {
         let n = fds.len() as std::ffi::c_ulong;

@@ -190,9 +190,10 @@ enum Also {
 /// The wake of a [`TcpNode`]. The flag is what a wait that would park
 /// consumes; the byte written down the socketpair ends a wait already in
 /// `ppoll`. Only the ring that raises the flag writes, so the pair never
-/// fills, and a wait that takes the flag down finds any ring after it by
-/// its byte. Both sides swap the flag `AcqRel`: a wait that takes it down
-/// then sees the work queued before the ring that raised it.
+/// fills, and a wait that finds the flag down, or takes it down, finds
+/// any ring after it by its byte. Both sides swap the flag `AcqRel`: a
+/// wait that takes it down then sees the work queued before the ring
+/// that raised it.
 struct Doorbell {
     rung: AtomicBool,
     tx: UnixStream,
@@ -622,15 +623,26 @@ impl<M: Wire + Send + 'static> Transport<M> for TcpNode<M> {
     fn recv_timeout(&self, timeout: Duration) -> Option<Envelope<M>> {
         let mut inbox = self.lock_inbox();
         let mut deadline = None;
-        // Whether the connections were read since the lanes were last
-        // looked at (a wait reads what ended it).
-        let mut fresh = false;
+        // A queued priority message outranks whatever the connections
+        // hold; a bulk one does not.
+        if !inbox.lanes.has_prio() {
+            // With nothing queued and no wake owed, the first read of the
+            // connections is the wait itself: one `ppoll`, which reads
+            // whatever is ready. Otherwise it only looks, since a frame
+            // already readable outranks an owed wake, whose byte may have
+            // been read before.
+            let first = if inbox.lanes.is_empty()
+                && !timeout.is_zero()
+                && !self.doorbell.rung.load(Ordering::Acquire)
+            {
+                deadline = Some(Instant::now() + timeout);
+                timeout
+            } else {
+                Duration::ZERO
+            };
+            inbox.poll(self.site, &self.tally, Some(first), Also::Doorbell);
+        }
         loop {
-            // A queued priority message outranks whatever the connections
-            // hold; a bulk one does not.
-            if !fresh && !inbox.lanes.has_prio() {
-                inbox.poll(self.site, &self.tally, Some(Duration::ZERO), Also::Doorbell);
-            }
             if let Some((env, _)) = inbox.lanes.pop() {
                 return Some(env);
             }
@@ -643,7 +655,6 @@ impl<M: Wire + Send + 'static> Transport<M> for TcpNode<M> {
                 return None;
             }
             inbox.poll(self.site, &self.tally, Some(deadline - now), Also::Doorbell);
-            fresh = true;
         }
     }
 
@@ -919,6 +930,60 @@ mod tests {
                 std::thread::yield_now();
             }
         });
+    }
+
+    const LONG: Duration = Duration::from_secs(30);
+
+    /// Sends `m` from `n0` to `n1` over the connection `n1` has accepted
+    /// and returns once the frame waits on it, read by no one.
+    fn unread_on_the_socket(n0: &TcpNode<u64>, n1: &TcpNode<u64>, m: u64) {
+        n0.send(SiteId(1), PathId(0), m);
+        let fd = n1.lock_inbox().readers[0].stream.as_raw_fd();
+        loop {
+            let mut fds = [PollFd::new(Some(fd), POLLIN)];
+            poll::wait(&mut fds, Some(Duration::ZERO));
+            if fds[0].ready() {
+                break;
+            }
+            std::thread::yield_now();
+        }
+        assert!(n1.lock_inbox().lanes.is_empty());
+    }
+
+    /// Two nodes whose one connection, `n0` into `n1`, is accepted and
+    /// past its handshake.
+    fn connected() -> (TcpNode<u64>, TcpNode<u64>) {
+        let (n0, n1) = two_nodes::<u64>();
+        n0.send(SiteId(1), PathId(0), 1);
+        assert_eq!(n1.recv_timeout(LONG).map(|e| e.msg), Some(1));
+        (n0, n1)
+    }
+
+    #[test]
+    fn tcp_a_readable_message_outranks_a_pending_wake() {
+        let (n0, n1) = connected();
+        unread_on_the_socket(&n0, &n1, 2);
+        n1.waker().expect("the node can be woken").wake();
+        assert_eq!(n1.recv_timeout(LONG).map(|e| e.msg), Some(2));
+        // The wake is still owed to the next wait that would park.
+        let t0 = Instant::now();
+        assert!(n1.recv_timeout(LONG).is_none());
+        assert!(t0.elapsed() < LONG / 2);
+    }
+
+    #[test]
+    fn tcp_a_waiting_look_at_empty_lanes_polls_once() {
+        let waits = || poll::WAITS.with(std::cell::Cell::get);
+        let (n0, n1) = connected();
+        // Nothing comes: the look waits its whole length in one `ppoll`.
+        let before = waits();
+        assert!(n1.recv_timeout(Duration::from_millis(20)).is_none());
+        assert_eq!(waits() - before, 1);
+        // A frame already readable ends that wait at once, which reads it.
+        unread_on_the_socket(&n0, &n1, 2);
+        let before = waits();
+        assert_eq!(n1.recv_timeout(LONG).map(|e| e.msg), Some(2));
+        assert_eq!(waits() - before, 1);
     }
 
     #[test]

@@ -17,12 +17,15 @@
 //! `recv_timeout`, and each of its three sources of work can end that
 //! wait: a message by arriving, a timer by bounding the wait, a command
 //! by its producer calling the transport's [`Waker`] *after* queueing it
-//! (every producer goes through `SiteHandle::send`). Each pass first
-//! takes, without blocking, the timers now due, then a bounded batch of
-//! commands and one of messages, so no source starves another; only a
-//! pass that found nothing blocks. Over TCP that wait is also where the
-//! site reads its own sockets: no other thread touches them. See
-//! DESIGN.md §12.
+//! (every producer goes through `SiteHandle::send`). Each pass takes
+//! the timers now due and a bounded batch of commands, then a bounded
+//! batch of messages, so no source starves another. The pass's first
+//! look at the network is its one wait, bounded by the next timer; the
+//! rest of the batch only looks. That first look does not wait either
+//! when commands may be queued that no wake will announce: the rest of a
+//! batch cut off at its bound, or any command over a transport that
+//! cannot be woken. Over TCP the wait is also where the site reads its
+//! own sockets: no other thread touches them. See DESIGN.md §12.
 //!
 //! Replies go the other way with the opposite policy: an application
 //! thread naps briefly, on a timer made precise for it, before it lets a
@@ -206,7 +209,9 @@ struct Site<T> {
     commands: mpsc::Receiver<Cmd>,
     /// The cluster's time zero: the engine sees wall time elapsed since.
     start: Instant,
-    idle_wait: Duration,
+    /// Whether the transport has no [`Waker`], so that a command queued
+    /// for the site is seen only when a wait runs out.
+    polled: bool,
 }
 
 /// A site's [`Env`]: sends go to the transport, timers to a wall-clock
@@ -238,49 +243,55 @@ impl<T: Transport<Message>> Env for SiteIo<T> {
 impl<T: Transport<Message>> Site<T> {
     fn run(mut self, stop: &AtomicBool) {
         while !stop.load(Ordering::Acquire) {
-            let mut busy = false;
-            let now = Instant::now();
-            while let Some(&Reverse((at, timer))) = self.io.timers.peek() {
-                if at > now {
-                    break;
+            // The clock is read only while a timer is armed.
+            if !self.io.timers.is_empty() {
+                let now = Instant::now();
+                while let Some(&Reverse((at, timer))) = self.io.timers.peek() {
+                    if at > now {
+                        break;
+                    }
+                    self.io.timers.pop();
+                    self.handle(Input::TimerFired { timer });
                 }
-                self.io.timers.pop();
-                self.handle(Input::TimerFired { timer });
-                busy = true;
             }
             // A bounded batch, not whatever keeps coming: a driver that
             // never pauses must not shut out the network.
-            for _ in 0..PASS_BATCH {
+            let mut commands = 0;
+            while commands < PASS_BATCH {
                 let Ok(cmd) = self.commands.try_recv() else {
                     break;
                 };
                 self.command(cmd);
-                busy = true;
+                commands += 1;
             }
+            // The pass's one wait is its first look at the network. It
+            // only looks when commands may be queued that nothing will
+            // wake it for: the rest of a batch cut off at `PASS_BATCH`,
+            // whose wake may already be spent, or any command at all
+            // over a transport that cannot be woken.
+            let mut wait = if commands == PASS_BATCH || (commands > 0 && self.polled) {
+                Duration::ZERO
+            } else {
+                self.wait()
+            };
             for _ in 0..PASS_BATCH {
-                let Some(env) = self.io.transport.recv_timeout(Duration::ZERO) else {
+                let Some(env) = self.io.transport.recv_timeout(wait) else {
                     break;
                 };
                 self.message(env);
-                busy = true;
-            }
-            if busy {
-                continue;
-            }
-            let wait = self
-                .io
-                .timers
-                .peek()
-                .map_or(self.idle_wait, |Reverse((at, _))| {
-                    at.saturating_duration_since(Instant::now())
-                        .min(self.idle_wait)
-                });
-            // The one place this thread blocks. Whatever ends the wait,
-            // the next pass looks at every source again.
-            if let Some(env) = self.io.transport.recv_timeout(wait) {
-                self.message(env);
+                wait = Duration::ZERO;
             }
         }
+    }
+
+    /// How long the site may block: until the earliest armed timer, and
+    /// at most its idle park (or poll period, over a transport that has
+    /// no [`Waker`]).
+    fn wait(&self) -> Duration {
+        let idle = if self.polled { IDLE_POLL } else { IDLE_PARK };
+        self.io.timers.peek().map_or(idle, |Reverse((at, _))| {
+            at.saturating_duration_since(Instant::now()).min(idle)
+        })
     }
 
     fn message(&mut self, env: Envelope<Message>) {
@@ -431,11 +442,7 @@ impl ThreadedCluster {
                 },
                 commands,
                 start,
-                idle_wait: if waker.is_some() {
-                    IDLE_PARK
-                } else {
-                    IDLE_POLL
-                },
+                polled: waker.is_none(),
             };
             sites.push(SiteHandle { cmd_tx, waker });
             let stop = Arc::clone(&shutdown);
@@ -458,8 +465,9 @@ impl ThreadedCluster {
     /// Waits (up to 10 s wall time) for the next reply from `site`.
     ///
     /// A reply already queued is returned at once. Otherwise the caller
-    /// first naps `REPLY_NAP` *without* registering as a waiter, and
-    /// only blocks on the channel if the nap did not produce the reply.
+    /// first naps `REPLY_NAP` *without* registering as a waiter, looking
+    /// at the queue again halfway, and only blocks on the channel if the
+    /// nap did not produce the reply.
     /// Waking a blocked application thread costs the site thread that
     /// replies an inter-processor interrupt — an order of magnitude more
     /// CPU than the cache-hit read it answers — and a site that pays it
@@ -478,10 +486,15 @@ impl ThreadedCluster {
         let replies = self.reply_rx[site.0 as usize]
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        if let Ok(reply) = replies.try_recv() {
-            return Ok(reply);
+        // The nap in two halves with a look between: a reply ready
+        // within the first half is taken then, and the site still finds
+        // nobody to wake for the whole of `REPLY_NAP`.
+        for _ in 0..2 {
+            if let Ok(reply) = replies.try_recv() {
+                return Ok(reply);
+            }
+            std::thread::sleep(REPLY_NAP / 2);
         }
-        std::thread::sleep(REPLY_NAP);
         replies
             .recv_timeout(Duration::from_secs(10))
             .map_err(|_| PsccError::InvalidOperation("threaded cluster reply timeout"))
@@ -627,19 +640,21 @@ impl Drop for ThreadedCluster {
     }
 }
 
-#[cfg(all(test, target_os = "linux"))]
+#[cfg(test)]
 mod tests {
     use super::*;
-    use slack::NAP_SLACK_NS;
 
+    #[cfg(target_os = "linux")]
     fn timer_slack_ns() -> std::ffi::c_ulong {
         // SAFETY: PR_GET_TIMERSLACK reads no argument and returns the
         // calling thread's slack.
         unsafe { slack::prctl(slack::PR_GET_TIMERSLACK) as std::ffi::c_ulong }
     }
 
+    #[cfg(target_os = "linux")]
     #[test]
     fn recv_reply_makes_its_own_thread_nap_precisely() {
+        use slack::NAP_SLACK_NS;
         // This thread never calls `recv_reply`, so what it spawns
         // inherits the slack it started with.
         let default = std::thread::spawn(timer_slack_ns).join().unwrap();
@@ -657,5 +672,49 @@ mod tests {
         let fresh = std::thread::spawn(timer_slack_ns).join().unwrap();
         assert_eq!(fresh, default, "the slack leaked to another thread");
         cluster.shutdown();
+    }
+
+    /// Queues more commands than one pass takes behind a single wake of
+    /// a parked site 0: the pass that the wake starts spends it, so only
+    /// a site that looks again at once, rather than parking, answers the
+    /// rest before its idle park runs out.
+    fn a_cut_off_batch_is_finished_without_a_new_wake(cluster: ThreadedCluster) {
+        const QUEUED: usize = PASS_BATCH + 8;
+        let site = &cluster.sites[0];
+        site.probe().expect("site answers");
+        // Nothing left to do: give the site time to park.
+        std::thread::sleep(Duration::from_millis(20));
+        let (tx, answers) = mpsc::sync_channel(QUEUED);
+        for _ in 0..QUEUED {
+            site.cmd_tx
+                .try_send(Cmd::Stats(tx.clone()))
+                .expect("room in the command channel");
+        }
+        let t0 = Instant::now();
+        site.wake();
+        for n in 0..QUEUED {
+            answers
+                .recv_timeout(Duration::from_secs(5))
+                .unwrap_or_else(|_| panic!("command {n} of {QUEUED} was not answered"));
+        }
+        let took = t0.elapsed();
+        assert!(
+            took < IDLE_PARK / 2,
+            "{QUEUED} commands behind one wake took {took:?}"
+        );
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn a_cut_off_batch_is_finished_without_a_new_wake_inproc() {
+        let cluster = ThreadedCluster::new(1, SystemConfig::small(), OwnerMap::Single(SiteId(0)));
+        a_cut_off_batch_is_finished_without_a_new_wake(cluster);
+    }
+
+    #[test]
+    fn a_cut_off_batch_is_finished_without_a_new_wake_over_tcp() {
+        let cluster =
+            ThreadedCluster::new_tcp(1, SystemConfig::small(), OwnerMap::Single(SiteId(0)));
+        a_cut_off_batch_is_finished_without_a_new_wake(cluster);
     }
 }

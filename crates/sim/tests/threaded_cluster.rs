@@ -108,10 +108,10 @@ impl Transport<Message> for Forwarding {
     }
 }
 
-#[test]
-fn threaded_cluster_runs_polled_over_a_transport_without_a_waker() {
-    let cfg = ps_aa();
-    let sites = [SiteId(0), SiteId(1), SiteId(2)];
+/// `n` sites over an in-process network, each behind a [`Forwarding`]
+/// wrapper, so that no site can be woken.
+fn polled_cluster(n: u32, cfg: SystemConfig) -> ThreadedCluster {
+    let sites: Vec<SiteId> = (0..n).map(SiteId).collect();
     let net = InProcNetwork::<Message>::with_overload(
         &sites,
         3,
@@ -128,8 +128,50 @@ fn threaded_cluster_runs_polled_over_a_transport_without_a_waker() {
             (s, wrapped)
         })
         .collect();
-    let cluster = ThreadedCluster::with_transports(cfg, OwnerMap::Single(SiteId(0)), transports);
+    ThreadedCluster::with_transports(cfg, OwnerMap::Single(SiteId(0)), transports)
+}
+
+#[test]
+fn threaded_cluster_runs_polled_over_a_transport_without_a_waker() {
+    let cluster = polled_cluster(3, ps_aa());
     counter_increments_serialize(cluster, oid(3, 0), 15);
+}
+
+#[test]
+fn a_burst_to_a_site_without_a_waker_pays_no_poll_per_command() {
+    // The period at which a site that cannot be woken looks for commands.
+    const IDLE_POLL: Duration = Duration::from_micros(200);
+    const BURST: u32 = 256;
+    let cluster = polled_cluster(1, ps_aa());
+    let site = SiteId(0);
+    // A burst of Begins, then one of Commits of what they started.
+    let t0 = Instant::now();
+    for a in 0..BURST {
+        cluster.submit(site, AppId(a), None, AppOp::Begin);
+    }
+    let txns: Vec<_> = (0..BURST)
+        .map(|_| match cluster.recv_reply(site) {
+            Ok(AppReply::Started { app, txn }) => (app, txn),
+            other => panic!("a Begin was answered with {other:?}"),
+        })
+        .collect();
+    for &(app, txn) in &txns {
+        cluster.submit(site, app, Some(txn), AppOp::Commit);
+    }
+    for _ in 0..BURST {
+        let reply = cluster.recv_reply(site);
+        assert!(
+            matches!(reply, Ok(AppReply::Committed { .. })),
+            "a Commit was answered with {reply:?}"
+        );
+    }
+    let took = t0.elapsed();
+    assert!(
+        took < IDLE_POLL * BURST / 4,
+        "{} commands to a polled site took {took:?}",
+        2 * BURST
+    );
+    cluster.shutdown();
 }
 
 #[test]
