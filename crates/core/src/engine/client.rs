@@ -494,12 +494,8 @@ impl PeerServer {
         // different requests by up to a quarter of the backoff.
         let jitter = req.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) % (backoff / 4 + 1);
         let delay = (backoff + jitter).min(self.cfg.lock_timeout_ceiling.as_micros());
-        let timer = self.fresh_timer();
-        self.timers.insert(timer, TimerKind::BusyRetry { req });
-        self.out.push(crate::msg::Output::ArmTimer {
-            timer,
-            delay: pscc_common::SimDuration::from_micros(delay),
-        });
+        let delay = pscc_common::SimDuration::from_micros(delay);
+        self.arm(TimerKind::BusyRetry { req }, delay);
         self.obs.record(pscc_obs::EventKind::BusyBackoff {
             peer: from,
             attempt,
@@ -769,7 +765,6 @@ impl PeerServer {
             txn,
             held: Vec::new(),
             waiting: None,
-            timer: None,
         };
         match target {
             LockableId::Object(oid) => {
@@ -793,10 +788,8 @@ impl PeerServer {
                     Acquire::Wait(t) => {
                         ctx.waiting = Some(t);
                         self.cb_ctxs.insert(key, ctx);
-                        self.lock_conts
-                            .insert(t, LockCont::CbCtxPage { key, txn, oid });
-                        self.cb_blocked_report(key, LockableId::Page(oid.page), LockMode::Ix, txn);
-                        self.arm_cb_timer(key);
+                        self.cb_blocked_report(key, page, LockMode::Ix, txn);
+                        self.park(t, txn, LockCont::CbCtxPage { key, txn, oid });
                     }
                 }
             }
@@ -817,10 +810,8 @@ impl PeerServer {
             Acquire::Wait(t) => {
                 ctx.waiting = Some(t);
                 self.cb_ctxs.insert(key, ctx);
-                self.lock_conts
-                    .insert(t, LockCont::CbCtxWhole { key, target });
                 self.cb_blocked_report(key, target, LockMode::Ex, txn);
-                self.arm_cb_timer(key);
+                self.park(t, txn, LockCont::CbCtxWhole { key, target });
             }
         }
     }
@@ -853,16 +844,6 @@ impl PeerServer {
         self.send(owner, Message::CbBlocked { cb, holders });
     }
 
-    fn arm_cb_timer(&mut self, key: CbKey) {
-        let timer = self.fresh_timer();
-        let delay = self.timeout_est.timeout();
-        self.timers.insert(timer, TimerKind::CbWait { key });
-        if let Some(ctx) = self.cb_ctxs.get_mut(&key) {
-            ctx.timer = Some(timer);
-        }
-        self.out.push(crate::msg::Output::ArmTimer { timer, delay });
-    }
-
     /// IX page lock acquired; proceed to the object EX (§4.3.2).
     pub(crate) fn cb_ctx_page_locked(&mut self, key: CbKey, txn: TxnId, oid: Oid) {
         let Some(ctx) = self.cb_ctxs.get_mut(&key) else {
@@ -878,9 +859,8 @@ impl PeerServer {
                 if let Some(ctx) = self.cb_ctxs.get_mut(&key) {
                     ctx.waiting = Some(t);
                 }
-                self.lock_conts.insert(t, LockCont::CbCtxObj { key, oid });
                 self.cb_blocked_report(key, item, LockMode::Ex, txn);
-                self.arm_cb_timer(key);
+                self.park(t, txn, LockCont::CbCtxObj { key, oid });
             }
         }
     }
@@ -920,31 +900,15 @@ impl PeerServer {
     /// `fast` marks the immediate whole-page grab of case 1.
     fn finish_cb_whole(&mut self, key: CbKey, target: LockableId, fast: bool) {
         match target {
-            LockableId::Page(p) => {
-                if self.cache.purge(p).is_some() {
-                    self.stats.pages_purged += 1;
-                }
-                // Any page grants on the page die with it.
-                for h in self.txns.home.values_mut() {
-                    h.adaptive_pages.remove(&p);
-                }
-            }
+            LockableId::Page(p) => self.purge_page(p),
             LockableId::File(f) => {
                 for p in self.cache.pages_of_file(f) {
-                    self.cache.purge(p);
-                    self.stats.pages_purged += 1;
-                    for h in self.txns.home.values_mut() {
-                        h.adaptive_pages.remove(&p);
-                    }
+                    self.purge_page(p);
                 }
             }
             LockableId::Volume(v) => {
                 for p in self.cache.pages_of_volume(v) {
-                    self.cache.purge(p);
-                    self.stats.pages_purged += 1;
-                    for h in self.txns.home.values_mut() {
-                        h.adaptive_pages.remove(&p);
-                    }
+                    self.purge_page(p);
                 }
             }
             LockableId::Object(_) => unreachable!("objects use finish_cb"),
@@ -955,6 +919,16 @@ impl PeerServer {
         self.finish_cb(key, true);
     }
 
+    /// Purges `page` from the cache; any page grants on it die with it.
+    pub(crate) fn purge_page(&mut self, page: PageId) {
+        if self.cache.purge(page).is_some() {
+            self.stats.pages_purged += 1;
+        }
+        for h in self.txns.home.values_mut() {
+            h.adaptive_pages.remove(&page);
+        }
+    }
+
     /// Releases the callback thread's locks and acks the owner (paper
     /// footnote 2: "any locks that have been acquired by the callback
     /// thread are released and the callback thread itself is
@@ -963,9 +937,6 @@ impl PeerServer {
         let Some(ctx) = self.cb_ctxs.remove(&key) else {
             return;
         };
-        if let Some(t) = ctx.timer {
-            self.timers.remove(&t);
-        }
         if !ctx.held.is_empty() {
             self.obs
                 .record(pscc_obs::EventKind::LocksReleased { txn: ctx.txn });
@@ -985,12 +956,9 @@ impl PeerServer {
         let Some(ctx) = self.cb_ctxs.remove(&key) else {
             return;
         };
-        if let Some(t) = ctx.timer {
-            self.timers.remove(&t);
-        }
         let mut grants = Vec::new();
         if let Some(ticket) = ctx.waiting {
-            self.lock_conts.remove(&ticket);
+            self.unpark(ticket);
             grants.extend(self.locks.cancel(ticket));
         }
         if !ctx.held.is_empty() {

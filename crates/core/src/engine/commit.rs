@@ -175,14 +175,7 @@ impl PeerServer {
             return;
         };
         self.cache.clean_txn(txn);
-        // Recorded before the release: the lock table records the grants
-        // it hands the waiters inside `release_all` (DESIGN.md §9).
-        self.obs.record(pscc_obs::EventKind::LocksReleased { txn });
-        let out = self.locks.release_all(txn);
-        for t in &out.cancelled {
-            self.lock_conts.remove(t);
-            self.finish_wait(*t, false);
-        }
+        let grants = self.release_locks(txn);
         self.stats.commits += 1;
         self.obs.decide_done(txn, self.now);
         self.obs.commit_done(txn, self.now);
@@ -192,7 +185,7 @@ impl PeerServer {
             stage: pscc_obs::event::CommitStage::Done,
         });
         self.reply_app(AppReply::Committed { app: h.app, txn });
-        self.process_grants(out.grants);
+        self.process_grants(grants);
     }
 
     // ------------------------------------------------------------------
@@ -370,16 +363,10 @@ impl PeerServer {
                 self.edge_publish_commit(pages);
             }
             self.log.end_txn(state.txn, false);
-            self.obs
-                .record(pscc_obs::EventKind::LocksReleased { txn: state.txn });
-            let out = self.locks.release_all(state.txn);
-            for t in &out.cancelled {
-                self.lock_conts.remove(t);
-                self.finish_wait(*t, false);
-            }
+            let grants = self.release_locks(state.txn);
             self.txns.remote.remove(&state.txn);
             self.trace_txn_done(state.txn);
-            self.process_grants(out.grants);
+            self.process_grants(grants);
         }
         match state.reply {
             CommitReplyKind::None => {}
@@ -497,9 +484,10 @@ impl PeerServer {
             if let LockableId::Object(o) = op.target {
                 self.cb_by_object.remove(&o);
             }
+            // The re-upgrade's ticket is cancelled with the transaction's
+            // locks below; a grant before then resumes nothing.
             if let Some(t) = op.upgrade {
-                self.lock_conts.remove(&t);
-                self.finish_wait(t, false);
+                self.unpark(t);
             }
             for site in op.pending {
                 if site == self.site {
@@ -556,16 +544,10 @@ impl PeerServer {
         // Admission slots held by the transaction's requests are void —
         // no verdict will ever depart for them.
         self.admitted.retain(|_, t| *t != txn);
-        // Release all locks and cancel all waits.
-        self.obs.record(pscc_obs::EventKind::LocksReleased { txn });
-        let out = self.locks.release_all(txn);
-        for t in &out.cancelled {
-            self.lock_conts.remove(t);
-            self.finish_wait(*t, false);
-        }
+        let grants = self.release_locks(txn);
         self.txns.remote.remove(&txn);
         self.trace_txn_done(txn);
-        self.process_grants(out.grants);
+        self.process_grants(grants);
     }
 
     /// `AbortTxn` from the home.

@@ -30,7 +30,7 @@
 //! [`ControlOp::Undrain`]: crate::ControlOp::Undrain
 
 use super::{DiskCont, PeerServer, TimerKind};
-use crate::msg::{DiskOp, Output};
+use crate::msg::DiskOp;
 
 /// Where a site stands in the drain lifecycle (a test/metrics probe).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,12 +82,7 @@ impl PeerServer {
     }
 
     fn arm_drain_check(&mut self) {
-        let timer = self.fresh_timer();
-        self.timers.insert(timer, TimerKind::DrainCheck);
-        self.out.push(Output::ArmTimer {
-            timer,
-            delay: self.cfg.busy_retry_hint,
-        });
+        self.arm(TimerKind::DrainCheck, self.cfg.busy_retry_hint);
     }
 
     /// All admitted work has reached a verdict and nothing data-bearing

@@ -32,7 +32,7 @@
 //! strict build.
 
 use super::{DiskCont, PeerServer, TimerKind};
-use crate::msg::{DiskOp, Message, Output, ReqId};
+use crate::msg::{DiskOp, Message, ReqId};
 use pscc_common::{ConsistencyTier, Oid, PageId, SimDuration, SimTime, SiteId, TxnId};
 use pscc_storage::SlottedPage;
 use std::collections::BTreeMap;
@@ -200,14 +200,10 @@ impl PeerServer {
     }
 
     fn edge_arm_renew(&mut self, owner: SiteId) {
-        let timer = self.fresh_timer();
-        self.timers.insert(timer, TimerKind::EdgeRenew { owner });
-        self.edge_renew_timer.insert(owner, timer);
         let lease = self.edge_watch_lease();
-        self.out.push(Output::ArmTimer {
-            timer,
-            delay: SimDuration::from_micros((lease.as_micros() / 2).max(1)),
-        });
+        let delay = SimDuration::from_micros((lease.as_micros() / 2).max(1));
+        let timer = self.arm(TimerKind::EdgeRenew { owner }, delay);
+        self.edge_renew_timer.insert(owner, timer);
     }
 
     /// The subscription lease the edge asks owners for: the smallest

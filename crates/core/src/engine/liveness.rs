@@ -39,7 +39,7 @@
 //! this arms, so failure-free runs are unchanged.
 
 use super::{CbKey, PeerServer, Request, TimerKind};
-use crate::msg::{CbId, DeId, Message, Output};
+use crate::msg::{CbId, DeId, Message};
 use crate::txn::TxnStatus;
 use pscc_common::{AbortReason, SiteId, TxnId};
 
@@ -61,19 +61,12 @@ impl PeerServer {
         self.hb_peers.insert(to);
         if !self.hb_armed {
             self.hb_armed = true;
-            let timer = self.fresh_timer();
-            self.timers.insert(timer, TimerKind::Heartbeat);
-            self.out.push(Output::ArmTimer {
-                timer,
-                delay: self.cfg.heartbeat_interval,
-            });
+            self.arm(TimerKind::Heartbeat, self.cfg.heartbeat_interval);
         }
     }
 
     fn arm_lease_timer(&mut self, site: SiteId, delay: pscc_common::SimDuration) {
-        let timer = self.fresh_timer();
-        self.timers.insert(timer, TimerKind::Lease { site });
-        self.out.push(Output::ArmTimer { timer, delay });
+        self.arm(TimerKind::Lease { site }, delay);
     }
 
     /// A lease timer fired: declare the peer crashed if it has been
@@ -96,12 +89,7 @@ impl PeerServer {
         for p in peers {
             self.send(p, Message::Heartbeat);
         }
-        let timer = self.fresh_timer();
-        self.timers.insert(timer, TimerKind::Heartbeat);
-        self.out.push(Output::ArmTimer {
-            timer,
-            delay: self.cfg.heartbeat_interval,
-        });
+        self.arm(TimerKind::Heartbeat, self.cfg.heartbeat_interval);
     }
 
     /// The bounded callback-response timer fired: any client still

@@ -52,7 +52,7 @@
 //! [`ControlOp::MigrateCommit`]: crate::ControlOp::MigrateCommit
 
 use super::{DiskCont, PeerServer, TimerKind};
-use crate::msg::{DiskOp, Input, Message, Output};
+use crate::msg::{DiskOp, Input, Message};
 use pscc_common::{LockableId, PageId, SimTime, SiteId, Stage, TxnId};
 use pscc_storage::SlottedPage;
 use pscc_wal::{LogPayload, LogRecord};
@@ -175,12 +175,7 @@ impl PeerServer {
     }
 
     fn arm_migration_check(&mut self) {
-        let timer = self.fresh_timer();
-        self.timers.insert(timer, TimerKind::MigrationCheck);
-        self.out.push(Output::ArmTimer {
-            timer,
-            delay: self.cfg.busy_retry_hint,
-        });
+        self.arm(TimerKind::MigrationCheck, self.cfg.busy_retry_hint);
     }
 
     /// Page ids on this volume whose page number falls in `[lo, hi)`.

@@ -43,8 +43,8 @@ use crate::timeout::TimeoutEstimator;
 use crate::txn::{HomeTxn, TxnRegistry, TxnStatus};
 use pscc_common::hash::{HashMap, HashSet};
 use pscc_common::{
-    AbortReason, Counters, LockMode, LockableId, Oid, PageId, SimTime, SiteId, SpanId, Stage,
-    SystemConfig, TraceCtx, TxnId,
+    AbortReason, Counters, LockMode, LockableId, Oid, PageId, SimDuration, SimTime, SiteId, SpanId,
+    Stage, SystemConfig, TraceCtx, TxnId,
 };
 use pscc_lockmgr::{Acquire, LockTable, Ticket};
 use pscc_storage::Volume;
@@ -115,6 +115,32 @@ pub(crate) enum LockCont {
     /// Client role, callback thread: EX on a whole page/file/volume
     /// acquired; purge and acknowledge.
     CbCtxWhole { key: CbKey, target: LockableId },
+}
+
+impl LockCont {
+    /// The callback thread this continuation resumes, if it is one
+    /// (paper Fig. 3, footnote 2). Such a wait feeds neither the
+    /// timeout estimator nor the `LockWait` stage, and its timeout
+    /// cancels the thread rather than aborting a transaction here.
+    fn cb_thread(&self) -> Option<CbKey> {
+        match self {
+            LockCont::CbCtxPage { key, .. }
+            | LockCont::CbCtxObj { key, .. }
+            | LockCont::CbCtxWhole { key, .. } => Some(*key),
+            _ => None,
+        }
+    }
+}
+
+/// One parked lock wait, in any role: who waits, what resumes on the
+/// grant, the timeout bounding it and when it began (DESIGN.md §13).
+/// It lives exactly as long as its ticket is pending in the lock table.
+#[derive(Debug)]
+pub(crate) struct Wait {
+    pub txn: TxnId,
+    pub cont: LockCont,
+    pub timer: TimerId,
+    pub since: SimTime,
 }
 
 /// Client-side key of a callback operation (callback ids are only unique
@@ -243,12 +269,11 @@ pub(crate) enum DiskCont {
 /// Why a timer was armed.
 #[derive(Debug, Clone)]
 pub(crate) enum TimerKind {
-    /// A lock wait (any role) by `txn`; firing aborts the waiter (the
-    /// SHORE timeout mechanism, §3.3/§5.5).
-    LockWait { ticket: Ticket, txn: TxnId },
-    /// A callback thread's lock wait at a client; firing notifies the
-    /// owner to abort the calling-back transaction.
-    CbWait { key: CbKey },
+    /// The lock wait parked under `ticket`, in any role (the SHORE
+    /// timeout mechanism, §3.3/§5.5). Firing aborts the waiter, or, for
+    /// a callback thread, drops the thread and notifies the owner to
+    /// abort the calling-back transaction.
+    LockWait { ticket: Ticket },
     /// A per-peer lease at a server (leases enabled only). Firing with no
     /// message heard from `site` for a full `lease_duration` declares the
     /// site crashed and triggers orphan cleanup; otherwise it re-arms for
@@ -286,8 +311,6 @@ pub(crate) struct CbCtx {
     pub held: Vec<LockableId>,
     /// Ticket it is currently waiting on, if blocked.
     pub waiting: Option<Ticket>,
-    /// Timer guarding the current wait.
-    pub timer: Option<TimerId>,
 }
 
 /// State of a callback operation at its owning server.
@@ -376,13 +399,12 @@ pub struct PeerServer {
     pub(crate) large_invals: HashMap<ReqId, (SiteId, ReqId, HashSet<SiteId>)>,
 
     // Continuations.
-    pub(crate) lock_conts: HashMap<Ticket, LockCont>,
+    pub(crate) waits: HashMap<Ticket, Wait>,
     /// Client role: every outstanding request of a home transaction.
     /// `pending_fetches` and each `HomeTxn::outstanding_reqs` index it.
     pub(crate) requests: HashMap<ReqId, Request>,
     pub(crate) disk_conts: HashMap<DiskReqId, DiskCont>,
     pub(crate) timers: HashMap<TimerId, TimerKind>,
-    pub(crate) ticket_timers: HashMap<Ticket, (TimerId, SimTime)>,
 
     // Timeout estimation (§5.5).
     pub(crate) timeout_est: TimeoutEstimator,
@@ -555,11 +577,10 @@ impl PeerServer {
             races: RaceTable::new(),
             pending_fetches: HashMap::default(),
             cb_ctxs: HashMap::default(),
-            lock_conts: HashMap::default(),
+            waits: HashMap::default(),
             requests: HashMap::default(),
             disk_conts: HashMap::default(),
             timers: HashMap::default(),
-            ticket_timers: HashMap::default(),
             timeout_est,
             lease_heard: HashMap::default(),
             hb_peers: std::collections::BTreeSet::new(),
@@ -648,15 +669,39 @@ impl PeerServer {
     }
 
     /// Runs the lock table's full-scan self-check
-    /// ([`pscc_lockmgr::LockTable::assert_consistent`]); the seeded
+    /// ([`pscc_lockmgr::LockTable::assert_consistent`]) and checks the
+    /// wait table against it: each wait is a ticket still pending for
+    /// its transaction, with a live `LockWait` timer naming it, and each
+    /// pending ticket has its wait. The seeded
     /// harness calls it after every input.
     ///
     /// # Panics
     ///
-    /// Panics with a description of the violated granule or index.
+    /// Panics with a description of the violated granule, index or
+    /// wait.
     #[doc(hidden)]
     pub fn assert_locks_consistent(&self) {
         self.locks.assert_consistent();
+        let site = self.site;
+        for (ticket, w) in &self.waits {
+            assert!(
+                self.locks
+                    .ticket_info(*ticket)
+                    .is_some_and(|(t, _, _)| t == w.txn),
+                "site {site}: wait {ticket} of {} is not pending for it",
+                w.txn
+            );
+            assert!(
+                matches!(self.timers.get(&w.timer), Some(TimerKind::LockWait { ticket: t }) if t == ticket),
+                "site {site}: wait {ticket} has no live timer"
+            );
+        }
+        for ticket in self.locks.pending_tickets() {
+            assert!(
+                self.waits.contains_key(&ticket),
+                "site {site}: pending {ticket} has no wait"
+            );
+        }
     }
 
     /// Asserts that no transaction state lingers: empty lock table, no
@@ -689,9 +734,16 @@ impl PeerServer {
             "site {}: deescalation leak",
             self.site
         );
+        assert!(self.waits.is_empty(), "site {}: lock wait leak", self.site);
         assert!(
-            self.lock_conts.is_empty(),
-            "site {}: lock continuation leak",
+            self.disk_conts.is_empty(),
+            "site {}: {} disk continuations leak",
+            self.site,
+            self.disk_conts.len()
+        );
+        assert!(
+            self.large_reads.is_empty() && self.large_invals.is_empty(),
+            "site {}: large-object reads or invalidations leak",
             self.site
         );
         assert!(
@@ -787,7 +839,7 @@ impl PeerServer {
     /// A one-line state summary for diagnosing stuck systems.
     pub fn debug_summary(&self) -> String {
         format!(
-            "site {}: locks={} home={} remote={} cb_ops={} cb_ctxs={} de_ops={} lock_conts={} requests={} fetches={} waiting={:?}",
+            "site {}: locks={} home={} remote={} cb_ops={} cb_ctxs={} de_ops={} waits={} requests={} fetches={} waiting={:?}",
             self.site,
             self.locks.len(),
             self.txns.home.len(),
@@ -795,7 +847,7 @@ impl PeerServer {
             self.cb_ops.len(),
             self.cb_ctxs.len(),
             self.de_ops.len(),
-            self.lock_conts.len(),
+            self.waits.len(),
             self.requests.len(),
             self.pending_fetches.len(),
             self.locks.waiting_txns(),
@@ -1080,9 +1132,14 @@ impl PeerServer {
         DeId(self.next_de)
     }
 
-    pub(crate) fn fresh_timer(&mut self) -> TimerId {
+    /// Arms a timer of `kind` to fire after `delay`; its fire comes back
+    /// through [`PeerServer::handle_timer`], which finds the kind here.
+    pub(crate) fn arm(&mut self, kind: TimerKind, delay: SimDuration) -> TimerId {
         self.next_timer += 1;
-        TimerId(self.next_timer)
+        let timer = TimerId(self.next_timer);
+        self.timers.insert(timer, kind);
+        self.out.push(Output::ArmTimer { timer, delay });
+        timer
     }
 
     pub(crate) fn disk(&mut self, op: DiskOp, cont: DiskCont) {
@@ -1108,9 +1165,9 @@ impl PeerServer {
     }
 
     /// Acquires `mode` on `item` for `txn`. Granted at once, `cont` runs
-    /// now; blocked, it is parked under the wait's ticket (to run from
-    /// [`PeerServer::process_grants`]), the lock-wait timeout is armed and
-    /// the new wait is checked for deadlocks.
+    /// now; blocked, it is parked (to run from
+    /// [`PeerServer::process_grants`]) and the new wait is checked for
+    /// deadlocks.
     pub(crate) fn lock_or_park(
         &mut self,
         txn: TxnId,
@@ -1122,38 +1179,50 @@ impl PeerServer {
         match a {
             Acquire::Granted => self.resume_lock(cont),
             Acquire::Wait(t) => {
-                self.lock_conts.insert(t, cont);
-                self.arm_lock_timer(t, txn);
+                self.park(t, txn, cont);
                 self.check_deadlocks();
             }
         }
     }
 
-    /// Arms the adaptive lock-wait timeout for a blocked ticket.
-    pub(crate) fn arm_lock_timer(&mut self, ticket: Ticket, txn: TxnId) {
-        let timer = self.fresh_timer();
-        let delay = self.timeout_est.timeout();
-        self.timers
-            .insert(timer, TimerKind::LockWait { ticket, txn });
-        self.ticket_timers.insert(ticket, (timer, self.now));
-        self.stats.lock_waits += 1;
-        self.out.push(Output::ArmTimer { timer, delay });
+    /// Parks `cont` under the blocked `ticket` of `txn` and arms the
+    /// adaptive lock-wait timeout (§5.5) that bounds it. Every
+    /// `Acquire::Wait` in the engine ends here.
+    pub(crate) fn park(&mut self, ticket: Ticket, txn: TxnId, cont: LockCont) {
+        if cont.cb_thread().is_none() {
+            self.stats.lock_waits += 1;
+        }
+        let timer = self.arm(TimerKind::LockWait { ticket }, self.timeout_est.timeout());
+        let since = self.now;
+        let wait = Wait {
+            txn,
+            cont,
+            timer,
+            since,
+        };
+        self.waits.insert(ticket, wait);
     }
 
-    /// Records the end of a lock wait (grant or cancel) and retires its
-    /// timer.
-    pub(crate) fn finish_wait(&mut self, ticket: Ticket, record: bool) {
-        if let Some((timer, armed_at)) = self.ticket_timers.remove(&ticket) {
-            let kind = self.timers.remove(&timer);
-            if record {
-                let waited = self.now.since(armed_at);
-                self.timeout_est.record_wait(waited);
-                self.obs.lock_wait.record(waited);
-                if let Some(TimerKind::LockWait { txn, .. }) = kind {
-                    self.obs.stage_sample(txn, Stage::LockWait, waited);
-                }
-            }
+    /// Takes the wait parked under `ticket` out of the table with its
+    /// timer (granted or cancelled); the lock table's side is the
+    /// caller's.
+    pub(crate) fn unpark(&mut self, ticket: Ticket) -> Option<Wait> {
+        let w = self.waits.remove(&ticket)?;
+        self.timers.remove(&w.timer);
+        Some(w)
+    }
+
+    /// Releases every lock of `txn` and cancels its waits; returns the
+    /// grants the release made, for [`PeerServer::process_grants`].
+    pub(crate) fn release_locks(&mut self, txn: TxnId) -> Vec<pscc_lockmgr::Grant> {
+        // Recorded before the release: the lock table records the grants
+        // it hands the waiters inside `release_all` (DESIGN.md §9).
+        self.obs.record(pscc_obs::EventKind::LocksReleased { txn });
+        let out = self.locks.release_all(txn);
+        for t in out.cancelled {
+            self.unpark(t);
         }
+        out.grants
     }
 
     // ------------------------------------------------------------------
@@ -1163,11 +1232,16 @@ impl PeerServer {
     /// Dispatches lock grants produced by any lock-table mutation.
     pub(crate) fn process_grants(&mut self, grants: Vec<pscc_lockmgr::Grant>) {
         for g in grants {
-            self.finish_wait(g.ticket, true);
-            let Some(cont) = self.lock_conts.remove(&g.ticket) else {
+            let Some(w) = self.unpark(g.ticket) else {
                 continue;
             };
-            self.resume_lock(cont);
+            if w.cont.cb_thread().is_none() {
+                let waited = self.now.since(w.since);
+                self.timeout_est.record_wait(waited);
+                self.obs.lock_wait.record(waited);
+                self.obs.stage_sample(w.txn, Stage::LockWait, waited);
+            }
+            self.resume_lock(w.cont);
         }
     }
 
@@ -1228,25 +1302,22 @@ impl PeerServer {
             return; // stale fire
         };
         match kind {
-            TimerKind::LockWait { ticket, txn } => {
-                if self.locks.ticket_info(ticket).is_none() {
-                    return; // already granted/cancelled
-                }
-                self.ticket_timers.remove(&ticket);
-                self.stats.timeout_aborts += 1;
-                self.abort_txn_here(txn, AbortReason::LockTimeout);
-            }
-            TimerKind::CbWait { key } => {
-                let still_waiting = self.cb_ctxs.get(&key).is_some_and(|c| c.waiting.is_some());
-                if !still_waiting {
+            TimerKind::LockWait { ticket } => {
+                // The wait leaves with its timer: no wait, a stale fire.
+                let Some(w) = self.waits.remove(&ticket) else {
                     return;
-                }
-                // Notify the owner so the calling-back transaction gets
-                // aborted; drop the local callback thread.
-                self.cancel_cb_ctx(key);
+                };
                 self.stats.timeout_aborts += 1;
-                let (owner, cb) = key;
-                self.send(owner, Message::CbTimeout { cb });
+                match w.cont.cb_thread() {
+                    // Drop the local callback thread and notify the
+                    // owner, so the calling-back transaction gets aborted.
+                    Some(key) => {
+                        self.cancel_cb_ctx(key);
+                        let (owner, cb) = key;
+                        self.send(owner, Message::CbTimeout { cb });
+                    }
+                    None => self.abort_txn_here(w.txn, AbortReason::LockTimeout),
+                }
             }
             TimerKind::Lease { site } => self.lease_fired(site),
             TimerKind::Heartbeat => self.heartbeat_fired(),
@@ -1610,17 +1681,17 @@ mod tests {
         // Unblocked: the continuation runs at once, nothing is parked.
         let outs = app(&mut s, 1, Some(t1), lock.clone());
         assert!(done_for(&outs, t1));
-        assert!(s.lock_conts.is_empty() && s.ticket_timers.is_empty());
+        assert!(s.waits.is_empty() && s.timers.is_empty());
 
-        // Blocked behind t1: one continuation, one timer, no reply yet.
+        // Blocked behind t1: one wait, one timer, no reply yet.
         let outs = app(&mut s, 2, Some(t2), lock);
         assert!(!done_for(&outs, t2));
-        let parked: Vec<_> = s.lock_conts.values().collect();
+        let parked: Vec<_> = s.waits.values().map(|w| &w.cont).collect();
         assert!(
             matches!(parked[..], [LockCont::LocalExplicit { txn, .. }] if *txn == t2),
             "{parked:?}"
         );
-        assert_eq!(s.ticket_timers.len(), 1);
+        assert_eq!(s.timers.len(), 1);
         let armed = outs
             .iter()
             .filter(|o| matches!(o, Output::ArmTimer { .. }))
@@ -1632,7 +1703,59 @@ mod tests {
         // the unblocked t1.
         let outs = app(&mut s, 1, Some(t1), AppOp::Commit);
         assert!(done_for(&outs, t2));
-        assert!(s.lock_conts.is_empty() && s.ticket_timers.is_empty());
+        assert!(s.waits.is_empty() && s.timers.is_empty());
+    }
+
+    fn armed(outs: &[Output]) -> Vec<TimerId> {
+        outs.iter()
+            .filter_map(|o| match o {
+                Output::ArmTimer { timer, .. } => Some(*timer),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_granted_callback_wait_takes_its_timeout_with_it() {
+        // A client with two local transactions: `a` holds SH on the page,
+        // `b` SH on the object an owner's callback is about to take.
+        let owner = SiteId(0);
+        let mut s = PeerServer::new(SiteId(1), SystemConfig::small(), OwnerMap::Single(owner));
+        let (a, b) = (begin(&mut s, 1), begin(&mut s, 2));
+        let o = Oid::new(page(3), 0);
+        s.locks.acquire(a, LockableId::Page(o.page), LockMode::Sh);
+        s.locks.acquire(b, LockableId::Object(o), LockMode::Sh);
+
+        // The callback thread's page IX waits behind `a`.
+        let (cb, txn) = (CbId(7), TxnId::new(owner, 1));
+        let target = LockableId::Object(o);
+        let msg = Message::Callback { cb, txn, target };
+        let page_wait = armed(&drive(&mut s, Input::Msg { from: owner, msg }));
+        assert_eq!(page_wait.len(), 1);
+
+        // `a`'s abort grants the page; the object EX then waits behind
+        // `b` under a timer of its own.
+        let outs = app(&mut s, 1, Some(a), AppOp::Abort);
+        let obj_wait = armed(&outs);
+        assert_eq!(obj_wait.len(), 1);
+        assert_ne!(obj_wait, page_wait);
+
+        // The page wait's timeout left with the page wait.
+        let timer = page_wait[0];
+        let outs = drive(&mut s, Input::TimerFired { timer });
+        assert!(outs.is_empty(), "{outs:?}");
+        assert!(s.cb_ctxs.contains_key(&(owner, cb)));
+
+        // The object wait's own timeout drops the thread and tells the
+        // owner.
+        let timer = obj_wait[0];
+        let outs = drive(&mut s, Input::TimerFired { timer });
+        assert!(
+            matches!(outs[..], [Output::Send { to, msg: Message::CbTimeout { cb: c } }] if to == owner && c == cb),
+            "{outs:?}"
+        );
+        assert!(s.cb_ctxs.is_empty());
+        s.assert_locks_consistent();
     }
 
     #[test]

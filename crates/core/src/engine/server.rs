@@ -351,18 +351,7 @@ impl PeerServer {
                 op.all_purged &= purged;
             }
             if purged {
-                match target {
-                    LockableId::Object(o) => self.copy_table.drop_entry(o.page, self.site),
-                    LockableId::Page(p) => self.copy_table.drop_entry(p, self.site),
-                    LockableId::File(f) => self.copy_table.drop_file_entries(f, self.site),
-                    LockableId::Volume(v) => {
-                        for f in self.volume.files() {
-                            if f.vol == v {
-                                self.copy_table.drop_file_entries(f, self.site);
-                            }
-                        }
-                    }
-                }
+                self.drop_copies(target, self.site);
             }
         }
         if remote.is_empty() {
@@ -377,12 +366,8 @@ impl PeerServer {
             // yet be wedged mid-callback). This also caps how long one
             // stalled client can hold up the whole copy-table pass
             // (DESIGN.md §6).
-            let timer = self.fresh_timer();
-            self.timers.insert(timer, TimerKind::CbResponse { cb });
-            self.out.push(crate::msg::Output::ArmTimer {
-                timer,
-                delay: self.cfg.callback_response_timeout,
-            });
+            let delay = self.cfg.callback_response_timeout;
+            self.arm(TimerKind::CbResponse { cb }, delay);
         }
         for site in remote {
             self.obs.record(pscc_obs::EventKind::CallbackSent {
@@ -425,23 +410,13 @@ impl PeerServer {
                     self.stats.callbacks_object_only += 1;
                     false
                 } else {
-                    if self.cache.purge(oid.page).is_some() {
-                        self.stats.pages_purged += 1;
-                    }
-                    for h in self.txns.home.values_mut() {
-                        h.adaptive_pages.remove(&oid.page);
-                    }
+                    self.purge_page(oid.page);
                     self.stats.callbacks_purged_page += 1;
                     true
                 }
             }
             LockableId::Page(p) => {
-                if self.cache.purge(p).is_some() {
-                    self.stats.pages_purged += 1;
-                }
-                for h in self.txns.home.values_mut() {
-                    h.adaptive_pages.remove(&p);
-                }
+                self.purge_page(p);
                 true
             }
             LockableId::File(f) => {
@@ -488,26 +463,35 @@ impl PeerServer {
             return;
         };
         if purged_page {
-            match op.target {
-                LockableId::Object(o) => self.copy_table.drop_entry(o.page, from),
-                LockableId::Page(p) => self.copy_table.drop_entry(p, from),
-                LockableId::File(f) => self.copy_table.drop_file_entries(f, from),
-                LockableId::Volume(v) => {
-                    for f in self.volume.files() {
-                        if f.vol == v {
-                            self.copy_table.drop_file_entries(f, from);
-                        }
-                    }
-                }
-            }
+            let target = op.target;
+            self.drop_copies(target, from);
             self.stats.callbacks_purged_page += 1;
         }
         self.try_finish_cb_op(cb);
     }
 
+    /// Forgets `client`'s cached copies of `target` in the copy table
+    /// (it purged them for a callback).
+    fn drop_copies(&mut self, target: LockableId, client: SiteId) {
+        match target {
+            LockableId::Object(o) => self.copy_table.drop_entry(o.page, client),
+            LockableId::Page(p) => self.copy_table.drop_entry(p, client),
+            LockableId::File(f) => self.copy_table.drop_file_entries(f, client),
+            LockableId::Volume(v) => {
+                for f in self.volume.files() {
+                    if f.vol == v {
+                        self.copy_table.drop_file_entries(f, client);
+                    }
+                }
+            }
+        }
+    }
+
     /// A callback blocked at a client: replicate the conflict at the
     /// server via the downgrade dance and invoke the deadlock detector
-    /// (paper §4.2.1, §4.3.1, §4.3.2).
+    /// (paper §4.2.1, §4.3.1, §4.3.2). Another client's earlier report
+    /// may have the re-upgrade in flight already; the new holders are
+    /// replicated all the same, and that upgrade covers re-acquisition.
     pub(crate) fn server_cb_blocked(
         &mut self,
         from: SiteId,
@@ -517,154 +501,75 @@ impl PeerServer {
         let Some(op) = self.cb_ops.get(&cb) else {
             return;
         };
-        let cbtxn = op.txn;
-        let target = op.target;
+        let (cbtxn, target) = (op.txn, op.target);
         self.obs.record(pscc_obs::EventKind::CallbackBlocked {
             from,
             txn: cbtxn,
             item: target,
         });
-        if op.upgrade.is_some() {
-            // Already mid-dance from another client's blocked report; the
-            // new holders are replicated below, the existing upgrade
-            // covers re-acquisition.
-        }
+        let page_level = holders
+            .iter()
+            .any(|(_, item, _)| matches!(item, LockableId::Page(_)));
         match target {
-            LockableId::Object(oid) => {
-                let obj = LockableId::Object(oid);
+            LockableId::Object(oid) if page_level => {
+                // §4.3.2: page-level conflict. Downgrade page and object,
+                // replicate the SH page locks, upgrade at the page level
+                // only.
                 let page = LockableId::Page(oid.page);
-                let page_level = holders
-                    .iter()
-                    .any(|(_, item, _)| matches!(item, LockableId::Page(_)));
-                if page_level {
-                    // §4.3.2: page-level conflict. Downgrade page and
-                    // object, replicate the SH page locks, upgrade at the
-                    // page level only.
-                    if self.locks.held_mode(cbtxn, page) == Some(LockMode::Ix) {
-                        self.locks.downgrade(cbtxn, page, LockMode::Is);
-                        self.obs.record(pscc_obs::EventKind::LockDowngrade {
-                            txn: cbtxn,
-                            item: page,
-                        });
-                    }
-                    if self.locks.held_mode(cbtxn, obj) == Some(LockMode::Ex) {
-                        self.locks.downgrade(cbtxn, obj, LockMode::Sh);
-                        self.obs.record(pscc_obs::EventKind::LockDowngrade {
-                            txn: cbtxn,
-                            item: obj,
-                        });
-                    }
-                    for (t, item, m) in &holders {
-                        if self.replicable(*t) {
-                            let m = if m.is_read() || *m == LockMode::Ex {
-                                LockMode::Sh
-                            } else {
-                                LockMode::Is
-                            };
-                            self.locks.force_grant(*t, *item, m);
-                        }
-                    }
-                    if self.cb_ops.get(&cb).is_some_and(|o| o.upgrade.is_none()) {
-                        let (a, _) = self.locks.acquire_single(cbtxn, page, LockMode::Ix);
-                        match a {
-                            Acquire::Granted => {
-                                // Demote the re-entrant count bump.
-                                let _ = self.locks.release_one(cbtxn, page);
-                                self.server_cb_upgrade_done(cb);
-                            }
-                            Acquire::Wait(t) => {
-                                self.lock_conts.insert(t, LockCont::CbUpgrade { cb });
-                                if let Some(o) = self.cb_ops.get_mut(&cb) {
-                                    o.upgrade = Some(t);
-                                }
-                                self.arm_lock_timer(t, cbtxn);
-                            }
-                        }
-                    }
-                    // The object queue may now admit a sneaker (§4.3.2).
-                    let grants = self.locks.rescan(obj);
-                    self.process_grants(grants);
-                } else {
-                    // Object-level conflict (Fig. 4): EX→SH, replicate,
-                    // upgrade — atomically, so nobody slips past. The
-                    // replicated mode is capped at SH: it only needs to
-                    // carry the waits-for edge; a holder whose local lock
-                    // is stronger has (or will have) its own request at
-                    // the server (Fig. 4 grants "a SH lock on X on behalf
-                    // of thread C1,S").
-                    if self.locks.held_mode(cbtxn, obj) == Some(LockMode::Ex) {
-                        self.locks.downgrade(cbtxn, obj, LockMode::Sh);
-                        self.obs.record(pscc_obs::EventKind::LockDowngrade {
-                            txn: cbtxn,
-                            item: obj,
-                        });
-                    }
-                    for (t, item, m) in &holders {
-                        if self.replicable(*t) {
-                            let m = if m.is_read() || *m == LockMode::Ex {
-                                LockMode::Sh
-                            } else {
-                                LockMode::Is
-                            };
-                            self.locks.force_grant(*t, *item, m);
-                        }
-                    }
-                    self.issue_upgrade(cb, cbtxn, obj, LockMode::Ex);
-                }
+                self.downgrade_held(cbtxn, page, LockMode::Ix, LockMode::Is);
+                self.downgrade_held(cbtxn, target, LockMode::Ex, LockMode::Sh);
+                self.replicate(&holders, target);
+                self.issue_upgrade(cb, cbtxn, page, LockMode::Ix);
+                // The object queue may now admit a sneaker (§4.3.2).
+                let grants = self.locks.rescan(target);
+                self.process_grants(grants);
             }
-            LockableId::Page(_) => {
-                let page = target;
-                if self.locks.held_mode(cbtxn, page) == Some(LockMode::Ex) {
-                    self.locks.downgrade(cbtxn, page, LockMode::Sh);
-                    self.obs.record(pscc_obs::EventKind::LockDowngrade {
-                        txn: cbtxn,
-                        item: page,
-                    });
-                }
-                for (t, item, m) in &holders {
-                    if self.replicable(*t) {
-                        let m = if m.is_read() || *m == LockMode::Ex {
-                            LockMode::Sh
-                        } else {
-                            LockMode::Is
-                        };
-                        self.locks.force_grant(*t, *item, m);
-                    }
-                }
-                self.issue_upgrade(cb, cbtxn, page, LockMode::Ex);
-            }
-            LockableId::File(_) | LockableId::Volume(_) => {
-                // §4.3.1: EX file → SIX, replicate IS locks, upgrade back.
-                if self.locks.held_mode(cbtxn, target) == Some(LockMode::Ex) {
-                    self.locks.downgrade(cbtxn, target, LockMode::Six);
-                    self.obs.record(pscc_obs::EventKind::LockDowngrade {
-                        txn: cbtxn,
-                        item: target,
-                    });
-                }
-                for (t, item, m) in &holders {
-                    if self.replicable(*t) {
-                        // Local-only file locks are intentions (IS) from
-                        // cached reads; stronger modes arrive as reported.
-                        let m = if *m == LockMode::Ex || *m == LockMode::Six {
-                            *m
-                        } else if m.is_read() {
-                            LockMode::Sh
-                        } else {
-                            LockMode::Is
-                        };
-                        let m = if LockMode::Six.compatible(m) {
-                            m
-                        } else {
-                            LockMode::Is
-                        };
-                        self.locks.force_grant(*t, *item, m);
-                    }
-                }
+            // Object-level conflict (Fig. 4) and a page callback: EX→SH,
+            // replicate, upgrade — atomically, so nobody slips past.
+            // §4.3.1: an EX file or volume goes to SIX instead.
+            _ => {
+                let to = match target {
+                    LockableId::File(_) | LockableId::Volume(_) => LockMode::Six,
+                    _ => LockMode::Sh,
+                };
+                self.downgrade_held(cbtxn, target, LockMode::Ex, to);
+                self.replicate(&holders, target);
                 self.issue_upgrade(cb, cbtxn, target, LockMode::Ex);
             }
         }
         self.check_deadlocks();
+    }
+
+    /// Downgrades `txn`'s lock on `item` to `to` if it is held in `from`.
+    fn downgrade_held(&mut self, txn: TxnId, item: LockableId, from: LockMode, to: LockMode) {
+        if self.locks.held_mode(txn, item) == Some(from) {
+            self.locks.downgrade(txn, item, to);
+            self.obs
+                .record(pscc_obs::EventKind::LockDowngrade { txn, item });
+        }
+    }
+
+    /// Replicates the reported local holders of a blocked callback on
+    /// `target` here. Under a page or object callback a reading holder
+    /// is replicated in SH, capped there: it only needs to carry the
+    /// waits-for edge; a holder whose local lock is stronger has (or
+    /// will have) its own request at the server (Fig. 4 grants "a SH
+    /// lock on X on behalf of thread C1,S"). Under a file or volume
+    /// callback (§4.3.1) every holder is replicated in IS, the one mode
+    /// compatible with the caller's SIX: local-only file locks are
+    /// intentions from cached reads.
+    fn replicate(&mut self, holders: &[(TxnId, LockableId, LockMode)], target: LockableId) {
+        let coarse = matches!(target, LockableId::File(_) | LockableId::Volume(_));
+        for &(t, item, m) in holders {
+            if self.replicable(t) {
+                let m = if m.is_read() && !coarse {
+                    LockMode::Sh
+                } else {
+                    LockMode::Is
+                };
+                self.locks.force_grant(t, item, m);
+            }
+        }
     }
 
     /// Whether a holder reported by a client can be replicated here (it
@@ -677,8 +582,11 @@ impl PeerServer {
         true
     }
 
+    /// Re-acquires `mode` on `item` for the callback operation `cb`'s
+    /// transaction, unless the operation is gone or has an upgrade in
+    /// flight already; a wait parks as `CbUpgrade`.
     fn issue_upgrade(&mut self, cb: CbId, txn: TxnId, item: LockableId, mode: LockMode) {
-        if self.cb_ops.get(&cb).is_some_and(|o| o.upgrade.is_some()) {
+        if self.cb_ops.get(&cb).is_none_or(|o| o.upgrade.is_some()) {
             return;
         }
         let (a, _) = self.locks.acquire_single(txn, item, mode);
@@ -688,11 +596,10 @@ impl PeerServer {
                 self.server_cb_upgrade_done(cb);
             }
             Acquire::Wait(t) => {
-                self.lock_conts.insert(t, LockCont::CbUpgrade { cb });
+                self.park(t, txn, LockCont::CbUpgrade { cb });
                 if let Some(o) = self.cb_ops.get_mut(&cb) {
                     o.upgrade = Some(t);
                 }
-                self.arm_lock_timer(t, txn);
             }
         }
     }

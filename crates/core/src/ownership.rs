@@ -23,9 +23,9 @@ use pscc_common::{PageId, SiteId};
 
 use crate::owner_map::{OwnerMap, OwnershipError};
 
-/// The serialized form persisted in WAL checkpoints and shipped in
-/// migration records: `(version, ranges)`.
-pub type LayoutImage = (u64, Vec<(u32, u32, SiteId)>);
+// The serialized form persisted in WAL checkpoints and shipped in
+// migration records, `(version, ranges)`, is the WAL's own definition.
+pub use pscc_wal::LayoutImage;
 
 /// An [`OwnerMap`] stamped with a layout version.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -1157,6 +1157,11 @@ impl LockTable {
         crate::deadlock::detect_cycles(&self.waits_for_edges())
     }
 
+    /// Every pending ticket, in no particular order.
+    pub fn pending_tickets(&self) -> impl Iterator<Item = Ticket> + '_ {
+        self.pending.keys().copied()
+    }
+
     /// Transactions currently waiting (distinct).
     pub fn waiting_txns(&self) -> Vec<TxnId> {
         let mut v: Vec<TxnId> = self.pending.values().map(|p| p.txn).collect();

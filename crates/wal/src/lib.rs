@@ -398,8 +398,8 @@ pub struct AttEntry {
 }
 
 /// The serialized ownership layout carried in checkpoints: a layout
-/// version plus `(lo, hi, owner)` page-number ranges. Structurally the
-/// same image `pscc-core`'s ownership directory produces.
+/// version plus `(lo, hi, owner)` page-number ranges. `pscc-core`'s
+/// ownership directory produces and adopts it.
 pub type LayoutImage = (u64, Vec<(u32, u32, SiteId)>);
 
 /// A fuzzy checkpoint: everything restart analysis needs besides the
