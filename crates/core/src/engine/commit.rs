@@ -6,7 +6,7 @@ use super::{CbKey, DiskCont, PeerServer, ReqCont, Request};
 use crate::msg::{AppReply, DiskOp, Input, Message, ReqId};
 use crate::txn::TxnStatus;
 use pscc_common::hash::HashMap;
-use pscc_common::{AbortReason, LockableId, SiteId, TxnId};
+use pscc_common::{AbortReason, LockableId, SimTime, SiteId, Stage, TxnId};
 use pscc_wal::{LogPayload, LogRecord};
 use std::collections::VecDeque;
 
@@ -35,6 +35,9 @@ pub(crate) struct CommitApply {
     pub release: bool,
     /// Mark the remote transaction prepared (2PC phase one).
     pub prepare_mark: bool,
+    /// When the final log force was issued (the `WalForce` stage's
+    /// start), if one was.
+    pub force_started: Option<SimTime>,
 }
 
 impl PeerServer {
@@ -59,14 +62,17 @@ impl PeerServer {
                 return;
             };
             h.status = TxnStatus::Committing;
+            h.commit_started = Some(self.now);
             for o in by_owner.keys() {
                 h.participants.insert(*o);
             }
             let mut p: Vec<SiteId> = h.participants.iter().copied().collect();
             p.sort();
+            if p.len() > 1 {
+                h.prepare_started = Some(self.now);
+            }
             p
         };
-        self.obs.commit_begin(txn, self.now);
         self.obs.record(pscc_obs::EventKind::Commit {
             txn,
             stage: pscc_obs::event::CommitStage::Request,
@@ -84,7 +90,6 @@ impl PeerServer {
             return;
         }
         // Two-phase commit (paper §3.3).
-        self.obs.prepare_begin(txn, self.now);
         self.obs.record(pscc_obs::EventKind::Commit {
             txn,
             stage: pscc_obs::event::CommitStage::Prepare,
@@ -114,7 +119,7 @@ impl PeerServer {
             return;
         };
         debug_assert_eq!(t, txn);
-        let decide: Option<Vec<SiteId>> = {
+        let decide: Option<(Vec<SiteId>, Option<SimTime>)> = {
             let Some(h) = self.txns.home.get_mut(&txn) else {
                 return;
             };
@@ -125,16 +130,19 @@ impl PeerServer {
                 if h.votes.len() == h.participants.len() {
                     let mut p: Vec<SiteId> = h.participants.iter().copied().collect();
                     p.sort();
-                    Some(p)
+                    h.decide_started = Some(self.now);
+                    Some((p, h.prepare_started.take()))
                 } else {
                     return;
                 }
             }
         };
         match decide {
-            Some(participants) => {
-                self.obs.prepare_done(txn, self.now);
-                self.obs.decide_begin(txn, self.now);
+            Some((participants, prepare_started)) => {
+                if let Some(t0) = prepare_started {
+                    let voted = self.now.since(t0);
+                    self.obs.stage_sample(txn, Stage::TwopcPrepare, voted);
+                }
                 self.obs.record(pscc_obs::EventKind::Commit {
                     txn,
                     stage: pscc_obs::event::CommitStage::Voted,
@@ -177,8 +185,14 @@ impl PeerServer {
         self.cache.clean_txn(txn);
         let grants = self.release_locks(txn);
         self.stats.commits += 1;
-        self.obs.decide_done(txn, self.now);
-        self.obs.commit_done(txn, self.now);
+        if let Some(t0) = h.decide_started {
+            let decided = self.now.since(t0);
+            self.obs.stage_sample(txn, Stage::TwopcDecide, decided);
+        }
+        if let Some(t0) = h.commit_started {
+            self.obs.commit_latency.record(self.now.since(t0));
+        }
+        self.obs.txn_latency.record(self.now.since(h.started));
         self.trace_txn_done(txn);
         self.obs.record(pscc_obs::EventKind::Commit {
             txn,
@@ -268,6 +282,7 @@ impl PeerServer {
             reply,
             release,
             prepare_mark,
+            force_started: None,
         };
         self.commit_apply_step(state);
     }
@@ -330,7 +345,7 @@ impl PeerServer {
                     payload,
                 });
                 if self.log.force() {
-                    self.obs.force_begin(state.txn, self.now);
+                    state.force_started = Some(self.now);
                     self.disk(DiskOp::WriteLog, DiskCont::CommitForced(state));
                 } else {
                     self.commit_forced(state);
@@ -341,7 +356,10 @@ impl PeerServer {
 
     /// The log force completed: release (if commit), answer.
     pub(crate) fn commit_forced(&mut self, state: CommitApply) {
-        self.obs.force_done(state.txn, self.now);
+        if let Some(t0) = state.force_started {
+            let forced = self.now.since(t0);
+            self.obs.stage_sample(state.txn, Stage::WalForce, forced);
+        }
         if state.prepare_mark {
             if let Some(r) = self.txns.remote.get_mut(&state.txn) {
                 r.prepared = true;
@@ -429,11 +447,8 @@ impl PeerServer {
             let Some(r) = self.settle(req) else {
                 continue;
             };
-            if let Some(q) = self.credit_waiters.get_mut(&r.to) {
-                q.retain(|&queued| queued != req);
-                if q.is_empty() {
-                    self.credit_waiters.remove(&r.to);
-                }
+            if let Some(peer) = self.peers.get_mut(&r.to) {
+                peer.stalled.retain(|&queued| queued != req);
             }
             if r.retry.is_some() {
                 in_flight.push(r.to);
@@ -443,7 +458,6 @@ impl PeerServer {
             self.credit_release(site);
         }
         self.stats.aborts += 1;
-        self.obs.commit_drop(txn);
         self.obs.record(pscc_obs::EventKind::Abort { txn, reason });
         self.cache.abort_txn(txn);
         // Objects updated earlier whose dirty marks were lost to an
@@ -480,7 +494,6 @@ impl PeerServer {
             .collect();
         for cb in cbs {
             let op = self.cb_ops.remove(&cb).expect("listed above");
-            self.obs.cb_closed(cb);
             if let LockableId::Object(o) = op.target {
                 self.cb_by_object.remove(&o);
             }

@@ -31,7 +31,7 @@
 //! behind an empty-map check and the engine is byte-identical to the
 //! strict build.
 
-use super::{DiskCont, PeerServer, TimerKind};
+use super::{DiskCont, EdgeFetch, PeerServer, TimerKind};
 use crate::msg::{DiskOp, Message, ReqId};
 use pscc_common::{ConsistencyTier, Oid, PageId, SimDuration, SimTime, SiteId, TxnId};
 use pscc_storage::SlottedPage;
@@ -63,7 +63,7 @@ impl PeerServer {
             // are already local and must see committed truth.
             return false;
         }
-        if self.dead_sites.contains(&owner) {
+        if self.peers.get(&owner).is_some_and(|p| p.dead) {
             // A declared-dead owner answers no fetches; the strict path
             // owns the failure story until it is heard from again
             // (rejoin fencing and all).
@@ -77,38 +77,39 @@ impl PeerServer {
         self.stats.edge_misses += 1;
         self.obs
             .record(pscc_obs::EventKind::EdgeMiss { page: oid.page });
-        self.edge_waiting
-            .entry(oid.page)
-            .or_default()
-            .push((txn, oid));
-        if !self.edge_fetching.contains_key(&oid.page) {
-            let req = self.fresh_req();
-            self.edge_fetching.insert(oid.page, (req, self.now));
-            let watch = tier.watch_based();
-            if watch {
-                self.edge_ensure_watch(owner);
-            }
-            self.send(
-                owner,
-                Message::EdgeFetch {
-                    req,
-                    page: oid.page,
-                    watch,
-                    lease: self.edge_watch_lease(),
-                },
-            );
+        if let Some(fetch) = self.edge_fetches.get_mut(&oid.page) {
+            fetch.waiters.push((txn, oid));
+            return true;
         }
+        let req = self.fresh_req();
+        let fetch = EdgeFetch {
+            req,
+            sent: self.now,
+            waiters: vec![(txn, oid)],
+        };
+        self.edge_fetches.insert(oid.page, fetch);
+        let watch = tier.watch_based();
+        if watch {
+            self.edge_ensure_watch(owner);
+        }
+        self.send(
+            owner,
+            Message::EdgeFetch {
+                req,
+                page: oid.page,
+                watch,
+                lease: self.edge_watch_lease(),
+            },
+        );
         true
     }
 
     /// Serves `oid` from the local edge cache if the copy is valid under
     /// `tier` right now. Returns whether it was served.
     fn edge_serve(&mut self, txn: TxnId, oid: Oid, owner: SiteId, tier: ConsistencyTier) -> bool {
-        let validated = self
-            .edge_watch
-            .get(&owner)
-            .copied()
-            .unwrap_or(SimTime::ZERO);
+        let validated = (self.peers.get(&owner))
+            .and_then(|p| p.watch)
+            .map_or(SimTime::ZERO, |(validated, _)| validated);
         let Some(entry) = self.edge_cache.peek(oid.page) else {
             return false;
         };
@@ -152,20 +153,19 @@ impl PeerServer {
         image: SlottedPage,
     ) {
         self.edge_note_owner_epoch(from, epoch);
-        match self.edge_fetching.get(&page) {
-            Some((r, _)) if *r == req => {}
+        match self.edge_fetches.get(&page) {
+            Some(f) if f.req == req => {}
             _ => return, // superseded or cancelled fetch: drop
         }
-        let (_, sent) = self.edge_fetching.remove(&page).expect("checked above");
+        let fetch = self.edge_fetches.remove(&page).expect("checked above");
         let tier = self.cfg.tier_of(page.file.file);
         // `version == 0` is the owner's can't-serve sentinel (page not in
         // its volume, e.g. mid-migration); an un-cacheable tier means a
         // `SetTier` roll landed while the fetch was in flight.
         if version > 0 && tier.edge_cacheable() {
-            self.edge_cache.install(page, image, version, sent);
+            self.edge_cache.install(page, image, version, fetch.sent);
         }
-        let waiters = self.edge_waiting.remove(&page).unwrap_or_default();
-        for (txn, oid) in waiters {
+        for (txn, oid) in fetch.waiters {
             if !self.txn_is_running(txn) {
                 continue;
             }
@@ -192,18 +192,20 @@ impl PeerServer {
     /// Ensures watch state and the periodic renew timer exist for
     /// `owner`.
     pub(crate) fn edge_ensure_watch(&mut self, owner: SiteId) {
-        if self.edge_watch.contains_key(&owner) {
+        if self.peers.get(&owner).is_some_and(|p| p.watch.is_some()) {
             return;
         }
-        self.edge_watch.insert(owner, SimTime::ZERO);
         self.edge_arm_renew(owner);
     }
 
+    /// Arms the next renew toward `owner`, starting the watch (never
+    /// validated) if there is none.
     fn edge_arm_renew(&mut self, owner: SiteId) {
         let lease = self.edge_watch_lease();
         let delay = SimDuration::from_micros((lease.as_micros() / 2).max(1));
         let timer = self.arm(TimerKind::EdgeRenew { owner }, delay);
-        self.edge_renew_timer.insert(owner, timer);
+        let watch = &mut self.peer(owner).watch;
+        watch.get_or_insert((SimTime::ZERO, timer)).1 = timer;
     }
 
     /// The subscription lease the edge asks owners for: the smallest
@@ -241,18 +243,14 @@ impl PeerServer {
     /// of) and re-arm. A fire with no watch state left, or from a timer
     /// that has been superseded, is stale and arms nothing.
     pub(crate) fn edge_renew_fired(&mut self, timer: crate::msg::TimerId, owner: SiteId) {
-        if self.edge_renew_timer.get(&owner) != Some(&timer) {
-            return; // superseded (owner died and watch was recreated)
-        }
-        if !self.edge_watch.contains_key(&owner) {
-            self.edge_renew_timer.remove(&owner);
-            return;
+        match self.peers.get(&owner).and_then(|p| p.watch) {
+            Some((_, renew)) if renew == timer => {}
+            _ => return, // superseded (owner died and watch was recreated)
         }
         let files = self.edge_watch_files();
         if files.is_empty() {
             // Every watch-based tier was rolled away: retire the watch.
-            self.edge_watch.remove(&owner);
-            self.edge_renew_timer.remove(&owner);
+            self.peer(owner).watch = None;
             return;
         }
         let req = self.fresh_req();
@@ -287,8 +285,8 @@ impl PeerServer {
         if resubscribed {
             self.edge_purge_watch_files(from, "watch coverage lapsed");
         }
-        if let Some(v) = self.edge_watch.get_mut(&from) {
-            *v = (*v).max(sent);
+        if let Some((validated, _)) = self.peer(from).watch.as_mut() {
+            *validated = (*validated).max(sent);
         }
     }
 
@@ -297,7 +295,7 @@ impl PeerServer {
     /// copies. (`BoundedStale` copies are untouched: their validity
     /// rests on their own fetch time, not on the invalidation stream.)
     fn edge_note_owner_epoch(&mut self, owner: SiteId, epoch: u64) {
-        match self.edge_owner_epoch.insert(owner, epoch) {
+        match self.peer(owner).owner_epoch.replace(epoch) {
             Some(prev) if prev != epoch => {
                 self.edge_purge_watch_files(owner, "owner epoch bump");
             }
@@ -317,8 +315,8 @@ impl PeerServer {
                 purged += 1;
             }
         }
-        if let Some(v) = self.edge_watch.get_mut(&owner) {
-            *v = SimTime::ZERO;
+        if let Some((validated, _)) = self.peer(owner).watch.as_mut() {
+            *validated = SimTime::ZERO;
         }
         if purged > 0 {
             self.obs.record(pscc_obs::EventKind::EdgePurgedOwner {
@@ -501,10 +499,7 @@ impl PeerServer {
                 .record(pscc_obs::EventKind::EdgeSubReaped { site: dead });
         }
 
-        // Edge role.
-        self.edge_watch.remove(&dead);
-        self.edge_renew_timer.remove(&dead);
-        self.edge_owner_epoch.remove(&dead);
+        // Edge role (the watch left with the peer's record).
         self.edge_renews.retain(|_, (s, _)| *s != dead);
         let mut purged = 0usize;
         for page in self.edge_cache.pages() {
@@ -520,16 +515,15 @@ impl PeerServer {
             });
         }
         let mut dead_pages: Vec<PageId> = self
-            .edge_fetching
+            .edge_fetches
             .keys()
             .copied()
             .filter(|p| self.owners.owner_of(*p) == Some(dead))
             .collect();
         dead_pages.sort_unstable(); // the aborts below go out in this order
         for page in dead_pages {
-            self.edge_fetching.remove(&page);
-            let waiters = self.edge_waiting.remove(&page).unwrap_or_default();
-            for (txn, _) in waiters {
+            let fetch = self.edge_fetches.remove(&page).expect("listed above");
+            for (txn, _) in fetch.waiters {
                 if self.txn_is_running(txn) {
                     self.home_abort(txn, pscc_common::AbortReason::Internal);
                 }

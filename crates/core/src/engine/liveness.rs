@@ -7,9 +7,12 @@
 //! injection, in the spirit of lease-based self-invalidation:
 //!
 //! * **Leases** — when `SystemConfig::leases_enabled`, a server notes
-//!   the virtual time of every message received from a remote peer and
-//!   keeps a lease timer armed; if a full `lease_duration` passes in
-//!   silence, the peer is declared crashed.
+//!   in the peer's record (`PeerServer::peers`) the virtual time of
+//!   every message received from it, and keeps one lease timer armed,
+//!   named by the record; if a full `lease_duration` passes in silence,
+//!   the peer is declared crashed. The declaration retires the timer,
+//!   so contact after a false suspicion starts one new lease, not a
+//!   second chain beside the old one.
 //! * **Heartbeats** — each site periodically sends
 //!   [`Message::Heartbeat`] to every peer it has contacted, so healthy
 //!   but idle clients keep their leases alive.
@@ -24,8 +27,8 @@
 //!   completes deescalations addressed to it. Transactions the dead
 //!   site *prepared* here are kept in doubt (2PC safety) and resolved
 //!   by `QueryTxn` when their home rejoins.
-//! * **Rejoin fencing** — declaring a site dead also marks it with the
-//!   must-rejoin sentinel in the epoch registry, so a revived or
+//! * **Rejoin fencing** — declaring a site dead empties its record but
+//!   for the must-rejoin sentinel in its `joined` epoch, so a revived or
 //!   falsely-suspected client cannot act on stale registrations: its
 //!   next request is refused with [`Message::RejoinRequired`] and it
 //!   re-synchronizes through the handshake in `engine/recovery.rs`.
@@ -35,11 +38,12 @@
 //!   consistent.
 //!
 //! All timers follow the engine's stale-fire idiom: a fire whose state
-//! has moved on is a no-op. With leases disabled (the default) none of
+//! has moved on (for a lease, a timer its peer's record no longer
+//! names) is a no-op. With leases disabled (the default) none of
 //! this arms, so failure-free runs are unchanged.
 
-use super::{CbKey, PeerServer, Request, TimerKind};
-use crate::msg::{CbId, DeId, Message};
+use super::{CbKey, Peer, PeerServer, Request, TimerKind};
+use crate::msg::{CbId, DeId, Message, TimerId};
 use crate::txn::TxnStatus;
 use pscc_common::{AbortReason, SiteId, TxnId};
 
@@ -49,43 +53,69 @@ impl PeerServer {
     /// previously declared dead means it restarted: forget the
     /// declaration and lease it afresh.
     pub(crate) fn observe_peer(&mut self, from: SiteId) {
-        self.dead_sites.remove(&from);
-        if self.lease_heard.insert(from, self.now).is_none() {
-            self.arm_lease_timer(from, self.cfg.lease_duration);
+        let peer = self.peers.entry(from).or_default();
+        peer.dead = false;
+        if let Some((heard, _)) = &mut peer.lease {
+            *heard = self.now;
+            return;
         }
+        let timer = self.arm(TimerKind::Lease { site: from }, self.cfg.lease_duration);
+        self.peer(from).lease = Some((self.now, timer));
     }
 
     /// Records that this site sent a message to `to`; arms the periodic
     /// heartbeat tick on first remote contact.
     pub(crate) fn note_contact(&mut self, to: SiteId) {
-        self.hb_peers.insert(to);
+        self.peer(to).heartbeat = true;
         if !self.hb_armed {
             self.hb_armed = true;
             self.arm(TimerKind::Heartbeat, self.cfg.heartbeat_interval);
         }
     }
 
-    fn arm_lease_timer(&mut self, site: SiteId, delay: pscc_common::SimDuration) {
-        self.arm(TimerKind::Lease { site }, delay);
-    }
-
-    /// A lease timer fired: declare the peer crashed if it has been
-    /// silent for a full lease, else re-arm for the remaining time.
-    pub(crate) fn lease_fired(&mut self, site: SiteId) {
-        let Some(&heard) = self.lease_heard.get(&site) else {
-            return; // lease retired (peer already declared dead)
+    /// Lease timer `timer` on `site` fired: declare the peer crashed if
+    /// it has been silent for a full lease, else re-arm for the
+    /// remaining time. A timer the peer's record no longer names was
+    /// retired by a declaration and fires stale.
+    pub(crate) fn lease_fired(&mut self, timer: TimerId, site: SiteId) {
+        let heard = match self.peers.get(&site).and_then(|p| p.lease) {
+            Some((heard, armed)) if armed == timer => heard,
+            _ => return,
         };
         let elapsed = self.now.since(heard);
         if elapsed >= self.cfg.lease_duration {
             self.declare_site_dead(site);
         } else {
-            self.arm_lease_timer(site, self.cfg.lease_duration.saturating_sub(elapsed));
+            let rest = self.cfg.lease_duration.saturating_sub(elapsed);
+            let timer = self.arm(TimerKind::Lease { site }, rest);
+            self.peer(site).lease = Some((heard, timer));
+        }
+    }
+
+    /// Client role: `owner` holds no registration of this site any more
+    /// (it was declared dead here, or it asks this site to rejoin), so
+    /// no callback keeps the pages cached from it consistent. Purge
+    /// them, and void the page-wide write grants backed by its lock
+    /// state.
+    pub(crate) fn owner_lost(&mut self, owner: SiteId) {
+        for page in self.cache.pages() {
+            if self.owners.owner_of(page) == Some(owner) {
+                self.cache.purge(page);
+            }
+        }
+        let owners = &self.owners;
+        for h in self.txns.home.values_mut() {
+            h.adaptive_pages
+                .retain(|p| owners.owner_of(*p) != Some(owner));
         }
     }
 
     /// The heartbeat tick fired: ping every contacted peer and re-arm.
     pub(crate) fn heartbeat_fired(&mut self) {
-        let peers: Vec<SiteId> = self.hb_peers.iter().copied().collect();
+        let peers: Vec<SiteId> = (self.peers.iter())
+            .filter(|(_, p)| p.heartbeat)
+            .map(|(s, _)| *s)
+            .collect();
         for p in peers {
             self.send(p, Message::Heartbeat);
         }
@@ -116,34 +146,36 @@ impl PeerServer {
     /// Harnesses may call this directly; the lease and
     /// callback-response timers call it on expiry.
     pub fn declare_site_dead(&mut self, dead: SiteId) {
-        if dead == self.site || !self.dead_sites.insert(dead) {
+        if dead == self.site || self.peers.get(&dead).is_some_and(|p| p.dead) {
             return;
         }
-        self.lease_heard.remove(&dead);
-        self.hb_peers.remove(&dead);
         self.stats.crashes_detected += 1;
         self.obs
             .record(pscc_obs::EventKind::CrashDetected { site: dead });
 
-        // Fence the (possibly falsely-suspected) site: its registrations
-        // here are about to be revoked, so it must complete the rejoin
-        // handshake before any new work is served (engine/recovery.rs).
-        self.joined.insert(dead, 0);
+        // Everything known about the peer goes: its lease (the timer
+        // retires with it, so a later contact starts one chain, not a
+        // second), its heartbeats, its credits and credit queue (the
+        // stalled requests will never be answered; their transactions
+        // are aborted below) and its edge watch. The record keeps the
+        // declaration and fences the (possibly falsely-suspected) site:
+        // its registrations here are about to be revoked, so it must
+        // rejoin before any new work is served (engine/recovery.rs).
+        let gone = std::mem::replace(
+            self.peer(dead),
+            Peer {
+                dead: true,
+                joined: Some(0),
+                ..Peer::default()
+            },
+        );
+        if let Some((_, timer)) = gone.lease {
+            self.timers.remove(&timer);
+        }
 
         // Client role: pages cached from the dead owner are no longer
-        // protected by callbacks — self-invalidate them, and void any
-        // grants backed by its (gone) lock state.
-        let cached = self.cache.pages();
-        for page in cached {
-            if self.owners.owner_of(page) == Some(dead) {
-                self.cache.purge(page);
-            }
-        }
-        let owners = self.owners.clone();
-        for h in self.txns.home.values_mut() {
-            h.adaptive_pages
-                .retain(|p| owners.owner_of(*p) != Some(dead));
-        }
+        // protected by callbacks.
+        self.owner_lost(dead);
 
         // Abort every in-flight transaction whose home is the dead site:
         // WAL undo, replicated-lock release, callback cancellation and
@@ -177,13 +209,8 @@ impl PeerServer {
         self.edge_site_dead(dead);
 
         // Overload protection: admission slots its requests held are
-        // void, and this site's credit state toward it resets — queued
-        // requests for the dead owner will never be answered (their
-        // transactions are aborted below), and a fresh credit pool is
-        // lazily seeded if it rejoins.
+        // void, and requests that left for it may not be sent again.
         self.admitted.retain(|(s, _), _| *s != dead);
-        self.credits.remove(&dead);
-        self.credit_waiters.remove(&dead);
         for r in self.requests.values_mut().filter(|r| r.to == dead) {
             r.retry = None;
         }

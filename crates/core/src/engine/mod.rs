@@ -331,6 +331,9 @@ pub(crate) struct CbOp {
     pub upgrade: Option<Ticket>,
     /// What to do when the operation completes.
     pub done: CbDone,
+    /// When the fan-out went out: each acknowledgment's round trip is
+    /// measured from here.
+    pub started: SimTime,
 }
 
 /// Completion action of a callback operation.
@@ -353,6 +356,47 @@ pub(crate) struct DeOp {
     /// (remote requests and owner-local application accesses);
     /// re-processed afterwards.
     pub queued: Vec<Input>,
+}
+
+/// What this site knows about one other site, in every role it plays
+/// toward it (DESIGN.md §13). A default record says no more than no
+/// record.
+#[derive(Debug, Default)]
+pub(crate) struct Peer {
+    /// When the peer was last heard from, and the lease timer armed on
+    /// it (leases enabled only). A `Lease` fire counts only while its
+    /// timer is this one.
+    pub lease: Option<(SimTime, TimerId)>,
+    /// This site has sent to the peer: it gets heartbeats.
+    pub heartbeat: bool,
+    /// Declared crashed here and not heard from since.
+    pub dead: bool,
+    /// Owner role: the epoch the peer last joined under. `Some(0)`
+    /// (never a real epoch) marks a peer declared dead here, which must
+    /// rejoin before new protocol work is served.
+    pub joined: Option<u64>,
+    /// Client role: data requests that left for the peer on a credit
+    /// and are not yet answered (at most `fetch_credits`).
+    pub credits_used: u32,
+    /// Client role: data requests waiting for a credit, oldest first.
+    pub stalled: VecDeque<ReqId>,
+    /// Edge role: the watch on the peer's pages, while its renew loop
+    /// runs: the send time of the last acked renew (`SimTime::ZERO` =
+    /// never validated) and the current renew timer.
+    pub watch: Option<(SimTime, TimerId)>,
+    /// Edge role: the last epoch seen from the peer as an owner
+    /// (restart detection).
+    pub owner_epoch: Option<u64>,
+}
+
+/// An edge fetch in flight for one page (DESIGN.md §11): its request,
+/// its send time (the installed copy's freshness anchor) and the reads
+/// parked behind it.
+#[derive(Debug)]
+pub(crate) struct EdgeFetch {
+    pub req: ReqId,
+    pub sent: SimTime,
+    pub waiters: Vec<(TxnId, Oid)>,
 }
 
 /// One peer server of the system.
@@ -409,32 +453,22 @@ pub struct PeerServer {
     // Timeout estimation (§5.5).
     pub(crate) timeout_est: TimeoutEstimator,
 
-    // Crash detection (leases enabled only).
-    /// When each remote peer was last heard from; a lease timer is
-    /// armed for every entry.
-    pub(crate) lease_heard: HashMap<SiteId, SimTime>,
-    /// Remote peers this site has sent to (heartbeat recipients).
-    pub(crate) hb_peers: std::collections::BTreeSet<SiteId>,
+    // Peers: liveness (leases enabled only), join epochs, credits and
+    // edge watches, one record per other site.
+    /// Every other site this site has heard from or sent to, in site
+    /// order, so heartbeats and per-peer sweeps go out in the same order
+    /// under any hash seed.
+    pub(crate) peers: std::collections::BTreeMap<SiteId, Peer>,
     /// Whether the periodic heartbeat timer is armed.
     pub(crate) hb_armed: bool,
-    /// Peers already declared crashed (makes the declaration idempotent;
-    /// a later message from the peer means it restarted and clears it).
-    pub(crate) dead_sites: HashSet<SiteId>,
 
     // Restart recovery and the rejoin/epoch protocol (server role).
     /// This server's epoch: 1 at first boot, bumped by every restart
     /// recovery. Carried in the rejoin handshake to fence stale clients.
     pub(crate) epoch: u64,
-    /// Epoch each peer last joined under. A value of `0` (never a real
-    /// epoch) marks a peer that was declared dead here and must rejoin
-    /// before new protocol work is served.
-    pub(crate) joined: HashMap<SiteId, u64>,
     /// Set by restart recovery: the copy table is gone, so *every* peer
     /// must rejoin — first contact no longer joins implicitly.
     pub(crate) require_rejoin: bool,
-    /// Client role: the epoch this site last completed a rejoin
-    /// handshake under, per owner.
-    pub(crate) peer_epochs: HashMap<SiteId, u64>,
 
     // Overload protection (DESIGN.md §6).
     /// Server role: remote data requests currently admitted, keyed by
@@ -443,12 +477,6 @@ pub struct PeerServer {
     pub(crate) admitted: HashMap<(SiteId, ReqId), TxnId>,
     /// High-water mark of `admitted` (exported as a gauge).
     pub(crate) admitted_peak: usize,
-    /// Client role: remaining request credits per owner (lazily seeded
-    /// with `cfg.fetch_credits`).
-    pub(crate) credits: HashMap<SiteId, u32>,
-    /// Client role: data requests queued locally until a credit for
-    /// their owner is returned by a reply.
-    pub(crate) credit_waiters: HashMap<SiteId, VecDeque<ReqId>>,
     /// Server role: remote transactions recently aborted here. Data
     /// requests and abort notices travel on different transport lanes,
     /// so a request can arrive *after* the abort that killed its
@@ -476,21 +504,10 @@ pub struct PeerServer {
     // non-empty — strict-only runs never touch any of it.
     /// Edge role: the lock-free page store.
     pub(crate) edge_cache: pscc_edge::EdgeCache,
-    /// Edge role: per owner, the send time of the last acked watch
-    /// renew (`SimTime::ZERO` = never validated). Presence of a key
-    /// means the renew loop is running for that owner.
-    pub(crate) edge_watch: HashMap<SiteId, SimTime>,
-    /// Edge role: the current renew timer per owner (identity check for
-    /// stale fires).
-    pub(crate) edge_renew_timer: HashMap<SiteId, crate::msg::TimerId>,
     /// Edge role: outstanding renews awaiting their ack, with send time.
     pub(crate) edge_renews: HashMap<ReqId, (SiteId, SimTime)>,
-    /// Edge role: last epoch seen from each owner (restart detection).
-    pub(crate) edge_owner_epoch: HashMap<SiteId, u64>,
-    /// Edge role: reads parked behind an in-flight edge fetch.
-    pub(crate) edge_waiting: HashMap<PageId, Vec<(TxnId, Oid)>>,
-    /// Edge role: the in-flight fetch per page `(req, send time)`.
-    pub(crate) edge_fetching: HashMap<PageId, (ReqId, SimTime)>,
+    /// Edge role: the fetch in flight per page.
+    pub(crate) edge_fetches: HashMap<PageId, EdgeFetch>,
     /// Owner role: edge watch subscriptions (lease-reaped).
     pub(crate) edge_subs: pscc_edge::SubscriptionTable,
     /// Owner role: last published commit version per tiered page.
@@ -582,30 +599,20 @@ impl PeerServer {
             disk_conts: HashMap::default(),
             timers: HashMap::default(),
             timeout_est,
-            lease_heard: HashMap::default(),
-            hb_peers: std::collections::BTreeSet::new(),
+            peers: std::collections::BTreeMap::new(),
             hb_armed: false,
-            dead_sites: HashSet::default(),
             epoch: 1,
-            joined: HashMap::default(),
             require_rejoin: false,
-            peer_epochs: HashMap::default(),
             admitted: HashMap::default(),
             admitted_peak: 0,
-            credits: HashMap::default(),
-            credit_waiters: HashMap::default(),
             dead_txns: BoundedFifoMap::new(DEAD_TXN_MEMORY),
             drain: DrainPhase::Active,
             migrating: None,
             migrating_in: None,
             migrated_out: Vec::new(),
             edge_cache: pscc_edge::EdgeCache::new(cache_pages.max(1)),
-            edge_watch: HashMap::default(),
-            edge_renew_timer: HashMap::default(),
             edge_renews: HashMap::default(),
-            edge_owner_epoch: HashMap::default(),
-            edge_waiting: HashMap::default(),
-            edge_fetching: HashMap::default(),
+            edge_fetches: HashMap::default(),
             edge_subs: pscc_edge::SubscriptionTable::new(),
             edge_versions: HashMap::default(),
             cur_ctx: None,
@@ -769,7 +776,7 @@ impl PeerServer {
             self.admitted.len()
         );
         assert!(
-            self.credit_waiters.values().all(VecDeque::is_empty),
+            self.peers.values().all(|p| p.stalled.is_empty()),
             "site {}: credit-stalled requests leak",
             self.site
         );
@@ -789,12 +796,7 @@ impl PeerServer {
             self.site
         );
         assert!(
-            self.edge_waiting.is_empty(),
-            "site {}: reads parked on edge fetches leak",
-            self.site
-        );
-        assert!(
-            self.edge_fetching.is_empty(),
+            self.edge_fetches.is_empty(),
             "site {}: in-flight edge fetches leak",
             self.site
         );
@@ -896,10 +898,9 @@ impl PeerServer {
             self.admitted.remove(&(to, req));
         }
         if let Some((req, _)) = credit_request(&msg) {
-            let cap = self.cfg.fetch_credits.max(1);
-            let c = self.credits.entry(to).or_insert(cap);
+            let peer = self.peers.entry(to).or_default();
             let record = self.requests.get_mut(&req);
-            if *c == 0 {
+            if peer.credits_used >= self.cfg.fetch_credits.max(1) {
                 self.stats.credits_stalled += 1;
                 self.obs
                     .record(pscc_obs::EventKind::CreditStalled { peer: to });
@@ -907,11 +908,11 @@ impl PeerServer {
                 // message when a credit comes back.
                 if let Some(r) = record {
                     r.stalled.get_or_insert(self.now);
-                    self.credit_waiters.entry(to).or_default().push_back(req);
+                    peer.stalled.push_back(req);
                 }
                 return;
             }
-            *c -= 1;
+            peer.credits_used += 1;
             if let Some(r) = record {
                 r.retry.get_or_insert(0);
                 // A request departing after a credit stall or busy
@@ -1017,19 +1018,19 @@ impl PeerServer {
         self.txn_spans.remove(&txn);
     }
 
+    /// The record of `site`, made empty on first use.
+    pub(crate) fn peer(&mut self, site: SiteId) -> &mut Peer {
+        self.peers.entry(site).or_default()
+    }
+
     /// Returns one credit for `site` (capped at the configured pool) and
     /// releases the oldest request waiting on it, if any.
     pub(crate) fn credit_release(&mut self, site: SiteId) {
-        let cap = self.cfg.fetch_credits.max(1);
-        let c = self.credits.entry(site).or_insert(cap);
-        *c = (*c + 1).min(cap);
-        let Some(queue) = self.credit_waiters.get_mut(&site) else {
+        let Some(peer) = self.peers.get_mut(&site) else {
             return;
         };
-        let next = queue.pop_front();
-        if queue.is_empty() {
-            self.credit_waiters.remove(&site);
-        }
+        peer.credits_used = peer.credits_used.saturating_sub(1);
+        let next = peer.stalled.pop_front();
         if let Some(msg) = next.and_then(|req| self.requests.get(&req)?.data_msg(req)) {
             self.send(site, msg);
         }
@@ -1319,7 +1320,7 @@ impl PeerServer {
                     None => self.abort_txn_here(w.txn, AbortReason::LockTimeout),
                 }
             }
-            TimerKind::Lease { site } => self.lease_fired(site),
+            TimerKind::Lease { site } => self.lease_fired(timer, site),
             TimerKind::Heartbeat => self.heartbeat_fired(),
             TimerKind::CbResponse { cb } => self.cb_response_fired(cb),
             TimerKind::BusyRetry { req } => self.busy_retry_fired(req),
@@ -1360,8 +1361,8 @@ impl PeerServer {
         match (req.txn, req.op) {
             (None, AppOp::Begin) => {
                 let txn = self.txns.next_txn_id(self.site);
-                self.txns.home.insert(txn, HomeTxn::new(txn, req.app));
-                self.obs.txn_begin(txn, self.now);
+                let home = HomeTxn::new(txn, req.app, self.now);
+                self.txns.home.insert(txn, home);
                 self.reply_app(AppReply::Started { app: req.app, txn });
             }
             (Some(txn), op) => {
@@ -1835,6 +1836,9 @@ mod tests {
     /// the stage samples the request's record produces are exact.
     struct Pair {
         sites: [PeerServer; 2],
+        /// Leave disk requests pending in `Effects::disks` instead of
+        /// completing them at once.
+        hold_disks: bool,
     }
 
     const OWNER: usize = 0;
@@ -1842,17 +1846,21 @@ mod tests {
 
     impl Pair {
         fn new() -> Self {
+            Self::with_owners(OwnerMap::Single(SiteId(0)))
+        }
+
+        fn with_owners(map: OwnerMap) -> Self {
             let cfg = pscc_common::SystemConfig::small();
-            let map = || OwnerMap::Single(SiteId(0));
-            let site = |i| PeerServer::new(SiteId(i), cfg.clone(), map());
+            let site = |i| PeerServer::new(SiteId(i), cfg.clone(), map.clone());
             Pair {
                 sites: [site(0), site(1)],
+                hold_disks: false,
             }
         }
 
         /// Feeds `input` to site `i` at `at` µs, completing its disks at
-        /// once; returns what it sent, the timers it armed and its
-        /// application replies.
+        /// once unless they are held; returns what it sent, the timers
+        /// it armed, its application replies and its held disks.
         fn step(&mut self, i: usize, at: u64, input: Input) -> Effects {
             let now = SimTime::from_micros(at);
             let s = &mut self.sites[i];
@@ -1863,6 +1871,7 @@ mod tests {
                     match o {
                         Output::Send { to, msg } => fx.sent.push((to, msg)),
                         Output::ArmTimer { timer, .. } => fx.timers.push(timer),
+                        Output::Disk { req, .. } if self.hold_disks => fx.disks.push(req),
                         Output::Disk { req, .. } => pending.push_back(Input::DiskDone { req }),
                         Output::App(r) => fx.replies.push(r),
                     }
@@ -1872,12 +1881,16 @@ mod tests {
         }
 
         fn app(&mut self, at: u64, txn: Option<TxnId>, op: AppOp) -> Effects {
+            self.app_at(CLIENT, at, txn, op)
+        }
+
+        fn app_at(&mut self, i: usize, at: u64, txn: Option<TxnId>, op: AppOp) -> Effects {
             let req = AppRequest {
                 app: AppId(1),
                 txn,
                 op,
             };
-            self.step(CLIENT, at, Input::App(req))
+            self.step(i, at, Input::App(req))
         }
 
         /// Delivers `msg` from the other site of the pair to site `i`.
@@ -1886,8 +1899,25 @@ mod tests {
             self.step(i, at, Input::Msg { from, msg })
         }
 
+        /// Carries the one message site `i` sent in `fx` to the other
+        /// site, and its answer back, all at `at` µs, until a step sends
+        /// nothing; returns that step's effects.
+        fn settle(&mut self, mut i: usize, at: u64, mut fx: Effects) -> Effects {
+            while !fx.sent.is_empty() {
+                i = 1 - i;
+                fx = self.deliver(i, at, fx.msg());
+            }
+            fx
+        }
+
         fn begin(&mut self) -> TxnId {
-            match self.app(0, None, AppOp::Begin).replies[..] {
+            self.begin_at(CLIENT)
+        }
+
+        /// Begins a transaction at site `i`, at its current time.
+        fn begin_at(&mut self, i: usize) -> TxnId {
+            let now = self.sites[i].now.as_micros();
+            match self.app_at(i, now, None, AppOp::Begin).replies[..] {
                 [AppReply::Started { txn, .. }] => txn,
                 ref other => panic!("unexpected {other:?}"),
             }
@@ -1899,6 +1929,7 @@ mod tests {
         sent: Vec<(SiteId, Message)>,
         timers: Vec<TimerId>,
         replies: Vec<AppReply>,
+        disks: Vec<DiskReqId>,
     }
 
     impl Effects {
@@ -1971,7 +2002,7 @@ mod tests {
         let fired = p.step(CLIENT, 1_000, Input::TimerFired { timer });
         assert!(fired.sent.is_empty(), "{:?}", fired.sent);
         let c = &p.sites[CLIENT];
-        assert_eq!(c.credits[&SiteId(0)], c.cfg.fetch_credits);
+        assert_eq!(c.peers[&SiteId(0)].credits_used, 0);
         assert_eq!(c.stats.busy_retries, 0);
         assert!(p.deliver(OWNER, 1_100, abort).sent.is_empty());
         p.sites.iter().for_each(PeerServer::assert_quiescent);
@@ -2032,5 +2063,154 @@ mod tests {
             .iter()
             .position(|k| matches!(k, K::LockGrant { txn, mode: LockMode::Ex, .. } if *txn == t2));
         assert!(released.unwrap() < granted.unwrap(), "{kinds:?}");
+    }
+
+    #[test]
+    fn a_suspected_peer_keeps_one_lease_timer() {
+        let mut cfg = SystemConfig::small();
+        cfg.leases_enabled = true;
+        let mut s = PeerServer::new(SiteId(0), cfg, OwnerMap::Single(SiteId(0)));
+        let peer = SiteId(1);
+        let heartbeat = || Input::Msg {
+            from: peer,
+            msg: Message::Heartbeat,
+        };
+        drive(&mut s, heartbeat());
+        // Each false suspicion is followed by contact from the peer.
+        for _ in 0..2 {
+            s.declare_site_dead(peer);
+            drive(&mut s, heartbeat());
+        }
+        let leases = (s.timers.values())
+            .filter(|k| matches!(k, TimerKind::Lease { site } if *site == peer))
+            .count();
+        assert_eq!(leases, 1);
+    }
+
+    #[test]
+    fn a_commit_is_timed_from_its_transactions_record() {
+        let mut p = Pair::new();
+        let t = p.begin();
+        let read = p.app(0, Some(t), AppOp::Read(oid())).msg();
+        let reply = p.deliver(OWNER, 10, read).msg();
+        p.deliver(CLIENT, 20, reply);
+        let commit = p.app(50, Some(t), AppOp::Commit).msg();
+        let ok = p.deliver(OWNER, 100, commit).msg();
+        let done = p.deliver(CLIENT, 250, ok);
+        assert!(matches!(done.replies[..], [AppReply::Committed { .. }]));
+        // An aborted transaction leaves no sample.
+        let t = p.begin();
+        p.app(300, Some(t), AppOp::Abort);
+
+        let c = &p.sites[CLIENT];
+        let commit = &c.obs.commit_latency;
+        assert_eq!((commit.count(), commit.sum_micros()), (1, 200));
+        let txn = &c.obs.txn_latency;
+        assert_eq!((txn.count(), txn.sum_micros()), (1, 250));
+        p.sites.iter().for_each(PeerServer::assert_quiescent);
+    }
+
+    #[test]
+    fn a_callback_times_each_ack_of_its_fan_out() {
+        let mut p = Pair::new();
+        // The client and a third site cache the page, under transactions
+        // that have committed.
+        let t = p.begin();
+        let fx = p.app(0, Some(t), AppOp::Read(oid()));
+        p.settle(CLIENT, 0, fx);
+        let fx = p.app(0, Some(t), AppOp::Commit);
+        p.settle(CLIENT, 0, fx);
+        let far = SiteId(2);
+        let (req, txn) = (ReqId(1), TxnId::new(far, 1));
+        for msg in [
+            Message::ReadObj {
+                req,
+                txn,
+                oid: oid(),
+            },
+            Message::CommitReq {
+                req,
+                txn,
+                records: Vec::new(),
+            },
+        ] {
+            p.step(OWNER, 0, Input::Msg { from: far, msg });
+        }
+
+        // An owner-local write calls both copies back at 100 µs; the
+        // acknowledgments arrive at 110 and 130 µs.
+        let w = p.begin_at(OWNER);
+        let write = AppOp::Write {
+            oid: oid(),
+            bytes: None,
+        };
+        let fx = p.app_at(OWNER, 100, Some(w), write);
+        let to: Vec<SiteId> = fx.sent.iter().map(|(to, _)| *to).collect();
+        assert_eq!(to, [SiteId(1), far]);
+        let callback = fx.sent.into_iter().next().unwrap().1;
+        let Message::Callback { cb, .. } = callback else {
+            panic!("{callback:?}")
+        };
+        let ack = p.deliver(CLIENT, 100, callback).msg();
+        p.deliver(OWNER, 110, ack);
+        let ack = || Message::CbOk {
+            cb,
+            purged_page: true,
+        };
+        let from_far = |msg| Input::Msg { from: far, msg };
+        let done = p.step(OWNER, 130, from_far(ack()));
+        assert!(matches!(done.replies[..], [AppReply::Done { .. }]));
+        // A late duplicate of a closed operation is not measured.
+        p.step(OWNER, 150, from_far(ack()));
+        p.app_at(OWNER, 200, Some(w), AppOp::Commit);
+
+        let o = &p.sites[OWNER];
+        let rtt = &o.obs.callback_rtt;
+        assert_eq!((rtt.count(), rtt.sum_micros()), (2, 40));
+        assert_eq!(o.obs.stage_hist(Stage::CallbackRtt).sum_micros(), 40);
+        p.sites.iter().for_each(PeerServer::assert_quiescent);
+    }
+
+    #[test]
+    fn a_two_phase_commit_times_its_force_prepare_and_decide() {
+        // The client owns the upper half of the database.
+        let split = vec![(0, 225, SiteId(0)), (225, 450, SiteId(1))];
+        let mut p = Pair::with_owners(OwnerMap::Ranges(split));
+        let own = Oid::new(PageId::new(FileId::new(VolId(1), 0), 300), 0);
+        let t = p.begin();
+        for oid in [oid(), own] {
+            let fx = p.app(0, Some(t), AppOp::Write { oid, bytes: None });
+            let done = p.settle(CLIENT, 0, fx);
+            assert!(matches!(done.replies[..], [AppReply::Done { .. }]));
+        }
+
+        // Phase one from 1 000 µs: the client votes at once, the owner
+        // forces its prepare from 1 100 to 1 190 µs, and its vote lands
+        // at 1 500 µs.
+        let prepare = p.app(1_000, Some(t), AppOp::Commit).msg();
+        p.hold_disks = true;
+        let fx = p.deliver(OWNER, 1_100, prepare);
+        p.hold_disks = false;
+        assert!(fx.sent.is_empty() && !fx.disks.is_empty());
+        let mut voted = Vec::new();
+        for req in fx.disks {
+            voted.extend(p.step(OWNER, 1_190, Input::DiskDone { req }).sent);
+        }
+        let [(_, vote)] = &voted[..] else {
+            panic!("{voted:?}")
+        };
+        // Phase two from 1 500 µs; the owner's ack lands at 1 700 µs.
+        let decide = p.deliver(CLIENT, 1_500, vote.clone()).msg();
+        let decided = p.deliver(OWNER, 1_600, decide).msg();
+        let done = p.deliver(CLIENT, 1_700, decided);
+        assert!(matches!(done.replies[..], [AppReply::Committed { .. }]));
+
+        let (o, c) = (&p.sites[OWNER].obs, &p.sites[CLIENT].obs);
+        assert_eq!(o.stage_hist(Stage::WalForce).sum_micros(), 90);
+        let prepare = c.stage_hist(Stage::TwopcPrepare);
+        assert_eq!((prepare.count(), prepare.sum_micros()), (1, 500));
+        let decide = c.stage_hist(Stage::TwopcDecide);
+        assert_eq!((decide.count(), decide.sum_micros()), (1, 200));
+        p.sites.iter().for_each(PeerServer::assert_quiescent);
     }
 }

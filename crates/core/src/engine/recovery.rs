@@ -9,17 +9,17 @@
 //! coordinator has forgotten the transaction.
 //!
 //! **Epochs** fence the recovered server from the stale world. Each
-//! server carries an epoch (1 at first boot, +1 per restart) and a
-//! `joined` registry of peers admitted under it. Because the copy table
-//! and lock state died with the crash, a restarted server cannot honor
-//! any pre-crash registration: every peer must complete the rejoin
-//! handshake before new protocol work is served. The same fence covers
-//! false suspicion (§4.2.4 hazard): [`PeerServer::declare_site_dead`]
-//! marks the suspect with the must-rejoin sentinel, so a revived or
-//! wrongly-suspected client — possibly still holding an EX copy whose
-//! registration was revoked — finds its requests refused with
-//! [`Message::RejoinRequired`] instead of silently violating the
-//! one-exclusive-copy invariant.
+//! server carries an epoch (1 at first boot, +1 per restart) and keeps
+//! in each peer's record the epoch it was admitted under. Because the
+//! copy table and lock state died with the crash, a restarted server
+//! cannot honor any pre-crash registration: every peer must complete
+//! the rejoin handshake before new protocol work is served. The same
+//! fence covers false suspicion (§4.2.4 hazard):
+//! [`PeerServer::declare_site_dead`] marks the suspect with the
+//! must-rejoin sentinel, so a revived or wrongly-suspected client —
+//! possibly still holding an EX copy whose registration was revoked —
+//! finds its requests refused with [`Message::RejoinRequired`] instead
+//! of silently violating the one-exclusive-copy invariant.
 //!
 //! The **client half** reacts to `RejoinRequired` by treating the owner
 //! as reborn: purge every cached page it owns (they are no longer
@@ -159,14 +159,15 @@ impl PeerServer {
         if from == self.site {
             return false;
         }
-        let current = match self.joined.get(&from) {
-            Some(&e) => e == self.epoch,
+        let joined = &mut self.peers.entry(from).or_default().joined;
+        let current = match *joined {
+            Some(e) => e == self.epoch,
             // First contact with a server that never restarted joins
             // implicitly; after a restart everyone must shake hands.
             None => !self.require_rejoin,
         };
         if current {
-            self.joined.entry(from).or_insert(self.epoch);
+            joined.get_or_insert(self.epoch);
             return false;
         }
         if matches!(
@@ -196,7 +197,7 @@ impl PeerServer {
             return;
         }
         self.copy_table.drop_site_entries(from);
-        self.joined.insert(from, epoch);
+        self.peer(from).joined = Some(epoch);
 
         let mut stuck: Vec<TxnId> = self
             .txns
@@ -232,16 +233,8 @@ impl PeerServer {
         if server == self.site {
             return;
         }
-        self.peer_epochs.insert(server, epoch);
-
-        // Cached pages owned by the server are no longer protected by
-        // callbacks; self-invalidate (they are re-fetched lazily).
-        let pages = self.cache.pages();
-        for page in pages {
-            if self.owners.owner_of(page) == Some(server) {
-                self.cache.purge(page);
-            }
-        }
+        // Pages cached from the server are re-fetched lazily.
+        self.owner_lost(server);
         let stale_large: Vec<PageId> = self
             .large_cache
             .keys()
@@ -250,11 +243,6 @@ impl PeerServer {
             .collect();
         for p in stale_large {
             self.large_cache.remove(&p);
-        }
-        let owners = self.owners.clone();
-        for h in self.txns.home.values_mut() {
-            h.adaptive_pages
-                .retain(|p| owners.owner_of(*p) != Some(server));
         }
 
         // Active transactions that touched the server lost their locks
@@ -288,7 +276,6 @@ impl PeerServer {
 
     /// Client side: the handshake completed; requests flow again.
     pub(crate) fn client_rejoin_ok(&mut self, server: SiteId, epoch: u64) {
-        self.peer_epochs.insert(server, epoch);
         self.obs.record(EventKind::Rejoined { server, epoch });
     }
 

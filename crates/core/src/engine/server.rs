@@ -8,7 +8,7 @@
 use super::{CbDone, CbOp, DeOp, DiskCont, LockCont, PeerServer, TimerKind};
 use crate::msg::{CbId, DeId, DiskOp, Message, ReqId};
 use pscc_common::hash::HashSet;
-use pscc_common::{ids::DUMMY_SLOT, LockMode, LockableId, Oid, PageId, SiteId, TxnId};
+use pscc_common::{ids::DUMMY_SLOT, LockMode, LockableId, Oid, PageId, SiteId, Stage, TxnId};
 use pscc_lockmgr::Acquire;
 use pscc_storage::{AvailMask, PageSnapshot, SlottedPage};
 use pscc_wal::LogRecord;
@@ -336,6 +336,7 @@ impl PeerServer {
             violated: false,
             upgrade: None,
             done,
+            started: self.now,
         };
         self.cb_ops.insert(cb, op);
         if let LockableId::Object(o) = target {
@@ -359,7 +360,6 @@ impl PeerServer {
             return;
         }
         self.stats.callbacks_sent += remote.len() as u64;
-        self.obs.cb_sent(cb, txn, self.now);
         if self.cfg.leases_enabled {
             // Bound the fan-out's response time: clients still pending
             // when this fires are declared crashed (they may heartbeat
@@ -447,7 +447,9 @@ impl PeerServer {
         }
         op.all_purged &= purged_page;
         let (cb_txn, cb_item) = (op.txn, op.target);
-        self.obs.cb_acked(cb, self.now);
+        let rtt = self.now.since(op.started);
+        self.obs.callback_rtt.record(rtt);
+        self.obs.stage_sample(cb_txn, Stage::CallbackRtt, rtt);
         self.obs.record(pscc_obs::EventKind::CallbackPurged {
             from,
             txn: cb_txn,
@@ -638,7 +640,6 @@ impl PeerServer {
         if violated {
             // Redo the whole callback operation (paper §4.3.2).
             self.stats.callback_redos += 1;
-            self.obs.cb_closed(cb);
             if let Some(op) = self.cb_ops.get(&cb) {
                 self.obs.record(pscc_obs::EventKind::Race {
                     item: op.target,
@@ -668,7 +669,6 @@ impl PeerServer {
             });
             return;
         };
-        self.obs.cb_closed(cb);
         if let LockableId::Object(o) = op.target {
             self.cb_by_object.remove(&o);
         }
@@ -1132,6 +1132,7 @@ mod tests {
                         req: ReqId(cb),
                         to: txn.site,
                     },
+                    started: pscc_common::SimTime::ZERO,
                 };
                 s.cb_ops.insert(CbId(cb), op);
                 s.cb_by_object.insert(o, CbId(cb));

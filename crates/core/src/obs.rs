@@ -1,10 +1,9 @@
 //! Per-site observability state carried by the engine: an optional
-//! protocol trace handle, always-on latency histograms, and the
-//! in-flight stamps used to turn callback, commit and 2PC pairs into
-//! latencies. A client request's own stamps live in its record in the
-//! engine's request table. Recording is O(1) and allocation-free on the hot path;
-//! the trace is off unless [`crate::PeerServer::enable_trace`] is
-//! called.
+//! protocol trace handle and always-on latency histograms. The stamps
+//! that turn a request, callback, commit or 2PC pair into a latency
+//! live in the engine records they time. Recording is O(1) and
+//! allocation-free on the hot path; the trace is off unless
+//! [`crate::PeerServer::enable_trace`] is called.
 //!
 //! Stage attribution (DESIGN.md §9): every measured interval is also
 //! recorded into a per-[`Stage`] histogram and — when tracing is on —
@@ -12,8 +11,6 @@
 //! served, which is what the critical-path analyzer in `pscc-obs`
 //! sweeps into per-transaction commit-latency breakdowns.
 
-use crate::msg::CbId;
-use pscc_common::hash::HashMap;
 use pscc_common::{SimDuration, SimTime, SiteId, Stage, TxnId};
 use pscc_obs::event::{EventKind, TraceHandle};
 use pscc_obs::Histogram;
@@ -51,12 +48,6 @@ pub struct SiteObs {
     pub edge_staleness: Histogram,
     /// Per-stage latency histograms (indexed by [`Stage::index`]).
     stage_hists: [Histogram; Stage::COUNT],
-    cb_started: HashMap<CbId, (TxnId, SimTime)>,
-    commit_started: HashMap<TxnId, SimTime>,
-    txn_started: HashMap<TxnId, SimTime>,
-    force_started: HashMap<TxnId, SimTime>,
-    prepare_started: HashMap<TxnId, SimTime>,
-    decide_started: HashMap<TxnId, SimTime>,
 }
 
 impl SiteObs {
@@ -103,86 +94,6 @@ impl SiteObs {
             micros: d.as_micros(),
         });
     }
-
-    pub(crate) fn cb_sent(&mut self, cb: CbId, txn: TxnId, now: SimTime) {
-        self.cb_started.insert(cb, (txn, now));
-    }
-
-    /// One acknowledgment arrived; the stamp stays until the operation
-    /// closes so later acks of the same fan-out are measured too.
-    pub(crate) fn cb_acked(&mut self, cb: CbId, now: SimTime) {
-        if let Some((txn, t0)) = self.cb_started.get(&cb).copied() {
-            let d = now.since(t0);
-            self.callback_rtt.record(d);
-            self.stage_sample(txn, Stage::CallbackRtt, d);
-        }
-    }
-
-    pub(crate) fn cb_closed(&mut self, cb: CbId) {
-        self.cb_started.remove(&cb);
-    }
-
-    /// A home transaction began (application `Begin`).
-    pub(crate) fn txn_begin(&mut self, txn: TxnId, now: SimTime) {
-        self.txn_started.insert(txn, now);
-    }
-
-    pub(crate) fn commit_begin(&mut self, txn: TxnId, now: SimTime) {
-        self.commit_started.insert(txn, now);
-    }
-
-    pub(crate) fn commit_done(&mut self, txn: TxnId, now: SimTime) {
-        if let Some(t0) = self.commit_started.remove(&txn) {
-            self.commit_latency.record(now.since(t0));
-        }
-        if let Some(t0) = self.txn_started.remove(&txn) {
-            self.txn_latency.record(now.since(t0));
-        }
-    }
-
-    pub(crate) fn commit_drop(&mut self, txn: TxnId) {
-        self.commit_started.remove(&txn);
-        self.txn_started.remove(&txn);
-        self.force_started.remove(&txn);
-        self.prepare_started.remove(&txn);
-        self.decide_started.remove(&txn);
-    }
-
-    /// A commit-path WAL force was issued for `txn` at this owner.
-    pub(crate) fn force_begin(&mut self, txn: TxnId, now: SimTime) {
-        self.force_started.insert(txn, now);
-    }
-
-    /// The commit-path WAL force for `txn` became durable.
-    pub(crate) fn force_done(&mut self, txn: TxnId, now: SimTime) {
-        if let Some(t0) = self.force_started.remove(&txn) {
-            self.stage_sample(txn, Stage::WalForce, now.since(t0));
-        }
-    }
-
-    /// 2PC phase one began at the home (prepare fan-out).
-    pub(crate) fn prepare_begin(&mut self, txn: TxnId, now: SimTime) {
-        self.prepare_started.insert(txn, now);
-    }
-
-    /// All votes arrived at the home.
-    pub(crate) fn prepare_done(&mut self, txn: TxnId, now: SimTime) {
-        if let Some(t0) = self.prepare_started.remove(&txn) {
-            self.stage_sample(txn, Stage::TwopcPrepare, now.since(t0));
-        }
-    }
-
-    /// 2PC phase two began at the home (decide fan-out).
-    pub(crate) fn decide_begin(&mut self, txn: TxnId, now: SimTime) {
-        self.decide_started.insert(txn, now);
-    }
-
-    /// All decision acks arrived at the home.
-    pub(crate) fn decide_done(&mut self, txn: TxnId, now: SimTime) {
-        if let Some(t0) = self.decide_started.remove(&txn) {
-            self.stage_sample(txn, Stage::TwopcDecide, now.since(t0));
-        }
-    }
 }
 
 #[cfg(test)]
@@ -192,54 +103,6 @@ mod tests {
 
     fn txn(seq: u64) -> TxnId {
         TxnId::new(SiteId(0), seq)
-    }
-
-    #[test]
-    fn rtt_pairs_measure_durations() {
-        let mut o = SiteObs::default();
-        let t0 = SimTime::ZERO;
-        let t1 = t0 + SimDuration::from_micros(250);
-        o.txn_begin(txn(1), t0);
-        o.commit_begin(txn(1), t0 + SimDuration::from_micros(50));
-        o.commit_done(txn(1), t1);
-        o.commit_done(txn(2), t1); // unmatched: ignored
-        assert_eq!(o.commit_latency.count(), 1);
-        assert_eq!(o.commit_latency.sum_micros(), 200);
-        assert_eq!(o.txn_latency.sum_micros(), 250);
-
-        o.commit_begin(txn(1), t0);
-        o.commit_drop(txn(1));
-        o.commit_done(txn(1), t1); // dropped: ignored
-        assert_eq!(o.commit_latency.count(), 1);
-    }
-
-    #[test]
-    fn callback_stamp_survives_until_closed() {
-        let mut o = SiteObs::default();
-        let t0 = SimTime::ZERO;
-        o.cb_sent(CbId(7), txn(3), t0);
-        o.cb_acked(CbId(7), t0 + SimDuration::from_micros(10));
-        o.cb_acked(CbId(7), t0 + SimDuration::from_micros(30));
-        o.cb_closed(CbId(7));
-        o.cb_acked(CbId(7), t0 + SimDuration::from_micros(50));
-        assert_eq!(o.callback_rtt.count(), 2);
-        assert_eq!(o.callback_rtt.sum_micros(), 40);
-        assert_eq!(o.stage_hist(Stage::CallbackRtt).sum_micros(), 40);
-    }
-
-    #[test]
-    fn stage_pairs_measure_durations() {
-        let mut o = SiteObs::default();
-        let t0 = SimTime::ZERO;
-        o.force_begin(txn(1), t0);
-        o.force_done(txn(1), t0 + SimDuration::from_micros(90));
-        assert_eq!(o.stage_hist(Stage::WalForce).sum_micros(), 90);
-        o.prepare_begin(txn(1), t0);
-        o.prepare_done(txn(1), t0 + SimDuration::from_micros(500));
-        o.decide_begin(txn(1), t0 + SimDuration::from_micros(500));
-        o.decide_done(txn(1), t0 + SimDuration::from_micros(700));
-        assert_eq!(o.stage_hist(Stage::TwopcPrepare).sum_micros(), 500);
-        assert_eq!(o.stage_hist(Stage::TwopcDecide).sum_micros(), 200);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use crate::msg::{AppOp, ReqId};
 use pscc_common::hash::{HashMap, HashSet};
-use pscc_common::{AppId, Oid, PageId, SiteId, TxnId};
+use pscc_common::{AppId, Oid, PageId, SimTime, SiteId, TxnId};
 
 /// Lifecycle of a home-site transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,11 +50,21 @@ pub struct HomeTxn {
     pub decided_acks: HashSet<SiteId>,
     /// Whether the local (home-owned) portion of the commit is done.
     pub local_commit_done: bool,
+    /// When the application began it (the `txn_latency` start).
+    pub started: SimTime,
+    /// When the application asked to commit (the `commit_latency`
+    /// start).
+    pub commit_started: Option<SimTime>,
+    /// When 2PC phase one began (the `TwopcPrepare` stage's start); taken
+    /// when the last vote arrives.
+    pub prepare_started: Option<SimTime>,
+    /// When 2PC phase two began (the `TwopcDecide` stage's start).
+    pub decide_started: Option<SimTime>,
 }
 
 impl HomeTxn {
-    /// Creates home state for a new transaction.
-    pub fn new(id: TxnId, app: AppId) -> Self {
+    /// Creates home state for a transaction begun at `started`.
+    pub fn new(id: TxnId, app: AppId, started: SimTime) -> Self {
         HomeTxn {
             id,
             app,
@@ -67,6 +77,10 @@ impl HomeTxn {
             votes: HashSet::default(),
             decided_acks: HashSet::default(),
             local_commit_done: false,
+            started,
+            commit_started: None,
+            prepare_started: None,
+            decide_started: None,
         }
     }
 }
@@ -157,7 +171,7 @@ mod tests {
     fn home_status_controls_activity() {
         let mut r = TxnRegistry::new();
         let t = r.next_txn_id(SiteId(1));
-        r.home.insert(t, HomeTxn::new(t, AppId(0)));
+        r.home.insert(t, HomeTxn::new(t, AppId(0), SimTime::ZERO));
         assert!(r.is_active(t));
         r.home.get_mut(&t).unwrap().status = TxnStatus::Aborted;
         assert!(!r.is_active(t));

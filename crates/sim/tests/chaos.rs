@@ -269,6 +269,38 @@ fn client_crash_before_commit_rolls_back_and_frees_locks() {
 }
 
 #[test]
+fn a_dead_homes_lock_wait_is_cancelled_by_orphan_cleanup() {
+    // B holds EX on an object at the owner and A's access to it waits
+    // there behind B. A crashes while waiting: the owner's lease on A
+    // expires, and orphan cleanup must abort the waiting transaction,
+    // cancelling its ticket and taking its wait with it.
+    let mut c = Simulation::seeded(
+        3,
+        chaos_cfg(Protocol::PsAa),
+        OwnerMap::Single(OWNER),
+        seed(31),
+    );
+    let oid = oid_on_page(4, 2);
+    let tb = c.begin(B, APP);
+    c.write(B, APP, tb, oid, None).unwrap();
+    let ta = c.begin(A, APP);
+    c.submit(A, APP, Some(ta), AppOp::Write { oid, bytes: None });
+    c.pump();
+    assert!(c.find_reply(A, ta).is_none(), "A must wait behind B");
+
+    c.crash_site(A);
+    c.pump_for(SimDuration::from_secs(1));
+    let total = c.total_stats();
+    assert!(total.crashes_detected >= 1, "crash never detected: {total}");
+    assert!(total.orphans_aborted >= 1, "orphan never aborted: {total}");
+    assert_eq!(total.timeout_aborts, 0, "the wait timed out first: {total}");
+
+    c.commit(B, APP, tb).unwrap();
+    assert_eq!(version_of(c.sites[0].volume().read_object(oid).unwrap()), 1);
+    c.assert_survivors_quiescent();
+}
+
+#[test]
 fn restart_after_crash_rejoins_cleanly() {
     let mut c = Simulation::seeded(
         3,
