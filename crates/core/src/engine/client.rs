@@ -120,7 +120,12 @@ impl PeerServer {
             return;
         };
         self.stats.write_requests += 1;
-        let req = self.issue(txn, owner, ReqCont::Write { oid, bytes });
+        let cont = ReqCont::Write {
+            oid,
+            bytes,
+            deescalated: false,
+        };
+        let req = self.issue(txn, owner, cont);
         self.send_data(req);
     }
 
@@ -129,7 +134,12 @@ impl PeerServer {
             return;
         };
         self.stats.read_requests += 1;
-        let req = self.issue(txn, owner, ReqCont::Fetch { oid, then_write });
+        let cont = ReqCont::Fetch {
+            oid,
+            then_write,
+            raced: Vec::new(),
+        };
+        let req = self.issue(txn, owner, cont);
         self.obs.record(pscc_obs::EventKind::FetchSent {
             to: owner,
             item: self.cfg.protocol.granule(oid),
@@ -199,6 +209,25 @@ impl PeerServer {
             }
         }
         Some(r)
+    }
+
+    /// The callback race (paper §4.2.4, Fig. 5): a callback on `oid`
+    /// completed here, and a read reply already in flight for its page
+    /// must not make it available again. Every fetch of the page
+    /// outstanding now carries the slot; later fetches do not.
+    pub(crate) fn mark_fetch_races(&mut self, oid: Oid) {
+        let Some(reqs) = self.pending_fetches.get(&oid.page) else {
+            return;
+        };
+        for req in reqs {
+            if let Some(Request {
+                cont: ReqCont::Fetch { raced, .. },
+                ..
+            }) = self.requests.get_mut(req)
+            {
+                raced.push(oid.slot);
+            }
+        }
     }
 
     /// [`Self::settle`], keeping the record only while its transaction
@@ -296,8 +325,8 @@ impl PeerServer {
     // Replies
     // ------------------------------------------------------------------
 
-    /// A shipped page arrived (paper §4.2.3 merge rules + §4.2.4 race
-    /// table).
+    /// A shipped page arrived (paper §4.2.3 merge rules), with the slots
+    /// its fetch's record marked raced (§4.2.4).
     pub(crate) fn client_read_reply(&mut self, req: ReqId, snapshot: PageSnapshot) {
         let record = self.settle(req);
         let page = snapshot.page;
@@ -310,7 +339,24 @@ impl PeerServer {
             from: self.owners.owner_of(page).unwrap_or(self.site),
             item: LockableId::Page(page),
         });
-        let raced = self.races.consume(page, req);
+        // A fetch already retired (its transaction aborted, or this is a
+        // duplicate) took its race marks with it: the owner's marks alone
+        // could make a called-back object available again, so the copy
+        // is dropped. No purge notice: the owner's entry for it is only
+        // conservative, and a duplicate's `ship_seq` names the live copy.
+        let Some(Request {
+            txn,
+            cont:
+                ReqCont::Fetch {
+                    oid,
+                    then_write,
+                    raced,
+                },
+            ..
+        }) = record
+        else {
+            return;
+        };
         if !raced.is_empty() {
             self.stats.callback_races += 1;
             self.obs.record(pscc_obs::EventKind::Race {
@@ -326,15 +372,9 @@ impl PeerServer {
             &raced,
         );
         self.send_purges(evicted);
-
-        let Some(Request {
-            txn,
-            cont: ReqCont::Fetch { oid, then_write },
-            ..
-        }) = record.filter(|r| self.txn_is_running(r.txn))
-        else {
+        if !self.txn_is_running(txn) {
             return;
-        };
+        }
         match then_write {
             None => {
                 // `None` here legitimately means the object was deleted
@@ -350,10 +390,14 @@ impl PeerServer {
     /// page is kept for the transaction's later writes to it, unless a
     /// deescalation race (§4.2.4) voided it.
     pub(crate) fn client_write_granted(&mut self, req: ReqId, adaptive: bool) {
-        let deescalated = self.races.consume_deescalation(req);
         let Some(Request {
             txn,
-            cont: ReqCont::Write { oid, bytes },
+            cont:
+                ReqCont::Write {
+                    oid,
+                    bytes,
+                    deescalated,
+                },
             ..
         }) = self.settle_running(req)
         else {
@@ -379,7 +423,6 @@ impl PeerServer {
         let Some(r) = self.settle(req) else {
             return;
         };
-        self.races.forget_request(req);
         self.abort_txn_here(r.txn, reason);
     }
 
@@ -872,15 +915,7 @@ impl PeerServer {
         };
         ctx.waiting = None;
         ctx.held.push(LockableId::Object(oid));
-        // Callback race (paper §4.2.4 / Fig. 5): a read reply for this
-        // page may be in flight; it must not resurrect this object.
-        let pending: Vec<ReqId> = self
-            .pending_fetches
-            .get(&oid.page)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default();
-        self.races
-            .register_callback_race(oid.page, oid.slot, pending);
+        self.mark_fetch_races(oid);
         self.cache.mark_unavailable(oid);
         self.stats.callbacks_object_only += 1;
         self.finish_cb(key, false);
@@ -993,15 +1028,16 @@ impl PeerServer {
         }
         // Deescalation race: in-flight write requests for this page may
         // come back with a stale adaptive bit — void it (§4.2.4).
-        let outstanding: Vec<ReqId> = self
-            .requests
-            .iter()
-            .filter_map(|(r, rec)| match rec.cont {
-                ReqCont::Write { oid, .. } if oid.page == page => Some(*r),
-                _ => None,
-            })
-            .collect();
-        self.races.register_deescalation(outstanding);
+        for r in self.requests.values_mut() {
+            if let ReqCont::Write {
+                oid, deescalated, ..
+            } = &mut r.cont
+            {
+                if oid.page == page {
+                    *deescalated = true;
+                }
+            }
+        }
         let ex_locks: Vec<(TxnId, Oid)> = self
             .locks
             .ex_object_holders_on_page(page)

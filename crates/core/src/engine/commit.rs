@@ -6,7 +6,7 @@ use super::{CbKey, DiskCont, PeerServer, ReqCont, Request};
 use crate::msg::{AppReply, DiskOp, Input, Message, ReqId};
 use crate::txn::TxnStatus;
 use pscc_common::hash::HashMap;
-use pscc_common::{AbortReason, LockableId, SimTime, SiteId, Stage, TxnId};
+use pscc_common::{AbortReason, SimTime, SiteId, Stage, TxnId};
 use pscc_wal::{LogPayload, LogRecord};
 use std::collections::VecDeque;
 
@@ -443,7 +443,6 @@ impl PeerServer {
         // (a late reply re-releases, but the pool is capped).
         let mut in_flight = Vec::new();
         for req in reqs {
-            self.races.forget_request(req);
             let Some(r) = self.settle(req) else {
                 continue;
             };
@@ -493,10 +492,7 @@ impl PeerServer {
             .map(|(id, _)| *id)
             .collect();
         for cb in cbs {
-            let op = self.cb_ops.remove(&cb).expect("listed above");
-            if let LockableId::Object(o) = op.target {
-                self.cb_by_object.remove(&o);
-            }
+            let op = self.close_cb(cb).expect("listed above");
             // The re-upgrade's ticket is cancelled with the transaction's
             // locks below; a grant before then resumes nothing.
             if let Some(t) = op.upgrade {

@@ -294,8 +294,8 @@ impl PeerServer {
         let Some(bytes) = self.large.page(page).map(<[u8]>::to_vec) else {
             return;
         };
-        // Large pages share the copy table (distinct page-number space).
-        self.copy_table.record_ship(page, from);
+        // Large pages share the page table (distinct page-number space).
+        self.page_table.record_ship(page, from);
         self.touch_resident(page, false);
         self.send(from, Message::LargePageReply { req, page, bytes });
     }
@@ -340,14 +340,14 @@ impl PeerServer {
         let touched: Vec<PageId> = hdr.pages[first..=last.min(hdr.pages.len() - 1)].to_vec();
         let mut targets: Vec<SiteId> = Vec::new();
         for p in &touched {
-            for s in self.copy_table.clients_except(*p, from) {
+            for s in self.page_table.clients_except(*p, from) {
                 if s != self.site && !targets.contains(&s) {
                     targets.push(s);
                 }
             }
             // Our own cached copy (owner as client) drops synchronously.
             self.large_cache.remove(p);
-            self.copy_table.drop_entry(*p, self.site);
+            self.page_table.drop_entry(*p, self.site);
             self.touch_resident(*p, true);
         }
         if targets.is_empty() {
@@ -359,7 +359,7 @@ impl PeerServer {
             .insert(inv, (from, req, targets.iter().copied().collect()));
         for s in targets {
             for p in &touched {
-                self.copy_table.drop_entry(*p, s);
+                self.page_table.drop_entry(*p, s);
             }
             self.send(
                 s,

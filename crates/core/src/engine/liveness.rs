@@ -201,7 +201,7 @@ impl PeerServer {
 
         // Its cache no longer exists: revoke its copy-table entries so
         // future callbacks and adaptive-grant checks skip it.
-        self.copy_table.drop_site_entries(dead);
+        self.page_table.drop_site_entries(dead);
 
         // Edge tier (DESIGN.md §11): drop its watch subscription here
         // (owner role), and purge everything *it* owned from the local

@@ -286,7 +286,7 @@ impl PeerServer {
                     .collect();
                 let mut copies: Vec<(PageId, SiteId, u64)> = Vec::new();
                 for (p, _) in &pages {
-                    for (client, ship_seq) in self.copy_table.entries(*p) {
+                    for (client, ship_seq) in self.page_table.entries(*p) {
                         copies.push((*p, client, ship_seq));
                     }
                 }
@@ -376,7 +376,7 @@ impl PeerServer {
         let (lo, hi, to, layout, started) = (m.lo, m.hi, m.to, m.layout, m.started);
         self.owners.apply_move(lo, hi, to, layout);
         self.log.set_layout(self.owners.to_image());
-        self.copy_table.drop_range(lo, hi);
+        self.page_table.drop_range(lo, hi);
         self.residency.evict_where(|p| (lo..hi).contains(&p.page));
         if self
             .overflow_page
@@ -583,7 +583,7 @@ impl PeerServer {
             self.volume.install_page(page, image);
         }
         for (page, client, ship_seq) in inb.copies {
-            self.copy_table.restore(page, client, ship_seq);
+            self.page_table.restore(page, client, ship_seq);
         }
         self.owners
             .apply_move(inb.lo, inb.hi, self.site, inb.layout);

@@ -1,6 +1,6 @@
 //! The peer-server engine: a deterministic state machine implementing the
 //! paper's hierarchical, adaptive cache-consistency protocols (PS, PS-OA,
-//! PS-AA) over the substrates (lock table, storage, WAL, copy table).
+//! PS-AA) over the substrates (lock table, storage, WAL, page table).
 //!
 //! One [`PeerServer`] instance is one site of Fig. 1. It plays both
 //! roles: *owner* of the pages its volume holds, and *client* for
@@ -29,7 +29,7 @@ pub use drive::Env;
 pub use migration::MigrationPhase;
 
 use crate::cache::ClientCache;
-use crate::copy_table::CopyTable;
+use crate::copy_table::PageTable;
 use crate::fifo_map::BoundedFifoMap;
 use crate::msg::{
     AppOp, AppReply, CbId, ControlOp, DeId, DiskOp, DiskReqId, Input, Message, Output, ReqId,
@@ -37,7 +37,6 @@ use crate::msg::{
 };
 use crate::owner_map::OwnerMap;
 use crate::ownership::OwnershipDirectory;
-use crate::races::RaceTable;
 use crate::residency::Residency;
 use crate::timeout::TimeoutEstimator;
 use crate::txn::{HomeTxn, TxnRegistry, TxnStatus};
@@ -151,12 +150,22 @@ pub(crate) type CbKey = (SiteId, CbId);
 #[derive(Debug)]
 pub(crate) enum ReqCont {
     /// A page fetch for `oid`; optionally continue into a write.
+    /// `raced` holds the slots of the page whose callbacks completed here
+    /// while the fetch was in flight (the callback race, paper §4.2.4,
+    /// Fig. 5): its reply installs them unavailable.
     Fetch {
         oid: Oid,
         then_write: Option<Option<Vec<u8>>>,
+        raced: Vec<u16>,
     },
-    /// A write-permission request.
-    Write { oid: Oid, bytes: Option<Vec<u8>> },
+    /// A write-permission request. `deescalated` is set when the page
+    /// was deescalated here while it was in flight (the deescalation
+    /// race, §4.2.4): its grant's `adaptive` bit is then stale.
+    Write {
+        oid: Oid,
+        bytes: Option<Vec<u8>>,
+        deescalated: bool,
+    },
     /// An explicit lock request.
     Lock { item: LockableId, mode: LockMode },
     /// A point-read of a forwarded object; completes the current op.
@@ -420,19 +429,19 @@ pub struct PeerServer {
     // Owner role.
     pub(crate) volume: Volume,
     pub(crate) residency: Residency,
-    pub(crate) copy_table: CopyTable,
+    /// One record per cached or called-back page: its copies, its open
+    /// object callbacks and its deescalation, which index `cb_ops` and
+    /// `de_ops` (DESIGN.md §13).
+    pub(crate) page_table: PageTable,
     pub(crate) log: ServerLog,
     pub(crate) cb_ops: HashMap<CbId, CbOp>,
-    pub(crate) cb_by_object: HashMap<Oid, CbId>,
     pub(crate) de_ops: HashMap<DeId, DeOp>,
-    pub(crate) de_by_page: HashMap<PageId, DeId>,
     /// Current overflow page for §4.4 forwarding.
     pub(crate) overflow_page: Option<PageId>,
 
     // Client role.
     pub(crate) cache: ClientCache,
     pub(crate) log_cache: LogCache,
-    pub(crate) races: RaceTable,
     pub(crate) pending_fetches: HashMap<PageId, HashSet<ReqId>>,
     pub(crate) cb_ctxs: HashMap<CbKey, CbCtx>,
 
@@ -578,12 +587,10 @@ impl PeerServer {
             txns: TxnRegistry::new(),
             volume,
             residency: Residency::new(residency_pages.max(1)),
-            copy_table: CopyTable::new(),
+            page_table: PageTable::new(),
             log: ServerLog::new(),
             cb_ops: HashMap::default(),
-            cb_by_object: HashMap::default(),
             de_ops: HashMap::default(),
-            de_by_page: HashMap::default(),
             overflow_page: None,
             cache: ClientCache::new(cache_pages.max(1)),
             large: pscc_storage::LargeObjectStore::new(cfg.page_size),
@@ -591,7 +598,6 @@ impl PeerServer {
             large_reads: Vec::new(),
             large_invals: HashMap::default(),
             log_cache: LogCache::new(),
-            races: RaceTable::new(),
             pending_fetches: HashMap::default(),
             cb_ctxs: HashMap::default(),
             waits: HashMap::default(),
@@ -679,8 +685,11 @@ impl PeerServer {
     /// ([`pscc_lockmgr::LockTable::assert_consistent`]) and checks the
     /// wait table against it: each wait is a ticket still pending for
     /// its transaction, with a live `LockWait` timer naming it, and each
-    /// pending ticket has its wait. The seeded
-    /// harness calls it after every input.
+    /// pending ticket has its wait. Then checks the page table against
+    /// the open operations, both ways, in time linear in the operations:
+    /// each object callback and each deescalation is listed on its page,
+    /// and the page table lists no more than those. The seeded harness
+    /// calls it after every input.
     ///
     /// # Panics
     ///
@@ -709,6 +718,29 @@ impl PeerServer {
                 "site {site}: pending {ticket} has no wait"
             );
         }
+        let mut object_cbs = 0;
+        for (cb, op) in &self.cb_ops {
+            if let LockableId::Object(o) = op.target {
+                object_cbs += 1;
+                assert!(
+                    self.page_table.callbacks(o.page).contains(cb),
+                    "site {site}: {cb} on {o} is not listed on its page"
+                );
+            }
+        }
+        for (de, op) in &self.de_ops {
+            assert_eq!(
+                self.page_table.deescalation(op.page),
+                Some(*de),
+                "site {site}: {de} is not {}'s deescalation",
+                op.page
+            );
+        }
+        assert_eq!(
+            self.page_table.listed(),
+            (object_cbs, self.de_ops.len()),
+            "site {site}: the page table lists callbacks or deescalations that are not open"
+        );
     }
 
     /// Asserts that no transaction state lingers: empty lock table, no
@@ -739,6 +771,12 @@ impl PeerServer {
         assert!(
             self.de_ops.is_empty(),
             "site {}: deescalation leak",
+            self.site
+        );
+        assert_eq!(
+            self.page_table.listed(),
+            (0, 0),
+            "site {}: page records keep callbacks or deescalations",
             self.site
         );
         assert!(self.waits.is_empty(), "site {}: lock wait leak", self.site);
@@ -1607,7 +1645,7 @@ pub(crate) fn credit_request(msg: &Message) -> Option<(ReqId, TxnId)> {
 mod tests {
     use super::*;
     use crate::msg::{AppReply, AppRequest};
-    use pscc_common::{AppId, FileId, SimDuration, SimTime, VolId};
+    use pscc_common::{ids::DUMMY_SLOT, AppId, FileId, SimDuration, SimTime, VolId};
 
     /// An env that completes every disk at once and records every
     /// effect, disks included, in the order it receives them.
@@ -2211,6 +2249,209 @@ mod tests {
         assert_eq!((prepare.count(), prepare.sum_micros()), (1, 500));
         let decide = c.stage_hist(Stage::TwopcDecide);
         assert_eq!((decide.count(), decide.sum_micros()), (1, 200));
+        p.sites.iter().for_each(PeerServer::assert_quiescent);
+    }
+
+    #[test]
+    fn two_dummy_callbacks_on_one_page_both_mark_the_dummy() {
+        let mut s = owner();
+        let (p3, far) = (page(3), SiteId(3));
+        let from = |site, msg| Input::Msg { from: site, msg };
+        let read = |req, seq| Message::ReadObj {
+            req: ReqId(req),
+            txn: TxnId::new(far, seq),
+            oid: Oid::new(p3, 0),
+        };
+        drive(&mut s, from(far, read(1, 1)));
+        // Two IX page locks from two clients open two dummy callbacks to
+        // the caching site (§4.3.2).
+        let mut cbs = Vec::new();
+        for txn in [TxnId::new(SiteId(1), 1), TxnId::new(SiteId(2), 1)] {
+            let item = LockableId::Page(p3);
+            let mode = LockMode::Ix;
+            let msg = Message::LockItem {
+                req: ReqId(1),
+                txn,
+                item,
+                mode,
+            };
+            for out in drive(&mut s, from(txn.site, msg)) {
+                if let Output::Send {
+                    to,
+                    msg: Message::Callback { cb, .. },
+                } = out
+                {
+                    assert_eq!(to, far);
+                    cbs.push(cb);
+                }
+            }
+        }
+        assert_eq!(cbs.len(), 2);
+        let ack = Message::CbOk {
+            cb: cbs[0],
+            purged_page: false,
+        };
+        drive(&mut s, from(far, ack));
+        s.assert_locks_consistent();
+        assert_eq!(s.page_table.callbacks(p3), [cbs[1]]);
+
+        // The second callback is still pending at the caching site, so
+        // its next copy ships the dummy unavailable (§4.2.3 condition 3).
+        let shipped = drive(&mut s, from(far, read(2, 2)))
+            .into_iter()
+            .find_map(|o| match o {
+                Output::Send {
+                    msg: Message::ReadReply { snapshot, .. },
+                    ..
+                } => Some(snapshot.avail),
+                _ => None,
+            });
+        assert!(!shipped.expect("a ship").is_available(DUMMY_SLOT));
+    }
+
+    fn obj(slot: u16) -> Oid {
+        Oid::new(page(3), slot)
+    }
+
+    /// An owner-local transaction writes `slot` of page 3 at `at` µs;
+    /// its callback reaches the client, whose ack completes the write.
+    fn owner_writes(p: &mut Pair, w: TxnId, at: u64, slot: u16) {
+        let write = AppOp::Write {
+            oid: obj(slot),
+            bytes: None,
+        };
+        let callback = p.app_at(OWNER, at, Some(w), write).msg();
+        assert!(matches!(callback, Message::Callback { .. }), "{callback:?}");
+        let ack = p.deliver(CLIENT, at, callback).msg();
+        let done = p.deliver(OWNER, at, ack);
+        assert!(matches!(done.replies[..], [AppReply::Done { .. }]));
+    }
+
+    /// A client transaction's fetch of page 3 for object 0, delivered to
+    /// the owner at `at` µs; returns it and the reply, still in flight.
+    fn fetch_in_flight(p: &mut Pair, at: u64) -> (TxnId, Message) {
+        let t = p.begin();
+        let read = p.app(at, Some(t), AppOp::Read(oid())).msg();
+        (t, p.deliver(OWNER, at, read).msg())
+    }
+
+    #[test]
+    fn a_late_reply_of_an_aborted_fetch_does_not_resurrect_a_called_back_object() {
+        let mut p = Pair::new();
+        let (t, reply) = fetch_in_flight(&mut p, 0);
+        let w = p.begin_at(OWNER);
+        owner_writes(&mut p, w, 10, 1);
+        let abort = p.app(20, Some(t), AppOp::Abort).msg();
+        p.deliver(OWNER, 20, abort);
+        p.deliver(CLIENT, 30, reply);
+        assert!(!p.sites[CLIENT].cache.object_cached(obj(1)));
+        p.app_at(OWNER, 40, Some(w), AppOp::Commit);
+        p.sites.iter().for_each(PeerServer::assert_quiescent);
+    }
+
+    #[test]
+    fn a_duplicate_read_reply_does_not_undo_its_race_override() {
+        let mut p = Pair::new();
+        let (t, reply) = fetch_in_flight(&mut p, 0);
+        let w = p.begin_at(OWNER);
+        owner_writes(&mut p, w, 10, 1);
+        let done = p.deliver(CLIENT, 20, reply.clone());
+        assert!(matches!(done.replies[..], [AppReply::Done { .. }]));
+        assert!(!p.sites[CLIENT].cache.object_cached(obj(1)));
+        assert!(p.deliver(CLIENT, 30, reply).sent.is_empty());
+        assert!(!p.sites[CLIENT].cache.object_cached(obj(1)));
+        assert!(p.sites[CLIENT].cache.object_cached(obj(0)));
+        p.app_at(OWNER, 40, Some(w), AppOp::Commit);
+        let fx = p.app(50, Some(t), AppOp::Commit);
+        p.settle(CLIENT, 50, fx);
+        p.sites.iter().for_each(PeerServer::assert_quiescent);
+    }
+
+    #[test]
+    fn a_callback_race_marks_only_the_fetches_already_in_flight() {
+        let mut p = Pair::new();
+        let (_, first) = fetch_in_flight(&mut p, 0);
+        let w = p.begin_at(OWNER);
+        owner_writes(&mut p, w, 10, 1);
+        // A fetch issued after the callback completed is not marked.
+        let t2 = p.begin();
+        let second = p.app(20, Some(t2), AppOp::Read(oid())).msg();
+        p.deliver(CLIENT, 30, first);
+        assert!(!p.sites[CLIENT].cache.object_cached(obj(1)));
+        // The write commits, so the owner ships object 1 available.
+        p.app_at(OWNER, 40, Some(w), AppOp::Commit);
+        let reply = p.deliver(OWNER, 50, second).msg();
+        p.deliver(CLIENT, 60, reply);
+        let c = &p.sites[CLIENT];
+        assert!(c.cache.object_cached(obj(1)));
+        assert_eq!(c.stats.callback_races, 1);
+    }
+
+    #[test]
+    fn a_callback_race_marks_every_fetch_in_flight() {
+        let mut p = Pair::new();
+        let (_, first) = fetch_in_flight(&mut p, 0);
+        let (_, second) = fetch_in_flight(&mut p, 0);
+        let w = p.begin_at(OWNER);
+        owner_writes(&mut p, w, 10, 1);
+        for (at, reply) in [(20, first), (30, second)] {
+            p.deliver(CLIENT, at, reply);
+            assert!(!p.sites[CLIENT].cache.object_cached(obj(1)));
+        }
+        assert_eq!(p.sites[CLIENT].stats.callback_races, 2);
+    }
+
+    #[test]
+    fn a_callback_race_marks_every_slot_on_its_fetch() {
+        let mut p = Pair::new();
+        let (_, reply) = fetch_in_flight(&mut p, 0);
+        let w = p.begin_at(OWNER);
+        owner_writes(&mut p, w, 10, 1);
+        owner_writes(&mut p, w, 20, 2);
+        p.deliver(CLIENT, 30, reply);
+        let c = &p.sites[CLIENT];
+        assert!(c.cache.object_cached(obj(0)));
+        assert!(!c.cache.object_cached(obj(1)) && !c.cache.object_cached(obj(2)));
+        assert_eq!(c.stats.callback_races, 1);
+    }
+
+    #[test]
+    fn a_deescalation_voids_the_adaptive_bit_of_one_grant_once() {
+        let mut p = Pair::new();
+        let t = p.begin();
+        let write = |slot| AppOp::Write {
+            oid: obj(slot),
+            bytes: None,
+        };
+        let read = p.app(0, Some(t), write(0)).msg();
+        let reply = p.deliver(OWNER, 10, read).msg();
+        let request = p.deliver(CLIENT, 20, reply).msg();
+        let grant = p.deliver(OWNER, 30, request).msg();
+        assert!(matches!(
+            grant,
+            Message::WriteGranted { adaptive: true, .. }
+        ));
+        // A deescalation of the page reaches the client while the grant
+        // is in flight: the grant's adaptive bit is stale.
+        let de = Message::Deescalate {
+            de: DeId(1),
+            page: page(3),
+        };
+        p.deliver(CLIENT, 40, de);
+        p.deliver(CLIENT, 50, grant);
+        // So the next write asks again, and its grant's bit holds.
+        let request = p.app(60, Some(t), write(1)).msg();
+        let grant = p.deliver(OWNER, 70, request).msg();
+        assert!(matches!(
+            grant,
+            Message::WriteGranted { adaptive: true, .. }
+        ));
+        p.deliver(CLIENT, 80, grant);
+        let fx = p.app(90, Some(t), write(2));
+        assert!(fx.sent.is_empty() && matches!(fx.replies[..], [AppReply::Done { .. }]));
+        assert_eq!(p.sites[CLIENT].stats.adaptive_hits, 1);
+        let fx = p.app(100, Some(t), AppOp::Commit);
+        p.settle(CLIENT, 100, fx);
         p.sites.iter().for_each(PeerServer::assert_quiescent);
     }
 }

@@ -196,7 +196,7 @@ impl PeerServer {
             self.send(from, Message::RejoinRequired { epoch: self.epoch });
             return;
         }
-        self.copy_table.drop_site_entries(from);
+        self.page_table.drop_site_entries(from);
         self.peer(from).joined = Some(epoch);
 
         let mut stuck: Vec<TxnId> = self

@@ -204,17 +204,14 @@ impl PeerServer {
         // object to a third client while a callback on it is pending
         // means the callback must be redone once its upgrade completes.
         if let Some(o) = requested {
-            if let Some(op) = self
-                .cb_by_object
-                .get(&o)
-                .and_then(|cb| self.cb_ops.get_mut(cb))
-            {
-                if op.txn.site != txn.site {
+            for cb in self.page_table.callbacks(page) {
+                let op = self.cb_ops.get_mut(cb).expect("a listed callback is open");
+                if op.target == LockableId::Object(o) && op.txn.site != txn.site {
                     op.violated = true;
                 }
             }
         }
-        let ship_seq = self.copy_table.record_ship(page, from);
+        let ship_seq = self.page_table.record_ship(page, from);
         self.stats.pages_shipped += 1;
         self.send(
             from,
@@ -235,7 +232,8 @@ impl PeerServer {
     /// other than the `requested` one ships unavailable when a
     /// transaction from another client holds it EX (condition 2) or has
     /// a callback pending on it (condition 3). Condition 2 is one pass
-    /// over the page's objects that have lock state.
+    /// over the page's objects that have lock state, condition 3 one over
+    /// the page's open callbacks.
     pub(crate) fn ship_marks(
         &self,
         image: &SlottedPage,
@@ -251,18 +249,24 @@ impl PeerServer {
                 avail.set_unavailable(o.slot);
             }
         }
-        if !self.cb_by_object.is_empty() {
-            for slot in (0..image.slot_count()).chain([DUMMY_SLOT]) {
-                let o = Oid::new(page, slot);
-                let cb_other = (self.cb_by_object.get(&o))
-                    .and_then(|cb| self.cb_ops.get(cb))
-                    .is_some_and(|op| op.txn.site != requester);
-                if cb_other && marked(o) {
-                    avail.set_unavailable(slot);
+        for op in self.page_callbacks(page) {
+            if let LockableId::Object(o) = op.target {
+                if op.txn.site != requester && marked(o) {
+                    avail.set_unavailable(o.slot);
                 }
             }
         }
         avail
+    }
+
+    /// The open callback operations on `page`'s objects.
+    fn page_callbacks(&self, page: PageId) -> impl Iterator<Item = &CbOp> {
+        let cbs = if self.cb_ops.is_empty() {
+            &[]
+        } else {
+            self.page_table.callbacks(page)
+        };
+        cbs.iter().map(|cb| &self.cb_ops[cb])
     }
 
     // ------------------------------------------------------------------
@@ -310,16 +314,16 @@ impl PeerServer {
     pub(crate) fn start_callbacks(&mut self, txn: TxnId, target: LockableId, done: CbDone) {
         let targets: Vec<SiteId> = match target {
             LockableId::Object(Oid { page, .. }) | LockableId::Page(page) => {
-                self.copy_table.clients_except(page, txn.site)
+                self.page_table.clients_except(page, txn.site)
             }
             LockableId::File(f) => self
-                .copy_table
+                .page_table
                 .file_clients(f)
                 .into_iter()
                 .filter(|s| *s != txn.site)
                 .collect(),
             LockableId::Volume(v) => self
-                .copy_table
+                .page_table
                 .volume_clients(v)
                 .into_iter()
                 .filter(|s| *s != txn.site)
@@ -340,7 +344,7 @@ impl PeerServer {
         };
         self.cb_ops.insert(cb, op);
         if let LockableId::Object(o) = target {
-            self.cb_by_object.insert(o, cb);
+            self.page_table.open_callback(o.page, cb);
         }
         // This site's own cached copy (the owner in its client role) is
         // invalidated synchronously: the requester's EX lock in this very
@@ -397,14 +401,8 @@ impl PeerServer {
                     )
                     .any(|t| t.site == self.site && t != txn);
                 // A read reply already in flight to ourselves could
-                // resurrect the object: register the callback race.
-                let pending: Vec<crate::msg::ReqId> = self
-                    .pending_fetches
-                    .get(&oid.page)
-                    .map(|s| s.iter().copied().collect())
-                    .unwrap_or_default();
-                self.races
-                    .register_callback_race(oid.page, oid.slot, pending);
+                // resurrect the object.
+                self.mark_fetch_races(oid);
                 if in_use {
                     self.cache.mark_unavailable(oid);
                     self.stats.callbacks_object_only += 1;
@@ -476,13 +474,13 @@ impl PeerServer {
     /// (it purged them for a callback).
     fn drop_copies(&mut self, target: LockableId, client: SiteId) {
         match target {
-            LockableId::Object(o) => self.copy_table.drop_entry(o.page, client),
-            LockableId::Page(p) => self.copy_table.drop_entry(p, client),
-            LockableId::File(f) => self.copy_table.drop_file_entries(f, client),
+            LockableId::Object(o) => self.page_table.drop_entry(o.page, client),
+            LockableId::Page(p) => self.page_table.drop_entry(p, client),
+            LockableId::File(f) => self.page_table.drop_file_entries(f, client),
             LockableId::Volume(v) => {
                 for f in self.volume.files() {
                     if f.vol == v {
-                        self.copy_table.drop_file_entries(f, client);
+                        self.page_table.drop_file_entries(f, client);
                     }
                 }
             }
@@ -637,40 +635,16 @@ impl PeerServer {
         if !ready {
             return;
         }
+        let op = self.close_cb(cb).expect("checked above");
         if violated {
             // Redo the whole callback operation (paper §4.3.2).
             self.stats.callback_redos += 1;
-            if let Some(op) = self.cb_ops.get(&cb) {
-                self.obs.record(pscc_obs::EventKind::Race {
-                    item: op.target,
-                    kind: pscc_obs::event::RaceKind::CallbackRedo,
-                });
-            }
-            let (txn, target, done) = {
-                let Some(op) = self.cb_ops.get_mut(&cb) else {
-                    self.obs.record(pscc_obs::EventKind::StaleDrop {
-                        what: "callback redo without operation",
-                    });
-                    return;
-                };
-                op.violated = false;
-                (op.txn, op.target, op.done.clone())
-            };
-            if let LockableId::Object(o) = target {
-                self.cb_by_object.remove(&o);
-            }
-            self.cb_ops.remove(&cb);
-            self.start_callbacks(txn, target, done);
-            return;
-        }
-        let Some(op) = self.cb_ops.remove(&cb) else {
-            self.obs.record(pscc_obs::EventKind::StaleDrop {
-                what: "callback completion without operation",
+            self.obs.record(pscc_obs::EventKind::Race {
+                item: op.target,
+                kind: pscc_obs::event::RaceKind::CallbackRedo,
             });
+            self.start_callbacks(op.txn, op.target, op.done);
             return;
-        };
-        if let LockableId::Object(o) = op.target {
-            self.cb_by_object.remove(&o);
         }
         match op.done {
             CbDone::Write { req, to, oid } => {
@@ -706,11 +680,21 @@ impl PeerServer {
         }
     }
 
+    /// Retires callback operation `cb`: the one place an operation
+    /// leaves `cb_ops` and its page's record.
+    pub(crate) fn close_cb(&mut self, cb: CbId) -> Option<CbOp> {
+        let op = self.cb_ops.remove(&cb)?;
+        if let LockableId::Object(o) = op.target {
+            self.page_table.close_callback(o.page, cb);
+        }
+        Some(op)
+    }
+
     /// Adaptive grant precondition (§4.1.2): no other client caches the
     /// page, and no transaction from another client holds locks on the
     /// page or its objects.
     fn can_grant_adaptive(&self, page: PageId, txn: TxnId) -> bool {
-        if self.copy_table.cached_elsewhere(page, txn.site) {
+        if self.page_table.cached_elsewhere(page, txn.site) {
             return false;
         }
         let other_site = |t: &TxnId| t.site != txn.site;
@@ -737,13 +721,7 @@ impl PeerServer {
             return false;
         }
         // No pending callbacks on the page's objects by others.
-        !self.cb_by_object.iter().any(|(o, cbid)| {
-            o.page == page
-                && self
-                    .cb_ops
-                    .get(cbid)
-                    .is_some_and(|op| op.txn.site != txn.site)
-        })
+        !self.page_callbacks(page).any(|op| other_site(&op.txn))
     }
 
     /// A callback wait timed out at a client: abort the calling-back
@@ -767,13 +745,18 @@ impl PeerServer {
         page: PageId,
         work: impl FnOnce() -> crate::msg::Input,
     ) -> bool {
-        if let Some(de) = self.de_by_page.get(&page) {
-            if let Some(op) = self.de_ops.get_mut(de) {
-                op.queued.push(work());
-                return true;
-            }
+        if self.de_ops.is_empty() {
+            return false;
         }
-        false
+        let Some(de) = self.page_table.deescalation(page) else {
+            return false;
+        };
+        let op = self
+            .de_ops
+            .get_mut(&de)
+            .expect("a listed deescalation is open");
+        op.queued.push(work());
+        true
     }
 
     /// Starts deescalation when a transaction from another client holds
@@ -805,7 +788,7 @@ impl PeerServer {
                 queued: vec![work()],
             },
         );
-        self.de_by_page.insert(page, de);
+        self.page_table.open_deescalation(page, de);
         if client == self.site {
             // The adaptive holder is this very site (its own local
             // transactions): deescalate synchronously — the EX object
@@ -831,7 +814,7 @@ impl PeerServer {
         page: PageId,
         ex_locks: Vec<(TxnId, Oid)>,
     ) {
-        if !self.de_ops.contains_key(&de) {
+        if self.page_table.deescalation(page) != Some(de) {
             return;
         }
         for (t, o) in ex_locks {
@@ -852,7 +835,7 @@ impl PeerServer {
         let Some(op) = self.de_ops.remove(&de) else {
             return;
         };
-        self.de_by_page.remove(&op.page);
+        self.page_table.close_deescalation(op.page);
         for work in op.queued {
             self.internal.push_back(work);
         }
@@ -995,7 +978,7 @@ impl PeerServer {
             }
             Some(_) => {}
         }
-        if !self.copy_table.purge(page, from, ship_seq) {
+        if !self.page_table.purge(page, from, ship_seq) {
             self.stats.purge_races += 1;
             self.obs.record(pscc_obs::EventKind::Race {
                 item: LockableId::Page(page),
@@ -1052,7 +1035,8 @@ mod tests {
     use pscc_common::{FileId, SystemConfig, VolId};
 
     /// The marking `server_ship` did before [`PeerServer::ship_marks`]:
-    /// one `holders` call per live slot and one for the dummy.
+    /// one `holders` call per live slot and one for the dummy, and a
+    /// scan of every open callback.
     fn marks_by_slot(
         s: &PeerServer,
         image: &SlottedPage,
@@ -1065,9 +1049,8 @@ mod tests {
                 .any(|(t, m)| m == LockMode::Ex && t.site != requester_home)
         };
         let cb_other = |o: Oid| {
-            (s.cb_by_object.get(&o))
-                .and_then(|cb| s.cb_ops.get(cb))
-                .is_some_and(|op| op.txn.site != requester_home)
+            (s.cb_ops.values())
+                .any(|op| op.target == LockableId::Object(o) && op.txn.site != requester_home)
         };
         let mut avail = AvailMask::all_available(image.slot_count());
         for slot in image.live_slots() {
@@ -1135,7 +1118,7 @@ mod tests {
                     started: pscc_common::SimTime::ZERO,
                 };
                 s.cb_ops.insert(CbId(cb), op);
-                s.cb_by_object.insert(o, CbId(cb));
+                s.page_table.open_callback(page, CbId(cb));
             }
             for requester in (0..3).map(SiteId) {
                 let picks = [None, Some(any_slot(below(1 << 16))), Some(DUMMY_SLOT)];

@@ -72,7 +72,6 @@ pub mod msg;
 pub mod obs;
 pub mod owner_map;
 pub mod ownership;
-pub mod races;
 pub mod residency;
 pub mod timeout;
 pub mod txn;

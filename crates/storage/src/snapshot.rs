@@ -16,7 +16,7 @@ pub struct PageSnapshot {
     pub image: SlottedPage,
     /// Proposed availability of each object (paper §4.2.3: the *final*
     /// availability at the client also depends on the client's current
-    /// cached state and the callback-race table).
+    /// cached state and its fetch's callback-race marks).
     pub avail: AvailMask,
     /// How many times the owner has shipped this page to this client;
     /// echoed in purge notices so the owner can ignore a purge that an
