@@ -179,7 +179,7 @@ impl PeerServer {
     /// All participants are done: release local locks, mark cached
     /// objects clean, answer the application.
     pub(crate) fn finish_home_commit(&mut self, txn: TxnId) {
-        let Some(h) = self.txns.home.remove(&txn) else {
+        let Some(h) = self.txns.end_home(txn) else {
             return;
         };
         self.cache.clean_txn(txn);
@@ -471,7 +471,7 @@ impl PeerServer {
                 self.send(p, Message::AbortTxn { txn });
             }
         }
-        self.txns.home.remove(&txn);
+        self.txns.end_home(txn);
         self.trace_txn_done(txn);
         self.reply_app(AppReply::Aborted { app, txn, reason });
     }

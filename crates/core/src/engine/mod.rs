@@ -39,7 +39,7 @@ use crate::owner_map::OwnerMap;
 use crate::ownership::OwnershipDirectory;
 use crate::residency::Residency;
 use crate::timeout::TimeoutEstimator;
-use crate::txn::{HomeTxn, TxnRegistry, TxnStatus};
+use crate::txn::{TxnRegistry, TxnStatus};
 use pscc_common::hash::{HashMap, HashSet};
 use pscc_common::{
     AbortReason, Counters, LockMode, LockableId, Oid, PageId, SimDuration, SimTime, SiteId, SpanId,
@@ -1399,8 +1399,7 @@ impl PeerServer {
         match (req.txn, req.op) {
             (None, AppOp::Begin) => {
                 let txn = self.txns.next_txn_id(self.site);
-                let home = HomeTxn::new(txn, req.app, self.now);
-                self.txns.home.insert(txn, home);
+                self.txns.begin_home(txn, req.app, self.now);
                 self.reply_app(AppReply::Started { app: req.app, txn });
             }
             (Some(txn), op) => {

@@ -12,7 +12,8 @@
 //!   multithreaded harness: one bounded mailbox per site, which every
 //!   source shares, so each `(src, dst, path)` triple is FIFO and paths
 //!   merge in arrival order. The mailbox is also the one place a site
-//!   thread blocks; a [`Waker`] ends that wait from outside.
+//!   thread blocks; a [`Waker`] ends that wait from outside, and a
+//!   [`Sender`] sends on an endpoint's behalf from another thread.
 //! * [`tcp::TcpNode`] — the same over real sockets, one connection per
 //!   `(src, dst, path)`; the site thread reads its own connections
 //!   inside the same kind of wait.
@@ -187,16 +188,18 @@ impl<M: Send + 'static> InProcNetwork<M> {
             panic!("unknown site {site}");
         };
         Endpoint {
-            site,
-            n_paths: self.n_paths,
-            out: self
-                .mailboxes
-                .iter()
-                .filter(|(dst, _)| **dst != site)
-                .map(|(dst, (tx, _))| (*dst, tx.clone()))
-                .collect(),
+            out: Outbound {
+                site,
+                n_paths: self.n_paths,
+                to: self
+                    .mailboxes
+                    .iter()
+                    .filter(|(dst, _)| **dst != site)
+                    .map(|(dst, (tx, _))| (*dst, tx.clone()))
+                    .collect(),
+                dropped: Arc::clone(&self.dropped),
+            },
             inbox: inbox.clone(),
-            dropped: Arc::clone(&self.dropped),
         }
     }
 
@@ -236,59 +239,77 @@ pub trait Transport<M> {
     fn waker(&self) -> Option<Waker> {
         None
     }
+
+    /// A handle that sends as [`Transport::send`] does, from any thread,
+    /// if this transport has one. The rule it keeps: it is safe to call
+    /// while another thread is inside this transport's `recv_timeout`,
+    /// and its sends and the transport's own share each path's FIFO, in
+    /// the order the calls were made. A transport whose sockets only its
+    /// receiving thread may touch has none.
+    fn sender(&self) -> Option<Sender<M>> {
+        None
+    }
+}
+
+/// Sends on behalf of a transport from any thread (see
+/// [`Transport::sender`]).
+pub struct Sender<M>(Arc<dyn Fn(SiteId, PathId, M) + Send + Sync>);
+
+impl<M> Sender<M> {
+    /// A sender that calls `send`.
+    pub fn new(send: impl Fn(SiteId, PathId, M) + Send + Sync + 'static) -> Self {
+        Sender(Arc::new(send))
+    }
+
+    /// Sends `msg` to `to` along `path`, as the transport's `send` would.
+    pub fn send(&self, to: SiteId, path: PathId, msg: M) {
+        (self.0)(to, path, msg);
+    }
+}
+
+impl<M> Clone for Sender<M> {
+    fn clone(&self) -> Self {
+        Sender(Arc::clone(&self.0))
+    }
+}
+
+impl<M> fmt::Debug for Sender<M> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("Sender")
+    }
 }
 
 /// One site's handle onto an [`InProcNetwork`].
 pub struct Endpoint<M> {
+    out: Outbound<M>,
+    inbox: mailbox::Receiver<M>,
+}
+
+/// The sending half of an [`Endpoint`]: what its [`Transport::sender`]
+/// holds, so that a sender keeps no receiver of the site's own mailbox
+/// alive.
+struct Outbound<M> {
     site: SiteId,
     n_paths: u8,
-    out: HashMap<SiteId, mailbox::Sender<M>>,
-    inbox: mailbox::Receiver<M>,
+    to: HashMap<SiteId, mailbox::Sender<M>>,
     dropped: Arc<AtomicU64>,
 }
 
-impl<M> Clone for Endpoint<M> {
+impl<M> Clone for Outbound<M> {
     fn clone(&self) -> Self {
-        Endpoint {
+        Outbound {
             site: self.site,
             n_paths: self.n_paths,
-            out: self.out.clone(),
-            inbox: self.inbox.clone(),
+            to: self.to.clone(),
             dropped: Arc::clone(&self.dropped),
         }
     }
 }
 
-impl<M> fmt::Debug for Endpoint<M> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Endpoint")
-            .field("site", &self.site)
-            .field("n_paths", &self.n_paths)
-            .field("depth", &self.inbox.len())
-            .finish()
-    }
-}
-
-impl<M: Send + 'static> Endpoint<M> {
-    /// This endpoint's site.
-    pub fn site(&self) -> SiteId {
-        self.site
-    }
-
-    /// Sends `msg` to `to` along `path`.
-    ///
-    /// Consistency traffic (and all traffic when no classifier is
-    /// installed) goes to the priority lane: bounded and blocking, never
-    /// dropped. Bulk traffic on a full mailbox waits [`BULK_FULL_TIMEOUT`]
-    /// and is then dropped and counted — the engine's lock timeouts and
-    /// `Busy` retries re-drive the work.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unknown destination or path (protocol error).
-    pub fn send(&self, to: SiteId, path: PathId, msg: M) {
+impl<M> Outbound<M> {
+    fn send(&self, to: SiteId, path: PathId, msg: M) {
         let mailbox = self
-            .out
+            .to
             .get(&to)
             .unwrap_or_else(|| panic!("unknown destination {to}"));
         assert!(path.0 < self.n_paths, "unknown {path}");
@@ -307,6 +328,47 @@ impl<M: Send + 'static> Endpoint<M> {
             // then is fine.
             Err(mailbox::SendError::Closed) => {}
         }
+    }
+}
+
+impl<M> Clone for Endpoint<M> {
+    fn clone(&self) -> Self {
+        Endpoint {
+            out: self.out.clone(),
+            inbox: self.inbox.clone(),
+        }
+    }
+}
+
+impl<M> fmt::Debug for Endpoint<M> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Endpoint")
+            .field("site", &self.out.site)
+            .field("n_paths", &self.out.n_paths)
+            .field("depth", &self.inbox.len())
+            .finish()
+    }
+}
+
+impl<M: Send + 'static> Endpoint<M> {
+    /// This endpoint's site.
+    pub fn site(&self) -> SiteId {
+        self.out.site
+    }
+
+    /// Sends `msg` to `to` along `path`.
+    ///
+    /// Consistency traffic (and all traffic when no classifier is
+    /// installed) goes to the priority lane: bounded and blocking, never
+    /// dropped. Bulk traffic on a full mailbox waits [`BULK_FULL_TIMEOUT`]
+    /// and is then dropped and counted — the engine's lock timeouts and
+    /// `Busy` retries re-drive the work.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown destination or path (protocol error).
+    pub fn send(&self, to: SiteId, path: PathId, msg: M) {
+        self.out.send(to, path, msg);
     }
 
     /// Blocks until a message arrives; `None` when all senders are gone.
@@ -338,7 +400,7 @@ impl<M: Send + 'static> Endpoint<M> {
 
     /// Bulk-lane messages dropped on overflow, network-wide.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.out.dropped.load(Ordering::Relaxed)
     }
 }
 
@@ -353,6 +415,14 @@ impl<M: Send + 'static> Transport<M> for Endpoint<M> {
 
     fn waker(&self) -> Option<Waker> {
         Some(self.inbox.waker())
+    }
+
+    /// Sends into the same mailboxes as [`Endpoint::send`], which take
+    /// each message under their own lock: a send from another thread
+    /// neither waits for this endpoint's receive nor reorders a path.
+    fn sender(&self) -> Option<Sender<M>> {
+        let out = self.out.clone();
+        Some(Sender::new(move |to, path, msg| out.send(to, path, msg)))
     }
 }
 
@@ -465,6 +535,36 @@ mod tests {
         }
         let got: Vec<u32> = (0..10).map(|_| b.recv().unwrap().msg).collect();
         assert_eq!(got, (0..10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_sender_shares_each_path_fifo_with_its_endpoint() {
+        let net = InProcNetwork::<u32>::new(&[SiteId(0), SiteId(1)], 2);
+        let a = net.endpoint(SiteId(0));
+        let b = net.endpoint(SiteId(1));
+        let sender = Transport::sender(&a).expect("endpoints can send from any thread");
+        // Both halves of each pair on path 1, the sender's from its own
+        // thread while the receiver may already be waiting.
+        let got = std::thread::scope(|s| {
+            let receiver = s.spawn(|| {
+                (0..20)
+                    .map(|_| {
+                        let env = b.recv_timeout(Duration::from_secs(5)).expect("arrives");
+                        assert_eq!((env.from, env.path), (SiteId(0), PathId(1)));
+                        env.msg
+                    })
+                    .collect::<Vec<u32>>()
+            });
+            for i in 0..10 {
+                let sender = sender.clone();
+                s.spawn(move || sender.send(SiteId(1), PathId(1), 2 * i))
+                    .join()
+                    .expect("sending thread");
+                a.send(SiteId(1), PathId(1), 2 * i + 1);
+            }
+            receiver.join().expect("receiving thread")
+        });
+        assert_eq!(got, (0..20).collect::<Vec<_>>());
     }
 
     #[test]

@@ -5,11 +5,39 @@
 //! concurrent message handling — and the strongest validation that the
 //! engine's state machine is driven correctly from outside.
 //!
-//! Applications submit requests through per-site bounded channels
-//! (`std::sync::mpsc::sync_channel`) and receive replies the same way;
-//! everything else (timing, delivery order) is up to the operating
-//! system's scheduler, so runs are *not* deterministic — exactly the
-//! point.
+//! Applications submit requests to a site and take its replies from a
+//! per-site queue; everything else (timing, delivery order) is up to the
+//! operating system's scheduler, so runs are *not* deterministic —
+//! exactly the point.
+//!
+//! # Who drives the engine
+//!
+//! A site's engine sits behind one lock, and whoever has an input for it
+//! drives it. An application's op runs on the application's own thread
+//! ([`ThreadedCluster::submit`]) when no command of that site is queued,
+//! the reply queue has room, and the site's transport can send from any
+//! thread ([`Transport::sender`]); a cache hit then costs a lock and the
+//! engine's own work, and its reply is queued before `submit` returns.
+//! Otherwise the op is queued as a command for the site thread, as is
+//! every other command. Three rules keep this equal to one thread
+//! driving everything:
+//!
+//! * *Command FIFO.* An op goes inline only while no command of its site
+//!   is queued; a command counts as queued until it has been handled. So
+//!   an op never overtakes one queued before it.
+//! * *Sends under the lock.* Every effect leaves while its thread holds
+//!   the engine, sends through the transport or its sender into the same
+//!   per-path FIFOs, so messages leave in engine order.
+//! * *No stranded input.* The site thread never waits for the engine for
+//!   a message or a timer: if the engine is held, it leaves the input in
+//!   the site's inbox for the holder, then tries the lock once more. A
+//!   holder drives the inbox before its own input and before it lets
+//!   go, and looks at it again after it has let go.
+//!
+//! Over TCP the site thread alone touches its sockets, so every op is
+//! queued. Inline ops there were measured and left out: they moved the
+//! sites' CPU onto the application threads and made remote ops wait
+//! (DESIGN.md §12).
 //!
 //! # The site loop
 //!
@@ -17,19 +45,21 @@
 //! `recv_timeout`, and each of its three sources of work can end that
 //! wait: a message by arriving, a timer by bounding the wait, a command
 //! by its producer calling the transport's [`Waker`] *after* queueing it
-//! (every producer goes through `SiteHandle::send`). Each pass takes
-//! the timers now due and a bounded batch of commands, then a bounded
-//! batch of messages, so no source starves another. The pass's first
-//! look at the network is its one wait, bounded by the next timer; the
-//! rest of the batch only looks. That first look does not wait either
-//! when commands may be queued that no wake will announce: the rest of a
-//! batch cut off at its bound, or any command over a transport that
-//! cannot be woken. Over TCP the wait is also where the site reads its
-//! own sockets: no other thread touches them. See DESIGN.md §12.
+//! (every producer goes through `SiteHandle::send`, and an inline op
+//! that armed a timer wakes the site too). Each pass takes the timers
+//! now due and a bounded batch of commands, then a bounded batch of
+//! messages, so no source starves another. The pass's first look at the
+//! network is its one wait, bounded by the next timer; the rest of the
+//! batch only looks. That first look does not wait either when commands
+//! may be queued that no wake will announce: the rest of a batch cut off
+//! at its bound, or any command over a transport that cannot be woken.
+//! Over TCP the wait is also where the site reads its own sockets: no
+//! other thread touches them. See DESIGN.md §12.
 //!
-//! Replies go the other way with the opposite policy: an application
-//! thread naps briefly, on a timer made precise for it, before it lets a
-//! site pay for waking it (see [`ThreadedCluster::recv_reply`]).
+//! Replies that the site thread makes go the other way with the
+//! opposite policy: an application thread that finds none queued naps
+//! briefly, on a timer made precise for it, before it lets a site pay
+//! for waking it (see [`ThreadedCluster::recv_reply`]).
 
 use crate::sim::restart_engine;
 use crate::testkit::{control_op, observe_site};
@@ -42,11 +72,12 @@ use pscc_core::{
     AppOp, AppReply, AppRequest, ControlOp, DiskOp, DiskReqId, Env, Input, Message, OwnerMap,
     PeerServer, TimerId,
 };
-use pscc_net::{Envelope, InProcNetwork, PathId, Transport, Waker};
+use pscc_net::{Envelope, InProcNetwork, PathId, Sender, Transport, Waker};
+use std::cell::Cell;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::collections::{BinaryHeap, VecDeque};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -86,6 +117,43 @@ const PASS_BATCH: usize = 64;
 /// kernel's default slack (50 µs) it would last about 75 µs.
 const REPLY_NAP: Duration = Duration::from_micros(20);
 
+/// How long an op bound for the application's own thread spins for an
+/// engine another thread holds before it blocks on the lock. A hold
+/// lasts about one input, a few µs.
+const ENGINE_SPIN: Duration = Duration::from_micros(20);
+
+/// How long an application thread runs ops inline without sleeping
+/// before it yields its CPU once. A thread that finds every reply
+/// queued never naps, and without the yield it keeps a CPU it shares
+/// with another application thread for a whole scheduler slice, while
+/// that thread's replies from the site threads (a commit, a remote
+/// read) wait to be taken.
+const INLINE_SLICE: Duration = Duration::from_micros(10);
+
+thread_local! {
+    /// When this thread began its first inline op since it last slept
+    /// or yielded.
+    static INLINE_SINCE: Cell<Option<Instant>> = const { Cell::new(None) };
+}
+
+/// Counts an inline op that began at `began` toward the calling
+/// thread's [`INLINE_SLICE`], yielding once the slice is used up.
+fn pace_inline(began: Instant) {
+    match INLINE_SINCE.get() {
+        None => INLINE_SINCE.set(Some(began)),
+        Some(since) if since.elapsed() >= INLINE_SLICE => {
+            INLINE_SINCE.set(None);
+            std::thread::yield_now();
+        }
+        Some(_) => {}
+    }
+}
+
+/// The calling thread slept: its inline slice starts over.
+fn slept() {
+    INLINE_SINCE.set(None);
+}
+
 #[cfg(target_os = "linux")]
 mod slack {
     use std::ffi::{c_int, c_ulong};
@@ -109,7 +177,7 @@ fn precise_naps() {
     #[cfg(target_os = "linux")]
     {
         thread_local! {
-            static DONE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+            static DONE: Cell<bool> = const { Cell::new(false) };
         }
         if !DONE.replace(true) {
             // SAFETY: PR_SET_TIMERSLACK reads one unsigned long, the slack
@@ -120,12 +188,237 @@ fn precise_naps() {
     }
 }
 
-/// The driver's side of one site: its command channel, and the waker
-/// that makes the site look at it.
+/// The replies of one site's engine, in engine order, for the thread
+/// that takes them.
+///
+/// A push never waits: replies are pushed under the engine lock, which
+/// the thread that takes them may be waiting for, or hold itself (an
+/// inline op answers into the queue its own thread drains). The bound is
+/// kept where a wait is safe instead: an op goes inline only while the
+/// queue has room, and the site thread waits for room before it drives
+/// a queued op — as it used to wait on a full reply channel.
+struct Replies {
+    queue: Mutex<ReplyQueue>,
+    /// A thread taking replies waits here for one.
+    ready: Condvar,
+    /// The site thread waits here for room.
+    room: Condvar,
+    capacity: usize,
+}
+
+struct ReplyQueue {
+    replies: VecDeque<AppReply>,
+    // Threads inside a condvar wait: a notify is a system call whether or
+    // not anyone sleeps, so pushes and takes skip it when nobody does.
+    parked_takers: usize,
+    site_parked: bool,
+}
+
+impl Replies {
+    fn new(capacity: usize) -> Self {
+        Replies {
+            queue: Mutex::new(ReplyQueue {
+                replies: VecDeque::new(),
+                parked_takers: 0,
+                site_parked: false,
+            }),
+            ready: Condvar::new(),
+            room: Condvar::new(),
+            capacity,
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, ReplyQueue> {
+        // Every update is a single push, pop or flag change.
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn push(&self, reply: AppReply) {
+        let parked = {
+            let mut q = self.lock();
+            q.replies.push_back(reply);
+            q.parked_takers > 0
+        };
+        // After the unlock, so that the woken thread does not find the
+        // lock still held.
+        if parked {
+            self.ready.notify_one();
+        }
+    }
+
+    fn has_room(&self) -> bool {
+        self.lock().replies.len() < self.capacity
+    }
+
+    fn pop(&self, q: &mut ReplyQueue) -> Option<AppReply> {
+        let reply = q.replies.pop_front()?;
+        if q.site_parked && q.replies.len() < self.capacity {
+            self.room.notify_one();
+        }
+        Some(reply)
+    }
+
+    fn try_take(&self) -> Option<AppReply> {
+        self.pop(&mut self.lock())
+    }
+
+    /// The next reply, waiting up to `timeout` for one.
+    fn take_timeout(&self, timeout: Duration) -> Option<AppReply> {
+        let deadline = Instant::now() + timeout;
+        let mut q = self.lock();
+        loop {
+            if let Some(reply) = self.pop(&mut q) {
+                return Some(reply);
+            }
+            let left = deadline.checked_duration_since(Instant::now())?;
+            q.parked_takers += 1;
+            q = self
+                .ready
+                .wait_timeout(q, left)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+            q.parked_takers -= 1;
+        }
+    }
+
+    /// Returns once the queue has room, or `stop` is set.
+    fn wait_room(&self, stop: &AtomicBool) {
+        let mut q = self.lock();
+        while q.replies.len() >= self.capacity && !stop.load(Ordering::Acquire) {
+            q.site_parked = true;
+            q = self
+                .room
+                .wait_timeout(q, IDLE_PARK)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+            q.site_parked = false;
+        }
+    }
+}
+
+/// What a site thread shares with the threads that submit to its site:
+/// the engine, and what flows around it while a thread holds it.
+struct Shared {
+    engine: Mutex<PeerServer>,
+    /// Messages and due timers the site thread found the engine held
+    /// for, oldest first, for its holder to drive (see [`Shared::hold`]).
+    inbox: Mutex<VecDeque<Input>>,
+    /// Timers armed under the engine lock and not yet in the site
+    /// thread's heap.
+    armed: Mutex<Vec<(Instant, TimerId)>>,
+    /// Commands queued and not yet handled.
+    queued: AtomicUsize,
+    replies: Replies,
+    /// The cluster's time zero: the engine sees wall time elapsed since.
+    start: Instant,
+}
+
+impl Shared {
+    fn lock_engine(&self) -> MutexGuard<'_, PeerServer> {
+        // An engine that panicked mid-input is in no state to go on; its
+        // site dies, as a site thread that panicked used to.
+        self.engine.lock().expect("an engine input panicked")
+    }
+
+    fn try_engine(&self) -> Option<MutexGuard<'_, PeerServer>> {
+        match self.engine.try_lock() {
+            Ok(engine) => Some(engine),
+            Err(TryLockError::WouldBlock) => None,
+            Err(TryLockError::Poisoned(_)) => panic!("an engine input panicked"),
+        }
+    }
+
+    fn inbox(&self) -> MutexGuard<'_, VecDeque<Input>> {
+        self.inbox
+            .lock()
+            .expect("a thread panicked holding the inbox")
+    }
+
+    fn armed(&self) -> MutexGuard<'_, Vec<(Instant, TimerId)>> {
+        self.armed
+            .lock()
+            .expect("a thread panicked holding the armed timers")
+    }
+
+    /// The engine, for an application thread: spins up to
+    /// [`ENGINE_SPIN`] while another thread holds it, then blocks.
+    fn lock_engine_spinning(&self) -> MutexGuard<'_, PeerServer> {
+        if let Some(engine) = self.try_engine() {
+            return engine;
+        }
+        let until = Instant::now() + ENGINE_SPIN;
+        while Instant::now() < until {
+            std::hint::spin_loop();
+            if let Some(engine) = self.try_engine() {
+                return engine;
+            }
+        }
+        self.lock_engine()
+    }
+
+    /// Drives what the inbox holds.
+    fn drain(&self, engine: &mut PeerServer, io: &mut Io<'_>) {
+        loop {
+            let Some(input) = self.inbox().pop_front() else {
+                return;
+            };
+            engine.drive(clock(self.start), input, io);
+        }
+    }
+
+    /// Runs `f` on the held `engine` after the inputs left in the inbox,
+    /// then lets go without stranding one: an input the site thread left
+    /// after the last look found the lock held, and its own retry may
+    /// have come before this unlock, so the holder looks again after it.
+    fn hold<'s, R>(
+        &'s self,
+        mut engine: MutexGuard<'s, PeerServer>,
+        io: &mut Io<'_>,
+        f: impl FnOnce(&mut PeerServer, &mut Io<'_>) -> R,
+    ) -> R {
+        self.drain(&mut engine, io);
+        let out = f(&mut engine, io);
+        loop {
+            self.drain(&mut engine, io);
+            drop(engine);
+            if self.inbox().is_empty() {
+                return out;
+            }
+            // Whoever holds it now drains the inbox before letting go.
+            let Some(again) = self.try_engine() else {
+                return out;
+            };
+            engine = again;
+        }
+    }
+
+    /// Hands `input` to the engine from the site thread, which never
+    /// waits for it: driven at once if the engine is free, else left for
+    /// its holder.
+    fn offer(&self, input: Input, io: &mut Io<'_>) {
+        if let Some(engine) = self.try_engine() {
+            self.hold(engine, io, |e, io| e.drive(clock(self.start), input, io));
+            return;
+        }
+        self.inbox().push_back(input);
+        // The holder may have let go between the try and the push.
+        if let Some(engine) = self.try_engine() {
+            self.hold(engine, io, |_, _| {});
+        }
+    }
+}
+
+/// The submitting side of one site: its command channel, the waker
+/// that makes the site look at it, and the engine it shares with the
+/// site thread.
 #[derive(Clone)]
 struct SiteHandle {
     cmd_tx: mpsc::SyncSender<Cmd>,
     waker: Option<Waker>,
+    /// The transport's sender, if it has one: the site's ops may then
+    /// run on the submitting thread.
+    sender: Option<Sender<Message>>,
+    shared: Arc<Shared>,
 }
 
 impl SiteHandle {
@@ -134,17 +427,51 @@ impl SiteHandle {
     /// it either sees the command on the pass in progress or is woken
     /// for the next.
     fn send(&self, cmd: Cmd) -> Result<(), PsccError> {
-        self.cmd_tx
-            .send(cmd)
-            .map_err(|_| PsccError::InvalidOperation("site thread gone"))?;
+        self.queue(cmd)?;
         self.wake();
         Ok(())
+    }
+
+    /// Queues `cmd` without a wake. It counts as queued until the site
+    /// thread has handled it.
+    fn queue(&self, cmd: Cmd) -> Result<(), PsccError> {
+        self.shared.queued.fetch_add(1, Ordering::SeqCst);
+        self.cmd_tx.send(cmd).map_err(|_| {
+            self.shared.queued.fetch_sub(1, Ordering::SeqCst);
+            PsccError::InvalidOperation("site thread gone")
+        })
     }
 
     fn wake(&self) {
         if let Some(w) = &self.waker {
             w.wake();
         }
+    }
+
+    /// Runs `req` on the calling thread if the rules of the module docs
+    /// allow it, else queues it for the site thread.
+    fn submit(&self, req: AppRequest) {
+        let shared = &*self.shared;
+        let Some(sender) = self
+            .sender
+            .as_ref()
+            .filter(|_| shared.queued.load(Ordering::SeqCst) == 0 && shared.replies.has_room())
+        else {
+            let _ = self.send(Cmd::App(req));
+            return;
+        };
+        let send = |to, path, msg| sender.send(to, path, msg);
+        let mut io = Io::new(&send, shared);
+        let began = Instant::now();
+        let engine = shared.lock_engine_spinning();
+        shared.hold(engine, &mut io, |e, io| {
+            e.drive(clock(shared.start), Input::App(req), io);
+        });
+        if io.armed {
+            // The site thread's wait may end after the new timer is due.
+            self.wake();
+        }
+        pace_inline(began);
     }
 
     /// What the control plane observes of the site.
@@ -200,58 +527,75 @@ impl Harness for Remote {
     }
 }
 
-/// One peer server and everything its thread owns.
+/// A site thread: what it alone owns, and what it shares with the
+/// threads that submit to its site.
 struct Site<T> {
     cfg: SystemConfig,
     owners: OwnerMap,
-    engine: PeerServer,
-    io: SiteIo<T>,
+    shared: Arc<Shared>,
+    transport: T,
+    /// Armed timers, earliest first.
+    timers: BinaryHeap<Reverse<(Instant, TimerId)>>,
     commands: mpsc::Receiver<Cmd>,
-    /// The cluster's time zero: the engine sees wall time elapsed since.
-    start: Instant,
     /// Whether the transport has no [`Waker`], so that a command queued
     /// for the site is seen only when a wait runs out.
     polled: bool,
 }
 
-/// A site's [`Env`]: sends go to the transport, timers to a wall-clock
-/// heap, replies to the applications' channel; disks complete at once
-/// (storage is in memory).
-struct SiteIo<T> {
-    transport: T,
-    /// Armed timers, earliest first.
-    timers: BinaryHeap<Reverse<(Instant, TimerId)>>,
-    replies: mpsc::SyncSender<AppReply>,
+/// A site's [`Env`] while a thread holds its engine: sends go out at
+/// once, through the transport on the site thread and through its
+/// [`Sender`] on any other; timers go to the site thread's heap; replies
+/// to the applications' queue; disks complete at once (storage is in
+/// memory).
+struct Io<'a> {
+    send: &'a dyn Fn(SiteId, PathId, Message),
+    shared: &'a Shared,
+    /// Whether a timer was armed during the hold.
+    armed: bool,
 }
 
-impl<T: Transport<Message>> Env for SiteIo<T> {
+impl<'a> Io<'a> {
+    fn new(send: &'a dyn Fn(SiteId, PathId, Message), shared: &'a Shared) -> Self {
+        Io {
+            send,
+            shared,
+            armed: false,
+        }
+    }
+}
+
+impl Env for Io<'_> {
     fn send(&mut self, to: SiteId, msg: Message) {
-        self.transport.send(to, PathId(msg.path() as u8), msg);
+        (self.send)(to, PathId(msg.path() as u8), msg);
     }
     fn disk(&mut self, _: DiskReqId, _: DiskOp) -> bool {
         true
     }
     fn arm_timer(&mut self, timer: TimerId, delay: pscc_common::SimDuration) {
         let at = Instant::now() + Duration::from_micros(delay.as_micros());
-        self.timers.push(Reverse((at, timer)));
+        // Under the engine lock, so that a restart, which clears the
+        // list under it, forgets every timer of the engine it replaces.
+        self.shared.armed().push((at, timer));
+        self.armed = true;
     }
     fn reply(&mut self, reply: AppReply) {
-        let _ = self.replies.send(reply);
+        self.shared.replies.push(reply);
     }
 }
 
 impl<T: Transport<Message>> Site<T> {
     fn run(mut self, stop: &AtomicBool) {
         while !stop.load(Ordering::Acquire) {
+            self.take_armed();
             // The clock is read only while a timer is armed.
-            if !self.io.timers.is_empty() {
+            if !self.timers.is_empty() {
                 let now = Instant::now();
-                while let Some(&Reverse((at, timer))) = self.io.timers.peek() {
+                while let Some(&Reverse((at, timer))) = self.timers.peek() {
                     if at > now {
                         break;
                     }
-                    self.io.timers.pop();
-                    self.handle(Input::TimerFired { timer });
+                    self.timers.pop();
+                    self.offer(Input::TimerFired { timer });
                 }
             }
             // A bounded batch, not whatever keeps coming: a driver that
@@ -261,7 +605,8 @@ impl<T: Transport<Message>> Site<T> {
                 let Ok(cmd) = self.commands.try_recv() else {
                     break;
                 };
-                self.command(cmd);
+                self.command(cmd, stop);
+                self.shared.queued.fetch_sub(1, Ordering::SeqCst);
                 commands += 1;
             }
             // The pass's one wait is its first look at the network. It
@@ -275,7 +620,7 @@ impl<T: Transport<Message>> Site<T> {
                 self.wait()
             };
             for _ in 0..PASS_BATCH {
-                let Some(env) = self.io.transport.recv_timeout(wait) else {
+                let Some(env) = self.transport.recv_timeout(wait) else {
                     break;
                 };
                 self.message(env);
@@ -284,32 +629,57 @@ impl<T: Transport<Message>> Site<T> {
         }
     }
 
+    /// Moves the timers armed since the last look into the heap.
+    fn take_armed(&mut self) {
+        let mut armed = self.shared.armed();
+        self.timers.extend(armed.drain(..).map(Reverse));
+    }
+
     /// How long the site may block: until the earliest armed timer, and
     /// at most its idle park (or poll period, over a transport that has
     /// no [`Waker`]).
-    fn wait(&self) -> Duration {
+    fn wait(&mut self) -> Duration {
+        self.take_armed();
         let idle = if self.polled { IDLE_POLL } else { IDLE_PARK };
-        self.io.timers.peek().map_or(idle, |Reverse((at, _))| {
+        self.timers.peek().map_or(idle, |Reverse((at, _))| {
             at.saturating_duration_since(Instant::now()).min(idle)
         })
     }
 
     fn message(&mut self, env: Envelope<Message>) {
-        self.handle(Input::Msg {
+        self.offer(Input::Msg {
             from: env.from,
             msg: env.msg,
         });
     }
 
-    fn command(&mut self, cmd: Cmd) {
+    fn offer(&self, input: Input) {
+        let send = |to, path, msg| self.transport.send(to, path, msg);
+        self.shared.offer(input, &mut Io::new(&send, &self.shared));
+    }
+
+    /// Runs `f` on the engine, waiting for it if another thread holds it.
+    fn with_engine<R>(&self, f: impl FnOnce(&mut PeerServer, &mut Io<'_>) -> R) -> R {
+        let send = |to, path, msg| self.transport.send(to, path, msg);
+        let shared = &*self.shared;
+        shared.hold(shared.lock_engine(), &mut Io::new(&send, shared), f)
+    }
+
+    fn command(&mut self, cmd: Cmd, stop: &AtomicBool) {
+        let start = self.shared.start;
         match cmd {
-            Cmd::App(req) => self.handle(Input::App(req)),
-            Cmd::Stats(tx) => {
-                let _ = tx.send(self.engine.stats);
+            Cmd::App(req) => {
+                self.shared.replies.wait_room(stop);
+                self.with_engine(|e, io| e.drive(clock(start), Input::App(req), io));
             }
-            Cmd::Control(op) => self.handle(Input::Control(op)),
+            Cmd::Stats(tx) => {
+                let _ = tx.send(self.with_engine(|e, _| e.stats));
+            }
+            Cmd::Control(op) => {
+                self.with_engine(|e, io| e.drive(clock(start), Input::Control(op), io));
+            }
             Cmd::Probe(tx) => {
-                let _ = tx.send(observe_site(&self.engine, true));
+                let _ = tx.send(self.with_engine(|e, _| observe_site(e, true)));
             }
             Cmd::Restart => self.restart(),
         }
@@ -321,16 +691,13 @@ impl<T: Transport<Message>> Site<T> {
     /// durable to lose.
     fn restart(&mut self) {
         // A crashed process forgets its timers.
-        self.io.timers.clear();
+        self.timers.clear();
         let (cfg, owners) = (self.cfg.clone(), self.owners.clone());
-        self.engine = restart_engine(&self.engine, cfg, owners, &mut self.io);
-        self.engine.stats.faults_injected += 1;
-    }
-
-    /// Feeds `input` to the engine at the wall time since the cluster
-    /// started.
-    fn handle(&mut self, input: Input) {
-        self.engine.drive(clock(self.start), input, &mut self.io);
+        self.with_engine(|engine, io| {
+            io.shared.armed().clear();
+            *engine = restart_engine(engine, cfg, owners, io);
+            engine.stats.faults_injected += 1;
+        });
     }
 }
 
@@ -339,10 +706,6 @@ pub struct ThreadedCluster {
     sites: Vec<SiteHandle>,
     /// Time zero of every engine's clock.
     start: Instant,
-    /// Per site. A std `Receiver` is not `Sync`; the lock is uncontended
-    /// when one thread takes a site's replies, as it must (replies are
-    /// not addressed to a thread).
-    reply_rx: Vec<Mutex<mpsc::Receiver<AppReply>>>,
     shutdown: Arc<AtomicBool>,
     handles: Vec<JoinHandle<()>>,
 }
@@ -418,56 +781,74 @@ impl ThreadedCluster {
         }
         let shutdown = Arc::new(AtomicBool::new(false));
         let mut sites = Vec::new();
-        let mut reply_rx = Vec::new();
         let mut handles = Vec::new();
         let start = Instant::now();
 
-        // Drivers are trusted not to flood, but the channels are bounded
-        // anyway so a runaway workload blocks at submission instead of
-        // growing memory without limit.
-        let cmd_capacity = cfg.mailbox_capacity.max(1) as usize;
+        // Callers are trusted not to flood, but commands and replies are
+        // bounded anyway so a runaway workload blocks at submission
+        // instead of growing memory without limit.
+        let capacity = cfg.mailbox_capacity.max(1) as usize;
         for (id, transport) in transports {
-            let (cmd_tx, commands) = mpsc::sync_channel::<Cmd>(cmd_capacity);
-            let (replies, rrx) = mpsc::sync_channel::<AppReply>(cmd_capacity);
+            let (cmd_tx, commands) = mpsc::sync_channel::<Cmd>(capacity);
             let waker = transport.waker();
-            reply_rx.push(Mutex::new(rrx));
+            let shared = Arc::new(Shared {
+                engine: Mutex::new(PeerServer::new(id, cfg.clone(), owners.clone())),
+                inbox: Mutex::new(VecDeque::new()),
+                armed: Mutex::new(Vec::new()),
+                queued: AtomicUsize::new(0),
+                replies: Replies::new(capacity),
+                start,
+            });
+            sites.push(SiteHandle {
+                cmd_tx,
+                waker: waker.clone(),
+                sender: transport.sender(),
+                shared: Arc::clone(&shared),
+            });
             let site = Site {
                 cfg: cfg.clone(),
                 owners: owners.clone(),
-                engine: PeerServer::new(id, cfg.clone(), owners.clone()),
-                io: SiteIo {
-                    transport,
-                    timers: BinaryHeap::new(),
-                    replies,
-                },
+                shared,
+                transport,
+                timers: BinaryHeap::new(),
                 commands,
-                start,
                 polled: waker.is_none(),
             };
-            sites.push(SiteHandle { cmd_tx, waker });
             let stop = Arc::clone(&shutdown);
             handles.push(std::thread::spawn(move || site.run(&stop)));
         }
         ThreadedCluster {
             sites,
             start,
-            reply_rx,
             shutdown,
             handles,
         }
     }
 
-    /// Submits an application request to `site` without waiting.
+    /// Submits an application request to `site`. Its reply is taken
+    /// with [`Self::recv_reply`] or [`Self::try_reply`].
+    ///
+    /// The op runs on the calling thread when the site's engine can take
+    /// it there (see the module docs): a cache hit's reply is then
+    /// queued before this returns. Otherwise the op is queued for the
+    /// site thread, and this returns without waiting.
     pub fn submit(&self, site: SiteId, app: AppId, txn: Option<TxnId>, op: AppOp) {
-        let _ = self.sites[site.0 as usize].send(Cmd::App(AppRequest { app, txn, op }));
+        self.sites[site.0 as usize].submit(AppRequest { app, txn, op });
+    }
+
+    /// The next reply from `site` if one is queued, without waiting.
+    pub fn try_reply(&self, site: SiteId) -> Option<AppReply> {
+        self.sites[site.0 as usize].shared.replies.try_take()
     }
 
     /// Waits (up to 10 s wall time) for the next reply from `site`.
     ///
-    /// A reply already queued is returned at once. Otherwise the caller
-    /// first naps `REPLY_NAP` *without* registering as a waiter, looking
-    /// at the queue again halfway, and only blocks on the channel if the
-    /// nap did not produce the reply.
+    /// A reply already queued is returned at once: every reply of an op
+    /// that ran on the calling thread, and whatever the site thread
+    /// answered meanwhile. Otherwise the caller first naps `REPLY_NAP`
+    /// *without* registering as a waiter, looking at the queue again
+    /// halfway, and only blocks on the queue if the nap did not produce
+    /// the reply.
     /// Waking a blocked application thread costs the site thread that
     /// replies an inter-processor interrupt — an order of magnitude more
     /// CPU than the cache-hit read it answers — and a site that pays it
@@ -483,21 +864,22 @@ impl ThreadedCluster {
     /// [`PsccError::InvalidOperation`] on timeout.
     pub fn recv_reply(&self, site: SiteId) -> Result<AppReply, PsccError> {
         precise_naps();
-        let replies = self.reply_rx[site.0 as usize]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let replies = &self.sites[site.0 as usize].shared.replies;
         // The nap in two halves with a look between: a reply ready
         // within the first half is taken then, and the site still finds
         // nobody to wake for the whole of `REPLY_NAP`.
         for _ in 0..2 {
-            if let Ok(reply) = replies.try_recv() {
+            if let Some(reply) = replies.try_take() {
                 return Ok(reply);
             }
             std::thread::sleep(REPLY_NAP / 2);
+            slept();
         }
-        replies
-            .recv_timeout(Duration::from_secs(10))
-            .map_err(|_| PsccError::InvalidOperation("threaded cluster reply timeout"))
+        let reply = replies.take_timeout(Duration::from_secs(10));
+        slept();
+        reply.ok_or(PsccError::InvalidOperation(
+            "threaded cluster reply timeout",
+        ))
     }
 
     /// Begins a transaction at `site`.
@@ -686,8 +1068,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         let (tx, answers) = mpsc::sync_channel(QUEUED);
         for _ in 0..QUEUED {
-            site.cmd_tx
-                .try_send(Cmd::Stats(tx.clone()))
+            site.queue(Cmd::Stats(tx.clone()))
                 .expect("room in the command channel");
         }
         let t0 = Instant::now();

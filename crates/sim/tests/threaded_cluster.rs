@@ -629,3 +629,283 @@ fn a_reply_slower_than_the_nap_is_returned_over_tcp() {
     let cluster = ThreadedCluster::new_tcp(2, ps_aa(), OwnerMap::Single(SiteId(0)));
     a_reply_slower_than_the_nap_is_returned(cluster);
 }
+
+/// The idle park of a site whose transport can be woken.
+const IDLE_PARK: Duration = Duration::from_millis(100);
+
+#[test]
+fn a_local_read_is_answered_before_submit_returns_when_the_transport_can_send() {
+    let x = oid(3, 0);
+    let site = SiteId(0);
+    let app = AppId(1);
+    let inproc = ThreadedCluster::new(1, ps_aa(), OwnerMap::Single(site));
+    let txn = inproc.begin(site, app).unwrap();
+    inproc.run_op(site, app, txn, AppOp::Read(x)).unwrap();
+    for _ in 0..3 {
+        inproc.submit(site, app, Some(txn), AppOp::Read(x));
+        let reply = inproc.try_reply(site);
+        assert!(
+            matches!(reply, Some(AppReply::Done { txn: t, .. }) if t == txn),
+            "the read ran on the site thread: {reply:?} right after submit"
+        );
+    }
+    inproc.shutdown();
+
+    // A site that cannot be woken looks for commands every 200 µs, so
+    // the reply of an op it runs is seldom there right after submit,
+    // and never three times in a row.
+    let polled = polled_cluster(1, ps_aa());
+    let txn = polled.begin(site, app).unwrap();
+    polled.run_op(site, app, txn, AppOp::Read(x)).unwrap();
+    let at_once = (0..3)
+        .filter(|_| {
+            polled.submit(site, app, Some(txn), AppOp::Read(x));
+            let at_once = polled.try_reply(site).is_some();
+            if !at_once {
+                polled.recv_reply(site).expect("the read is answered");
+            }
+            at_once
+        })
+        .count();
+    assert!(
+        at_once < 3,
+        "ops ran inline over a transport that cannot send from another thread"
+    );
+    polled.shutdown();
+}
+
+/// What a test sets to hold a site thread in its transport wait.
+#[derive(Default)]
+struct Gate {
+    closed: std::sync::Mutex<bool>,
+    opened: std::sync::Condvar,
+    inside: AtomicBool,
+}
+
+impl Gate {
+    fn pass(&self) {
+        let mut closed = self.closed.lock().unwrap();
+        while *closed {
+            self.inside.store(true, Ordering::SeqCst);
+            closed = self.opened.wait(closed).unwrap();
+        }
+        self.inside.store(false, Ordering::SeqCst);
+    }
+
+    /// Closes the gate and returns once the site thread waits at it.
+    fn close(&self) {
+        *self.closed.lock().unwrap() = true;
+        while !self.inside.load(Ordering::SeqCst) {
+            std::thread::sleep(Duration::from_micros(50));
+        }
+    }
+
+    fn open(&self) {
+        *self.closed.lock().unwrap() = false;
+        self.opened.notify_all();
+    }
+}
+
+/// An in-process endpoint that can send from any thread but cannot be
+/// woken, so a site behind it polls; its site thread waits at `gate`
+/// before each look at the network, and each send through its sender
+/// takes `send_delay` longer.
+struct Wrapped {
+    inner: Endpoint<Message>,
+    gate: Arc<Gate>,
+    send_delay: Duration,
+}
+
+impl Transport<Message> for Wrapped {
+    fn send(&self, to: SiteId, path: PathId, msg: Message) {
+        self.inner.send(to, path, msg);
+    }
+
+    fn recv_timeout(&self, timeout: Duration) -> Option<Envelope<Message>> {
+        self.gate.pass();
+        Transport::recv_timeout(&self.inner, timeout)
+    }
+
+    fn sender(&self) -> Option<pscc_net::Sender<Message>> {
+        let inner = Transport::sender(&self.inner)?;
+        let delay = self.send_delay;
+        Some(pscc_net::Sender::new(move |to, path, msg| {
+            inner.send(to, path, msg);
+            std::thread::sleep(delay);
+        }))
+    }
+}
+
+/// `n` sites over an in-process network behind [`Wrapped`] endpoints
+/// sharing `gate`.
+fn wrapped_cluster(
+    n: u32,
+    cfg: SystemConfig,
+    owners: OwnerMap,
+    gate: &Arc<Gate>,
+    send_delay: Duration,
+) -> ThreadedCluster {
+    let sites: Vec<SiteId> = (0..n).map(SiteId).collect();
+    let net = InProcNetwork::<Message>::with_overload(
+        &sites,
+        3,
+        cfg.mailbox_capacity as usize,
+        Some(Arc::new(|m: &Message| m.is_consistency())),
+    );
+    let transports = sites
+        .iter()
+        .map(|&s| {
+            let wrapped = Wrapped {
+                inner: net.endpoint(s),
+                gate: Arc::clone(gate),
+                send_delay,
+            };
+            (s, wrapped)
+        })
+        .collect();
+    ThreadedCluster::with_transports(cfg, owners, transports)
+}
+
+#[test]
+fn ops_submitted_behind_a_queued_command_wait_for_it_and_run_in_order() {
+    let x = oid(3, 0);
+    let site = SiteId(0);
+    let app = AppId(1);
+    let gate = Arc::new(Gate::default());
+    let cluster = wrapped_cluster(1, ps_aa(), OwnerMap::Single(site), &gate, Duration::ZERO);
+    let txn = cluster.begin(site, app).unwrap();
+    cluster.run_op(site, app, txn, AppOp::Read(x)).unwrap();
+    // The site thread is held, so a command sits queued; nothing to
+    // undo at an active site.
+    gate.close();
+    cluster.send_control(site, ControlOp::Undrain);
+    cluster.submit(
+        site,
+        app,
+        Some(txn),
+        AppOp::Write {
+            oid: x,
+            bytes: None,
+        },
+    );
+    cluster.submit(site, app, Some(txn), AppOp::Commit);
+    let overtook = cluster.try_reply(site);
+    gate.open();
+    assert!(
+        overtook.is_none(),
+        "an op overtook a command queued before it: {overtook:?}"
+    );
+    let first = cluster.recv_reply(site);
+    assert!(
+        matches!(first, Ok(AppReply::Done { txn: t, .. }) if t == txn),
+        "the write was not answered first: {first:?}"
+    );
+    let second = cluster.recv_reply(site);
+    assert!(
+        matches!(second, Ok(AppReply::Committed { txn: t, .. }) if t == txn),
+        "the commit was not answered second: {second:?}"
+    );
+    cluster.shutdown();
+}
+
+#[test]
+fn a_message_that_finds_an_inline_op_holding_the_engine_is_driven_by_it() {
+    // Each send from a client's own thread holds its engine 5 ms longer,
+    // so the owner's answer to a read arrives while the read that sent
+    // the request still holds the client's engine: the site thread
+    // leaves it to that holder, who must drive it before it lets go.
+    const HOLD: Duration = Duration::from_millis(5);
+    let (owner, client) = (SiteId(0), SiteId(1));
+    let app = AppId(1);
+    let gate = Arc::new(Gate::default());
+    let cluster = wrapped_cluster(2, ps_aa(), OwnerMap::Single(owner), &gate, HOLD);
+    for round in 0..3 {
+        let txn = cluster.begin(client, app).unwrap();
+        let t0 = Instant::now();
+        let read = cluster.run_op(client, app, txn, AppOp::Read(oid(3 + round, 0)));
+        let took = t0.elapsed();
+        assert!(
+            matches!(read, Ok(AppReply::Done { .. })),
+            "the remote read failed: {read:?}"
+        );
+        assert!(
+            took < IDLE_PARK / 2,
+            "the owner's answer waited {took:?} for the client's engine"
+        );
+        let _ = cluster.run_op(client, app, txn, AppOp::Commit);
+    }
+    cluster.shutdown();
+}
+
+#[test]
+fn a_lock_wait_timer_armed_by_an_inline_op_fires_on_time() {
+    let cfg = SystemConfig {
+        initial_lock_timeout: SimDuration::from_millis(5),
+        ..ps_aa()
+    };
+    let site = SiteId(0);
+    let cluster = ThreadedCluster::new(1, cfg, OwnerMap::Single(site));
+    let x = oid(3, 0);
+    let write = AppOp::Write {
+        oid: x,
+        bytes: None,
+    };
+    let holder = cluster.begin(site, AppId(1)).unwrap();
+    cluster
+        .run_op(site, AppId(1), holder, write.clone())
+        .unwrap();
+    let waiter = cluster.begin(site, AppId(2)).unwrap();
+    // The probe is handled on the site thread, which then parks for a
+    // whole idle park: only a wake makes it see the new timer sooner.
+    cluster.probe(site).expect("site answers");
+    let t0 = Instant::now();
+    let outcome = cluster.run_op(site, AppId(2), waiter, write);
+    let waited = t0.elapsed();
+    assert!(
+        matches!(outcome, Err(PsccError::Aborted { txn, .. }) if txn == waiter),
+        "the waiter should time out, got {outcome:?}"
+    );
+    assert!(
+        waited < IDLE_PARK / 2,
+        "a 5 ms lock-wait timer took {waited:?} to fire"
+    );
+    cluster.shutdown();
+}
+
+#[test]
+fn a_caller_that_submits_past_the_reply_bound_before_receiving_gets_every_reply() {
+    // The reply queue holds 8: the ninth op finds no room and is queued,
+    // and the site thread waits for room before it answers it, while
+    // the caller goes on submitting. The caller takes every reply once
+    // it is done submitting. An inline op must never wait for room in
+    // the queue its own thread drains.
+    const CAPACITY: u32 = 8;
+    const OPS: u32 = CAPACITY + CAPACITY / 2;
+    let cfg = SystemConfig {
+        mailbox_capacity: CAPACITY,
+        ..ps_aa()
+    };
+    let site = SiteId(0);
+    let cluster = ThreadedCluster::new(1, cfg, OwnerMap::Single(site));
+    let (done, outcome) = std::sync::mpsc::sync_channel(1);
+    // On its own thread, so that a caller stuck in `submit` fails the
+    // test instead of hanging it.
+    std::thread::spawn(move || {
+        for a in 0..OPS {
+            cluster.submit(site, AppId(a), None, AppOp::Begin);
+        }
+        let apps: Vec<_> = (0..OPS)
+            .map(|_| match cluster.recv_reply(site) {
+                Ok(AppReply::Started { app, .. }) => Some(app.0),
+                _ => None,
+            })
+            .collect();
+        cluster.shutdown();
+        let _ = done.send(apps);
+    });
+    let apps = outcome
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the caller is stuck");
+    let expected: Vec<_> = (0..OPS).map(Some).collect();
+    assert_eq!(apps, expected, "replies lost or out of order");
+}
