@@ -16,7 +16,7 @@
 //!   [`Sender`] sends on an endpoint's behalf from another thread.
 //! * [`tcp::TcpNode`] — the same over real sockets, one connection per
 //!   `(src, dst, path)`; the site thread reads its own connections
-//!   inside the same kind of wait.
+//!   inside the same kind of wait, and any thread may write to them.
 //! * [`SeededNet`] — a single-threaded, deterministic message pool for
 //!   simulation and race-exploration tests: per-path FIFO is enforced,
 //!   and the *choice of which path delivers next* is driven by a seeded
@@ -228,6 +228,18 @@ pub trait Transport<M> {
     /// behaves like a closed socket).
     fn send(&self, to: SiteId, path: PathId, msg: M);
 
+    /// Sends as [`Transport::send`] does, except that the message may
+    /// wait in the transport until the next [`Transport::flush`], or the
+    /// next send on its path by any other means, writes it. Each path
+    /// stays FIFO across all three. Sends at once unless implemented.
+    fn send_batched(&self, to: SiteId, path: PathId, msg: M) {
+        self.send(to, path, msg);
+    }
+
+    /// Writes every message that [`Transport::send_batched`] left
+    /// waiting. A no-op unless implemented.
+    fn flush(&self) {}
+
     /// Waits up to `timeout` for the next inbound message. A zero
     /// timeout polls.
     fn recv_timeout(&self, timeout: Duration) -> Option<Envelope<M>>;
@@ -244,8 +256,10 @@ pub trait Transport<M> {
     /// if this transport has one. The rule it keeps: it is safe to call
     /// while another thread is inside this transport's `recv_timeout`,
     /// and its sends and the transport's own share each path's FIFO, in
-    /// the order the calls were made. A transport whose sockets only its
-    /// receiving thread may touch has none.
+    /// the order the calls were made; a send through it writes whatever
+    /// [`Transport::send_batched`] left waiting on its path first. A
+    /// transport whose sockets only its receiving thread may touch has
+    /// none.
     fn sender(&self) -> Option<Sender<M>> {
         None
     }
@@ -519,7 +533,7 @@ impl<M> SeededNet<M> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -537,14 +551,12 @@ mod tests {
         assert_eq!(got, (0..10).collect::<Vec<_>>());
     }
 
-    #[test]
-    fn a_sender_shares_each_path_fifo_with_its_endpoint() {
-        let net = InProcNetwork::<u32>::new(&[SiteId(0), SiteId(1)], 2);
-        let a = net.endpoint(SiteId(0));
-        let b = net.endpoint(SiteId(1));
-        let sender = Transport::sender(&a).expect("endpoints can send from any thread");
-        // Both halves of each pair on path 1, the sender's from its own
-        // thread while the receiver may already be waiting.
+    /// The rule of [`Transport::sender`], as any transport keeps it:
+    /// ten sends through `a`'s sender, each from a thread of its own,
+    /// interleaved on path 1 with ten of `a`'s own sends while `b` already
+    /// waits, arrive at `b` in the order they were made.
+    pub(crate) fn a_sender_shares_each_path_fifo<T: Transport<u32> + Sync>(a: &T, b: &T) {
+        let sender = a.sender().expect("the transport can send from any thread");
         let got = std::thread::scope(|s| {
             let receiver = s.spawn(|| {
                 (0..20)
@@ -565,6 +577,12 @@ mod tests {
             receiver.join().expect("receiving thread")
         });
         assert_eq!(got, (0..20).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_sender_shares_each_path_fifo_with_its_endpoint() {
+        let net = InProcNetwork::<u32>::new(&[SiteId(0), SiteId(1)], 2);
+        a_sender_shares_each_path_fifo(&net.endpoint(SiteId(0)), &net.endpoint(SiteId(1)));
     }
 
     #[test]

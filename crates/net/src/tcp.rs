@@ -16,25 +16,34 @@
 //! the same two lanes the in-process mailbox has, so a site blocks, and
 //! is woken, the same way over either transport.
 //!
+//! Sends: any thread may send, through the node or its
+//! [`Transport::sender`]. Each outgoing connection keeps the frames that
+//! [`Transport::send_batched`] appended until [`Transport::flush`] writes
+//! them in one `write`; any other send writes what its connection holds
+//! first and then its own frame, at once. Both happen under the one lock
+//! over the node's outgoing connections, so each path stays FIFO
+//! whichever thread sends, and a site thread that batches what a pass of
+//! its loop sends pays one write per connection, not one per message.
+//!
 //! Back-pressure: a connection whose next message finds its lane full is
 //! not read until that lane has room, so the kernel's TCP window fills
 //! and the sender's write blocks — bounded memory, no message lost. A
 //! write that would block reads this node's own connections while it
-//! waits: two sites that flood each other would otherwise both stall on
-//! full socket buffers, each waiting for the other to read.
+//! waits, unless the receiving thread is already reading them: two sites
+//! that flood each other would otherwise both stall on full socket
+//! buffers, each waiting for the other to read.
 
 use crate::codec::{decode_frame, encode_frame};
 use crate::lanes::Lanes;
 use crate::mailbox::Wake;
 use crate::poll::{self, PollFd, POLLIN, POLLOUT};
-use crate::{Envelope, LaneClassifier, PathId, Transport, Waker, DEFAULT_MAILBOX_CAPACITY};
-use bytes::BytesMut;
+use crate::{Envelope, LaneClassifier, PathId, Sender, Transport, Waker, DEFAULT_MAILBOX_CAPACITY};
+use bytes::{Buf, BytesMut};
 use pscc_common::hash::HashMap;
 use pscc_common::wire::{Wire, WIRE_VERSION};
 use pscc_common::SiteId;
 use pscc_obs::event::TraceHandle;
 use pscc_obs::EventKind;
-use std::collections::hash_map::Entry;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
@@ -61,6 +70,10 @@ pscc_common::impl_wire!(struct Handshake { version, site, path });
 pub struct NetStats {
     /// Message frames written.
     pub frames_sent: AtomicU64,
+    /// Writes that put message frames on a connection, each one or more
+    /// whole frames (a write the socket takes in parts counts once):
+    /// `frames_sent / writes` is the frames a write carries.
+    pub writes: AtomicU64,
     /// Bytes written (encoded frames, length prefix included).
     pub bytes_sent: AtomicU64,
     /// Message frames decoded.
@@ -80,6 +93,7 @@ impl NetStats {
     /// Exports the counters into a metrics registry under `net_*` names.
     pub fn export(&self, reg: &mut pscc_obs::MetricsRegistry) {
         reg.counter("net_frames_sent", self.frames_sent.load(Ordering::Relaxed));
+        reg.counter("net_writes", self.writes.load(Ordering::Relaxed));
         reg.counter("net_bytes_sent", self.bytes_sent.load(Ordering::Relaxed));
         reg.counter(
             "net_frames_received",
@@ -130,19 +144,44 @@ const ACCEPT_PAUSE: Duration = Duration::from_millis(10);
 /// Bytes one read takes off a connection.
 const READ_CHUNK: usize = 16 * 1024;
 
-/// One site of a TCP-connected peer-servers deployment.
+/// One site of a TCP-connected peer-servers deployment. Its state is
+/// shared with the [`Sender`]s it hands out, which hold it weakly: once
+/// the node is shut down or dropped, their sends are lost, as on a
+/// closed socket.
 pub struct TcpNode<M> {
+    node: Arc<Node<M>>,
+}
+
+/// What a [`TcpNode`] and its senders share.
+struct Node<M> {
     site: SiteId,
     peers: HashMap<SiteId, SocketAddr>,
-    // (dst, path) -> established outgoing connection.
-    conns: Mutex<HashMap<(SiteId, PathId), TcpStream>>,
+    /// Every outgoing `(destination, path)` connection. A send holds this
+    /// lock from the first byte it writes to the last.
+    conns: Mutex<HashMap<(SiteId, PathId), Conn>>,
     inbox: Mutex<Inbox<M>>,
     doorbell: Arc<Doorbell>,
     tally: Tally,
-    // Reconnect policy (see `configure_retry`).
-    backoff_base: Duration,
-    backoff_max: Duration,
-    max_retries: u32,
+    retry: Retry,
+}
+
+/// The reconnect policy of a send whose connect or write fails.
+#[derive(Clone, Copy)]
+struct Retry {
+    base: Duration,
+    max: Duration,
+    attempts: u32,
+}
+
+/// One outgoing connection: its stream once dialled, and the frames
+/// written to it next.
+#[derive(Default)]
+struct Conn {
+    stream: Option<TcpStream>,
+    /// Whole encoded frames not yet written, oldest first.
+    pending: BytesMut,
+    /// How many frames `pending` holds.
+    frames: u64,
 }
 
 /// Everything inbound: held by the thread that receives, and by a send
@@ -251,7 +290,7 @@ impl<M: Wire + Send + 'static> TcpNode<M> {
         let (tx, rx) = UnixStream::pair()?;
         tx.set_nonblocking(true)?;
         rx.set_nonblocking(true)?;
-        Ok(TcpNode {
+        let node = Node {
             site,
             peers: peers.into_iter().collect(),
             conns: Mutex::new(HashMap::default()),
@@ -271,47 +310,171 @@ impl<M: Wire + Send + 'static> TcpNode<M> {
                 tx,
             }),
             tally: Tally::default(),
-            backoff_base: Duration::from_millis(10),
-            backoff_max: Duration::from_millis(1_000),
-            max_retries: 5,
+            retry: Retry {
+                base: Duration::from_millis(10),
+                max: Duration::from_millis(1_000),
+                attempts: 5,
+            },
+        };
+        Ok(TcpNode {
+            node: Arc::new(node),
         })
     }
 
     /// Overrides the reconnect policy (defaults: 10 ms base doubling to
     /// a 1 s cap, 5 retries).
+    ///
+    /// # Panics
+    ///
+    /// Panics once the node has handed out a [`Transport::sender`]: the
+    /// policy is fixed from then on.
     pub fn configure_retry(&mut self, base: Duration, max: Duration, retries: u32) {
-        self.backoff_base = base;
-        self.backoff_max = max;
-        self.max_retries = retries;
+        let node = Arc::get_mut(&mut self.node)
+            .expect("the retry policy is configured before any sender is handed out");
+        node.retry = Retry {
+            base,
+            max,
+            attempts: retries,
+        };
     }
 
     /// Installs a trace handle; disconnects and retries are recorded as
     /// protocol events from then on.
     pub fn set_trace(&self, handle: TraceHandle) {
-        if let Ok(mut guard) = self.tally.trace.lock() {
+        if let Ok(mut guard) = self.node.tally.trace.lock() {
             *guard = Some(handle);
         }
     }
 
     /// This node's wire-level counters.
     pub fn stats(&self) -> &NetStats {
-        &self.tally.stats
+        &self.node.tally.stats
     }
 
     /// Messages queued in the inbox (both lanes), once what the
     /// connections hold has been read — the queue gauge harnesses export
     /// per node.
     pub fn queue_depth(&self) -> usize {
-        let mut inbox = self.lock_inbox();
-        inbox.poll(self.site, &self.tally, Some(Duration::ZERO), Also::Doorbell);
+        let node = &*self.node;
+        let mut inbox = node.lock_inbox();
+        inbox.poll(node.site, &node.tally, Some(Duration::ZERO), Also::Doorbell);
         inbox.lanes.len()
     }
 
+    /// Closes the listener and every connection.
+    pub fn shutdown(self) {}
+}
+
+impl<M: Wire> Node<M> {
     fn lock_inbox(&self) -> MutexGuard<'_, Inbox<M>> {
         // A panic mid-update leaves at worst a reader with a partial
         // frame, which its peer's next bytes complete or its decoder
         // refuses: the inbox stays usable.
         self.inbox.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn lock_conns(&self) -> MutexGuard<'_, HashMap<(SiteId, PathId), Conn>> {
+        self.conns.lock().expect("conns poisoned")
+    }
+
+    /// Appends `msg`'s frame to what the `(to, path)` connection writes
+    /// next. Returns `false` for a message over the frame limit, which
+    /// no write can carry (counted as an abandoned send).
+    fn batch(&self, to: SiteId, path: PathId, msg: &M) -> bool {
+        let mut conns = self.lock_conns();
+        let conn = conns.entry((to, path)).or_default();
+        if encode_frame(msg, &mut conn.pending).is_err() {
+            drop(conns);
+            self.tally.disconnect(to);
+            return false;
+        }
+        conn.frames += 1;
+        true
+    }
+
+    /// Sends `msg` at once, behind what its connection already holds.
+    fn send(&self, to: SiteId, path: PathId, msg: &M) {
+        if self.batch(to, path, msg) {
+            self.deliver(to, path);
+        }
+    }
+
+    /// Writes every connection's pending frames.
+    fn flush(&self) {
+        loop {
+            let dirty = self
+                .lock_conns()
+                .iter()
+                .find(|(_, conn)| conn.frames > 0)
+                .map(|(key, _)| *key);
+            let Some((to, path)) = dirty else {
+                return;
+            };
+            self.deliver(to, path);
+        }
+    }
+
+    /// Writes what the `(to, path)` connection holds, retrying with
+    /// exponential backoff and a fresh connection instead of dying
+    /// silently on the first connect/write failure. The backoff sleeps
+    /// with no lock held. Once the retry budget is spent the peer is
+    /// unreachable: what was pending is dropped, and counted.
+    fn deliver(&self, to: SiteId, path: PathId) {
+        let mut delay = self.retry.base;
+        for attempt in 0..=self.retry.attempts {
+            if attempt > 0 {
+                self.tally.stats.retries.fetch_add(1, Ordering::Relaxed);
+                self.tally.record(EventKind::NetRetry { peer: to, attempt });
+                std::thread::sleep(delay);
+                delay = (delay * 2).min(self.retry.max);
+            }
+            if self.try_write(to, path).is_ok() {
+                return;
+            }
+        }
+        if let Some(conn) = self.lock_conns().get_mut(&(to, path)) {
+            let all = conn.pending.len();
+            conn.pending.advance(all);
+            conn.frames = 0;
+        }
+        self.tally.disconnect(to);
+    }
+
+    /// One write attempt: (re)establish the connection and write all it
+    /// holds, under the `conns` lock — so frames of concurrent senders
+    /// cannot interleave on one connection, and a send costs no
+    /// `dup`/`close` pair. The frames wholly written are counted and leave
+    /// the buffer, even when the write fails part way; the rest is
+    /// written whole by the next attempt, on a new connection: a failed
+    /// stream is dropped so that the next attempt redials instead of
+    /// reusing a dead socket.
+    fn try_write(&self, to: SiteId, path: PathId) -> std::io::Result<()> {
+        let mut conns = self.lock_conns();
+        let Some(conn) = conns.get_mut(&(to, path)).filter(|conn| conn.frames > 0) else {
+            return Ok(());
+        };
+        let stream = match conn.stream.take() {
+            Some(stream) => stream,
+            None => self.dial(to, path)?,
+        };
+        let mut left = &conn.pending[..];
+        let written = self.write_reading(&stream, &mut left);
+        let (bytes, frames) = match written {
+            Ok(()) => (conn.pending.len(), conn.frames),
+            Err(_) => whole_frames(&conn.pending, conn.pending.len() - left.len()),
+        };
+        if frames > 0 {
+            let stats = &self.tally.stats;
+            stats.writes.fetch_add(1, Ordering::Relaxed);
+            stats.frames_sent.fetch_add(frames, Ordering::Relaxed);
+            stats.bytes_sent.fetch_add(bytes as u64, Ordering::Relaxed);
+        }
+        conn.pending.advance(bytes);
+        conn.frames -= frames;
+        if written.is_ok() {
+            conn.stream = Some(stream);
+        }
+        written
     }
 
     /// Opens the `(to, path)` connection and announces `(site, path)`
@@ -337,43 +500,16 @@ impl<M: Wire + Send + 'static> TcpNode<M> {
         Ok(stream)
     }
 
-    /// One write attempt: (re)establish the connection, write the whole
-    /// message frame through the cached stream and count it, under the
-    /// `conns` lock —
-    /// so frames of concurrent senders cannot interleave on one
-    /// connection, and a send costs no `dup`/`close` pair. On failure
-    /// the cached connection is dropped so the next attempt redials
-    /// instead of reusing a dead socket.
-    fn try_write(&self, to: SiteId, path: PathId, buf: &[u8]) -> std::io::Result<()> {
-        let mut conns = self.conns.lock().expect("conns poisoned");
-        let stream = match conns.entry((to, path)) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(v) => v.insert(self.dial(to, path)?),
-        };
-        let written = self.write_reading(stream, buf);
-        match written {
-            Ok(()) => {
-                self.tally.stats.frames_sent.fetch_add(1, Ordering::Relaxed);
-                self.tally
-                    .stats
-                    .bytes_sent
-                    .fetch_add(buf.len() as u64, Ordering::Relaxed);
-            }
-            Err(_) => {
-                conns.remove(&(to, path));
-            }
-        }
-        written
-    }
-
-    /// Writes all of `buf` to the nonblocking `stream`. While the socket
-    /// is full, this node's own connections are read into its lanes: the
-    /// peer may be blocked writing to us.
-    fn write_reading(&self, mut stream: &TcpStream, mut buf: &[u8]) -> std::io::Result<()> {
+    /// Writes all of `buf` to the nonblocking `stream`, advancing `buf`
+    /// past what was written. While the socket is full, this node's own
+    /// connections are read into its lanes, since the peer may be blocked
+    /// writing to us — by this thread if it can take the inbox, else by
+    /// the thread that holds it, which is receiving.
+    fn write_reading(&self, mut stream: &TcpStream, buf: &mut &[u8]) -> std::io::Result<()> {
         while !buf.is_empty() {
             match stream.write(buf) {
                 Ok(0) => return Err(ErrorKind::WriteZero.into()),
-                Ok(n) => buf = &buf[n..],
+                Ok(n) => *buf = &buf[n..],
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) if e.kind() == ErrorKind::WouldBlock => {
                     let fd = stream.as_raw_fd();
@@ -399,9 +535,20 @@ impl<M: Wire + Send + 'static> TcpNode<M> {
         }
         Ok(())
     }
+}
 
-    /// Closes the listener and every connection.
-    pub fn shutdown(self) {}
+/// The bytes and the number of the whole frames at the front of `buf`
+/// that its first `written` bytes cover.
+fn whole_frames(buf: &[u8], written: usize) -> (usize, u64) {
+    let (mut end, mut frames) = (0, 0);
+    while let Some(&[a, b, c, d]) = buf.get(end..end + 4) {
+        let next = end + 4 + u32::from_be_bytes([a, b, c, d]) as usize;
+        if next > written {
+            break;
+        }
+        (end, frames) = (next, frames + 1);
+    }
+    (end, frames)
 }
 
 impl<M: Wire> Inbox<M> {
@@ -589,31 +736,19 @@ impl<M: Wire> Reader<M> {
 }
 
 impl<M: Wire + Send + 'static> Transport<M> for TcpNode<M> {
+    /// Writes `msg` at once, behind whatever its connection holds.
     fn send(&self, to: SiteId, path: PathId, msg: M) {
-        // One buffer per send: every retry writes the same encoded frame.
-        let mut buf = BytesMut::new();
-        if encode_frame(&msg, &mut buf).is_err() {
-            // Over the frame limit: no retry can send it. Surface it as
-            // an abandoned send.
-            self.tally.disconnect(to);
-            return;
-        }
-        // Retry with exponential backoff + reconnect instead of dying
-        // silently on the first connect/write failure.
-        let mut delay = self.backoff_base;
-        for attempt in 0..=self.max_retries {
-            if attempt > 0 {
-                self.tally.stats.retries.fetch_add(1, Ordering::Relaxed);
-                self.tally.record(EventKind::NetRetry { peer: to, attempt });
-                std::thread::sleep(delay);
-                delay = (delay * 2).min(self.backoff_max);
-            }
-            if self.try_write(to, path, &buf).is_ok() {
-                return;
-            }
-        }
-        // Retry budget exhausted: the peer is unreachable. Surface it.
-        self.tally.disconnect(to);
+        self.node.send(to, path, &msg);
+    }
+
+    /// Appends `msg` to its connection's pending frames, which the next
+    /// [`Transport::flush`] or send on that connection writes.
+    fn send_batched(&self, to: SiteId, path: PathId, msg: M) {
+        self.node.batch(to, path, &msg);
+    }
+
+    fn flush(&self) {
+        self.node.flush();
     }
 
     /// Takes the next message, priority lane first, reading the
@@ -621,7 +756,8 @@ impl<M: Wire + Send + 'static> Transport<M> for TcpNode<M> {
     /// take it waits up to `timeout` in `ppoll`; a wake ends the wait with
     /// `None` under the rule [`Waker`] states.
     fn recv_timeout(&self, timeout: Duration) -> Option<Envelope<M>> {
-        let mut inbox = self.lock_inbox();
+        let node = &*self.node;
+        let mut inbox = node.lock_inbox();
         let mut deadline = None;
         // A queued priority message outranks whatever the connections
         // hold; a bulk one does not.
@@ -633,14 +769,14 @@ impl<M: Wire + Send + 'static> Transport<M> for TcpNode<M> {
             // been read before.
             let first = if inbox.lanes.is_empty()
                 && !timeout.is_zero()
-                && !self.doorbell.rung.load(Ordering::Acquire)
+                && !node.doorbell.rung.load(Ordering::Acquire)
             {
                 deadline = Some(Instant::now() + timeout);
                 timeout
             } else {
                 Duration::ZERO
             };
-            inbox.poll(self.site, &self.tally, Some(first), Also::Doorbell);
+            inbox.poll(node.site, &node.tally, Some(first), Also::Doorbell);
         }
         loop {
             if let Some((env, _)) = inbox.lanes.pop() {
@@ -651,15 +787,28 @@ impl<M: Wire + Send + 'static> Transport<M> for TcpNode<M> {
             // Tested before the wake flag, so a call that would not have
             // parked anyway (a zero timeout) leaves the flag for the one
             // that would.
-            if now >= deadline || self.doorbell.rung.swap(false, Ordering::AcqRel) {
+            if now >= deadline || node.doorbell.rung.swap(false, Ordering::AcqRel) {
                 return None;
             }
-            inbox.poll(self.site, &self.tally, Some(deadline - now), Also::Doorbell);
+            inbox.poll(node.site, &node.tally, Some(deadline - now), Also::Doorbell);
         }
     }
 
     fn waker(&self) -> Option<Waker> {
-        Some(Waker(Arc::clone(&self.doorbell) as Arc<dyn Wake>))
+        Some(Waker(Arc::clone(&self.node.doorbell) as Arc<dyn Wake>))
+    }
+
+    /// Sends as [`Transport::send`] does, into the same connections
+    /// under the same lock. A send whose write would block while the
+    /// node's own thread is receiving waits for the socket to drain
+    /// while that thread reads the node's connections.
+    fn sender(&self) -> Option<Sender<M>> {
+        let node = Arc::downgrade(&self.node);
+        Some(Sender::new(move |to, path, msg| {
+            if let Some(node) = node.upgrade() {
+                node.send(to, path, &msg);
+            }
+        }))
     }
 }
 
@@ -673,15 +822,25 @@ mod tests {
     }
 
     fn two_nodes<M: Wire + Send + 'static>() -> (TcpNode<M>, TcpNode<M>) {
+        two_nodes_classified(None)
+    }
+
+    /// Two nodes, sites 0 and 1, whose inboxes both use `classify`.
+    fn two_nodes_classified<M: Wire + Send + 'static>(
+        classify: Option<LaneClassifier<M>>,
+    ) -> (TcpNode<M>, TcpNode<M>) {
         // Bind ephemeral ports first to learn the addresses.
         let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
         let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
-        let a0 = addr_of(&l0);
-        let a1 = addr_of(&l1);
+        let a = [addr_of(&l0), addr_of(&l1)];
         drop((l0, l1));
-        let n0 = TcpNode::start(SiteId(0), a0, [(SiteId(1), a1)]).unwrap();
-        let n1 = TcpNode::start(SiteId(1), a1, [(SiteId(0), a0)]).unwrap();
-        (n0, n1)
+        let node = |me: usize| {
+            let peer = (SiteId(1 - me as u32), a[1 - me]);
+            let capacity = DEFAULT_MAILBOX_CAPACITY;
+            TcpNode::start_bounded(SiteId(me as u32), a[me], [peer], capacity, classify.clone())
+                .unwrap()
+        };
+        (node(0), node(1))
     }
 
     #[test]
@@ -726,15 +885,75 @@ mod tests {
         n0.send(SiteId(1), PathId(0), "count me".to_string());
         let env = n1.recv_timeout(Duration::from_secs(5)).expect("delivery");
         assert_eq!(env.msg, "count me");
-        assert_eq!(n0.stats().frames_sent.load(Ordering::Relaxed), 1);
+        let sent = |n: &TcpNode<String>| {
+            let stats = n.stats();
+            (
+                stats.writes.load(Ordering::Relaxed),
+                stats.frames_sent.load(Ordering::Relaxed),
+            )
+        };
+        assert_eq!(sent(&n0), (1, 1), "one plain send, one write");
         assert!(n0.stats().bytes_sent.load(Ordering::Relaxed) > 0);
         assert_eq!(n1.stats().frames_received.load(Ordering::Relaxed), 1);
         assert!(n1.stats().bytes_received.load(Ordering::Relaxed) > 0);
+        // Two frames batched for one connection leave in one write.
+        n0.send_batched(SiteId(1), PathId(0), "one".to_string());
+        n0.send_batched(SiteId(1), PathId(0), "two".to_string());
+        assert_eq!(sent(&n0), (1, 1), "a batched send wrote");
+        n0.flush();
+        assert_eq!(sent(&n0), (2, 3));
+        for want in ["one", "two"] {
+            let env = n1.recv_timeout(Duration::from_secs(5)).expect("delivery");
+            assert_eq!(env.msg, want);
+        }
         let mut reg = pscc_obs::MetricsRegistry::new();
         n0.stats().export(&mut reg);
-        assert_eq!(reg.counter_value("net_frames_sent"), Some(1));
+        assert_eq!(reg.counter_value("net_frames_sent"), Some(3));
+        assert_eq!(reg.counter_value("net_writes"), Some(2));
         n0.shutdown();
         n1.shutdown();
+    }
+
+    #[test]
+    fn a_tcp_sender_shares_each_path_fifo_with_its_node() {
+        let (n0, n1) = two_nodes::<u32>();
+        crate::tests::a_sender_shares_each_path_fifo(&n0, &n1);
+    }
+
+    #[test]
+    fn a_failed_write_keeps_the_frames_it_did_not_write_whole() {
+        let mut buf = BytesMut::new();
+        for m in ["a", "bb", "ccc"] {
+            encode_frame(&m.to_string(), &mut buf).unwrap();
+        }
+        // Frames of 4 + 4 + n bytes: a String is its length, then bytes.
+        let ends = [9, 19, 30];
+        assert_eq!(buf.len(), ends[2]);
+        assert_eq!(whole_frames(&buf, 0), (0, 0));
+        assert_eq!(whole_frames(&buf, ends[0] - 1), (0, 0));
+        assert_eq!(whole_frames(&buf, ends[0]), (ends[0], 1));
+        assert_eq!(whole_frames(&buf, ends[1] + 3), (ends[1], 2));
+        assert_eq!(whole_frames(&buf, ends[2]), (ends[2], 3));
+    }
+
+    #[test]
+    fn a_write_through_send_carries_the_bytes_batched_before_it() {
+        let (n0, n1) = two_nodes::<u32>();
+        let sender = n0.sender().expect("a node can send from any thread");
+        n0.send_batched(SiteId(1), PathId(0), 1);
+        std::thread::scope(|s| {
+            s.spawn(|| sender.send(SiteId(1), PathId(0), 2));
+        });
+        // No flush: the sender's write carried the batched frame.
+        let got: Vec<u32> = (0..2)
+            .map(|_| {
+                n1.recv_timeout(Duration::from_secs(5))
+                    .expect("arrives")
+                    .msg
+            })
+            .collect();
+        assert_eq!(got, [1, 2]);
+        assert_eq!(n0.stats().writes.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -892,7 +1111,7 @@ mod tests {
         node.set_trace(trace.clone());
         // The next accept fails as it does when the descriptor table is
         // full; the connection waits in the listener's queue meanwhile.
-        node.lock_inbox().accept_errors = 1;
+        node.node.lock_inbox().accept_errors = 1;
         let (_raw, got) = handshake_in(WIRE_VERSION, &node, addr);
         assert_eq!(got.as_deref(), Some("hi"), "accepting stopped");
         assert_eq!(node.stats().disconnects.load(Ordering::Relaxed), 1);
@@ -914,7 +1133,7 @@ mod tests {
         let (_n0, n1) = two_nodes::<u64>();
         // The receiver holds the inbox for the whole of its wait.
         wake_rule::during_the_wait_ends_it(&n1, || {
-            while n1.inbox.try_lock().is_ok() {
+            while n1.node.inbox.try_lock().is_ok() {
                 std::thread::yield_now();
             }
         });
@@ -938,7 +1157,7 @@ mod tests {
     /// and returns once the frame waits on it, read by no one.
     fn unread_on_the_socket(n0: &TcpNode<u64>, n1: &TcpNode<u64>, m: u64) {
         n0.send(SiteId(1), PathId(0), m);
-        let fd = n1.lock_inbox().readers[0].stream.as_raw_fd();
+        let fd = n1.node.lock_inbox().readers[0].stream.as_raw_fd();
         loop {
             let mut fds = [PollFd::new(Some(fd), POLLIN)];
             poll::wait(&mut fds, Some(Duration::ZERO));
@@ -947,7 +1166,7 @@ mod tests {
             }
             std::thread::yield_now();
         }
-        assert!(n1.lock_inbox().lanes.is_empty());
+        assert!(n1.node.lock_inbox().lanes.is_empty());
     }
 
     /// Two nodes whose one connection, `n0` into `n1`, is accepted and
@@ -986,27 +1205,23 @@ mod tests {
         assert_eq!(waits() - before, 1);
     }
 
-    #[test]
-    fn tcp_mutual_flood_does_not_deadlock() {
-        // Each node writes more pages to the other than the two sockets'
-        // buffers hold before it reads one. Only a write that keeps
-        // reading its own connections while it is blocked finishes.
-        const FRAMES: usize = 2_000;
-        const PAGE: usize = 4_096;
-        let (n0, n1) = two_nodes::<Vec<u8>>();
+    const FLOOD_FRAMES: usize = 2_000;
+    const FLOOD_PAGE: usize = 4_096;
+
+    /// Runs `flood` on a thread of each of two nodes, with the other's
+    /// site. Each must write `FLOOD_FRAMES` pages to the other, more than
+    /// the two sockets' buffers hold, and take what the other writes:
+    /// passes if both take it all within ten seconds.
+    fn flood_each_other(
+        (n0, n1): (TcpNode<Vec<u8>>, TcpNode<Vec<u8>>),
+        flood: impl Fn(TcpNode<Vec<u8>>, SiteId) -> usize + Send + Copy + 'static,
+    ) {
         let (done_tx, done) = std::sync::mpsc::sync_channel(2);
         for (peer, node) in [(SiteId(1), n0), (SiteId(0), n1)] {
             let done_tx = done_tx.clone();
             // Detached, so a deadlock fails the test instead of hanging it.
             std::thread::spawn(move || {
-                for i in 0..FRAMES {
-                    node.send(peer, PathId(0), vec![i as u8; PAGE]);
-                }
-                let got = (0..FRAMES)
-                    .map_while(|_| node.recv_timeout(Duration::from_secs(10)))
-                    .filter(|env| env.msg.len() == PAGE)
-                    .count();
-                let _ = done_tx.send(got);
+                let _ = done_tx.send(flood(node, peer));
             });
         }
         let deadline = Instant::now() + Duration::from_secs(10);
@@ -1014,9 +1229,54 @@ mod tests {
             let left = deadline.saturating_duration_since(Instant::now());
             assert_eq!(
                 done.recv_timeout(left),
-                Ok(FRAMES),
+                Ok(FLOOD_FRAMES),
                 "two nodes writing to each other deadlocked"
             );
         }
+    }
+
+    /// The pages `node` takes, waiting up to ten seconds for each.
+    fn take_flood(node: &TcpNode<Vec<u8>>) -> usize {
+        (0..FLOOD_FRAMES)
+            .map_while(|_| node.recv_timeout(Duration::from_secs(10)))
+            .filter(|env| env.msg.len() == FLOOD_PAGE)
+            .count()
+    }
+
+    #[test]
+    fn tcp_mutual_flood_does_not_deadlock() {
+        // Each node writes all its pages before it reads one. Only a
+        // write that keeps reading its own connections while it is
+        // blocked finishes.
+        flood_each_other(two_nodes(), |node, peer| {
+            for i in 0..FLOOD_FRAMES {
+                node.send(peer, PathId(0), vec![i as u8; FLOOD_PAGE]);
+            }
+            take_flood(&node)
+        });
+    }
+
+    #[test]
+    fn tcp_mutual_flood_through_senders_does_not_deadlock() {
+        // The pages go through each node's sender, from another thread,
+        // while the node's own thread waits in `recv_timeout` holding the
+        // inbox: a blocked write must wait for its socket while that
+        // thread reads. The lane classifier, which runs as the node's
+        // thread reads, is slow, so that the writers' sockets fill.
+        let slow: LaneClassifier<Vec<u8>> = Arc::new(|_| {
+            std::thread::sleep(Duration::from_micros(20));
+            true
+        });
+        flood_each_other(two_nodes_classified(Some(slow)), |node, peer| {
+            let sender = node.sender().expect("a node can send from any thread");
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    for i in 0..FLOOD_FRAMES {
+                        sender.send(peer, PathId(0), vec![i as u8; FLOOD_PAGE]);
+                    }
+                });
+                take_flood(&node)
+            })
+        });
     }
 }

@@ -27,17 +27,19 @@
 //!   an op never overtakes one queued before it.
 //! * *Sends under the lock.* Every effect leaves while its thread holds
 //!   the engine, sends through the transport or its sender into the same
-//!   per-path FIFOs, so messages leave in engine order.
+//!   per-path FIFOs, so messages leave in engine order. A send the site
+//!   thread batched is in that FIFO too: any later send on its path
+//!   writes it first.
 //! * *No stranded input.* The site thread never waits for the engine for
 //!   a message or a timer: if the engine is held, it leaves the input in
 //!   the site's inbox for the holder, then tries the lock once more. A
 //!   holder drives the inbox before its own input and before it lets
 //!   go, and looks at it again after it has let go.
 //!
-//! Over TCP the site thread alone touches its sockets, so every op is
-//! queued. Inline ops there were measured and left out: they moved the
-//! sites' CPU onto the application threads and made remote ops wait
-//! (DESIGN.md §12).
+//! Over TCP too: an inline op writes its messages from the application's
+//! thread through the node's sender, and the site thread batches its own
+//! (below), which leaves the shared CPU of the site threads the headroom
+//! the inline ops need (DESIGN.md §12).
 //!
 //! # The site loop
 //!
@@ -53,8 +55,14 @@
 //! batch only looks. That first look does not wait either when commands
 //! may be queued that no wake will announce: the rest of a batch cut off
 //! at its bound, or any command over a transport that cannot be woken.
-//! Over TCP the wait is also where the site reads its own sockets: no
-//! other thread touches them. See DESIGN.md §12.
+//! Over TCP the wait is also where the site reads its own sockets.
+//!
+//! What the site thread sends goes through [`Transport::send_batched`],
+//! which over TCP appends to its connection's buffer. The thread writes
+//! the buffers ([`Transport::flush`]) before each wait it makes — for
+//! the network, for room in a full reply queue, for an engine another
+//! thread holds — and at the end of each pass: a pass's messages to one
+//! connection cost one write, not one each. See DESIGN.md §12.
 //!
 //! Replies that the site thread makes go the other way with the
 //! opposite policy: an application thread that finds none queued naps
@@ -542,11 +550,11 @@ struct Site<T> {
     polled: bool,
 }
 
-/// A site's [`Env`] while a thread holds its engine: sends go out at
-/// once, through the transport on the site thread and through its
-/// [`Sender`] on any other; timers go to the site thread's heap; replies
-/// to the applications' queue; disks complete at once (storage is in
-/// memory).
+/// A site's [`Env`] while a thread holds its engine: sends are batched
+/// through the transport on the site thread, and go out at once through
+/// its [`Sender`] on any other; timers go to the site thread's heap;
+/// replies to the applications' queue; disks complete at once (storage
+/// is in memory).
 struct Io<'a> {
     send: &'a dyn Fn(SiteId, PathId, Message),
     shared: &'a Shared,
@@ -619,6 +627,9 @@ impl<T: Transport<Message>> Site<T> {
             } else {
                 self.wait()
             };
+            // What the timers and commands sent goes out before the wait,
+            // what the messages sent at the end of the pass.
+            self.transport.flush();
             for _ in 0..PASS_BATCH {
                 let Some(env) = self.transport.recv_timeout(wait) else {
                     break;
@@ -626,6 +637,7 @@ impl<T: Transport<Message>> Site<T> {
                 self.message(env);
                 wait = Duration::ZERO;
             }
+            self.transport.flush();
         }
     }
 
@@ -654,22 +666,30 @@ impl<T: Transport<Message>> Site<T> {
     }
 
     fn offer(&self, input: Input) {
-        let send = |to, path, msg| self.transport.send(to, path, msg);
+        let send = |to, path, msg| self.transport.send_batched(to, path, msg);
         self.shared.offer(input, &mut Io::new(&send, &self.shared));
     }
 
-    /// Runs `f` on the engine, waiting for it if another thread holds it.
+    /// Runs `f` on the engine. If another thread holds it, writes what
+    /// this thread batched, then waits for it.
     fn with_engine<R>(&self, f: impl FnOnce(&mut PeerServer, &mut Io<'_>) -> R) -> R {
-        let send = |to, path, msg| self.transport.send(to, path, msg);
+        let send = |to, path, msg| self.transport.send_batched(to, path, msg);
         let shared = &*self.shared;
-        shared.hold(shared.lock_engine(), &mut Io::new(&send, shared), f)
+        let engine = shared.try_engine().unwrap_or_else(|| {
+            self.transport.flush();
+            shared.lock_engine()
+        });
+        shared.hold(engine, &mut Io::new(&send, shared), f)
     }
 
     fn command(&mut self, cmd: Cmd, stop: &AtomicBool) {
         let start = self.shared.start;
         match cmd {
             Cmd::App(req) => {
-                self.shared.replies.wait_room(stop);
+                if !self.shared.replies.has_room() {
+                    self.transport.flush();
+                    self.shared.replies.wait_room(stop);
+                }
                 self.with_engine(|e, io| e.drive(clock(start), Input::App(req), io));
             }
             Cmd::Stats(tx) => {

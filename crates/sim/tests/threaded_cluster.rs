@@ -638,18 +638,22 @@ fn a_local_read_is_answered_before_submit_returns_when_the_transport_can_send() 
     let x = oid(3, 0);
     let site = SiteId(0);
     let app = AppId(1);
-    let inproc = ThreadedCluster::new(1, ps_aa(), OwnerMap::Single(site));
-    let txn = inproc.begin(site, app).unwrap();
-    inproc.run_op(site, app, txn, AppOp::Read(x)).unwrap();
-    for _ in 0..3 {
-        inproc.submit(site, app, Some(txn), AppOp::Read(x));
-        let reply = inproc.try_reply(site);
-        assert!(
-            matches!(reply, Some(AppReply::Done { txn: t, .. }) if t == txn),
-            "the read ran on the site thread: {reply:?} right after submit"
-        );
+    for cluster in [
+        ThreadedCluster::new(1, ps_aa(), OwnerMap::Single(site)),
+        ThreadedCluster::new_tcp(1, ps_aa(), OwnerMap::Single(site)),
+    ] {
+        let txn = cluster.begin(site, app).unwrap();
+        cluster.run_op(site, app, txn, AppOp::Read(x)).unwrap();
+        for _ in 0..3 {
+            cluster.submit(site, app, Some(txn), AppOp::Read(x));
+            let reply = cluster.try_reply(site);
+            assert!(
+                matches!(reply, Some(AppReply::Done { txn: t, .. }) if t == txn),
+                "the read ran on the site thread: {reply:?} right after submit"
+            );
+        }
+        cluster.shutdown();
     }
-    inproc.shutdown();
 
     // A site that cannot be woken looks for commands every 200 µs, so
     // the reply of an op it runs is seldom there right after submit,
@@ -672,6 +676,36 @@ fn a_local_read_is_answered_before_submit_returns_when_the_transport_can_send() 
         "ops ran inline over a transport that cannot send from another thread"
     );
     polled.shutdown();
+}
+
+#[test]
+fn a_tcp_site_flushes_what_it_batched_before_it_waits() {
+    // Each read is queued behind a control command, so the client's site
+    // thread batches the request while it takes its commands, and the
+    // owner's batches the answer while it takes its messages. Each must
+    // write what it batched before it parks for its idle park.
+    let (owner, client) = (SiteId(0), SiteId(1));
+    let app = AppId(1);
+    let cluster = ThreadedCluster::new_tcp(2, ps_aa(), OwnerMap::Single(owner));
+    for round in 0..5 {
+        let txn = cluster.begin(client, app).unwrap();
+        // Let both sites park.
+        std::thread::sleep(Duration::from_millis(5));
+        let t0 = Instant::now();
+        cluster.send_control(client, ControlOp::Undrain);
+        let read = cluster.run_op(client, app, txn, AppOp::Read(oid(3 + round, 0)));
+        let took = t0.elapsed();
+        assert!(
+            matches!(read, Ok(AppReply::Done { .. })),
+            "the remote read failed: {read:?}"
+        );
+        assert!(
+            took < IDLE_PARK / 2,
+            "round {round}: the remote read took {took:?}"
+        );
+        let _ = cluster.run_op(client, app, txn, AppOp::Commit);
+    }
+    cluster.shutdown();
 }
 
 /// What a test sets to hold a site thread in its transport wait.
